@@ -10,6 +10,7 @@
 //	mrbench -pattern MR-RAND -datatype Text -kv 1024 -size 4GB -monitor
 //	mrbench -cluster B -network "RDMA-FDR(56Gbps)" -rdma -size 32GB
 //	mrbench -local -pairs 10000 -kv 64   # actually executes the records
+//	mrbench -local -pairs 100000 -kv 10 -datatype Text -cpuprofile cpu.pprof
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"mrmicro/internal/cliutil"
 	"mrmicro/internal/distrun"
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/localrun"
@@ -35,6 +37,7 @@ func main() {
 	distrun.MaybeWorker() // no-op unless spawned as a dist worker process
 
 	shared := microbench.BindFlags(flag.CommandLine)
+	prof := cliutil.BindProfileFlags(flag.CommandLine)
 	var (
 		monitor  = flag.Bool("monitor", false, "collect per-second resource utilization")
 		tasklog  = flag.Bool("tasklog", false, "print the per-task-attempt timeline (Gantt)")
@@ -50,6 +53,16 @@ func main() {
 		pipeline = flag.String("pipeline", "", `run a chained-job pipeline instead of a single job ("hs": HSGen -> HSSort -> HSValidate; -engine=dist runs the reduce stages distributed)`)
 	)
 	flag.Parse()
+
+	stopProf, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	cfg, err := shared.Config()
 	if err != nil {

@@ -340,44 +340,6 @@ func TestMergePasses(t *testing.T) {
 	}
 }
 
-func TestGroupIterator(t *testing.T) {
-	cmp, _ := writable.Comparator("BytesWritable")
-	recs := []Record{
-		{mkBytesWritable("a"), []byte("1")},
-		{mkBytesWritable("a"), []byte("2")},
-		{mkBytesWritable("b"), []byte("3")},
-		{mkBytesWritable("c"), []byte("4")},
-		{mkBytesWritable("c"), []byte("5")},
-		{mkBytesWritable("c"), []byte("6")},
-	}
-	if err := Validate(cmp, recs); err != nil {
-		t.Fatal(err)
-	}
-	g := NewGroupIterator(cmp, recs)
-	var sizes []int
-	for {
-		_, vals, ok := g.NextGroup()
-		if !ok {
-			break
-		}
-		sizes = append(sizes, len(vals))
-	}
-	if fmt.Sprint(sizes) != "[2 1 3]" {
-		t.Errorf("group sizes = %v", sizes)
-	}
-}
-
-func TestValidateDetectsDisorder(t *testing.T) {
-	cmp, _ := writable.Comparator("BytesWritable")
-	recs := []Record{
-		{mkBytesWritable("b"), nil},
-		{mkBytesWritable("a"), nil},
-	}
-	if err := Validate(cmp, recs); err == nil {
-		t.Error("unsorted records validated")
-	}
-}
-
 func BenchmarkSortBufferSpill(b *testing.B) {
 	cmp, _ := writable.Comparator("BytesWritable")
 	key := make([][]byte, 1024)

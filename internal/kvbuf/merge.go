@@ -294,44 +294,3 @@ func MergeAllStream(cmp writable.RawComparator, segs []*Segment, factor, paralle
 	comps, err := MergeStream(cmp, final, emit)
 	return comparisons + comps, err
 }
-
-// Record is one materialized key/value pair.
-type Record struct {
-	Key, Val []byte
-}
-
-// GroupIterator splits a sorted record stream into key groups for the
-// reducer: all consecutive records whose keys compare equal form one group.
-type GroupIterator struct {
-	cmp  writable.RawComparator
-	recs []Record
-	pos  int
-}
-
-// NewGroupIterator wraps a fully merged record slice.
-func NewGroupIterator(cmp writable.RawComparator, recs []Record) *GroupIterator {
-	return &GroupIterator{cmp: cmp, recs: recs}
-}
-
-// NextGroup returns the next key and that key's values; ok=false at end.
-func (g *GroupIterator) NextGroup() (key []byte, vals [][]byte, ok bool) {
-	if g.pos >= len(g.recs) {
-		return nil, nil, false
-	}
-	key = g.recs[g.pos].Key
-	for g.pos < len(g.recs) && g.cmp(g.recs[g.pos].Key, key) == 0 {
-		vals = append(vals, g.recs[g.pos].Val)
-		g.pos++
-	}
-	return key, vals, true
-}
-
-// Validate checks that recs are sorted by cmp (a merge invariant).
-func Validate(cmp writable.RawComparator, recs []Record) error {
-	for i := 1; i < len(recs); i++ {
-		if cmp(recs[i-1].Key, recs[i].Key) > 0 {
-			return fmt.Errorf("kvbuf: records out of order at %d", i)
-		}
-	}
-	return nil
-}

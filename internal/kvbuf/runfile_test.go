@@ -19,6 +19,9 @@ func runTestSegment(t *testing.T, n int, tag byte) *Segment {
 	return w.Close()
 }
 
+// Record is one copied-out key/value pair.
+type Record struct{ Key, Val []byte }
+
 func drainSource(t *testing.T, src RecordSource) []Record {
 	t.Helper()
 	var recs []Record

@@ -1,6 +1,7 @@
 package kvbuf
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -25,13 +26,13 @@ type recordMeta struct {
 //
 // The spill path is the map side's hottest loop, so it avoids the obvious
 // costs: records are grouped by partition with a stable counting pass (no
-// partition comparisons at all), each partition's records are sorted through
-// a compact []int32 index with an inlined comparator that decides most
-// orders from a precomputed uint64 key prefix, partitions sort and serialize
-// in parallel when the record count warrants it, and every per-partition
-// IFile writer is sized from the exact bytes observed at Add time so segment
-// buffers never regrow. Slab and metadata arrays are recycled across
-// SortBuffer instances via Release().
+// partition comparisons at all), each partition is sorted as compact
+// (prefix, index) entries on integers alone with the key bytes consulted
+// only to resolve equal-prefix runs (see spillPartition), partitions sort
+// and serialize in parallel when the record count warrants it, and every
+// per-partition IFile writer is sized from the exact bytes observed at Add
+// time so segment buffers never regrow. Slab and metadata arrays are
+// recycled across SortBuffer instances via Release().
 type SortBuffer struct {
 	cmp        writable.RawComparator
 	prefix     writable.PrefixFunc
@@ -65,8 +66,16 @@ var (
 	slabPool   = sync.Pool{New: func() any { return new([]byte) }}
 	metaPool   = sync.Pool{New: func() any { return new([]recordMeta) }}
 	prefixPool = sync.Pool{New: func() any { return new([]uint64) }}
-	idxPool    = sync.Pool{New: func() any { return new([]int32) }}
+	entryPool  = sync.Pool{New: func() any { return new([]sortEntry) }}
 )
+
+// sortEntry is one record in a spill's sort index: its order-preserving key
+// prefix (zero for key types without an extractor) and its position in meta,
+// which doubles as the insertion-order tie-break.
+type sortEntry struct {
+	prefix uint64
+	idx    int32
+}
 
 // NewSortBuffer creates a buffer of capacityBytes for the given partition
 // count, sorting keys with cmp.
@@ -89,9 +98,9 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 }
 
 // SetPrefixFunc installs an order-preserving key-prefix extractor (see
-// writable.PrefixExtractor); the sort then resolves most comparisons from
-// one uint64 compare instead of calling the raw comparator. Must be called
-// before the first Add.
+// writable.PrefixExtractor); the sort then runs on the prefixes and calls
+// the raw comparator only inside runs of equal prefixes whose keys differ.
+// Must be called before the first Add.
 func (b *SortBuffer) SetPrefixFunc(f writable.PrefixFunc) {
 	if len(b.meta) > 0 {
 		panic("kvbuf: SetPrefixFunc after Add")
@@ -171,22 +180,23 @@ func (b *SortBuffer) ShouldSpill(spillPercent float64) bool {
 
 // Spill sorts the buffered records by (partition, key) and returns one
 // segment per partition (empty partitions yield empty segments), then
-// resets the buffer. Comparisons is the number of key comparisons performed,
-// which the simulated engines convert to CPU time. The sort is stable:
-// records with equal keys keep insertion order, so output is deterministic
-// regardless of how many goroutines the spill used.
+// resets the buffer. Comparisons is the number of comparisons the sort
+// performed — integer entry comparisons, equal-run byte checks and raw
+// comparator calls alike — a deterministic work count for benchmarks. The
+// sort is stable: records with equal keys keep insertion order, so output is
+// deterministic regardless of how many goroutines the spill used.
 func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 	n := len(b.meta)
 	segs = make([]*Segment, b.partitions)
 
-	// Stable counting pass: place each record's index into its partition's
+	// Stable counting pass: place each record's entry into its partition's
 	// contiguous range. Partition grouping costs zero comparisons.
-	idxp := idxPool.Get().(*[]int32)
-	idx := *idxp
-	if cap(idx) < n {
-		idx = make([]int32, n)
+	entp := entryPool.Get().(*[]sortEntry)
+	ent := *entp
+	if cap(ent) < n {
+		ent = make([]sortEntry, n)
 	} else {
-		idx = idx[:n]
+		ent = ent[:n]
 	}
 	starts := make([]int32, b.partitions+1)
 	for p := 0; p < b.partitions; p++ {
@@ -196,7 +206,11 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 	copy(fill, starts[:b.partitions])
 	for i := range b.meta {
 		p := b.meta[i].partition
-		idx[fill[p]] = int32(i)
+		e := sortEntry{idx: int32(i)}
+		if b.prefix != nil {
+			e.prefix = b.prefixes[i]
+		}
+		ent[fill[p]] = e
 		fill[p]++
 	}
 
@@ -215,7 +229,7 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 					if p >= b.partitions {
 						break
 					}
-					comps += b.spillPartition(p, idx[starts[p]:starts[p+1]], segs)
+					comps += b.spillPartition(p, ent[starts[p]:starts[p+1]], segs)
 				}
 				total.Add(comps)
 			}()
@@ -224,11 +238,12 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 		comparisons = total.Load()
 	} else {
 		for p := 0; p < b.partitions; p++ {
-			comparisons += b.spillPartition(p, idx[starts[p]:starts[p+1]], segs)
+			comparisons += b.spillPartition(p, ent[starts[p]:starts[p+1]], segs)
 		}
 	}
 
-	idxPool.Put(&idx)
+	*entp = ent
+	entryPool.Put(entp)
 	b.Reset()
 	return segs, comparisons
 }
@@ -248,40 +263,61 @@ func (b *SortBuffer) Reset() {
 	}
 }
 
-// spillPartition sorts one partition's record indices and serializes them
-// into an exactly-sized IFile segment, returning the key comparisons spent.
-func (b *SortBuffer) spillPartition(p int, part []int32, segs []*Segment) int64 {
+// spillPartition sorts one partition's entries by (key, insertion order) and
+// serializes them into an exactly-sized IFile segment, returning the key
+// comparisons spent (integer and byte-wise alike).
+//
+// The entries arrive in insertion order. They are first sorted on
+// (prefix, idx) — integers in a contiguous array, no slab access. That is
+// already the final order wherever a prefix decides it, and also inside any
+// equal-prefix run whose keys are all byte-equal (equal keys keep insertion
+// order), which one linear pass over the run establishes; only a run holding
+// distinct keys under one prefix is re-sorted with the raw comparator. The
+// result is the order a stable full-comparator sort produces, for any input,
+// while the slab is touched O(n) times instead of O(n log n). A key type
+// without an extractor has every prefix zero: one run, sorted by comparator.
+func (b *SortBuffer) spillPartition(p int, part []sortEntry, segs []*Segment) int64 {
 	var comps int64
 	slab, meta := b.slab, b.meta
+	key := func(e sortEntry) []byte {
+		m := &meta[e.idx]
+		return slab[m.keyOff : m.keyOff+m.keyLen]
+	}
 	if b.prefix != nil {
-		prefixes := b.prefixes
-		slices.SortFunc(part, func(x, y int32) int {
+		slices.SortFunc(part, func(x, y sortEntry) int {
 			comps++
-			if px, py := prefixes[x], prefixes[y]; px != py {
-				if px < py {
+			if x.prefix != y.prefix {
+				if x.prefix < y.prefix {
 					return -1
 				}
 				return 1
 			}
-			mx, my := &meta[x], &meta[y]
-			if c := b.cmp(slab[mx.keyOff:mx.keyOff+mx.keyLen], slab[my.keyOff:my.keyOff+my.keyLen]); c != 0 {
-				return c
-			}
-			return int(x - y) // stability: equal keys keep insertion order
-		})
-	} else {
-		slices.SortFunc(part, func(x, y int32) int {
-			comps++
-			mx, my := &meta[x], &meta[y]
-			if c := b.cmp(slab[mx.keyOff:mx.keyOff+mx.keyLen], slab[my.keyOff:my.keyOff+my.keyLen]); c != 0 {
-				return c
-			}
-			return int(x - y)
+			return int(x.idx - y.idx)
 		})
 	}
+	for lo := 0; lo < len(part); {
+		hi := lo + 1
+		first, same := key(part[lo]), true
+		for ; hi < len(part) && part[hi].prefix == part[lo].prefix; hi++ {
+			if same {
+				comps++
+				same = bytes.Equal(first, key(part[hi]))
+			}
+		}
+		if !same {
+			slices.SortFunc(part[lo:hi], func(x, y sortEntry) int {
+				comps++
+				if c := b.cmp(key(x), key(y)); c != 0 {
+					return c
+				}
+				return int(x.idx - y.idx) // stability: equal keys keep insertion order
+			})
+		}
+		lo = hi
+	}
 	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
-	for _, i := range part {
-		m := &meta[i]
+	for _, e := range part {
+		m := &meta[e.idx]
 		w.Append(slab[m.keyOff:m.keyOff+m.keyLen], slab[m.valOff:m.valOff+m.valLen])
 	}
 	segs[p] = w.Close()

@@ -27,21 +27,23 @@ func benchSegment(n int, seed int64) *kvbuf.Segment {
 }
 
 // benchFetchAll shuffles one reducer's input — every map's partition segment
-// — from the server, bounded by `parallel` persistent pipelined connections.
-// It is the benchmark's view of the production copy phase, including its
-// buffer lifecycle: fetched payloads are drawn from the slab pool (GrabBuf)
-// and recycled once consumed, so steady-state iterations allocate almost
+// — from the server through the production copy phase (copyPhase), bounded
+// by `parallel` persistent pipelined connections, including its buffer
+// lifecycle: fetched payloads are drawn from the slab pool (GrabBuf) and
+// recycled by the phase's cleanup, so steady-state iterations allocate almost
 // nothing per segment.
 func benchFetchAll(addr string, maps, reduce, parallel int) error {
-	segs, _, _, err := fetchAllSegments(addr, maps, reduce, parallel, false, nil, faultinject.Backoff{})
+	res, err := copyPhase(addr, maps, reduce, parallel, faultinject.Backoff{})
+	if res != nil {
+		defer res.cleanup()
+	}
 	if err != nil {
 		return err
 	}
-	for m, s := range segs {
-		if s == nil {
+	for m, ok := range res.fetched {
+		if !ok {
 			return fmt.Errorf("map %d segment missing", m)
 		}
-		s.Recycle()
 	}
 	return nil
 }

@@ -570,90 +570,13 @@ func mergeRunGroup(r int, cmp writable.RawComparator, in []mergeInput, rdir *run
 	return mergeInput{lo: out.lo, hi: out.hi, run: out}, nil
 }
 
-// mergedValueIter adapts the pull-based source merger into the reducer's
-// ValueIterator, one key group at a time. The merger's views are only valid
-// until the next pull, so each value is unmarshaled before advancing.
-type mergedValueIter struct {
-	m        *kvbuf.SourceMerger
-	cmp      writable.RawComparator
-	inst     writable.Writable
-	key, val []byte // pending record: views into the merger's sources
-	ok       bool
-	err      error
-	groupKey []byte // current group's key, copied so it outlives the views
-	started  bool
-	inGroup  bool
-	consumed int64 // records consumed from the current group
-}
-
-func newMergedValueIter(m *kvbuf.SourceMerger, cmp writable.RawComparator, valType string) (*mergedValueIter, error) {
-	inst, err := writable.New(valType)
-	if err != nil {
-		return nil, err
-	}
-	it := &mergedValueIter{m: m, cmp: cmp, inst: inst}
-	it.pull()
-	return it, it.err
-}
-
-func (it *mergedValueIter) pull() {
-	it.key, it.val, it.ok, it.err = it.m.Next()
-}
-
-// beginGroup starts the next key group, unmarshaling its key into keyInst;
-// ok=false when the stream is exhausted. Sort order is validated here: a new
-// group's key must sort strictly after the previous group's (equal keys
-// cannot start a new group, and a smaller one means a mis-sorted source).
-func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
-	if it.err != nil || !it.ok {
-		return false, it.err
-	}
-	if it.started && it.cmp(it.key, it.groupKey) < 0 {
-		return false, fmt.Errorf("localrun: merged records out of order")
-	}
-	it.groupKey = append(it.groupKey[:0], it.key...)
-	it.started = true
-	it.inGroup = true
-	it.consumed = 0
-	if err := writable.Unmarshal(it.groupKey, keyInst); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Next implements mapreduce.ValueIterator over the current group.
-func (it *mergedValueIter) Next() (writable.Writable, bool) {
-	if it.err != nil || !it.inGroup || !it.ok || it.cmp(it.key, it.groupKey) != 0 {
-		return nil, false
-	}
-	if err := writable.Unmarshal(it.val, it.inst); err != nil {
-		it.err = err
-		return nil, false
-	}
-	it.consumed++
-	it.pull()
-	return it.inst, true
-}
-
-// endGroup drains whatever the reducer left unread and returns the group's
-// record count.
-func (it *mergedValueIter) endGroup() (int64, error) {
-	for it.err == nil && it.ok && it.cmp(it.key, it.groupKey) == 0 {
-		it.consumed++
-		it.pull()
-	}
-	it.inGroup = false
-	return it.consumed, it.err
-}
-
-// reduceOverInputs is reduceOverParts' memory-bounded twin: the merge
-// sources are a position-ordered mix of in-memory segments and on-disk runs.
-// Intermediate disk passes bound the final fan-in to factor, then the final
-// pass streams the merge straight into the reducer — the record set is never
-// materialized, so a reduce whose shuffle volume exceeds RAM completes. The
-// emitted bytes are identical to reduceOverParts over the same fetched
-// segments (adjacent-only merging preserves positional tie-breaks).
-func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inputs []mergeInput, numMaps, factor int, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep *mapreduce.CountersReporter) error {
+// reduceOverInputs runs the reduce tail over a position-ordered mix of
+// in-memory segments and on-disk runs: intermediate disk passes bound the
+// final fan-in to factor, then the same streaming tail takes over — so a
+// reduce whose shuffle volume exceeds RAM completes, emitting the bytes
+// reduceOverParts would over the same fetched segments (adjacent-only
+// merging preserves positional tie-breaks).
+func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inputs []mergeInput, numMaps, factor int, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	inputs, err := intermediateMerges(r, cmp, inputs, factor, rdir, tm)
 	if err != nil {
 		return err
@@ -670,49 +593,5 @@ func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inp
 			o.Close()
 		}
 	}()
-	merger, err := kvbuf.NewSourceMerger(cmp, srcs)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d merge: %w", r, err)
-	}
-	ctrs.IncrTask(mapreduce.CtrMergedMapOutputs, int64(numMaps))
-
-	writer, err := job.Output.Writer(job.Conf, r)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d output: %w", r, err)
-	}
-	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
-		ctrs.IncrTask(mapreduce.CtrReduceOutputRecords, 1)
-		return writer.Write(k, v)
-	})
-	reducer := job.Reducer()
-	keyInst, err := writable.New(job.MapOutputKeyType)
-	if err != nil {
-		return err
-	}
-	it, err := newMergedValueIter(merger, cmp, job.MapOutputValueType)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d merge: %w", r, err)
-	}
-	for {
-		ok, err := it.beginGroup(keyInst)
-		if err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		if !ok {
-			break
-		}
-		ctrs.IncrTask(mapreduce.CtrReduceInputGroups, 1)
-		if err := reducer.Reduce(keyInst, it, out, rep); err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		n, err := it.endGroup()
-		if err != nil {
-			return fmt.Errorf("localrun: reduce %d values: %w", r, err)
-		}
-		ctrs.IncrTask(mapreduce.CtrReduceInputRecords, n)
-	}
-	if err := reducer.Close(out, rep); err != nil {
-		return err
-	}
-	return writer.Close()
+	return reduceSources(job, r, cmp, srcs, numMaps, ctrs, rep)
 }

@@ -494,6 +494,10 @@ type mapCollector struct {
 	enc        *writable.DataOutput
 	codec      kvbuf.Codec // non-nil: spill segments are stored compressed
 
+	// Per-record tallies stay in plain integers; runMapTask folds them into
+	// ctrs once per attempt.
+	outRecords, outBytes int64
+
 	pipe *spillPipeline // non-nil: background spill overlap
 	tm   *spillTimings  // this attempt's pipeline breakdown
 
@@ -529,8 +533,8 @@ func (mc *mapCollector) Collect(key, value writable.Writable) error {
 			return fmt.Errorf("localrun: record does not fit in empty sort buffer (err=%v)", err)
 		}
 	}
-	mc.ctrs.IncrTask(mapreduce.CtrMapOutputRecords, 1)
-	mc.ctrs.IncrTask(mapreduce.CtrMapOutputBytes, int64(len(raw)))
+	mc.outRecords++
+	mc.outBytes += int64(len(raw))
 	if mc.buf.ShouldSpill(mc.spillPct) {
 		return mc.spill()
 	}
@@ -643,6 +647,7 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 		tm:         tm,
 	}
 	drained := false
+	var inRecords int64
 	defer func() {
 		if pipe != nil && !drained {
 			pipe.abort()
@@ -650,6 +655,10 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 		if mc.buf != nil {
 			mc.buf.Release()
 		}
+		// Deferred so a failed attempt still reports what it did.
+		addTask(ctrs, mapreduce.CtrMapInputRecords, inRecords)
+		addTask(ctrs, mapreduce.CtrMapOutputRecords, mc.outRecords)
+		addTask(ctrs, mapreduce.CtrMapOutputBytes, mc.outBytes)
 	}()
 	mapper := job.Mapper()
 	for {
@@ -660,7 +669,7 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 		if !ok {
 			break
 		}
-		ctrs.IncrTask(mapreduce.CtrMapInputRecords, 1)
+		inRecords++
 		if err := mapper.Map(k, v, mc, rep); err != nil {
 			return ctrs, fmt.Errorf("localrun: map %d: %w", idx, err)
 		}
@@ -779,95 +788,6 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 	return ctrs, nil
 }
 
-// combineSegment runs the job's combiner over one sorted segment.
-func combineSegment(job *mapreduce.Job, seg *kvbuf.Segment, ctrs *mapreduce.Counters) (*kvbuf.Segment, error) {
-	recs, err := readAll(seg)
-	if err != nil {
-		return nil, err
-	}
-	cmp, err := writable.Comparator(job.MapOutputKeyType)
-	if err != nil {
-		return nil, err
-	}
-	w := kvbuf.NewWriter(seg.Len())
-	enc := writable.NewDataOutput(256)
-	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
-		enc.Reset()
-		k.Write(enc)
-		kl := enc.Len()
-		v.Write(enc)
-		raw := enc.Bytes()
-		w.Append(raw[:kl], raw[kl:])
-		ctrs.IncrTask(mapreduce.CtrCombineOutputRecs, 1)
-		return nil
-	})
-	combiner := job.Combiner()
-	rep := &mapreduce.CountersReporter{C: ctrs}
-	gi := kvbuf.NewGroupIterator(cmp, recs)
-	keyInst, _ := writable.New(job.MapOutputKeyType)
-	for {
-		kb, vals, ok := gi.NextGroup()
-		if !ok {
-			break
-		}
-		if err := writable.Unmarshal(kb, keyInst); err != nil {
-			return nil, err
-		}
-		ctrs.IncrTask(mapreduce.CtrCombineInputRecords, int64(len(vals)))
-		it := newValueIter(job.MapOutputValueType, vals)
-		if err := combiner.Reduce(keyInst, it, out, rep); err != nil {
-			return nil, err
-		}
-		if it.err != nil {
-			return nil, it.err
-		}
-	}
-	if err := combiner.Close(out, rep); err != nil {
-		return nil, err
-	}
-	return w.Close(), nil
-}
-
-func readAll(seg *kvbuf.Segment) ([]kvbuf.Record, error) {
-	var recs []kvbuf.Record
-	r := seg.NewReader()
-	for {
-		k, v, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return recs, nil
-		}
-		recs = append(recs, kvbuf.Record{Key: k, Val: v})
-	}
-}
-
-// valueIter deserializes raw values into a reused Writable instance.
-type valueIter struct {
-	vals [][]byte
-	pos  int
-	inst writable.Writable
-	err  error
-}
-
-func newValueIter(valType string, vals [][]byte) *valueIter {
-	inst, err := writable.New(valType)
-	return &valueIter{vals: vals, inst: inst, err: err}
-}
-
-func (it *valueIter) Next() (writable.Writable, bool) {
-	if it.err != nil || it.pos >= len(it.vals) {
-		return nil, false
-	}
-	if err := writable.Unmarshal(it.vals[it.pos], it.inst); err != nil {
-		it.err = err
-		return nil, false
-	}
-	it.pos++
-	return it.inst, true
-}
-
 func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int, serverAddr string, cmp writable.RawComparator, plan *faultinject.Plan, bo faultinject.Backoff, copies int, tun shuffleTuning, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
 	r := aid.Task.Index
 	ctrs := mapreduce.NewCounters()
@@ -943,72 +863,6 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 	return ctrs, nil
 }
 
-// reduceOverParts is the sort+reduce tail of a reduce task: merge the fetched
-// partition segments, validate order, and run the reducer over the grouped
-// records. It is shared between the in-process executor (whose copy phase
-// hands over streamed/pre-merged parts) and the distributed runtime's workers
-// (whose parts come from per-map fetches against remote shuffle servers), so
-// both paths emit byte-identical output.
-func reduceOverParts(job *mapreduce.Job, r int, cmp writable.RawComparator, parts []*kvbuf.Segment, numMaps int, ctrs *mapreduce.Counters, rep *mapreduce.CountersReporter) error {
-	// Sort: one final merge pass over the streamed inputs — raw per-map
-	// segments plus any background-merged blocks standing in for their map
-	// ranges. Block merges preserved map-index tie-breaking, so the emitted
-	// record order is byte-identical to a flat merge after a barrier. The
-	// fan-in bound that matters for disk-backed merges (io.sort.factor)
-	// already shaped the background blocks; the final pass is a single wide
-	// in-memory merge. Emitted records are views into sres.parts, which
-	// stay alive below.
-	var recs []kvbuf.Record
-	if _, err := kvbuf.MergeStream(cmp, parts, func(k, v []byte) error {
-		recs = append(recs, kvbuf.Record{Key: k, Val: v})
-		return nil
-	}); err != nil {
-		return fmt.Errorf("localrun: reduce %d merge: %w", r, err)
-	}
-	ctrs.IncrTask(mapreduce.CtrMergedMapOutputs, int64(numMaps))
-	if err := kvbuf.Validate(cmp, recs); err != nil {
-		return fmt.Errorf("localrun: reduce %d: %w", r, err)
-	}
-
-	// Reduce.
-	writer, err := job.Output.Writer(job.Conf, r)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d output: %w", r, err)
-	}
-	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
-		ctrs.IncrTask(mapreduce.CtrReduceOutputRecords, 1)
-		return writer.Write(k, v)
-	})
-	reducer := job.Reducer()
-	gi := kvbuf.NewGroupIterator(cmp, recs)
-	keyInst, err := writable.New(job.MapOutputKeyType)
-	if err != nil {
-		return err
-	}
-	for {
-		kb, vals, ok := gi.NextGroup()
-		if !ok {
-			break
-		}
-		if err := writable.Unmarshal(kb, keyInst); err != nil {
-			return fmt.Errorf("localrun: reduce %d key: %w", r, err)
-		}
-		ctrs.IncrTask(mapreduce.CtrReduceInputGroups, 1)
-		ctrs.IncrTask(mapreduce.CtrReduceInputRecords, int64(len(vals)))
-		it := newValueIter(job.MapOutputValueType, vals)
-		if err := reducer.Reduce(keyInst, it, out, rep); err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		if it.err != nil {
-			return fmt.Errorf("localrun: reduce %d values: %w", r, it.err)
-		}
-	}
-	if err := reducer.Close(out, rep); err != nil {
-		return err
-	}
-	return writer.Close()
-}
-
 func runMapOnly(job *mapreduce.Job, idx int, split mapreduce.InputSplit) (*mapreduce.Counters, error) {
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
@@ -1021,8 +875,13 @@ func runMapOnly(job *mapreduce.Job, idx int, split mapreduce.InputSplit) (*mapre
 	if err != nil {
 		return ctrs, err
 	}
+	var inRecords, outRecords int64
+	defer func() {
+		addTask(ctrs, mapreduce.CtrMapInputRecords, inRecords)
+		addTask(ctrs, mapreduce.CtrMapOutputRecords, outRecords)
+	}()
 	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
-		ctrs.IncrTask(mapreduce.CtrMapOutputRecords, 1)
+		outRecords++
 		return writer.Write(k, v)
 	})
 	mapper := job.Mapper()
@@ -1034,7 +893,7 @@ func runMapOnly(job *mapreduce.Job, idx int, split mapreduce.InputSplit) (*mapre
 		if !ok {
 			break
 		}
-		ctrs.IncrTask(mapreduce.CtrMapInputRecords, 1)
+		inRecords++
 		if err := mapper.Map(k, v, out, rep); err != nil {
 			return ctrs, err
 		}

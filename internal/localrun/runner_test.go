@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mrmicro/internal/faultinject"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -360,8 +361,12 @@ func TestShuffleServerMissingSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := fetchSegment(s.Addr(), 9, 9); err == nil {
-		t.Error("fetch of unregistered segment succeeded")
+	_, _, st, err := FetchMapOutput(s.Addr(), 9, 9, false, nil, faultinject.Backoff{Attempts: 3})
+	if err == nil {
+		t.Fatal("fetch of unregistered segment succeeded")
+	}
+	if st.Retries != 0 {
+		t.Errorf("a missing segment is permanent, but the fetch retried %d times", st.Retries)
 	}
 }
 

@@ -321,28 +321,6 @@ func (c *shuffleConn) responseCompressed() (seg *kvbuf.Segment, wire int64, err 
 	return seg, int64(n), nil
 }
 
-// fetchSegment retrieves one map-output partition over a throwaway
-// connection, verifying the payload's CRC trailer while it streams in. It
-// exists for one-shot callers; the copy phase itself runs segmentFetchers.
-func fetchSegment(addr string, mapIdx, partition int) (*kvbuf.Segment, error) {
-	c, err := dialShuffle(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if err := c.request(mapIdx, partition); err != nil {
-		return nil, err
-	}
-	data, err := c.response(true)
-	if err != nil {
-		if errors.Is(err, errSegmentMissing) {
-			return nil, missingSegmentErr(mapIdx, partition)
-		}
-		return nil, err
-	}
-	return kvbuf.SegmentFromBytes(data), nil
-}
-
 // missingSegmentErr is permanent: the map phase completed before any
 // reducer started, so a missing segment will never appear; fail fast
 // instead of retrying.
@@ -644,52 +622,6 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 		}
 	}
 	return firstErr
-}
-
-// fetchAllSegments shuffles one reduce task's input: every map's partition
-// segment, fetched over `copies` persistent connections (Hadoop's
-// mapreduce.reduce.shuffle.parallelcopies) with pipelined requests,
-// streaming CRC verification, and per-segment retry. segs and wire are
-// indexed by map; stats aggregates recovery events across all fetchers.
-func fetchAllSegments(addr string, numMaps, reduce, copies int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) (segs []*kvbuf.Segment, wire []int64, stats fetchStats, err error) {
-	segs = make([]*kvbuf.Segment, numMaps)
-	wire = make([]int64, numMaps)
-	if copies < 1 {
-		copies = 1
-	}
-	copies = min(copies, numMaps)
-	sts := make([]fetchStats, copies)
-	errs := make([]error, copies)
-	var wg sync.WaitGroup
-	for w := 0; w < copies; w++ {
-		lo := w * numMaps / copies
-		hi := (w + 1) * numMaps / copies
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f := &segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: &sts[w]}
-			defer f.closeConn()
-			share := make([]int, 0, hi-lo)
-			for m := lo; m < hi; m++ {
-				share = append(share, m)
-			}
-			errs[w] = f.run(share, func(m int, seg *kvbuf.Segment, n int64) {
-				segs[m] = seg
-				wire[m] = n
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := 0; w < copies; w++ {
-		stats.add(sts[w])
-		if err == nil {
-			err = errs[w]
-		}
-	}
-	return segs, wire, stats, err
 }
 
 // errShuffleAborted reports a copy phase cut short because the job failed

@@ -10,7 +10,24 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/writable"
 )
+
+// copyPhase runs one reduce task's production copy phase — streamShuffle's
+// subscriber and its pool of pipelined segmentFetchers — against a board on
+// which every map has already committed. With no merge factor set the result
+// holds one part per map, in map order.
+func copyPhase(addr string, maps, reduce, copies int, bo faultinject.Backoff) (*shuffleResult, error) {
+	board := newCompletionBoard(maps)
+	for m := 0; m < maps; m++ {
+		board.Announce(m, 0)
+	}
+	cmp, err := writable.Comparator("BytesWritable")
+	if err != nil {
+		return nil, err
+	}
+	return newStreamShuffle(addr, maps, reduce, copies, false, nil, bo, board, cmp, shuffleTuning{}).run(nil)
+}
 
 // TestMissingSegmentKeepsConnectionAlive pins the persistent-connection
 // contract: a miss answers one pipelined request and the connection keeps
@@ -52,9 +69,9 @@ func TestMissingSegmentKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
-// TestFetchAllSegmentsPipelined drives the production copy path: many maps
-// over few persistent connections, every segment verified while streaming.
-func TestFetchAllSegmentsPipelined(t *testing.T) {
+// TestCopyPhasePipelined drives the production copy path: many maps over few
+// persistent connections, every segment verified while streaming.
+func TestCopyPhasePipelined(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +87,12 @@ func TestFetchAllSegmentsPipelined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, wire, st, err := fetchAllSegments(s.Addr(), maps, 5, 4, false, nil, faultinject.Backoff{})
+	res, err := copyPhase(s.Addr(), maps, 5, 4, faultinject.Backoff{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.cleanup()
+	segs, wire, st := res.parts, res.wire, res.st
 	for m := 0; m < maps; m++ {
 		if segs[m] == nil {
 			t.Fatalf("map %d segment missing", m)
@@ -90,9 +109,9 @@ func TestFetchAllSegmentsPipelined(t *testing.T) {
 	}
 }
 
-// TestFetchAllSegmentsMissingFailsFast: one unregistered map among many
-// must fail permanently (no backoff stalls) while the rest still fetch.
-func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
+// TestCopyPhaseMissingFailsFast: one unregistered map among many must fail
+// permanently (no backoff stalls) while the rest still fetch.
+func TestCopyPhaseMissingFailsFast(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +129,11 @@ func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	segs, _, _, err := fetchAllSegments(s.Addr(), maps, 0, 2, false, nil,
+	res, err := copyPhase(s.Addr(), maps, 0, 2,
 		faultinject.Backoff{Attempts: 4, Base: 100 * time.Millisecond})
+	if res != nil {
+		defer res.cleanup()
+	}
 	if err == nil {
 		t.Fatal("fetch with an unregistered segment succeeded")
 	}
@@ -123,14 +145,8 @@ func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
 		t.Errorf("missing segment was retried (%v elapsed), want permanent failure", d)
 	}
 	for m := 0; m < maps; m++ {
-		if m == 4 {
-			if segs[m] != nil {
-				t.Error("hole fetched a segment from nowhere")
-			}
-			continue
-		}
-		if segs[m] == nil {
-			t.Errorf("map %d was not fetched despite the unrelated miss", m)
+		if res.fetched[m] != (m != 4) {
+			t.Errorf("map %d fetched = %v: only the hole may be missing", m, res.fetched[m])
 		}
 	}
 }

@@ -5,7 +5,12 @@ import (
 )
 
 // Collector receives the key/value pairs a Mapper or Reducer emits
-// (Hadoop's OutputCollector).
+// (Hadoop's OutputCollector). Collect never mutates key or value, and a
+// collector that feeds the shuffle — every one an engine hands a Mapper or a
+// combiner — serializes both before it returns, so the emitter may refill
+// and re-emit the same instances record after record. Reduce output goes to
+// the job's RecordWriter, which may retain what it is given (MemoryOutput
+// does): re-emit instances there only if they are never modified again.
 type Collector interface {
 	Collect(key, value writable.Writable) error
 }

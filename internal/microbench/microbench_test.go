@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -393,6 +394,46 @@ func TestGenMapperTextValid(t *testing.T) {
 	})
 	if err := g.Map(nil, nil, col, mapreduce.NullReporter{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenMapperStream pins the emitted stream record by record — pair i is
+// makePair of key index i mod uniq — including a task emitting fewer pairs
+// than there are distinct keys, and holds the generator to O(uniq)
+// allocations however many pairs it emits.
+func TestGenMapperStream(t *testing.T) {
+	for _, dt := range []string{"Text", "BytesWritable"} {
+		for _, pairs := range []int64{3, 1000} {
+			g := &GenMapper{Pairs: pairs, KeySize: 10, ValueSize: 12, DataType: dt, NumReduces: 7}
+			i := 0
+			col := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
+				wk, wv, _ := makePair(dt, 10, 12, i%7)
+				if !bytes.Equal(writable.Marshal(k), writable.Marshal(wk)) || !bytes.Equal(writable.Marshal(v), writable.Marshal(wv)) {
+					t.Fatalf("%s pair %d differs from makePair(%d)", dt, i, i%7)
+				}
+				i++
+				return nil
+			})
+			if err := g.Map(nil, nil, col, mapreduce.NullReporter{}); err != nil {
+				t.Fatal(err)
+			}
+			if int64(i) != pairs {
+				t.Errorf("%s: emitted %d pairs, want %d", dt, i, pairs)
+			}
+		}
+	}
+	discard := mapreduce.CollectorFunc(func(_, _ writable.Writable) error { return nil })
+	allocs := func(pairs int64) float64 {
+		g := &GenMapper{Pairs: pairs, KeySize: 10, ValueSize: 10, DataType: "Text", NumReduces: 4}
+		return testing.AllocsPerRun(10, func() {
+			if err := g.Map(nil, nil, discard, mapreduce.NullReporter{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(100000)
+	if small != large || large > 4*4+1 {
+		t.Errorf("Map allocates %.0f times for 100 pairs and %.0f for 100000, want equal and O(uniq)", small, large)
 	}
 }
 

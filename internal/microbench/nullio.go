@@ -60,22 +60,25 @@ type GenMapper struct {
 	NumReduces int
 }
 
-// Map emits the synthetic stream.
+// Map emits the synthetic stream. The uniq distinct keys and the one filler
+// value are built once and re-emitted: a Collector serializes before it
+// returns, so the per-record path allocates nothing.
 func (g *GenMapper) Map(_, _ writable.Writable, out mapreduce.Collector, rep mapreduce.Reporter) error {
 	if g.Pairs <= 0 {
 		return fmt.Errorf("microbench: generator needs a positive pair count")
 	}
-	uniq := g.NumReduces
-	if uniq < 1 {
-		uniq = 1
-	}
-	for i := int64(0); i < g.Pairs; i++ {
-		keyIdx := int(i % int64(uniq))
-		k, v, err := makePair(g.DataType, g.KeySize, g.ValueSize, keyIdx)
+	uniq := int64(max(g.NumReduces, 1))
+	keys := make([]writable.Writable, min(uniq, g.Pairs))
+	var val writable.Writable
+	for idx := range keys {
+		k, v, err := makePair(g.DataType, g.KeySize, g.ValueSize, idx)
 		if err != nil {
 			return err
 		}
-		if err := out.Collect(k, v); err != nil {
+		keys[idx], val = k, v
+	}
+	for i := int64(0); i < g.Pairs; i++ {
+		if err := out.Collect(keys[i%uniq], val); err != nil {
 			return err
 		}
 	}
@@ -87,7 +90,7 @@ func (g *GenMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { retur
 
 // makePair builds one synthetic record: the key payload encodes the key
 // index (padded to KeySize) so at most `uniq` distinct keys exist; the
-// value payload is filler.
+// value payload is filler, the same for every key index.
 func makePair(dataType string, keySize, valueSize, keyIdx int) (writable.Writable, writable.Writable, error) {
 	switch dataType {
 	case "BytesWritable":

@@ -245,13 +245,18 @@ func Marshal(w Writable) []byte {
 }
 
 // Unmarshal deserializes buf into w, requiring full consumption.
-func Unmarshal(buf []byte, w Writable) error {
-	in := NewDataInput(buf)
-	if err := w.ReadFields(in); err != nil {
+func Unmarshal(buf []byte, w Writable) error { return new(DataInput).Unmarshal(buf, w) }
+
+// Unmarshal is the package-level Unmarshal through a caller-owned input: it
+// rewinds i onto buf first, so a loop that keeps one DataInput decodes
+// record after record without allocating.
+func (i *DataInput) Unmarshal(buf []byte, w Writable) error {
+	i.buf, i.off = buf, 0
+	if err := w.ReadFields(i); err != nil {
 		return err
 	}
-	if in.Remaining() != 0 {
-		return fmt.Errorf("writable: %d trailing bytes after %T", in.Remaining(), w)
+	if i.Remaining() != 0 {
+		return fmt.Errorf("writable: %d trailing bytes after %T", i.Remaining(), w)
 	}
 	return nil
 }
