@@ -321,13 +321,31 @@ func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 	faultCtrs := w.taskFaultCtrs(TaskReduce, r)
 	compressed := w.runner.Compressed()
 	parts := make([]*kvbuf.Segment, len(maps))
+	// One persistent connection per peer for the whole fetch loop; the
+	// fetched buffers go back to the segment pool once the reduce tail is
+	// done with them, however this attempt ends.
+	fetchers := make(map[string]*localrun.MapOutputFetcher)
+	defer func() {
+		for _, f := range fetchers {
+			f.Close()
+		}
+		for _, seg := range parts {
+			if seg != nil {
+				seg.Recycle()
+			}
+		}
+	}()
 	ctrs := mapreduce.NewCounters()
-	bo := faultinject.Backoff{}
 	for i, loc := range maps {
 		if i == len(maps)/2 {
 			w.checkpoint() // mid-shuffle
 		}
-		seg, wireLen, st, err := localrun.FetchMapOutput(loc.Addr, loc.Map, r, compressed, w.plan, bo)
+		f := fetchers[loc.Addr]
+		if f == nil {
+			f = localrun.NewMapOutputFetcher(loc.Addr, r, compressed, w.plan, faultinject.Backoff{})
+			fetchers[loc.Addr] = f
+		}
+		seg, wireLen, st, err := f.Fetch(loc.Map)
 		if st.Failures > 0 {
 			faultCtrs.IncrFault(mapreduce.CtrShuffleFetchFailures, st.Failures)
 		}

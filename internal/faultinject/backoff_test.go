@@ -62,8 +62,8 @@ func TestRetryTable(t *testing.T) {
 	cases := []struct {
 		name      string
 		attempts  int
-		failUntil int  // op fails while attempt < failUntil
-		permAt    int  // attempt at which op returns a permanent error (-1 = never)
+		failUntil int // op fails while attempt < failUntil
+		permAt    int // attempt at which op returns a permanent error (-1 = never)
 		wantCalls int
 		wantErr   string // "" = success
 	}{

@@ -15,14 +15,14 @@ import (
 // geometry from the split matrix (see TestSplitBoundaryMatrix).
 func fuzzSeeds() [][]byte {
 	return [][]byte{
-		[]byte("abcd\nefgh\n"),                    // records at boundaries for small sizes
-		[]byte("abcd\r\nefgh\r\n"),                // CRLF, incl. \r\n straddling a boundary
-		[]byte("alpha\nbeta"),                     // no trailing newline
-		[]byte("\n\n\na\n\n"),                     // empty lines
-		[]byte("0123456789012345678\nx\n"),        // record spanning many splits
-		[]byte("x"),                               // single unterminated byte
-		[]byte("\n"),                              // lone newline
-		{},                                        // empty file
+		[]byte("abcd\nefgh\n"),             // records at boundaries for small sizes
+		[]byte("abcd\r\nefgh\r\n"),         // CRLF, incl. \r\n straddling a boundary
+		[]byte("alpha\nbeta"),              // no trailing newline
+		[]byte("\n\n\na\n\n"),              // empty lines
+		[]byte("0123456789012345678\nx\n"), // record spanning many splits
+		[]byte("x"),                        // single unterminated byte
+		[]byte("\n"),                       // lone newline
+		{},                                 // empty file
 		[]byte("mixed\r\nterminators\nhere\r\nz"), // LF and CRLF interleaved
 	}
 }

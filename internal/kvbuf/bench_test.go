@@ -2,6 +2,7 @@ package kvbuf
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mrmicro/internal/writable"
@@ -109,4 +110,37 @@ func reduceMergeForBench(cmp writable.RawComparator, segs []*Segment) (int, erro
 		return nil
 	})
 	return count, err
+}
+
+// BenchmarkCollectColdSlab measures collection into a buffer that starts
+// cold: a fresh SortBuffer per iteration after two runtime.GC() calls have
+// emptied every pool, which is the state each distrun worker and each map
+// task that follows a collection starts in. 16 MiB of 2 KiB records per
+// iteration. BenchmarkSpillTeraSort* refill one warm buffer and cannot see
+// what first-touch growth costs.
+func BenchmarkCollectColdSlab(b *testing.B) {
+	cmp, _ := writable.Comparator("BytesWritable")
+	pf, _ := writable.PrefixExtractor("BytesWritable")
+	const n, keyLen = 8192, 1028
+	rec := writable.Marshal(&writable.BytesWritable{Data: make([]byte, keyLen-4)})
+	rec = append(rec, rec...)
+	b.ReportAllocs()
+	b.SetBytes(int64(n * len(rec)))
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		buf := NewSortBuffer(64<<20, 4, cmp)
+		buf.SetPrefixFunc(pf)
+		for j := 0; j < n; j++ {
+			if ok, err := buf.Add(j&3, rec[:keyLen], rec[keyLen:]); err != nil || !ok {
+				b.Fatalf("add: ok=%v err=%v", ok, err)
+			}
+		}
+		b.StopTimer()
+		buf.Release()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
 }

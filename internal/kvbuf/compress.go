@@ -23,12 +23,12 @@ import (
 // compression) and the exact raw size (one exact-size allocation instead of
 // io.ReadAll growth) before touching the codec stream.
 
-// ErrCorruptSegment marks decode failures of a compressed segment: a
-// malformed header, a broken codec stream, a declared length the stream
-// doesn't match, or a CRC mismatch of the decompressed bytes. Fetch paths
-// treat it like a checksum failure — the transfer is damaged but the
-// connection is intact and the fetch is retryable.
-var ErrCorruptSegment = errors.New("kvbuf: corrupt compressed segment")
+// ErrCorruptSegment marks a segment payload that was read in full but is
+// damaged: a CRC mismatch of the (decompressed) bytes, or for a compressed
+// segment a malformed header, a broken codec stream or a declared length the
+// stream doesn't match. The transfer is damaged but the connection is intact,
+// so fetch paths retry it without reconnecting.
+var ErrCorruptSegment = errors.New("kvbuf: corrupt segment")
 
 // maxDeflateRatio bounds how far a declared raw length may exceed the
 // compressed payload (DEFLATE tops out near 1032:1). Headers claiming more
@@ -214,44 +214,22 @@ func readCompressedPayload(lr *io.LimitedReader, payloadLen int) (*Segment, erro
 	// large chunks itself; the LimitedReader keeps it inside the payload.
 	zr := c.NewReader(readerOnly{lr})
 	defer zr.Close()
-	buf := pooledBuf(rawLen)[:rawLen]
-	bodyEnd := rawLen - 4
-	var crc uint32
-	for off := 0; off < rawLen; {
-		chunk := rawLen - off
-		if chunk > shuffleInflateChunk {
-			chunk = shuffleInflateChunk
+	// The decompressed bytes are a raw IFile stream: read and check them as
+	// one, folding the CRC over each chunk as it comes out of the codec.
+	seg, err := ReadSegment(zr, rawLen)
+	if err != nil {
+		if errors.Is(err, ErrCorruptSegment) {
+			return nil, err
 		}
-		n, rerr := io.ReadFull(zr, buf[off:off+chunk])
-		if n > 0 && off < bodyEnd {
-			end := off + n
-			if end > bodyEnd {
-				end = bodyEnd
-			}
-			crc = UpdateCRC(crc, buf[off:end])
-		}
-		off += n
-		if rerr != nil {
-			recycleBuf(buf)
-			return nil, corruptOrIO(rerr, "short codec stream")
-		}
+		return nil, corruptOrIO(err, "short codec stream")
 	}
 	if err := expectStreamEnd(zr); err != nil {
-		recycleBuf(buf)
+		seg.Recycle()
 		return nil, err
 	}
-	want := uint32(buf[rawLen-4])<<24 | uint32(buf[rawLen-3])<<16 |
-		uint32(buf[rawLen-2])<<8 | uint32(buf[rawLen-1])
-	if crc != want {
-		recycleBuf(buf)
-		return nil, fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, crc, want)
-	}
-	return &Segment{data: buf, records: int(records64)}, nil
+	seg.records = int(records64)
+	return seg, nil
 }
-
-// shuffleInflateChunk sizes the inflate/CRC interleave so decompressed
-// bytes are checksummed while still cache-warm.
-const shuffleInflateChunk = 128 << 10
 
 // corruptOrIO classifies a decode-path error: stream-shape failures (early
 // EOF inside the bounded payload, codec decode errors) are corrupt-segment
@@ -320,10 +298,4 @@ func readStreamVLong(br io.ByteReader) (int64, error) {
 		return v ^ -1, nil
 	}
 	return v, nil
-}
-
-// recycleBuf returns a dead working buffer to the segment pool.
-func recycleBuf(buf []byte) {
-	b := buf[:0]
-	segBufPool.Put(&b)
 }

@@ -91,16 +91,44 @@ func FuzzIFileReader(f *testing.F) {
 		if r.RecordsRead() != records {
 			t.Errorf("RecordsRead() = %d, iterated %d", r.RecordsRead(), records)
 		}
+		// A passing Verify marks the segment proven, and its Reader may then
+		// skip the end-of-stream re-scan. That must never change what is
+		// accepted: a Reader over the same bytes with no mark — which always
+		// re-scans — sees the same records and the same verdict.
+		plainRecords, plainErr := drain(SegmentFromBytes(data))
+		if plainRecords != records || (plainErr == nil) != (readErr == nil) {
+			t.Errorf("Verify err %v: marked read %d records (err %v), unmarked read %d (err %v)",
+				verifyErr, records, readErr, plainRecords, plainErr)
+		}
 		// A stream that reads cleanly to its EOF marker has a valid CRC over
 		// the prefix the reader consumed; whole-segment Verify may still
 		// reject trailing junk, but the reverse implication must hold: a
 		// Verify-clean segment that is exactly the written stream never
 		// produces a read error. We can only assert that cheaply for the
-		// canonical seed shape, so the invariant checked for arbitrary input
-		// is the absence of panics above.
-		_ = verifyErr
-		_ = readErr
+		// canonical seed shape, so beyond the equivalence above the invariant
+		// checked for arbitrary input is the absence of panics.
 	})
+}
+
+// TestFuzzSeedsRejectedByReader: of the seed corpus only the writer's own
+// output reads cleanly; the truncated, junk-extended and bit-flipped seeds
+// are all rejected by the Reader, mark or no mark.
+func TestFuzzSeedsRejectedByReader(t *testing.T) {
+	for i, seed := range fuzzSeeds() {
+		seg := SegmentFromBytes(seed)
+		verr := seg.Verify()
+		_, rerr := drain(seg)
+		switch {
+		case i == 0 && (verr != nil || rerr != nil):
+			t.Errorf("valid seed: Verify %v, read %v", verr, rerr)
+		case i == 4 && (verr == nil || rerr != nil):
+			// Trailing junk: the records and their trailer are intact, the
+			// whole-buffer check is not.
+			t.Errorf("trailing-junk seed: Verify %v, read %v", verr, rerr)
+		case i != 0 && i != 4 && (verr == nil || rerr == nil):
+			t.Errorf("seed %d (%q): Verify %v, read %v; want both to reject it", i, seed, verr, rerr)
+		}
+	}
 }
 
 // TestVerifyMatchesReaderOnCleanStreams pins the relationship the fuzz

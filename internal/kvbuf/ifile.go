@@ -10,6 +10,8 @@ package kvbuf
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math/bits"
 	"sync"
 
 	"mrmicro/internal/writable"
@@ -21,18 +23,27 @@ const EOFMarker = -1
 
 // Writer serializes records into IFile format: for each record a vint key
 // length, vint value length, then the raw bytes; the stream ends with two
-// -1 vints and a 4-byte CRC32 (Castagnoli) of everything before it.
+// -1 vints and a 4-byte CRC32 (Castagnoli) of everything before it. The
+// checksum is folded as the stream grows, a shuffleCRCChunk at a time, so the
+// seal reads bytes that are still cache-warm instead of re-scanning the whole
+// segment at Close.
 type Writer struct {
 	out     *writable.DataOutput
+	crc     uint32
+	summed  int // bytes of out already folded into crc
 	records int
 	closed  bool
 }
 
-// segBufPool recycles segment backing buffers between short-lived segments
-// (spill outputs consumed by a merge, intermediate merge runs). Buffers
-// enter the pool only through Segment.Recycle, whose caller asserts the
-// segment is dead.
-var segBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// segBufPools recycles segment backing buffers between short-lived segments
+// (spill outputs consumed by a merge, intermediate merge runs, fetched map
+// outputs), one pool per power-of-two size class so that spill, merge-output
+// and fetch buffers of different sizes do not evict each other. Buffers enter
+// a pool only through Segment.Recycle and recycleBuf, whose callers assert
+// the bytes are dead; like anything in a sync.Pool they stay collectable.
+var segBufPools [bits.UintSize + 1]sync.Pool
+
+func bufClass(capacity int) *sync.Pool { return &segBufPools[bits.Len(uint(capacity))] }
 
 // NewWriter returns an IFile writer with the given initial capacity hint.
 // Writers draw their buffer from the segment pool; a caller that sizes
@@ -45,20 +56,26 @@ func NewWriter(capacity int) *Writer {
 // pooledBuf returns an empty buffer with at least the given capacity,
 // recycled from the segment pool when possible.
 func pooledBuf(capacity int) []byte {
-	bp := segBufPool.Get().(*[]byte)
-	buf := *bp
-	*bp = nil
-	if cap(buf) < capacity {
-		return make([]byte, 0, capacity)
+	pool := bufClass(capacity)
+	if bp, _ := pool.Get().(*[]byte); bp != nil {
+		if cap(*bp) >= capacity {
+			return (*bp)[:0]
+		}
+		pool.Put(bp) // same class but shorter: leave it for a caller it fits
 	}
-	return buf[:0]
+	return make([]byte, 0, capacity)
 }
 
 // GrabBuf returns a length-n buffer drawn from the segment pool, for
-// callers that receive segment wire bytes from outside (a shuffle fetch)
-// and adopt them via SegmentFromBytes: recycling the segment then returns
-// the buffer here instead of leaving a garbage slab per fetch.
+// callers that receive segment wire bytes from outside and adopt them via
+// SegmentFromBytes: recycling the segment then returns the buffer here.
 func GrabBuf(n int) []byte { return pooledBuf(n)[:n] }
+
+// recycleBuf returns a dead buffer to the segment pool.
+func recycleBuf(buf []byte) {
+	b := buf[:0]
+	bufClass(cap(b)).Put(&b)
+}
 
 // Append adds one record.
 func (w *Writer) Append(key, val []byte) {
@@ -70,6 +87,14 @@ func (w *Writer) Append(key, val []byte) {
 	w.out.Write(key)
 	w.out.Write(val)
 	w.records++
+	if w.out.Len()-w.summed >= shuffleCRCChunk {
+		w.fold()
+	}
+}
+
+func (w *Writer) fold() {
+	w.crc = UpdateCRC(w.crc, w.out.Bytes()[w.summed:])
+	w.summed = w.out.Len()
 }
 
 // Records returns the number of appended records.
@@ -86,32 +111,95 @@ func (w *Writer) Close() *Segment {
 	w.closed = true
 	w.out.WriteVInt(EOFMarker)
 	w.out.WriteVInt(EOFMarker)
-	body := w.out.Bytes()
-	sum := crc32.Checksum(body, castagnoli)
-	w.out.WriteInt32(int32(sum))
-	return &Segment{data: w.out.Bytes(), records: w.records}
+	w.fold()
+	w.out.WriteInt32(int32(w.crc))
+	return &Segment{data: w.out.Bytes(), records: w.records, verified: true}
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// UpdateCRC folds p into a running IFile checksum (CRC32-Castagnoli). It
-// lets network readers verify a segment incrementally while streaming it
-// off the wire, instead of re-scanning the whole buffer afterwards.
-func UpdateCRC(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
+// crcObserver, when a test sets it, sees the size of every fold.
+var crcObserver func(n int)
+
+// UpdateCRC folds p into a running IFile checksum (CRC32-Castagnoli). Every
+// checksum in the package goes through it, which lets network readers verify
+// a segment incrementally while streaming it off the wire, instead of
+// re-scanning the whole buffer afterwards.
+func UpdateCRC(crc uint32, p []byte) uint32 {
+	if crcObserver != nil {
+		crcObserver(len(p))
+	}
+	return crc32.Update(crc, castagnoli, p)
+}
 
 // Segment is one finished sorted run of records (a spill partition, a merge
 // output, or a shuffled map output).
+//
+// One checksum per side of the wire: a segment remembers that its CRC trailer
+// has been proven against these very bytes, and a Reader skips its
+// end-of-stream re-scan for such a segment. Only code in this package that
+// has just computed or checked the trailer sets the mark — Writer.Close,
+// ReadSegment and ReadCompressedSegment while streaming a payload in, and
+// Verify. Bytes of unproven origin (SegmentFromBytes, Decompress, anything
+// read back from a file) are checked when read, as ever.
 type Segment struct {
 	data       []byte
 	records    int
+	verified   bool // the trailer is known to match data
 	compressed bool
 	rawLen     int    // decompressed size, when compressed
 	codec      string // codec name, when compressed
 }
 
-// SegmentFromBytes adopts a serialized IFile stream (e.g. received from the
-// network); record count is discovered on read.
+// SegmentFromBytes adopts a serialized IFile stream of unproven origin;
+// record count is discovered, and the checksum checked, on read.
 func SegmentFromBytes(data []byte) *Segment { return &Segment{data: data, records: -1} }
+
+// shuffleCRCChunk is the granularity of incremental checksumming, on the
+// sealing side and while streaming a payload in: big enough to amortize
+// calls (and read syscalls), small enough that the just-written or just-read
+// bytes are still cache-hot when the CRC folds them in.
+const shuffleCRCChunk = 128 << 10
+
+// ReadSegment consumes exactly n bytes from r — one raw IFile segment, e.g.
+// a shuffle response on a connection's reader, or a compressed one coming
+// out of its codec — into a pooled buffer,
+// folding the CRC over the bytes as they arrive, so the returned segment is
+// already verified and nothing scans it again. A trailer that does not match
+// is an ErrCorruptSegment: the payload was consumed, a framed stream stays in
+// sync and the fetch can be retried on the same connection. Other errors are
+// I/O failures of r itself.
+func ReadSegment(r io.Reader, n int) (*Segment, error) {
+	data := GrabBuf(n)
+	body := max(n-4, 0)
+	var crc uint32
+	for off := 0; off < n; {
+		end := min(off+shuffleCRCChunk, n)
+		if _, err := io.ReadFull(r, data[off:end]); err != nil {
+			recycleBuf(data)
+			return nil, err
+		}
+		if off < body {
+			crc = UpdateCRC(crc, data[off:min(end, body)])
+		}
+		off = end
+	}
+	if n < 4 {
+		recycleBuf(data)
+		return nil, fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", ErrCorruptSegment, n)
+	}
+	if want := trailerCRC(data); crc != want {
+		recycleBuf(data)
+		return nil, fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, crc, want)
+	}
+	return &Segment{data: data, records: -1, verified: true}, nil
+}
+
+// trailerCRC decodes the big-endian checksum in data's last four bytes.
+func trailerCRC(data []byte) uint32 {
+	t := data[len(data)-4:]
+	return uint32(t[0])<<24 | uint32(t[1])<<16 | uint32(t[2])<<8 | uint32(t[3])
+}
 
 // Bytes returns the raw IFile stream including trailer.
 func (s *Segment) Bytes() []byte { return s.data }
@@ -131,10 +219,10 @@ func (s *Segment) Recycle() {
 	if s.data == nil {
 		return
 	}
-	buf := s.data[:0]
-	segBufPool.Put(&buf)
+	recycleBuf(s.data)
 	s.data = nil
 	s.records = 0
+	s.verified = false
 	s.compressed = false
 	s.rawLen = 0
 	s.codec = ""
@@ -146,15 +234,17 @@ func (s *Segment) NewReader() *Reader {
 	if s.compressed {
 		panic("kvbuf: NewReader on compressed segment; call Decompress first")
 	}
-	return &Reader{in: writable.NewDataInput(s.data), data: s.data}
+	return &Reader{in: writable.NewDataInput(s.data), data: s.data, verified: s.verified}
 }
 
-// Reader iterates an IFile segment, verifying the CRC trailer at EOF.
+// Reader iterates an IFile segment. At EOF it consumes the CRC trailer and,
+// unless the segment was already proven against it, verifies it.
 type Reader struct {
-	in      *writable.DataInput
-	data    []byte
-	records int
-	done    bool
+	in       *writable.DataInput
+	data     []byte
+	verified bool
+	records  int
+	done     bool
 }
 
 // Next returns the next record's key and value (views into the segment; copy
@@ -203,7 +293,10 @@ func (r *Reader) verify() error {
 	if err != nil {
 		return fmt.Errorf("kvbuf: missing checksum: %w", err)
 	}
-	if got := int32(crc32.Checksum(body, castagnoli)); got != want {
+	if r.verified && r.in.Remaining() == 0 {
+		return nil // the proven trailer is the one just consumed, over this very body
+	}
+	if got := int32(UpdateCRC(0, body)); got != want {
 		return fmt.Errorf("kvbuf: checksum mismatch: %08x != %08x", uint32(got), uint32(want))
 	}
 	return nil
@@ -217,7 +310,7 @@ func (r *Reader) RecordsRead() int { return r.records }
 // them. Shuffle clients call it on received payloads so a truncated or
 // corrupted transfer is rejected at fetch time (and can be retried) instead
 // of surfacing later as a merge error. Compressed segments are verified
-// after decompression.
+// after decompression. A raw segment that passes is marked proven.
 func (s *Segment) Verify() error {
 	if s.compressed {
 		d, err := s.Decompress()
@@ -229,13 +322,11 @@ func (s *Segment) Verify() error {
 		return err
 	}
 	if len(s.data) < 4 {
-		return fmt.Errorf("kvbuf: segment of %d bytes cannot hold a checksum trailer", len(s.data))
+		return fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", ErrCorruptSegment, len(s.data))
 	}
-	body := s.data[:len(s.data)-4]
-	want := int32(uint32(s.data[len(s.data)-4])<<24 | uint32(s.data[len(s.data)-3])<<16 |
-		uint32(s.data[len(s.data)-2])<<8 | uint32(s.data[len(s.data)-1]))
-	if got := int32(crc32.Checksum(body, castagnoli)); got != want {
-		return fmt.Errorf("kvbuf: segment checksum mismatch: %08x != %08x", uint32(got), uint32(want))
+	if got, want := UpdateCRC(0, s.data[:len(s.data)-4]), trailerCRC(s.data); got != want {
+		return fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, got, want)
 	}
+	s.verified = true
 	return nil
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // recordMeta locates one buffered record inside the slab, Hadoop's kvmeta
-// equivalent.
+// equivalent: the key starts at off in chunk and the value follows it.
 type recordMeta struct {
 	partition      int32
-	keyOff, keyLen int32
-	valOff, valLen int32
+	chunk, off     int32
+	keyLen, valLen int32
 }
 
 // SortBuffer is the map-side collection buffer (io.sort.mb): records
@@ -24,22 +24,35 @@ type recordMeta struct {
 // (partition, key) using the key type's raw comparator and emits one IFile
 // segment per partition.
 //
+// The slab is a list of fixed-size chunks, so a byte lands once and is never
+// moved by growth: a record never straddles chunks (the tail of a chunk too
+// short for the next record stays unused) and one larger than a chunk gets a
+// chunk of its own. Records are serialised straight into the tail chunk
+// (Reserve/Commit; Add is the same two steps for bytes already serialised).
+// A buffer keeps its chunks across Spill and Reset, so a multi-spill map and
+// the buffer ring refill warm memory; only Release hands them back.
+//
 // The spill path is the map side's hottest loop, so it avoids the obvious
 // costs: records are grouped by partition with a stable counting pass (no
 // partition comparisons at all), each partition is sorted as compact
 // (prefix, index) entries on integers alone with the key bytes consulted
 // only to resolve equal-prefix runs (see spillPartition), partitions sort
 // and serialize in parallel when the record count warrants it, and every
-// per-partition IFile writer is sized from the exact bytes observed at Add
-// time so segment buffers never regrow. Slab and metadata arrays are
-// recycled across SortBuffer instances via Release().
+// per-partition IFile writer is sized from the exact bytes observed at
+// Commit time so segment buffers never regrow. Chunks and metadata arrays
+// are recycled across SortBuffer instances via Release().
 type SortBuffer struct {
 	cmp        writable.RawComparator
 	prefix     writable.PrefixFunc
 	partitions int
 	capacity   int
 
-	slab     []byte
+	chunks  [][]byte            // the slab; len(chunk) is its fill, chunks past tail are empty
+	tail    int                 // chunk being filled
+	payload int                 // record bytes buffered, what Used charges beside the metadata
+	lastLen int                 // size of the last committed record: Reserve's guess at the next
+	out     writable.DataOutput // the open reservation, positioned at the tail chunk's free space
+
 	meta     []recordMeta
 	prefixes []uint64 // parallel to meta; only filled when prefix != nil
 
@@ -60,10 +73,37 @@ const parallelSpillRecords = 4096
 // 4-byte CRC32 trailer.
 const segmentTrailerBytes = 6
 
-// Pools recycling the large per-buffer arrays across SortBuffer instances
+// slabChunkBytes is the size of one slab chunk: large enough that the unused
+// tail of a chunk and the per-chunk bookkeeping vanish against the records,
+// small enough that a buffer's first records do not wait for megabytes of
+// fresh pages to be zeroed.
+const slabChunkBytes = 1 << 20
+
+// chunkPool is the one free list slab chunks come from and Release returns
+// them to. Every pooled chunk has exactly slabChunkBytes of capacity.
+var chunkPool sync.Pool // of *[slabChunkBytes]byte
+
+// newChunk returns an empty chunk with room for n bytes: a pooled
+// fixed-size one, or an exactly-sized one for a record larger than that.
+func newChunk(n int) []byte {
+	if n > slabChunkBytes {
+		return make([]byte, 0, n)
+	}
+	if c, _ := chunkPool.Get().(*[slabChunkBytes]byte); c != nil {
+		return c[:0]
+	}
+	return make([]byte, 0, slabChunkBytes)
+}
+
+func freeChunk(c []byte) {
+	if cap(c) == slabChunkBytes {
+		chunkPool.Put((*[slabChunkBytes]byte)(c[:slabChunkBytes]))
+	}
+}
+
+// Pools recycling the per-buffer metadata arrays across SortBuffer instances
 // (one per map attempt) and the per-spill sort index.
 var (
-	slabPool   = sync.Pool{New: func() any { return new([]byte) }}
 	metaPool   = sync.Pool{New: func() any { return new([]recordMeta) }}
 	prefixPool = sync.Pool{New: func() any { return new([]uint64) }}
 	entryPool  = sync.Pool{New: func() any { return new([]sortEntry) }}
@@ -90,7 +130,6 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 		cmp:        cmp,
 		partitions: partitions,
 		capacity:   capacityBytes,
-		slab:       (*slabPool.Get().(*[]byte))[:0],
 		meta:       (*metaPool.Get().(*[]recordMeta))[:0],
 		partRecs:   make([]int32, partitions),
 		partBytes:  make([]int64, partitions),
@@ -100,7 +139,7 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 // SetPrefixFunc installs an order-preserving key-prefix extractor (see
 // writable.PrefixExtractor); the sort then runs on the prefixes and calls
 // the raw comparator only inside runs of equal prefixes whose keys differ.
-// Must be called before the first Add.
+// Must be called before the first record.
 func (b *SortBuffer) SetPrefixFunc(f writable.PrefixFunc) {
 	if len(b.meta) > 0 {
 		panic("kvbuf: SetPrefixFunc after Add")
@@ -115,11 +154,10 @@ func (b *SortBuffer) SetPrefixFunc(f writable.PrefixFunc) {
 // buffer must not be used afterwards. Segments returned by earlier Spills
 // stay valid: they own their bytes.
 func (b *SortBuffer) Release() {
-	if b.slab != nil {
-		s := b.slab[:0]
-		slabPool.Put(&s)
-		b.slab = nil
+	for _, c := range b.chunks {
+		freeChunk(c)
 	}
+	b.chunks = nil
 	if b.meta != nil {
 		m := b.meta[:0]
 		metaPool.Put(&m)
@@ -132,40 +170,103 @@ func (b *SortBuffer) Release() {
 	}
 }
 
-// Add buffers one record. It returns false when the record does not fit
-// (the caller must spill first); a single record larger than the whole
-// buffer is an error.
-func (b *SortBuffer) Add(partition int, key, val []byte) (bool, error) {
+// tailFor returns the chunk an n-byte record goes to, moving the tail on when
+// the current chunk cannot hold it. Chunks past the tail are empty ones kept
+// from an earlier fill; one too small for the record is replaced.
+func (b *SortBuffer) tailFor(n int) []byte {
+	for {
+		if b.tail == len(b.chunks) {
+			b.chunks = append(b.chunks, newChunk(n))
+		}
+		c := b.chunks[b.tail]
+		switch {
+		case n <= cap(c)-len(c):
+			return c
+		case len(c) == 0:
+			freeChunk(c)
+			b.chunks[b.tail] = newChunk(n)
+		default:
+			b.tail++
+		}
+	}
+}
+
+// reserve opens a reservation in a chunk with room for n bytes (at most a
+// chunk's worth: a larger record is written past the reservation and gets
+// its own chunk at Commit).
+func (b *SortBuffer) reserve(n int) *writable.DataOutput {
+	c := b.tailFor(min(n, slabChunkBytes))
+	b.out.ResetOn(c[len(c):])
+	return &b.out
+}
+
+// Reserve opens a reservation for one record: the caller writes the key and
+// then the value to the returned output, which appends straight into the
+// slab, and calls Commit. Nothing is buffered until Commit; a second Reserve
+// discards the first. The reservation sits where a record as long as the
+// previous one fits, so same-sized records never outgrow it; one that does
+// is moved to the next chunk at Commit.
+func (b *SortBuffer) Reserve() *writable.DataOutput { return b.reserve(b.lastLen) }
+
+// Commit buffers the record written since Reserve, whose first keyLen bytes
+// are the key. It returns false when the record does not fit (the buffer is
+// unchanged; the caller must spill, then reserve and write the record
+// again); a single record larger than the whole buffer is an error.
+func (b *SortBuffer) Commit(partition, keyLen int) (bool, error) {
+	rec := b.out.Bytes()
+	n := len(rec)
 	if partition < 0 || partition >= b.partitions {
 		return false, fmt.Errorf("kvbuf: partition %d out of range [0,%d)", partition, b.partitions)
 	}
-	sz := len(key) + len(val) + MetaBytesPerRecord
+	if keyLen < 0 || keyLen > n {
+		return false, fmt.Errorf("kvbuf: key length %d outside the %d-byte record", keyLen, n)
+	}
+	sz := n + MetaBytesPerRecord
 	if sz > b.capacity {
 		return false, fmt.Errorf("kvbuf: record of %d bytes exceeds buffer capacity %d", sz, b.capacity)
 	}
 	if b.Used()+sz > b.capacity {
 		return false, nil
 	}
-	ko := int32(len(b.slab))
-	b.slab = append(b.slab, key...)
-	vo := int32(len(b.slab))
-	b.slab = append(b.slab, val...)
+	c := b.tailFor(n)
+	off := len(c)
+	c = c[:off+n]
+	if n > 0 && &c[off] != &rec[0] {
+		// The record outgrew its reservation: the output moved to a grown
+		// copy, which is re-homed here, once per chunk at most.
+		copy(c[off:], rec)
+	}
+	b.chunks[b.tail] = c
+	b.payload += n
+	b.lastLen = n
 	b.meta = append(b.meta, recordMeta{
 		partition: int32(partition),
-		keyOff:    ko, keyLen: int32(len(key)),
-		valOff: vo, valLen: int32(len(val)),
+		chunk:     int32(b.tail), off: int32(off),
+		keyLen: int32(keyLen), valLen: int32(n - keyLen),
 	})
 	if b.prefix != nil {
-		b.prefixes = append(b.prefixes, b.prefix(key))
+		b.prefixes = append(b.prefixes, b.prefix(c[off:off+keyLen]))
 	}
 	b.partRecs[partition]++
-	b.partBytes[partition] += int64(len(key)+len(val)) +
-		int64(writable.VLongEncodedLen(int64(len(key)))+writable.VLongEncodedLen(int64(len(val))))
+	b.partBytes[partition] += int64(n) +
+		int64(writable.VLongEncodedLen(int64(keyLen))+writable.VLongEncodedLen(int64(n-keyLen)))
 	return true, nil
 }
 
-// Used returns the occupied bytes including per-record metadata.
-func (b *SortBuffer) Used() int { return len(b.slab) + len(b.meta)*MetaBytesPerRecord }
+// Add buffers one already-serialised record: Reserve, write, Commit. It
+// returns false when the record does not fit (the caller must spill first);
+// a single record larger than the whole buffer is an error.
+func (b *SortBuffer) Add(partition int, key, val []byte) (bool, error) {
+	out := b.reserve(len(key) + len(val))
+	out.Write(key)
+	out.Write(val)
+	return b.Commit(partition, len(key))
+}
+
+// Used returns the occupied bytes including per-record metadata. It counts
+// record bytes, never chunk capacity, so where a buffer fills does not depend
+// on how its records fell into chunks.
+func (b *SortBuffer) Used() int { return b.payload + len(b.meta)*MetaBytesPerRecord }
 
 // Capacity returns the configured capacity in bytes.
 func (b *SortBuffer) Capacity() int { return b.capacity }
@@ -252,7 +353,10 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 // (Spill resets implicitly; this covers discarding buffered records, e.g.
 // when a background spill pipeline drains after an error).
 func (b *SortBuffer) Reset() {
-	b.slab = b.slab[:0]
+	for i := range b.chunks {
+		b.chunks[i] = b.chunks[i][:0]
+	}
+	b.tail, b.payload = 0, 0
 	b.meta = b.meta[:0]
 	if b.prefixes != nil {
 		b.prefixes = b.prefixes[:0]
@@ -278,10 +382,10 @@ func (b *SortBuffer) Reset() {
 // without an extractor has every prefix zero: one run, sorted by comparator.
 func (b *SortBuffer) spillPartition(p int, part []sortEntry, segs []*Segment) int64 {
 	var comps int64
-	slab, meta := b.slab, b.meta
+	chunks, meta := b.chunks, b.meta
 	key := func(e sortEntry) []byte {
 		m := &meta[e.idx]
-		return slab[m.keyOff : m.keyOff+m.keyLen]
+		return chunks[m.chunk][m.off : m.off+m.keyLen]
 	}
 	if b.prefix != nil {
 		slices.SortFunc(part, func(x, y sortEntry) int {
@@ -318,7 +422,8 @@ func (b *SortBuffer) spillPartition(p int, part []sortEntry, segs []*Segment) in
 	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
 	for _, e := range part {
 		m := &meta[e.idx]
-		w.Append(slab[m.keyOff:m.keyOff+m.keyLen], slab[m.valOff:m.valOff+m.valLen])
+		rec := chunks[m.chunk][m.off : m.off+m.keyLen+m.valLen]
+		w.Append(rec[:m.keyLen], rec[m.keyLen:])
 	}
 	segs[p] = w.Close()
 	return comps

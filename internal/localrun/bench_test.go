@@ -29,7 +29,7 @@ func benchSegment(n int, seed int64) *kvbuf.Segment {
 // benchFetchAll shuffles one reducer's input — every map's partition segment
 // — from the server through the production copy phase (copyPhase), bounded
 // by `parallel` persistent pipelined connections, including its buffer
-// lifecycle: fetched payloads are drawn from the slab pool (GrabBuf) and
+// lifecycle: fetched payloads are drawn from the segment pool (ReadSegment) and
 // recycled by the phase's cleanup, so steady-state iterations allocate almost
 // nothing per segment.
 func benchFetchAll(addr string, maps, reduce, parallel int) error {

@@ -60,15 +60,38 @@ type FetchStats struct {
 	Slow     int64 // injected slow-peer fetches
 }
 
-// FetchMapOutput retrieves one map-output partition from a (possibly remote)
-// worker's shuffle server, verifying the IFile checksum as it streams in and
-// retrying transient failures with backoff. wireLen is the payload size of
-// the winning attempt.
-func FetchMapOutput(addr string, mapIdx, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
-	var fst fetchStats
-	seg, wireLen, err = fetchValidated(addr, mapIdx, reduce, compressed, plan, bo, &fst)
-	st = FetchStats{Failures: fst.failures, Retries: fst.retries, Slow: fst.slow}
+// MapOutputFetcher fetches one reduce task's partitions from one (possibly
+// remote) worker's shuffle server over a single persistent connection,
+// dialed on first use and re-dialed after a failure that killed it: a reduce
+// task keeps one per peer for its whole fetch loop instead of dialing per
+// segment. Not safe for concurrent use.
+type MapOutputFetcher struct{ f segmentFetcher }
+
+// NewMapOutputFetcher prepares a fetcher of partition reduce from the server
+// at addr; nothing is dialed until the first Fetch.
+func NewMapOutputFetcher(addr string, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) *MapOutputFetcher {
+	return &MapOutputFetcher{f: segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: new(fetchStats)}}
+}
+
+// Fetch retrieves map mapIdx's partition, verifying the IFile checksum as it
+// streams in and retrying transient failures with backoff. wireLen is the
+// payload size of the winning attempt; st tallies this fetch alone.
+func (mf *MapOutputFetcher) Fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
+	*mf.f.st = fetchStats{}
+	seg, wireLen, err = mf.f.fetch(mapIdx)
+	st = FetchStats{Failures: mf.f.st.failures, Retries: mf.f.st.retries, Slow: mf.f.st.slow}
 	return seg, wireLen, st, err
+}
+
+// Close drops the connection, if one is open.
+func (mf *MapOutputFetcher) Close() { mf.f.closeConn() }
+
+// FetchMapOutput is open, Fetch, Close: one partition over a connection of
+// its own.
+func FetchMapOutput(addr string, mapIdx, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
+	mf := NewMapOutputFetcher(addr, reduce, compressed, plan, bo)
+	defer mf.Close()
+	return mf.Fetch(mapIdx)
 }
 
 // TaskRunner executes individual task attempts of one job: the entry point a

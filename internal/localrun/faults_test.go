@@ -161,8 +161,7 @@ func TestPermanentlyDownShufflePeerFailsDescriptively(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		var st fetchStats
-		_, _, err := fetchValidated(addr, 0, 0, false, nil, faultinject.Backoff{Attempts: 3, Base: 50 * time.Microsecond}, &st)
+		_, _, _, err := FetchMapOutput(addr, 0, 0, false, nil, faultinject.Backoff{Attempts: 3, Base: 50 * time.Microsecond})
 		done <- err
 	}()
 	select {
@@ -227,9 +226,8 @@ func TestMissingSegmentFailsFastWithoutRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var st fetchStats
 	start := time.Now()
-	_, _, err = fetchValidated(s.Addr(), 7, 7, false, nil, faultinject.Backoff{Attempts: 4, Base: 100 * time.Millisecond}, &st)
+	_, _, _, err = FetchMapOutput(s.Addr(), 7, 7, false, nil, faultinject.Backoff{Attempts: 4, Base: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("fetch of unregistered segment succeeded")
 	}

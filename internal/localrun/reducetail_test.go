@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -193,40 +194,129 @@ func TestReduceTailsAgree(t *testing.T) {
 }
 
 // TestCollectAllocatesNothing guards the map side of the record path: a
-// mapper re-emitting the same Text pair costs zero allocations per record.
+// mapper re-emitting the same pair costs zero allocations per record, for
+// 22-byte Text pairs and for 2 KiB BytesWritable pairs that cross a slab
+// chunk boundary every 510 records. Collect serialises straight into the
+// sort buffer's slab; there is no staging buffer to size.
 func TestCollectAllocatesNothing(t *testing.T) {
-	cmp, _ := writable.Comparator("Text")
-	pf, _ := writable.PrefixExtractor("Text")
-	buf := kvbuf.NewSortBuffer(8<<20, 4, cmp)
+	for _, tc := range []struct {
+		keyType    string
+		k, v       writable.Writable
+		pairBytes  int64
+		capacityMB int
+	}{
+		{"Text", writable.NewText("0123456789"), writable.NewText("abcdefghij"), 22, 8},
+		{"BytesWritable", &writable.BytesWritable{Data: make([]byte, 1024)}, &writable.BytesWritable{Data: make([]byte, 1024)}, 2056, 256},
+	} {
+		cmp, _ := writable.Comparator(tc.keyType)
+		pf, _ := writable.PrefixExtractor(tc.keyType)
+		buf := kvbuf.NewSortBuffer(tc.capacityMB<<20, 4, cmp)
+		buf.SetPrefixFunc(pf)
+		mc := &mapCollector{
+			part:       mapreduce.HashPartitioner{},
+			buf:        buf,
+			numReduces: 4,
+			spillPct:   0.8,
+			ctrs:       mapreduce.NewCounters(),
+			tm:         &spillTimings{},
+		}
+		// Grow the slab and metadata arrays past what the measured run needs.
+		const records = 20000
+		for i := 0; i < 2*records; i++ {
+			if err := mc.Collect(tc.k, tc.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf.Reset()
+		if avg := testing.AllocsPerRun(records, func() {
+			if err := mc.Collect(tc.k, tc.v); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: Collect allocates %.2f times per record, want 0", tc.keyType, avg)
+		}
+		if mc.outRecords != 3*records+1 || mc.outBytes != mc.outRecords*tc.pairBytes {
+			t.Errorf("%s tallies: %d records, %d bytes", tc.keyType, mc.outRecords, mc.outBytes)
+		}
+		buf.Release()
+	}
+}
+
+// TestCollectRollsBackAndSpills: a record that overruns io.sort.mb was
+// already serialised into the slab when the buffer refuses it. Nothing of
+// it may stay behind: the collector spills exactly the records before it and
+// writes it again as the first record of the next fill, so the spills are
+// byte-identical to the ones a collector staging each record outside the
+// buffer (Add of serialised bytes, spill on refusal) produces.
+func TestCollectRollsBackAndSpills(t *testing.T) {
+	cmp, _ := writable.Comparator("BytesWritable")
+	pf, _ := writable.PrefixExtractor("BytesWritable")
+	const capacity, partitions = 100 << 10, 3
+	rng := rand.New(rand.NewSource(11))
+	pairs := make([][2]*writable.BytesWritable, 700)
+	for i := range pairs {
+		k, v := make([]byte, 1+rng.Intn(40)), make([]byte, rng.Intn(3000))
+		rng.Read(k)
+		rng.Read(v)
+		pairs[i] = [2]*writable.BytesWritable{{Data: k}, {Data: v}}
+	}
+
+	// The reference: records staged outside the buffer.
+	ref := kvbuf.NewSortBuffer(capacity, partitions, cmp)
+	ref.SetPrefixFunc(pf)
+	defer ref.Release()
+	var want [][]*kvbuf.Segment
+	part := mapreduce.HashPartitioner{}
+	for _, kv := range pairs {
+		kb, vb := writable.Marshal(kv[0]), writable.Marshal(kv[1])
+		p := part.Partition(kv[0], kv[1], partitions)
+		ok, err := ref.Add(p, kb, vb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			segs, _ := ref.Spill()
+			want = append(want, segs)
+			if ok, err := ref.Add(p, kb, vb); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+		}
+	}
+	segs, _ := ref.Spill()
+	want = append(want, segs)
+
+	buf := kvbuf.NewSortBuffer(capacity, partitions, cmp)
 	buf.SetPrefixFunc(pf)
-	defer buf.Release()
 	mc := &mapCollector{
-		part:       mapreduce.HashPartitioner{},
+		job:        &mapreduce.Job{},
+		part:       part,
 		buf:        buf,
-		numReduces: 4,
-		spillPct:   0.8,
+		numReduces: partitions,
+		spillPct:   2, // never reached: every spill is a refusal and a roll-back
 		ctrs:       mapreduce.NewCounters(),
-		enc:        writable.NewDataOutput(256),
 		tm:         &spillTimings{},
 	}
-	k, v := writable.NewText("0123456789"), writable.NewText("abcdefghij")
-	// Grow the slab and metadata arrays past what the measured run needs.
-	const records = 20000
-	for i := 0; i < 2*records; i++ {
-		if err := mc.Collect(k, v); err != nil {
+	for _, kv := range pairs {
+		if err := mc.Collect(kv[0], kv[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf.Reset()
-	if avg := testing.AllocsPerRun(records, func() {
-		if err := mc.Collect(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("Collect allocates %.2f times per record, want 0", avg)
+	if err := mc.spill(); err != nil {
+		t.Fatal(err)
 	}
-	if mc.outRecords != 3*records+1 || mc.outBytes != mc.outRecords*22 {
-		t.Errorf("tallies: %d records, %d bytes", mc.outRecords, mc.outBytes)
+	buf.Release()
+	if len(mc.spills) != len(want) || len(want) < 5 {
+		t.Fatalf("%d spills, reference %d (want several)", len(mc.spills), len(want))
+	}
+	for i := range want {
+		for p := range want[i] {
+			if !bytes.Equal(mc.spills[i][p].Bytes(), want[i][p].Bytes()) {
+				t.Errorf("spill %d partition %d differs from the staged reference", i, p)
+			}
+		}
+	}
+	if got := mc.ctrs.Task(mapreduce.CtrSpilledRecords); got != int64(len(pairs)) || mc.outRecords != int64(len(pairs)) {
+		t.Errorf("SPILLED_RECORDS %d, collected %d, want %d each: a rolled-back record was counted or lost", got, mc.outRecords, len(pairs))
 	}
 }
 

@@ -491,7 +491,6 @@ type mapCollector struct {
 	spillPct   float64
 	ctrs       *mapreduce.Counters
 	spills     [][]*kvbuf.Segment
-	enc        *writable.DataOutput
 	codec      kvbuf.Codec // non-nil: spill segments are stored compressed
 
 	// Per-record tallies stay in plain integers; runMapTask folds them into
@@ -510,35 +509,42 @@ type mapCollector struct {
 }
 
 func (mc *mapCollector) Collect(key, value writable.Writable) error {
-	mc.enc.Reset()
-	key.Write(mc.enc)
-	kl := mc.enc.Len()
-	value.Write(mc.enc)
-	raw := mc.enc.Bytes()
-	kb, vb := raw[:kl], raw[kl:]
-
 	p := mc.part.Partition(key, value, mc.numReduces)
 	if p < 0 || p >= mc.numReduces {
 		return fmt.Errorf("localrun: partitioner returned %d for %d reduces", p, mc.numReduces)
 	}
-	ok, err := mc.buf.Add(p, kb, vb)
+	n, ok, err := mc.emit(p, key, value)
 	if err != nil {
 		return err
 	}
 	if !ok {
+		// The record overran io.sort.mb: nothing of it was buffered. Spill,
+		// then serialise it again into the emptied (or the ring's next) buffer.
 		if err := mc.spill(); err != nil {
 			return err
 		}
-		if ok, err = mc.buf.Add(p, kb, vb); err != nil || !ok {
+		if n, ok, err = mc.emit(p, key, value); err != nil || !ok {
 			return fmt.Errorf("localrun: record does not fit in empty sort buffer (err=%v)", err)
 		}
 	}
 	mc.outRecords++
-	mc.outBytes += int64(len(raw))
+	mc.outBytes += int64(n)
 	if mc.buf.ShouldSpill(mc.spillPct) {
 		return mc.spill()
 	}
 	return nil
+}
+
+// emit serialises one record straight into the sort buffer's slab and
+// commits it to partition p, returning its serialised size; ok=false when
+// the buffer must spill first.
+func (mc *mapCollector) emit(p int, key, value writable.Writable) (n int, ok bool, err error) {
+	out := mc.buf.Reserve()
+	key.Write(out)
+	kl := out.Len()
+	value.Write(out)
+	ok, err = mc.buf.Commit(p, kl)
+	return out.Len(), ok, err
 }
 
 func (mc *mapCollector) spill() error {
@@ -638,7 +644,6 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 		numReduces: numReduces,
 		spillPct:   job.Conf.SortSpillPercent(),
 		ctrs:       ctrs,
-		enc:        writable.NewDataOutput(256),
 		codec:      codec,
 		aid:        aid,
 		plan:       plan,

@@ -191,6 +191,11 @@ func (s *shuffleServer) Close() {
 	if s.disk != nil {
 		s.disk.close()
 	}
+	// No connection is left to serve from the retained buffers: hand them to
+	// the segment pool for the next job's spills and fetches.
+	for _, seg := range s.segments {
+		seg.Recycle()
+	}
 }
 
 // fetchPipelineDepth bounds how many segment requests a fetcher keeps in
@@ -199,19 +204,9 @@ func (s *shuffleServer) Close() {
 // not to protect the request path.
 const fetchPipelineDepth = 8
 
-// shuffleCRCChunk is the read granularity for streaming checksum
-// verification: big enough to amortize syscalls, small enough that the
-// just-read bytes are still cache-hot when the CRC folds them in.
-const shuffleCRCChunk = 128 << 10
-
 // errSegmentMissing marks a status-1 response; callers translate it into a
 // permanent, map-specific error.
 var errSegmentMissing = errors.New("localrun: segment not found on server")
-
-// errShuffleChecksum marks a payload whose streamed CRC did not match its
-// trailer. The connection itself is intact (the payload was fully read), so
-// callers retry without reconnecting.
-var errShuffleChecksum = errors.New("localrun: shuffle payload checksum mismatch")
 
 // shuffleConn is one persistent client connection to a shuffle server.
 type shuffleConn struct {
@@ -245,80 +240,58 @@ func (c *shuffleConn) request(mapIdx, partition int) error {
 	return nil
 }
 
-// response reads the next pipelined response. With checksum set, the
-// payload streams through the IFile CRC as it is read off the socket, so a
-// valid return needs no second verification pass over the buffer.
-func (c *shuffleConn) response(checksum bool) ([]byte, error) {
+// header reads the next pipelined response's status byte and payload length.
+func (c *shuffleConn) header() (int, error) {
 	var hdr [9]byte
 	if _, err := io.ReadFull(c.br, hdr[:1]); err != nil {
-		return nil, fmt.Errorf("localrun: shuffle status: %w", err)
+		return 0, fmt.Errorf("localrun: shuffle status: %w", err)
 	}
 	if hdr[0] != 0 {
-		return nil, errSegmentMissing
+		return 0, errSegmentMissing
 	}
 	if _, err := io.ReadFull(c.br, hdr[1:]); err != nil {
-		return nil, fmt.Errorf("localrun: shuffle length: %w", err)
+		return 0, fmt.Errorf("localrun: shuffle length: %w", err)
 	}
-	n := int(binary.BigEndian.Uint64(hdr[1:]))
-	// Draw the payload buffer from the segment pool: the fetched segment
-	// adopts it (SegmentFromBytes) and Recycle returns it here once the
-	// segment is merged or spilled, instead of leaving a garbage slab per
-	// fetch.
-	data := kvbuf.GrabBuf(n)
-	if !checksum {
-		if _, err := io.ReadFull(c.br, data); err != nil {
-			return nil, fmt.Errorf("localrun: shuffle payload: %w", err)
-		}
-		return data, nil
-	}
-	if n < 4 {
-		if _, err := io.ReadFull(c.br, data); err != nil {
-			return nil, fmt.Errorf("localrun: shuffle payload: %w", err)
-		}
-		return nil, fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", errShuffleChecksum, n)
-	}
-	body := n - 4
-	var crc uint32
-	for off := 0; off < n; {
-		end := min(off+shuffleCRCChunk, n)
-		if _, err := io.ReadFull(c.br, data[off:end]); err != nil {
-			return nil, fmt.Errorf("localrun: shuffle payload: %w", err)
-		}
-		if off < body {
-			crc = kvbuf.UpdateCRC(crc, data[off:min(end, body)])
-		}
-		off = end
-	}
-	if want := binary.BigEndian.Uint32(data[body:]); crc != want {
-		return nil, fmt.Errorf("%w: %08x != %08x", errShuffleChecksum, crc, want)
-	}
-	return data, nil
+	return int(binary.BigEndian.Uint64(hdr[1:])), nil
 }
 
-// responseCompressed reads the next pipelined response as a compressed
-// segment, inflating it straight off the socket into an exact-size raw
-// segment with the IFile CRC folded over the decompressed bytes as they
-// stream out — the compressed payload is never materialized in memory. A
+// response reads the next pipelined response as a segment: a raw IFile
+// payload streams through the CRC as it is read off the socket, a compressed
+// one inflates straight off the socket into an exact-size raw segment with
+// the CRC folded over the decompressed bytes — the compressed payload is
+// never materialized. Either way the segment comes back proven, in a pooled
+// buffer its Recycle returns, and nothing scans it again. A
 // kvbuf.ErrCorruptSegment return means the payload was consumed and the
-// connection is still in sync (retry without reconnecting); other errors
-// are connection-level. wire is the payload's on-the-wire byte count.
-func (c *shuffleConn) responseCompressed() (seg *kvbuf.Segment, wire int64, err error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(c.br, hdr[:1]); err != nil {
-		return nil, 0, fmt.Errorf("localrun: shuffle status: %w", err)
-	}
-	if hdr[0] != 0 {
-		return nil, 0, errSegmentMissing
-	}
-	if _, err := io.ReadFull(c.br, hdr[1:]); err != nil {
-		return nil, 0, fmt.Errorf("localrun: shuffle length: %w", err)
-	}
-	n := int(binary.BigEndian.Uint64(hdr[1:]))
-	seg, err = kvbuf.ReadCompressedSegment(c.br, n)
+// connection is still in sync (retry without reconnecting); other errors are
+// connection-level. wire is the payload's on-the-wire byte count.
+func (c *shuffleConn) response(compressed bool) (seg *kvbuf.Segment, wire int64, err error) {
+	n, err := c.header()
 	if err != nil {
 		return nil, 0, err
 	}
+	if compressed {
+		seg, err = kvbuf.ReadCompressedSegment(c.br, n)
+	} else {
+		seg, err = kvbuf.ReadSegment(c.br, n)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
+	}
 	return seg, int64(n), nil
+}
+
+// responseBytes reads the next pipelined response's payload as it is on the
+// wire, unchecked: what an injected truncation fault mangles.
+func (c *shuffleConn) responseBytes() ([]byte, error) {
+	n, err := c.header()
+	if err != nil {
+		return nil, err
+	}
+	data := kvbuf.GrabBuf(n)
+	if _, err := io.ReadFull(c.br, data); err != nil {
+		return nil, fmt.Errorf("localrun: shuffle payload: %w", err)
+	}
+	return data, nil
 }
 
 // missingSegmentErr is permanent: the map phase completed before any
@@ -384,44 +357,42 @@ func (f *segmentFetcher) ensureConn() error {
 	return nil
 }
 
-// validate applies the injected truncation fault and, when the shuffle is
-// compressed, inflates and verifies the payload. It only runs on buffered
-// payloads — the clean compressed path streams through responseCompressed
-// instead — so truncation can mangle real bytes before the decode, proving
-// the corrupt-stream retry path. Uncompressed payloads were already
-// CRC-verified while streaming off the wire and are only re-checked when
-// truncation mangled them afterwards.
-func (f *segmentFetcher) validate(data []byte, truncate bool, mapIdx int) (*kvbuf.Segment, error) {
-	if truncate && len(data) > 0 {
+// receive reads the next pipelined response, for map mapIdx. A clean attempt
+// streams through response. An attempt with an injected truncation fault
+// needs real bytes to mangle: its payload is buffered, cut short, and then
+// held to the same decode and checksum as any bytes of unproven origin, which
+// reject it as a corrupt segment — proving the corrupt-stream retry path.
+func (f *segmentFetcher) receive(mapIdx int, truncate bool) (*kvbuf.Segment, int64, error) {
+	if !truncate {
+		return f.conn.response(f.compressed)
+	}
+	data, err := f.conn.responseBytes()
+	if err != nil {
+		return nil, 0, err
+	}
+	wire := int64(len(data))
+	if len(data) > 0 {
 		data = data[:len(data)-(1+len(data)/16)]
 	}
+	seg := kvbuf.SegmentFromBytes(data)
 	if f.compressed {
 		z, err := kvbuf.CompressedSegmentFromBytes(data)
+		if err == nil {
+			seg, err = z.Decompress()
+		}
 		if err != nil {
-			return nil, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
-		}
-		s, err := z.Decompress()
-		if err != nil {
-			return nil, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
-		}
-		if err := s.Verify(); err != nil {
-			return nil, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
-		}
-		return s, nil
-	}
-	s := kvbuf.SegmentFromBytes(data)
-	if truncate {
-		if err := s.Verify(); err != nil {
-			return nil, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
+			return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
 		}
 	}
-	return s, nil
+	if err := seg.Verify(); err != nil {
+		return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
+	}
+	return seg, wire, nil
 }
 
 // fetchOne performs a single unpipelined fetch attempt for one map output
 // on the persistent connection, reconnecting first if an earlier failure
-// killed it. It is the retry-path workhorse and the body behind
-// fetchValidated.
+// killed it. It is the retry-path workhorse and the body behind fetch.
 func (f *segmentFetcher) fetchOne(mapIdx, attempt int) (*kvbuf.Segment, int64, error) {
 	fault := faultinject.FetchOK
 	if f.plan != nil {
@@ -447,40 +418,18 @@ func (f *segmentFetcher) fetchOne(mapIdx, attempt int) (*kvbuf.Segment, int64, e
 		f.closeConn()
 		return nil, 0, err
 	}
-	truncate := fault == faultinject.FetchTruncate
-	if f.compressed && !truncate {
-		// Clean compressed fetch: inflate streaming off the socket, CRC
-		// fused into the decode, no payload buffer.
-		seg, wire, err := f.conn.responseCompressed()
-		if err != nil {
-			f.st.failures++
-			if errors.Is(err, errSegmentMissing) {
-				return nil, 0, missingSegmentErr(mapIdx, f.reduce)
-			}
-			if !errors.Is(err, kvbuf.ErrCorruptSegment) {
-				f.closeConn() // a half-read response desyncs the stream
-			}
-			return nil, 0, err
-		}
-		return seg, wire, nil
-	}
-	data, err := f.conn.response(!f.compressed)
+	seg, wire, err := f.receive(mapIdx, fault == faultinject.FetchTruncate)
 	if err != nil {
 		f.st.failures++
 		if errors.Is(err, errSegmentMissing) {
 			return nil, 0, missingSegmentErr(mapIdx, f.reduce)
 		}
-		if !errors.Is(err, errShuffleChecksum) {
+		if !errors.Is(err, kvbuf.ErrCorruptSegment) {
 			f.closeConn() // a half-read response desyncs the stream
 		}
 		return nil, 0, err
 	}
-	seg, err := f.validate(data, truncate, mapIdx)
-	if err != nil {
-		f.st.failures++
-		return nil, 0, err
-	}
-	return seg, int64(len(data)), nil
+	return seg, wire, nil
 }
 
 // inflightFetch is one pipelined request awaiting its response.
@@ -549,41 +498,19 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 		if len(inflight) == 0 {
 			continue
 		}
-		// Drain the oldest response. Clean compressed responses inflate
-		// streaming off the socket (CRC fused into the decode); buffered
-		// reads remain for uncompressed payloads and for attempts whose
-		// injected truncation fault needs real bytes to mangle.
+		// Drain the oldest response.
 		req := inflight[0]
-		var (
-			data []byte
-			seg  *kvbuf.Segment
-			wire int64
-			err  error
-		)
-		if f.compressed && !req.truncate {
-			seg, wire, err = f.conn.responseCompressed()
-		} else {
-			data, err = f.conn.response(!f.compressed)
-			wire = int64(len(data))
-		}
+		seg, wire, err := f.receive(req.mapIdx, req.truncate)
 		switch {
 		case err == nil:
 			inflight = append(inflight[:0], inflight[1:]...)
-			if seg == nil {
-				var verr error
-				seg, verr = f.validate(data, req.truncate, req.mapIdx)
-				if verr != nil {
-					fail(req.mapIdx, verr)
-					continue
-				}
-			}
 			store(req.mapIdx, seg, wire)
 		case errors.Is(err, errSegmentMissing):
 			// The server answered and keeps serving the rest of the
 			// pipeline; only this segment is (permanently) failed.
 			inflight = append(inflight[:0], inflight[1:]...)
 			fail(req.mapIdx, missingSegmentErr(req.mapIdx, f.reduce))
-		case errors.Is(err, errShuffleChecksum), errors.Is(err, kvbuf.ErrCorruptSegment):
+		case errors.Is(err, kvbuf.ErrCorruptSegment):
 			// The payload was fully consumed (or drained); the connection
 			// is still in sync and only this segment retries.
 			inflight = append(inflight[:0], inflight[1:]...)
@@ -1045,15 +972,14 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	return res, nil
 }
 
-// fetchValidated retrieves one map-output partition, verifies its IFile
-// checksum while it streams in, inflates it when the shuffle is compressed,
-// and retries transient failures with jittered exponential backoff — the
-// single-segment face of the segmentFetcher machinery. wireLen is the
-// payload size moved on the wire for the successful attempt.
-func fetchValidated(addr string, mapIdx, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff, st *fetchStats) (seg *kvbuf.Segment, wireLen int64, err error) {
-	f := &segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: st}
-	defer f.closeConn()
-	err = bo.Retry(f.seed(mapIdx), func(attempt int) error {
+// fetch retrieves one map-output partition on the fetcher's persistent
+// connection, verifying its IFile checksum while it streams in (inflating it
+// first when the shuffle is compressed) and retrying transient failures with
+// jittered exponential backoff — the single-segment face of the pipelined
+// machinery above. wireLen is the payload size moved on the wire for the
+// successful attempt.
+func (f *segmentFetcher) fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, err error) {
+	err = f.bo.Retry(f.seed(mapIdx), func(attempt int) error {
 		if attempt > 0 {
 			f.st.retries++
 		}

@@ -2,9 +2,13 @@ package localrun
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,14 +61,14 @@ func TestMissingSegmentKeepsConnectionAlive(t *testing.T) {
 	if err := c.request(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.response(true); !errors.Is(err, errSegmentMissing) {
+	if _, _, err := c.response(false); !errors.Is(err, errSegmentMissing) {
 		t.Fatalf("first response error = %v, want errSegmentMissing", err)
 	}
-	data, err := c.response(true)
+	got, _, err := c.response(false)
 	if err != nil {
 		t.Fatalf("response after a miss on the same connection: %v", err)
 	}
-	if !bytes.Equal(data, seg.Bytes()) {
+	if !bytes.Equal(got.Bytes(), seg.Bytes()) {
 		t.Error("payload after a miss does not match the registered segment")
 	}
 }
@@ -147,6 +151,139 @@ func TestCopyPhaseMissingFailsFast(t *testing.T) {
 	for m := 0; m < maps; m++ {
 		if res.fetched[m] != (m != 4) {
 			t.Errorf("map %d fetched = %v: only the hole may be missing", m, res.fetched[m])
+		}
+	}
+}
+
+// flipServer speaks the shuffle wire protocol but damages what it sends:
+// the first `flips` responses for each map go out with one body bit
+// flipped, later ones intact — corruption on the wire itself, underneath
+// anything the fault plan injects on the client side.
+type flipServer struct {
+	ln      net.Listener
+	payload map[int][]byte // per map: the intact wire payload
+	flips   int
+
+	mu     sync.Mutex
+	served map[int]int
+}
+
+func newFlipServer(t *testing.T, flips int, payload map[int][]byte) *flipServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &flipServer{ln: ln, payload: payload, flips: flips, served: make(map[int]int)}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go s.serve(conn)
+		}
+	}()
+	return s
+}
+
+func (s *flipServer) serve(conn net.Conn) {
+	defer conn.Close()
+	var req [8]byte
+	for {
+		if _, err := io.ReadFull(conn, req[:]); err != nil {
+			return
+		}
+		m := int(binary.BigEndian.Uint32(req[:4]))
+		data := s.payload[m]
+		s.mu.Lock()
+		nth := s.served[m]
+		s.served[m]++
+		s.mu.Unlock()
+		if nth < s.flips {
+			data = bytes.Clone(data)
+			data[len(data)/2] ^= 0x20
+		}
+		var hdr [9]byte
+		binary.BigEndian.PutUint64(hdr[1:], uint64(len(data)))
+		if _, err := conn.Write(append(hdr[:], data...)); err != nil {
+			return
+		}
+	}
+}
+
+// TestBitFlippedPayloadRejectedAtFetch: a payload damaged on the wire is
+// caught where it arrives — by the streaming checksum, or by the inflate and
+// the checksum behind it — and fetched again on the same connection. What
+// the copy phase hands the merge is intact and marked proven, so the merge's
+// readers have nothing left to catch; a peer that only ever sends damaged
+// bytes fails the fetch, never the merge.
+func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
+	const maps = 6
+	cmp, _ := writable.Comparator("BytesWritable")
+	for _, compressed := range []bool{false, true} {
+		raw := make(map[int][]byte)
+		wire := make(map[int][]byte)
+		for m := 0; m < maps; m++ {
+			w := kvbuf.NewWriter(64)
+			for i := 0; i < 200; i++ {
+				w.Append([]byte(fmt.Sprintf("key-%02d-%03d", m, i)), bytes.Repeat([]byte{byte(m)}, 50+i))
+			}
+			seg := w.Close()
+			raw[m] = seg.Bytes()
+			wire[m] = seg.Bytes()
+			if compressed {
+				wire[m] = kvbuf.CompressSegmentWith(seg, kvbuf.Deflate).Bytes()
+			}
+		}
+		bo := faultinject.Backoff{Attempts: 3, Base: 50 * time.Microsecond, Max: time.Millisecond}
+
+		// Single-segment face: one flip, one retry, intact bytes.
+		srv := newFlipServer(t, 1, wire)
+		seg, wireLen, st, err := FetchMapOutput(srv.ln.Addr().String(), 2, 0, compressed, nil, bo)
+		if err != nil {
+			t.Fatalf("compressed=%v: fetch after one flipped response: %v", compressed, err)
+		}
+		if !bytes.Equal(seg.Bytes(), raw[2]) || wireLen != int64(len(wire[2])) {
+			t.Errorf("compressed=%v: fetched segment differs from the intact one", compressed)
+		}
+		if st.Failures != 1 || st.Retries != 1 {
+			t.Errorf("compressed=%v: stats %+v, want exactly one failure and one retry", compressed, st)
+		}
+
+		// Pipelined copy phase: every map's first response is damaged.
+		srv = newFlipServer(t, 1, wire)
+		board := newCompletionBoard(maps)
+		for m := 0; m < maps; m++ {
+			board.Announce(m, 0)
+		}
+		res, err := newStreamShuffle(srv.ln.Addr().String(), maps, 0, 2, compressed, nil, bo, board, cmp, shuffleTuning{}).run(nil)
+		if err != nil {
+			t.Fatalf("compressed=%v: copy phase: %v", compressed, err)
+		}
+		if res.st.failures != maps || res.st.retries != maps {
+			t.Errorf("compressed=%v: copy phase stats %+v, want %d failures and retries", compressed, res.st, maps)
+		}
+		for m, part := range res.parts {
+			if !bytes.Equal(part.Bytes(), raw[m]) {
+				t.Errorf("compressed=%v: map %d reached the merge damaged", compressed, m)
+			}
+		}
+		merged := 0
+		if _, err := kvbuf.MergeStream(cmp, res.parts, func(_, _ []byte) error { merged++; return nil }); err != nil || merged != maps*200 {
+			t.Errorf("compressed=%v: merge over fetched parts: %d records, err %v", compressed, merged, err)
+		}
+		res.cleanup()
+
+		// A peer that never sends intact bytes exhausts the retries at fetch.
+		srv = newFlipServer(t, 1<<30, wire)
+		seg, _, st, err = FetchMapOutput(srv.ln.Addr().String(), 1, 0, compressed, nil, bo)
+		if seg != nil || !errors.Is(err, kvbuf.ErrCorruptSegment) {
+			t.Errorf("compressed=%v: always-damaged peer: seg %v err %v, want ErrCorruptSegment", compressed, seg, err)
+		}
+		if st.Failures != 3 || st.Retries != 2 {
+			t.Errorf("compressed=%v: always-damaged peer: stats %+v, want 3 failures, 2 retries", compressed, st)
 		}
 	}
 }

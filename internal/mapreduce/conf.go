@@ -56,17 +56,17 @@ const (
 	// double buffering.
 	ConfSpillInflight = "mapreduce.map.spill.inflight"
 
-	ConfMapSlots           = "mapreduce.tasktracker.map.tasks.maximum"
-	ConfReduceSlots        = "mapreduce.tasktracker.reduce.tasks.maximum"
-	ConfMapMemoryMB        = "mapreduce.map.memory.mb"
-	ConfReduceMemoryMB     = "mapreduce.reduce.memory.mb"
-	ConfNodeMemoryMB       = "yarn.nodemanager.resource.memory-mb"
-	ConfSpeculative        = "mapreduce.map.speculative"
-	ConfCombineClass       = "mapreduce.job.combine.class"
-	ConfCompressMapOut     = "mapreduce.map.output.compress"
-	ConfCompressCodec      = "mapreduce.map.output.compress.codec"
-	ConfCompressRatio      = "mapreduce.map.output.compress.ratio" // sim-only: modelled output/input ratio
-	ConfJobName            = "mapreduce.job.name"
+	ConfMapSlots       = "mapreduce.tasktracker.map.tasks.maximum"
+	ConfReduceSlots    = "mapreduce.tasktracker.reduce.tasks.maximum"
+	ConfMapMemoryMB    = "mapreduce.map.memory.mb"
+	ConfReduceMemoryMB = "mapreduce.reduce.memory.mb"
+	ConfNodeMemoryMB   = "yarn.nodemanager.resource.memory-mb"
+	ConfSpeculative    = "mapreduce.map.speculative"
+	ConfCombineClass   = "mapreduce.job.combine.class"
+	ConfCompressMapOut = "mapreduce.map.output.compress"
+	ConfCompressCodec  = "mapreduce.map.output.compress.codec"
+	ConfCompressRatio  = "mapreduce.map.output.compress.ratio" // sim-only: modelled output/input ratio
+	ConfJobName        = "mapreduce.job.name"
 )
 
 // NewConf returns an empty configuration.

@@ -104,8 +104,8 @@ func TestReaderRejectsHostileMetadataLength(t *testing.T) {
 	buf.WriteString("Text")
 	buf.Write([]byte{0, 4}) // value class
 	buf.WriteString("Text")
-	buf.Write([]byte{0, 0})          // not compressed
-	buf.Write([]byte{0, 0, 0, 1})    // one metadata entry
+	buf.Write([]byte{0, 0})                               // not compressed
+	buf.Write([]byte{0, 0, 0, 1})                         // one metadata entry
 	buf.Write([]byte{0x8c, 0x7f, 0xff, 0xff, 0xff, 0xff}) // vlong ~2^39 text length
 	_, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err == nil {

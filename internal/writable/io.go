@@ -42,6 +42,11 @@ func (o *DataOutput) Len() int { return len(o.buf) }
 // Reset truncates the buffer for reuse.
 func (o *DataOutput) Reset() { o.buf = o.buf[:0] }
 
+// ResetOn repositions the output at the start of buf's storage, as
+// NewDataOutputOn does for a new one. Writes past cap(buf) move the output to
+// a grown copy, as append does; Bytes then no longer aliases buf.
+func (o *DataOutput) ResetOn(buf []byte) { o.buf = buf[:0] }
+
 // WriteU8 appends one byte.
 func (o *DataOutput) WriteU8(b byte) { o.buf = append(o.buf, b) }
 
