@@ -14,12 +14,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -44,8 +42,7 @@ func main() {
 		traceF   = flag.String("trace", "", "write a Chrome trace-event JSON of the job to this file")
 		local    = flag.Bool("local", false, "execute for real in-process (small scale) instead of simulating")
 		diskSh   = flag.Bool("diskshuffle", false, "store committed map outputs in spill files, served via sendfile (-local; default: retained buffers + writev)")
-		benchF   = flag.String("bench-json", "", "write machine-readable local-execution throughput results to this file (implies -local)")
-		benchN   = flag.Int("bench-reps", 5, "repetitions per configuration for -bench-json medians")
+		benchN   = flag.Int("bench-reps", 1, "run the -local job this many times in this process and print each wall time and their median")
 		workers  = flag.Int("workers", 2, "worker processes for -engine=dist")
 		specAft  = flag.Duration("speculative", 0, "speculate a duplicate attempt after a task runs this long without committing (-engine=dist; 0 disables)")
 		respawn  = flag.Bool("respawn", true, "restart dist worker processes that die abnormally")
@@ -89,8 +86,8 @@ func main() {
 		})
 		return
 	}
-	if *local || *benchF != "" {
-		runLocal(cfg, *diskSh, *benchF, *benchN)
+	if *local {
+		runLocal(cfg, *diskSh, *benchN)
 		return
 	}
 	res, err := microbench.Run(cfg)
@@ -158,13 +155,7 @@ func localOnce(cfg microbench.Config, disk bool) (*localrun.Result, time.Duratio
 		fatal(err)
 	}
 	start := time.Now()
-	res, err := localrun.Run(job, &localrun.Options{
-		Faults:           cfg.Faults,
-		ParallelCopies:   cfg.ParallelCopies,
-		DiskShuffle:      disk,
-		ShuffleMemBudget: cfg.ShuffleMemBudget,
-		MergeFactor:      cfg.MergeFactor,
-	})
+	res, err := localrun.Run(job, &localrun.Options{Faults: cfg.Faults, DiskShuffle: disk})
 	if err != nil {
 		fatal(err)
 	}
@@ -198,8 +189,20 @@ func runDist(cfg microbench.Config, opts *distrun.Options) {
 	}
 }
 
-func runLocal(cfg microbench.Config, disk bool, benchPath string, reps int) {
-	res, elapsed := localOnce(cfg, disk)
+// runLocal executes cfg for real and prints the run's report. With reps > 1
+// the job runs that many times in this process, each wall time printed as it
+// completes and the median after the last run's report, so an A/B of one
+// knob is one command per side.
+func runLocal(cfg microbench.Config, disk bool, reps int) {
+	var res *localrun.Result
+	walls := make([]time.Duration, max(reps, 1))
+	for i := range walls {
+		res, walls[i] = localOnce(cfg, disk)
+		if len(walls) > 1 {
+			fmt.Printf("rep %-2d wall         %.1f ms\n", i+1, float64(walls[i].Microseconds())/1e3)
+		}
+	}
+	elapsed := walls[len(walls)-1]
 	name := string(cfg.Pattern) + " micro-benchmark"
 	if cfg.Workload != "" {
 		name = cfg.Workload + " workload"
@@ -228,325 +231,11 @@ func runLocal(cfg microbench.Config, disk bool, benchPath string, reps int) {
 	if cfg.Faults != nil {
 		fmt.Print(metrics.RenderKV("injected faults survived:", faultKVs(res.Counters)))
 	}
-	if benchPath != "" {
-		if err := writeBenchJSON(benchPath, cfg, disk, reps); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote benchmark results to %s\n", benchPath)
+	if len(walls) > 1 {
+		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+		mid := (walls[(len(walls)-1)/2] + walls[len(walls)/2]) / 2
+		fmt.Printf("median wall         %.1f ms over %d reps\n", float64(mid.Microseconds())/1e3, len(walls))
 	}
-}
-
-// benchReport is the machine-readable result behind -bench-json. Committed
-// snapshots of it (BENCH_localrun.json) record the real executor's measured
-// throughput so changes to the hot paths leave a reviewable trajectory.
-type benchReport struct {
-	Schema      string           `json:"schema"`
-	Command     string           `json:"command"`
-	Config      benchConfig      `json:"config"`
-	Results     benchResults     `json:"results"`
-	MapSpill    benchMapSpill    `json:"map_spill"`
-	ReduceMerge benchReduceMerge `json:"reduce_merge"`
-	Codec       benchCodec       `json:"codec"`
-}
-
-type benchConfig struct {
-	Pattern        string  `json:"pattern"`
-	DataType       string  `json:"datatype"`
-	KeySize        int     `json:"key_size"`
-	ValueSize      int     `json:"value_size"`
-	PairsPerMap    int64   `json:"pairs_per_map"`
-	NumMaps        int     `json:"maps"`
-	NumReduces     int     `json:"reduces"`
-	ParallelCopies int     `json:"parallel_copies"`
-	Slowstart      float64 `json:"slowstart"`
-	Codec          string  `json:"codec"`
-	Combine        bool    `json:"combine"`
-	DiskShuffle    bool    `json:"diskshuffle"`
-	ShuffleMem     int64   `json:"shuffle_mem_budget"` // 0: unbounded pool
-	MergeFactor    int     `json:"merge_factor"`       // 0: io.sort.factor default
-	IOSortMB       int     `json:"io_sort_mb"`         // 0: 100 MiB default
-	SpillPercent   float64 `json:"spill_percent"`      // 0: 0.80 default
-	CPUs           int     `json:"cpus"`               // host cores — overlap wins need >1
-	Reps           int     `json:"reps"`
-}
-
-// benchResults reports medians over the configured repetitions, with the
-// overlapped schedule's phase split and a barrier (slowstart=1.0) baseline
-// measured in the same process so the overlap win is a single number.
-type benchResults struct {
-	WallMS           float64 `json:"wall_ms"` // median
-	MapPhaseMS       float64 `json:"map_phase_ms"`
-	OverlapMS        float64 `json:"shuffle_overlap_ms"`
-	ReduceTailMS     float64 `json:"reduce_tail_ms"`
-	BarrierWallMS    float64 `json:"barrier_wall_ms"` // median at slowstart=1.0
-	SpeedupVsBarrier float64 `json:"speedup_vs_barrier"`
-	MapOutputRecs    int64   `json:"map_output_records"`
-	RecordsPerSec    float64 `json:"records_per_sec"`
-	ShuffleBytes     int64   `json:"shuffle_bytes"`
-	ShuffleMBPerSec  float64 `json:"shuffle_mb_per_sec"`
-	SpilledRecords   int64   `json:"spilled_records"`
-	ReduceOutRecs    int64   `json:"reduce_output_records"`
-}
-
-// benchMapSpill is the v5 map-phase breakdown: where the collect/spill
-// pipeline spent the map side (last repetition of the main configuration),
-// plus a synchronous-spill re-run of the same job in the same process so the
-// background SpillThread's win — or its absence on a saturated host — is a
-// single attributable number next to the config's cpus field.
-type benchMapSpill struct {
-	CollectStallMS float64 `json:"collect_stall_ms"` // mapper blocked on spilling
-	SpillWorkMS    float64 `json:"spill_work_ms"`    // sort+combine+codec seal time
-	SpillOverlapMS float64 `json:"spill_overlap_ms"` // seal+premerge work hidden under collection
-	PremergeMS     float64 `json:"premerge_ms"`      // background block premerges
-	DrainWaitMS    float64 `json:"drain_wait_ms"`    // mapper waiting for the last spills
-	FinalMergeMS   float64 `json:"final_merge_ms"`   // per-map final merge + registration
-	Spills         int64   `json:"spills"`
-	AsyncSpills    int64   `json:"async_spills"`
-	PremergedRuns  int64   `json:"premerged_runs"`
-
-	SyncWallMS       float64 `json:"sync_wall_ms"`      // median, spill.overlap=false
-	SyncMapPhaseMS   float64 `json:"sync_map_phase_ms"` // median map phase, sync spills
-	SpeedupVsSync    float64 `json:"speedup_vs_sync"`   // sync wall / overlapped wall
-	SyncCollectStall float64 `json:"sync_collect_stall_ms"`
-}
-
-// benchReduceMerge is the v4 reduce-phase breakdown: where the memory-bounded
-// merge pipeline spent the reduce side of the job (last repetition of the main
-// configuration), plus a bounded re-run of the same job at a deliberately tiny
-// budget so the larger-than-RAM path's cost — or its parity — is recorded
-// alongside the unbounded baseline.
-type benchReduceMerge struct {
-	FetchWaitMS    float64 `json:"fetch_wait_ms"`      // copiers blocked on pool admission
-	MemMergeMS     float64 `json:"in_memory_merge_ms"` // pool merges feeding spills
-	DiskPassMS     float64 `json:"disk_pass_ms"`       // spill writes + intermediate waves
-	FinalMergeMS   float64 `json:"final_merge_ms"`     // final merge + reduce pass
-	DiskRuns       int64   `json:"disk_runs"`
-	DiskPasses     int64   `json:"disk_passes"`
-	SpilledRecords int64   `json:"spilled_records"`
-	SpilledBytes   int64   `json:"spilled_bytes"`
-
-	BoundedBudget        int64   `json:"bounded_budget_bytes"` // tiny-budget comparison run
-	BoundedWallMS        float64 `json:"bounded_wall_ms"`      // median at that budget
-	BoundedTailMS        float64 `json:"bounded_reduce_tail_ms"`
-	TailRatioVsUnbounded float64 `json:"bounded_tail_ratio"` // bounded tail / unbounded tail
-}
-
-// benchCodec compares the same configuration with spill-time compression off
-// and on, measured in the same process: the end-to-end cost or win of the
-// codec on the data plane, and the wire-byte ratio it buys.
-type benchCodec struct {
-	PlainWallMS      float64 `json:"plain_wall_ms"`   // median, codec off
-	DeflateWallMS    float64 `json:"deflate_wall_ms"` // median, codec deflate
-	PlainWireBytes   int64   `json:"plain_wire_bytes"`
-	DeflateWireBytes int64   `json:"deflate_wire_bytes"`
-	CompressionRatio float64 `json:"compression_ratio"` // deflate wire / plain wire
-	SpeedupVsPlain   float64 `json:"speedup_vs_plain"`  // plain wall / deflate wall
-}
-
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func writeBenchJSON(path string, cfg microbench.Config, disk bool, reps int) error {
-	if reps < 1 {
-		reps = 1
-	}
-	type sample struct{ wall, mapPhase, overlap, tail float64 }
-	measure := func(c microbench.Config) ([]sample, *localrun.Result) {
-		out := make([]sample, reps)
-		var last *localrun.Result
-		for i := range out {
-			res, elapsed := localOnce(c, disk)
-			out[i] = sample{
-				wall:     float64(elapsed.Microseconds()) / 1e3,
-				mapPhase: float64(res.MapPhase.Microseconds()) / 1e3,
-				overlap:  float64(res.OverlapWindow.Microseconds()) / 1e3,
-				tail:     float64(res.ReduceTail.Microseconds()) / 1e3,
-			}
-			last = res
-		}
-		return out, last
-	}
-	pluck := func(s []sample, f func(sample) float64) []float64 {
-		out := make([]float64, len(s))
-		for i := range s {
-			out[i] = f(s[i])
-		}
-		return out
-	}
-
-	overlapped, res := measure(cfg)
-	barrierCfg := cfg
-	barrierCfg.Slowstart = 1.0
-	barrier, _ := measure(barrierCfg)
-
-	// Synchronous-spill twin: the same job with the background SpillThread
-	// off, so the map-side overlap's win (or its absence on a saturated
-	// host) is measured in the same process as the default path.
-	syncCfg := cfg
-	syncCfg.SyncSpill = true
-	syncSamples, syncRes := measure(syncCfg)
-
-	// Bounded comparison: the same job forced through the memory-bounded
-	// merge pipeline at a budget far below its shuffle volume, so the
-	// breakdown records what multi-pass disk merging costs here (64KB keeps
-	// small bench configs spilling without being one-segment degenerate).
-	boundedCfg := cfg
-	boundedCfg.ShuffleMemBudget = 64 << 10
-	bounded, _ := measure(boundedCfg)
-
-	// Codec on/off comparison at the same configuration, same process: the
-	// main results above keep cfg's own codec setting; this pair isolates
-	// what spill-time compression costs (or buys) end to end.
-	plainCfg, deflCfg := cfg, cfg
-	plainCfg.Codec = ""
-	deflCfg.Codec = "deflate"
-	plain, plainRes := measure(plainCfg)
-	defl, deflRes := measure(deflCfg)
-	plainWall := median(pluck(plain, func(s sample) float64 { return s.wall }))
-	deflWall := median(pluck(defl, func(s sample) float64 { return s.wall }))
-	plainWire := plainRes.Counters.Task(mapreduce.CtrReduceShuffleBytes)
-	deflWire := deflRes.Counters.Task(mapreduce.CtrReduceShuffleBytes)
-
-	wall := median(pluck(overlapped, func(s sample) float64 { return s.wall }))
-	barrierWall := median(pluck(barrier, func(s sample) float64 { return s.wall }))
-	secs := wall / 1e3
-	recs := res.Counters.Task(mapreduce.CtrMapOutputRecords)
-	shuffled := res.Counters.Task(mapreduce.CtrReduceShuffleBytes)
-	speedup := 0.0
-	if wall > 0 {
-		speedup = barrierWall / wall
-	}
-	if speedup > 0 && speedup < 1 {
-		fmt.Fprintf(os.Stderr, "mrbench: warning: speedup_vs_barrier = %.2f < 1 — the overlapped schedule lost to the strict barrier here (host has %d CPUs; overlap needs spare cores to win)\n", speedup, runtime.NumCPU())
-	}
-	extras := ""
-	if cfg.Codec != "" {
-		extras += fmt.Sprintf(" -codec %s", cfg.Codec)
-	}
-	if cfg.Combine {
-		extras += " -combine"
-	}
-	if disk {
-		extras += " -diskshuffle"
-	}
-	if cfg.ShuffleMemBudget > 0 {
-		extras += fmt.Sprintf(" -shufflemem %d", cfg.ShuffleMemBudget)
-	}
-	if cfg.MergeFactor > 0 {
-		extras += fmt.Sprintf(" -mergefactor %d", cfg.MergeFactor)
-	}
-	if cfg.IOSortMB > 0 {
-		extras += fmt.Sprintf(" -iosortmb %d", cfg.IOSortMB)
-	}
-	if cfg.SpillPercent > 0 {
-		extras += fmt.Sprintf(" -spillpercent %g", cfg.SpillPercent)
-	}
-	boundedWall := median(pluck(bounded, func(s sample) float64 { return s.wall }))
-	boundedTail := median(pluck(bounded, func(s sample) float64 { return s.tail }))
-	tail := median(pluck(overlapped, func(s sample) float64 { return s.tail }))
-	syncWall := median(pluck(syncSamples, func(s sample) float64 { return s.wall }))
-	rm := res.ReduceMerge
-	ms := res.MapSpill
-	rep := benchReport{
-		Schema: "mrmicro-localrun-bench/v5",
-		Command: fmt.Sprintf("mrbench -local -pattern %s -datatype %s -keysize %d -valuesize %d -pairs %d -maps %d -reduces %d -parallelcopies %d -slowstart %g%s -bench-reps %d -bench-json %s",
-			cfg.Pattern, cfg.DataType, cfg.KeySize, cfg.ValueSize, cfg.PairsPerMap, res.NumMaps, res.NumReduces, cfg.ParallelCopies, cfg.Slowstart, extras, reps, path),
-		Config: benchConfig{
-			Pattern:        string(cfg.Pattern),
-			DataType:       cfg.DataType,
-			KeySize:        cfg.KeySize,
-			ValueSize:      cfg.ValueSize,
-			PairsPerMap:    cfg.PairsPerMap,
-			NumMaps:        res.NumMaps,
-			NumReduces:     res.NumReduces,
-			ParallelCopies: cfg.ParallelCopies,
-			Slowstart:      cfg.Slowstart,
-			Codec:          cfg.Codec,
-			Combine:        cfg.Combine,
-			DiskShuffle:    disk,
-			ShuffleMem:     cfg.ShuffleMemBudget,
-			MergeFactor:    cfg.MergeFactor,
-			IOSortMB:       cfg.IOSortMB,
-			SpillPercent:   cfg.SpillPercent,
-			CPUs:           runtime.NumCPU(),
-			Reps:           reps,
-		},
-		Results: benchResults{
-			WallMS:           wall,
-			MapPhaseMS:       median(pluck(overlapped, func(s sample) float64 { return s.mapPhase })),
-			OverlapMS:        median(pluck(overlapped, func(s sample) float64 { return s.overlap })),
-			ReduceTailMS:     median(pluck(overlapped, func(s sample) float64 { return s.tail })),
-			BarrierWallMS:    barrierWall,
-			SpeedupVsBarrier: speedup,
-			MapOutputRecs:    recs,
-			RecordsPerSec:    float64(recs) / secs,
-			ShuffleBytes:     shuffled,
-			ShuffleMBPerSec:  float64(shuffled) / (1 << 20) / secs,
-			SpilledRecords:   res.Counters.Task(mapreduce.CtrSpilledRecords),
-			ReduceOutRecs:    res.Counters.Task(mapreduce.CtrReduceOutputRecords),
-		},
-		MapSpill: benchMapSpill{
-			CollectStallMS: float64(ms.CollectStall.Microseconds()) / 1e3,
-			SpillWorkMS:    float64(ms.SpillWork.Microseconds()) / 1e3,
-			SpillOverlapMS: float64(ms.Overlapped().Microseconds()) / 1e3,
-			PremergeMS:     float64(ms.Premerge.Microseconds()) / 1e3,
-			DrainWaitMS:    float64(ms.DrainWait.Microseconds()) / 1e3,
-			FinalMergeMS:   float64(ms.FinalMerge.Microseconds()) / 1e3,
-			Spills:         ms.Spills,
-			AsyncSpills:    ms.AsyncSpills,
-			PremergedRuns:  ms.PremergedRuns,
-
-			SyncWallMS:       syncWall,
-			SyncMapPhaseMS:   median(pluck(syncSamples, func(s sample) float64 { return s.mapPhase })),
-			SpeedupVsSync:    ratio(syncWall, wall),
-			SyncCollectStall: float64(syncRes.MapSpill.CollectStall.Microseconds()) / 1e3,
-		},
-		ReduceMerge: benchReduceMerge{
-			FetchWaitMS:    float64(rm.FetchWait.Microseconds()) / 1e3,
-			MemMergeMS:     float64(rm.MemMerge.Microseconds()) / 1e3,
-			DiskPassMS:     float64(rm.DiskPass.Microseconds()) / 1e3,
-			FinalMergeMS:   float64(rm.FinalMerge.Microseconds()) / 1e3,
-			DiskRuns:       rm.DiskRuns,
-			DiskPasses:     rm.DiskPasses,
-			SpilledRecords: rm.SpilledRecords,
-			SpilledBytes:   rm.SpilledBytes,
-
-			BoundedBudget:        boundedCfg.ShuffleMemBudget,
-			BoundedWallMS:        boundedWall,
-			BoundedTailMS:        boundedTail,
-			TailRatioVsUnbounded: ratio(boundedTail, tail),
-		},
-		Codec: benchCodec{
-			PlainWallMS:      plainWall,
-			DeflateWallMS:    deflWall,
-			PlainWireBytes:   plainWire,
-			DeflateWireBytes: deflWire,
-			CompressionRatio: ratio(float64(deflWire), float64(plainWire)),
-			SpeedupVsPlain:   ratio(plainWall, deflWall),
-		},
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // faultKVs flattens the fault counter group for the report.

@@ -8,6 +8,7 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/hadooprpc"
+	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 )
@@ -219,10 +220,18 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 	if cfg.NumReduces == 0 {
 		return nil, fmt.Errorf("distrun: jobs need a reduce phase")
 	}
-	numMaps, err := microbench.MapTaskCount(cfg)
+	// Build the job's task environment here, as every worker will: its map
+	// count sizes the task table, and a conf value the executor rejects
+	// fails the job now instead of inside each spawned worker.
+	job, err := microbench.BuildJob(cfg)
 	if err != nil {
 		return nil, err
 	}
+	runner, err := localrun.NewTaskRunner(job)
+	if err != nil {
+		return nil, err
+	}
+	numMaps := runner.NumMaps()
 	c := &Coordinator{
 		cfg:      cfg,
 		opts:     *opts,

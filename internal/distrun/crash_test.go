@@ -11,9 +11,11 @@ package distrun
 // point of the injury.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +87,20 @@ func waitUntil(d time.Duration, cond func() bool) bool {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return false
+}
+
+// TestBadConfFailsBeforeWorkersSpawn: a conf value the executor rejects is a
+// typed error from Run itself. Before the coordinator built the task
+// environment first, the same value panicked every spawned worker, which the
+// pool then respawned.
+func TestBadConfFailsBeforeWorkersSpawn(t *testing.T) {
+	cfg := testConfig()
+	cfg.ExtraConf = map[string]string{mapreduce.ConfIOSortMB: "abc"}
+	_, err := Run(cfg, &Options{Workers: 2, Respawn: true})
+	var je *mapreduce.JobError
+	if !errors.As(err, &je) || !strings.Contains(je.Msg, mapreduce.ConfIOSortMB) || !strings.Contains(je.Msg, `"abc"`) {
+		t.Fatalf("Run = %v, want a *mapreduce.JobError naming key and value", err)
+	}
 }
 
 // TestCleanRunMatchesOracle establishes the baseline: with nothing injured, a

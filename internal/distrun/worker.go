@@ -346,15 +346,7 @@ func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 			fetchers[loc.Addr] = f
 		}
 		seg, wireLen, st, err := f.Fetch(loc.Map)
-		if st.Failures > 0 {
-			faultCtrs.IncrFault(mapreduce.CtrShuffleFetchFailures, st.Failures)
-		}
-		if st.Retries > 0 {
-			faultCtrs.IncrFault(mapreduce.CtrShuffleFetchRetries, st.Retries)
-		}
-		if st.Slow > 0 {
-			faultCtrs.IncrFault(mapreduce.CtrShuffleFetchesSlow, st.Slow)
-		}
+		st.AddTo(faultCtrs)
 		if err != nil {
 			var fresp sessionResp
 			_ = call(w.coord, MethodFetchFailed, &fetchFailedReq{

@@ -13,7 +13,6 @@ import (
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
-	"mrmicro/internal/writable"
 )
 
 // ShuffleServer is the exported face of the TCP map-output server: each
@@ -33,31 +32,34 @@ func NewDiskShuffleServer() (*ShuffleServer, error) { return newShuffleServer(tr
 // Unregister withdraws every partition registered for mapIdx — the losing
 // side of a speculative race discards its output so reducers can only ever
 // fetch the committed attempt's bytes.
-func (s *shuffleServer) Unregister(mapIdx int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.segments {
-		if k[0] == mapIdx {
-			delete(s.segments, k)
-		}
-	}
-	if s.disk != nil {
-		d := s.disk
-		d.mu.Lock()
-		for k := range d.segs {
-			if k[0] == mapIdx {
-				delete(d.segs, k)
-			}
-		}
-		d.mu.Unlock()
-	}
-}
+func (s *shuffleServer) Unregister(mapIdx int) { s.store.dropMap(mapIdx) }
 
-// FetchStats is the exported tally of one fetch's recovery events.
+// FetchStats tallies the recovery events of segment fetches.
 type FetchStats struct {
 	Failures int64 // fetch attempts that failed (dropped, truncated, corrupt)
 	Retries  int64 // attempts beyond the first
 	Slow     int64 // injected slow-peer fetches
+}
+
+func (a *FetchStats) add(b FetchStats) {
+	a.Failures += b.Failures
+	a.Retries += b.Retries
+	a.Slow += b.Slow
+}
+
+// AddTo folds the tally into a reduce task's fault counters, skipping zero
+// increments so clean runs don't grow an all-zero FaultCounter group in
+// their counter dump.
+func (a FetchStats) AddTo(faultCtrs *mapreduce.Counters) {
+	if a.Failures > 0 {
+		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchFailures, a.Failures)
+	}
+	if a.Retries > 0 {
+		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchRetries, a.Retries)
+	}
+	if a.Slow > 0 {
+		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchesSlow, a.Slow)
+	}
 }
 
 // MapOutputFetcher fetches one reduce task's partitions from one (possibly
@@ -70,17 +72,16 @@ type MapOutputFetcher struct{ f segmentFetcher }
 // NewMapOutputFetcher prepares a fetcher of partition reduce from the server
 // at addr; nothing is dialed until the first Fetch.
 func NewMapOutputFetcher(addr string, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) *MapOutputFetcher {
-	return &MapOutputFetcher{f: segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: new(fetchStats)}}
+	return &MapOutputFetcher{f: segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: new(FetchStats)}}
 }
 
 // Fetch retrieves map mapIdx's partition, verifying the IFile checksum as it
 // streams in and retrying transient failures with backoff. wireLen is the
 // payload size of the winning attempt; st tallies this fetch alone.
 func (mf *MapOutputFetcher) Fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
-	*mf.f.st = fetchStats{}
+	*mf.f.st = FetchStats{}
 	seg, wireLen, err = mf.f.fetch(mapIdx)
-	st = FetchStats{Failures: mf.f.st.failures, Retries: mf.f.st.retries, Slow: mf.f.st.slow}
-	return seg, wireLen, st, err
+	return seg, wireLen, *mf.f.st, err
 }
 
 // Close drops the connection, if one is open.
@@ -94,45 +95,20 @@ func FetchMapOutput(addr string, mapIdx, reduce int, compressed bool, plan *faul
 	return mf.Fetch(mapIdx)
 }
 
-// TaskRunner executes individual task attempts of one job: the entry point a
-// distrun worker drives as the coordinator assigns work. It caches the
-// job-wide state every attempt needs (splits, key comparator).
-type TaskRunner struct {
-	job        *mapreduce.Job
-	jobID      mapreduce.JobID
-	splits     []mapreduce.InputSplit
-	cmp        writable.RawComparator
-	numReduces int
-}
-
-// NewTaskRunner validates the job and prepares per-task execution. Jobs with
-// a reduce phase only — distrun has no distributed story for map-only jobs.
+// NewTaskRunner builds the task environment of a job with a reduce phase —
+// distrun has no distributed story for map-only jobs — from its Conf alone:
+// the entry point a distrun worker drives as the coordinator assigns work,
+// and what the coordinator builds first so that a malformed conf fails the
+// job before a worker is spawned.
 func NewTaskRunner(job *mapreduce.Job) (*TaskRunner, error) {
-	if err := job.Validate(); err != nil {
+	tr, err := newTaskRunner(job, &Options{})
+	if err != nil {
 		return nil, err
 	}
-	numReduces := job.Conf.NumReduces()
-	if numReduces == 0 {
+	if tr.numReduces == 0 {
 		return nil, &mapreduce.JobError{Msg: "localrun: TaskRunner requires a reduce phase"}
 	}
-	splits, err := job.Input.Splits(job.Conf)
-	if err != nil {
-		return nil, fmt.Errorf("localrun: computing splits: %w", err)
-	}
-	if len(splits) == 0 {
-		return nil, &mapreduce.JobError{Msg: "localrun: input produced no splits"}
-	}
-	cmp, err := writable.Comparator(job.MapOutputKeyType)
-	if err != nil {
-		return nil, err
-	}
-	return &TaskRunner{
-		job:        job,
-		jobID:      mapreduce.JobID{Seq: 1},
-		splits:     splits,
-		cmp:        cmp,
-		numReduces: numReduces,
-	}, nil
+	return tr, nil
 }
 
 // NumMaps returns the job's split count.
@@ -143,8 +119,17 @@ func (tr *TaskRunner) NumReduces() int { return tr.numReduces }
 
 // Compressed reports whether map outputs travel compressed, which fetchers
 // must know to validate payloads.
-func (tr *TaskRunner) Compressed() bool {
-	return tr.job.Conf.GetBool(mapreduce.ConfCompressMapOut, false)
+func (tr *TaskRunner) Compressed() bool { return tr.codec != nil }
+
+// withPlan returns the runner a coordinator-driven attempt runs in: the
+// fault plan arrives with the assignment, not with the job.
+func (tr *TaskRunner) withPlan(plan *faultinject.Plan) *TaskRunner {
+	if plan == tr.plan {
+		return tr
+	}
+	t := *tr
+	t.plan = plan
+	return &t
 }
 
 // RunMap executes one map task attempt, registering its output partitions
@@ -156,7 +141,7 @@ func (tr *TaskRunner) RunMap(idx, attempt int, server *ShuffleServer, plan *faul
 		return nil, fmt.Errorf("localrun: map index %d out of range [0, %d)", idx, len(tr.splits))
 	}
 	aid := mapreduce.MapAttempt(tr.jobID, idx, attempt)
-	return runMapTask(tr.job, aid, tr.splits[idx], tr.cmp, tr.numReduces, server, plan, faultCtrs, &spillTimings{})
+	return tr.withPlan(plan).runMapTask(aid, server, faultCtrs, &spillTimings{})
 }
 
 // RunReduce executes the sort+reduce tail of reduce task r over partition
@@ -174,5 +159,5 @@ func (tr *TaskRunner) RunReduce(r, attempt int, parts []*kvbuf.Segment, plan *fa
 		aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
 		return ctrs, faultinject.Errorf("localrun: %s aborted after shuffle", aid)
 	}
-	return ctrs, reduceOverParts(tr.job, r, tr.cmp, parts, len(tr.splits), ctrs, rep)
+	return ctrs, tr.reduceOverParts(r, parts, ctrs, rep)
 }

@@ -212,10 +212,11 @@ func TestRegisterAfterCloseReturnsError(t *testing.T) {
 		t.Errorf("register after close = %v, want ErrServerClosed", err)
 	}
 	// The closed server's state must not have been mutated.
-	if _, ok := s.lookup(1, 0); ok {
+	table := s.store.(*memStore).segs
+	if _, ok := table[segKey{1, 0}]; ok {
 		t.Error("register after close mutated the segment table")
 	}
-	if _, ok := s.lookup(0, 0); !ok {
+	if _, ok := table[segKey{0, 0}]; !ok {
 		t.Error("pre-close registration lost")
 	}
 }

@@ -1,6 +1,7 @@
 // mergepool.go is the memory-bounded side of the overlapped copy phase:
 // Hadoop's reduce-side MergeManager. Fetched segments are admitted into a
-// pool bounded by Options.ShuffleMemBudget; when the pool crosses the merge
+// pool bounded by mapreduce.reduce.shuffle.input.buffer.bytes (the absolute
+// form of Hadoop's input.buffer.percent); when the pool crosses the merge
 // threshold — or a copier is blocked waiting for room — a background merger
 // compacts a contiguous range of in-memory segments into one sorted on-disk
 // run (IFile spill format, compressed when the job compresses map output)
@@ -25,20 +26,6 @@ import (
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
-
-// shuffleTuning carries the reduce-side merge pipeline's knobs into the
-// copy phase. budget <= 0 keeps the pool unbounded (the all-in-memory fast
-// path, with block premerge); budget > 0 enables the bounded pool and its
-// background spiller, with threshold (merge percent x budget) as the spill
-// trigger. codec, when non-nil, compresses spill runs on disk. tm is the
-// stats sink; the constructor substitutes a fresh one when nil.
-type shuffleTuning struct {
-	factor    int   // merge fan-in, io.sort.factor
-	budget    int64 // in-memory pool bound in bytes; <= 0: unbounded
-	threshold int64 // pool bytes that trigger a background spill
-	codec     kvbuf.Codec
-	tm        *mergeTimings
-}
 
 // mergeTimings accumulates the reduce-side merge pipeline's work for the
 // bench breakdown. Atomics because spills, intermediate merge waves, and
@@ -173,14 +160,14 @@ func (ss *streamShuffle) admitLocked(m int, sz int64) bool {
 	}
 	var blocked time.Time
 	ss.admitWaiters++
-	for ss.err == nil && !ss.aborted && ss.poolUsed > 0 && ss.poolUsed+sz > ss.tun.budget {
+	for ss.err == nil && !ss.aborted && ss.poolUsed > 0 && ss.poolUsed+sz > ss.tr.memBudget {
 		ss.maybeSpillLocked()
 		if !ss.spilling {
 			// No spill could start: any pooled bytes left are stale segments
 			// awaiting their re-fetch. Evict them — their replacement is what
 			// the blocked copiers are trying to store.
 			ss.evictStaleLocked()
-			if ss.poolUsed == 0 || ss.poolUsed+sz <= ss.tun.budget {
+			if ss.poolUsed == 0 || ss.poolUsed+sz <= ss.tr.memBudget {
 				break
 			}
 		}
@@ -191,7 +178,7 @@ func (ss *streamShuffle) admitLocked(m int, sz int64) bool {
 	}
 	ss.admitWaiters--
 	if !blocked.IsZero() {
-		ss.tun.tm.addFetchWait(time.Since(blocked))
+		ss.tm.addFetchWait(time.Since(blocked))
 	}
 	if ss.err != nil || ss.aborted {
 		return false
@@ -226,10 +213,10 @@ func (ss *streamShuffle) evictStaleLocked() {
 // contiguous range of up-to-date pooled segments so the resulting run's
 // coverage stays mergeable by position. ss.mu held.
 func (ss *streamShuffle) maybeSpillLocked() {
-	if ss.tun.budget <= 0 || ss.spilling || ss.finalized {
+	if ss.tr.memBudget <= 0 || ss.spilling || ss.finalized {
 		return
 	}
-	if ss.poolUsed < ss.tun.threshold && ss.admitWaiters == 0 {
+	if ss.poolUsed < ss.tr.spillAbove && ss.admitWaiters == 0 {
 		return
 	}
 	if ss.admitWaiters == 0 && ss.upToDate() {
@@ -281,8 +268,8 @@ func (ss *streamShuffle) pickSpillRangeLocked() (lo, hi int) {
 func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []int64) {
 	defer ss.mergeWG.Done()
 	t0 := time.Now()
-	merged, _, err := kvbuf.MergeAll(ss.cmp, members, ss.tun.factor, 0)
-	ss.tun.tm.addMemMerge(time.Since(t0))
+	merged, _, err := kvbuf.MergeAll(ss.tr.cmp, members, ss.tr.factor, 0)
+	ss.tm.addMemMerge(time.Since(t0))
 	var (
 		run     *diskRun
 		records int64
@@ -291,15 +278,15 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []i
 		records = int64(merged.Records())
 		out := merged
 		compressed := false
-		if ss.tun.codec != nil {
-			z := kvbuf.CompressSegmentWith(merged, ss.tun.codec)
+		if ss.tr.codec != nil {
+			z := kvbuf.CompressSegmentWith(merged, ss.tr.codec)
 			merged.Recycle()
 			out = z
 			compressed = true
 		}
 		t1 := time.Now()
 		run, err = writeRunFile(&ss.rdir, out, lo, hi, records, compressed, vers)
-		ss.tun.tm.addDiskPass(time.Since(t1))
+		ss.tm.addDiskPass(time.Since(t1))
 		out.Recycle()
 	}
 	var freed int64
@@ -341,9 +328,9 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []i
 		}
 	default:
 		ss.runs = append(ss.runs, run)
-		ss.tun.tm.diskRuns.Add(1)
-		ss.tun.tm.spilledRecs.Add(records)
-		ss.tun.tm.spilledBytes.Add(run.bytes)
+		ss.tm.diskRuns.Add(1)
+		ss.tm.spilledRecs.Add(records)
+		ss.tm.spilledBytes.Add(run.bytes)
 	}
 	ss.maybeSpillLocked() // the pool may still be over threshold / starved
 	ss.cond.Broadcast()
@@ -428,19 +415,13 @@ func (ss *streamShuffle) boundedInputsLocked() ([]mergeInput, error) {
 }
 
 // releaseAll returns every buffer and disk artifact the copy phase still
-// owns: remaining pooled segments, block premerge outputs, disk runs, and
-// the scratch directory. The reduce task calls it (via shuffleResult.cleanup)
-// once the reduce pass no longer references the merge inputs; Recycle and
-// drop are idempotent, so inputs consumed early by intermediate merge passes
-// are skipped naturally.
+// owns: remaining pooled segments, disk runs, and the scratch directory. The
+// reduce task calls it (via shuffleResult.cleanup) once the reduce pass no
+// longer references the merge inputs; Recycle and drop are idempotent, so
+// inputs consumed early by intermediate merge passes are skipped naturally.
 func (ss *streamShuffle) releaseAll() {
 	ss.mu.Lock()
 	for _, s := range ss.segs {
-		if s != nil {
-			s.Recycle()
-		}
-	}
-	for _, s := range ss.blockSeg {
 		if s != nil {
 			s.Recycle()
 		}
@@ -482,9 +463,9 @@ func openInputs(r int, inputs []mergeInput) ([]kvbuf.RecordSource, []*kvbuf.RunR
 // inputs ever merge, so positional tie-breaking — and with it output
 // byte-identity — survives every pass. Consumed inputs are recycled/deleted
 // as their group completes.
-func intermediateMerges(r int, cmp writable.RawComparator, inputs []mergeInput, factor int, rdir *runDir, tm *mergeTimings) ([]mergeInput, error) {
+func (tr *TaskRunner) intermediateMerges(r int, inputs []mergeInput, rdir *runDir, tm *mergeTimings) ([]mergeInput, error) {
 	for {
-		sizes := kvbuf.MergeWave(len(inputs), factor)
+		sizes := kvbuf.MergeWave(len(inputs), tr.factor)
 		if sizes == nil {
 			return inputs, nil
 		}
@@ -505,7 +486,7 @@ func intermediateMerges(r int, cmp writable.RawComparator, inputs []mergeInput, 
 			go func(g int, in []mergeInput) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				next[g], errs[g] = mergeRunGroup(r, cmp, in, rdir, tm)
+				next[g], errs[g] = mergeRunGroup(r, tr.cmp, in, rdir, tm)
 			}(g, in)
 		}
 		wg.Wait()
@@ -572,12 +553,12 @@ func mergeRunGroup(r int, cmp writable.RawComparator, in []mergeInput, rdir *run
 
 // reduceOverInputs runs the reduce tail over a position-ordered mix of
 // in-memory segments and on-disk runs: intermediate disk passes bound the
-// final fan-in to factor, then the same streaming tail takes over — so a
-// reduce whose shuffle volume exceeds RAM completes, emitting the bytes
+// final fan-in to io.sort.factor, then the same streaming tail takes over —
+// so a reduce whose shuffle volume exceeds RAM completes, emitting the bytes
 // reduceOverParts would over the same fetched segments (adjacent-only
 // merging preserves positional tie-breaks).
-func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inputs []mergeInput, numMaps, factor int, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
-	inputs, err := intermediateMerges(r, cmp, inputs, factor, rdir, tm)
+func (tr *TaskRunner) reduceOverInputs(r int, inputs []mergeInput, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+	inputs, err := tr.intermediateMerges(r, inputs, rdir, tm)
 	if err != nil {
 		return err
 	}
@@ -593,5 +574,5 @@ func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inp
 			o.Close()
 		}
 	}()
-	return reduceSources(job, r, cmp, srcs, numMaps, ctrs, rep)
+	return tr.reduceSources(r, srcs, ctrs, rep)
 }

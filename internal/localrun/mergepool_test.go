@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
@@ -68,7 +67,7 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := &mergeTimings{}
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 2, budget: 1, tm: tm})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, tm)
 	for m := 0; m < maps; m++ {
 		board.Announce(m, 0)
 	}
@@ -110,8 +109,7 @@ func TestBoundedShuffleAborts(t *testing.T) {
 	board := newCompletionBoard(maps)
 	board.Announce(0, 0)
 	board.Announce(1, 0)
-	cmp, _ := writable.Comparator("Text")
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 2, budget: 1})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, &mergeTimings{})
 
 	done := make(chan struct{})
 	result := make(chan error, 1)
@@ -164,7 +162,7 @@ func TestBoundedStaleAttemptInvalidatesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 2, budget: 1})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, &mergeTimings{})
 
 	var mu sync.Mutex
 	fetches := map[int]int{}
@@ -210,21 +208,17 @@ func TestBoundedStaleAttemptInvalidatesRun(t *testing.T) {
 func TestBoundedRunByteIdenticalAndMultiPass(t *testing.T) {
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
-	if _, err := Run(barrier, &Options{Slowstart: 1.0}); err != nil {
+	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := renderOutput(barrierOut, 3)
 
 	for _, budget := range []int64{1, 512, 1 << 20} {
 		job, out := overlapJob(text, 8, 3)
-		res, err := Run(job, &Options{
-			Slowstart:         0.25,
-			MapParallelism:    2,
-			ReduceParallelism: 2,
-			ParallelCopies:    1,
-			ShuffleMemBudget:  budget,
-			MergeFactor:       2,
-		})
+		slowstart(job, 0.25).Conf.
+			SetInt(mapreduce.ConfShuffleInputBufBytes, int(budget)).
+			SetInt(mapreduce.ConfIOSortFactor, 2)
+		res, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2, ParallelCopies: 1})
 		if err != nil {
 			t.Fatalf("budget=%d: %v", budget, err)
 		}
@@ -256,14 +250,17 @@ func TestBoundedRunCompressedAndCombiner(t *testing.T) {
 	text, _ := corpus()
 	base, baseOut := wordCountJob(text, 6, 2, true)
 	base.Conf.Set(mapreduce.ConfCompressMapOut, "true")
-	if _, err := Run(base, &Options{Slowstart: 1.0}); err != nil {
+	if _, err := Run(slowstart(base, 1.0), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := renderOutput(baseOut, 2)
 
 	job, out := wordCountJob(text, 6, 2, true)
 	job.Conf.Set(mapreduce.ConfCompressMapOut, "true")
-	res, err := Run(job, &Options{Slowstart: 0.25, ShuffleMemBudget: 1, MergeFactor: 2, ParallelCopies: 1})
+	slowstart(job, 0.25).Conf.
+		SetInt(mapreduce.ConfShuffleInputBufBytes, 1).
+		SetInt(mapreduce.ConfIOSortFactor, 2)
+	res, err := Run(job, &Options{ParallelCopies: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package localrun
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -152,8 +151,8 @@ func TestJobSchedulerAcquireAfterFail(t *testing.T) {
 	}
 }
 
-// overlapJob is a wordcount with a small io.sort.factor so multi-wave runs
-// exercise the background block merge, not just the streaming fetch.
+// overlapJob is a wordcount with a small io.sort.factor, so multi-wave runs
+// merge with more inputs than the fan-in on both sides.
 func overlapJob(text string, maps, reduces int) (*mapreduce.Job, *mapreduce.MemoryOutput) {
 	job, out := wordCountJob(text, maps, reduces, false)
 	job.Conf.SetInt(mapreduce.ConfIOSortFactor, 2)
@@ -162,18 +161,18 @@ func overlapJob(text string, maps, reduces int) (*mapreduce.Job, *mapreduce.Memo
 
 // TestByteIdenticalAcrossSlowstart is the core acceptance invariant: the
 // overlapped schedule must be invisible in the output bytes at every
-// slowstart setting, including with background block merges active.
+// slowstart setting.
 func TestByteIdenticalAcrossSlowstart(t *testing.T) {
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
-	if _, err := Run(barrier, &Options{Slowstart: 1.0}); err != nil {
+	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := renderOutput(barrierOut, 3)
 
 	for _, slow := range []float64{0.05, 0.25, 0.5} {
 		job, out := overlapJob(text, 8, 3)
-		res, err := Run(job, &Options{Slowstart: slow, MapParallelism: 2, ReduceParallelism: 2})
+		res, err := Run(slowstart(job, slow), &Options{MapParallelism: 2, ReduceParallelism: 2})
 		if err != nil {
 			t.Fatalf("slowstart=%v: %v", slow, err)
 		}
@@ -192,7 +191,7 @@ func TestByteIdenticalAcrossSlowstart(t *testing.T) {
 func TestByteIdenticalUnderFaults(t *testing.T) {
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
-	if _, err := Run(barrier, &Options{Slowstart: 1.0}); err != nil {
+	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := renderOutput(barrierOut, 3)
@@ -205,7 +204,7 @@ func TestByteIdenticalUnderFaults(t *testing.T) {
 		SpillErrorRate:    0.05,
 	}
 	job, out := overlapJob(text, 8, 3)
-	res, err := Run(job, &Options{Slowstart: 0.05, Faults: plan, FetchBackoff: fastBackoff(), MapParallelism: 2, ReduceParallelism: 2})
+	res, err := Run(slowstart(job, 0.05), &Options{Faults: plan, FetchBackoff: fastBackoff(), MapParallelism: 2, ReduceParallelism: 2})
 	if err != nil {
 		t.Fatalf("overlapped faulty run did not recover: %v", err)
 	}
@@ -232,7 +231,7 @@ func TestOverlapWindowMeasured(t *testing.T) {
 			return m.Map(k, v, o, rep)
 		})
 	}
-	res, err := Run(job, &Options{Slowstart: 0.25, MapParallelism: 1, ReduceParallelism: 1})
+	res, err := Run(slowstart(job, 0.25), &Options{MapParallelism: 1, ReduceParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +265,17 @@ func registerWordSegment(t *testing.T, s *shuffleServer, mapIdx int, key, val st
 	return seg
 }
 
-// TestStaleAttemptReFetched drives the completion-events race directly: a
-// reducer fetches map 1's first-attempt bytes, then a "retried" attempt
-// re-registers fresh bytes and re-announces. The coordinator must detect the
-// version bump, re-fetch, invalidate any block merge the stale bytes fed,
-// and emit output containing only the new attempt's records.
-func TestStaleAttemptReFetched(t *testing.T) {
+// runStaleAttempt drives the completion-events race directly on an unbounded
+// copy phase at factor 2 x 6 maps: a reducer fetches map 1's first-attempt
+// bytes, then a "retried" attempt re-registers fresh bytes and re-announces
+// mid-flight. It returns the phase's result and how often map 1 was fetched.
+func runStaleAttempt(t *testing.T) (res *shuffleResult, map1Fetches int) {
+	t.Helper()
 	s, err := newShuffleServer(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(s.Close)
 
 	const maps = 6
 	for m := 0; m < maps; m++ {
@@ -288,13 +287,8 @@ func TestStaleAttemptReFetched(t *testing.T) {
 	}
 
 	board := newCompletionBoard(maps)
-	cmp, err := writable.Comparator("Text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// factor 2 with 6 maps enables background block merges, so the stale
-	// fetch can land inside a premerged block that must be invalidated.
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 2})
+	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
+	ss := newStreamShuffle(tr, s.Addr(), 0, board, &mergeTimings{})
 
 	var mu sync.Mutex
 	fetches := map[int]int{}
@@ -317,34 +311,56 @@ func TestStaleAttemptReFetched(t *testing.T) {
 	for m := 0; m < maps; m++ {
 		board.Announce(m, 0)
 	}
-	res, err := ss.run(nil)
+	res, err = ss.run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-reannounced // the hook must have fired
+	t.Cleanup(res.cleanup)
 
 	mu.Lock()
-	refetches := fetches[1]
-	mu.Unlock()
+	defer mu.Unlock()
+	return res, fetches[1]
+}
+
+// TestStaleAttemptReFetched: the coordinator must detect the version bump,
+// re-fetch, and emit output containing only the new attempt's records.
+func TestStaleAttemptReFetched(t *testing.T) {
+	res, refetches := runStaleAttempt(t)
 	if refetches < 2 {
 		t.Fatalf("map 1 fetched %d times, want >= 2 (stale attempt not re-fetched)", refetches)
 	}
-	var out bytes.Buffer
-	if _, err := kvbuf.MergeStream(cmp, res.parts, func(k, v []byte) error {
-		fmt.Fprintf(&out, "%s=%s\n", k, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	out := renderShuffleResult(t, copyRunner("Text", 6, 1, nil).cmp, res)
+	if strings.Contains(out, "OLD") {
+		t.Errorf("merged output still carries the stale attempt's bytes:\n%s", out)
 	}
-	if strings.Contains(out.String(), "OLD") {
-		t.Errorf("merged output still carries the stale attempt's bytes:\n%s", out.String())
+	if !strings.Contains(out, "key-1=NEW") {
+		t.Errorf("merged output missing the retried attempt's record:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "key-1=NEW") {
-		t.Errorf("merged output missing the retried attempt's record:\n%s", out.String())
-	}
-	for m := 0; m < maps; m++ {
-		if !res.fetched[m] {
+	for m, ok := range res.fetched {
+		if !ok {
 			t.Errorf("map %d not marked fetched", m)
+		}
+	}
+}
+
+// TestUnboundedCopyPhaseReturnsEveryMapInOrder pins what the final merge is
+// handed when no memory budget is set: exactly one part per map, in ascending
+// map order — nothing collapsed, nothing reordered — even after a mid-flight
+// re-announcement forced a re-fetch.
+func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
+	res, _ := runStaleAttempt(t)
+	if res.inputs != nil {
+		t.Fatal("unbounded copy phase produced disk-run inputs")
+	}
+	if len(res.parts) != 6 {
+		t.Fatalf("copy phase returned %d parts for 6 maps", len(res.parts))
+	}
+	for m, part := range res.parts {
+		rd := part.NewReader()
+		k, _, ok, err := rd.Next()
+		if err != nil || !ok || string(k) != fmt.Sprintf("key-%d", m) {
+			t.Errorf("part %d holds key %q (ok=%v err=%v), want key-%d", m, k, ok, err, m)
 		}
 	}
 }
@@ -361,8 +377,7 @@ func TestStreamShuffleAborts(t *testing.T) {
 	registerWordSegment(t, s, 0, "k", "v")
 	board := newCompletionBoard(maps)
 	board.Announce(0, 0)
-	cmp, _ := writable.Comparator("Text")
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 10})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), s.Addr(), 0, board, &mergeTimings{})
 
 	done := make(chan struct{})
 	result := make(chan error, 1)

@@ -119,16 +119,16 @@ func addTask(ctrs *mapreduce.Counters, name string, n int64) {
 // tails and the combiner: it k-way merges the sorted sources and hands red
 // one key group at a time, straight off the merge. No record set is ever
 // materialized, and sort order is validated at each group boundary.
-func runGroups(job *mapreduce.Job, cmp writable.RawComparator, srcs []kvbuf.RecordSource, red mapreduce.Reducer, emit func(k, v writable.Writable) error, rep mapreduce.Reporter, t *groupTally) error {
-	merger, err := kvbuf.NewSourceMerger(cmp, srcs)
+func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer, emit func(k, v writable.Writable) error, rep mapreduce.Reporter, t *groupTally) error {
+	merger, err := kvbuf.NewSourceMerger(tr.cmp, srcs)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
-	keyInst, err := writable.New(job.MapOutputKeyType)
+	keyInst, err := writable.New(tr.job.MapOutputKeyType)
 	if err != nil {
 		return err
 	}
-	it, err := newMergedValueIter(merger, cmp, job.MapOutputValueType)
+	it, err := newMergedValueIter(merger, tr.cmp, tr.job.MapOutputValueType)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
@@ -158,47 +158,40 @@ func runGroups(job *mapreduce.Job, cmp writable.RawComparator, srcs []kvbuf.Reco
 // reduceSources is the sort+reduce tail of a reduce task: the final merge
 // over srcs streams straight into the reducer, whose output goes to the
 // job's Output for partition r.
-func reduceSources(job *mapreduce.Job, r int, cmp writable.RawComparator, srcs []kvbuf.RecordSource, numMaps int, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	var t groupTally
 	defer func() {
 		addTask(ctrs, mapreduce.CtrReduceInputGroups, t.groups)
 		addTask(ctrs, mapreduce.CtrReduceInputRecords, t.in)
 		addTask(ctrs, mapreduce.CtrReduceOutputRecords, t.out)
 	}()
-	ctrs.IncrTask(mapreduce.CtrMergedMapOutputs, int64(numMaps))
-	writer, err := job.Output.Writer(job.Conf, r)
+	ctrs.IncrTask(mapreduce.CtrMergedMapOutputs, int64(len(tr.splits)))
+	writer, err := tr.job.Output.Writer(tr.job.Conf, r)
 	if err != nil {
 		return fmt.Errorf("localrun: reduce %d output: %w", r, err)
 	}
-	if err := runGroups(job, cmp, srcs, job.Reducer(), writer.Write, rep, &t); err != nil {
+	if err := tr.runGroups(srcs, tr.job.Reducer(), writer.Write, rep, &t); err != nil {
 		return fmt.Errorf("localrun: reduce %d: %w", r, err)
 	}
 	return writer.Close()
 }
 
-// reduceOverParts runs the reduce tail over in-memory partition segments:
-// raw per-map segments plus any background-merged blocks standing in for
-// their map ranges, in map order. Block merges preserved map-index
-// tie-breaking, so the record order is that of a flat merge after a barrier.
-// It is shared between the in-process executor and the distributed runtime's
-// workers (whose parts come from per-map fetches against remote shuffle
-// servers), so both emit byte-identical output. The fan-in bound that matters
-// for disk-backed merges (io.sort.factor) already shaped the background
-// blocks; this final pass is a single wide in-memory merge.
-func reduceOverParts(job *mapreduce.Job, r int, cmp writable.RawComparator, parts []*kvbuf.Segment, numMaps int, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+// reduceOverParts runs the reduce tail over in-memory partition segments,
+// one per map in map order: a single wide in-memory merge whose equal keys
+// tie-break by map index. It is shared between the in-process executor's
+// unbounded copy phase and the distributed runtime's workers (whose parts
+// come from per-map fetches against remote shuffle servers), so both emit
+// byte-identical output.
+func (tr *TaskRunner) reduceOverParts(r int, parts []*kvbuf.Segment, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	srcs := make([]kvbuf.RecordSource, len(parts))
 	for i, p := range parts {
 		srcs[i] = p.NewReader()
 	}
-	return reduceSources(job, r, cmp, srcs, numMaps, ctrs, rep)
+	return tr.reduceSources(r, srcs, ctrs, rep)
 }
 
 // combineSegment runs the job's combiner over one sorted segment.
-func combineSegment(job *mapreduce.Job, seg *kvbuf.Segment, ctrs *mapreduce.Counters) (*kvbuf.Segment, error) {
-	cmp, err := writable.Comparator(job.MapOutputKeyType)
-	if err != nil {
-		return nil, err
-	}
+func (tr *TaskRunner) combineSegment(seg *kvbuf.Segment, ctrs *mapreduce.Counters) (*kvbuf.Segment, error) {
 	var t groupTally
 	defer func() {
 		addTask(ctrs, mapreduce.CtrCombineInputRecords, t.in)
@@ -216,7 +209,7 @@ func combineSegment(job *mapreduce.Job, seg *kvbuf.Segment, ctrs *mapreduce.Coun
 		return nil
 	}
 	rep := &mapreduce.CountersReporter{C: ctrs}
-	if err := runGroups(job, cmp, []kvbuf.RecordSource{seg.NewReader()}, job.Combiner(), emit, rep, &t); err != nil {
+	if err := tr.runGroups([]kvbuf.RecordSource{seg.NewReader()}, tr.job.Combiner(), emit, rep, &t); err != nil {
 		return nil, err
 	}
 	return w.Close(), nil

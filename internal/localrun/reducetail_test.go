@@ -27,6 +27,14 @@ func tailJob(reducer mapreduce.Reducer) (*mapreduce.Job, *mapreduce.MemoryOutput
 	}, out
 }
 
+// tailRunner is the task environment the reduce tail of job runs in, over
+// `maps` map outputs at merge fan-in factor.
+func tailRunner(job *mapreduce.Job, maps, factor int) *TaskRunner {
+	return copyRunner(job.MapOutputKeyType, maps, 1, func(tr *TaskRunner) {
+		tr.job, tr.numReduces, tr.factor = job, job.Conf.NumReduces(), factor
+	})
+}
+
 // textSegment serializes key/value strings, in the order given, as one
 // segment of Text records.
 func textSegment(kvs ...[2]string) *kvbuf.Segment {
@@ -49,7 +57,6 @@ func renderPairs(out *mapreduce.MemoryOutput, r int) string {
 // group boundaries, on both entrances to the tail — a mis-sorted input is an
 // error naming the reduce, never silent output.
 func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
-	cmp, _ := writable.Comparator("Text")
 	build := func() []*kvbuf.Segment {
 		return []*kvbuf.Segment{
 			textSegment([2]string{"a", "1"}, [2]string{"c", "2"}),
@@ -69,7 +76,7 @@ func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
 
 	job, _ := tailJob(ident)
 	ctrs := mapreduce.NewCounters()
-	check("parts", reduceOverParts(job, 3, cmp, build(), 2, ctrs, mapreduce.NullReporter{}))
+	check("parts", tailRunner(job, 2, 10).reduceOverParts(3, build(), ctrs, mapreduce.NullReporter{}))
 	// The deferred tally reports what the failed pass consumed before it
 	// tripped: a1 c2 | b3 d4 merge to a b c d, then "a" again.
 	if got := ctrs.Task(mapreduce.CtrReduceInputRecords); got != 4 {
@@ -83,7 +90,7 @@ func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
 	}
 	rdir := &runDir{}
 	defer rdir.removeAll()
-	check("inputs", reduceOverInputs(job, 3, cmp, inputs, 2, 10, rdir, &mergeTimings{}, mapreduce.NewCounters(), mapreduce.NullReporter{}))
+	check("inputs", tailRunner(job, 2, 10).reduceOverInputs(3, inputs, rdir, &mergeTimings{}, mapreduce.NewCounters(), mapreduce.NullReporter{}))
 }
 
 // partialReader reads at most `read` values of each group, emitting the
@@ -106,7 +113,6 @@ func (partialReader) Close(mapreduce.Collector, mapreduce.Reporter) error { retu
 // early — or never reads it — still leaves exact input counters, and the next
 // group starts at the right record.
 func TestReduceTailCountsUnreadValues(t *testing.T) {
-	cmp, _ := writable.Comparator("Text")
 	for _, read := range []int{0, 1, 2, 100} {
 		job, out := tailJob(partialReader{read: read})
 		parts := []*kvbuf.Segment{
@@ -114,7 +120,7 @@ func TestReduceTailCountsUnreadValues(t *testing.T) {
 			textSegment([2]string{"a", "5"}, [2]string{"c", "6"}, [2]string{"c", "7"}, [2]string{"c", "8"}),
 		}
 		ctrs := mapreduce.NewCounters()
-		if err := reduceOverParts(job, 0, cmp, parts, 2, ctrs, mapreduce.NullReporter{}); err != nil {
+		if err := tailRunner(job, 2, 10).reduceOverParts(0, parts, ctrs, mapreduce.NullReporter{}); err != nil {
 			t.Fatal(err)
 		}
 		for name, want := range map[string]int64{
@@ -138,7 +144,6 @@ func TestReduceTailCountsUnreadValues(t *testing.T) {
 // and forced through intermediate disk passes) are one tail — same output in
 // the same order, equal-key ties broken by map position, same counters.
 func TestReduceTailsAgree(t *testing.T) {
-	cmp, _ := writable.Comparator("Text")
 	const maps = 7
 	build := func() []*kvbuf.Segment {
 		rng := rand.New(rand.NewSource(11))
@@ -161,7 +166,7 @@ func TestReduceTailsAgree(t *testing.T) {
 
 	job, out := tailJob(ident)
 	wantCtrs := mapreduce.NewCounters()
-	if err := reduceOverParts(job, 1, cmp, build(), maps, wantCtrs, mapreduce.NullReporter{}); err != nil {
+	if err := tailRunner(job, maps, 10).reduceOverParts(1, build(), wantCtrs, mapreduce.NullReporter{}); err != nil {
 		t.Fatal(err)
 	}
 	want := renderPairs(out, 1)
@@ -176,7 +181,7 @@ func TestReduceTailsAgree(t *testing.T) {
 			inputs = append(inputs, mergeInput{lo: i, hi: i + 1, seg: s})
 		}
 		rdir, tm, ctrs := &runDir{}, &mergeTimings{}, mapreduce.NewCounters()
-		err := reduceOverInputs(job, 1, cmp, inputs, maps, factor, rdir, tm, ctrs, mapreduce.NullReporter{})
+		err := tailRunner(job, maps, factor).reduceOverInputs(1, inputs, rdir, tm, ctrs, mapreduce.NullReporter{})
 		rdir.removeAll()
 		if err != nil {
 			t.Fatal(err)
@@ -213,12 +218,11 @@ func TestCollectAllocatesNothing(t *testing.T) {
 		buf := kvbuf.NewSortBuffer(tc.capacityMB<<20, 4, cmp)
 		buf.SetPrefixFunc(pf)
 		mc := &mapCollector{
-			part:       mapreduce.HashPartitioner{},
-			buf:        buf,
-			numReduces: 4,
-			spillPct:   0.8,
-			ctrs:       mapreduce.NewCounters(),
-			tm:         &spillTimings{},
+			tr:   &TaskRunner{numReduces: 4, spillPct: 0.8},
+			part: mapreduce.HashPartitioner{},
+			buf:  buf,
+			ctrs: mapreduce.NewCounters(),
+			tm:   &spillTimings{},
 		}
 		// Grow the slab and metadata arrays past what the measured run needs.
 		const records = 20000
@@ -288,13 +292,12 @@ func TestCollectRollsBackAndSpills(t *testing.T) {
 	buf := kvbuf.NewSortBuffer(capacity, partitions, cmp)
 	buf.SetPrefixFunc(pf)
 	mc := &mapCollector{
-		job:        &mapreduce.Job{},
-		part:       part,
-		buf:        buf,
-		numReduces: partitions,
-		spillPct:   2, // never reached: every spill is a refusal and a roll-back
-		ctrs:       mapreduce.NewCounters(),
-		tm:         &spillTimings{},
+		// spillPct 2 is never reached: every spill is a refusal and a roll-back.
+		tr:   &TaskRunner{job: &mapreduce.Job{}, numReduces: partitions, spillPct: 2},
+		part: part,
+		buf:  buf,
+		ctrs: mapreduce.NewCounters(),
+		tm:   &spillTimings{},
 	}
 	for _, kv := range pairs {
 		if err := mc.Collect(kv[0], kv[1]); err != nil {

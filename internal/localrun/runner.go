@@ -12,7 +12,11 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// Options tunes the local executor.
+// Options carries what a job Conf cannot say: how parallel this host runs the
+// job, the fault plan and retry schedule of this run, and which store serves
+// map output. Every Hadoop knob (sort buffer, merge fan-in, slow-start,
+// shuffle memory budget, codec, combiner) has one source — job.Conf and
+// job.Combiner — resolved once when the job's TaskRunner is built.
 type Options struct {
 	// MapParallelism / ReduceParallelism bound concurrent tasks
 	// (default: GOMAXPROCS).
@@ -20,37 +24,10 @@ type Options struct {
 	ReduceParallelism int
 
 	// ParallelCopies bounds each reduce task's concurrent shuffle fetch
-	// connections, Hadoop's mapreduce.reduce.shuffle.parallelcopies. Zero
-	// defers to the job Conf's value (default 5).
+	// connections on this host, overriding the job Conf's
+	// mapreduce.reduce.shuffle.parallelcopies. Zero defers to the conf
+	// (default 5).
 	ParallelCopies int
-
-	// Slowstart is the completed-map fraction before reduce tasks launch,
-	// Hadoop's mapreduce.job.reduce.slowstart.completedmaps. Reducers then
-	// fetch each map's output as it commits instead of after a global
-	// barrier, hiding copy (and background merge) time under map compute.
-	// Zero defers to the job Conf's value (default 0.05); 1.0 restores the
-	// strict barrier schedule.
-	Slowstart float64
-
-	// ShuffleMemBudget bounds the bytes of fetched map output a reduce task
-	// holds in memory at once — Hadoop's MergeManager budget (the absolute
-	// form of mapreduce.reduce.shuffle.input.buffer.percent). When the pool
-	// crosses the merge threshold (merge percent x budget), or a copier is
-	// blocked waiting for room, a background merger compacts in-memory
-	// segments into sorted on-disk IFile runs while the copiers keep
-	// fetching, and the final pass streams the merge over the mixed
-	// memory+disk run set — so a reduce whose shuffle volume exceeds RAM
-	// completes, with output bytes identical to the unbounded merge. Zero
-	// defers to the job Conf's mapreduce.reduce.shuffle.input.buffer.bytes
-	// (default 0 = unbounded, the all-in-memory fast path); negative forces
-	// unbounded.
-	ShuffleMemBudget int64
-
-	// MergeFactor bounds the fan-in of reduce-side merges (in-memory spill
-	// merges, intermediate disk passes, and the final merge), overriding
-	// the job Conf's io.sort.factor for the reduce side. Zero defers to the
-	// conf (default 10).
-	MergeFactor int
 
 	// DiskShuffle stores committed map outputs in a spill file instead of
 	// retained heap buffers, served zero-copy via sendfile where the
@@ -59,13 +36,6 @@ type Options struct {
 	// outputs already in memory, writev from the retained buffer is the
 	// faster zero-copy path; DiskShuffle is for memory-bounded serving.
 	DiskShuffle bool
-
-	// Combiner supplies a map-side combiner when the job itself sets none,
-	// Hadoop's job.setCombinerClass: an associative reduce run over sorted
-	// runs at spill time and again at the final per-map merge, cutting
-	// shuffle bytes at the source. The job's own Combiner wins when both
-	// are set.
-	Combiner func() mapreduce.Reducer
 
 	// Faults enables seeded, deterministic fault injection (nil: nothing
 	// injected). The recovery machinery — bounded task re-execution and
@@ -127,37 +97,133 @@ type Result struct {
 	MapSpill MapSpillStats
 }
 
+// TaskRunner is the job-scoped environment every task attempt of one job
+// runs in, on both real engines: localrun.Run builds one per job, and so do
+// the distrun coordinator (before it spawns a worker) and each worker for the
+// job the coordinator hands it. Every value
+// the executor reads from the job Conf is resolved and validated here, once,
+// before any task starts; task bodies take the runner plus their per-attempt
+// values and never read the conf for a knob (they hand job.Conf through to
+// the input and output formats only).
+type TaskRunner struct {
+	job        *mapreduce.Job
+	jobID      mapreduce.JobID
+	splits     []mapreduce.InputSplit
+	numReduces int
+	cmp        writable.RawComparator
+	prefix     writable.PrefixFunc // nil: the key type sorts by comparator only
+
+	codec      kvbuf.Codec // nil: map output is stored and shuffled raw
+	sortBytes  int         // io.sort.mb, in bytes
+	factor     int         // io.sort.factor: merge fan-in on both sides
+	spillPct   float64     // sort.spill.percent
+	inflight   int         // sealed buffers the background spiller may hold; 0: spill inline
+	slowstart  float64     // completed-map fraction before reducers launch
+	copies     int         // shuffle connections per reduce task
+	memBudget  int64       // reduce-side segment pool bound in bytes; 0: unbounded
+	spillAbove int64       // pool bytes that trigger a background reduce-side spill
+
+	backoff  faultinject.Backoff
+	plan     *faultinject.Plan
+	attempts int
+}
+
+// newTaskRunner validates the job and resolves its configuration. A conf
+// value that does not parse, is out of range or names an unknown codec is a
+// *mapreduce.JobError naming key and value.
+func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
+	tr := &TaskRunner{
+		job:      job,
+		jobID:    mapreduce.JobID{Seq: 1},
+		copies:   opts.ParallelCopies,
+		backoff:  opts.FetchBackoff,
+		plan:     opts.Faults,
+		attempts: opts.taskAttempts(),
+	}
+	if tr.backoff.Attempts == 0 && tr.plan != nil {
+		tr.backoff.Attempts = tr.plan.FetchAttempts()
+	}
+	conf := job.Conf
+	bad := func(key, want string) error {
+		return &mapreduce.JobError{Msg: fmt.Sprintf("localrun: conf key %q = %q: want %s", key, conf.Get(key, ""), want)}
+	}
+	err := conf.Resolve(func() (err error) {
+		if err := job.Validate(); err != nil {
+			return err
+		}
+		if tr.splits, err = job.Input.Splits(conf); err != nil {
+			return fmt.Errorf("localrun: computing splits: %w", err)
+		}
+		if len(tr.splits) == 0 {
+			return &mapreduce.JobError{Msg: "localrun: input produced no splits"}
+		}
+		if tr.numReduces = conf.NumReduces(); tr.numReduces == 0 {
+			return nil // map-only: nothing below is read
+		}
+		if tr.cmp, err = writable.Comparator(job.MapOutputKeyType); err != nil {
+			return err
+		}
+		tr.prefix, _ = writable.PrefixExtractor(job.MapOutputKeyType)
+
+		var ok bool
+		if tr.codec, ok = kvbuf.CodecByName(conf.CompressCodec()); !ok {
+			return bad(mapreduce.ConfCompressCodec, fmt.Sprintf("one of %v", kvbuf.CodecNames()))
+		}
+		if tr.sortBytes = conf.IOSortMB() << 20; tr.sortBytes <= 0 {
+			return bad(mapreduce.ConfIOSortMB, "a positive MiB count")
+		}
+		if tr.factor = conf.IOSortFactor(); tr.factor < 2 {
+			return bad(mapreduce.ConfIOSortFactor, "a fan-in of at least 2")
+		}
+		if tr.spillPct = conf.SortSpillPercent(); !(tr.spillPct > 0 && tr.spillPct <= 1) {
+			return bad(mapreduce.ConfSortSpillPercent, "a fraction in (0, 1]")
+		}
+		if conf.SpillOverlap() {
+			tr.inflight = conf.SpillInflight()
+		}
+		if tr.slowstart = conf.SlowstartMaps(); !(tr.slowstart >= 0 && tr.slowstart <= 1) {
+			return bad(mapreduce.ConfSlowstartMaps, "a fraction in [0, 1]")
+		}
+		if tr.copies <= 0 {
+			if tr.copies = conf.ParallelCopies(); tr.copies < 1 {
+				return bad(mapreduce.ConfParallelCopies, "at least 1")
+			}
+		}
+		if tr.memBudget = conf.ShuffleMemoryBytes(); tr.memBudget < 0 {
+			return bad(mapreduce.ConfShuffleInputBufBytes, "a byte count, 0 for unbounded")
+		}
+		pct := conf.ShuffleMergePercent()
+		if !(pct > 0 && pct <= 1) {
+			return bad(mapreduce.ConfShuffleMergePct, "a fraction in (0, 1]")
+		}
+		tr.spillAbove = int64(float64(tr.memBudget) * pct)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// parallelism defaults an unset task-slot count to this host's GOMAXPROCS.
+func parallelism(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
 // Run executes the job to completion and returns its merged counters.
 func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	start := time.Now()
 	if opts == nil {
 		opts = &Options{}
 	}
-	if opts.MapParallelism <= 0 {
-		opts.MapParallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.ReduceParallelism <= 0 {
-		opts.ReduceParallelism = runtime.GOMAXPROCS(0)
-	}
-	if err := job.Validate(); err != nil {
+	tr, err := newTaskRunner(job, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Combiner != nil && job.Combiner == nil {
-		j := *job
-		j.Combiner = opts.Combiner
-		job = &j
-	}
-	conf := job.Conf
-	numReduces := conf.NumReduces()
-
-	splits, err := job.Input.Splits(conf)
-	if err != nil {
-		return nil, fmt.Errorf("localrun: computing splits: %w", err)
-	}
-	if len(splits) == 0 {
-		return nil, &mapreduce.JobError{Msg: "localrun: input produced no splits"}
-	}
-
+	numMaps, numReduces := len(tr.splits), tr.numReduces
 	total := mapreduce.NewCounters()
 
 	if numReduces == 0 {
@@ -165,9 +231,9 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 		if job.Output == nil {
 			return nil, &mapreduce.JobError{Msg: "localrun: map-only job needs an Output"}
 		}
-		taskCtrs := make([]*mapreduce.Counters, len(splits))
-		err := parallelFor(len(splits), opts.MapParallelism, func(i int) error {
-			c, err := runMapOnly(job, i, splits[i])
+		taskCtrs := make([]*mapreduce.Counters, numMaps)
+		err := parallelFor(numMaps, parallelism(opts.MapParallelism), func(i int) error {
+			c, err := tr.runMapOnly(i)
 			taskCtrs[i] = c
 			return err
 		})
@@ -177,12 +243,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 		for _, c := range taskCtrs {
 			total.Merge(c)
 		}
-		return &Result{Counters: total, NumMaps: len(splits), Elapsed: time.Since(start)}, nil
-	}
-
-	cmp, err := writable.Comparator(job.MapOutputKeyType)
-	if err != nil {
-		return nil, err
+		return &Result{Counters: total, NumMaps: numMaps, Elapsed: time.Since(start)}, nil
 	}
 
 	server, err := newShuffleServer(opts.DiskShuffle)
@@ -191,24 +252,15 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	}
 	defer server.Close()
 
-	jobID := mapreduce.JobID{Seq: 1}
-	attempts := opts.taskAttempts()
-
-	slowstart := opts.Slowstart
-	if slowstart <= 0 {
-		slowstart = conf.SlowstartMaps()
-	}
-	target := slowstartTarget(slowstart, len(splits))
-
 	// One unified scheduler replaces the old map-barrier-reduce phases: map
 	// and reduce attempts share a pool under separate slot caps, reducers
 	// launching once the slow-start threshold of maps has committed to the
 	// completion board and streaming the rest of their input as it appears.
-	board := newCompletionBoard(len(splits))
+	board := newCompletionBoard(numMaps)
 	sched := newJobScheduler()
-	mapSlots := make(chan struct{}, opts.MapParallelism)
-	reduceSlots := make(chan struct{}, opts.ReduceParallelism)
-	mapCtrs := make([]*mapreduce.Counters, len(splits))
+	mapSlots := make(chan struct{}, parallelism(opts.MapParallelism))
+	reduceSlots := make(chan struct{}, parallelism(opts.ReduceParallelism))
+	mapCtrs := make([]*mapreduce.Counters, numMaps)
 	redCtrs := make([]*mapreduce.Counters, numReduces)
 	jobTM := &mergeTimings{} // reduce-side merge pipeline totals
 	jobST := &spillTimings{} // map-side collect/spill pipeline totals
@@ -218,7 +270,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	wg.Add(2)
 	go func() { // map dispatch
 		defer wg.Done()
-		for i := range splits {
+		for i := 0; i < numMaps; i++ {
 			if !sched.acquire(mapSlots) {
 				return
 			}
@@ -227,7 +279,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-mapSlots }()
-				c, err := runMapWithRetry(job, jobID, i, splits[i], cmp, numReduces, server, board, opts.Faults, attempts, jobST)
+				c, err := tr.runMapWithRetry(i, server, board, jobST)
 				mapCtrs[i] = c
 				if err != nil {
 					sched.fail(err)
@@ -237,7 +289,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	}()
 	go func() { // reduce dispatch, gated on the slow-start threshold
 		defer wg.Done()
-		if !board.waitCommitted(target, sched.done) {
+		if !board.waitCommitted(slowstartTarget(tr.slowstart, numMaps), sched.done) {
 			return
 		}
 		firstReduceStart = time.Now()
@@ -250,7 +302,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-reduceSlots }()
-				c, err := runReduceWithRetry(job, jobID, r, len(splits), server.Addr(), cmp, opts, board, sched.done, attempts, jobTM)
+				c, err := tr.runReduceWithRetry(r, server.Addr(), board, sched.done, jobTM)
 				redCtrs[r] = c
 				if err != nil {
 					sched.fail(err)
@@ -276,7 +328,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	lastCommit := board.LastCommit()
 	res := &Result{
 		Counters:         total,
-		NumMaps:          len(splits),
+		NumMaps:          numMaps,
 		NumReduces:       numReduces,
 		Elapsed:          end.Sub(start),
 		PerReduceRecords: perReduce,
@@ -387,52 +439,34 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 // published to the completion board so waiting reducers fetch it
 // immediately; a commit after earlier failed attempts re-announces, bumping
 // the board version.
-func runMapWithRetry(job *mapreduce.Job, jobID mapreduce.JobID, idx int, split mapreduce.InputSplit, cmp writable.RawComparator, numReduces int, server *shuffleServer, board *completionBoard, plan *faultinject.Plan, attempts int, jobST *spillTimings) (*mapreduce.Counters, error) {
+func (tr *TaskRunner) runMapWithRetry(idx int, server *shuffleServer, board *completionBoard, jobST *spillTimings) (*mapreduce.Counters, error) {
 	faultCtrs := mapreduce.NewCounters()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		aid := mapreduce.MapAttempt(jobID, idx, attempt)
+	for attempt := 0; attempt < tr.attempts; attempt++ {
 		tm := &spillTimings{}
-		c, err := runMapTask(job, aid, split, cmp, numReduces, server, plan, faultCtrs, tm)
+		c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, idx, attempt), server, faultCtrs, tm)
 		if err == nil {
-			if board != nil {
-				board.Announce(idx, attempt)
-			}
+			board.Announce(idx, attempt)
 			c.Merge(faultCtrs)
-			if jobST != nil {
-				// Only the winning attempt's pipeline work counts, matching
-				// the counter semantics above.
-				jobST.absorb(tm)
-			}
+			// Only the winning attempt's pipeline work counts, matching the
+			// counter semantics above.
+			jobST.absorb(tm)
 			return c, nil
 		}
 		lastErr = err
 		faultCtrs.IncrFault(mapreduce.CtrMapAttemptsFailed, 1)
 	}
-	return faultCtrs, fmt.Errorf("localrun: map %d failed after %d attempts: %w", idx, attempts, lastErr)
+	return faultCtrs, fmt.Errorf("localrun: map %d failed after %d attempts: %w", idx, tr.attempts, lastErr)
 }
 
 // runReduceWithRetry is runMapWithRetry's reduce-side twin. done aborts
 // attempts (and the wait for map announcements inside them) once the job
 // has failed elsewhere.
-func runReduceWithRetry(job *mapreduce.Job, jobID mapreduce.JobID, r, numMaps int, serverAddr string, cmp writable.RawComparator, opts *Options, board *completionBoard, done <-chan struct{}, attempts int, jobTM *mergeTimings) (*mapreduce.Counters, error) {
-	bo := opts.FetchBackoff
-	if bo.Attempts == 0 && opts.Faults != nil {
-		bo.Attempts = opts.Faults.FetchAttempts()
-	}
-	copies := opts.ParallelCopies
-	if copies <= 0 {
-		copies = job.Conf.ParallelCopies()
-	}
-	tun, err := reduceTuning(job, opts)
-	if err != nil {
-		return mapreduce.NewCounters(), err
-	}
+func (tr *TaskRunner) runReduceWithRetry(r int, serverAddr string, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
 	faultCtrs := mapreduce.NewCounters()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		aid := mapreduce.ReduceAttempt(jobID, r, attempt)
-		c, err := runReduceTask(job, aid, numMaps, serverAddr, cmp, opts.Faults, bo, copies, tun, faultCtrs, board, done, jobTM)
+	for attempt := 0; attempt < tr.attempts; attempt++ {
+		c, err := tr.runReduceTask(mapreduce.ReduceAttempt(tr.jobID, r, attempt), serverAddr, faultCtrs, board, done, jobTM)
 		if err == nil {
 			c.Merge(faultCtrs)
 			return c, nil
@@ -447,33 +481,7 @@ func runReduceWithRetry(job *mapreduce.Job, jobID mapreduce.JobID, r, numMaps in
 		default:
 		}
 	}
-	return faultCtrs, fmt.Errorf("localrun: reduce %d failed after %d attempts: %w", r, attempts, lastErr)
-}
-
-// reduceTuning resolves the reduce-side merge pipeline's knobs — fan-in,
-// memory budget, spill threshold, and the disk-run codec — from the options
-// and job conf. It is shared by every reduce attempt of the job.
-func reduceTuning(job *mapreduce.Job, opts *Options) (shuffleTuning, error) {
-	tun := shuffleTuning{factor: opts.MergeFactor, budget: opts.ShuffleMemBudget}
-	if tun.factor <= 0 {
-		tun.factor = job.Conf.IOSortFactor()
-	}
-	if tun.budget == 0 {
-		tun.budget = job.Conf.ShuffleMemoryBytes()
-	}
-	if tun.budget <= 0 {
-		tun.budget = 0
-		return tun, nil
-	}
-	tun.threshold = int64(float64(tun.budget) * job.Conf.ShuffleMergePercent())
-	if job.Conf.GetBool(mapreduce.ConfCompressMapOut, false) {
-		codec, ok := kvbuf.CodecByName(job.Conf.CompressCodec())
-		if !ok {
-			return tun, fmt.Errorf("localrun: unknown map-output codec %q (have %v)", job.Conf.CompressCodec(), kvbuf.CodecNames())
-		}
-		tun.codec = codec
-	}
-	return tun, nil
+	return faultCtrs, fmt.Errorf("localrun: reduce %d failed after %d attempts: %w", r, tr.attempts, lastErr)
 }
 
 // mapCollector routes mapper output into the sort buffer, spilling as the
@@ -484,14 +492,11 @@ func reduceTuning(job *mapreduce.Job, opts *Options) (shuffleTuning, error) {
 // way: every buffer has the full io.sort.mb capacity and the same ShouldSpill
 // trigger decides when to seal.
 type mapCollector struct {
-	job        *mapreduce.Job
-	part       mapreduce.Partitioner
-	buf        *kvbuf.SortBuffer
-	numReduces int
-	spillPct   float64
-	ctrs       *mapreduce.Counters
-	spills     [][]*kvbuf.Segment
-	codec      kvbuf.Codec // non-nil: spill segments are stored compressed
+	tr     *TaskRunner
+	part   mapreduce.Partitioner
+	buf    *kvbuf.SortBuffer
+	ctrs   *mapreduce.Counters
+	spills [][]*kvbuf.Segment
 
 	// Per-record tallies stay in plain integers; runMapTask folds them into
 	// ctrs once per attempt.
@@ -500,18 +505,18 @@ type mapCollector struct {
 	pipe *spillPipeline // non-nil: background spill overlap
 	tm   *spillTimings  // this attempt's pipeline breakdown
 
-	// Fault plumbing: aid names the running attempt, plan injects spill
-	// errors, faultCtrs outlives failed attempts.
+	// Fault plumbing: aid names the running attempt (tr.plan injects spill
+	// errors against it), faultCtrs outlives failed attempts.
 	aid       mapreduce.TaskAttemptID
-	plan      *faultinject.Plan
 	faultCtrs *mapreduce.Counters
 	spillSeq  int
 }
 
 func (mc *mapCollector) Collect(key, value writable.Writable) error {
-	p := mc.part.Partition(key, value, mc.numReduces)
-	if p < 0 || p >= mc.numReduces {
-		return fmt.Errorf("localrun: partitioner returned %d for %d reduces", p, mc.numReduces)
+	numReduces := mc.tr.numReduces
+	p := mc.part.Partition(key, value, numReduces)
+	if p < 0 || p >= numReduces {
+		return fmt.Errorf("localrun: partitioner returned %d for %d reduces", p, numReduces)
 	}
 	n, ok, err := mc.emit(p, key, value)
 	if err != nil {
@@ -529,7 +534,7 @@ func (mc *mapCollector) Collect(key, value writable.Writable) error {
 	}
 	mc.outRecords++
 	mc.outBytes += int64(n)
-	if mc.buf.ShouldSpill(mc.spillPct) {
+	if mc.buf.ShouldSpill(mc.tr.spillPct) {
 		return mc.spill()
 	}
 	return nil
@@ -554,7 +559,7 @@ func (mc *mapCollector) spill() error {
 	}
 	seq := mc.spillSeq
 	mc.spillSeq++
-	if mc.plan != nil && mc.plan.SpillError(mc.aid.Task.Index, mc.aid.Attempt, seq) {
+	if plan := mc.tr.plan; plan != nil && plan.SpillError(mc.aid.Task.Index, mc.aid.Attempt, seq) {
 		// A transient I/O error in the spill path kills the attempt; the
 		// re-executed attempt rolls fresh spill decisions. The check fires at
 		// seal time in both modes, so fault schedules are mode-independent.
@@ -585,7 +590,7 @@ func (mc *mapCollector) spill() error {
 	// goroutine, so the spill's duration is both work and stall.
 	t0 := time.Now()
 	segs, _ := mc.buf.Spill()
-	err := sealSegments(mc.job, segs, mc.codec, mc.ctrs)
+	err := mc.tr.sealSegments(segs, mc.ctrs)
 	d := time.Since(t0)
 	mc.tm.addSpillWork(d)
 	mc.tm.addCollectStall(d)
@@ -597,11 +602,11 @@ func (mc *mapCollector) spill() error {
 	return nil
 }
 
-func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce.InputSplit, cmp writable.RawComparator, numReduces int, server *shuffleServer, plan *faultinject.Plan, faultCtrs *mapreduce.Counters, tm *spillTimings) (*mapreduce.Counters, error) {
-	idx := aid.Task.Index
+func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleServer, faultCtrs *mapreduce.Counters, tm *spillTimings) (*mapreduce.Counters, error) {
+	job, idx, numReduces, codec := tr.job, aid.Task.Index, tr.numReduces, tr.codec
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
-	reader, err := job.Input.Reader(split, job.Conf)
+	reader, err := job.Input.Reader(tr.splits[idx], job.Conf)
 	if err != nil {
 		return ctrs, fmt.Errorf("localrun: map %d reader: %w", idx, err)
 	}
@@ -613,43 +618,27 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 		// same records, so recovery cannot change the job's output.
 		part = func() mapreduce.Partitioner { return job.PartitionerForTask(idx) }
 	}
-	codec, ok := kvbuf.CodecByName(job.Conf.CompressCodec())
-	if !ok {
-		return ctrs, fmt.Errorf("localrun: unknown map-output codec %q (have %v)", job.Conf.CompressCodec(), kvbuf.CodecNames())
-	}
-	capacity := job.Conf.IOSortMB() << 20
-	factor := job.Conf.IOSortFactor()
-	pf, hasPF := writable.PrefixExtractor(job.MapOutputKeyType)
 
 	// Overlap mode (the default) spills on a background spiller fed from a
 	// buffer ring; sync mode keeps the single-buffer spill-inline path.
 	var pipe *spillPipeline
 	var buf *kvbuf.SortBuffer
-	if job.Conf.SpillOverlap() {
-		pipe = newSpillPipeline(job, cmp, codec, factor, capacity, numReduces, job.Conf.SpillInflight(), tm)
-		if hasPF {
-			pipe.ring.SetPrefixFunc(pf)
-		}
+	if tr.inflight > 0 {
+		pipe = newSpillPipeline(tr, tm)
 		buf, _ = pipe.ring.Take()
 	} else {
-		buf = kvbuf.NewSortBuffer(capacity, numReduces, cmp)
-		if hasPF {
-			buf.SetPrefixFunc(pf)
-		}
+		buf = kvbuf.NewSortBuffer(tr.sortBytes, numReduces, tr.cmp)
+		buf.SetPrefixFunc(tr.prefix)
 	}
 	mc := &mapCollector{
-		job:        job,
-		part:       part(),
-		buf:        buf,
-		numReduces: numReduces,
-		spillPct:   job.Conf.SortSpillPercent(),
-		ctrs:       ctrs,
-		codec:      codec,
-		aid:        aid,
-		plan:       plan,
-		faultCtrs:  faultCtrs,
-		pipe:       pipe,
-		tm:         tm,
+		tr:        tr,
+		part:      part(),
+		buf:       buf,
+		ctrs:      ctrs,
+		aid:       aid,
+		faultCtrs: faultCtrs,
+		pipe:      pipe,
+		tm:        tm,
 	}
 	drained := false
 	var inRecords int64
@@ -723,7 +712,7 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 	// re-executed attempt must overwrite them (Hadoop's re-run of a failed
 	// map re-serves its output the same way).
 	abortAt := -1
-	if plan != nil && plan.FailMap(idx, aid.Attempt) {
+	if tr.plan != nil && tr.plan.FailMap(idx, aid.Attempt) {
 		abortAt = numReduces / 2
 	}
 
@@ -758,7 +747,7 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 				}
 				parts[i] = d
 			}
-			merged, _, err := kvbuf.MergeAll(cmp, parts, factor, 0)
+			merged, _, err := kvbuf.MergeAll(tr.cmp, parts, tr.factor, 0)
 			if err != nil {
 				return ctrs, fmt.Errorf("localrun: map %d final merge: %w", idx, err)
 			}
@@ -772,7 +761,7 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 			}
 			final = merged
 			if job.Combiner != nil && final.Records() > 0 {
-				combined, err := combineSegment(job, final, ctrs)
+				combined, err := tr.combineSegment(final, ctrs)
 				if err != nil {
 					return ctrs, fmt.Errorf("localrun: map %d merge combine: %w", idx, err)
 				}
@@ -793,23 +782,19 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 	return ctrs, nil
 }
 
-func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int, serverAddr string, cmp writable.RawComparator, plan *faultinject.Plan, bo faultinject.Backoff, copies int, tun shuffleTuning, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
-	r := aid.Task.Index
+func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, serverAddr string, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
+	r, numMaps := aid.Task.Index, len(tr.splits)
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
 
 	// Shuffle: stream this partition's segment from every map as it commits
 	// to the completion board, over parallelcopies persistent pipelined
 	// connections. Each fetch verifies the IFile checksum as it streams in
-	// and retries transient failures with backoff. With an unbounded pool,
-	// completed contiguous blocks merge in the background while later map
-	// waves still run; with ShuffleMemBudget set, the bounded pool's
-	// background spiller compacts in-memory segments to on-disk runs
-	// instead.
-	compressed := job.Conf.GetBool(mapreduce.ConfCompressMapOut, false)
+	// and retries transient failures with backoff. With a shuffle memory
+	// budget the bounded pool's background spiller compacts in-memory
+	// segments to on-disk runs while the copiers keep fetching.
 	tm := &mergeTimings{} // this attempt's pipeline stats
-	tun.tm = tm
-	ss := newStreamShuffle(serverAddr, numMaps, r, copies, compressed, plan, bo, board, cmp, tun)
+	ss := newStreamShuffle(tr, serverAddr, r, board, tm)
 	sres, err := ss.run(done)
 	if sres.cleanup != nil {
 		// Once the reduce pass below is done with the merge inputs, return
@@ -817,18 +802,7 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 		// (a failed attempt cleans up the same way; the retry re-fetches).
 		defer sres.cleanup()
 	}
-	st := sres.st
-	// Skip zero increments so clean runs don't grow an all-zero
-	// FaultCounter group in their counter dump.
-	if st.failures > 0 {
-		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchFailures, st.failures)
-	}
-	if st.retries > 0 {
-		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchRetries, st.retries)
-	}
-	if st.slow > 0 {
-		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchesSlow, st.slow)
-	}
+	sres.st.AddTo(faultCtrs)
 	for m := 0; m < numMaps; m++ {
 		if sres.fetched[m] {
 			ctrs.IncrTask(mapreduce.CtrShuffledMaps, 1)
@@ -839,7 +813,7 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 		return ctrs, fmt.Errorf("localrun: reduce %d shuffle: %w", r, err)
 	}
 
-	if plan != nil && plan.FailReduce(r, aid.Attempt) {
+	if tr.plan != nil && tr.plan.FailReduce(r, aid.Attempt) {
 		// The injected attempt failure strikes after the copy phase: all
 		// shuffle work is wasted, the re-executed attempt re-fetches.
 		return ctrs, faultinject.Errorf("localrun: %s aborted after shuffle", aid)
@@ -848,10 +822,10 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 	if sres.inputs != nil {
 		// Bounded pool with spilled runs: stream the final merge over the
 		// mixed memory+disk source set.
-		err = reduceOverInputs(job, r, cmp, sres.inputs, numMaps, tun.factor, &ss.rdir, tm, ctrs, rep)
+		err = tr.reduceOverInputs(r, sres.inputs, &ss.rdir, tm, ctrs, rep)
 	} else {
 		t0 := time.Now()
-		err = reduceOverParts(job, r, cmp, sres.parts, numMaps, ctrs, rep)
+		err = tr.reduceOverParts(r, sres.parts, ctrs, rep)
 		tm.addFinalMerge(time.Since(t0))
 	}
 	if err != nil {
@@ -868,10 +842,11 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 	return ctrs, nil
 }
 
-func runMapOnly(job *mapreduce.Job, idx int, split mapreduce.InputSplit) (*mapreduce.Counters, error) {
+func (tr *TaskRunner) runMapOnly(idx int) (*mapreduce.Counters, error) {
+	job := tr.job
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
-	reader, err := job.Input.Reader(split, job.Conf)
+	reader, err := job.Input.Reader(tr.splits[idx], job.Conf)
 	if err != nil {
 		return ctrs, err
 	}

@@ -3,6 +3,10 @@
 // and a genuine TCP shuffle on the loopback interface (the moral equivalent
 // of Hadoop's HTTP shuffle servlet). It is the correctness anchor for the
 // suite: what the simulated engines time, localrun actually does.
+//
+// The job Conf is the one source of every Hadoop knob: TaskRunner resolves
+// and validates it once per job, and Options carries only what a conf cannot
+// (parallelism of this host, fault plan, backoff, serving store).
 package localrun
 
 import (
@@ -12,13 +16,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"time"
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
-	"mrmicro/internal/writable"
 )
 
 // ErrServerClosed is returned by Register once the shuffle server has shut
@@ -35,34 +37,34 @@ var ErrServerClosed = errors.New("localrun: shuffle server closed")
 // back in request order, so per-segment dial/teardown never touches the
 // copy phase's critical path.
 //
-// Serving never read-then-writes a segment: in-memory segments leave in a
-// single writev straight from their retained buffer, and with the
-// disk-backed store the payload goes kernel-to-socket via sendfile
-// (sendSegmentFile). ShuffleServeStats accounts both paths.
+// Serving never read-then-writes a segment: the in-memory store sends a
+// segment in a single writev straight from its retained buffer, and the
+// disk-backed store hands the payload kernel-to-socket via sendfile.
+// ShuffleServeStats accounts both paths.
 type shuffleServer struct {
-	ln net.Listener
+	ln    net.Listener
+	store segmentStore
 
-	mu       sync.Mutex
-	segments map[[2]int]*kvbuf.Segment
-	disk     *diskStore // non-nil: segments live in a spill file, served zero-copy
-	closed   bool
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 func newShuffleServer(diskBacked bool) (*shuffleServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("localrun: shuffle listener: %w", err)
-	}
-	s := &shuffleServer{ln: ln, segments: make(map[[2]int]*kvbuf.Segment)}
+	var store segmentStore = &memStore{segs: make(map[segKey]*kvbuf.Segment)}
 	if diskBacked {
 		d, err := newDiskStore()
 		if err != nil {
-			ln.Close()
 			return nil, err
 		}
-		s.disk = d
+		store = d
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		store.close()
+		return nil, fmt.Errorf("localrun: shuffle listener: %w", err)
+	}
+	s := &shuffleServer{ln: ln, store: store}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -73,27 +75,16 @@ func (s *shuffleServer) Addr() string { return s.ln.Addr().String() }
 
 // Register publishes a map task's output for one partition. Re-executed
 // map attempts re-register their partitions; the newest registration wins.
-// Registering on a closed server is an error, never a silent mutation.
-// With the disk-backed store the segment is consumed: its bytes move to the
-// spill file and its buffer is recycled.
+// Registering on a closed server is an error, never a silent mutation. The
+// store owns the segment afterwards (the disk-backed one recycles its buffer
+// once the bytes are in the spill file).
 func (s *shuffleServer) Register(mapIdx, partition int, seg *kvbuf.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("%w: cannot register map %d partition %d", ErrServerClosed, mapIdx, partition)
 	}
-	if s.disk != nil {
-		return s.disk.add(mapIdx, partition, seg)
-	}
-	s.segments[[2]int{mapIdx, partition}] = seg
-	return nil
-}
-
-func (s *shuffleServer) lookup(mapIdx, partition int) (*kvbuf.Segment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg, ok := s.segments[[2]int{mapIdx, partition}]
-	return seg, ok
+	return s.store.put(mapIdx, partition, seg)
 }
 
 func (s *shuffleServer) acceptLoop() {
@@ -113,15 +104,6 @@ func (s *shuffleServer) acceptLoop() {
 }
 
 func (s *shuffleServer) serve(conn net.Conn) {
-	// rf is this connection's private read handle on the disk store's spill
-	// file, opened on first use; a private handle means concurrent
-	// sendfiles never race on a shared file offset.
-	var rf *os.File
-	defer func() {
-		if rf != nil {
-			rf.Close()
-		}
-	}()
 	var req [8]byte
 	for {
 		if _, err := io.ReadFull(conn, req[:]); err != nil {
@@ -129,55 +111,22 @@ func (s *shuffleServer) serve(conn net.Conn) {
 		}
 		mapIdx := int(binary.BigEndian.Uint32(req[:4]))
 		part := int(binary.BigEndian.Uint32(req[4:]))
-		if s.disk != nil {
-			ds, ok := s.disk.lookup(mapIdx, part)
-			if !ok {
-				if _, err := conn.Write([]byte{1}); err != nil {
-					return
-				}
-				continue
-			}
-			if rf == nil {
-				f, err := s.disk.open()
-				if err != nil {
-					return
-				}
-				rf = f
-			}
-			var hdr [9]byte
-			hdr[0] = 0
-			binary.BigEndian.PutUint64(hdr[1:], uint64(ds.n))
-			if err := sendSegmentFile(conn, rf, ds, hdr[:]); err != nil {
-				return
-			}
-			continue
+		found, err := s.store.send(conn, mapIdx, part)
+		if err != nil {
+			return
 		}
-		seg, ok := s.lookup(mapIdx, part)
-		if !ok {
+		if !found {
 			// A miss answers one request; it must not kill the connection,
 			// which may carry pipelined requests for segments that do exist.
 			if _, err := conn.Write([]byte{1}); err != nil {
 				return
 			}
-			continue
 		}
-		var hdr [9]byte
-		hdr[0] = 0
-		binary.BigEndian.PutUint64(hdr[1:], uint64(seg.Len()))
-		// One writev per response: header and payload leave in a single
-		// syscall straight from the retained segment buffer — no read-back
-		// copy — so the client's pipelined reads never stall on a 9-byte
-		// header packet.
-		bufs := net.Buffers{hdr[:], seg.Bytes()}
-		if _, err := bufs.WriteTo(conn); err != nil {
-			return
-		}
-		serveWritevBytes.Add(int64(seg.Len()))
-		serveResponses.Add(1)
 	}
 }
 
-// Close shuts the listener and waits for in-flight connections.
+// Close shuts the listener, waits for in-flight connections, and closes the
+// store.
 func (s *shuffleServer) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -188,14 +137,7 @@ func (s *shuffleServer) Close() {
 	s.mu.Unlock()
 	s.ln.Close()
 	s.wg.Wait()
-	if s.disk != nil {
-		s.disk.close()
-	}
-	// No connection is left to serve from the retained buffers: hand them to
-	// the segment pool for the next job's spills and fetches.
-	for _, seg := range s.segments {
-		seg.Recycle()
-	}
+	s.store.close()
 }
 
 // fetchPipelineDepth bounds how many segment requests a fetcher keeps in
@@ -301,20 +243,6 @@ func missingSegmentErr(mapIdx, partition int) error {
 	return faultinject.Permanent(fmt.Errorf("localrun: map %d partition %d not found on server", mapIdx, partition))
 }
 
-// fetchStats tallies recovery events of segment fetches; the reduce task
-// folds them into its fault counters.
-type fetchStats struct {
-	failures int64 // fetch attempts that failed (dropped, truncated, corrupt)
-	retries  int64 // attempts beyond the first
-	slow     int64 // injected slow-peer fetches
-}
-
-func (a *fetchStats) add(b fetchStats) {
-	a.failures += b.failures
-	a.retries += b.retries
-	a.slow += b.slow
-}
-
 // segmentFetcher drains one reduce task's share of map outputs through a
 // single persistent shuffle connection: the Hadoop copier thread. The happy
 // path pipelines requests up to fetchPipelineDepth deep; segments whose
@@ -329,7 +257,7 @@ type segmentFetcher struct {
 	plan       *faultinject.Plan
 	bo         faultinject.Backoff
 	conn       *shuffleConn
-	st         *fetchStats
+	st         *FetchStats
 }
 
 func (f *segmentFetcher) seed(mapIdx int) int64 {
@@ -400,27 +328,27 @@ func (f *segmentFetcher) fetchOne(mapIdx, attempt int) (*kvbuf.Segment, int64, e
 	}
 	switch fault {
 	case faultinject.FetchDrop:
-		f.st.failures++
+		f.st.Failures++
 		// The injected drop takes the TCP connection with it: the retry
 		// that follows must re-dial, exercising reconnect for real.
 		f.closeConn()
 		return nil, 0, faultinject.Errorf("localrun: shuffle map %d -> reduce %d attempt %d: connection dropped", mapIdx, f.reduce, attempt)
 	case faultinject.FetchSlow:
-		f.st.slow++
+		f.st.Slow++
 		time.Sleep(f.plan.Slowness())
 	}
 	if err := f.ensureConn(); err != nil {
-		f.st.failures++
+		f.st.Failures++
 		return nil, 0, err
 	}
 	if err := f.conn.request(mapIdx, f.reduce); err != nil {
-		f.st.failures++
+		f.st.Failures++
 		f.closeConn()
 		return nil, 0, err
 	}
 	seg, wire, err := f.receive(mapIdx, fault == faultinject.FetchTruncate)
 	if err != nil {
-		f.st.failures++
+		f.st.Failures++
 		if errors.Is(err, errSegmentMissing) {
 			return nil, 0, missingSegmentErr(mapIdx, f.reduce)
 		}
@@ -454,7 +382,7 @@ type failedFetch struct {
 func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segment, n int64)) error {
 	var retry []failedFetch
 	fail := func(mapIdx int, err error) {
-		f.st.failures++
+		f.st.Failures++
 		retry = append(retry, failedFetch{mapIdx: mapIdx, err: err})
 	}
 
@@ -474,7 +402,7 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 				continue
 			}
 			if fault == faultinject.FetchSlow {
-				f.st.slow++
+				f.st.Slow++
 				time.Sleep(f.plan.Slowness())
 			}
 			if err := f.ensureConn(); err != nil {
@@ -536,7 +464,7 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 			if attempt == 0 {
 				return attempt0
 			}
-			f.st.retries++
+			f.st.Retries++
 			seg, n, err := f.fetchOne(m, attempt)
 			if err != nil {
 				return err
@@ -558,16 +486,14 @@ var errShuffleAborted = errors.New("localrun: shuffle aborted: job canceled")
 
 // shuffleResult is one reduce task's completed overlapped copy phase.
 type shuffleResult struct {
-	// parts holds the merge inputs in ascending map-index order, with each
-	// background-merged block collapsed to a single segment in its block's
-	// position. Because blocks are contiguous runs of map indices and the
-	// block merge itself tie-breaks equal keys by map index, a final merge
-	// over parts emits records in exactly the order a flat merge over all
-	// per-map segments would — the overlap is invisible in the output bytes.
+	// parts holds the merge inputs: every map's fetched segment, in
+	// ascending map-index order, so the final merge tie-breaks equal keys by
+	// map index whatever order the fetches landed in — the overlap is
+	// invisible in the output bytes.
 	parts   []*kvbuf.Segment
 	wire    []int64 // per original map: payload bytes moved for its winning fetch
 	fetched []bool  // per original map: its segment arrived
-	st      fetchStats
+	st      FetchStats
 
 	// inputs, when non-nil, replaces parts: the bounded pool's mixed
 	// memory+disk merge sources in map order (reduceOverInputs consumes
@@ -579,25 +505,21 @@ type shuffleResult struct {
 }
 
 // streamShuffle coordinates one reduce task's overlapped copy phase: a
-// subscriber turns completion-board announcements into fetch work, `copies`
-// fetcher goroutines drain it over persistent pipelined connections (the
-// same segmentFetcher machinery the barrier path used), and completed
-// contiguous blocks of `factor` segments merge in the background so merge
-// work hides under the remaining copies. Re-announced maps (a retried
-// attempt committing after its predecessor's bytes may already have been
-// fetched) are re-fetched, invalidating any block merge they fed.
+// subscriber turns completion-board announcements into fetch work and
+// tr.copies fetcher goroutines drain it over persistent pipelined
+// connections (segmentFetcher). Re-announced maps (a retried attempt
+// committing after its predecessor's bytes may already have been fetched)
+// are re-fetched. Unbounded, the phase hands the final merge its numMaps
+// fetched segments in map order; with tr.memBudget set, the bounded pool's
+// background spiller (mergepool.go) is the one reduce-side background merge.
 type streamShuffle struct {
-	addr       string
-	reduce     int
-	numMaps    int
-	copies     int
-	compressed bool
-	plan       *faultinject.Plan
-	bo         faultinject.Backoff
-	board      *completionBoard
-	cmp        writable.RawComparator
-	blockWidth int // premerge block size; 0 disables background merge
-	tun        shuffleTuning
+	tr      *TaskRunner
+	addr    string
+	reduce  int
+	numMaps int
+	copies  int
+	board   *completionBoard
+	tm      *mergeTimings // this attempt's merge pipeline stats
 
 	onFetch func(mapIdx int) // test hook: called after a segment is stored
 
@@ -612,45 +534,37 @@ type streamShuffle struct {
 	fetchedVer []int64 // per map: board version whose fetch was stored (0 = none)
 	segs       []*kvbuf.Segment
 	wire       []int64
-	blockSeg   []*kvbuf.Segment // per block: background-merged output
-	merging    []bool
-	mergeWG    sync.WaitGroup
-	sts        []fetchStats
+	sts        []FetchStats
 	err        error
 	aborted    bool
 	finalized  bool
 
-	// Bounded-pool state (tun.budget > 0): poolUsed charges every admitted
+	// Bounded-pool state (tr.memBudget > 0): poolUsed charges every admitted
 	// segment byte (including bytes held by an in-flight spill merge),
 	// admitWaiters counts copiers blocked on admission, spilling serializes
-	// background spills, runs are the recorded on-disk runs, and rdir lazily
-	// owns their scratch directory.
+	// background spills (mergeWG waits for the one in flight), runs are the
+	// recorded on-disk runs, and rdir lazily owns their scratch directory.
 	poolUsed     int64
 	admitWaiters int
 	spilling     bool
+	mergeWG      sync.WaitGroup
 	runs         []*diskRun
 	rdir         runDir
 }
 
-func newStreamShuffle(addr string, numMaps, reduce, copies int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff, board *completionBoard, cmp writable.RawComparator, tun shuffleTuning) *streamShuffle {
-	if copies < 1 {
-		copies = 1
-	}
-	copies = min(copies, numMaps)
-	if tun.tm == nil {
-		tun.tm = &mergeTimings{}
-	}
+// newStreamShuffle prepares reduce task `reduce`'s copy phase against the
+// shuffle server at addr.
+func newStreamShuffle(tr *TaskRunner, addr string, reduce int, board *completionBoard, tm *mergeTimings) *streamShuffle {
+	numMaps := len(tr.splits)
+	copies := min(tr.copies, numMaps)
 	ss := &streamShuffle{
+		tr:         tr,
 		addr:       addr,
 		reduce:     reduce,
 		numMaps:    numMaps,
 		copies:     copies,
-		compressed: compressed,
-		plan:       plan,
-		bo:         bo,
 		board:      board,
-		cmp:        cmp,
-		tun:        tun,
+		tm:         tm,
 		queued:     make([]bool, numMaps),
 		inflight:   make([]bool, numMaps),
 		queuedVer:  make([]int64, numMaps),
@@ -658,19 +572,9 @@ func newStreamShuffle(addr string, numMaps, reduce, copies int, compressed bool,
 		fetchedVer: make([]int64, numMaps),
 		segs:       make([]*kvbuf.Segment, numMaps),
 		wire:       make([]int64, numMaps),
-		sts:        make([]fetchStats, copies),
+		sts:        make([]FetchStats, copies),
 	}
 	ss.cond = sync.NewCond(&ss.mu)
-	// Background merge only pays when blocks complete while other maps are
-	// still copying; a single block spanning the whole job cannot overlap
-	// with anything, so it is disabled. With a bounded pool the background
-	// spiller IS the overlapped merge — block premerge would pin block-sized
-	// buffers the budget does not account for, so it is disabled too.
-	if tun.budget <= 0 && tun.factor >= 2 && numMaps > tun.factor {
-		ss.blockWidth = tun.factor
-		ss.blockSeg = make([]*kvbuf.Segment, (numMaps+tun.factor-1)/tun.factor)
-		ss.merging = make([]bool, len(ss.blockSeg))
-	}
 	return ss
 }
 
@@ -745,27 +649,14 @@ func (ss *streamShuffle) noteAnnounce(m int, ver int64) {
 		return
 	}
 	ss.queuedVer[m] = ver
-	// A newer attempt invalidates any block merge the old bytes fed.
-	if b := ss.blockOf(m); b >= 0 && ss.blockSeg[b] != nil {
-		ss.blockSeg[b].Recycle()
-		ss.blockSeg[b] = nil
-	}
-	// ... and any on-disk run: the superseded bytes cannot be carved back
-	// out of a merged run, so the run drops and its members re-fetch.
-	if ss.tun.budget > 0 {
-		ss.invalidateRunsLocked(m)
-	}
+	// A newer attempt invalidates any on-disk run the old bytes fed: they
+	// cannot be carved back out of a merged run, so the run drops and its
+	// members re-fetch.
+	ss.invalidateRunsLocked(m)
 	if !ss.queued[m] && !ss.inflight[m] && ss.fetchedVer[m] < ver {
 		ss.queued[m] = true
 		ss.queue = append(ss.queue, m)
 	}
-}
-
-func (ss *streamShuffle) blockOf(m int) int {
-	if ss.blockWidth == 0 {
-		return -1
-	}
-	return m / ss.blockWidth
 }
 
 // upToDate reports whether every map's announced bytes have been fetched.
@@ -815,7 +706,7 @@ func (ss *streamShuffle) nextBatch() []int {
 // worker is one copier thread: it owns a persistent connection and drains
 // batches through the pipelined fetcher until the phase ends.
 func (ss *streamShuffle) worker(w int) {
-	f := &segmentFetcher{addr: ss.addr, reduce: ss.reduce, compressed: ss.compressed, plan: ss.plan, bo: ss.bo, st: &ss.sts[w]}
+	f := &segmentFetcher{addr: ss.addr, reduce: ss.reduce, compressed: ss.tr.codec != nil, plan: ss.tr.plan, bo: ss.tr.backoff, st: &ss.sts[w]}
 	defer f.closeConn()
 	for {
 		batch := ss.nextBatch()
@@ -833,7 +724,7 @@ func (ss *streamShuffle) worker(w int) {
 // queuedVer and the map is re-queued by batchDone.
 func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.mu.Lock()
-	if ss.tun.budget > 0 && !ss.admitLocked(m, int64(seg.Len())) {
+	if ss.tr.memBudget > 0 && !ss.admitLocked(m, int64(seg.Len())) {
 		// The phase is ending (error or abort): drop the segment rather
 		// than block forever on a pool nobody will drain.
 		ss.mu.Unlock()
@@ -843,7 +734,6 @@ func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.segs[m] = seg
 	ss.wire[m] = n
 	ss.fetchedVer[m] = ss.dispVer[m]
-	ss.maybeMergeBlock(ss.blockOf(m))
 	ss.maybeSpillLocked()
 	ss.mu.Unlock()
 	if ss.onFetch != nil {
@@ -869,60 +759,8 @@ func (ss *streamShuffle) batchDone(batch []int, err error) {
 	ss.mu.Unlock()
 }
 
-// maybeMergeBlock starts a background merge of block b once all its maps are
-// fetched, provided the copy phase still has other maps outstanding (merge
-// work that cannot hide under remaining copies is left to the final pass).
-// Caller holds ss.mu.
-func (ss *streamShuffle) maybeMergeBlock(b int) {
-	if b < 0 || ss.merging[b] || ss.blockSeg[b] != nil || ss.upToDate() {
-		return
-	}
-	lo := b * ss.blockWidth
-	hi := min(lo+ss.blockWidth, ss.numMaps)
-	if hi-lo < ss.blockWidth {
-		return // partial tail block: nothing to gain
-	}
-	members := make([]*kvbuf.Segment, 0, hi-lo)
-	vers := make([]int64, 0, hi-lo)
-	for m := lo; m < hi; m++ {
-		if ss.fetchedVer[m] == 0 || ss.fetchedVer[m] < ss.queuedVer[m] {
-			return
-		}
-		members = append(members, ss.segs[m])
-		vers = append(vers, ss.fetchedVer[m])
-	}
-	ss.merging[b] = true
-	ss.mergeWG.Add(1)
-	go func() {
-		defer ss.mergeWG.Done()
-		merged, _, err := kvbuf.MergeAll(ss.cmp, members, ss.blockWidth, 0)
-		ss.mu.Lock()
-		ss.merging[b] = false
-		stale := err != nil
-		for i, m := 0, lo; m < hi; i, m = i+1, m+1 {
-			// Stale if a re-fetch landed while we merged, or a re-announcement
-			// was noted: installing a block built from superseded bytes would
-			// make the later re-fetch's maybeMergeBlock a no-op against it.
-			if ss.fetchedVer[m] != vers[i] || ss.queuedVer[m] != vers[i] {
-				stale = true
-			}
-		}
-		if stale {
-			// A merge error is not a fetch error: the final pass will read
-			// the raw segments and report it with full context.
-			if merged != nil {
-				merged.Recycle()
-			}
-		} else {
-			ss.blockSeg[b] = merged
-		}
-		ss.mu.Unlock()
-	}()
-}
-
-// finalize assembles the merge inputs in map order, collapsing merged
-// blocks, and recycles raw segments whose bytes already live in a block
-// merge (the final merge will never read them).
+// finalize publishes the copy phase's result: the fetched segments in map
+// order, or the bounded pool's mixed memory+disk inputs.
 func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -944,7 +782,7 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	if ss.aborted && !ss.upToDate() {
 		return res, errShuffleAborted
 	}
-	if ss.tun.budget > 0 && len(ss.runs) > 0 {
+	if len(ss.runs) > 0 {
 		inputs, err := ss.boundedInputsLocked()
 		if err != nil {
 			return res, err
@@ -952,23 +790,7 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 		res.inputs = inputs
 		return res, nil
 	}
-	if ss.blockWidth == 0 {
-		res.parts = ss.segs
-		return res, nil
-	}
-	for b := 0; b*ss.blockWidth < ss.numMaps; b++ {
-		lo := b * ss.blockWidth
-		hi := min(lo+ss.blockWidth, ss.numMaps)
-		if ss.blockSeg[b] != nil {
-			res.parts = append(res.parts, ss.blockSeg[b])
-			for m := lo; m < hi; m++ {
-				ss.segs[m].Recycle()
-				ss.segs[m] = nil
-			}
-			continue
-		}
-		res.parts = append(res.parts, ss.segs[lo:hi]...)
-	}
+	res.parts = ss.segs
 	return res, nil
 }
 
@@ -981,7 +803,7 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 func (f *segmentFetcher) fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, err error) {
 	err = f.bo.Retry(f.seed(mapIdx), func(attempt int) error {
 		if attempt > 0 {
-			f.st.retries++
+			f.st.Retries++
 		}
 		s, n, ferr := f.fetchOne(mapIdx, attempt)
 		if ferr != nil {

@@ -14,23 +14,48 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
 
 // copyPhase runs one reduce task's production copy phase — streamShuffle's
 // subscriber and its pool of pipelined segmentFetchers — against a board on
-// which every map has already committed. With no merge factor set the result
-// holds one part per map, in map order.
+// which every map has already committed. The result holds one part per map,
+// in map order.
 func copyPhase(addr string, maps, reduce, copies int, bo faultinject.Backoff) (*shuffleResult, error) {
 	board := newCompletionBoard(maps)
 	for m := 0; m < maps; m++ {
 		board.Announce(m, 0)
 	}
-	cmp, err := writable.Comparator("BytesWritable")
+	tr := copyRunner("BytesWritable", maps, copies, func(tr *TaskRunner) { tr.backoff = bo })
+	return newStreamShuffle(tr, addr, reduce, board, &mergeTimings{}).run(nil)
+}
+
+// copyRunner is the slice of a job's task environment a copy phase reads:
+// one split per map, the key comparator, the copier count and default
+// fan-in, plus whatever mod sets (codec, backoff, memory budget).
+func copyRunner(keyType string, maps, copies int, mod func(*TaskRunner)) *TaskRunner {
+	cmp, err := writable.Comparator(keyType)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return newStreamShuffle(addr, maps, reduce, copies, false, nil, bo, board, cmp, shuffleTuning{}).run(nil)
+	tr := &TaskRunner{splits: make([]mapreduce.InputSplit, maps), cmp: cmp, copies: max(copies, 1), factor: 10}
+	if mod != nil {
+		mod(tr)
+	}
+	return tr
+}
+
+// bounded sets the merge fan-in and a reduce-side memory budget whose pool
+// spills as soon as anything is admitted.
+func bounded(factor int, budget int64) func(*TaskRunner) {
+	return func(tr *TaskRunner) { tr.factor, tr.memBudget = factor, budget }
+}
+
+// slowstart sets the job's reduce slow-start fraction in its conf.
+func slowstart(job *mapreduce.Job, frac float64) *mapreduce.Job {
+	job.Conf.SetFloat(mapreduce.ConfSlowstartMaps, frac)
+	return job
 }
 
 // TestMissingSegmentKeepsConnectionAlive pins the persistent-connection
@@ -108,7 +133,7 @@ func TestCopyPhasePipelined(t *testing.T) {
 			t.Errorf("map %d wire length = %d, want %d", m, wire[m], want[m].Len())
 		}
 	}
-	if st.failures != 0 || st.retries != 0 || st.slow != 0 {
+	if st.Failures != 0 || st.Retries != 0 || st.Slow != 0 {
 		t.Errorf("clean fetch recorded recovery events: %+v", st)
 	}
 }
@@ -258,11 +283,17 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 		for m := 0; m < maps; m++ {
 			board.Announce(m, 0)
 		}
-		res, err := newStreamShuffle(srv.ln.Addr().String(), maps, 0, 2, compressed, nil, bo, board, cmp, shuffleTuning{}).run(nil)
+		tr := copyRunner("BytesWritable", maps, 2, func(tr *TaskRunner) {
+			tr.backoff = bo
+			if compressed {
+				tr.codec = kvbuf.Deflate
+			}
+		})
+		res, err := newStreamShuffle(tr, srv.ln.Addr().String(), 0, board, &mergeTimings{}).run(nil)
 		if err != nil {
 			t.Fatalf("compressed=%v: copy phase: %v", compressed, err)
 		}
-		if res.st.failures != maps || res.st.retries != maps {
+		if res.st.Failures != maps || res.st.Retries != maps {
 			t.Errorf("compressed=%v: copy phase stats %+v, want %d failures and retries", compressed, res.st, maps)
 		}
 		for m, part := range res.parts {

@@ -29,7 +29,6 @@ import (
 
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
-	"mrmicro/internal/writable"
 )
 
 // spillTimings accumulates one map attempt's collect/spill pipeline work.
@@ -118,14 +117,11 @@ type mapRun struct {
 // ring between the collector and a single worker goroutine. All fields
 // except err/jobs are owned by the worker until drain returns.
 type spillPipeline struct {
-	job    *mapreduce.Job
-	cmp    writable.RawComparator
-	codec  kvbuf.Codec
-	factor int
-	ring   *kvbuf.BufferRing
-	jobs   chan *kvbuf.SortBuffer
-	done   chan struct{}
-	tm     *spillTimings
+	tr   *TaskRunner
+	ring *kvbuf.BufferRing
+	jobs chan *kvbuf.SortBuffer
+	done chan struct{}
+	tm   *spillTimings
 
 	wctrs *mapreduce.Counters // worker-private combine counters, merged at drain
 	runs  []mapRun
@@ -134,24 +130,19 @@ type spillPipeline struct {
 	err error
 }
 
-// newSpillPipeline starts the background spiller. inflight bounds sealed
-// buffers awaiting the worker (>=1); the ring holds inflight+1 buffers, so
-// inflight=1 is the classic double buffer.
-func newSpillPipeline(job *mapreduce.Job, cmp writable.RawComparator, codec kvbuf.Codec, factor, capacityBytes, partitions, inflight int, tm *spillTimings) *spillPipeline {
-	if inflight < 1 {
-		inflight = 1
-	}
+// newSpillPipeline starts one map attempt's background spiller. tr.inflight
+// (>=1) bounds sealed buffers awaiting the worker; the ring holds inflight+1
+// buffers, so inflight=1 is the classic double buffer.
+func newSpillPipeline(tr *TaskRunner, tm *spillTimings) *spillPipeline {
 	sp := &spillPipeline{
-		job:    job,
-		cmp:    cmp,
-		codec:  codec,
-		factor: factor,
-		ring:   kvbuf.NewBufferRing(capacityBytes, partitions, inflight+1, cmp),
-		jobs:   make(chan *kvbuf.SortBuffer, inflight+1),
-		done:   make(chan struct{}),
-		tm:     tm,
-		wctrs:  mapreduce.NewCounters(),
+		tr:    tr,
+		ring:  kvbuf.NewBufferRing(tr.sortBytes, tr.numReduces, tr.inflight+1, tr.cmp),
+		jobs:  make(chan *kvbuf.SortBuffer, tr.inflight+1),
+		done:  make(chan struct{}),
+		tm:    tm,
+		wctrs: mapreduce.NewCounters(),
 	}
+	sp.ring.SetPrefixFunc(tr.prefix)
 	go sp.worker()
 	return sp
 }
@@ -185,7 +176,7 @@ func (sp *spillPipeline) worker() {
 		t0 := time.Now()
 		segs, _ := buf.Spill()
 		sp.ring.Put(buf)
-		err := sealSegments(sp.job, segs, sp.codec, sp.wctrs)
+		err := sp.tr.sealSegments(segs, sp.wctrs)
 		sp.tm.addSpillWork(time.Since(t0))
 		sp.tm.asyncSpills.Add(1)
 		if err != nil {
@@ -210,12 +201,12 @@ func (sp *spillPipeline) maybePremerge() error {
 	for i := len(sp.runs) - 1; i >= 0 && !sp.runs[i].merged; i-- {
 		n++
 	}
-	if n < sp.factor || sp.factor < 2 {
+	if n < sp.tr.factor {
 		return nil
 	}
 	t0 := time.Now()
 	tail := sp.runs[len(sp.runs)-n:]
-	block, err := premergeRuns(sp.cmp, tail, sp.codec, sp.factor)
+	block, err := sp.tr.premergeRuns(tail)
 	if err != nil {
 		return err
 	}
@@ -230,7 +221,8 @@ func (sp *spillPipeline) maybePremerge() error {
 // with positional tie-breaks, and keep the result uncompressed. No combine:
 // the final pass runs the combiner once over the fully merged output,
 // exactly like the synchronous multi-spill path.
-func premergeRuns(cmp writable.RawComparator, runs []mapRun, codec kvbuf.Codec, factor int) (mapRun, error) {
+func (tr *TaskRunner) premergeRuns(runs []mapRun) (mapRun, error) {
+	codec := tr.codec
 	partitions := len(runs[0].segs)
 	out := make([]*kvbuf.Segment, partitions)
 	parts := make([]*kvbuf.Segment, len(runs))
@@ -247,7 +239,7 @@ func premergeRuns(cmp writable.RawComparator, runs []mapRun, codec kvbuf.Codec, 
 			}
 			parts[i] = d
 		}
-		merged, _, err := kvbuf.MergeAll(cmp, parts, factor, 0)
+		merged, _, err := kvbuf.MergeAll(tr.cmp, parts, tr.factor, 0)
 		if codec != nil {
 			recycleSegs(parts)
 		}
@@ -300,13 +292,13 @@ var errPipelineAborted = &mapreduce.JobError{Msg: "localrun: spill pipeline abor
 // sealSegments applies the per-spill seal path — combiner, then codec — to
 // one spill's partition segments in place, the same transformation (same
 // order, same counter increments) as the synchronous spill.
-func sealSegments(job *mapreduce.Job, segs []*kvbuf.Segment, codec kvbuf.Codec, ctrs *mapreduce.Counters) error {
-	if job.Combiner != nil {
+func (tr *TaskRunner) sealSegments(segs []*kvbuf.Segment, ctrs *mapreduce.Counters) error {
+	if tr.job.Combiner != nil {
 		for p, seg := range segs {
 			if seg.Records() == 0 {
 				continue
 			}
-			combined, err := combineSegment(job, seg, ctrs)
+			combined, err := tr.combineSegment(seg, ctrs)
 			if err != nil {
 				return err
 			}
@@ -314,12 +306,12 @@ func sealSegments(job *mapreduce.Job, segs []*kvbuf.Segment, codec kvbuf.Codec, 
 			segs[p] = combined
 		}
 	}
-	if codec != nil {
+	if tr.codec != nil {
 		// Compress at spill time, as Hadoop does: from here on the segment
 		// is stored, merged (via decompress), and shuffled as compressed
 		// bytes.
 		for p, seg := range segs {
-			z := kvbuf.CompressSegmentWith(seg, codec)
+			z := kvbuf.CompressSegmentWith(seg, tr.codec)
 			seg.Recycle()
 			segs[p] = z
 		}

@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -11,20 +12,99 @@ import (
 	"mrmicro/internal/kvbuf"
 )
 
-// diskStore is the disk-backed variant of the shuffle server's segment
-// store: the real-Hadoop shape where map outputs live in spill files under
-// mapred.local.dir and the shuffle servlet serves file ranges. Registered
-// segments are appended to one spill file and their in-memory buffers
-// recycled immediately, so a job's served bytes cost file-system cache, not
-// heap — and the serving path can hand the range straight to the socket
-// with sendfile instead of reading it back into user space first.
+// segmentStore holds the map outputs a shuffle server serves, keyed by (map,
+// partition). Two implementations, chosen by Options.DiskShuffle: memStore
+// retains the registered buffers, diskStore (store.go) moves them to a spill
+// file. Safe for concurrent use.
+type segmentStore interface {
+	// put publishes seg, the newest registration for a key winning. The
+	// store owns seg from here on.
+	put(mapIdx, partition int, seg *kvbuf.Segment) error
+	// send answers one request on conn with the ok header and the payload;
+	// found=false, nothing written, when the key is not registered.
+	send(conn net.Conn, mapIdx, partition int) (found bool, err error)
+	// dropMap withdraws every partition of mapIdx.
+	dropMap(mapIdx int)
+	// close releases what the store retains, once no connection is left.
+	close()
+}
+
+// segKey indexes a store by (map, partition).
+type segKey [2]int
+
+// okHeader is the response header of a found segment: status 0, then the
+// payload length.
+func okHeader(n int64) (hdr [9]byte) {
+	binary.BigEndian.PutUint64(hdr[1:], uint64(n))
+	return hdr
+}
+
+// memStore serves segments from their retained in-memory buffers.
+type memStore struct {
+	mu   sync.Mutex
+	segs map[segKey]*kvbuf.Segment
+}
+
+func (m *memStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
+	m.mu.Lock()
+	m.segs[segKey{mapIdx, partition}] = seg
+	m.mu.Unlock()
+	return nil
+}
+
+func (m *memStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
+	m.mu.Lock()
+	seg, ok := m.segs[segKey{mapIdx, partition}]
+	m.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	// One writev per response: header and payload leave in a single syscall
+	// straight from the retained segment buffer — no read-back copy — so the
+	// client's pipelined reads never stall on a 9-byte header packet.
+	hdr := okHeader(int64(seg.Len()))
+	bufs := net.Buffers{hdr[:], seg.Bytes()}
+	if _, err := bufs.WriteTo(conn); err != nil {
+		return true, err
+	}
+	serveWritevBytes.Add(int64(seg.Len()))
+	serveResponses.Add(1)
+	return true, nil
+}
+
+func (m *memStore) dropMap(mapIdx int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := range m.segs {
+		if k[0] == mapIdx {
+			delete(m.segs, k)
+		}
+	}
+}
+
+// close hands the retained buffers to the segment pool for the next job's
+// spills and fetches.
+func (m *memStore) close() {
+	for _, seg := range m.segs {
+		seg.Recycle()
+	}
+}
+
+// diskStore is the disk-backed segmentStore: the real-Hadoop shape where map
+// outputs live in spill files under mapred.local.dir and the shuffle servlet
+// serves file ranges. Registered segments are appended to one spill file and
+// their in-memory buffers recycled immediately, so a job's served bytes cost
+// file-system cache, not heap — and the serving path can hand the range
+// straight to the socket with sendfile instead of reading it back into user
+// space first.
 type diskStore struct {
 	path string
 
-	mu   sync.Mutex
-	w    *os.File
-	off  int64
-	segs map[[2]int]diskSeg
+	mu      sync.Mutex
+	w       *os.File
+	off     int64
+	segs    map[segKey]diskSeg
+	readers []*os.File // idle read handles, one in use per concurrent send
 }
 
 // diskSeg is one registered segment's location in the spill file. Regions
@@ -41,44 +121,86 @@ func newDiskStore() (*diskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("localrun: shuffle spill file: %w", err)
 	}
-	return &diskStore{path: f.Name(), w: f, segs: make(map[[2]int]diskSeg)}, nil
+	return &diskStore{path: f.Name(), w: f, segs: make(map[segKey]diskSeg)}, nil
 }
 
-// add appends seg's bytes to the spill file and records the region under
-// (mapIdx, partition), newest registration winning. It consumes the
-// segment: the in-memory buffer is recycled once the bytes are on disk.
-func (d *diskStore) add(mapIdx, partition int, seg *kvbuf.Segment) error {
+// put appends seg's bytes to the spill file and records the region, then
+// recycles the in-memory buffer: the bytes are on disk.
+func (d *diskStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n, err := d.w.Write(seg.Bytes())
 	if err != nil {
 		return fmt.Errorf("localrun: shuffle spill write: %w", err)
 	}
-	d.segs[[2]int{mapIdx, partition}] = diskSeg{off: d.off, n: int64(n)}
+	d.segs[segKey{mapIdx, partition}] = diskSeg{off: d.off, n: int64(n)}
 	d.off += int64(n)
 	seg.Recycle()
 	return nil
 }
 
-func (d *diskStore) lookup(mapIdx, partition int) (diskSeg, bool) {
+// send serves one region: a 9-byte header write, then the payload handed to
+// the socket as a *io.LimitedReader over an *os.File — the shape
+// (*net.TCPConn).ReadFrom turns into sendfile on platforms that have it, with
+// io.Copy's buffer loop as the portable fallback. Each send in flight holds a
+// read handle of its own, so concurrent sendfiles never race on a shared file
+// offset.
+func (d *diskStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.segs[[2]int{mapIdx, partition}]
-	return s, ok
+	ds, ok := d.segs[segKey{mapIdx, partition}]
+	var rf *os.File
+	if n := len(d.readers); ok && n > 0 {
+		rf, d.readers = d.readers[n-1], d.readers[:n-1]
+	}
+	d.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	if rf == nil {
+		var err error
+		if rf, err = os.Open(d.path); err != nil {
+			return true, err
+		}
+	}
+	defer func() {
+		d.mu.Lock()
+		d.readers = append(d.readers, rf)
+		d.mu.Unlock()
+	}()
+	hdr := okHeader(ds.n)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		return true, err
+	}
+	if _, err := rf.Seek(ds.off, io.SeekStart); err != nil {
+		return true, err
+	}
+	lr := &io.LimitedReader{R: rf, N: ds.n}
+	n, err := io.Copy(conn, lr)
+	serveSendfileBytes.Add(n)
+	serveResponses.Add(1)
+	if err != nil {
+		return true, err
+	}
+	if lr.N != 0 {
+		return true, fmt.Errorf("localrun: shuffle spill short read: %d bytes missing", lr.N)
+	}
+	return true, nil
 }
 
-func (d *diskStore) remove(mapIdx, partition int) {
+func (d *diskStore) dropMap(mapIdx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.segs, [2]int{mapIdx, partition})
+	for k := range d.segs {
+		if k[0] == mapIdx {
+			delete(d.segs, k)
+		}
+	}
 }
-
-// open returns a fresh read handle on the spill file. Each serving
-// connection holds its own handle so concurrent sendfiles never race on a
-// shared file offset.
-func (d *diskStore) open() (*os.File, error) { return os.Open(d.path) }
 
 func (d *diskStore) close() {
+	for _, rf := range d.readers {
+		rf.Close()
+	}
 	d.w.Close()
 	os.Remove(d.path)
 }
@@ -120,28 +242,4 @@ func ResetShuffleServeStats() {
 	serveSendfileBytes.Store(0)
 	serveWritevBytes.Store(0)
 	serveResponses.Store(0)
-}
-
-// sendSegmentFile serves one disk-store region: a 9-byte header write, then
-// the payload handed to the socket as a *io.LimitedReader over an *os.File —
-// the shape (*net.TCPConn).ReadFrom turns into sendfile on platforms that
-// have it, with io.Copy's buffer loop as the portable fallback.
-func sendSegmentFile(conn net.Conn, rf *os.File, ds diskSeg, hdr []byte) error {
-	if _, err := conn.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := rf.Seek(ds.off, io.SeekStart); err != nil {
-		return err
-	}
-	lr := &io.LimitedReader{R: rf, N: ds.n}
-	n, err := io.Copy(conn, lr)
-	serveSendfileBytes.Add(n)
-	serveResponses.Add(1)
-	if err != nil {
-		return err
-	}
-	if lr.N != 0 {
-		return fmt.Errorf("localrun: shuffle spill short read: %d bytes missing", lr.N)
-	}
-	return nil
 }

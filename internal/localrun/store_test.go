@@ -1,9 +1,11 @@
 package localrun
 
 import (
+	"errors"
 	"testing"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 )
 
@@ -86,6 +88,76 @@ func TestDiskShuffleCompressedEndToEnd(t *testing.T) {
 	wire := res.Counters.Task(mapreduce.CtrReduceShuffleBytes)
 	if stats.SendfileBytes != wire {
 		t.Errorf("sendfile bytes %d != REDUCE_SHUFFLE_BYTES %d", stats.SendfileBytes, wire)
+	}
+}
+
+// TestStoreContract holds the memory and the disk store to the one contract
+// the shuffle server is written against: register, re-register newest-wins,
+// a miss answers status 1 without killing a pipelined connection, Unregister
+// drops every partition of a map, and register-after-close errors.
+func TestStoreContract(t *testing.T) {
+	seg := func(val string) *kvbuf.Segment {
+		w := kvbuf.NewWriter(64)
+		w.Append([]byte("key"), []byte(val))
+		return w.Close()
+	}
+	for name, disk := range map[string]bool{"memory": false, "disk": true} {
+		t.Run(name, func(t *testing.T) {
+			srv, err := newShuffleServer(disk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for _, reg := range []struct {
+				m, p int
+				val  string
+			}{{0, 0, "m0p0"}, {0, 1, "m0p1"}, {1, 0, "stale"}, {1, 0, "m1p0"}} {
+				if err := srv.Register(reg.m, reg.p, seg(reg.val)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			c, err := dialShuffle(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// want "" is a miss. Everything rides one connection, misses
+			// pipelined ahead of hits.
+			fetch := func(m, p int, want string) {
+				t.Helper()
+				if err := c.request(m, p); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := c.response(false)
+				switch {
+				case want == "" && !errors.Is(err, errSegmentMissing):
+					t.Errorf("map %d partition %d: err %v, want a status-1 miss", m, p, err)
+				case want != "" && err != nil:
+					t.Errorf("map %d partition %d: %v", m, p, err)
+				case want != "":
+					if _, v, _, _ := got.NewReader().Next(); string(v) != want {
+						t.Errorf("map %d partition %d served %q, want %q", m, p, v, want)
+					}
+				}
+			}
+			fetch(7, 7, "")
+			fetch(0, 0, "m0p0")
+			fetch(0, 1, "m0p1")
+			fetch(1, 0, "m1p0") // newest registration wins
+			fetch(1, 1, "")
+
+			srv.Unregister(0)
+			fetch(0, 0, "")
+			fetch(0, 1, "")
+			fetch(1, 0, "m1p0") // another map's output is untouched
+
+			c.Close()
+			srv.Close()
+			if err := srv.Register(2, 0, seg("late")); !errors.Is(err, ErrServerClosed) {
+				t.Errorf("register after close = %v, want ErrServerClosed", err)
+			}
+		})
 	}
 }
 

@@ -106,8 +106,9 @@ func (c *Conf) Get(key, def string) string {
 	return def
 }
 
-// GetInt returns an integer value or def when unset; malformed values panic
-// (a configuration bug, not a runtime condition).
+// GetInt returns an integer value or def when unset. A malformed value
+// panics in the typed accessors; code reading values that came from outside
+// the program reads them inside Resolve, which returns the error instead.
 func (c *Conf) GetInt(key string, def int) int {
 	v, ok := c.m[key]
 	if !ok {
@@ -115,7 +116,7 @@ func (c *Conf) GetInt(key string, def int) int {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		panic(fmt.Sprintf("mapreduce: conf key %q = %q is not an int", key, v))
+		panic(&malformedValue{key, v, "an int"})
 	}
 	return n
 }
@@ -128,7 +129,7 @@ func (c *Conf) GetFloat(key string, def float64) float64 {
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		panic(fmt.Sprintf("mapreduce: conf key %q = %q is not a float", key, v))
+		panic(&malformedValue{key, v, "a float"})
 	}
 	return f
 }
@@ -141,9 +142,32 @@ func (c *Conf) GetBool(key string, def bool) bool {
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		panic(fmt.Sprintf("mapreduce: conf key %q = %q is not a bool", key, v))
+		panic(&malformedValue{key, v, "a bool"})
 	}
 	return b
+}
+
+// malformedValue is what a typed accessor panics with.
+type malformedValue struct{ key, value, want string }
+
+func (e *malformedValue) Error() string {
+	return fmt.Sprintf("mapreduce: conf key %q = %q is not %s", e.key, e.value, e.want)
+}
+
+// Resolve runs read, which may call any typed accessor, and returns a
+// malformed value as a *JobError naming key and value where the accessor
+// alone would panic.
+func (c *Conf) Resolve(read func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			bad, ok := r.(*malformedValue)
+			if !ok {
+				panic(r)
+			}
+			err = &JobError{Msg: bad.Error()}
+		}
+	}()
+	return read()
 }
 
 // Keys returns the set keys in sorted order (for reproducible report echo).

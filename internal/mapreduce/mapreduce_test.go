@@ -62,6 +62,31 @@ func TestConfMalformedPanics(t *testing.T) {
 	NewConf().Set(ConfNumMaps, "not-a-number").NumMaps()
 }
 
+// TestConfResolve: inside Resolve a malformed value is a *JobError naming key
+// and value, read's own error passes through, and a panic that is not a
+// malformed value is not swallowed.
+func TestConfResolve(t *testing.T) {
+	c := NewConf().Set(ConfNumMaps, "3").Set(ConfSlowstartMaps, "soon")
+	var maps int
+	if err := c.Resolve(func() error { maps = c.NumMaps(); return nil }); err != nil || maps != 3 {
+		t.Errorf("well-formed read: maps %d, err %v", maps, err)
+	}
+	err := c.Resolve(func() error { c.SlowstartMaps(); return nil })
+	je, ok := err.(*JobError)
+	if !ok || !strings.Contains(je.Msg, ConfSlowstartMaps) || !strings.Contains(je.Msg, `"soon"`) {
+		t.Errorf("malformed float: %v, want a JobError naming key and value", err)
+	}
+	if err := c.Resolve(func() error { return errf("mine") }); err == nil || err.Error() != "mine" {
+		t.Errorf("read's own error came back as %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Resolve swallowed a foreign panic")
+		}
+	}()
+	_ = c.Resolve(func() error { panic("a bug") })
+}
+
 func TestConfKeysSorted(t *testing.T) {
 	c := NewConf().Set("b", "2").Set("a", "1").Set("c", "3")
 	keys := c.Keys()

@@ -91,24 +91,6 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 	return job, nil
 }
 
-// MapTaskCount returns the number of map tasks cfg actually runs:
-// cfg.NumMaps for synthetic benchmarks and hsgen, the corpus's split count
-// for file-backed workloads. Split geometry is a pure function of the
-// materialized corpus and the split size, so every process that builds the
-// job — a coordinator sizing its task table, a worker indexing its splits —
-// computes the same count.
-func MapTaskCount(cfg Config) (int, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return 0, err
-	}
-	if cfg.Workload == "" || !apps.FileBacked(cfg.Workload) {
-		return cfg.NumMaps, nil
-	}
-	_, numMaps, err := workloadInput(cfg, cfg.HadoopConf())
-	return numMaps, err
-}
-
 // workloadInput resolves cfg's input format and real map count. File-backed
 // workloads materialize their corpus here — the one place job building
 // touches the filesystem.

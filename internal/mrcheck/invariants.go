@@ -628,11 +628,7 @@ func runLocalWith(cfg microbench.Config, withFaults bool, mutate func(*mapreduce
 	if mutate != nil {
 		mutate(job)
 	}
-	lopts := &localrun.Options{
-		ParallelCopies: cfg.ParallelCopies,
-		Slowstart:      cfg.Slowstart,
-		FetchBackoff:   fastBackoff,
-	}
+	lopts := &localrun.Options{FetchBackoff: fastBackoff}
 	if withFaults {
 		lopts.Faults = cfg.Faults
 	}

@@ -233,11 +233,7 @@ func runWorkloadLocal(cfg microbench.Config, withFaults bool, mutate func(*mapre
 	if mutate != nil {
 		mutate(job)
 	}
-	lopts := &localrun.Options{
-		ParallelCopies: cfg.ParallelCopies,
-		Slowstart:      cfg.Slowstart,
-		FetchBackoff:   fastBackoff,
-	}
+	lopts := &localrun.Options{FetchBackoff: fastBackoff}
 	if withFaults {
 		lopts.Faults = cfg.Faults
 	}
