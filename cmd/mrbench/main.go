@@ -61,7 +61,7 @@ func main() {
 		}
 	}()
 
-	cfg, err := shared.Config()
+	cfg, err := shared()
 	if err != nil {
 		fatal(err)
 	}
@@ -74,6 +74,11 @@ func main() {
 	}
 	if cfg.PairsPerMap <= 0 && cfg.Workload == "" {
 		fatal(fmt.Errorf("specify -size or -pairs"))
+	}
+	// Normalize once: every engine below, and the report, then reads the one
+	// effective configuration (-conf overrides of knob keys already folded).
+	if cfg, err = cfg.Normalize(); err != nil {
+		fatal(err)
 	}
 
 	if cfg.Engine == microbench.EngineDist {

@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := shared.Config()
+	cfg, err := shared()
 	if err != nil {
 		fatal(err)
 	}

@@ -3,202 +3,76 @@ package microbench
 import (
 	"flag"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"mrmicro/internal/cliutil"
 	"mrmicro/internal/faultinject"
-	"mrmicro/internal/netsim"
 )
 
-// Flags binds the benchmark configuration to a flag.FlagSet, so every tool
-// that runs micro-benchmarks (mrbench, mrcheck) parses the exact same flag
-// vocabulary. Config.ReproFlags emits this vocabulary, which is what makes
-// a printed failure reproducible by pasting one line back into a CLI.
-type Flags struct {
-	pattern  string
-	network  string
-	cluster  string
-	engine   string
-	slaves   int
-	maps     int
-	reduces  int
-	kv       int
-	keySize  int
-	valSize  int
-	dataType string
-	size     string
-	pairs    int64
-	seed     int64
-	rdma     bool
-	copies   int
-	shufMem  string
-	factor   int
-	sortMB   int
-	spillPct float64
-	syncSp   bool
-	slow     float64
-	codec    string
-	combine  bool
-	conf     cliutil.KVFlag
-	workload string
-	input    string
-	outdir   string
-	splitSz  string
-	grep     string
+// BindFlags registers the shared benchmark flags on fs — one per row of
+// Knobs plus the three that are not knobs: -kv and -size are shorthands
+// resolved against other flags, -conf collects raw overrides. Every tool
+// that runs micro-benchmarks (mrbench, mrcoord, mrcheck) so parses the exact
+// same vocabulary, and Config.ReproFlags emits it, which is what makes a
+// printed failure reproducible by pasting one line back into a CLI. Call the
+// returned function after fs.Parse for the configuration the flags spell.
+func BindFlags(fs *flag.FlagSet) func() (Config, error) {
+	for _, k := range Knobs {
+		k.bind(fs)
+	}
+	kv := fs.Int("kv", 1024, "key and value payload size in bytes")
+	size := fs.String("size", "", "total shuffle data size (e.g. 16GB); overrides -pairs")
+	var conf cliutil.KVFlag
+	fs.Var(&conf, "conf", "raw Hadoop conf override key=value (repeatable, e.g. -conf mapreduce.task.io.sort.mb=1)")
 
-	faultSeed         int64
-	faultMap          float64
-	faultReduce       float64
-	faultDrop         float64
-	faultTrunc        float64
-	faultSlow         float64
-	faultSlowness     time.Duration
-	faultSpill        float64
-	faultRetries      int
-	faultFetches      int
-	faultWorkerKill   float64
-	faultPartition    float64
-	faultPartitionDur time.Duration
-}
-
-// BindFlags registers the shared benchmark flags on fs and returns the
-// bound set. Call Config after fs.Parse.
-func BindFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.StringVar(&f.pattern, "pattern", "MR-AVG", "micro-benchmark: MR-AVG, MR-RAND or MR-SKEW")
-	fs.StringVar(&f.network, "network", netsim.OneGigE.Name, "interconnect profile (see mrcluster -profiles)")
-	fs.StringVar(&f.cluster, "cluster", "A", "testbed: A (OSU Westmere) or B (TACC Stampede)")
-	fs.StringVar(&f.engine, "engine", "mrv1", "runtime: mrv1 or yarn (simulated), dist (real multi-process)")
-	fs.IntVar(&f.slaves, "slaves", 4, "slave node count")
-	fs.IntVar(&f.maps, "maps", 0, "map tasks (default 4 per slave)")
-	fs.IntVar(&f.reduces, "reduces", 0, "reduce tasks (default 2 per slave)")
-	fs.IntVar(&f.kv, "kv", 1024, "key and value payload size in bytes")
-	fs.IntVar(&f.keySize, "keysize", 0, "key size override (bytes)")
-	fs.IntVar(&f.valSize, "valuesize", 0, "value size override (bytes)")
-	fs.StringVar(&f.dataType, "datatype", "BytesWritable", "intermediate data type: BytesWritable or Text")
-	fs.StringVar(&f.size, "size", "", "total shuffle data size (e.g. 16GB); overrides -pairs")
-	fs.Int64Var(&f.pairs, "pairs", 0, "key/value pairs per map task")
-	fs.Int64Var(&f.seed, "seed", 1, "seed for MR-RAND / MR-SKEW randomness")
-	fs.BoolVar(&f.rdma, "rdma", false, "use the RDMA-enhanced shuffle (MRoIB case study)")
-	fs.IntVar(&f.copies, "parallelcopies", 0, "concurrent shuffle fetch connections per reduce task (default 5, Hadoop's mapreduce.reduce.shuffle.parallelcopies)")
-	fs.StringVar(&f.shufMem, "shufflemem", "", "reduce-side in-memory shuffle budget, e.g. 64MB (Hadoop's mapreduce.reduce.shuffle.input.buffer in byte form; default unbounded in the real executor, heap-percent in the sims)")
-	fs.IntVar(&f.factor, "mergefactor", 0, "merge fan-in on both sides (default 10, Hadoop's mapreduce.task.io.sort.factor)")
-	fs.IntVar(&f.sortMB, "iosortmb", 0, "map-side sort buffer size in MiB (default 100, Hadoop's mapreduce.task.io.sort.mb)")
-	fs.Float64Var(&f.spillPct, "spillpercent", 0, "sort-buffer fill fraction that triggers a spill (default 0.80, Hadoop's mapreduce.map.sort.spill.percent)")
-	fs.BoolVar(&f.syncSp, "syncspill", false, "disable the background SpillThread: seal every spill inline on the mapper (mapreduce.map.spill.overlap=false)")
-	fs.Float64Var(&f.slow, "slowstart", 0, "completed-map fraction before reducers launch, for both the sim and the real executor (default 0.05, Hadoop's mapreduce.job.reduce.slowstart.completedmaps; 1.0 = strict barrier)")
-	fs.StringVar(&f.codec, "codec", "", "map-output compression codec: none (default) or deflate (Hadoop's mapreduce.map.output.compress.codec)")
-	fs.BoolVar(&f.combine, "combine", false, "run the first-value combiner at spill and merge (map-side aggregation)")
-	fs.Var(&f.conf, "conf", "raw Hadoop conf override key=value (repeatable, e.g. -conf mapreduce.task.io.sort.mb=1)")
-	fs.StringVar(&f.workload, "workload", "", "real-input workload: wordcount, grep, invindex, hsgen, hssort or hsvalidate (default: the synthetic generator benchmark)")
-	fs.StringVar(&f.input, "input", "", "workload input spec: dir:<path>, or a generated corpus like text:seed=1,files=2,bytes=4096,shape=mixed")
-	fs.StringVar(&f.outdir, "outdir", "", "commit reduce output as text part files in this directory (default: discard)")
-	fs.StringVar(&f.splitSz, "splitsize", "", "input split granularity, e.g. 64KB (default 1MB)")
-	fs.StringVar(&f.grep, "grep", "", "grep workload regexp (default \"data\")")
-
-	fs.Int64Var(&f.faultSeed, "fault-seed", 0, "seed for injected faults (default: -seed)")
-	fs.Float64Var(&f.faultMap, "fault-map-rate", 0, "probability a map attempt dies mid-shuffle-registration")
-	fs.Float64Var(&f.faultReduce, "fault-reduce-rate", 0, "probability a reduce attempt dies after its shuffle")
-	fs.Float64Var(&f.faultDrop, "fault-shuffle-drop", 0, "probability a shuffle fetch drops its connection")
-	fs.Float64Var(&f.faultTrunc, "fault-shuffle-truncate", 0, "probability a shuffle fetch delivers a truncated payload")
-	fs.Float64Var(&f.faultSlow, "fault-shuffle-slow", 0, "probability a shuffle fetch is served by a slow peer")
-	fs.DurationVar(&f.faultSlowness, "fault-shuffle-slowness", 0, "delay of an injected slow fetch (default 2ms)")
-	fs.Float64Var(&f.faultSpill, "fault-spill", 0, "probability a map-side spill hits a transient I/O error")
-	fs.IntVar(&f.faultRetries, "fault-max-attempts", 0, "task attempt bound under faults (default 4, Hadoop's mapreduce.map.maxattempts)")
-	fs.IntVar(&f.faultFetches, "fault-max-fetch-attempts", 0, "shuffle-fetch attempt bound per segment (default 4)")
-	fs.Float64Var(&f.faultWorkerKill, "fault-worker-kill", 0, "probability a worker process dies at a checkpoint (dist engine only)")
-	fs.Float64Var(&f.faultPartition, "fault-partition", 0, "probability a worker is partitioned from the coordinator at a checkpoint (dist engine only)")
-	fs.DurationVar(&f.faultPartitionDur, "fault-partition-duration", 0, "length of an injected partition (default 400ms)")
-	return f
-}
-
-// Config materializes the parsed flags into a benchmark configuration.
-func (f *Flags) Config() (Config, error) {
-	cfg := Config{
-		Pattern:        Pattern(f.pattern),
-		Network:        f.network,
-		Cluster:        ClusterID(f.cluster),
-		Engine:         Engine(f.engine),
-		Slaves:         f.slaves,
-		NumMaps:        f.maps,
-		NumReduces:     f.reduces,
-		KeySize:        pickInt(f.keySize, f.kv),
-		ValueSize:      pickInt(f.valSize, f.kv),
-		DataType:       f.dataType,
-		PairsPerMap:    f.pairs,
-		Seed:           f.seed,
-		RDMAShuffle:    f.rdma,
-		ParallelCopies: f.copies,
-		MergeFactor:    f.factor,
-		IOSortMB:       f.sortMB,
-		SpillPercent:   f.spillPct,
-		SyncSpill:      f.syncSp,
-		Slowstart:      f.slow,
-		Codec:          f.codec,
-		Combine:        f.combine,
-		ExtraConf:      f.conf.Map(),
-		Workload:       f.workload,
-		InputSpec:      f.input,
-		OutputDir:      f.outdir,
-		GrepPattern:    f.grep,
-	}
-	if f.splitSz != "" {
-		n, err := cliutil.ParseSize(f.splitSz)
-		if err != nil {
-			return cfg, fmt.Errorf("-splitsize: %w", err)
+	return func() (Config, error) {
+		// Each knob's flag value, set or default, goes through its row's
+		// parser — the same one a -conf override of the knob's key meets.
+		cfg := Config{ExtraConf: conf.Map(), Faults: &faultinject.Plan{}}
+		for _, k := range Knobs {
+			if err := k.set(&cfg, fs.Lookup(k.Name).Value.String()); err != nil {
+				return cfg, fmt.Errorf("-%s: %w", k.Name, err)
+			}
 		}
-		cfg.SplitSize = n
-	}
-	if f.shufMem != "" {
-		n, err := cliutil.ParseSize(f.shufMem)
-		if err != nil {
-			return cfg, fmt.Errorf("-shufflemem: %w", err)
+		if cfg.KeySize <= 0 {
+			cfg.KeySize = *kv
 		}
-		cfg.ShuffleMemBudget = n
-	}
-	if f.faultMap > 0 || f.faultReduce > 0 || f.faultDrop > 0 || f.faultTrunc > 0 ||
-		f.faultSlow > 0 || f.faultSpill > 0 || f.faultWorkerKill > 0 || f.faultPartition > 0 {
-		cfg.Faults = &faultinject.Plan{
-			Seed:                pickInt64(f.faultSeed, f.seed),
-			MapFailureRate:      f.faultMap,
-			ReduceFailureRate:   f.faultReduce,
-			ShuffleDropRate:     f.faultDrop,
-			ShuffleTruncateRate: f.faultTrunc,
-			ShuffleSlowRate:     f.faultSlow,
-			ShuffleSlowness:     f.faultSlowness,
-			SpillErrorRate:      f.faultSpill,
-			MaxTaskAttempts:     f.faultRetries,
-			MaxFetchAttempts:    f.faultFetches,
-			WorkerKillRate:      f.faultWorkerKill,
-			PartitionRate:       f.faultPartition,
-			PartitionDuration:   f.faultPartitionDur,
+		if cfg.ValueSize <= 0 {
+			cfg.ValueSize = *kv
 		}
-	}
-	if f.size != "" {
-		n, err := cliutil.ParseSize(f.size)
-		if err != nil {
-			return cfg, fmt.Errorf("-size: %w", err)
+		// The plan exists only when some rate asks for faults; its seed falls
+		// back to the benchmark seed.
+		if !cfg.Faults.Enabled() {
+			cfg.Faults = nil
+		} else if cfg.Faults.Seed == 0 {
+			cfg.Faults.Seed = cfg.Seed
 		}
-		cfg = cfg.WithShuffleSize(n)
+		if *size != "" {
+			n, err := cliutil.ParseSize(*size)
+			if err != nil {
+				return cfg, fmt.Errorf("-size: %w", err)
+			}
+			cfg = cfg.WithShuffleSize(n)
+		}
+		return cfg, nil
 	}
-	return cfg, nil
 }
 
 // ParseRepro parses a flag-form argument vector (the output of ReproFlags)
 // back into the configuration it encodes.
 func ParseRepro(args []string) (Config, error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
-	f := BindFlags(fs)
+	config := BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
 	}
 	if fs.NArg() > 0 {
 		return Config{}, fmt.Errorf("unexpected non-flag arguments %q", fs.Args())
 	}
-	return f.Config()
+	return config()
 }
 
 // ReproFlags encodes the configuration as the argument vector BindFlags
@@ -209,103 +83,21 @@ func ParseRepro(args []string) (Config, error) {
 // (Plan.WorkerKills/Partitions), a custom cost Model, and MonitorInterval
 // are all omitted.
 func (c Config) ReproFlags() []string {
-	if n, err := c.withDefaults(); err == nil {
+	if n, err := c.Normalize(); err == nil {
 		c = n
 	}
-	args := []string{
-		"-pattern", string(c.Pattern),
-		"-datatype", c.DataType,
-		"-keysize", strconv.Itoa(c.KeySize),
-		"-valuesize", strconv.Itoa(c.ValueSize),
-		"-pairs", strconv.FormatInt(c.PairsPerMap, 10),
-		"-maps", strconv.Itoa(c.NumMaps),
-		"-reduces", strconv.Itoa(c.NumReduces),
-		"-slaves", strconv.Itoa(c.Slaves),
-		"-engine", string(c.Engine),
-		"-cluster", string(c.Cluster),
-		"-network", c.Network,
-		"-seed", strconv.FormatInt(c.Seed, 10),
-		"-slowstart", formatFloat(c.Slowstart),
-		"-parallelcopies", strconv.Itoa(c.ParallelCopies),
-	}
-	if c.ShuffleMemBudget > 0 {
-		args = append(args, "-shufflemem", strconv.FormatInt(c.ShuffleMemBudget, 10))
-	}
-	if c.MergeFactor > 0 {
-		args = append(args, "-mergefactor", strconv.Itoa(c.MergeFactor))
-	}
-	if c.IOSortMB > 0 {
-		args = append(args, "-iosortmb", strconv.Itoa(c.IOSortMB))
-	}
-	if c.SpillPercent > 0 {
-		args = append(args, "-spillpercent", formatFloat(c.SpillPercent))
-	}
-	if c.SyncSpill {
-		args = append(args, "-syncspill")
-	}
-	if c.Codec != "" && c.Codec != "none" {
-		args = append(args, "-codec", c.Codec)
-	}
-	if c.Combine {
-		args = append(args, "-combine")
-	}
-	if c.Workload != "" {
-		args = append(args, "-workload", c.Workload)
-		if c.InputSpec != "" {
-			args = append(args, "-input", c.InputSpec)
-		}
-		if c.OutputDir != "" {
-			args = append(args, "-outdir", c.OutputDir)
-		}
-		if c.SplitSize > 0 {
-			args = append(args, "-splitsize", strconv.FormatInt(c.SplitSize, 10))
-		}
-		if c.GrepPattern != "" {
-			args = append(args, "-grep", c.GrepPattern)
+	var args []string
+	for _, k := range Knobs {
+		switch {
+		case !k.spelled(&c):
+		case k.boolean:
+			args = append(args, "-"+k.Name)
+		default:
+			args = append(args, "-"+k.Name, k.Get(&c))
 		}
 	}
-	if c.RDMAShuffle {
-		args = append(args, "-rdma")
-	}
-	keys := make([]string, 0, len(c.ExtraConf))
-	for k := range c.ExtraConf {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		args = append(args, "-conf", k+"="+c.ExtraConf[k])
-	}
-	if p := c.Faults; p != nil {
-		args = append(args, "-fault-seed", strconv.FormatInt(p.Seed, 10))
-		for _, rf := range []struct {
-			flag string
-			rate float64
-		}{
-			{"-fault-map-rate", p.MapFailureRate},
-			{"-fault-reduce-rate", p.ReduceFailureRate},
-			{"-fault-shuffle-drop", p.ShuffleDropRate},
-			{"-fault-shuffle-truncate", p.ShuffleTruncateRate},
-			{"-fault-shuffle-slow", p.ShuffleSlowRate},
-			{"-fault-spill", p.SpillErrorRate},
-			{"-fault-worker-kill", p.WorkerKillRate},
-			{"-fault-partition", p.PartitionRate},
-		} {
-			if rf.rate > 0 {
-				args = append(args, rf.flag, formatFloat(rf.rate))
-			}
-		}
-		if p.ShuffleSlowness > 0 {
-			args = append(args, "-fault-shuffle-slowness", p.ShuffleSlowness.String())
-		}
-		if p.PartitionDuration > 0 {
-			args = append(args, "-fault-partition-duration", p.PartitionDuration.String())
-		}
-		if p.MaxTaskAttempts > 0 {
-			args = append(args, "-fault-max-attempts", strconv.Itoa(p.MaxTaskAttempts))
-		}
-		if p.MaxFetchAttempts > 0 {
-			args = append(args, "-fault-max-fetch-attempts", strconv.Itoa(p.MaxFetchAttempts))
-		}
+	for _, key := range slices.Sorted(maps.Keys(c.ExtraConf)) {
+		args = append(args, "-conf", key+"="+c.ExtraConf[key])
 	}
 	return args
 }
@@ -341,18 +133,4 @@ func shellQuote(s string) string {
 		return s
 	}
 	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
-}
-
-func pickInt(override, def int) int {
-	if override > 0 {
-		return override
-	}
-	return def
-}
-
-func pickInt64(override, def int64) int64 {
-	if override != 0 {
-		return override
-	}
-	return def
 }

@@ -11,7 +11,7 @@ import (
 // test suite to validate that the partitioners and generator behave
 // identically on both paths, and by users who want to trace actual records.
 func BuildJob(cfg Config) (*mapreduce.Job, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -233,7 +233,7 @@ func TestBuildSpecSampledLargeStream(t *testing.T) {
 }
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
-	c, err := Config{PairsPerMap: 10}.withDefaults()
+	c, err := Config{PairsPerMap: 10}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +243,16 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if c.NumMaps != 16 || c.NumReduces != 8 { // 4 slaves default
 		t.Errorf("task defaults = %d/%d", c.NumMaps, c.NumReduces)
 	}
-	if _, err := (Config{}).withDefaults(); err == nil {
+	if _, err := (Config{}).Normalize(); err == nil {
 		t.Error("zero pairs accepted")
 	}
-	if _, err := (Config{PairsPerMap: 1, Network: "token-ring"}).withDefaults(); err == nil {
+	if _, err := (Config{PairsPerMap: 1, Network: "token-ring"}).Normalize(); err == nil {
 		t.Error("bad network accepted")
 	}
-	if _, err := (Config{PairsPerMap: 1, Engine: "mrv3"}).withDefaults(); err == nil {
+	if _, err := (Config{PairsPerMap: 1, Engine: "mrv3"}).Normalize(); err == nil {
 		t.Error("bad engine accepted")
 	}
-	if _, err := (Config{PairsPerMap: 1, DataType: "Avro"}).withDefaults(); err == nil {
+	if _, err := (Config{PairsPerMap: 1, DataType: "Avro"}).Normalize(); err == nil {
 		t.Error("bad data type accepted")
 	}
 }

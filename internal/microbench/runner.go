@@ -61,7 +61,7 @@ func (r *Result) MeanCPUPct() float64 {
 
 // Run executes one micro-benchmark on a fresh simulated cluster.
 func Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -74,6 +74,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.RDMAShuffle {
 		spec.Shuffle = rdmashuffle.Plugin{}
+	}
+	if err := spec.Conf.Resolve(func() error { return readSimKeys(spec.Conf) }); err != nil {
+		return nil, err
 	}
 
 	profile, _ := netsim.ProfileByName(cfg.Network)

@@ -23,7 +23,7 @@ const MaxExactSpecDraws = maxExactDraws
 // task's record stream — the same code localrun executes — and tallying the
 // per-(map, reduce) record counts.
 func BuildSpec(cfg Config) (*mrsim.JobSpec, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}

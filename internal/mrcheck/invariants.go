@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"time"
 
@@ -199,29 +200,37 @@ func CheckConfig(cfg microbench.Config, opts CheckOptions) error {
 		}
 	}
 
-	// Invariant: end-to-end compression is invisible in the results — the
-	// codec-off twin must produce a byte-identical output digest and the same
-	// task counters except REDUCE_SHUFFLE_BYTES (the only thing a codec may
-	// change is what crosses the wire).
-	if cfg.Codec != "" {
-		ucfg := cfg
-		ucfg.Codec = ""
-		plain, err := runLocal(ucfg, false, opts.MutateJob)
+	// Invariant: the twin knobs may move time or wire bytes, never results —
+	// for each one not already at its reference setting, a twin run at the
+	// reference must produce a byte-identical output digest and the same
+	// counters, minus the ones the knob is a license to change. At a bounded
+	// shuffle budget SPILLED_RECORDS joins that list for every twin: how many
+	// reduce-side records spill depends on fetch/merge interleaving.
+	bounded := cfg.ShuffleMemBudget > 0
+	for _, tw := range twins {
+		k := microbench.KnobByName(tw.knob)
+		if k.Get(&cfg) == tw.reference {
+			continue
+		}
+		tcfg := cfg
+		if err := k.Set(&tcfg, tw.reference); err != nil {
+			return err
+		}
+		ref, err := runLocal(tcfg, false, opts.MutateJob)
 		if err != nil {
 			return err
 		}
-		if plain.digest != clean.digest {
-			return &Failure{cfg, "codec-identity/output", fmt.Sprintf(
-				"reduce output with codec %s is not byte-identical to the uncompressed run", cfg.Codec)}
+		if ref.digest != clean.digest {
+			return &Failure{cfg, tw.name + "-identity/output", fmt.Sprintf(
+				"reduce output at -%s %q is not byte-identical to the -%s %q twin", k.Name, k.Get(&cfg), k.Name, tw.reference)}
 		}
-		for _, ctr := range taskIdentityCounters {
-			if ctr == mapreduce.CtrReduceShuffleBytes {
-				continue
-			}
-			if got, want := clean.counters.Task(ctr), plain.counters.Task(ctr); got != want {
-				return &Failure{cfg, "codec-identity/counters", fmt.Sprintf(
-					"task counter %s=%d with codec %s, %d uncompressed", ctr, got, cfg.Codec, want)}
-			}
+		except := tw.except
+		if bounded {
+			except = append(slices.Clip(except), mapreduce.CtrSpilledRecords)
+		}
+		if got, want := identityCounters(clean.counters, except), identityCounters(ref.counters, except); got != want {
+			return &Failure{cfg, tw.name + "-identity/counters", fmt.Sprintf(
+				"counters differ between -%s %q and %q (%v excluded):\n%s\ntwin:\n%s", k.Name, k.Get(&cfg), tw.reference, except, got, want)}
 		}
 	}
 
@@ -248,76 +257,6 @@ func CheckConfig(cfg microbench.Config, opts CheckOptions) error {
 				return &Failure{cfg, "combine-identity/counters", fmt.Sprintf(
 					"task counter %s=%d with combiner, %d without — combining must not change map output accounting", ctr, got, want)}
 			}
-		}
-	}
-
-	// Invariant: the overlapped schedule vs the strict barrier may move time,
-	// never bytes — output, counters and distribution must be identical.
-	// At a bounded shuffle budget SPILLED_RECORDS is excluded: how many
-	// reduce-side records spill depends on fetch timing, which the schedule
-	// legally changes.
-	bounded := cfg.ShuffleMemBudget > 0
-	if cfg.Slowstart != 1.0 {
-		bcfg := cfg
-		bcfg.Slowstart = 1.0
-		barrier, err := runLocal(bcfg, false, opts.MutateJob)
-		if err != nil {
-			return err
-		}
-		if barrier.digest != clean.digest {
-			return &Failure{cfg, "barrier-identity/output", fmt.Sprintf(
-				"reduce output at slowstart=%g is not byte-identical to the barrier path", cfg.Slowstart)}
-		}
-		if got, want := identityCounters(barrier.counters, bounded), identityCounters(clean.counters, bounded); got != want {
-			return &Failure{cfg, "barrier-identity/counters", fmt.Sprintf(
-				"counters differ across slowstart:\nbarrier:\n%s\noverlapped:\n%s", got, want)}
-		}
-	}
-
-	// Invariant: the memory-bounded merge pipeline moves the merge, never the
-	// bytes — a twin with the budget lifted (pure in-memory final merge) must
-	// produce a byte-identical output digest and the same counters. Only
-	// SPILLED_RECORDS may differ: bounding the pool is exactly a license to
-	// spill, and how much spills depends on fetch/merge interleaving.
-	if bounded {
-		ucfg := cfg
-		ucfg.ShuffleMemBudget = 0
-		unbounded, err := runLocal(ucfg, false, opts.MutateJob)
-		if err != nil {
-			return err
-		}
-		if unbounded.digest != clean.digest {
-			return &Failure{cfg, "bounded-identity/output", fmt.Sprintf(
-				"reduce output with a %dB shuffle budget is not byte-identical to the unbounded merge", cfg.ShuffleMemBudget)}
-		}
-		if got, want := identityCounters(clean.counters, true), identityCounters(unbounded.counters, true); got != want {
-			return &Failure{cfg, "bounded-identity/counters", fmt.Sprintf(
-				"counters differ across the merge budget (SPILLED_RECORDS excluded):\nbounded:\n%s\nunbounded:\n%s", got, want)}
-		}
-	}
-
-	// Invariant: the background SpillThread moves time, never bytes — a
-	// synchronous-spill twin (mapreduce.map.spill.overlap=false) must produce
-	// a byte-identical output digest and the same counters. Spill boundaries
-	// are a pure function of the record stream and the conf (every ring
-	// buffer has the full io.sort.mb capacity under the same ShouldSpill
-	// trigger), so even SPILLED_RECORDS must match exactly — except under a
-	// bounded reduce budget, where reduce-side spilling is timing-dependent
-	// and the counter is excluded as usual.
-	if !cfg.SyncSpill {
-		scfg := cfg
-		scfg.SyncSpill = true
-		syncRun, err := runLocal(scfg, false, opts.MutateJob)
-		if err != nil {
-			return err
-		}
-		if syncRun.digest != clean.digest {
-			return &Failure{cfg, "spill-identity/output",
-				"reduce output with the background SpillThread is not byte-identical to synchronous spilling"}
-		}
-		if got, want := identityCounters(clean.counters, bounded), identityCounters(syncRun.counters, bounded); got != want {
-			return &Failure{cfg, "spill-identity/counters", fmt.Sprintf(
-				"counters differ across spill overlap modes:\nasync:\n%s\nsync:\n%s", got, want)}
 		}
 	}
 
@@ -487,23 +426,36 @@ func checkDist(cfg microbench.Config) error {
 	return nil
 }
 
-// identityCounters renders a counter set for string-identity comparison. At
-// a bounded shuffle memory budget the SPILLED_RECORDS lines are dropped
-// first: reduce-side spill volume is schedule-dependent there (a trailing
-// segment may stay pooled or spill depending on fetch timing), so twins may
-// legally differ on that one counter and nothing else.
-func identityCounters(c *mapreduce.Counters, bounded bool) string {
-	s := c.String()
-	if !bounded {
-		return s
-	}
-	lines := strings.Split(s, "\n")
+// twins are the knobs mrcheck holds to result identity (see CheckConfig):
+// each names its invariant, the flag in microbench.Knobs, the reference
+// setting the twin run uses, and the counters the knob may legally change.
+var twins = []struct {
+	name, knob, reference string
+	except                []string
+}{
+	// A codec changes only what crosses the wire.
+	{"codec", "codec", "", []string{mapreduce.CtrReduceShuffleBytes}},
+	// The overlapped schedule against the strict barrier.
+	{"barrier", "slowstart", "1", nil},
+	// The bounded segment pool and its disk passes against the pure
+	// in-memory final merge.
+	{"bounded", "shufflemem", "0", nil},
+	// The background SpillThread against inline spilling. Spill boundaries
+	// are a pure function of the record stream and the conf (every ring
+	// buffer has the full io.sort.mb capacity under the same ShouldSpill
+	// trigger), so even SPILLED_RECORDS must match.
+	{"spill", "syncspill", "true", nil},
+}
+
+// identityCounters renders a counter set for string-identity comparison,
+// with the lines of the excepted counters dropped.
+func identityCounters(c *mapreduce.Counters, except []string) string {
+	lines := strings.Split(c.String(), "\n")
 	keep := lines[:0]
 	for _, line := range lines {
-		if strings.Contains(line, mapreduce.CtrSpilledRecords) {
-			continue
+		if !slices.ContainsFunc(except, func(ctr string) bool { return strings.Contains(line, ctr) }) {
+			keep = append(keep, line)
 		}
-		keep = append(keep, line)
 	}
 	return strings.Join(keep, "\n")
 }

@@ -10,6 +10,7 @@ import (
 
 	"mrmicro/internal/apps"
 	"mrmicro/internal/distrun"
+	"mrmicro/internal/faultinject"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/writable"
@@ -357,5 +358,55 @@ func TestWorkloadMutationCaught(t *testing.T) {
 	}
 	if fail.Invariant != "workload-oracle/output" {
 		t.Errorf("flip caught by %s, want workload-oracle/output", fail.Invariant)
+	}
+}
+
+// TestShrinkIsolatesAnyFaultRate: the zero-one-rate step walks every
+// fault-rate row of the knob table, so a failure that needs only a
+// process-level rate (which the in-process sites never shared a list with)
+// shrinks to a plan holding that single rate.
+func TestShrinkIsolatesAnyFaultRate(t *testing.T) {
+	for _, rate := range []string{"fault-worker-kill", "fault-partition", "fault-spill"} {
+		k := microbench.KnobByName(rate)
+		cfg := Generate(3, 0, GenOptions{})
+		cfg.Faults = &faultinject.Plan{
+			Seed: 5, MapFailureRate: 0.2, ReduceFailureRate: 0.2, ShuffleDropRate: 0.2, ShuffleTruncateRate: 0.2,
+			ShuffleSlowRate: 0.2, SpillErrorRate: 0.2, WorkerKillRate: 0.2, PartitionRate: 0.2,
+		}
+		got := Shrink(cfg, func(c microbench.Config) bool { return c.Faults != nil && k.Get(&c) != "0" })
+		want := microbench.Config{Faults: &faultinject.Plan{Seed: 5}}
+		if err := k.Set(&want, "0.2"); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Faults, want.Faults) {
+			t.Errorf("needing only -%s, the plan shrank to %+v, want %+v", rate, got.Faults, want.Faults)
+		}
+	}
+}
+
+// TestBoundedTwinFollowsEitherSpelling: a shuffle budget spelled through
+// -conf is the same configuration as -shufflemem, so the bounded-identity
+// twin runs for it too — the checker executes the same number of localrun
+// jobs either way. (The override used to reach the engines while the
+// checker's predicate read the untouched field and skipped the twin.)
+func TestBoundedTwinFollowsEitherSpelling(t *testing.T) {
+	base := microbench.Config{
+		Pattern: microbench.MRRand, NumMaps: 3, NumReduces: 2, PairsPerMap: 40,
+		KeySize: 8, ValueSize: 8, Slaves: 1, Seed: 1,
+	}
+	jobs := func(cfg microbench.Config) int {
+		n := 0
+		opts := CheckOptions{Engines: []microbench.Engine{}, MutateJob: func(*mapreduce.Job) { n++ }}
+		if err := CheckConfig(cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	unbounded := jobs(base)
+	flag, conf := base, base
+	flag.ShuffleMemBudget = 4096
+	conf.ExtraConf = map[string]string{mapreduce.ConfShuffleInputBufBytes: "4096"}
+	if f, c := jobs(flag), jobs(conf); f != unbounded+1 || c != f {
+		t.Errorf("localrun jobs: %d unbounded, %d with -shufflemem 4096, %d with the budget through -conf; want the bounded twin (one more job) for both spellings", unbounded, f, c)
 	}
 }

@@ -1,6 +1,8 @@
 package mrcheck
 
 import (
+	"strconv"
+
 	"mrmicro/internal/microbench"
 )
 
@@ -9,193 +11,71 @@ import (
 const maxShrinkRuns = 200
 
 // Shrink greedily minimizes a failing configuration: it applies one
-// simplifying transform at a time — drop the fault plan, zero knobs back to
-// defaults, then halve counts and sizes — keeping a candidate only when it
-// still fails, and repeats to a fixed point. failing must report whether a
-// config violates an invariant (any invariant: a failure that shape-shifts
-// while shrinking is still a failure).
+// simplifying edit at a time — drop the fault plan, strip conf overrides,
+// then each row of microbench.Knobs by its shrink step (reset to the
+// simplest value; bisect counts and sizes toward 1) — keeping a candidate
+// only when it still fails, and repeats to a fixed point. failing must
+// report whether a config violates an invariant (any invariant: a failure
+// that shape-shifts while shrinking is still a failure).
 func Shrink(cfg microbench.Config, failing func(microbench.Config) bool) microbench.Config {
 	runs := 0
-	try := func(candidate microbench.Config) bool {
-		if runs >= maxShrinkRuns {
+	improved := false
+	// keep applies edit to a copy of cfg and adopts the copy when the edit
+	// changed something and the result still fails.
+	keep := func(edit func(*microbench.Config) bool) bool {
+		candidate := cfg
+		if !edit(&candidate) || runs >= maxShrinkRuns {
 			return false
 		}
 		if _, err := candidate.Normalize(); err != nil {
 			return false
 		}
 		runs++
-		return failing(candidate)
+		if !failing(candidate) {
+			return false
+		}
+		cfg, improved = candidate, true
+		return true
 	}
 
 	for {
-		improved := false
-		for _, transform := range shrinkTransforms {
-			for {
-				candidate, changed := transform(cfg)
-				if !changed || !try(candidate) {
-					break
+		improved = false
+		// Whole subsystems first: fault injection, then the conf overrides
+		// (restores default sort buffer / merge fan-in).
+		keep(func(c *microbench.Config) bool {
+			changed := c.Faults != nil
+			c.Faults = nil
+			return changed
+		})
+		keep(func(c *microbench.Config) bool {
+			changed := c.ExtraConf != nil
+			c.ExtraConf = nil
+			return changed
+		})
+		// Resets before the bisections: each deletes a mechanism from the
+		// repro (codec, combiner, overlap, bounded merge, one fault site at a
+		// time), where a bisection only makes it cheaper.
+		for _, k := range microbench.Knobs {
+			if k.Shrink == microbench.ShrinkReset && !(k.Fault && cfg.Faults == nil) {
+				keep(k.Reset)
+			}
+		}
+		for _, k := range microbench.Knobs {
+			if k.Shrink != microbench.ShrinkHalve {
+				continue
+			}
+			// Cut the distance to 1 by halves, then quarters, down to single
+			// decrements: a failure needing >= 2 reducers survives 3 but not
+			// 3/2 = 1, and the last step finds 2.
+			v, _ := strconv.ParseInt(k.Get(&cfg), 10, 64)
+			for d := v / 2; d >= 1; d /= 2 {
+				for v-d >= 1 && keep(func(c *microbench.Config) bool { return k.Set(c, strconv.FormatInt(v-d, 10)) == nil }) {
+					v -= d
 				}
-				cfg = candidate
-				improved = true
 			}
 		}
 		if !improved || runs >= maxShrinkRuns {
 			return cfg
 		}
 	}
-}
-
-// shrinkTransforms are ordered cheapest-win first: discrete simplifications
-// (which each delete whole subsystems from the repro) before the halving
-// ladders. Each returns changed=false at its floor so the caller's inner
-// loop terminates.
-var shrinkTransforms = []func(microbench.Config) (microbench.Config, bool){
-	// Drop fault injection entirely.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.Faults == nil {
-			return c, false
-		}
-		c.Faults = nil
-		return c, true
-	},
-	// Zero one fault rate at a time (keeps the plan but isolates the site).
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.Faults == nil {
-			return c, false
-		}
-		p := *c.Faults
-		for _, r := range []*float64{
-			&p.MapFailureRate, &p.ReduceFailureRate, &p.ShuffleDropRate,
-			&p.ShuffleTruncateRate, &p.ShuffleSlowRate, &p.SpillErrorRate,
-		} {
-			if *r != 0 {
-				*r = 0
-				c.Faults = &p
-				return c, true
-			}
-		}
-		return c, false
-	},
-	// Strip conf overrides (restores default sort buffer / merge fan-in).
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.ExtraConf == nil {
-			return c, false
-		}
-		c.ExtraConf = nil
-		return c, true
-	},
-	// Uncompressed shuffle: removes the codec layer from the repro.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.Codec == "" || c.Codec == "none" {
-			return c, false
-		}
-		c.Codec = ""
-		return c, true
-	},
-	// No combiner: removes the spill/merge combine passes from the repro.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if !c.Combine {
-			return c, false
-		}
-		c.Combine = false
-		return c, true
-	},
-	// Barrier schedule: removes the overlap machinery from the repro.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.Slowstart == 1.0 {
-			return c, false
-		}
-		c.Slowstart = 1.0
-		return c, true
-	},
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.ParallelCopies == 0 {
-			return c, false
-		}
-		c.ParallelCopies = 0
-		return c, true
-	},
-	// Unbounded shuffle memory: removes the bounded pool / disk-run merge
-	// pipeline from the repro.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.ShuffleMemBudget == 0 {
-			return c, false
-		}
-		c.ShuffleMemBudget = 0
-		return c, true
-	},
-	// Default merge fan-in: removes multi-pass intermediate merges.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.MergeFactor == 0 {
-			return c, false
-		}
-		c.MergeFactor = 0
-		return c, true
-	},
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.DataType == "BytesWritable" {
-			return c, false
-		}
-		c.DataType = "BytesWritable"
-		return c, true
-	},
-	// Halving ladders, largest cost levers first.
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve64(&c.PairsPerMap, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve(&c.NumMaps, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve(&c.NumReduces, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve(&c.KeySize, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve(&c.ValueSize, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, halve(&c.Slaves, 1) },
-	// Decrement ladders pick up where halving overshoots (e.g. a failure
-	// needing >= 2 reducers survives 3 but not 3/2 = 1).
-	func(c microbench.Config) (microbench.Config, bool) { return c, decr64(&c.PairsPerMap, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, decr(&c.NumMaps, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, decr(&c.NumReduces, 1) },
-	func(c microbench.Config) (microbench.Config, bool) { return c, decr(&c.Slaves, 1) },
-	// Seeds don't affect cost but small ones read better in repro lines.
-	func(c microbench.Config) (microbench.Config, bool) {
-		if c.Seed == 1 {
-			return c, false
-		}
-		c.Seed = 1
-		return c, true
-	},
-}
-
-func decr(v *int, floor int) bool {
-	if *v <= floor {
-		return false
-	}
-	*v--
-	return true
-}
-
-func decr64(v *int64, floor int64) bool {
-	if *v <= floor {
-		return false
-	}
-	*v--
-	return true
-}
-
-func halve(v *int, floor int) bool {
-	if *v <= floor {
-		return false
-	}
-	*v /= 2
-	if *v < floor {
-		*v = floor
-	}
-	return true
-}
-
-func halve64(v *int64, floor int64) bool {
-	if *v <= floor {
-		return false
-	}
-	*v /= 2
-	if *v < floor {
-		*v = floor
-	}
-	return true
 }
