@@ -2,8 +2,11 @@ package figures
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
+	"mrmicro/internal/microbench"
+	"mrmicro/internal/netsim"
 	"mrmicro/internal/simcache"
 )
 
@@ -45,6 +48,61 @@ func TestFigureDeterminismAcrossWorkers(t *testing.T) {
 					parallel, seq, parallel, par)
 			}
 		})
+	}
+	// fig2b's sweep is four matrices shared by three networks each (MR-RAND,
+	// so each is really drawn): more workers than distinct matrices makes
+	// points wait on one another's build.
+	t.Run("fig2b/workers=8", func(t *testing.T) {
+		f, _ := ByID("fig2b")
+		if seq, par := renderAll(t, f, Options{Quick: true, Workers: 1}), renderAll(t, f, Options{Quick: true, Workers: 8}); seq != par {
+			t.Errorf("workers=1 and workers=8 outputs differ:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+		}
+	})
+}
+
+// TestSharedMatrixIsReadOnly runs one data shape on both engines and through
+// the RDMA shuffle plugin at once, all three points reading one matrix; the
+// race detector sees any write, and the digest shows one after the fact.
+func TestSharedMatrixIsReadOnly(t *testing.T) {
+	mrv1 := microbench.Config{
+		Pattern: microbench.MRSkew, Combine: true,
+		Engine: microbench.EngineMRv1, Cluster: microbench.ClusterA, Network: netsim.TenGigE.Name,
+		Slaves: 4, NumMaps: 16, NumReduces: 8,
+		KeySize: 512, ValueSize: 512,
+	}.WithShuffleSize(gib(1))
+	yarn := mrv1
+	yarn.Engine = microbench.EngineYARN
+	rdma := mrv1
+	rdma.Cluster, rdma.Network, rdma.RDMAShuffle = microbench.ClusterB, netsim.RDMAFDR56.Name, true
+
+	sweep := new(microbench.Sweep)
+	spec, err := sweep.Spec(mrv1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := spec.DataDigest()
+	var wg sync.WaitGroup
+	for _, cfg := range []microbench.Config{mrv1, yarn, rdma, mrv1, yarn, rdma} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sweep.Run(cfg); err != nil {
+				t.Errorf("%s: %v", cfg.Label(), err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, cfg := range []microbench.Config{yarn, rdma} {
+		other, err := sweep.Spec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &other.Partitions[0] != &spec.Partitions[0] {
+			t.Fatalf("%s did not share the mrv1 point's matrix", cfg.Label())
+		}
+	}
+	if after := spec.DataDigest(); after != before {
+		t.Errorf("shared matrix changed under the engines: digest %s, was %s", after, before)
 	}
 }
 

@@ -26,10 +26,17 @@ type Options struct {
 	Workers int
 	// Cache, when non-nil, memoizes point results across figures and runs.
 	Cache *simcache.Cache
+
+	// run, when non-nil, stands in for the runner: tests use it to list a
+	// figure's sweep points without simulating them.
+	run func([]microbench.Config) ([]PointResult, error)
 }
 
 // runAll executes sweep points through the options' runner.
 func (o Options) runAll(cfgs []microbench.Config) ([]PointResult, error) {
+	if o.run != nil {
+		return o.run(cfgs)
+	}
 	return Runner{Workers: o.Workers, Cache: o.Cache}.RunAll(cfgs)
 }
 

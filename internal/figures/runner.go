@@ -57,9 +57,14 @@ type Runner struct {
 
 // RunAll executes every configuration and returns results in input order,
 // regardless of completion order. The first error (again in input order)
-// aborts the whole sweep.
+// aborts the whole sweep. The call is one microbench.Sweep: points that
+// differ only in environment (the rungs of an interconnect ladder, the
+// engines of a comparison) build their intermediate-data matrix once and
+// share it read-only — one matrix per data shape per sweep, dropped when the
+// call returns.
 func (r Runner) RunAll(cfgs []microbench.Config) ([]PointResult, error) {
 	n := len(cfgs)
+	sweep := new(microbench.Sweep)
 	out := make([]PointResult, n)
 	errs := make([]error, n)
 	workers := r.Workers
@@ -71,7 +76,7 @@ func (r Runner) RunAll(cfgs []microbench.Config) ([]PointResult, error) {
 	}
 	if workers <= 1 {
 		for i, cfg := range cfgs {
-			out[i], errs[i] = r.runPoint(cfg)
+			out[i], errs[i] = r.runPoint(sweep, cfg)
 		}
 	} else {
 		idx := make(chan int)
@@ -81,7 +86,7 @@ func (r Runner) RunAll(cfgs []microbench.Config) ([]PointResult, error) {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					out[i], errs[i] = r.runPoint(cfgs[i])
+					out[i], errs[i] = r.runPoint(sweep, cfgs[i])
 				}
 			}()
 		}
@@ -102,7 +107,7 @@ func (r Runner) RunAll(cfgs []microbench.Config) ([]PointResult, error) {
 // runPoint computes one point, consulting the cache first. The key is built
 // over the normalized configuration with the cost model resolved, because
 // Model == nil and Model == costmodel.Default() execute identically.
-func (r Runner) runPoint(cfg microbench.Config) (PointResult, error) {
+func (r Runner) runPoint(sweep *microbench.Sweep, cfg microbench.Config) (PointResult, error) {
 	norm, err := cfg.Normalize()
 	if err != nil {
 		return PointResult{}, err
@@ -124,7 +129,7 @@ func (r Runner) runPoint(cfg microbench.Config) (PointResult, error) {
 			return pr, nil
 		}
 	}
-	res, err := microbench.Run(norm)
+	res, err := sweep.Run(norm)
 	if err != nil {
 		return PointResult{}, err
 	}

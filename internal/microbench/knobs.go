@@ -34,6 +34,7 @@ type Knob struct {
 	Default  string   // flag default, in flag form
 	Keys     []string // Hadoop conf keys the knob owns: a -conf override of one folds into the field
 	Fault    bool     // the field lives in Config.Faults, which must be non-nil to Get or Set
+	EnvOnly  bool     // changes how a job runs, never what it shuffles: points of a Sweep differing only here share one matrix
 	Shrink   ShrinkStep
 	Simplest string // ShrinkReset target: Default unless the row names another
 
@@ -48,6 +49,7 @@ type Knob struct {
 	bind     func(fs *flag.FlagSet) // registers the flag, with its usage text
 	set      func(c *Config, s string) error
 	isZero   func(c *Config) bool
+	clear    func(c *Config)
 	toConf   func(c *Config, conf *mapreduce.Conf)    // nil: Keys[0] = the flag form
 	fromConf func(c *Config, key, value string) error // nil: Set
 }
@@ -102,6 +104,7 @@ func row[T comparable](k kind[T], name string, def T, usage string, at func(*Con
 			return err
 		},
 		isZero: func(c *Config) bool { return *at(c) == zero },
+		clear:  func(c *Config) { *at(c) = zero },
 	}
 }
 
@@ -117,6 +120,7 @@ func faultRow[T comparable](k kind[T], name, usage string, at func(*faultinject.
 // non-zero value; max 0 leaves it unbounded above.
 func (k Knob) owns(keys ...string) Knob     { k.Keys = keys; return k }
 func (k Knob) always() Knob                 { k.explicit = true; return k }
+func (k Knob) env() Knob                    { k.EnvOnly = true; return k }
 func (k Knob) within(min, max float64) Knob { k.min, k.max = min, max; return k }
 func (k Knob) oneOf(choices ...string) Knob { k.choices = choices; return k }
 func (k Knob) shrink(s ShrinkStep) Knob     { k.Shrink = s; return k }
@@ -138,19 +142,19 @@ var Knobs = []Knob{
 	// Hadoop-level parameters.
 	row(ints, "maps", 0, "map tasks (default 4 per slave)", func(c *Config) *int { return &c.NumMaps }).owns(mapreduce.ConfNumMaps).always().shrink(ShrinkHalve),
 	row(ints, "reduces", 0, "reduce tasks (default 2 per slave)", func(c *Config) *int { return &c.NumReduces }).owns(mapreduce.ConfNumReduces).always().shrink(ShrinkHalve),
-	row(ints, "slaves", 4, "slave node count", func(c *Config) *int { return &c.Slaves }).within(1, 0).shrink(ShrinkHalve),
-	row(strs, "engine", "mrv1", "runtime: mrv1 or yarn (simulated), dist (real multi-process)", func(c *Config) *string { return (*string)(&c.Engine) }).oneOf(string(EngineMRv1), string(EngineYARN), string(EngineDist)),
-	row(strs, "cluster", "A", "testbed: A (OSU Westmere) or B (TACC Stampede)", func(c *Config) *string { return (*string)(&c.Cluster) }).oneOf(string(ClusterA), string(ClusterB)),
-	row(strs, "network", netsim.OneGigE.Name, "interconnect profile (see mrcluster -profiles)", func(c *Config) *string { return &c.Network }),
+	row(ints, "slaves", 4, "slave node count", func(c *Config) *int { return &c.Slaves }).env().within(1, 0).shrink(ShrinkHalve),
+	row(strs, "engine", "mrv1", "runtime: mrv1 or yarn (simulated), dist (real multi-process)", func(c *Config) *string { return (*string)(&c.Engine) }).env().oneOf(string(EngineMRv1), string(EngineYARN), string(EngineDist)),
+	row(strs, "cluster", "A", "testbed: A (OSU Westmere) or B (TACC Stampede)", func(c *Config) *string { return (*string)(&c.Cluster) }).env().oneOf(string(ClusterA), string(ClusterB)),
+	row(strs, "network", netsim.OneGigE.Name, "interconnect profile (see mrcluster -profiles)", func(c *Config) *string { return &c.Network }).env(),
 	row(int64s, "seed", 1, "seed for MR-RAND / MR-SKEW randomness", func(c *Config) *int64 { return &c.Seed }).always().shrink(ShrinkReset),
 	// The shrinker's simplest schedule is the strict barrier, not the default.
-	row(floats, "slowstart", 0, "completed-map fraction before reducers launch, for both the sim and the real executor (default 0.05, Hadoop's mapreduce.job.reduce.slowstart.completedmaps; 1.0 = strict barrier)", func(c *Config) *float64 { return &c.Slowstart }).owns(mapreduce.ConfSlowstartMaps).within(0, 1).resetTo("1"),
-	row(ints, "parallelcopies", 0, "concurrent shuffle fetch connections per reduce task (default 5, Hadoop's mapreduce.reduce.shuffle.parallelcopies)", func(c *Config) *int { return &c.ParallelCopies }).owns(mapreduce.ConfParallelCopies).within(1, 0).shrink(ShrinkReset),
-	row(sizes, "shufflemem", 0, "reduce-side in-memory shuffle budget, e.g. 64MB (Hadoop's mapreduce.reduce.shuffle.input.buffer in byte form; default unbounded in the real executor, heap-percent in the sims)", func(c *Config) *int64 { return &c.ShuffleMemBudget }).owns(mapreduce.ConfShuffleInputBufBytes).within(1, 0).shrink(ShrinkReset),
-	row(ints, "mergefactor", 0, "merge fan-in on both sides (default 10, Hadoop's mapreduce.task.io.sort.factor)", func(c *Config) *int { return &c.MergeFactor }).owns(mapreduce.ConfIOSortFactor).within(2, 0).shrink(ShrinkReset),
-	row(ints, "iosortmb", 0, "map-side sort buffer size in MiB (default 100, Hadoop's mapreduce.task.io.sort.mb)", func(c *Config) *int { return &c.IOSortMB }).owns(mapreduce.ConfIOSortMB).within(1, 0).shrink(ShrinkReset),
-	row(floats, "spillpercent", 0, "sort-buffer fill fraction that triggers a spill (default 0.80, Hadoop's mapreduce.map.sort.spill.percent)", func(c *Config) *float64 { return &c.SpillPercent }).owns(mapreduce.ConfSortSpillPercent).within(0, 1).shrink(ShrinkReset),
-	row(bools, "syncspill", false, "disable the background SpillThread: seal every spill inline on the mapper (mapreduce.map.spill.overlap=false)", func(c *Config) *bool { return &c.SyncSpill }).owns(mapreduce.ConfSpillOverlap).shrink(ShrinkReset).conf(
+	row(floats, "slowstart", 0, "completed-map fraction before reducers launch, for both the sim and the real executor (default 0.05, Hadoop's mapreduce.job.reduce.slowstart.completedmaps; 1.0 = strict barrier)", func(c *Config) *float64 { return &c.Slowstart }).env().owns(mapreduce.ConfSlowstartMaps).within(0, 1).resetTo("1"),
+	row(ints, "parallelcopies", 0, "concurrent shuffle fetch connections per reduce task (default 5, Hadoop's mapreduce.reduce.shuffle.parallelcopies)", func(c *Config) *int { return &c.ParallelCopies }).env().owns(mapreduce.ConfParallelCopies).within(1, 0).shrink(ShrinkReset),
+	row(sizes, "shufflemem", 0, "reduce-side in-memory shuffle budget, e.g. 64MB (Hadoop's mapreduce.reduce.shuffle.input.buffer in byte form; default unbounded in the real executor, heap-percent in the sims)", func(c *Config) *int64 { return &c.ShuffleMemBudget }).env().owns(mapreduce.ConfShuffleInputBufBytes).within(1, 0).shrink(ShrinkReset),
+	row(ints, "mergefactor", 0, "merge fan-in on both sides (default 10, Hadoop's mapreduce.task.io.sort.factor)", func(c *Config) *int { return &c.MergeFactor }).env().owns(mapreduce.ConfIOSortFactor).within(2, 0).shrink(ShrinkReset),
+	row(ints, "iosortmb", 0, "map-side sort buffer size in MiB (default 100, Hadoop's mapreduce.task.io.sort.mb)", func(c *Config) *int { return &c.IOSortMB }).env().owns(mapreduce.ConfIOSortMB).within(1, 0).shrink(ShrinkReset),
+	row(floats, "spillpercent", 0, "sort-buffer fill fraction that triggers a spill (default 0.80, Hadoop's mapreduce.map.sort.spill.percent)", func(c *Config) *float64 { return &c.SpillPercent }).env().owns(mapreduce.ConfSortSpillPercent).within(0, 1).shrink(ShrinkReset),
+	row(bools, "syncspill", false, "disable the background SpillThread: seal every spill inline on the mapper (mapreduce.map.spill.overlap=false)", func(c *Config) *bool { return &c.SyncSpill }).env().owns(mapreduce.ConfSpillOverlap).shrink(ShrinkReset).conf(
 		func(c *Config, conf *mapreduce.Conf) { conf.SetBool(mapreduce.ConfSpillOverlap, !c.SyncSpill) },
 		func(c *Config, _, v string) error {
 			overlap, err := strconv.ParseBool(v)
@@ -160,7 +164,7 @@ var Knobs = []Knob{
 	// Two keys, Hadoop's rule: compress=true turns compression on (deflate
 	// unless a codec is named), the codec key alone only names it. Overrides
 	// fold in key order, so the switch is seen before the name.
-	row(strs, "codec", "", "map-output compression codec: none (default) or deflate (Hadoop's mapreduce.map.output.compress.codec)", func(c *Config) *string { return &c.Codec }).owns(mapreduce.ConfCompressMapOut, mapreduce.ConfCompressCodec).shrink(ShrinkReset).conf(
+	row(strs, "codec", "", "map-output compression codec: none (default) or deflate (Hadoop's mapreduce.map.output.compress.codec)", func(c *Config) *string { return &c.Codec }).env().owns(mapreduce.ConfCompressMapOut, mapreduce.ConfCompressCodec).shrink(ShrinkReset).conf(
 		func(c *Config, conf *mapreduce.Conf) {
 			conf.SetBool(mapreduce.ConfCompressMapOut, true).Set(mapreduce.ConfCompressCodec, c.Codec)
 		},
@@ -189,7 +193,7 @@ var Knobs = []Knob{
 	row(strs, "grep", "", "grep workload regexp (default \"data\")", func(c *Config) *string { return &c.GrepPattern }).owns(ConfGrepPattern),
 
 	// Environment.
-	row(bools, "rdma", false, "use the RDMA-enhanced shuffle (MRoIB case study)", func(c *Config) *bool { return &c.RDMAShuffle }),
+	row(bools, "rdma", false, "use the RDMA-enhanced shuffle (MRoIB case study)", func(c *Config) *bool { return &c.RDMAShuffle }).env(),
 
 	// Fault plan. A zero -fault-seed falls back to -seed when flags are parsed.
 	faultRow(int64s, "fault-seed", "seed for injected faults (default: -seed)", func(p *faultinject.Plan) *int64 { return &p.Seed }).always(),

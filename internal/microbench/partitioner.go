@@ -62,6 +62,30 @@ func (a *AvgPartitioner) Partition(_, _ writable.Writable, numReduces int) int {
 	return p
 }
 
+// Tally advances the partitioner exactly as n calls of Partition would and
+// adds the reducers they return to counts, which holds one entry per reducer.
+// distinct, when non-nil, gains per reducer the number of distinct keys among
+// the n records, record i of the call carrying GenMapper's key index
+// i % numReduces: the record count the map-side combiner collapses that
+// partition to. Round-robin is a closed form — every reducer is dealt
+// n / numReduces records and the first n % numReduces in turn one more, each
+// reducer seeing a single key — so this costs O(numReduces), not O(n).
+func (a *AvgPartitioner) Tally(counts, distinct []int64, n int64, numReduces int) {
+	r := int64(numReduces)
+	first := int64(a.next) % r
+	for p := int64(0); p < r; p++ {
+		c := n / r
+		if (p-first+r)%r < n%r {
+			c++
+		}
+		counts[p] += c
+		if distinct != nil && c > 0 {
+			distinct[p]++
+		}
+	}
+	a.next += int(n)
+}
+
 // RandPartitioner is MR-RAND: each pair goes to a reducer drawn from
 // java.util.Random.nextInt(numReduces), bit-exactly reproducing the paper's
 // use of Java's Random. With the bounded range, every run produces "more or
@@ -73,6 +97,55 @@ type RandPartitioner struct {
 // Partition draws a uniform reducer.
 func (r *RandPartitioner) Partition(_, _ writable.Writable, numReduces int) int {
 	return int(r.rng.NextIntn(int32(numReduces)))
+}
+
+// Tally is AvgPartitioner.Tally's contract for MR-RAND. The generator's
+// stream is the specification, so every record is still drawn — but on the
+// concrete generator, with no interface call per record.
+func (r *RandPartitioner) Tally(counts, distinct []int64, n int64, numReduces int) {
+	drawTally(r.rng, newKeySet(distinct, numReduces), counts, 0, n, numReduces)
+}
+
+// drawTally draws records [from, to) of a Tally call from rng.
+func drawTally(rng *javarand.Rand, keys *keySet, counts []int64, from, to int64, numReduces int) {
+	bound := int32(numReduces)
+	if keys == nil {
+		for i := from; i < to; i++ {
+			counts[rng.NextIntn(bound)]++
+		}
+		return
+	}
+	key := int(from % int64(numReduces))
+	for i := from; i < to; i++ {
+		p := int(rng.NextIntn(bound))
+		counts[p]++
+		keys.add(p, key)
+		if key++; key == numReduces {
+			key = 0
+		}
+	}
+}
+
+// keySet tracks, during one Tally call, which of GenMapper's numReduces key
+// indices each partition has received, and counts each first sight.
+type keySet struct {
+	seen     []bool // [partition*numReduces + key]
+	distinct []int64
+}
+
+// newKeySet returns nil when distinct is: the job has no combiner.
+func newKeySet(distinct []int64, numReduces int) *keySet {
+	if distinct == nil {
+		return nil
+	}
+	return &keySet{seen: make([]bool, numReduces*numReduces), distinct: distinct}
+}
+
+func (s *keySet) add(partition, key int) {
+	if i := partition*len(s.distinct) + key; !s.seen[i] {
+		s.seen[i] = true
+		s.distinct[partition]++
+	}
 }
 
 // SkewPartitioner is MR-SKEW, the paper's fixed skew: the first reducer
@@ -113,5 +186,33 @@ func (s *SkewPartitioner) Partition(_, _ writable.Writable, numReduces int) int 
 		return 2
 	default:
 		return int(s.rng.NextIntn(int32(numReduces)))
+	}
+}
+
+// Tally is AvgPartitioner.Tally's contract for MR-SKEW: the three positional
+// prefixes are closed-form ranges, and only the random remainder of the
+// stream (about a third) is drawn.
+func (s *SkewPartitioner) Tally(counts, distinct []int64, n int64, numReduces int) {
+	keys := newKeySet(distinct, numReduces)
+	start, end := s.idx, s.idx+n
+	s.idx = end
+	// Reducer p owns stream positions [lo, hi) when it exists; reducer 0
+	// always does.
+	lo := int64(0)
+	for p, hi := range [...]int64{s.t0, s.t1, s.t2} {
+		if p >= numReduces {
+			break
+		}
+		if from, to := max(lo, start), min(hi, end); from < to {
+			counts[p] += to - from
+			// A run of numReduces consecutive records holds every key.
+			for i := from; keys != nil && i < min(to, from+int64(numReduces)); i++ {
+				keys.add(p, int((i-start)%int64(numReduces)))
+			}
+		}
+		lo = hi
+	}
+	if from := max(lo, start); from < end {
+		drawTally(s.rng, keys, counts, from-start, end-start, numReduces)
 	}
 }

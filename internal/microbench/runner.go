@@ -8,7 +8,6 @@ import (
 	"mrmicro/internal/mrsim"
 	"mrmicro/internal/mrv1"
 	"mrmicro/internal/netsim"
-	"mrmicro/internal/rdmashuffle"
 	"mrmicro/internal/sim"
 	"mrmicro/internal/yarn"
 )
@@ -59,8 +58,14 @@ func (r *Result) MeanCPUPct() float64 {
 	return sum / float64(n)
 }
 
-// Run executes one micro-benchmark on a fresh simulated cluster.
+// Run executes one micro-benchmark on a fresh simulated cluster: a Sweep of
+// one point.
 func Run(cfg Config) (*Result, error) {
+	return new(Sweep).Run(cfg)
+}
+
+// Run executes one point of the sweep on a fresh simulated cluster.
+func (s *Sweep) Run(cfg Config) (*Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -68,12 +73,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Engine == EngineDist {
 		return nil, fmt.Errorf("microbench: engine %q is the real multi-process runtime, not a simulated generation; run it via mrbench -engine=dist (internal/distrun)", cfg.Engine)
 	}
-	spec, err := BuildSpec(cfg)
+	spec, err := s.spec(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.RDMAShuffle {
-		spec.Shuffle = rdmashuffle.Plugin{}
 	}
 	if err := spec.Conf.Resolve(func() error { return readSimKeys(spec.Conf) }); err != nil {
 		return nil, err

@@ -1,9 +1,13 @@
 package microbench
 
 import (
+	"encoding/json"
 	"fmt"
+	"sync"
 
+	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/mrsim"
+	"mrmicro/internal/rdmashuffle"
 )
 
 // maxExactDraws bounds per-map partitioner simulation: below it the
@@ -21,14 +25,106 @@ const MaxExactSpecDraws = maxExactDraws
 // BuildSpec resolves a benchmark configuration into the simulated engines'
 // JobSpec by running the *real* partitioner implementations over each map
 // task's record stream — the same code localrun executes — and tallying the
-// per-(map, reduce) record counts.
+// per-(map, reduce) record counts. It is a Sweep of one point.
 func BuildSpec(cfg Config) (*mrsim.JobSpec, error) {
+	return new(Sweep).Spec(cfg)
+}
+
+// Sweep is the scope in which simulated points share work: what a job
+// shuffles is a function of its data shape alone (pattern, sizes, counts,
+// seed, combiner, workload and input), so points of one sweep that differ
+// only in the environment they are replayed on — network, cluster, engine,
+// tuning knobs, fault plan, cost model — build that intermediate-data matrix
+// once and read it concurrently. The zero value is ready to use and safe for
+// concurrent use; figures.Runner.RunAll holds one per call, and Run and
+// BuildSpec are sweeps of one point. Nothing outlives the Sweep.
+type Sweep struct {
+	mu       sync.Mutex
+	matrices map[string]*sharedMatrix
+}
+
+// sharedMatrix is built by the first point that asks for it; the others wait.
+// data is a JobSpec with only its data fields set (both matrices, the type
+// factor, raw bytes, input counters) and is immutable once built: the spec
+// of every point sharing it aliases its slices.
+type sharedMatrix struct {
+	once sync.Once
+	data *mrsim.JobSpec
+	err  error
+}
+
+// Spec resolves cfg into the JobSpec Run executes.
+func (s *Sweep) Spec(cfg Config) (*mrsim.JobSpec, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
+	return s.spec(cfg)
+}
+
+// spec wraps the matrix of cfg's data shape in cfg's own envelope — name, job
+// conf, shuffle plugin and fault plan, all cheap. cfg is normalized.
+func (s *Sweep) spec(cfg Config) (*mrsim.JobSpec, error) {
+	// The matrix is built from the shape alone, so no environment-only field
+	// can reach it.
+	shape := cfg.dataShape()
+	js, err := json.Marshal(shape)
+	if err != nil {
+		return nil, fmt.Errorf("microbench: data-shape key: %w", err)
+	}
+	key := string(js)
+	s.mu.Lock()
+	if s.matrices == nil {
+		s.matrices = make(map[string]*sharedMatrix)
+	}
+	shared := s.matrices[key]
+	if shared == nil {
+		shared = new(sharedMatrix)
+		s.matrices[key] = shared
+	}
+	s.mu.Unlock()
+	shared.once.Do(func() { shared.data, shared.err = buildMatrix(shape) })
+	if shared.err != nil {
+		return nil, shared.err
+	}
+
+	spec := *shared.data
+	spec.Name = cfg.Label()
+	spec.Conf = cfg.HadoopConf()
 	if cfg.Workload != "" {
-		return buildWorkloadSpec(cfg)
+		// Real inputs own their split geometry, not cfg.NumMaps.
+		spec.Conf.SetInt(mapreduce.ConfNumMaps, len(spec.Partitions))
+	}
+	if cfg.RDMAShuffle {
+		spec.Shuffle = rdmashuffle.Plugin{}
+	}
+	if cfg.Faults != nil {
+		spec.Plan = *cfg.Faults
+	}
+	return &spec, nil
+}
+
+// dataShape returns normalized c with every environment-only field cleared:
+// the knobs whose row says so, and the three fields no flag sets. What is
+// left is the key points share a matrix under and the only configuration
+// buildMatrix sees. Clearing is an allow-list — a field nobody classified
+// stays in the key, which can cost a share but never merge two shapes.
+func (c Config) dataShape() Config {
+	for _, k := range Knobs {
+		if k.EnvOnly {
+			k.clear(&c)
+		}
+	}
+	c.Faults, c.Model, c.MonitorInterval = nil, nil, 0
+	return c
+}
+
+// buildMatrix runs the real partitioners (or, for a workload, the real
+// mapper over its real splits) and tallies what each map shuffles to each
+// reducer. The JobSpec it returns carries the data fields only.
+func buildMatrix(cfg Config) (*mrsim.JobSpec, error) {
+	if cfg.Workload != "" {
+		return buildWorkloadMatrix(cfg)
 	}
 	pairLen, err := SerializedPairLen(cfg.DataType, cfg.KeySize, cfg.ValueSize)
 	if err != nil {
@@ -69,19 +165,18 @@ func BuildSpec(cfg Config) (*mrsim.JobSpec, error) {
 		// on every record touch.
 		typeFactor = 1.18
 	}
-
-	spec := &mrsim.JobSpec{
-		Name:              cfg.Label(),
-		Conf:              cfg.HadoopConf(),
+	return &mrsim.JobSpec{
 		Partitions:        parts,
 		PostCombine:       postCombine,
 		TypeFactor:        typeFactor,
 		MapOutputRawBytes: int64(cfg.NumMaps) * cfg.PairsPerMap * int64(rawPairLen),
-	}
-	if cfg.Faults != nil {
-		spec.Plan = *cfg.Faults
-	}
-	return spec, nil
+	}, nil
+}
+
+// tallier is the bulk form of a pattern partitioner's Partition: see
+// AvgPartitioner.Tally.
+type tallier interface {
+	Tally(counts, distinct []int64, n int64, numReduces int)
 }
 
 // partitionCounts tallies map m's per-reducer record counts using the real
@@ -94,7 +189,14 @@ func partitionCounts(cfg Config, mapIdx int) (counts, distinct []int64, err erro
 	if err != nil {
 		return nil, nil, err
 	}
+	bulk, ok := part.(tallier)
+	if !ok {
+		return nil, nil, fmt.Errorf("microbench: partitioner %T of %s cannot tally a record stream", part, cfg.Pattern)
+	}
 	counts = make([]int64, cfg.NumReduces)
+	if cfg.Combine {
+		distinct = make([]int64, cfg.NumReduces)
+	}
 
 	draws := cfg.PairsPerMap
 	scale := int64(1)
@@ -105,30 +207,14 @@ func partitionCounts(cfg Config, mapIdx int) (counts, distinct []int64, err erro
 		scale = (draws + maxExactDraws - 1) / maxExactDraws
 		draws = draws / scale
 	}
-	uniq := cfg.NumReduces
-	if uniq < 1 {
-		uniq = 1
+	bulk.Tally(counts, distinct, draws, cfg.NumReduces)
+	// Every draw lands on exactly one reducer.
+	var tallied int64
+	for _, n := range counts {
+		tallied += n
 	}
-	var seen [][]bool
-	if cfg.Combine {
-		distinct = make([]int64, cfg.NumReduces)
-		seen = make([][]bool, cfg.NumReduces)
-		for r := range seen {
-			seen[r] = make([]bool, uniq)
-		}
-	}
-	for i := int64(0); i < draws; i++ {
-		p := part.Partition(nil, nil, cfg.NumReduces)
-		if p < 0 || p >= cfg.NumReduces {
-			return nil, nil, fmt.Errorf("microbench: partitioner %s returned %d for %d reduces", cfg.Pattern, p, cfg.NumReduces)
-		}
-		counts[p]++
-		if seen != nil {
-			if k := int(i % int64(uniq)); !seen[p][k] {
-				seen[p][k] = true
-				distinct[p]++
-			}
-		}
+	if tallied != draws {
+		return nil, nil, fmt.Errorf("microbench: partitioner %s placed %d of %d draws on %d reduces", cfg.Pattern, tallied, draws, cfg.NumReduces)
 	}
 	if scale > 1 {
 		var total int64

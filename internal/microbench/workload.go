@@ -158,12 +158,12 @@ func hsExpectations(conf *mapreduce.Conf) (rows, seed int64, err error) {
 	return rows, seed, nil
 }
 
-// buildWorkloadSpec resolves a workload into the simulated engines' JobSpec
-// the same way the synthetic path does — by running the real code and
-// tallying — except here "the real code" is the workload's actual mapper
-// over its actual splits, so the sims shuffle the workload's true key/value
-// distribution, not a synthetic stand-in.
-func buildWorkloadSpec(cfg Config) (*mrsim.JobSpec, error) {
+// buildWorkloadMatrix resolves a workload's intermediate data the same way
+// the synthetic path does — by running the real code and tallying — except
+// here "the real code" is the workload's actual mapper over its actual
+// splits, so the sims shuffle the workload's true key/value distribution,
+// not a synthetic stand-in.
+func buildWorkloadMatrix(cfg Config) (*mrsim.JobSpec, error) {
 	if cfg.NumReduces < 1 {
 		return nil, fmt.Errorf("microbench: workload %s is map-only; the simulated engines model shuffle-bearing jobs (run it on localrun or dist)", cfg.Workload)
 	}
@@ -225,9 +225,7 @@ func buildWorkloadSpec(cfg Config) (*mrsim.JobSpec, error) {
 		rawBytes += tally.raw
 	}
 
-	spec := &mrsim.JobSpec{
-		Name:       cfg.Label(),
-		Conf:       job.Conf,
+	return &mrsim.JobSpec{
 		Partitions: parts,
 		// Map output keys are Text for every workload.
 		TypeFactor:        1.18,
@@ -235,11 +233,7 @@ func buildWorkloadSpec(cfg Config) (*mrsim.JobSpec, error) {
 		MapOutputRawBytes: rawBytes,
 		MapInputRecords:   inputRecords,
 		MapInputBytes:     inputBytes,
-	}
-	if cfg.Faults != nil {
-		spec.Plan = *cfg.Faults
-	}
-	return spec, nil
+	}, nil
 }
 
 func taskPartitioner(job *mapreduce.Job, mapTask int) mapreduce.Partitioner {
@@ -286,11 +280,9 @@ func newTallyCollector(part mapreduce.Partitioner, nr int, combine bool) *tallyC
 func (t *tallyCollector) Collect(key, value writable.Writable) error {
 	t.enc.Reset()
 	key.Write(t.enc)
-	kl := len(t.enc.Bytes())
-	keyBytes := string(t.enc.Bytes())
-	t.enc.Reset()
+	kl := t.enc.Len()
 	value.Write(t.enc)
-	vl := len(t.enc.Bytes())
+	vl := t.enc.Len() - kl
 
 	p := t.part.Partition(key, value, t.nr)
 	if p < 0 || p >= t.nr {
@@ -300,7 +292,12 @@ func (t *tallyCollector) Collect(key, value writable.Writable) error {
 	t.segs[p].Bytes += int64(writable.VLongEncodedLen(int64(kl)) + writable.VLongEncodedLen(int64(vl)) + kl + vl)
 	t.raw += int64(kl + vl)
 	if t.distinct != nil {
-		t.distinct[p][keyBytes] = kl
+		// A lookup by converted bytes does not allocate: only a key's first
+		// sight in the partition interns it.
+		keyBytes := t.enc.Bytes()[:kl]
+		if _, seen := t.distinct[p][string(keyBytes)]; !seen {
+			t.distinct[p][string(keyBytes)] = kl
+		}
 	}
 	return nil
 }

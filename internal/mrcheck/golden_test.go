@@ -139,3 +139,19 @@ func TestReproRoundTripGenerated(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecMatrixGolden pins BuildSpec's intermediate-data matrix for the same
+// 500 configurations against digests captured while partitionCounts still
+// drew every record through Partition: the closed-form tallies must
+// reproduce each matrix byte for byte.
+func TestSpecMatrixGolden(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < goldenConfigs; i++ {
+		spec, err := microbench.BuildSpec(Generate(goldenSeed, i, GenOptions{Faults: true}))
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		fmt.Fprintf(&b, "%d %s\n", i, spec.DataDigest())
+	}
+	checkGolden(t, "specmatrix.golden", b.String())
+}

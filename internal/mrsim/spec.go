@@ -15,6 +15,9 @@
 package mrsim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 
 	"mrmicro/internal/faultinject"
@@ -123,6 +126,29 @@ func (s *JobSpec) Validate() error {
 		s.Conf = mapreduce.NewConf()
 	}
 	return nil
+}
+
+// DataDigest hashes everything of the spec that is the job's data rather
+// than the environment it runs in: both matrices, the raw byte total, the
+// input counters and the type factor. The spec-matrix goldens pin it.
+func (s *JobSpec) DataDigest() string {
+	h := sha256.New()
+	put := func(v int64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	for _, matrix := range [][][]SegSpec{s.Partitions, s.PostCombine} {
+		put(int64(len(matrix)))
+		for _, row := range matrix {
+			put(int64(len(row)))
+			for _, seg := range row {
+				put(seg.Records)
+				put(seg.Bytes)
+			}
+		}
+	}
+	put(s.MapOutputRawBytes)
+	put(s.MapInputRecords)
+	put(s.MapInputBytes)
+	fmt.Fprintf(h, "%g", s.TypeFactor)
+	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
 // NumMaps returns the map task count.

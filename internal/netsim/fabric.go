@@ -25,8 +25,11 @@ type Flow struct {
 	frozen bool
 }
 
-// link is one direction of an endpoint's NIC during water-filling.
+// link is one direction of an endpoint's NIC during water-filling. The
+// fabric keeps one per endpoint and direction for its lifetime; gen says
+// which reallocate call the other fields were last reset in.
 type link struct {
+	gen      uint64
 	residual float64
 	flows    []*Flow
 	active   int // flows not yet frozen at a fair share
@@ -62,6 +65,16 @@ type Fabric struct {
 	counters []Counters
 	lastSync sim.Time
 	timerGen int // invalidates stale completion timers
+
+	// Water-filling scratch, reused by every reallocate so that a flow
+	// starting or finishing allocates nothing: the link table, indexed
+	// 2*endpoint+dir (dir 0 = egress, 1 = ingress); the links the current
+	// allocation touches, in first-use order; and the generation that tells
+	// a link touched now from one left over from an earlier call.
+	links   []link
+	order   []*link
+	linkGen uint64
+	done    []*Flow // complete's batch of finished flows
 }
 
 // NewFabric creates a fabric with n endpoints (numbered 0..n-1).
@@ -75,6 +88,8 @@ func NewFabric(e *sim.Engine, profile Profile, n int) *Fabric {
 		n:        n,
 		counters: make([]Counters, n),
 		lastSync: e.Now(),
+		links:    make([]link, 2*n),
+		order:    make([]*link, 0, 2*n),
 	}
 }
 
@@ -162,20 +177,10 @@ func (f *Fabric) reallocate() {
 	if len(f.flows) == 0 {
 		return
 	}
-	links := make(map[[2]int]*link) // key: {endpoint, dir}; dir 0=egress 1=ingress
-	var order []*link               // links in first-use order, for deterministic scans
-	get := func(ep, dir int) *link {
-		k := [2]int{ep, dir}
-		l, ok := links[k]
-		if !ok {
-			l = &link{residual: f.profile.Bandwidth}
-			links[k] = l
-			order = append(order, l)
-		}
-		return l
-	}
+	f.linkGen++
+	f.order = f.order[:0]
 	for _, fl := range f.flows {
-		out, in := get(fl.Src, 0), get(fl.Dst, 1)
+		out, in := f.link(fl.Src, 0), f.link(fl.Dst, 1)
 		out.flows = append(out.flows, fl)
 		out.active++
 		in.flows = append(in.flows, fl)
@@ -186,7 +191,7 @@ func (f *Fabric) reallocate() {
 	// Incast/contention degradation: a link shared by n flows loses a
 	// profile-dependent fraction of its capacity (see Profile.Congestion).
 	if c := f.profile.Congestion; c > 0 {
-		for _, l := range order {
+		for _, l := range f.order {
 			if n := len(l.flows); n > 1 {
 				l.residual *= 1 - c*(1-1/float64(n))
 			}
@@ -194,11 +199,11 @@ func (f *Fabric) reallocate() {
 	}
 	for remaining := len(f.flows); remaining > 0; {
 		// Find the bottleneck link: minimum residual fair share. Ties go to
-		// the earliest-created link, so the fill order never depends on map
-		// iteration.
+		// the link used first, so the fill order depends on nothing but the
+		// flows' start order.
 		minShare := math.Inf(1)
 		var bottleneck *link
-		for _, l := range order {
+		for _, l := range f.order {
 			if l.active == 0 {
 				continue
 			}
@@ -231,6 +236,21 @@ func (f *Fabric) reallocate() {
 		}
 		bottleneck.residual = 0
 	}
+}
+
+// link returns the water-filling state of endpoint ep's NIC in direction dir
+// (0 = egress, 1 = ingress), reset at its first use in the current
+// reallocate call and appended to f.order then.
+func (f *Fabric) link(ep, dir int) *link {
+	l := &f.links[2*ep+dir]
+	if l.gen != f.linkGen {
+		l.gen = f.linkGen
+		l.residual = f.profile.Bandwidth
+		l.flows = l.flows[:0]
+		l.active = 0
+		f.order = append(f.order, l)
+	}
+	return l
 }
 
 // reschedule plans the next completion event for the earliest-finishing flow.
@@ -266,7 +286,7 @@ func (f *Fabric) reschedule() {
 func (f *Fabric) complete() {
 	f.sync()
 	const eps = 1e-3 // bytes; float drift guard
-	var done []*Flow
+	done := f.done[:0]
 	n := len(f.flows)
 	keep := f.flows[:0]
 	for _, fl := range f.flows {
@@ -291,4 +311,6 @@ func (f *Fabric) complete() {
 	for _, fl := range done {
 		fl.Done.Set(nil)
 	}
+	clear(done)
+	f.done = done
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mrmicro/internal/sim"
 )
 
 // referenceMaxMin is an independent, slow water-filling implementation used
@@ -97,6 +99,69 @@ func TestAllocatorMatchesReferenceMaxMin(t *testing.T) {
 	}
 }
 
+// TestAllocatorMatchesReferenceUnderChurn keeps one fabric alive while flows
+// start and finish on overlapping endpoints, and checks every rate against
+// the reference after every step: the link table outlives each allocation,
+// so state a link kept from an earlier one (its flow list, its active count,
+// its place in the scan order) would show as a wrong rate here.
+func TestAllocatorMatchesReferenceUnderChurn(t *testing.T) {
+	prof := Profile{Name: "ref", Bandwidth: 1000} // no congestion term
+	const nodes = 6
+	f := &Fabric{profile: prof, n: nodes, counters: make([]Counters, nodes), links: make([]link, 2*nodes)}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 1000; step++ {
+		if n := len(f.flows); n == 0 || (n < 14 && rng.Intn(5) < 3) {
+			src := rng.Intn(nodes)
+			dst := (src + 1 + rng.Intn(nodes-1)) % nodes
+			f.flows = append(f.flows, &Flow{Src: src, Dst: dst, Bytes: 1, remaining: 1})
+		} else {
+			gone := rng.Intn(n)
+			f.flows = append(f.flows[:gone], f.flows[gone+1:]...)
+		}
+		f.reallocate()
+		topology := make([][2]int, len(f.flows))
+		for i, fl := range f.flows {
+			topology[i] = [2]int{fl.Src, fl.Dst}
+		}
+		want := referenceMaxMin(topology, prof.Bandwidth)
+		for i, fl := range f.flows {
+			if math.Abs(fl.rate-want[i]) > 1e-6*prof.Bandwidth {
+				t.Fatalf("step %d: flow %d (%d->%d) rate %.3f, reference %.3f\nflows: %v",
+					step, i, fl.Src, fl.Dst, fl.rate, want[i], topology)
+			}
+		}
+	}
+}
+
+// TestWarmFabricAllocatesOnlyFlows: once a fabric has carried its peak load,
+// a flow starting or finishing allocates nothing in the allocator — no map,
+// no link, no slice growth. What is left per flow is the Flow, its Future and
+// the completion timer's closure (one per StartFlow, one per completion that
+// leaves flows behind).
+func TestWarmFabricAllocatesOnlyFlows(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFabric(e, Profile{Name: "warm", Bandwidth: 1000, Congestion: 0.1}, 4)
+	const flows = 4
+	cycle := func() {
+		// Overlapping endpoints, distinct sizes: four completions at four
+		// times, each but the last re-planning the rest.
+		f.StartFlow(0, 1, 1000)
+		f.StartFlow(0, 2, 2000)
+		f.StartFlow(3, 1, 3000)
+		f.StartFlow(3, 2, 4000)
+		e.Run()
+		if f.ActiveFlows() != 0 {
+			t.Fatalf("%d flows still active after Run", f.ActiveFlows())
+		}
+	}
+	cycle()
+	const perFlow, timers = 2, 2*flows - 1
+	if got := testing.AllocsPerRun(50, cycle); got > flows*perFlow+timers {
+		t.Errorf("a warm fabric allocates %.0f objects per %d-flow cycle, want at most %d (Flow and Future per flow, %d timer closures)",
+			got, flows, flows*perFlow+timers, timers)
+	}
+}
+
 // staticFabric exposes the allocator without running the clock.
 type staticFabric struct {
 	order []*Flow
@@ -107,6 +172,7 @@ func newStaticFabric(prof Profile, nodes int, flows [][2]int) *staticFabric {
 		profile:  prof,
 		n:        nodes,
 		counters: make([]Counters, nodes),
+		links:    make([]link, 2*nodes),
 	}
 	out := &staticFabric{}
 	for _, fl := range flows {
