@@ -57,10 +57,6 @@ type Options struct {
 	// to re-register holding WAL-committed map outputs before re-queueing
 	// the unlocated ones (default 500ms).
 	RecoveryGrace time.Duration
-
-	// MaxTaskAttempts bounds per-task execution attempts counted from
-	// explicit failure reports (default: the fault plan's bound, 4).
-	MaxTaskAttempts int
 }
 
 func (o *Options) workers() int {
@@ -98,10 +94,9 @@ func (o *Options) recoveryGrace() time.Duration {
 	return 500 * time.Millisecond
 }
 
-func (o *Options) taskAttempts(plan *faultinject.Plan) int {
-	if o.MaxTaskAttempts > 0 {
-		return o.MaxTaskAttempts
-	}
+// taskAttempts bounds per-task execution attempts counted from explicit
+// failure reports: the fault plan's bound, 4 without a plan.
+func taskAttempts(plan *faultinject.Plan) int {
 	if plan != nil {
 		return plan.TaskAttempts()
 	}
@@ -716,7 +711,7 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 		return &sessionResp{}, nil // blameless: the lost map was re-queued, not this task
 	}
 	t.failures++
-	if bound := c.opts.taskAttempts(c.cfg.Faults); t.failures >= bound {
+	if bound := taskAttempts(c.cfg.Faults); t.failures >= bound {
 		c.failLocked(fmt.Errorf("%w: %s %d failed %d times, last: %s",
 			ErrAttemptsExhausted, req.Kind, req.Task, t.failures, req.Err))
 	}

@@ -62,9 +62,6 @@ func (r *Rand) NextLong() int64 {
 	return (hi << 32) + lo
 }
 
-// NextBoolean returns the next pseudorandom boolean.
-func (r *Rand) NextBoolean() bool { return r.next(1) != 0 }
-
 // NextDouble returns the next pseudorandom float64 in [0, 1), as Java.
 func (r *Rand) NextDouble() float64 {
 	hi := int64(r.next(26))

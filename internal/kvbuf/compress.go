@@ -57,34 +57,21 @@ func CompressSegmentWith(s *Segment, c Codec) *Segment {
 	out.WriteVLong(int64(len(s.data)))
 	out.WriteVLong(int64(s.records))
 	buf := c.Compress(out.Bytes(), s.data)
-	return &Segment{data: buf, records: s.records, compressed: true, rawLen: len(s.data), codec: name}
+	return &Segment{data: buf, records: s.records, compressed: true}
 }
 
 // CompressedSegmentFromBytes adopts wire bytes in the compressed segment
-// format, recovering the record count and raw length from the header.
+// format, recovering the record count from the header.
 func CompressedSegmentFromBytes(data []byte) (*Segment, error) {
-	c, rawLen, records, _, err := parseCompressedHeader(data)
+	_, _, records, _, err := parseCompressedHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{data: data, records: records, compressed: true, rawLen: rawLen, codec: c.Name()}, nil
+	return &Segment{data: data, records: records, compressed: true}, nil
 }
 
 // Compressed reports whether the segment holds codec-compressed records.
 func (s *Segment) Compressed() bool { return s.compressed }
-
-// RawLen returns the segment's uncompressed IFile size: the decompressed
-// length for compressed segments, Len() otherwise.
-func (s *Segment) RawLen() int {
-	if s.compressed {
-		return s.rawLen
-	}
-	return len(s.data)
-}
-
-// CodecName returns the codec a compressed segment was written with, or ""
-// for raw segments.
-func (s *Segment) CodecName() string { return s.codec }
 
 func parseCompressedHeader(data []byte) (c Codec, rawLen, records int, body []byte, err error) {
 	in := writable.NewDataInput(data)

@@ -147,8 +147,6 @@ type Segment struct {
 	records    int
 	verified   bool // the trailer is known to match data
 	compressed bool
-	rawLen     int    // decompressed size, when compressed
-	codec      string // codec name, when compressed
 }
 
 // SegmentFromBytes adopts a serialized IFile stream of unproven origin;
@@ -224,8 +222,6 @@ func (s *Segment) Recycle() {
 	s.records = 0
 	s.verified = false
 	s.compressed = false
-	s.rawLen = 0
-	s.codec = ""
 }
 
 // NewReader opens the segment for iteration. Compressed segments must be

@@ -8,109 +8,15 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// mergeEntry is one segment's cursor in the merge heap.
-type mergeEntry struct {
-	r        *Reader
-	key, val []byte
-	eof      bool
-	index    int // tie-break: earlier segment wins, keeping merges stable
-}
-
-func (e *mergeEntry) advance() error {
-	k, v, ok, err := e.r.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		e.eof = true
-		e.key, e.val = nil, nil
-		return nil
-	}
-	e.key, e.val = k, v
-	return nil
-}
-
-// mergeHeap is a hand-rolled binary min-heap over segment cursors. It
-// deliberately avoids container/heap: the interface indirection and
-// Swap/Less method dispatch dominate small-record merges, and the merge
-// inner loop only ever needs "replace the root, sift it down".
-type mergeHeap struct {
-	cmp     writable.RawComparator
-	entries []*mergeEntry
-	comps   int64
-}
-
-func (h *mergeHeap) less(a, b *mergeEntry) bool {
-	h.comps++
-	if c := h.cmp(a.key, b.key); c != 0 {
-		return c < 0
-	}
-	return a.index < b.index
-}
-
-func (h *mergeHeap) siftDown(i int) {
-	e := h.entries
-	n := len(e)
-	root := e[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h.less(e[r], e[child]) {
-			child = r
-		}
-		if !h.less(e[child], root) {
-			break
-		}
-		e[i] = e[child]
-		i = child
-	}
-	e[i] = root
-}
-
-func (h *mergeHeap) init() {
-	for i := len(h.entries)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
 // MergeStream k-way merges the segments in key order and calls emit for
 // every record. It returns the number of key comparisons performed (which
 // the simulated engines convert to CPU time).
 func MergeStream(cmp writable.RawComparator, segs []*Segment, emit func(key, val []byte) error) (comparisons int64, err error) {
-	h := &mergeHeap{cmp: cmp, entries: make([]*mergeEntry, 0, len(segs))}
+	srcs := make([]RecordSource, len(segs))
 	for i, s := range segs {
-		e := &mergeEntry{r: s.NewReader(), index: i}
-		if err := e.advance(); err != nil {
-			return h.comps, err
-		}
-		if !e.eof {
-			h.entries = append(h.entries, e)
-		}
+		srcs[i] = s.NewReader()
 	}
-	h.init()
-	for len(h.entries) > 0 {
-		e := h.entries[0]
-		if err := emit(e.key, e.val); err != nil {
-			return h.comps, err
-		}
-		if err := e.advance(); err != nil {
-			return h.comps, err
-		}
-		if e.eof {
-			last := len(h.entries) - 1
-			h.entries[0] = h.entries[last]
-			h.entries[last] = nil
-			h.entries = h.entries[:last]
-			if len(h.entries) > 1 {
-				h.siftDown(0)
-			}
-		} else {
-			h.siftDown(0)
-		}
-	}
-	return h.comps, nil
+	return MergeSources(cmp, srcs, emit)
 }
 
 // Merge k-way merges segments into a single new segment.
@@ -279,18 +185,4 @@ func MergeAll(cmp writable.RawComparator, segs []*Segment, factor, parallelism i
 		}
 	}
 	return out, comparisons, nil
-}
-
-// MergeAllStream is MergeAll's streaming twin: the final bounded-width
-// merge goes to emit instead of a segment. Records emitted are views into
-// the final pass's input segments, so those segments (including any
-// intermediate outputs) are NOT recycled — they stay alive as long as the
-// caller retains the emitted slices.
-func MergeAllStream(cmp writable.RawComparator, segs []*Segment, factor, parallelism int, emit func(key, val []byte) error) (int64, error) {
-	final, _, comparisons, err := mergeIntermediate(cmp, segs, factor, parallelism)
-	if err != nil {
-		return comparisons, err
-	}
-	comps, err := MergeStream(cmp, final, emit)
-	return comparisons + comps, err
 }

@@ -46,13 +46,18 @@ func (e *sourceEntry) advance() error {
 	return nil
 }
 
-// SourceMerger is a pull-based k-way merge over RecordSources, the
-// streaming generalization of MergeStream. Ties between equal keys break
-// toward the lower source index, so callers that order sources by
-// map-index range get byte-identical output to a flat merge of the
-// underlying segments. The pull shape (instead of an emit callback) lets a
-// consumer interleave its own work — e.g. running the reducer group by
-// group — without buffering the merged stream.
+// SourceMerger is a pull-based k-way merge over RecordSources: the one merge
+// heap, under MergeStream's in-memory segments as much as mixed memory/disk
+// inputs. Ties between equal keys break toward the lower source index, so
+// callers that order sources by map-index range get byte-identical output
+// to a flat merge of the underlying segments. The pull shape (instead of an
+// emit callback) lets a consumer interleave its own work — e.g. running the
+// reducer group by group — without buffering the merged stream.
+//
+// The binary min-heap is hand-rolled. It deliberately avoids container/heap:
+// the interface indirection and Swap/Less method dispatch dominate
+// small-record merges, and the merge inner loop only ever needs "replace the
+// root, sift it down".
 type SourceMerger struct {
 	cmp     writable.RawComparator
 	entries []*sourceEntry
@@ -141,15 +146,12 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 	return e.key, e.val, true, nil
 }
 
-// Comparisons returns the key comparisons performed so far.
-func (m *SourceMerger) Comparisons() int64 { return m.comps }
-
-// MergeSources drains a SourceMerger through emit — the streaming analogue
-// of MergeStream for mixed memory/disk inputs.
+// MergeSources drains a SourceMerger through emit, returning the number of
+// key comparisons performed.
 func MergeSources(cmp writable.RawComparator, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {
 	m, err := NewSourceMerger(cmp, srcs)
 	if err != nil {
-		return m.comparisonsOrZero(), err
+		return 0, err // priming compares nothing
 	}
 	for {
 		k, v, ok, err := m.Next()
@@ -160,13 +162,6 @@ func MergeSources(cmp writable.RawComparator, srcs []RecordSource, emit func(key
 			return m.comps, err
 		}
 	}
-}
-
-func (m *SourceMerger) comparisonsOrZero() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.comps
 }
 
 // StreamWriter writes IFile records to an io.Writer, folding the CRC32

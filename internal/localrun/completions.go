@@ -1,73 +1,58 @@
 package localrun
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
 
 // completionBoard is the job-scoped map-completion event plane — Hadoop's
-// task-completion-events protocol in miniature. Map tasks publish to it when
-// an attempt commits (all partitions registered with the shuffle server),
-// and publish again if a later attempt re-commits after a fault; reduce
-// tasks subscribe to launch on the slow-start threshold and to fetch each
-// map's output as soon as it exists instead of after a global barrier.
+// task-completion-events protocol in miniature. A map task publishes to it
+// once, when its winning attempt commits; reduce tasks subscribe to launch on
+// the slow-start threshold and to fetch each map's output as soon as it
+// exists instead of after a global barrier.
 //
-// Every announcement carries a monotonically increasing version. A reducer
-// that fetched map m's output before a re-announcement cannot know whose
-// attempt's bytes it read (the shuffle server's newest-registration-wins
-// rule swaps them in place), so it compares the version it dispatched
-// against the board's latest and re-fetches on any bump.
+// The invariant the copy phase rests on: a map is announced only after all
+// its partitions are registered with the shuffle server, and exactly once per
+// job (failed attempts never announce). So an announced map's segments are
+// there to fetch and never change, and each (map, reduce) partition crosses
+// the wire once per reduce attempt.
 type completionBoard struct {
-	mu          sync.Mutex
-	seq         int64
-	completions []mapCompletion
-	committed   int
-	lastCommit  time.Time
-	broadcast   chan struct{} // closed and replaced on every announce
-}
-
-// mapCompletion is one map's published state.
-type mapCompletion struct {
-	Attempt int   // committed attempt id; -1 until the first commit
-	Version int64 // board sequence at the latest announce for this map
+	mu         sync.Mutex
+	attempts   []int // per map: committed attempt id; -1 until it commits
+	committed  int
+	lastCommit time.Time
+	broadcast  chan struct{} // closed and replaced on every announce
 }
 
 func newCompletionBoard(numMaps int) *completionBoard {
 	b := &completionBoard{
-		completions: make([]mapCompletion, numMaps),
-		broadcast:   make(chan struct{}),
+		attempts:  make([]int, numMaps),
+		broadcast: make(chan struct{}),
 	}
-	for i := range b.completions {
-		b.completions[i].Attempt = -1
+	for i := range b.attempts {
+		b.attempts[i] = -1
 	}
 	return b
 }
 
-// Announce publishes map mapIdx's committed attempt. Announcing the same map
-// again (a retried attempt committing after an earlier commit was
-// invalidated) bumps its version so subscribers re-fetch the fresh bytes.
+// Announce publishes map mapIdx's committed attempt. A map commits once: a
+// second announcement is a scheduler bug, and panics before touching the
+// board — subscribers may already have fetched the first attempt's bytes.
 func (b *completionBoard) Announce(mapIdx, attempt int) {
 	b.mu.Lock()
-	b.seq++
-	if b.completions[mapIdx].Attempt < 0 {
-		b.committed++
+	defer b.mu.Unlock()
+	if prev := b.attempts[mapIdx]; prev >= 0 {
+		panic(fmt.Sprintf("localrun: map %d announced twice (attempt %d after attempt %d)", mapIdx, attempt, prev))
 	}
-	b.completions[mapIdx] = mapCompletion{Attempt: attempt, Version: b.seq}
+	b.attempts[mapIdx] = attempt
+	b.committed++
 	b.lastCommit = time.Now()
 	close(b.broadcast)
 	b.broadcast = make(chan struct{})
-	b.mu.Unlock()
 }
 
-// Seq returns the board's current announcement sequence number.
-func (b *completionBoard) Seq() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
-
-// CommittedMaps returns how many distinct maps have at least one committed
-// attempt.
+// CommittedMaps returns how many maps have committed.
 func (b *completionBoard) CommittedMaps() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -82,17 +67,15 @@ func (b *completionBoard) LastCommit() time.Time {
 	return b.lastCommit
 }
 
-// poll copies the per-map completion state into snap (which must hold
-// numMaps entries) and returns the current sequence number plus a channel
-// that is closed at the next announcement. Subscribers loop: poll, act on
-// the snapshot, then block on the returned channel.
-func (b *completionBoard) poll(snap []mapCompletion) (seq int64, next <-chan struct{}) {
+// poll copies the per-map committed attempts into snap (which must hold
+// numMaps entries) and returns a channel that is closed at the next
+// announcement. Subscribers loop: poll, act on the snapshot, then block on
+// the returned channel.
+func (b *completionBoard) poll(snap []int) (next <-chan struct{}) {
 	b.mu.Lock()
-	copy(snap, b.completions)
-	seq = b.seq
-	next = b.broadcast
-	b.mu.Unlock()
-	return seq, next
+	defer b.mu.Unlock()
+	copy(snap, b.attempts)
+	return b.broadcast
 }
 
 // waitCommitted blocks until at least target maps have committed or done

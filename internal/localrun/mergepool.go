@@ -110,9 +110,7 @@ func (rd *runDir) removeAll() {
 }
 
 // diskRun is one sorted on-disk run covering the contiguous map-index range
-// [lo, hi): a pool spill's output, or an intermediate disk merge's. vers
-// records each member's fetched board version at spill time so a
-// re-announced map invalidates the run.
+// [lo, hi): a pool spill's output, or an intermediate disk merge's.
 type diskRun struct {
 	lo, hi     int
 	f          *os.File
@@ -120,7 +118,6 @@ type diskRun struct {
 	bytes      int64
 	records    int64
 	compressed bool
-	vers       []int64
 }
 
 // drop closes and deletes the run's file; idempotent.
@@ -146,31 +143,19 @@ type mergeInput struct {
 	run    *diskRun
 }
 
-// admitLocked blocks until map m's fetched segment (sz bytes) fits in the
-// memory pool, kicking the background spiller to make room. Any bytes this
-// fetch supersedes are freed first, and a segment larger than the whole
-// budget is admitted alone once the pool drains — oversized inputs degrade
-// to disk merging instead of deadlocking. Returns false when the phase is
-// ending (error or abort) and the caller must drop the segment. ss.mu held.
-func (ss *streamShuffle) admitLocked(m int, sz int64) bool {
-	if old := ss.segs[m]; old != nil {
-		ss.poolUsed -= int64(old.Len())
-		old.Recycle()
-		ss.segs[m] = nil
-	}
+// admitLocked blocks until a fetched segment of sz bytes fits in the memory
+// pool, kicking the background spiller to make room. A segment larger than
+// the whole budget is admitted alone once the pool drains — oversized inputs
+// degrade to disk merging instead of deadlocking. Returns false when the
+// phase is ending (error or abort) and the caller must drop the segment.
+// ss.mu held.
+func (ss *streamShuffle) admitLocked(sz int64) bool {
 	var blocked time.Time
 	ss.admitWaiters++
 	for ss.err == nil && !ss.aborted && ss.poolUsed > 0 && ss.poolUsed+sz > ss.tr.memBudget {
+		// Pooled bytes are either in segs or inside the running spill, so a
+		// spill is in flight after this call and its completion wakes us.
 		ss.maybeSpillLocked()
-		if !ss.spilling {
-			// No spill could start: any pooled bytes left are stale segments
-			// awaiting their re-fetch. Evict them — their replacement is what
-			// the blocked copiers are trying to store.
-			ss.evictStaleLocked()
-			if ss.poolUsed == 0 || ss.poolUsed+sz <= ss.tr.memBudget {
-				break
-			}
-		}
 		if blocked.IsZero() {
 			blocked = time.Now()
 		}
@@ -187,39 +172,19 @@ func (ss *streamShuffle) admitLocked(m int, sz int64) bool {
 	return true
 }
 
-// evictStaleLocked drops pooled segments superseded by a re-announcement:
-// they can never feed a merge (the run would be born stale), so under
-// admission pressure they only hold the pool hostage. The maps stay queued
-// for their re-fetch. ss.mu held.
-func (ss *streamShuffle) evictStaleLocked() {
-	for m := 0; m < ss.numMaps; m++ {
-		if ss.segs[m] == nil || ss.fetchedVer[m] >= ss.queuedVer[m] {
-			continue
-		}
-		ss.poolUsed -= int64(ss.segs[m].Len())
-		ss.segs[m].Recycle()
-		ss.segs[m] = nil
-		ss.fetchedVer[m] = 0
-		if !ss.queued[m] && !ss.inflight[m] {
-			ss.queued[m] = true
-			ss.queue = append(ss.queue, m)
-		}
-	}
-}
-
 // maybeSpillLocked starts a background spill when the pool has crossed the
 // merge threshold or a copier is blocked on admission. One spill runs at a
 // time (it re-kicks itself on completion); a spill takes the longest
-// contiguous range of up-to-date pooled segments so the resulting run's
-// coverage stays mergeable by position. ss.mu held.
+// contiguous range of pooled segments so the resulting run's coverage stays
+// mergeable by position. ss.mu held.
 func (ss *streamShuffle) maybeSpillLocked() {
-	if ss.tr.memBudget <= 0 || ss.spilling || ss.finalized {
+	if ss.tr.memBudget <= 0 || ss.spilling {
 		return
 	}
 	if ss.poolUsed < ss.tr.spillAbove && ss.admitWaiters == 0 {
 		return
 	}
-	if ss.admitWaiters == 0 && ss.upToDate() {
+	if ss.admitWaiters == 0 && ss.allFetched() {
 		return // everything fetched and it fits: leave it to the final merge
 	}
 	lo, hi := ss.pickSpillRangeLocked()
@@ -227,29 +192,26 @@ func (ss *streamShuffle) maybeSpillLocked() {
 		return
 	}
 	members := make([]*kvbuf.Segment, 0, hi-lo)
-	vers := make([]int64, 0, hi-lo)
 	for m := lo; m < hi; m++ {
 		members = append(members, ss.segs[m])
-		vers = append(vers, ss.fetchedVer[m])
 		ss.segs[m] = nil
 	}
 	ss.spilling = true
 	ss.mergeWG.Add(1)
-	go ss.spillRun(lo, hi, members, vers)
+	go ss.spillRun(lo, hi, members)
 }
 
-// pickSpillRangeLocked returns the longest contiguous range of pooled,
-// up-to-date segments (stale ones would make the run dead on arrival).
-// ss.mu held.
+// pickSpillRangeLocked returns the longest contiguous range of pooled
+// segments. ss.mu held.
 func (ss *streamShuffle) pickSpillRangeLocked() (lo, hi int) {
 	m := 0
 	for m < ss.numMaps {
-		if ss.segs[m] == nil || ss.fetchedVer[m] < ss.queuedVer[m] {
+		if ss.segs[m] == nil {
 			m++
 			continue
 		}
 		start := m
-		for m < ss.numMaps && ss.segs[m] != nil && ss.fetchedVer[m] >= ss.queuedVer[m] {
+		for m < ss.numMaps && ss.segs[m] != nil {
 			m++
 		}
 		if m-start > hi-lo {
@@ -260,12 +222,10 @@ func (ss *streamShuffle) pickSpillRangeLocked() (lo, hi int) {
 }
 
 // spillRun merges members (maps [lo, hi), already detached from the pool's
-// index) into one sorted run and writes it to disk, then either records the
-// run or — if a member was re-announced mid-merge — drops it and requeues
-// the members. poolUsed stays charged until the member buffers are
-// recycled, so admission cannot overshoot while the merge holds both the
-// inputs and its output.
-func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []int64) {
+// index) into one sorted run, writes it to disk and records it. poolUsed
+// stays charged until the member buffers are recycled, so admission cannot
+// overshoot while the merge holds both the inputs and its output.
+func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 	defer ss.mergeWG.Done()
 	t0 := time.Now()
 	merged, _, err := kvbuf.MergeAll(ss.tr.cmp, members, ss.tr.factor, 0)
@@ -285,7 +245,7 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []i
 			compressed = true
 		}
 		t1 := time.Now()
-		run, err = writeRunFile(&ss.rdir, out, lo, hi, records, compressed, vers)
+		run, err = writeRunFile(&ss.rdir, out, lo, hi, records, compressed)
 		ss.tm.addDiskPass(time.Since(t1))
 		out.Recycle()
 	}
@@ -297,36 +257,11 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []i
 	ss.mu.Lock()
 	ss.spilling = false
 	ss.poolUsed -= freed
-	stale := false
-	for i := range vers {
-		if ss.queuedVer[lo+i] != vers[i] {
-			stale = true
-			break
-		}
-	}
-	switch {
-	case err != nil:
+	if err != nil {
 		if ss.err == nil {
 			ss.err = fmt.Errorf("localrun: reduce %d merge spill maps [%d,%d): %w", ss.reduce, lo, hi, err)
 		}
-		if run != nil {
-			run.drop()
-		}
-	case stale:
-		// A member was re-announced while we merged: the run embeds
-		// superseded bytes. Drop it; the consumed members go back on the
-		// fetch queue exactly as if they had never been fetched.
-		run.drop()
-		for i, m := 0, lo; m < hi; i, m = i+1, m+1 {
-			if ss.segs[m] == nil && ss.fetchedVer[m] == vers[i] {
-				ss.fetchedVer[m] = 0
-				if !ss.queued[m] && !ss.inflight[m] {
-					ss.queued[m] = true
-					ss.queue = append(ss.queue, m)
-				}
-			}
-		}
-	default:
+	} else {
 		ss.runs = append(ss.runs, run)
 		ss.tm.diskRuns.Add(1)
 		ss.tm.spilledRecs.Add(records)
@@ -337,7 +272,7 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment, vers []i
 	ss.mu.Unlock()
 }
 
-func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, compressed bool, vers []int64) (*diskRun, error) {
+func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, compressed bool) (*diskRun, error) {
 	f, err := rd.create()
 	if err != nil {
 		return nil, err
@@ -353,37 +288,7 @@ func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, com
 		bytes:      int64(seg.Len()),
 		records:    records,
 		compressed: compressed,
-		vers:       vers,
 	}, nil
-}
-
-// invalidateRunsLocked drops any recorded disk run covering map m after m's
-// re-announcement: the run's bytes embed a superseded attempt's output, and
-// unlike a pooled segment the stale part cannot be carved back out. The
-// run's other members return to the fetch queue — their bytes only lived in
-// the dropped run. ss.mu held.
-func (ss *streamShuffle) invalidateRunsLocked(m int) {
-	if len(ss.runs) == 0 {
-		return
-	}
-	keep := ss.runs[:0]
-	for _, run := range ss.runs {
-		if m < run.lo || m >= run.hi {
-			keep = append(keep, run)
-			continue
-		}
-		run.drop()
-		for i, mm := 0, run.lo; mm < run.hi; i, mm = i+1, mm+1 {
-			if ss.segs[mm] == nil && ss.fetchedVer[mm] == run.vers[i] {
-				ss.fetchedVer[mm] = 0
-				if !ss.queued[mm] && !ss.inflight[mm] {
-					ss.queued[mm] = true
-					ss.queue = append(ss.queue, mm)
-				}
-			}
-		}
-	}
-	ss.runs = keep
 }
 
 // boundedInputsLocked assembles the final merge's mixed memory+disk source

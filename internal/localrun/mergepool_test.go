@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -133,71 +132,6 @@ func TestBoundedShuffleAborts(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("bounded shuffle did not abort after done closed")
-	}
-}
-
-// TestBoundedStaleAttemptInvalidatesRun: with a 1-byte budget the stale
-// attempt's bytes land in an on-disk run before the re-announcement arrives.
-// Unlike a pooled segment the stale part cannot be carved back out, so the
-// whole run must drop, its members must re-fetch, and the final input set
-// must carry only the retried attempt's bytes.
-func TestBoundedStaleAttemptInvalidatesRun(t *testing.T) {
-	s, err := newShuffleServer(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const maps = 6
-	for m := 0; m < maps; m++ {
-		if m == 1 {
-			registerWordSegment(t, s, m, "key-1", "OLD")
-			continue
-		}
-		registerWordSegment(t, s, m, fmt.Sprintf("key-%d", m), "ok")
-	}
-
-	board := newCompletionBoard(maps)
-	cmp, err := writable.Comparator("Text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, &mergeTimings{})
-
-	var mu sync.Mutex
-	fetches := map[int]int{}
-	ss.onFetch = func(m int) {
-		mu.Lock()
-		fetches[m]++
-		n := fetches[1]
-		mu.Unlock()
-		if m == 1 && n == 1 {
-			registerWordSegment(t, s, 1, "key-1", "NEW")
-			board.Announce(1, 1)
-		}
-	}
-
-	for m := 0; m < maps; m++ {
-		board.Announce(m, 0)
-	}
-	res, err := ss.run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.cleanup()
-
-	mu.Lock()
-	refetches := fetches[1]
-	mu.Unlock()
-	if refetches < 2 {
-		t.Fatalf("map 1 fetched %d times, want >= 2 (stale attempt not re-fetched)", refetches)
-	}
-	out := renderShuffleResult(t, cmp, res)
-	if strings.Contains(out, "OLD") {
-		t.Errorf("merge inputs still carry the stale attempt's bytes:\n%s", out)
-	}
-	if !strings.Contains(out, "key-1=NEW") {
-		t.Errorf("merge inputs missing the retried attempt's record:\n%s", out)
 	}
 }
 

@@ -3,7 +3,6 @@ package localrun
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,33 +38,21 @@ func TestCompletionBoardVersionsAndWait(t *testing.T) {
 	if got := b.CommittedMaps(); got != 0 {
 		t.Fatalf("fresh board committed = %d", got)
 	}
+	snap := make([]int, 3)
+	next := b.poll(snap)
 	b.Announce(1, 0)
-	b.Announce(0, 0)
-	if got := b.CommittedMaps(); got != 2 {
-		t.Fatalf("committed = %d, want 2", got)
-	}
-	snap := make([]mapCompletion, 3)
-	seq, next := b.poll(snap)
-	if snap[2].Attempt != -1 {
-		t.Error("unannounced map reports a committed attempt")
-	}
-	v1 := snap[1].Version
-	// Re-announcing a retried attempt bumps the version but not the count.
-	b.Announce(1, 1)
 	select {
 	case <-next:
 	default:
 		t.Fatal("announce did not wake the broadcast channel")
 	}
-	seq2, _ := b.poll(snap)
-	if seq2 <= seq {
-		t.Errorf("sequence did not advance: %d -> %d", seq, seq2)
-	}
-	if snap[1].Version <= v1 || snap[1].Attempt != 1 {
-		t.Errorf("re-announce: version %d->%d attempt %d", v1, snap[1].Version, snap[1].Attempt)
-	}
+	b.Announce(0, 2)
 	if got := b.CommittedMaps(); got != 2 {
-		t.Errorf("re-announce changed committed count: %d", got)
+		t.Fatalf("committed = %d, want 2", got)
+	}
+	b.poll(snap)
+	if snap[0] != 2 || snap[1] != 0 || snap[2] != -1 {
+		t.Errorf("committed attempts = %v, want [2 0 -1]", snap)
 	}
 
 	// waitCommitted returns once the threshold lands, and aborts on done.
@@ -80,6 +67,41 @@ func TestCompletionBoardVersionsAndWait(t *testing.T) {
 	close(done)
 	if <-ready {
 		t.Error("waitCommitted past numMaps returned true after cancel")
+	}
+}
+
+// TestSecondAnnounceRejected: a map commits once. Announcing it again is a
+// scheduler bug that must fail loudly and leave the board as it was — no
+// subscriber woken, no count or attempt changed — because reducers may
+// already hold the first attempt's bytes.
+func TestSecondAnnounceRejected(t *testing.T) {
+	b := newCompletionBoard(2)
+	b.Announce(1, 0)
+	snap := make([]int, 2)
+	next := b.poll(snap)
+	last := b.LastCommit()
+
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "map 1 announced twice") {
+				t.Errorf("second Announce: recovered %v, want an announced-twice panic", r)
+			}
+		}()
+		b.Announce(1, 1)
+	}()
+
+	select {
+	case <-next:
+		t.Error("rejected announce woke subscribers")
+	default:
+	}
+	b.poll(snap)
+	if snap[1] != 0 || b.CommittedMaps() != 1 || !b.LastCommit().Equal(last) {
+		t.Errorf("rejected announce changed the board: attempt %d, committed %d", snap[1], b.CommittedMaps())
+	}
+	b.Announce(0, 0) // the board is still usable (lock released by the panic path)
+	if got := b.CommittedMaps(); got != 2 {
+		t.Errorf("committed = %d after a rejected announce, want 2", got)
 	}
 }
 
@@ -186,8 +208,9 @@ func TestByteIdenticalAcrossSlowstart(t *testing.T) {
 }
 
 // TestByteIdenticalUnderFaults: overlapped schedule + fault injection must
-// still converge to the barrier path's bytes — retried attempts are
-// re-announced and re-fetched.
+// still converge to the barrier path's bytes — a failed map attempt is never
+// announced, so reducers only ever fetch the attempt that committed, and a
+// failed reduce attempt re-fetches everything.
 func TestByteIdenticalUnderFaults(t *testing.T) {
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
@@ -214,6 +237,41 @@ func TestByteIdenticalUnderFaults(t *testing.T) {
 	c := res.Counters
 	if c.Fault(mapreduce.CtrMapAttemptsFailed)+c.Fault(mapreduce.CtrShuffleFetchFailures) == 0 {
 		t.Fatal("fault plan injected nothing — the scenario is vacuous")
+	}
+}
+
+// TestEachPartitionServedOnce pins the copy phase's traffic: when map
+// attempts fail and retry but no fetch or reduce attempt does, every (map,
+// reduce) partition crosses the wire exactly once — only the committed
+// attempt is announced, so nothing is fetched twice — on either serving
+// store, with or without the bounded merge pool.
+func TestEachPartitionServedOnce(t *testing.T) {
+	const maps, reduces = 8, 3
+	text, _ := corpus()
+	for _, disk := range []bool{false, true} {
+		for _, budget := range []int{0, 1} {
+			job, _ := overlapJob(text, maps, reduces)
+			slowstart(job, 0.05).Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, budget)
+			plan := &faultinject.Plan{Seed: 11, MapFailureRate: 0.25, SpillErrorRate: 0.10, MaxTaskAttempts: 8}
+			ResetShuffleServeStats()
+			res, err := Run(job, &Options{Faults: plan, DiskShuffle: disk, MapParallelism: 2, ReduceParallelism: 2})
+			if err != nil {
+				t.Fatalf("disk=%v budget=%d: %v", disk, budget, err)
+			}
+			c := res.Counters
+			if c.Fault(mapreduce.CtrMapAttemptsFailed) == 0 || c.Fault(mapreduce.CtrSpillTransientErrors) == 0 {
+				t.Fatalf("disk=%v budget=%d: plan injected no map failure or no spill error — the scenario is vacuous", disk, budget)
+			}
+			if budget > 0 && res.ReduceMerge.DiskRuns == 0 {
+				t.Errorf("disk=%v budget=%d: bounded pool spilled nothing", disk, budget)
+			}
+			if got := ShuffleServeStats().Responses; got != maps*reduces {
+				t.Errorf("disk=%v budget=%d: server answered %d fetches, want %d", disk, budget, got, maps*reduces)
+			}
+			if got := c.Task(mapreduce.CtrShuffledMaps); got != maps*reduces {
+				t.Errorf("disk=%v budget=%d: SHUFFLED_MAPS = %d, want %d", disk, budget, got, maps*reduces)
+			}
+		}
 	}
 }
 
@@ -265,98 +323,40 @@ func registerWordSegment(t *testing.T, s *shuffleServer, mapIdx int, key, val st
 	return seg
 }
 
-// runStaleAttempt drives the completion-events race directly on an unbounded
-// copy phase at factor 2 x 6 maps: a reducer fetches map 1's first-attempt
-// bytes, then a "retried" attempt re-registers fresh bytes and re-announces
-// mid-flight. It returns the phase's result and how often map 1 was fetched.
-func runStaleAttempt(t *testing.T) (res *shuffleResult, map1Fetches int) {
-	t.Helper()
+// TestUnboundedCopyPhaseReturnsEveryMapInOrder pins what the final merge is
+// handed when no memory budget is set: exactly one part per map, in ascending
+// map order — nothing collapsed, nothing reordered — whatever order the two
+// copiers' fetches landed in.
+func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	defer s.Close()
 
 	const maps = 6
-	for m := 0; m < maps; m++ {
-		if m == 1 {
-			registerWordSegment(t, s, m, "key-1", "OLD")
-			continue
-		}
-		registerWordSegment(t, s, m, fmt.Sprintf("key-%d", m), "ok")
-	}
-
 	board := newCompletionBoard(maps)
-	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
-	ss := newStreamShuffle(tr, s.Addr(), 0, board, &mergeTimings{})
-
-	var mu sync.Mutex
-	fetches := map[int]int{}
-	reannounced := make(chan struct{})
-	var once sync.Once
-	ss.onFetch = func(m int) {
-		mu.Lock()
-		fetches[m]++
-		n := fetches[1]
-		mu.Unlock()
-		if m == 1 && n == 1 {
-			// First-attempt bytes landed: swap in the retried attempt's
-			// output (newest-registration-wins) and re-announce.
-			registerWordSegment(t, s, 1, "key-1", "NEW")
-			board.Announce(1, 1)
-			once.Do(func() { close(reannounced) })
-		}
-	}
-
 	for m := 0; m < maps; m++ {
+		registerWordSegment(t, s, m, fmt.Sprintf("key-%d", m), "ok")
 		board.Announce(m, 0)
 	}
-	res, err = ss.run(nil)
+	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
+	res, err := newStreamShuffle(tr, s.Addr(), 0, board, &mergeTimings{}).run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-reannounced // the hook must have fired
-	t.Cleanup(res.cleanup)
+	defer res.cleanup()
 
-	mu.Lock()
-	defer mu.Unlock()
-	return res, fetches[1]
-}
-
-// TestStaleAttemptReFetched: the coordinator must detect the version bump,
-// re-fetch, and emit output containing only the new attempt's records.
-func TestStaleAttemptReFetched(t *testing.T) {
-	res, refetches := runStaleAttempt(t)
-	if refetches < 2 {
-		t.Fatalf("map 1 fetched %d times, want >= 2 (stale attempt not re-fetched)", refetches)
-	}
-	out := renderShuffleResult(t, copyRunner("Text", 6, 1, nil).cmp, res)
-	if strings.Contains(out, "OLD") {
-		t.Errorf("merged output still carries the stale attempt's bytes:\n%s", out)
-	}
-	if !strings.Contains(out, "key-1=NEW") {
-		t.Errorf("merged output missing the retried attempt's record:\n%s", out)
-	}
-	for m, ok := range res.fetched {
-		if !ok {
-			t.Errorf("map %d not marked fetched", m)
-		}
-	}
-}
-
-// TestUnboundedCopyPhaseReturnsEveryMapInOrder pins what the final merge is
-// handed when no memory budget is set: exactly one part per map, in ascending
-// map order — nothing collapsed, nothing reordered — even after a mid-flight
-// re-announcement forced a re-fetch.
-func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
-	res, _ := runStaleAttempt(t)
 	if res.inputs != nil {
 		t.Fatal("unbounded copy phase produced disk-run inputs")
 	}
-	if len(res.parts) != 6 {
-		t.Fatalf("copy phase returned %d parts for 6 maps", len(res.parts))
+	if len(res.parts) != maps {
+		t.Fatalf("copy phase returned %d parts for %d maps", len(res.parts), maps)
 	}
 	for m, part := range res.parts {
+		if !res.fetched[m] {
+			t.Errorf("map %d not marked fetched", m)
+		}
 		rd := part.NewReader()
 		k, _, ok, err := rd.Next()
 		if err != nil || !ok || string(k) != fmt.Sprintf("key-%d", m) {

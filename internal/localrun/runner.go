@@ -435,10 +435,9 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 // fresh attempt IDs up to the bound (Hadoop's mapreduce.map.maxattempts).
 // Each attempt gets fresh task counters — only the winning attempt's work
 // counts, as in Hadoop — while fault counters accumulate across attempts so
-// the job report shows what the executor survived. The winning attempt is
-// published to the completion board so waiting reducers fetch it
-// immediately; a commit after earlier failed attempts re-announces, bumping
-// the board version.
+// the job report shows what the executor survived. The winning attempt —
+// and only it — is published to the completion board, so waiting reducers
+// fetch it immediately and each map is announced once.
 func (tr *TaskRunner) runMapWithRetry(idx int, server *shuffleServer, board *completionBoard, jobST *spillTimings) (*mapreduce.Counters, error) {
 	faultCtrs := mapreduce.NewCounters()
 	var lastErr error

@@ -73,11 +73,12 @@ func newShuffleServer(diskBacked bool) (*shuffleServer, error) {
 // Addr returns the server's dialable address.
 func (s *shuffleServer) Addr() string { return s.ln.Addr().String() }
 
-// Register publishes a map task's output for one partition. Re-executed
-// map attempts re-register their partitions; the newest registration wins.
-// Registering on a closed server is an error, never a silent mutation. The
-// store owns the segment afterwards (the disk-backed one recycles its buffer
-// once the bytes are in the spill file).
+// Register publishes a map task's output for one partition. The newest
+// registration wins, which serves exactly one case: a failed attempt's
+// partial registration — never announced, so never fetched — is overwritten
+// by the attempt that goes on to commit. Registering on a closed server is an
+// error, never a silent mutation. The store owns the segment afterwards (the
+// disk-backed one recycles its buffer once the bytes are in the spill file).
 func (s *shuffleServer) Register(mapIdx, partition int, seg *kvbuf.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,9 +237,9 @@ func (c *shuffleConn) responseBytes() ([]byte, error) {
 	return data, nil
 }
 
-// missingSegmentErr is permanent: the map phase completed before any
-// reducer started, so a missing segment will never appear; fail fast
-// instead of retrying.
+// missingSegmentErr is permanent: a map is announced only after all its
+// partitions are registered, so a segment missing for an announced map will
+// never appear; fail fast instead of retrying.
 func missingSegmentErr(mapIdx, partition int) error {
 	return faultinject.Permanent(fmt.Errorf("localrun: map %d partition %d not found on server", mapIdx, partition))
 }
@@ -507,11 +508,11 @@ type shuffleResult struct {
 // streamShuffle coordinates one reduce task's overlapped copy phase: a
 // subscriber turns completion-board announcements into fetch work and
 // tr.copies fetcher goroutines drain it over persistent pipelined
-// connections (segmentFetcher). Re-announced maps (a retried attempt
-// committing after its predecessor's bytes may already have been fetched)
-// are re-fetched. Unbounded, the phase hands the final merge its numMaps
-// fetched segments in map order; with tr.memBudget set, the bounded pool's
-// background spiller (mergepool.go) is the one reduce-side background merge.
+// connections (segmentFetcher). A map is announced once, so each map is
+// queued, fetched and stored once. Unbounded, the phase hands the final merge
+// its numMaps fetched segments in map order; with tr.memBudget set, the
+// bounded pool's background spiller (mergepool.go) is the one reduce-side
+// background merge.
 type streamShuffle struct {
 	tr      *TaskRunner
 	addr    string
@@ -523,21 +524,16 @@ type streamShuffle struct {
 
 	onFetch func(mapIdx int) // test hook: called after a segment is stored
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	syncedSeq  int64   // board sequence the subscriber has fully processed
-	queue      []int   // announced maps awaiting dispatch
-	queued     []bool  // per map: sitting in queue
-	inflight   []bool  // per map: dispatched to a fetcher
-	queuedVer  []int64 // per map: latest announced board version (0 = none)
-	dispVer    []int64 // per map: board version observed at dispatch
-	fetchedVer []int64 // per map: board version whose fetch was stored (0 = none)
-	segs       []*kvbuf.Segment
-	wire       []int64
-	sts        []FetchStats
-	err        error
-	aborted    bool
-	finalized  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []int  // announced maps awaiting dispatch
+	fetched  []bool // per map: its segment was stored
+	nFetched int
+	segs     []*kvbuf.Segment
+	wire     []int64
+	sts      []FetchStats
+	err      error
+	aborted  bool
 
 	// Bounded-pool state (tr.memBudget > 0): poolUsed charges every admitted
 	// segment byte (including bytes held by an in-flight spill merge),
@@ -558,30 +554,25 @@ func newStreamShuffle(tr *TaskRunner, addr string, reduce int, board *completion
 	numMaps := len(tr.splits)
 	copies := min(tr.copies, numMaps)
 	ss := &streamShuffle{
-		tr:         tr,
-		addr:       addr,
-		reduce:     reduce,
-		numMaps:    numMaps,
-		copies:     copies,
-		board:      board,
-		tm:         tm,
-		queued:     make([]bool, numMaps),
-		inflight:   make([]bool, numMaps),
-		queuedVer:  make([]int64, numMaps),
-		dispVer:    make([]int64, numMaps),
-		fetchedVer: make([]int64, numMaps),
-		segs:       make([]*kvbuf.Segment, numMaps),
-		wire:       make([]int64, numMaps),
-		sts:        make([]FetchStats, copies),
+		tr:      tr,
+		addr:    addr,
+		reduce:  reduce,
+		numMaps: numMaps,
+		copies:  copies,
+		board:   board,
+		tm:      tm,
+		fetched: make([]bool, numMaps),
+		segs:    make([]*kvbuf.Segment, numMaps),
+		wire:    make([]int64, numMaps),
+		sts:     make([]FetchStats, copies),
 	}
 	ss.cond = sync.NewCond(&ss.mu)
 	return ss
 }
 
-// run drives the copy phase to completion: every map announced, fetched and
-// up to date (re-fetched past any re-announcement), or the first error /
-// cancellation. done aborts waits when the job fails elsewhere; nil means
-// never cancel.
+// run drives the copy phase to completion: every map announced and fetched,
+// or the first error / cancellation. done aborts waits when the job fails
+// elsewhere; nil means never cancel.
 func (ss *streamShuffle) run(done <-chan struct{}) (*shuffleResult, error) {
 	stop := make(chan struct{})
 	defer close(stop)
@@ -612,23 +603,20 @@ func (ss *streamShuffle) watchDone(done, stop <-chan struct{}) {
 	}
 }
 
-// subscribe converts board announcements into fetch work until the copy
-// phase ends.
+// subscribe queues each map's fetch the first time the board shows it
+// committed, until the copy phase ends.
 func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
-	snap := make([]mapCompletion, ss.numMaps)
-	seen := make([]int64, ss.numMaps)
+	snap := make([]int, ss.numMaps)
+	seen := make([]bool, ss.numMaps)
 	for {
-		seq, next := ss.board.poll(snap)
+		next := ss.board.poll(snap)
 		ss.mu.Lock()
-		for m := range snap {
-			c := snap[m]
-			if c.Attempt < 0 || c.Version <= seen[m] {
-				continue
+		for m, attempt := range snap {
+			if attempt >= 0 && !seen[m] {
+				seen[m] = true
+				ss.queue = append(ss.queue, m)
 			}
-			seen[m] = c.Version
-			ss.noteAnnounce(m, c.Version)
 		}
-		ss.syncedSeq = seq
 		ss.cond.Broadcast()
 		ss.mu.Unlock()
 		select {
@@ -639,42 +627,9 @@ func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
 	}
 }
 
-// noteAnnounce records map m's (re-)announcement and queues the fetch.
-// Caller holds ss.mu.
-func (ss *streamShuffle) noteAnnounce(m int, ver int64) {
-	if ss.finalized {
-		// The copy phase already published its result; a straggling
-		// announcement (only possible once the job is failing) must not
-		// recycle segments the reduce pass is reading.
-		return
-	}
-	ss.queuedVer[m] = ver
-	// A newer attempt invalidates any on-disk run the old bytes fed: they
-	// cannot be carved back out of a merged run, so the run drops and its
-	// members re-fetch.
-	ss.invalidateRunsLocked(m)
-	if !ss.queued[m] && !ss.inflight[m] && ss.fetchedVer[m] < ver {
-		ss.queued[m] = true
-		ss.queue = append(ss.queue, m)
-	}
-}
-
-// upToDate reports whether every map's announced bytes have been fetched.
-// The copy phase may not close while the subscriber lags the board: an
-// announcement published but not yet turned into queue state must hold the
-// phase open, or a re-announced map's stale bytes would be finalized.
-// Caller holds ss.mu.
-func (ss *streamShuffle) upToDate() bool {
-	if ss.syncedSeq != ss.board.Seq() {
-		return false
-	}
-	for m := 0; m < ss.numMaps; m++ {
-		if ss.fetchedVer[m] == 0 || ss.fetchedVer[m] < ss.queuedVer[m] {
-			return false
-		}
-	}
-	return true
-}
+// allFetched reports whether every map's segment has been stored. Caller
+// holds ss.mu.
+func (ss *streamShuffle) allFetched() bool { return ss.nFetched == ss.numMaps }
 
 // nextBatch blocks until fetch work is available, handing out up to a
 // pipeline window's worth of maps, or returns nil when the copy phase is
@@ -683,7 +638,7 @@ func (ss *streamShuffle) nextBatch() []int {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for {
-		if ss.err != nil || ss.aborted || ss.upToDate() {
+		if ss.err != nil || ss.aborted || ss.allFetched() {
 			return nil
 		}
 		if len(ss.queue) > 0 {
@@ -695,11 +650,6 @@ func (ss *streamShuffle) nextBatch() []int {
 	batch := make([]int, n)
 	copy(batch, ss.queue[:n])
 	ss.queue = append(ss.queue[:0], ss.queue[n:]...)
-	for _, m := range batch {
-		ss.queued[m] = false
-		ss.inflight[m] = true
-		ss.dispVer[m] = ss.queuedVer[m]
-	}
 	return batch
 }
 
@@ -713,18 +663,15 @@ func (ss *streamShuffle) worker(w int) {
 		if batch == nil {
 			return
 		}
-		err := f.run(batch, ss.store)
-		ss.batchDone(batch, err)
+		ss.batchDone(f.run(batch, ss.store))
 	}
 }
 
-// store records one fetched segment. The fetch observed whatever the server
-// had registered when it ran, so it is stamped with the board version seen
-// at dispatch: a re-announcement racing past it leaves fetchedVer behind
-// queuedVer and the map is re-queued by batchDone.
+// store records one fetched segment, first waiting for room in the bounded
+// pool when there is one.
 func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.mu.Lock()
-	if ss.tr.memBudget > 0 && !ss.admitLocked(m, int64(seg.Len())) {
+	if ss.tr.memBudget > 0 && !ss.admitLocked(int64(seg.Len())) {
 		// The phase is ending (error or abort): drop the segment rather
 		// than block forever on a pool nobody will drain.
 		ss.mu.Unlock()
@@ -733,7 +680,8 @@ func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	}
 	ss.segs[m] = seg
 	ss.wire[m] = n
-	ss.fetchedVer[m] = ss.dispVer[m]
+	ss.fetched[m] = true
+	ss.nFetched++
 	ss.maybeSpillLocked()
 	ss.mu.Unlock()
 	if ss.onFetch != nil {
@@ -741,17 +689,10 @@ func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	}
 }
 
-func (ss *streamShuffle) batchDone(batch []int, err error) {
+// batchDone records a finished batch's outcome and wakes the other copiers:
+// the phase may just have completed or failed.
+func (ss *streamShuffle) batchDone(err error) {
 	ss.mu.Lock()
-	for _, m := range batch {
-		ss.inflight[m] = false
-		// Stale (re-announced mid-flight) or failed-but-recoverable maps go
-		// back in the queue; with err set the phase is ending anyway.
-		if ss.fetchedVer[m] < ss.queuedVer[m] && !ss.queued[m] {
-			ss.queued[m] = true
-			ss.queue = append(ss.queue, m)
-		}
-	}
 	if err != nil && ss.err == nil {
 		ss.err = err
 	}
@@ -764,14 +705,10 @@ func (ss *streamShuffle) batchDone(batch []int, err error) {
 func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.finalized = true
 	res := &shuffleResult{
 		wire:    ss.wire,
-		fetched: make([]bool, ss.numMaps),
+		fetched: ss.fetched,
 		cleanup: ss.releaseAll,
-	}
-	for m := 0; m < ss.numMaps; m++ {
-		res.fetched[m] = ss.fetchedVer[m] > 0
 	}
 	for _, st := range ss.sts {
 		res.st.add(st)
@@ -779,7 +716,7 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	if ss.err != nil {
 		return res, ss.err
 	}
-	if ss.aborted && !ss.upToDate() {
+	if ss.aborted && !ss.allFetched() {
 		return res, errShuffleAborted
 	}
 	if len(ss.runs) > 0 {

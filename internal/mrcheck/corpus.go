@@ -34,23 +34,3 @@ func LoadRepro(path string) (microbench.Config, error) {
 	}
 	return cfg, nil
 }
-
-// SaveRepro writes cfg as a corpus file, one flag pair per line, with a
-// header comment naming the invariant it once violated.
-func SaveRepro(path string, cfg microbench.Config, note string) error {
-	args := cfg.ReproFlags()
-	var b strings.Builder
-	if note != "" {
-		fmt.Fprintf(&b, "# %s\n", note)
-	}
-	for i := 0; i < len(args); {
-		if i+1 < len(args) && strings.HasPrefix(args[i], "-") && !strings.HasPrefix(args[i+1], "-") {
-			fmt.Fprintf(&b, "%s %s\n", args[i], args[i+1])
-			i += 2
-		} else {
-			fmt.Fprintf(&b, "%s\n", args[i])
-			i++
-		}
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}

@@ -18,7 +18,6 @@ type Flow struct {
 	remaining float64
 	rate      float64 // bytes/sec, set by the allocator
 	Done      *sim.Future
-	started   sim.Time
 
 	// Transient water-filling state, valid only inside reallocate.
 	links  [2]*link
@@ -37,9 +36,6 @@ type link struct {
 
 // Rate returns the flow's current allocated rate in bytes/sec.
 func (fl *Flow) Rate() float64 { return fl.rate }
-
-// Started returns the virtual time the flow entered the fabric.
-func (fl *Flow) Started() sim.Time { return fl.started }
 
 // Counters accumulates traffic for one endpoint, for utilization sampling.
 type Counters struct {
@@ -96,9 +92,6 @@ func NewFabric(e *sim.Engine, profile Profile, n int) *Fabric {
 // Profile returns the fabric's interconnect profile.
 func (f *Fabric) Profile() Profile { return f.profile }
 
-// Endpoints returns the number of endpoints.
-func (f *Fabric) Endpoints() int { return f.n }
-
 // NodeCounters returns a snapshot of endpoint i's cumulative traffic,
 // accounted up to the current instant.
 func (f *Fabric) NodeCounters(i int) Counters {
@@ -116,7 +109,7 @@ func (f *Fabric) ActiveFlows() int { return len(f.flows) }
 func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 	f.checkEndpoint(src)
 	f.checkEndpoint(dst)
-	fl := &Flow{Src: src, Dst: dst, Bytes: bytes, remaining: float64(bytes), Done: sim.NewFuture(), started: f.eng.Now()}
+	fl := &Flow{Src: src, Dst: dst, Bytes: bytes, remaining: float64(bytes), Done: sim.NewFuture()}
 	if src == dst {
 		// Same-node copy: constant memory bandwidth, no fabric contention.
 		d := sim.DurationOf(float64(bytes) / LocalBandwidth)

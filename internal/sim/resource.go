@@ -34,12 +34,6 @@ func NewResource(e *Engine, name string, capacity int64) *Resource {
 // Capacity returns the total capacity.
 func (r *Resource) Capacity() int64 { return r.capacity }
 
-// InUse returns the currently held amount.
-func (r *Resource) InUse() int64 { return r.inUse }
-
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 func (r *Resource) accumulate() {
 	now := r.eng.now
 	r.busyNs += float64(r.inUse) * float64(now-r.lastChange)

@@ -249,15 +249,6 @@ func (e *Engine) run(limit Time) {
 	}
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	n := len(e.keys)
-	if e.hole {
-		n--
-	}
-	return n
-}
-
 // addProc registers p for deadlock diagnostics.
 func (e *Engine) addProc(p *Proc) { e.procs = append(e.procs, p) }
 

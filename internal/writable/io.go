@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unicode/utf8"
 )
 
 // ErrTruncated is returned when a deserialization runs out of input.
@@ -286,15 +285,4 @@ func VLongEncodedLen(v int64) int {
 		n++
 	}
 	return n
-}
-
-// WriteUTF8 appends a string as Hadoop Text does (vint length + UTF-8),
-// validating the encoding.
-func (o *DataOutput) WriteUTF8(s string) error {
-	if !utf8.ValidString(s) {
-		return fmt.Errorf("writable: invalid UTF-8 string")
-	}
-	o.WriteVInt(int32(len(s)))
-	o.buf = append(o.buf, s...)
-	return nil
 }
