@@ -229,7 +229,7 @@ func runLocal(cfg microbench.Config, disk bool, reps int) {
 		fmt.Printf("reduce-side merge (budget %d bytes):\n", cfg.ShuffleMemBudget)
 		fmt.Printf("  fetch wait        %v (copiers blocked on pool admission)\n", rm.FetchWait.Round(time.Millisecond))
 		fmt.Printf("  in-memory merges  %v feeding %d disk runs (%d records, %d bytes)\n", rm.MemMerge.Round(time.Millisecond), rm.DiskRuns, rm.SpilledRecords, rm.SpilledBytes)
-		fmt.Printf("  disk passes       %v across %d intermediate waves\n", rm.DiskPass.Round(time.Millisecond), rm.DiskPasses)
+		fmt.Printf("  disk passes       %v across %d intermediate merges\n", rm.DiskPass.Round(time.Millisecond), rm.DiskPasses)
 		fmt.Printf("  final merge       %v (merge + reduce pass)\n", rm.FinalMerge.Round(time.Millisecond))
 	}
 	fmt.Printf("counters:\n%s", res.Counters)

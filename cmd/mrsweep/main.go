@@ -26,15 +26,11 @@ import (
 	"path/filepath"
 	"strings"
 
-	"mrmicro/internal/distrun"
 	"mrmicro/internal/figures"
 	"mrmicro/internal/simcache"
 )
 
 func main() {
-	// Sweep points on the dist engine spawn worker processes by re-executing
-	// this binary; a spawned copy never returns from MaybeWorker.
-	distrun.MaybeWorker()
 	var (
 		figureF  = flag.String("figure", "", "figure id (fig2a..fig8b, summary) or 'all'")
 		quick    = flag.Bool("quick", false, "small sweep sizes (fast preview)")

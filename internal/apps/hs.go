@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/mapreduce"
@@ -314,26 +313,17 @@ func (r *HSValidateReducer) Close(out mapreduce.Collector, _ mapreduce.Reporter)
 // equally.
 func init() {
 	inputformat.RegisterScheme("hs", func(params, dir string) error {
-		var seed, rows int64
-		maps := 0
-		err := parseParams(params, map[string]func(string) error{
-			"seed": func(v string) (err error) { seed, err = strconv.ParseInt(v, 10, 64); return },
-			"maps": func(v string) (err error) { maps, err = strconv.Atoi(v); return },
-			"rows": func(v string) (err error) { rows, err = strconv.ParseInt(v, 10, 64); return },
-		})
+		spec, err := ParseHSSpec(params)
 		if err != nil {
 			return err
 		}
-		if maps < 1 || rows < 1 {
-			return errf("hs spec needs positive maps and rows")
-		}
-		for m := 0; m < maps; m++ {
+		for m := int64(0); m < spec.Maps; m++ {
 			var buf bytes.Buffer
-			for i := int64(0); i < rows; i++ {
-				buf.WriteString(HSLine(seed, int64(m)*rows+i))
+			for i := int64(0); i < spec.Rows; i++ {
+				buf.WriteString(HSLine(spec.Seed, m*spec.Rows+i))
 				buf.WriteByte('\n')
 			}
-			name := filepath.Join(dir, inputformat.PartName(m))
+			name := filepath.Join(dir, inputformat.PartName(int(m)))
 			if err := os.WriteFile(name, buf.Bytes(), 0o644); err != nil {
 				return err
 			}
@@ -342,26 +332,29 @@ func init() {
 	})
 }
 
-func parseParams(params string, set map[string]func(string) error) error {
-	seen := map[string]bool{}
-	for _, kv := range strings.Split(params, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return errf("malformed parameter %q", kv)
-		}
-		f := set[k]
-		if f == nil {
+// HSSpec is the parameter list of an "hs:" input spec: Maps files of Rows
+// generated rows each.
+type HSSpec struct{ Seed, Maps, Rows int64 }
+
+// ParseHSSpec parses "seed=S,maps=M,rows=R" (what follows "hs:").
+func ParseHSSpec(params string) (HSSpec, error) {
+	var s HSSpec
+	err := inputformat.ParseKVs(params, func(k, v string) error {
+		n, err := strconv.ParseInt(v, 10, 64)
+		switch k {
+		case "seed":
+			s.Seed = n
+		case "maps":
+			s.Maps = n
+		case "rows":
+			s.Rows = n
+		default:
 			return errf("unknown parameter %q", k)
 		}
-		if err := f(v); err != nil {
-			return errf("parameter %q: %v", kv, err)
-		}
-		seen[k] = true
+		return err
+	})
+	if err == nil && (s.Maps < 1 || s.Rows < 1) {
+		err = errf("hs spec %q needs positive maps and rows", params)
 	}
-	for k := range set {
-		if !seen[k] {
-			return errf("missing parameter %q", k)
-		}
-	}
-	return nil
+	return s, err
 }

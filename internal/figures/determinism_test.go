@@ -2,6 +2,7 @@ package figures
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,5 +139,26 @@ func TestFigureDeterminismCachedVsUncached(t *testing.T) {
 		if hits == preHits {
 			t.Errorf("%s: warm run recorded no cache hits", id)
 		}
+	}
+}
+
+// TestDistConfigRejected: the sweep runner only simulates. A config pinned
+// to the real multi-process engine is an error that says where to run it,
+// and nothing is cached for it.
+func TestDistConfigRejected(t *testing.T) {
+	cache, err := simcache.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := microbench.Config{
+		Pattern: microbench.MRRand, Engine: microbench.EngineDist,
+		Slaves: 2, NumMaps: 3, NumReduces: 2, KeySize: 32, ValueSize: 64, PairsPerMap: 200,
+	}
+	_, err = Runner{Cache: cache}.RunAll([]microbench.Config{cfg})
+	if err == nil || !strings.Contains(err.Error(), "mrbench -engine=dist") {
+		t.Fatalf("RunAll on a dist config: err = %v, want one naming mrbench -engine=dist", err)
+	}
+	if _, err := (Runner{Cache: cache}).RunAll([]microbench.Config{cfg}); err == nil {
+		t.Error("second RunAll served the dist config from the cache")
 	}
 }

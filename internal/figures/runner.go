@@ -7,7 +7,6 @@ import (
 
 	"mrmicro/internal/cluster"
 	"mrmicro/internal/costmodel"
-	"mrmicro/internal/distrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/simcache"
@@ -34,7 +33,7 @@ type PointResult struct {
 // Bump the version whenever a kernel, engine, or cost-model change alters
 // simulation results: old disk entries then miss instead of resurfacing
 // stale numbers.
-const pointKeySchema = "mrmicro/point/v6" // v6: Config gained the workload surface; specs carry exact input counters
+const pointKeySchema = "mrmicro/point/v7" // v7: the reduce-side disk-pass charge follows the kvbuf.MergePasses plan (fig-mergemem moved)
 
 // pointKey is the hashed identity of a sweep point. Config is normalized
 // (defaults explicit, Model resolved) before hashing, so every spelling of
@@ -112,9 +111,6 @@ func (r Runner) runPoint(sweep *microbench.Sweep, cfg microbench.Config) (PointR
 	if err != nil {
 		return PointResult{}, err
 	}
-	if norm.Engine == microbench.EngineDist {
-		return runDistPoint(norm)
-	}
 	if norm.Model == nil {
 		norm.Model = costmodel.Default()
 	}
@@ -146,22 +142,4 @@ func (r Runner) runPoint(sweep *microbench.Sweep, cfg microbench.Config) (PointR
 		_ = r.Cache.Put(key, pr)
 	}
 	return pr, nil
-}
-
-// runDistPoint executes one sweep point on the real multi-process runtime.
-// Dist points never touch the cache: JobSeconds is wall-clock elapsed time,
-// not a deterministic function of the configuration, so a memoized value
-// would replay one machine's load as if it were the result. The hosting
-// binary must call distrun.MaybeWorker at the top of main (cmd/mrsweep and
-// the figures test binary do) for the spawned worker processes to bootstrap.
-func runDistPoint(norm microbench.Config) (PointResult, error) {
-	res, err := distrun.Run(norm, nil)
-	if err != nil {
-		return PointResult{}, err
-	}
-	return PointResult{
-		JobSeconds:    res.Elapsed.Seconds(),
-		ShuffleBytes:  res.Counters.Task(mapreduce.CtrReduceShuffleBytes),
-		MapInputBytes: res.Counters.Task(mapreduce.CtrMapInputBytes),
-	}, nil
 }

@@ -120,7 +120,7 @@ func Materialize(spec string) (string, error) {
 // ParseTextSpec parses the parameter list of a "text:" spec.
 func ParseTextSpec(params string) (TextSpec, error) {
 	t := TextSpec{Files: 1, Bytes: 4096, Shape: "words"}
-	if err := parseKVs(params, func(k, v string) error {
+	if err := ParseKVs(params, func(k, v string) error {
 		switch k {
 		case "seed":
 			n, err := strconv.ParseInt(v, 10, 64)
@@ -156,7 +156,9 @@ func ParseTextSpec(params string) (TextSpec, error) {
 	return t, nil
 }
 
-func parseKVs(params string, set func(k, v string) error) error {
+// ParseKVs splits the "k=v,k=v" parameter list of an input spec and hands
+// each pair to set; every scheme's parser is a switch inside set.
+func ParseKVs(params string, set func(k, v string) error) error {
 	for _, kv := range strings.Split(params, ",") {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {

@@ -1,9 +1,9 @@
 package kvbuf
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mrmicro/internal/writable"
 )
@@ -58,131 +58,92 @@ func MergePasses(n, factor int) []int {
 	return passes
 }
 
-// MergeWave plans one pass of an adjacency-preserving multi-pass merge: it
-// partitions n position-ordered runs into consecutive groups, each merged
-// to a single run, returning the group sizes (nil when n <= factor and no
-// intermediate pass is needed). It is MergePasses' positional sibling:
-// MergePasses' FIFO schedule (used for map-side spills, whose segment
-// identity does not outlive the task) can merge runs whose coverage
-// interleaves, but a reduce-side disk merge must only ever combine runs
-// covering adjacent map-index ranges, or positional tie-breaking — and with
-// it output byte-identity against a flat merge — would not survive the
-// pass. Groups are balanced to within one run so a wave's merges
-// parallelize evenly; a size-1 group passes its run through unmerged.
-func MergeWave(n, factor int) []int {
-	if factor < 2 {
-		factor = 2
-	}
-	if n <= factor {
-		return nil
-	}
-	g := (n + factor - 1) / factor
-	sizes := make([]int, g)
-	base, extra := n/g, n%g
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
-	}
-	return sizes
-}
-
-// mergeIntermediate executes every intermediate pass of the MergePasses
-// plan, leaving at most factor segments for the caller's final merge. It
-// returns those final segments plus, per segment, whether this function
-// created it (scratch: safe to Recycle once its bytes were copied onward).
-//
-// Passes are grouped into waves: a wave is the longest run of consecutive
-// plan entries whose inputs are all materialized already, and the merges of
-// a wave read disjoint inputs, so they run concurrently (bounded by
-// parallelism; <= 0 means GOMAXPROCS). Scheduling does not change the
-// byte-level result: segment order, tie-breaking and the comparison count
-// are identical to running the plan sequentially.
-func mergeIntermediate(cmp writable.RawComparator, segs []*Segment, factor, parallelism int) (final []*Segment, scratch []bool, comparisons int64, err error) {
-	plan := MergePasses(len(segs), factor)
-	if len(plan) == 0 {
-		return segs, make([]bool, len(segs)), 0, nil
-	}
+// MergeInPlace executes the MergePasses plan over position-ordered items and
+// returns the at most factor items left for the caller's final merge. Each
+// pass hands merge the next take adjacent items and its result takes their
+// slot, so only position-adjacent items ever merge: as long as merge breaks
+// key ties by position in its group, the final merge emits the bytes of one
+// flat merge of the original items, whatever n, factor or parallelism
+// (TestMergeAllMatchesSequentialMerge). A sweep is the longest run of plan
+// entries that fits left to right over the current list; its passes read
+// disjoint items and run concurrently (parallelism <= 0 means GOMAXPROCS).
+// merge owns the group it is handed and releases what it consumed.
+func MergeInPlace[T any](items []T, factor, parallelism int, merge func(group []T) (T, error)) ([]T, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	work := make([]*Segment, len(segs), len(segs)+len(plan))
-	copy(work, segs)
-	owned := make([]bool, len(segs), len(segs)+len(plan))
-	pos := 0
-	i := 0
-	for i < len(plan) {
-		taken := 0
-		var wave []int
-		for i < len(plan) && taken+plan[i] <= len(work)-pos {
-			taken += plan[i]
-			wave = append(wave, plan[i])
-			i++
+	// A sweep always starts with more than factor items (that is when the
+	// plan still has an entry) and no pass takes more than factor, so every
+	// sweep runs at least one pass and the loop ends.
+	for plan := MergePasses(len(items), factor); len(plan) > 0; {
+		fit, covered := 0, 0
+		for fit < len(plan) && covered+plan[fit] <= len(items) {
+			covered += plan[fit]
+			fit++
 		}
-		if len(wave) == 0 {
-			return nil, nil, comparisons, fmt.Errorf("kvbuf: merge plan starved (%d segments, factor %d)", len(segs), factor)
-		}
-		outs := make([]*Segment, len(wave))
-		comps := make([]int64, len(wave))
-		errs := make([]error, len(wave))
-		var wg sync.WaitGroup
+		next := make([]T, fit, fit+len(items)-covered)
+		errs := make([]error, fit)
 		sem := make(chan struct{}, parallelism)
-		off := pos
-		for j, take := range wave {
-			in := work[off : off+take]
+		var wg sync.WaitGroup
+		off := 0
+		for j, take := range plan[:fit] {
+			group := items[off : off+take]
 			off += take
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(j int, in []*Segment) {
+			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				outs[j], comps[j], errs[j] = Merge(cmp, in)
-			}(j, in)
+				next[j], errs[j] = merge(group)
+			}()
 		}
 		wg.Wait()
-		for j := range wave {
-			if errs[j] != nil {
-				return nil, nil, comparisons, errs[j]
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
-			comparisons += comps[j]
 		}
-		// The consumed inputs' bytes now live in the wave outputs; recycle
-		// the ones this plan created (never the caller's segments).
-		for k := pos; k < pos+taken; k++ {
-			if owned[k] {
-				work[k].Recycle()
-			}
-			work[k] = nil
-		}
-		pos += taken
-		for _, o := range outs {
-			work = append(work, o)
-			owned = append(owned, true)
-		}
+		items, plan = append(next, items[covered:]...), plan[fit:]
 	}
-	return work[pos:], owned[pos:], comparisons, nil
+	return items, nil
 }
 
 // MergeAll merges any number of segments into a single segment while
-// honoring the io.sort.factor fan-in bound: intermediate passes (run
-// concurrently, scratch buffers recycled) reduce the count to at most
-// factor, then one final merge produces the output. With n <= factor it is
-// exactly Merge. parallelism <= 0 uses GOMAXPROCS.
+// honoring the io.sort.factor fan-in bound: MergeInPlace's intermediate
+// passes (scratch outputs recycled once consumed) reduce the count to at
+// most factor, then one final merge produces the output — byte for byte what
+// Merge produces over the same segments. parallelism <= 0 uses GOMAXPROCS.
 func MergeAll(cmp writable.RawComparator, segs []*Segment, factor, parallelism int) (*Segment, int64, error) {
-	final, scratch, comparisons, err := mergeIntermediate(cmp, segs, factor, parallelism)
-	if err != nil {
-		return nil, comparisons, err
+	type item struct {
+		seg     *Segment
+		scratch bool // made by a pass here, never the caller's
 	}
-	out, comps, err := Merge(cmp, final)
-	comparisons += comps
-	if err != nil {
-		return nil, comparisons, err
-	}
-	for i, s := range final {
-		if scratch[i] {
-			s.Recycle()
+	var comparisons atomic.Int64
+	mergeGroup := func(group []item) (item, error) {
+		in := make([]*Segment, len(group))
+		for i, it := range group {
+			in[i] = it.seg
 		}
+		out, comps, err := Merge(cmp, in)
+		comparisons.Add(comps)
+		if err != nil {
+			return item{}, err
+		}
+		for _, it := range group {
+			if it.scratch {
+				it.seg.Recycle()
+			}
+		}
+		return item{seg: out, scratch: true}, nil
 	}
-	return out, comparisons, nil
+	items := make([]item, len(segs))
+	for i, s := range segs {
+		items[i].seg = s
+	}
+	items, err := MergeInPlace(items, factor, parallelism, mergeGroup)
+	if err != nil {
+		return nil, comparisons.Load(), err
+	}
+	out, err := mergeGroup(items)
+	return out.seg, comparisons.Load(), err
 }

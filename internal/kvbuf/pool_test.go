@@ -49,38 +49,50 @@ func segRecords(t *testing.T, seg *Segment) []string {
 	}
 }
 
+// TestMergeAllMatchesSequentialMerge holds MergeAll to Merge's bytes. Half of
+// every segment's keys tie across all segments and carry the segment index as
+// value, so the order in which a multi-pass merge lets equal keys through is
+// written into the output.
 func TestMergeAllMatchesSequentialMerge(t *testing.T) {
 	cmp, _ := writable.Comparator("BytesWritable")
-	for _, k := range []int{1, 3, 11, 29} {
-		for _, factor := range []int{2, 3, 10} {
-			build := func() []*Segment {
-				segs := make([]*Segment, k)
-				for s := range segs {
-					w := NewWriter(256)
-					for i := 0; i < 20; i++ {
-						w.Append(mkBytesWritable(fmt.Sprintf("k%02d-%02d", i, s)), []byte{byte(s)})
-					}
-					segs[s] = w.Close()
+	for k := 1; k <= 64; k++ {
+		build := func() []*Segment {
+			segs := make([]*Segment, k)
+			for s := range segs {
+				w := NewWriter(256)
+				for i := 0; i < 4; i++ {
+					w.Append(mkBytesWritable(fmt.Sprintf("k%02d", i)), []byte{byte(s)})
+					w.Append(mkBytesWritable(fmt.Sprintf("k%02d-%02d", i, s)), []byte{byte(s)})
 				}
-				return segs
+				segs[s] = w.Close()
 			}
-			want, wantComps, err := Merge(cmp, build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The multi-pass merge must produce the same record stream for
-			// any parallelism, and its comparison count must not depend on
+			return segs
+		}
+		want, wantComps, err := Merge(cmp, build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, factor := range []int{2, 3, 4, 10} {
+			// The multi-pass merge must produce the same bytes for any
+			// parallelism, and its comparison count must not depend on
 			// scheduling.
+			var seqComps int64
 			for _, par := range []int{1, 4} {
 				got, comps, err := MergeAll(cmp, build(), factor, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if g, w := segRecords(t, got), segRecords(t, want); fmt.Sprint(g) != fmt.Sprint(w) {
-					t.Fatalf("k=%d factor=%d par=%d: MergeAll records diverge from Merge", k, factor, par)
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("k=%d factor=%d par=%d: MergeAll bytes diverge from Merge\n got %v\nwant %v",
+						k, factor, par, segRecords(t, got), segRecords(t, want))
 				}
 				if k <= factor && comps != wantComps {
 					t.Errorf("k=%d factor=%d: single-pass MergeAll did %d comparisons, Merge did %d", k, factor, comps, wantComps)
+				}
+				if par == 1 {
+					seqComps = comps
+				} else if comps != seqComps {
+					t.Errorf("k=%d factor=%d: %d comparisons at parallelism %d, %d at 1", k, factor, comps, par, seqComps)
 				}
 			}
 		}

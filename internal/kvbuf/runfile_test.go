@@ -176,38 +176,3 @@ func TestSourceMergerMatchesMergeStream(t *testing.T) {
 type sourceFunc func() (key, val []byte, ok bool, err error)
 
 func (f sourceFunc) Next() (key, val []byte, ok bool, err error) { return f() }
-
-// TestMergeWave checks the adjacency-preserving planner: groups are
-// consecutive, cover all n runs, respect the fan-in bound, and stay balanced
-// to within one run.
-func TestMergeWave(t *testing.T) {
-	for _, c := range []struct {
-		n, factor int
-		want      []int
-	}{
-		{1, 10, nil},
-		{10, 10, nil},
-		{2, 2, nil},
-		{3, 2, []int{2, 1}},
-		{10, 3, []int{3, 3, 2, 2}},
-		{11, 10, []int{6, 5}},
-		{100, 10, []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}},
-		{7, 1, []int{2, 2, 2, 1}}, // factor clamps up to 2
-	} {
-		got := MergeWave(c.n, c.factor)
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("MergeWave(%d, %d) = %v, want %v", c.n, c.factor, got, c.want)
-			continue
-		}
-		sum := 0
-		for _, g := range got {
-			sum += g
-			if g > max(c.factor, 2) {
-				t.Errorf("MergeWave(%d, %d): group %d exceeds fan-in", c.n, c.factor, g)
-			}
-		}
-		if got != nil && sum != c.n {
-			t.Errorf("MergeWave(%d, %d) covers %d runs", c.n, c.factor, sum)
-		}
-	}
-}

@@ -6,17 +6,19 @@
 // compacts a contiguous range of in-memory segments into one sorted on-disk
 // run (IFile spill format, compressed when the job compresses map output)
 // while the copiers keep fetching. The final reduce pass merges the mixed
-// memory+disk run set. Every run covers a contiguous range of map indices
-// and every merge tie-breaks equal keys by source position, so the output
-// bytes are identical to the unbounded all-in-memory merge — the budget is
-// invisible in the job's output, visible only in its memory ceiling.
+// memory+disk run set. Every run covers a contiguous range of map indices,
+// every merge tie-breaks equal keys by source position, and every pass —
+// inside a spill's in-memory merge and in the disk passes — combines adjacent
+// runs and puts the result in their place (kvbuf.MergeInPlace), so the output
+// bytes are those of the unbounded all-in-memory merge: the budget is
+// invisible in the job's output, visible only in its memory ceiling
+// (TestBoundedRunByteIdenticalAndMultiPass, order-revealing job included).
 package localrun
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +30,7 @@ import (
 )
 
 // mergeTimings accumulates the reduce-side merge pipeline's work for the
-// bench breakdown. Atomics because spills, intermediate merge waves, and
+// bench breakdown. Atomics because spills, intermediate merge passes, and
 // blocked copiers record concurrently.
 type mergeTimings struct {
 	fetchWaitNs  atomic.Int64 // copier time blocked on pool admission
@@ -36,7 +38,7 @@ type mergeTimings struct {
 	diskPassNs   atomic.Int64 // writing spill runs + intermediate disk merges
 	finalMergeNs atomic.Int64 // final merge + reduce pass
 	diskRuns     atomic.Int64 // runs created by pool spills
-	diskPasses   atomic.Int64 // intermediate disk merge waves
+	diskPasses   atomic.Int64 // intermediate disk merge passes
 	spilledRecs  atomic.Int64 // records written to reduce-side disk runs
 	spilledBytes atomic.Int64
 }
@@ -82,7 +84,7 @@ type ReduceMergeStats struct {
 	FinalMerge time.Duration // final merge + reduce pass (sort+reduce tail)
 
 	DiskRuns       int64 // on-disk runs created by pool spills
-	DiskPasses     int64 // intermediate disk merge waves
+	DiskPasses     int64 // intermediate disk merge passes (each writes one run)
 	SpilledRecords int64 // records written to reduce-side disk runs
 	SpilledBytes   int64 // bytes written to reduce-side disk runs
 }
@@ -361,48 +363,16 @@ func openInputs(r int, inputs []mergeInput) ([]kvbuf.RecordSource, []*kvbuf.RunR
 	return srcs, open, nil
 }
 
-// intermediateMerges reduces the input count to at most factor with
-// adjacency-preserving disk merge waves: each wave partitions the
-// position-ordered inputs into consecutive groups (kvbuf.MergeWave) and
-// merges the groups concurrently, each to a new on-disk run. Only adjacent
-// inputs ever merge, so positional tie-breaking — and with it output
-// byte-identity — survives every pass. Consumed inputs are recycled/deleted
-// as their group completes.
+// intermediateMerges reduces the input count to at most factor with the
+// disk passes of the one merge plan (kvbuf.MergeInPlace): each pass streams
+// adjacent inputs into a new on-disk run that takes their place, so
+// positional tie-breaking — and with it output byte-identity — survives
+// every pass. Consumed inputs are recycled/deleted as their pass completes.
 func (tr *TaskRunner) intermediateMerges(r int, inputs []mergeInput, rdir *runDir, tm *mergeTimings) ([]mergeInput, error) {
-	for {
-		sizes := kvbuf.MergeWave(len(inputs), tr.factor)
-		if sizes == nil {
-			return inputs, nil
-		}
-		next := make([]mergeInput, len(sizes))
-		errs := make([]error, len(sizes))
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		var wg sync.WaitGroup
-		off := 0
-		for g, size := range sizes {
-			in := inputs[off : off+size]
-			off += size
-			if size == 1 {
-				next[g] = in[0]
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(g int, in []mergeInput) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				next[g], errs[g] = mergeRunGroup(r, tr.cmp, in, rdir, tm)
-			}(g, in)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	return kvbuf.MergeInPlace(inputs, tr.factor, 0, func(group []mergeInput) (mergeInput, error) {
 		tm.diskPasses.Add(1)
-		inputs = next
-	}
+		return mergeRunGroup(r, tr.cmp, group, rdir, tm)
+	})
 }
 
 // mergeRunGroup streams one group of adjacent inputs into a new raw on-disk

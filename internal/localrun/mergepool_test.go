@@ -135,44 +135,72 @@ func TestBoundedShuffleAborts(t *testing.T) {
 	}
 }
 
-// TestBoundedRunByteIdenticalAndMultiPass is the tentpole acceptance check:
-// a job whose shuffle volume exceeds the pool budget must complete through
-// multi-pass disk merging, and at every budget the output bytes must be
-// identical to the unbounded barrier run.
+// TestBoundedRunByteIdenticalAndMultiPass is the bounded pool's acceptance
+// check: a job whose shuffle volume exceeds the pool budget must complete
+// through multi-pass disk merging, and at every budget the output bytes must
+// be identical to the unbounded barrier run. The order variants run the
+// arrival-order job (12 maps, so fan-in 10 still needs a disk pass) at
+// fan-ins 2, 3 and 10, plain and with codec + combiner: a pool spill or disk
+// pass that lets a later map's tie through first changes their bytes.
 func TestBoundedRunByteIdenticalAndMultiPass(t *testing.T) {
 	text, _ := corpus()
-	barrier, barrierOut := overlapJob(text, 8, 3)
-	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
-		t.Fatal(err)
+	type variant struct {
+		name   string
+		maps   int
+		factor int
+		build  func() (*mapreduce.Job, *mapreduce.MemoryOutput)
 	}
-	want := renderOutput(barrierOut, 3)
+	variants := []variant{{"wordcount", 8, 2, func() (*mapreduce.Job, *mapreduce.MemoryOutput) {
+		return wordCountJob(text, 8, 3, false)
+	}}}
+	for _, factor := range []int{2, 3, 10} {
+		for _, on := range []bool{false, true} {
+			on := on
+			variants = append(variants, variant{
+				fmt.Sprintf("order/factor=%d/combiner+codec=%v", factor, on), 12, factor,
+				func() (*mapreduce.Job, *mapreduce.MemoryOutput) {
+					job, out := orderJob(text, 12, 3, on)
+					job.Conf.SetBool(mapreduce.ConfCompressMapOut, on)
+					return job, out
+				}})
+		}
+	}
+	for _, v := range variants {
+		barrier, barrierOut := v.build()
+		barrier.Conf.SetInt(mapreduce.ConfIOSortFactor, v.factor)
+		if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
+			t.Fatal(err)
+		}
+		want := renderOutput(barrierOut, 3)
 
-	for _, budget := range []int64{1, 512, 1 << 20} {
-		job, out := overlapJob(text, 8, 3)
-		slowstart(job, 0.25).Conf.
-			SetInt(mapreduce.ConfShuffleInputBufBytes, int(budget)).
-			SetInt(mapreduce.ConfIOSortFactor, 2)
-		res, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2, ParallelCopies: 1})
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		if got := renderOutput(out, 3); got != want {
-			t.Errorf("budget=%d output differs from the unbounded barrier path", budget)
-		}
-		if budget > 1 {
-			continue
-		}
-		// budget=1: no two segments ever share the pool, so every reduce must
-		// have spilled nearly all its inputs and merged them in waves.
-		rm := res.ReduceMerge
-		if rm.DiskRuns == 0 || rm.DiskPasses == 0 || rm.SpilledRecords == 0 || rm.SpilledBytes == 0 {
-			t.Errorf("budget=1 stats %+v: want disk runs, passes and spilled records > 0", rm)
-		}
-		if got := res.Counters.Task(mapreduce.CtrSpilledRecords); got == 0 {
-			t.Error("budget=1 SPILLED_RECORDS = 0, want reduce-side spills counted")
-		}
-		if got := res.Counters.Task(mapreduce.CtrMergedMapOutputs); got != 8*3 {
-			t.Errorf("MERGED_MAP_OUTPUTS = %d, want 24", got)
+		for _, budget := range []int64{1, 512, 1 << 20} {
+			job, out := v.build()
+			slowstart(job, 0.25).Conf.
+				SetInt(mapreduce.ConfShuffleInputBufBytes, int(budget)).
+				SetInt(mapreduce.ConfIOSortFactor, v.factor)
+			res, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2, ParallelCopies: 1})
+			if err != nil {
+				t.Fatalf("%s budget=%d: %v", v.name, budget, err)
+			}
+			if got := renderOutput(out, 3); got != want {
+				t.Errorf("%s budget=%d output differs from the unbounded barrier path", v.name, budget)
+			}
+			if budget > 1 {
+				continue
+			}
+			// budget=1: no two segments ever share the pool, so every reduce
+			// must have spilled nearly all its inputs and merged them in
+			// intermediate passes.
+			rm := res.ReduceMerge
+			if rm.DiskRuns == 0 || rm.DiskPasses == 0 || rm.SpilledRecords == 0 || rm.SpilledBytes == 0 {
+				t.Errorf("%s budget=1 stats %+v: want disk runs, passes and spilled records > 0", v.name, rm)
+			}
+			if got := res.Counters.Task(mapreduce.CtrSpilledRecords); got == 0 {
+				t.Errorf("%s budget=1 SPILLED_RECORDS = 0, want reduce-side spills counted", v.name)
+			}
+			if got := res.Counters.Task(mapreduce.CtrMergedMapOutputs); got != int64(v.maps)*3 {
+				t.Errorf("%s MERGED_MAP_OUTPUTS = %d, want %d", v.name, got, v.maps*3)
+			}
 		}
 	}
 }

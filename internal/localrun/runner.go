@@ -721,9 +721,10 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 	// fast path registers them untouched; otherwise the merge decompresses
 	// the raw runs (premerged blocks are kept uncompressed), merges,
 	// re-combines (the combiner's second chance, as in Hadoop's merge-side
-	// combine), and re-compresses the final output. Because blocks replace
-	// contiguous run ranges and MergeAll's stable positional tie-breaking is
-	// invariant to pass structure, the bytes match the synchronous flat merge.
+	// combine), and re-compresses the final output. Blocks replace contiguous
+	// run ranges and every pass of MergeAll merges adjacent runs in place
+	// (kvbuf.MergeInPlace), so the bytes are those of one flat merge of the
+	// raw spills whether or not the spiller premerged.
 	mergeStart := time.Now()
 	single := len(runs) == 1 && !runs[0].merged
 	for p := 0; p < numReduces; p++ {
@@ -734,31 +735,9 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 		if single {
 			final = runs[0].segs[p]
 		} else {
-			parts := make([]*kvbuf.Segment, len(runs))
-			for i, run := range runs {
-				if run.merged || codec == nil {
-					parts[i] = run.segs[p]
-					continue
-				}
-				d, err := run.segs[p].Decompress()
-				if err != nil {
-					return ctrs, fmt.Errorf("localrun: map %d run %d: %w", idx, i, err)
-				}
-				parts[i] = d
-			}
-			merged, _, err := kvbuf.MergeAll(tr.cmp, parts, tr.factor, 0)
-			if err != nil {
+			if final, err = tr.mergePartition(runs, p); err != nil {
 				return ctrs, fmt.Errorf("localrun: map %d final merge: %w", idx, err)
 			}
-			// The runs' bytes were copied into the merged segment; recycle
-			// the decompression scratch and the run buffers for reuse.
-			for i, run := range runs {
-				if !run.merged && codec != nil {
-					parts[i].Recycle()
-				}
-				run.segs[p].Recycle()
-			}
-			final = merged
 			if job.Combiner != nil && final.Records() > 0 {
 				combined, err := tr.combineSegment(final, ctrs)
 				if err != nil {

@@ -54,6 +54,44 @@ func wordCountJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job
 	return job, out
 }
 
+// orderJob is wordCountJob made order-revealing. Every map output value is a
+// job-wide serial (line offset and word position: unique, increasing within a
+// map) and the reducer folds its values with a non-commutative hash, so the
+// order in which equal keys reach it is written into the output — a sum
+// cannot see a merge that reorders ties. The combiner is the same fold.
+func orderJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job, *mapreduce.MemoryOutput) {
+	job, out := wordCountJob(text, maps, reduces, false)
+	job.Name = "arrival-order"
+	job.Mapper = func() mapreduce.Mapper {
+		return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, _ mapreduce.Reporter) error {
+			offset := k.(*writable.LongWritable).Value
+			for i, w := range strings.Fields(v.(*writable.Text).String()) {
+				if err := o.Collect(writable.NewText(w), &writable.LongWritable{Value: offset<<8 | int64(i)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	job.Reducer = func() mapreduce.Reducer {
+		return mapreduce.ReducerFunc(func(k writable.Writable, vs mapreduce.ValueIterator, o mapreduce.Collector, _ mapreduce.Reporter) error {
+			h := uint64(14695981039346656037)
+			for {
+				v, ok := vs.Next()
+				if !ok {
+					break
+				}
+				h = (h ^ uint64(v.(*writable.LongWritable).Value)) * 1099511628211
+			}
+			return o.Collect(writable.NewText(k.(*writable.Text).String()), &writable.LongWritable{Value: int64(h)})
+		})
+	}
+	if combiner {
+		job.Combiner = job.Reducer
+	}
+	return job, out
+}
+
 func corpus() (string, map[string]int64) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	var b strings.Builder

@@ -15,14 +15,18 @@
 // ring buffer has the full io.sort.mb capacity and the collector applies the
 // same ShouldSpill trigger), each spill's seal work (sort/combine/codec) is
 // the same pure function either way, and the final output per partition is a
-// stable adjacency-preserving merge of the same runs — premerged blocks
-// replace contiguous run ranges, and kvbuf.MergeAll's output is invariant to
-// pass structure. The async path therefore produces bit-identical map
-// outputs and identical task counters; mrcheck's spill-identity invariant
-// holds it to that.
+// merge of the same runs in which only position-adjacent runs ever combine
+// and the result takes their place: a premerged block replaces a contiguous
+// run range, and every pass of kvbuf.MergeAll does the same in place
+// (kvbuf.MergeInPlace). Under that property both sides emit the bytes of one
+// flat merge of the raw spills, so the async path produces bit-identical map
+// outputs and identical task counters. TestAsyncSpillByteIdenticalToSync
+// holds it with an order-revealing job at fan-in 2, 3 and 10, and mrcheck's
+// spill-identity invariant with its order witness.
 package localrun
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,43 +220,52 @@ func (sp *spillPipeline) maybePremerge() error {
 	return nil
 }
 
-// premergeRuns merges a contiguous range of raw spill runs into one block:
-// per partition, decompress (when the conf compresses spills), stable-merge
-// with positional tie-breaks, and keep the result uncompressed. No combine:
-// the final pass runs the combiner once over the fully merged output,
-// exactly like the synchronous multi-spill path.
+// premergeRuns merges a contiguous range of raw spill runs into one block,
+// partition by partition. No combine: the final pass runs the combiner once
+// over the fully merged output, exactly like the synchronous multi-spill path.
 func (tr *TaskRunner) premergeRuns(runs []mapRun) (mapRun, error) {
-	codec := tr.codec
-	partitions := len(runs[0].segs)
-	out := make([]*kvbuf.Segment, partitions)
-	parts := make([]*kvbuf.Segment, len(runs))
-	for p := 0; p < partitions; p++ {
-		for i, run := range runs {
-			if codec == nil {
-				parts[i] = run.segs[p]
-				continue
-			}
-			d, err := run.segs[p].Decompress()
-			if err != nil {
-				recycleSegs(out)
-				return mapRun{}, err
-			}
-			parts[i] = d
-		}
-		merged, _, err := kvbuf.MergeAll(tr.cmp, parts, tr.factor, 0)
-		if codec != nil {
-			recycleSegs(parts)
-		}
+	out := make([]*kvbuf.Segment, len(runs[0].segs))
+	for p := range out {
+		merged, err := tr.mergePartition(runs, p)
 		if err != nil {
 			recycleSegs(out)
 			return mapRun{}, err
 		}
 		out[p] = merged
 	}
-	for _, run := range runs {
-		recycleSegs(run.segs)
-	}
 	return mapRun{segs: out, merged: true}, nil
+}
+
+// mergePartition merges partition p of position-ordered runs into one
+// uncompressed segment, the step the background premerge and the mapper's
+// final merge share: raw runs are decompressed when the conf compresses
+// spills (premerged blocks never are), kvbuf.MergeAll merges them with
+// positional tie-breaks, and the runs' partition buffers are recycled once
+// their bytes live in the result.
+func (tr *TaskRunner) mergePartition(runs []mapRun, p int) (*kvbuf.Segment, error) {
+	parts := make([]*kvbuf.Segment, len(runs))
+	for i, run := range runs {
+		parts[i] = run.segs[p]
+		if run.merged || tr.codec == nil {
+			continue
+		}
+		d, err := parts[i].Decompress()
+		if err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
+		}
+		parts[i] = d
+	}
+	merged, _, err := kvbuf.MergeAll(tr.cmp, parts, tr.factor, 0)
+	if err != nil {
+		return nil, err
+	}
+	for i, run := range runs {
+		if parts[i] != run.segs[p] {
+			parts[i].Recycle() // decompression scratch
+		}
+		run.segs[p].Recycle()
+	}
+	return merged, nil
 }
 
 // drain closes the pipeline, waits for the worker to seal the tail spills,

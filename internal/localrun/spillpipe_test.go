@@ -38,24 +38,38 @@ func spillCorpus() string {
 	return strings.Repeat(text, 10)
 }
 
-// TestAsyncSpillByteIdenticalToSync is the PR's core identity claim: the
-// background SpillThread pipeline (sort/combine/compress off the mapper
+// TestAsyncSpillByteIdenticalToSync is the spill pipeline's identity claim:
+// the background SpillThread pipeline (sort/combine/compress off the mapper
 // goroutine, premerged trailing runs, overlapped final merge) must produce
 // reduce output and counters byte-identical to fully synchronous spilling,
-// across combiner / codec / in-flight-depth variants. Run under -race this
-// doubles as the concurrency witness for the buffer ring and segment pools.
+// across combiner / codec / in-flight-depth variants. The order cases run the
+// arrival-order job at fan-ins 2, 3 and 10 — the two sides then merge a
+// different pass structure (flat runs vs. premerged blocks), and only a merge
+// that keeps ties in run order makes them agree. Run under -race this doubles
+// as the concurrency witness for the buffer ring and segment pools.
 func TestAsyncSpillByteIdenticalToSync(t *testing.T) {
-	cases := []struct {
+	type spillCase struct {
 		name     string
 		combiner bool
 		codec    bool
 		inflight int
-	}{
+		order    bool
+		factor   int
+	}
+	cases := []spillCase{
 		{name: "plain"},
 		{name: "combiner", combiner: true},
 		{name: "codec", codec: true},
 		{name: "combiner+codec", combiner: true, codec: true},
 		{name: "inflight=3", inflight: 3},
+	}
+	for _, factor := range []int{2, 3, 10} {
+		for _, on := range []bool{false, true} {
+			cases = append(cases, spillCase{
+				name:  fmt.Sprintf("order/factor=%d/combiner+codec=%v", factor, on),
+				order: true, factor: factor, combiner: on, codec: on,
+			})
+		}
 	}
 	text := spillCorpus()
 	for _, tc := range cases {
@@ -63,8 +77,15 @@ func TestAsyncSpillByteIdenticalToSync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			build := func(sync bool) (*mapreduce.Job, *mapreduce.MemoryOutput) {
-				job, out := wordCountJob(text, 3, 2, tc.combiner)
+				newJob := wordCountJob
+				if tc.order {
+					newJob = orderJob
+				}
+				job, out := newJob(text, 3, 2, tc.combiner)
 				spillHeavyConf(job.Conf)
+				if tc.factor > 0 {
+					job.Conf.SetInt(mapreduce.ConfIOSortFactor, tc.factor)
+				}
 				if tc.codec {
 					job.Conf.SetBool(mapreduce.ConfCompressMapOut, true)
 				}
@@ -94,8 +115,9 @@ func TestAsyncSpillByteIdenticalToSync(t *testing.T) {
 			if syncRes.MapSpill.AsyncSpills != 0 {
 				t.Fatal("sync twin spilled asynchronously")
 			}
-			if asyncRes.MapSpill.Spills < 6 {
-				t.Fatalf("spills = %d, config did not force the multi-spill path", asyncRes.MapSpill.Spills)
+			// More spills per map than the fan-in, or no side goes multi-pass.
+			if perMap := asyncRes.MapSpill.Spills / 3; perMap < 6 || perMap <= int64(tc.factor) {
+				t.Fatalf("%d spills per map, config did not force the multi-pass path", perMap)
 			}
 
 			if got, want := outputFingerprint(asyncOut, 2), outputFingerprint(syncOut, 2); got != want {

@@ -558,17 +558,56 @@ type localSummary struct {
 	digest    string // sha256 over the captured reduce output
 }
 
-// runLocal executes cfg on the real executor with the output captured: the
-// discard reducer is replaced by one that emits, per key group, a value
-// folding the group's record count with an order-insensitive hash of the
-// value payloads — so dropped, duplicated, truncated or corrupted records
-// all surface in the digest, at any schedule.
+// runLocal executes cfg on the real executor with the output captured and
+// the order witness on: every map output value carries its (task, serial)
+// stamp, and the discard reducer is replaced by one that emits, per key
+// group, a value folding the group's record count with a hash of the value
+// payloads in arrival order — so dropped, duplicated, truncated, corrupted
+// or reordered records all surface in the digest, at any schedule.
 func runLocal(cfg microbench.Config, withFaults bool, mutate func(*mapreduce.Job)) (*localSummary, error) {
-	return runLocalWith(cfg, withFaults, mutate, checkReducer)
+	return runLocalWith(cfg, withFaults, func(job *mapreduce.Job) {
+		stampOrder(job)
+		if mutate != nil {
+			mutate(job)
+		}
+	}, checkReducer)
 }
 
-// runLocalWith is runLocal with the digest reducer swapped out (the combine
-// identity twin needs a multiplicity-insensitive one).
+// stampOrder is the identity twins' order witness, a mutate hook. GenMapper
+// emits one filler value, so without it every merge order yields the same
+// bytes and "byte-identical" cannot fail; with it the values of a key group
+// are all distinct and their order reaches checkReducer. The partitioner is
+// the one per-task seam a Job has, and it sees each value just before the
+// collector serialises it, so that is where the stamp goes.
+func stampOrder(job *mapreduce.Job) {
+	orig := job.PartitionerForTask
+	job.PartitionerForTask = func(task int) mapreduce.Partitioner {
+		inner := orig(task)
+		var serial uint64
+		return mapreduce.PartitionerFunc(func(k, v writable.Writable, nr int) int {
+			stampValue(v, task, serial)
+			serial++
+			return inner.Partition(k, v, nr)
+		})
+	}
+}
+
+// stampValue overwrites v's payload with base-36 digits of (serial, task):
+// the length is unchanged, so spill boundaries and byte counters do not
+// move, and the digits are printable, so a Text stays valid.
+func stampValue(v writable.Writable, task int, serial uint64) {
+	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+	x := serial<<10 | uint64(task)
+	data := writableBytes(v)
+	for i := range data {
+		data[i] = digits[x%36]
+		x /= 36
+	}
+}
+
+// runLocalWith runs cfg with the given mutation and digest reducer (the
+// combine identity twin needs unstamped values and a multiplicity-insensitive
+// fold).
 func runLocalWith(cfg microbench.Config, withFaults bool, mutate func(*mapreduce.Job), reducer func() mapreduce.Reducer) (*localSummary, error) {
 	job, err := microbench.BuildJob(cfg)
 	if err != nil {
@@ -606,7 +645,7 @@ func runLocalWith(cfg microbench.Config, withFaults bool, mutate func(*mapreduce
 }
 
 // checkReducer counts each group's records and folds every value payload
-// into an order-insensitive hash, emitting the mix as the group's output.
+// into a hash in arrival order, emitting the mix as the group's output.
 func checkReducer() mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(k writable.Writable, vs mapreduce.ValueIterator, o mapreduce.Collector, _ mapreduce.Reporter) error {
 		var count, fold uint64
@@ -617,7 +656,7 @@ func checkReducer() mapreduce.Reducer {
 			}
 			f := fnv.New64a()
 			f.Write(writableBytes(v))
-			fold += f.Sum64() // addition: order-insensitive across schedules
+			fold = fold*0x100000001b3 + f.Sum64() // not commutative: a reordered group changes the digest
 			count++
 		}
 		key := &writable.BytesWritable{Data: append([]byte(nil), writableBytes(k)...)}

@@ -131,9 +131,10 @@ func TestCorpusReplay(t *testing.T) {
 }
 
 // TestMutationCaught is the always-on vacuity guard: a deliberately flipped
-// partitioner decision must trip the partition oracle. The full mutation
-// matrix lives behind the `mutation` build tag; this cheap variant ensures
-// the harness can never silently pass mutated jobs.
+// partitioner decision must trip the partition oracle, and values that reach
+// a reducer in a different order on one side of a twin must trip that twin.
+// The full mutation matrix lives behind the `mutation` build tag; this cheap
+// variant ensures the harness can never silently pass mutated jobs.
 func TestMutationCaught(t *testing.T) {
 	cfg := microbench.Config{
 		Pattern:     microbench.MRAvg,
@@ -145,16 +146,46 @@ func TestMutationCaught(t *testing.T) {
 		Slaves:      1,
 		Seed:        1,
 	}
-	err := CheckConfig(cfg, CheckOptions{
-		Engines:   []microbench.Engine{}, // localrun-only keeps the guard cheap
-		MutateJob: FlipFirstPartition,
-	})
-	var fail *Failure
-	if !errors.As(err, &fail) {
-		t.Fatalf("mutated job passed every invariant (err=%v) — the harness is vacuous", err)
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*mapreduce.Job)
+	}{
+		{"partition-flip", "partition-oracle/localrun", FlipFirstPartition},
+		{"order-swap", "spill-identity/output", swapTaskStampsWhenSyncSpill},
+	} {
+		err := CheckConfig(cfg, CheckOptions{
+			Engines:   []microbench.Engine{}, // localrun-only keeps the guard cheap
+			MutateJob: tc.mutate,
+		})
+		var fail *Failure
+		if !errors.As(err, &fail) {
+			t.Fatalf("%s: mutated job passed every invariant (err=%v) — the harness is vacuous", tc.name, err)
+		}
+		if fail.Invariant != tc.want {
+			t.Errorf("%s caught by %s, want %s", tc.name, fail.Invariant, tc.want)
+		}
 	}
-	if fail.Invariant != "partition-oracle/localrun" {
-		t.Errorf("flip caught by %s, want partition-oracle/localrun", fail.Invariant)
+}
+
+// swapTaskStampsWhenSyncSpill changes nothing but arrival order, and only on
+// the -syncspill side of the spill twin: there the two maps stamp each
+// other's task number. MR-AVG gives both maps the same serials per key, so
+// every key group holds the same multiset of values on both sides — a fold
+// that ignores order (a sum, a count, a set) cannot tell them apart.
+func swapTaskStampsWhenSyncSpill(job *mapreduce.Job) {
+	if job.Conf.GetBool(mapreduce.ConfSpillOverlap, true) {
+		return
+	}
+	orig := job.PartitionerForTask
+	job.PartitionerForTask = func(task int) mapreduce.Partitioner {
+		inner := orig(task)
+		var serial uint64
+		return mapreduce.PartitionerFunc(func(k, v writable.Writable, nr int) int {
+			p := inner.Partition(k, v, nr) // stampOrder's stamp lands first
+			stampValue(v, 1-task, serial)
+			serial++
+			return p
+		})
 	}
 }
 

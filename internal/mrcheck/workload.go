@@ -128,7 +128,11 @@ func checkWorkload(cfg microbench.Config, opts CheckOptions) error {
 // (seed, maps, rows) — job N+1 reading job N's committed output is exactly
 // equivalent to reading the same rows materialized up front.
 func checkHSSort(cfg microbench.Config, opts CheckOptions) error {
-	spec, err := parseHSSpec(cfg.InputSpec)
+	params, ok := strings.CutPrefix(cfg.InputSpec, "hs:")
+	if !ok {
+		return fmt.Errorf("mrcheck: input %q is not an hs: spec", cfg.InputSpec)
+	}
+	spec, err := apps.ParseHSSpec(params)
 	if err != nil {
 		return err
 	}
@@ -155,8 +159,8 @@ func checkHSSort(cfg microbench.Config, opts CheckOptions) error {
 		Slaves:    cfg.Slaves,
 		SplitSize: cfg.SplitSize,
 		ExtraConf: map[string]string{
-			apps.ConfHSRows: strconv.FormatInt(spec.maps*spec.rows, 10),
-			apps.ConfHSSeed: strconv.FormatInt(spec.seed, 10),
+			apps.ConfHSRows: strconv.FormatInt(spec.Maps*spec.Rows, 10),
+			apps.ConfHSSeed: strconv.FormatInt(spec.Seed, 10),
 		},
 	}
 	if _, err := runWorkloadLocal(vcfg, false, nil); err != nil {
@@ -164,10 +168,10 @@ func checkHSSort(cfg microbench.Config, opts CheckOptions) error {
 	}
 
 	base := microbench.Config{
-		NumMaps:     int(spec.maps),
-		PairsPerMap: spec.rows,
+		NumMaps:     int(spec.Maps),
+		PairsPerMap: spec.Rows,
 		NumReduces:  cfg.NumReduces,
-		Seed:        spec.seed,
+		Seed:        spec.Seed,
 		Slaves:      cfg.Slaves,
 		SplitSize:   cfg.SplitSize,
 		Codec:       cfg.Codec,
@@ -264,38 +268,4 @@ func outputLines(dir string) ([]string, error) {
 		}
 	}
 	return lines, nil
-}
-
-// hsSpec is a parsed "hs:seed=S,maps=M,rows=R" input spec (rows per map).
-type hsSpec struct{ seed, maps, rows int64 }
-
-func parseHSSpec(in string) (hsSpec, error) {
-	var s hsSpec
-	if !strings.HasPrefix(in, "hs:") {
-		return s, fmt.Errorf("mrcheck: input %q is not an hs: spec", in)
-	}
-	for _, kv := range strings.Split(strings.TrimPrefix(in, "hs:"), ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return s, fmt.Errorf("mrcheck: hs spec parameter %q is not k=v", kv)
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("mrcheck: hs spec parameter %s: %v", k, err)
-		}
-		switch k {
-		case "seed":
-			s.seed = n
-		case "maps":
-			s.maps = n
-		case "rows":
-			s.rows = n
-		default:
-			return s, fmt.Errorf("mrcheck: unknown hs spec parameter %q", k)
-		}
-	}
-	if s.maps < 1 || s.rows < 1 {
-		return s, fmt.Errorf("mrcheck: hs spec %q needs positive maps and rows", in)
-	}
-	return s, nil
 }

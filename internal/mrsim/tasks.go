@@ -131,6 +131,26 @@ func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 	js.AllDone.Done()
 }
 
+// mergePasses charges the intermediate passes of the one merge plan
+// (kvbuf.MergePasses, the plan kvbuf.MergeInPlace executes on both sides of
+// the real engines) over fanIn runs and returns the fan-in left for the
+// final pass. Unit sizes are per-run averages; wf scales merged bytes to
+// bytes on disk and codecCPU is the per-byte cost of re-coding them.
+func (js *JobState) mergePasses(p *sim.Proc, node *cluster.Node, fanIn, factor int, unitRecs, unitBytes int64, wf, codecCPU float64) int {
+	m := js.Model
+	for _, take := range kvbuf.MergePasses(fanIn, factor) {
+		passBytes := unitBytes * int64(take)
+		passRecs := unitRecs * int64(take)
+		passWire := int64(float64(passBytes) * wf)
+		node.Store.Read(p, passWire)
+		node.Compute(p, m.MergeCPU(passRecs, take)+float64(passBytes)*m.MergeByteCPU+float64(passBytes)*codecCPU)
+		node.Store.Write(p, passWire)
+		node.Store.Delete(passWire) // merged pass inputs removed
+		fanIn = fanIn - take + 1
+	}
+	return fanIn
+}
+
 // mapFinalMerge charges the multi-pass merge of fanIn runs into the single
 // map output file: intermediate passes while fanIn exceeds io.sort.factor,
 // then the final pass (with the combiner's second chance) that writes the
@@ -138,33 +158,19 @@ func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 func (js *JobState) mapFinalMerge(p *sim.Proc, node *cluster.Node, fanIn, factor int, unitRecs, unitBytes, outRecs, outBytes int64, wf float64) {
 	m := js.Model
 	spec := js.Spec
-	remaining := fanIn
-	for _, take := range kvbuf.MergePasses(fanIn, factor) {
-		passBytes := unitBytes * int64(take)
-		passRecs := unitRecs * int64(take)
-		passWire := int64(float64(passBytes) * wf)
-		node.Store.Read(p, passWire)
-		codec := 0.0
-		if wf < 1 {
-			codec = float64(passBytes) * (m.DecompressCPU + m.CompressCPU)
-		}
-		node.Compute(p, m.MergeCPU(passRecs, take)+float64(passBytes)*m.MergeByteCPU+codec)
-		node.Store.Write(p, passWire)
-		node.Store.Delete(passWire) // merged pass inputs removed
-		remaining = remaining - take + 1
+	codecCPU := 0.0
+	if wf < 1 {
+		codecCPU = m.DecompressCPU + m.CompressCPU
 	}
+	remaining := js.mergePasses(p, node, fanIn, factor, unitRecs, unitBytes, wf, codecCPU)
 	// Final pass writes the single output file and removes the spills.
 	wireAll := int64(float64(outBytes) * wf)
 	node.Store.Read(p, wireAll)
-	codec := 0.0
-	if wf < 1 {
-		codec = float64(outBytes) * (m.DecompressCPU + m.CompressCPU)
-	}
 	if spec.Combining() {
 		// The merge-side combine pass touches every surviving record.
 		node.Compute(p, float64(outRecs)*m.CombineRecordCPU*spec.TypeFactor)
 	}
-	node.Compute(p, m.MergeCPU(outRecs, remaining)+float64(outBytes)*m.MergeByteCPU+codec)
+	node.Compute(p, m.MergeCPU(outRecs, remaining)+float64(outBytes)*m.MergeByteCPU+float64(outBytes)*codecCPU)
 	node.Store.Write(p, wireAll)
 	node.Store.Delete(wireAll)
 }
@@ -332,22 +338,14 @@ func (js *JobState) RunReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDo
 	fanIn := res.OnDiskSegs + res.InMemSegs
 	// With an explicit byte budget (the real executor's bounded-pool knob)
 	// the run count can exceed io.sort.factor, and the merger pays
-	// intermediate disk passes first: each wave re-reads and re-writes the
-	// spilled volume while compacting up to factor adjacent runs per group
-	// (kvbuf.MergeWave), as localrun's reduceOverInputs does. Without the
-	// byte key the single-pass model — and the existing figure calibration —
-	// is preserved byte for byte.
-	if b := spec.Conf.GetInt(mapreduce.ConfShuffleInputBufBytes, 0); b > 0 {
-		factor := spec.Conf.IOSortFactor()
-		if factor < 2 {
-			factor = 2
-		}
-		for fanIn > factor {
-			node.Store.Read(p, res.OnDiskBytes)
-			node.Compute(p, m.MergeCPU(totalRecs, factor)+float64(totalBytes)*m.MergeByteCPU)
-			node.Store.Write(p, res.OnDiskBytes)
-			fanIn = len(kvbuf.MergeWave(fanIn, factor))
-		}
+	// intermediate disk passes first — the plan localrun's reduceOverInputs
+	// executes, each pass re-reading and re-writing its share of the spilled
+	// volume. Without the byte key the single-pass model — and the existing
+	// figure calibration — is preserved byte for byte.
+	if b := spec.Conf.GetInt(mapreduce.ConfShuffleInputBufBytes, 0); b > 0 && totalBytes > 0 {
+		runs := int64(fanIn)
+		onDisk := float64(res.OnDiskBytes) / float64(totalBytes)
+		fanIn = js.mergePasses(p, node, fanIn, spec.Conf.IOSortFactor(), totalRecs/runs, totalBytes/runs, onDisk, 0)
 	}
 	if res.OnDiskBytes > 0 {
 		node.Store.Read(p, res.OnDiskBytes)
