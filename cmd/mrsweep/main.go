@@ -31,8 +31,12 @@ import (
 )
 
 func main() {
+	var ids []string
+	for _, f := range figures.All() {
+		ids = append(ids, f.ID)
+	}
 	var (
-		figureF  = flag.String("figure", "", "figure id (fig2a..fig8b, summary) or 'all'")
+		figureF  = flag.String("figure", "", "figure id ("+strings.Join(ids, ", ")+") or 'all'")
 		quick    = flag.Bool("quick", false, "small sweep sizes (fast preview)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables")
 		outDir   = flag.String("out", "", "also write each figure's series as <dir>/<figure>.csv")

@@ -227,7 +227,10 @@ func TestPartitionFencesWorker(t *testing.T) {
 // than the worker timeout, so the attempt stays alive but silent) and turns
 // on straggler detection: the coordinator must schedule a duplicate attempt
 // on the other worker, the duplicate's commit wins, and the woken straggler's
-// late commit loses without corrupting anything.
+// late commit loses without corrupting anything. Worker 0 starts alone, so
+// its first task is a map and the scripted stall fires; worker 1 is spawned
+// only once that map is running — started together, a quick worker 1 can
+// drain the map queue before worker 0 has registered.
 func TestSpeculativeExecution(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults = &faultinject.Plan{
@@ -235,15 +238,31 @@ func TestSpeculativeExecution(t *testing.T) {
 		Partitions:        map[int]int{0: 1}, // worker 0, pre-commit of its first map
 		PartitionDuration: 500 * time.Millisecond,
 	}
-	res, err := Run(cfg, &Options{
-		Workers:          2,
+	coord, err := NewCoordinator(cfg, &Options{
 		Digest:           true,
 		WorkerTimeout:    5 * time.Second, // stalled, not dead: keep the attempt running
 		SpeculativeAfter: 60 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
+	defer coord.Stop()
+	pool, err := StartWorkers(coord.Addr(), 1, false)
+	if err != nil {
+		t.Fatalf("StartWorkers: %v", err)
+	}
+	defer pool.Close()
+	if !waitUntil(10*time.Second, func() bool { return coord.Progress().MapsRunning > 0 }) {
+		t.Fatal("worker 0 never took a map")
+	}
+	if err := pool.spawn(1, 0); err != nil {
+		t.Fatalf("spawning worker 1: %v", err)
+	}
+	res, err := coord.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	pool.WaitIdle(2 * time.Second) // the straggler wakes, commits late and loses
 	if res.SpeculativeWins == 0 {
 		t.Errorf("expected at least one speculative win, got none")
 	}

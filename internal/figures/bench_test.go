@@ -9,7 +9,7 @@ var benchPoints []PointResult
 // three times.
 func BenchmarkRunAllSharedMatrix(b *testing.B) {
 	f, _ := ByID("fig2b")
-	cfgs := sweepPoints(b, f, false)
+	cfgs := f.Points(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

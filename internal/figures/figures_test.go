@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mrmicro/internal/cluster"
 	"mrmicro/internal/metrics"
 	"mrmicro/internal/netsim"
 )
@@ -28,13 +29,38 @@ func TestAllFiguresRegistered(t *testing.T) {
 			t.Errorf("duplicate figure id %s", f.ID)
 		}
 		ids[f.ID] = true
-		if f.Title == "" || f.Run == nil {
+		if f.Title == "" || f.plan == nil {
 			t.Errorf("figure %s incomplete", f.ID)
+			continue
+		}
+		// Points lists the sweep at either scale without simulating; a grid
+		// figure's is its table's series × ticks. Rendering zero-valued
+		// results draws the table's shape, which is all this reads.
+		for _, quick := range []bool{true, false} {
+			points := f.Points(quick)
+			if len(points) == 0 {
+				t.Errorf("%s: Points(%v) is empty", f.ID, quick)
+				continue
+			}
+			results := make([]PointResult, len(points))
+			for i := range results {
+				results[i].Samples = [][]cluster.Sample{nil} // fig7 reads slave 0's timeline
+			}
+			out := f.plan(quick).render(results)
+			if (len(out.Tables) == 1) != (f.ID != "fig7") {
+				t.Errorf("%s: %d tables; every figure but fig7 is one grid", f.ID, len(out.Tables))
+			}
+			for _, tb := range out.Tables {
+				if want := len(tb.Series()) * len(tb.XTicks); len(points) != want {
+					t.Errorf("%s: Points(%v) lists %d points, the grid is %d series x %d ticks",
+						f.ID, quick, len(points), len(tb.Series()), len(tb.XTicks))
+				}
+			}
 		}
 	}
 	for _, want := range []string{"fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c",
 		"fig4a", "fig4b", "fig4c", "fig5", "fig6a", "fig6b", "fig7", "fig8a", "fig8b",
-		"fig-codec", "fig-mergemem", "summary"} {
+		"fig-codec", "fig-workloads", "fig-mergemem", "fig-spill", "summary"} {
 		if !ids[want] {
 			t.Errorf("missing figure %s", want)
 		}

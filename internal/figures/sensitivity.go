@@ -6,7 +6,6 @@ import (
 	"mrmicro/internal/costmodel"
 	"mrmicro/internal/metrics"
 	"mrmicro/internal/microbench"
-	"mrmicro/internal/netsim"
 )
 
 // Knob is one perturbable cost-model constant.
@@ -49,24 +48,18 @@ func Sensitivity(shuffleGB float64, o Options) ([]SensitivityResult, error) {
 	// Layout: for each knob, for each factor, the 1GigE then QDR point.
 	knobs := Knobs()
 	factors := []float64{0.5, 1.0, 2.0}
-	profiles := []netsim.Profile{netsim.OneGigE, netsim.IPoIBQDR32}
 	var cfgs []microbench.Config
 	for _, k := range knobs {
 		for _, f := range factors {
-			m := costmodel.Default()
-			k.Set(m, f)
-			for _, prof := range profiles {
-				cfgs = append(cfgs, microbench.Config{
-					Pattern: microbench.MRAvg,
-					Slaves:  4, NumMaps: 16, NumReduces: 8,
-					KeySize: 1024, ValueSize: 1024,
-					Network: prof.Name,
-					Model:   m,
-				}.WithShuffleSize(gib(shuffleGB)))
+			base := reference()
+			base.Model = costmodel.Default()
+			k.Set(base.Model, f)
+			for _, r := range []rung{clusterA[0], clusterA[2]} {
+				cfgs = append(cfgs, r.on(base).WithShuffleSize(gib(shuffleGB)))
 			}
 		}
 	}
-	points, err := o.runAll(cfgs)
+	points, err := o.runner().RunAll(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: %w", err)
 	}

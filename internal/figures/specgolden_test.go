@@ -8,31 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"mrmicro/internal/cluster"
 	"mrmicro/internal/microbench"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current code")
-
-// sweepPoints lists the configurations a figure hands its runner, without
-// simulating any: the stand-in runner answers every point with a result the
-// figure's assembly code can index.
-func sweepPoints(t testing.TB, f Figure, quick bool) []microbench.Config {
-	t.Helper()
-	var points []microbench.Config
-	_, err := f.Generate(Options{Quick: quick, run: func(cfgs []microbench.Config) ([]PointResult, error) {
-		points = append(points, cfgs...)
-		out := make([]PointResult, len(cfgs))
-		for i := range out {
-			out[i] = PointResult{JobSeconds: 1, ShuffleBytes: 1, MapInputBytes: 1, Samples: [][]cluster.Sample{nil}}
-		}
-		return out, nil
-	}})
-	if err != nil {
-		t.Fatalf("%s: %v", f.ID, err)
-	}
-	return points
-}
 
 // TestSweepPointMatrixGolden pins the intermediate-data matrix of every sweep
 // point of every figure, at full scale (fig-workloads at quick scale: its
@@ -47,7 +26,7 @@ func TestSweepPointMatrixGolden(t *testing.T) {
 	var b strings.Builder
 	for _, f := range All() {
 		sweep := new(microbench.Sweep)
-		for i, cfg := range sweepPoints(t, f, f.ID == "fig-workloads") {
+		for i, cfg := range f.Points(f.ID == "fig-workloads") {
 			spec, err := sweep.Spec(cfg)
 			if err != nil {
 				t.Fatalf("%s point %d: %v", f.ID, i, err)
@@ -55,9 +34,17 @@ func TestSweepPointMatrixGolden(t *testing.T) {
 			fmt.Fprintf(&b, "%s %d %s %s\n", f.ID, i, spec.Name, spec.DataDigest())
 		}
 	}
-	path := filepath.Join("testdata", "sweep_matrices.golden")
+	checkGolden(t, "sweep_matrices.golden", b.String(),
+		"sweep point matrix moved (fix the build, or bump pointKeySchema and say why)")
+}
+
+// checkGolden holds got to testdata/<name> line by line, or rewrites the file
+// under -update; moved is what a difference means.
+func checkGolden(t *testing.T, name, got, moved string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -66,13 +53,28 @@ func TestSweepPointMatrixGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	if len(got) != len(wantLines) {
-		t.Fatalf("%d sweep points now, %d in %s", len(got)-1, len(wantLines)-1, path)
-	}
-	for i := range got {
-		if got[i] != wantLines[i] {
-			t.Fatalf("sweep point matrix moved (fix the build, or bump pointKeySchema and say why):\n got: %s\nwant: %s", got[i], wantLines[i])
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("%s, line %d:\n got: %s\nwant: %s", moved, i+1, gotLines[i], wantLines[i])
 		}
 	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines now, %d in %s", len(gotLines)-1, len(wantLines)-1, path)
+	}
+}
+
+// TestRenderQuickGolden pins the quick-scale rendering of every figure byte
+// for byte, against a file captured before the figures were split into a plan
+// and a renderer.
+func TestRenderQuickGolden(t *testing.T) {
+	var b strings.Builder
+	for _, f := range All() {
+		out, err := f.Generate(Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		b.WriteString(out.Render())
+	}
+	checkGolden(t, "render_quick.golden", b.String(), "figure rendering moved")
 }

@@ -149,6 +149,26 @@ func TestExhaustedAttemptsFailTheJob(t *testing.T) {
 	}
 }
 
+// TestExhaustedTruncationIsAnInjectedFailure: a fetch whose every attempt
+// rolled an injected truncation is rejected by the checksum (or the codec's
+// stream-end check), but it is the fault plan that failed the job — the error
+// must say both, or mrcheck reports a seeded failure as an organic one.
+func TestExhaustedTruncationIsAnInjectedFailure(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		text, _ := corpus()
+		job, _ := wordCountJob(text, 2, 2, false)
+		job.Conf.SetBool(mapreduce.ConfCompressMapOut, compress)
+		plan := &faultinject.Plan{Seed: 3, ShuffleTruncateRate: 1, MaxTaskAttempts: 2}
+		_, err := Run(job, &Options{Faults: plan, FetchBackoff: fastBackoff()})
+		if err == nil {
+			t.Fatalf("compress=%v: job whose every fetch is truncated reported success", compress)
+		}
+		if !errors.Is(err, faultinject.ErrInjected) || !errors.Is(err, kvbuf.ErrCorruptSegment) {
+			t.Errorf("compress=%v: error must carry both ErrInjected and ErrCorruptSegment: %v", compress, err)
+		}
+	}
+}
+
 func TestPermanentlyDownShufflePeerFailsDescriptively(t *testing.T) {
 	// A closed listener: every dial is refused. The fetch must exhaust its
 	// bounded retries and return a descriptive error, not hang.

@@ -290,7 +290,8 @@ func (f *segmentFetcher) ensureConn() error {
 // streams through response. An attempt with an injected truncation fault
 // needs real bytes to mangle: its payload is buffered, cut short, and then
 // held to the same decode and checksum as any bytes of unproven origin, which
-// reject it as a corrupt segment — proving the corrupt-stream retry path.
+// reject it as a corrupt segment — proving the corrupt-stream retry path. The
+// rejection also carries ErrInjected: the checksum caught it, a fault caused it.
 func (f *segmentFetcher) receive(mapIdx int, truncate bool) (*kvbuf.Segment, int64, error) {
 	if !truncate {
 		return f.conn.response(f.compressed)
@@ -310,11 +311,11 @@ func (f *segmentFetcher) receive(mapIdx int, truncate bool) (*kvbuf.Segment, int
 			seg, err = z.Decompress()
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
+			return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w: %w", mapIdx, f.reduce, err, faultinject.ErrInjected)
 		}
 	}
 	if err := seg.Verify(); err != nil {
-		return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w", mapIdx, f.reduce, err)
+		return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w: %w", mapIdx, f.reduce, err, faultinject.ErrInjected)
 	}
 	return seg, wire, nil
 }
