@@ -17,7 +17,7 @@ type Flow struct {
 	Bytes     int64
 	remaining float64
 	rate      float64 // bytes/sec, set by the allocator
-	Done      *sim.Future
+	Done      sim.Future
 
 	// Transient water-filling state, valid only inside reallocate.
 	links  [2]*link
@@ -109,7 +109,7 @@ func (f *Fabric) ActiveFlows() int { return len(f.flows) }
 func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 	f.checkEndpoint(src)
 	f.checkEndpoint(dst)
-	fl := &Flow{Src: src, Dst: dst, Bytes: bytes, remaining: float64(bytes), Done: sim.NewFuture()}
+	fl := &Flow{Src: src, Dst: dst, Bytes: bytes, remaining: float64(bytes)}
 	if src == dst {
 		// Same-node copy: constant memory bandwidth, no fabric contention.
 		d := sim.DurationOf(float64(bytes) / LocalBandwidth)

@@ -155,9 +155,9 @@ func TestWarmFabricAllocatesOnlyFlows(t *testing.T) {
 		}
 	}
 	cycle()
-	const perFlow, timers = 2, 2*flows - 1
+	const perFlow, timers = 1, 2*flows - 1
 	if got := testing.AllocsPerRun(50, cycle); got > flows*perFlow+timers {
-		t.Errorf("a warm fabric allocates %.0f objects per %d-flow cycle, want at most %d (Flow and Future per flow, %d timer closures)",
+		t.Errorf("a warm fabric allocates %.0f objects per %d-flow cycle, want at most %d (one Flow per flow, its Future inside it, %d timer closures)",
 			got, flows, flows*perFlow+timers, timers)
 	}
 }

@@ -52,7 +52,7 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkProcSwitch measures the full process context-switch protocol:
 // one process sleeping in a tight loop, so every iteration is a
-// yield-to-engine plus a dispatch-back.
+// yield-to-engine plus a resume: two coroutine switches.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("switcher", func(p *Proc) {
@@ -81,7 +81,7 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	})
 	e.Go("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Put(i)
+			q.Put(p) // a pointer, so the benchmark counts the queue's allocations, not boxing
 			p.Yield()
 		}
 		q.Close()

@@ -1,52 +1,71 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with virtual time by the engine. All Proc methods must be called from the
-// process's own goroutine.
+// process's own function.
 //
-// Control transfer uses a single unbuffered channel per process. The engine
-// and the process strictly alternate — exactly one of them runs at a time —
-// so the same channel safely carries both directions: the engine sends to
-// resume the process, the process sends to yield back. That is one handoff
-// per direction, with no shared yield channel contended across processes.
+// Engine and process strictly alternate — exactly one of them runs at a
+// time — and iter.Pull is that contract: the engine resumes the process with
+// next, the process hands control back with yield, and each direction is one
+// direct coroutine switch that never enters the Go scheduler.
 type Proc struct {
 	eng    *Engine
 	name   string
-	gate   chan struct{}
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	parked bool
-	dead   bool
 }
+
+// stopped is what a suspended process panics with when the engine abandons
+// it (see Engine.stopProcs): it unwinds the process's stack, running its
+// deferred calls, and is swallowed by finish.
+type stopped struct{}
 
 // Go starts a new process running fn. The process begins executing at the
 // current virtual time (after already-queued events for this instant).
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, gate: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
 	e.addProc(p)
-	go func() {
-		<-p.gate
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.finish()
 		fn(p)
-		p.dead = true
-		e.removeProc(p)
-		p.gate <- struct{}{}
-	}()
+	})
 	e.scheduleProc(0, p)
 	return p
 }
 
-// dispatch hands control to the process and waits until it yields back.
-// Called from event context only.
-func (p *Proc) dispatch() {
-	p.gate <- struct{}{}
-	<-p.gate
+// finish runs deferred as the process's function returns or unwinds. A
+// panic in the process resurfaces from next, on Engine.Run's caller and with
+// the engine's stack, so it is re-raised here carrying what that traceback
+// no longer shows: the process's name and its own stack.
+func (p *Proc) finish() {
+	p.eng.removeProc(p)
+	switch r := recover().(type) {
+	case nil, stopped:
+	default:
+		panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+	}
+}
+
+// suspend hands control back to the engine until the next dispatch.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // park suspends the process until some other activity unparks it.
 func (p *Proc) park() {
 	p.parked = true
-	p.gate <- struct{}{}
-	<-p.gate
+	p.suspend()
 }
 
 // unpark schedules the process to resume at the current virtual time.
@@ -73,8 +92,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // run in deterministic order.
 func (p *Proc) Sleep(d Time) {
 	p.eng.scheduleProc(d, p)
-	p.gate <- struct{}{}
-	<-p.gate
+	p.suspend()
 }
 
 // Yield gives other same-instant events a chance to run.

@@ -3,9 +3,13 @@ package sim
 // Queue is an unbounded FIFO channel between simulated processes. Get blocks
 // until an item is available; Put never blocks. Close wakes all blocked
 // getters with ok=false once drained.
+//
+// Both lists keep their backing arrays as they drain, so a steady hand-off
+// between a putter and a blocked getter allocates nothing.
 type Queue struct {
 	eng     *Engine
-	items   []interface{}
+	items   []interface{} // items[:head] are consumed
+	head    int
 	getters []*Proc
 	closed  bool
 }
@@ -14,12 +18,18 @@ type Queue struct {
 func NewQueue(e *Engine) *Queue { return &Queue{eng: e} }
 
 // Len returns the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return len(q.items) - q.head }
 
 // Put appends an item and wakes one blocked getter, if any.
 func (q *Queue) Put(v interface{}) {
 	if q.closed {
 		panic("sim: put on closed queue")
+	}
+	if q.head > len(q.items)/2 && len(q.items) == cap(q.items) {
+		// Reclaim the consumed half rather than grow past it.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
 	q.wakeOne()
@@ -32,17 +42,16 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
+	for _, g := range q.getters {
 		g.unpark()
 	}
+	q.getters = q.getters[:0]
 }
 
 func (q *Queue) wakeOne() {
 	if len(q.getters) > 0 {
 		g := q.getters[0]
-		q.getters = q.getters[1:]
+		q.getters = append(q.getters[:0], q.getters[1:]...) // a handful of consumers at most
 		g.unpark()
 	}
 }
@@ -50,15 +59,18 @@ func (q *Queue) wakeOne() {
 // Get removes and returns the head item, blocking p while the queue is empty.
 // ok is false only when the queue is closed and drained.
 func (q *Queue) Get(p *Proc) (interface{}, bool) {
-	for len(q.items) == 0 {
+	for q.Len() == 0 {
 		if q.closed {
 			return nil, false
 		}
 		q.getters = append(q.getters, p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items[q.head]
+	q.items[q.head] = nil
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 

@@ -3,9 +3,11 @@
 //
 // An Engine advances a virtual clock through a totally ordered event queue.
 // Simulated activities are written as ordinary Go functions running in
-// processes (Proc); the engine runs exactly one process at a time and hands
-// control back and forth through channels, so simulations are sequential and
-// reproducible even though they are written in a natural blocking style.
+// processes (Proc); the engine runs exactly one process at a time, each a
+// coroutine (iter.Pull) it switches to and from directly, so simulations are
+// sequential and reproducible even though they are written in a natural
+// blocking style. A panic inside a process surfaces on Run's caller, its
+// message carrying the process's name and stack.
 //
 // Events scheduled for the same instant fire in scheduling order (a strictly
 // increasing sequence number breaks ties), which makes every run with the
@@ -207,8 +209,10 @@ func (e *Engine) settle() {
 
 // Run processes events until none remain. It returns the final clock value.
 // It panics if a process is still blocked when the event queue drains (a
-// deadlock in the model), listing the stuck processes.
+// deadlock in the model), listing the stuck processes. However Run ends —
+// return, deadlock, a process's panic — no process outlives it.
 func (e *Engine) Run() Time {
+	defer e.stopProcs()
 	e.run(-1)
 	if n := len(e.procs); n > 0 {
 		names := make([]string, n)
@@ -241,7 +245,7 @@ func (e *Engine) run(limit Time) {
 		e.now = k.at
 		e.hole = true
 		if v.proc != nil {
-			v.proc.dispatch()
+			v.proc.next() // runs the process until it suspends or finishes
 		} else {
 			v.fn()
 		}
@@ -249,7 +253,19 @@ func (e *Engine) run(limit Time) {
 	}
 }
 
-// addProc registers p for deadlock diagnostics.
+// stopProcs unwinds every live process: each one's pending yield reports
+// the stop and the process panics its way out (see stopped), so a Run that
+// ends in a panic leaves no coroutine behind. After a Run that returns there
+// is none left to stop.
+func (e *Engine) stopProcs() {
+	procs := e.procs
+	e.procs = nil
+	for _, p := range procs {
+		p.stop()
+	}
+}
+
+// addProc registers p for deadlock diagnostics and for stopProcs.
 func (e *Engine) addProc(p *Proc) { e.procs = append(e.procs, p) }
 
 // removeProc drops p, preserving spawn order for deterministic messages.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -334,7 +335,19 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// wantGoroutines fails the test if more than n goroutines are left: a process
+// is a coroutine, and one that outlives Run is a leak. (Fewer is the previous
+// test's runner, which can still be exiting when n is sampled.)
+func wantGoroutines(t *testing.T, n int) {
+	t.Helper()
+	if got := runtime.NumGoroutine(); got > n {
+		t.Errorf("%d goroutines after Run, %d before the engine was built", got, n)
+	}
+}
+
 func TestDeadlockPanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -348,11 +361,130 @@ func TestDeadlockPanics(t *testing.T) {
 				t.Errorf("deadlock panic %q missing %q", msg, want)
 			}
 		}
+		// A recovered deadlock leaves nothing behind: both processes were
+		// unwound through their deferred calls before the panic left Run.
+		if unwound != 2 {
+			t.Errorf("%d of 2 stuck processes ran their deferred calls", unwound)
+		}
+		wantGoroutines(t, before)
 	}()
 	e := NewEngine()
 	f := NewFuture()
-	e.Go("stuck-a", func(p *Proc) { f.Wait(p) })
-	e.Go("stuck-b", func(p *Proc) { f.Wait(p) })
+	stuck := func(p *Proc) {
+		defer func() { unwound++ }()
+		f.Wait(p)
+		t.Errorf("%s resumed past a future nobody set", p.Name())
+	}
+	e.Go("stuck-a", stuck)
+	e.Go("stuck-b", stuck)
+	e.Run()
+}
+
+// TestRunLeavesNoGoroutines spawns a few hundred short-lived processes, half
+// of them from inside other processes, and holds an ordinary Run to the same
+// floor as a recovered one.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	q := NewQueue(e)
+	finished := 0
+	for i := 0; i < 150; i++ {
+		i := i
+		e.Go(fmt.Sprintf("parent%d", i), func(p *Proc) {
+			p.Sleep(Time(i % 7))
+			e.Go(fmt.Sprintf("child%d", i), func(c *Proc) {
+				q.Get(c)
+				finished++
+			})
+			p.Yield()
+			q.Put(i)
+			finished++
+		})
+	}
+	e.Run()
+	if finished != 300 {
+		t.Errorf("%d of 300 processes finished", finished)
+	}
+	wantGoroutines(t, before)
+}
+
+//go:noinline
+func explodeInnermost(what string) { panic(what) }
+
+//go:noinline
+func explodeMiddle(what string) { explodeInnermost(what) }
+
+//go:noinline
+func explodeOuter(what string) { explodeMiddle(what) }
+
+// TestProcPanicKeepsContext: a panic inside a process resurfaces on the
+// goroutine that called Run — where a caller can recover it — and says which
+// process panicked and where, which the engine-side traceback cannot.
+func TestProcPanicKeepsContext(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := false
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected the process's panic to reach Run's caller")
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{`"fetcher-7"`, "segment 12 is corrupt", "explodeInnermost"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("process panic missing %q:\n%s", want, msg)
+			}
+		}
+		if !unwound {
+			t.Error("the bystander process was not unwound")
+		}
+		wantGoroutines(t, before)
+	}()
+	e := NewEngine()
+	e.Go("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		NewFuture().Wait(p)
+	})
+	e.Go("fetcher-7", func(p *Proc) {
+		p.Sleep(1)
+		// Spawned and never dispatched: stopping it must not run it.
+		e.Go("unstarted", func(p *Proc) { t.Error("ran after the panic") })
+		explodeOuter("segment 12 is corrupt")
+	})
+	e.Run()
+}
+
+// TestProcSwitchAllocatesNothing extends the warm-path allocation guards to
+// the kernel: neither a timed sleep's round trip through the engine nor a
+// queue hand-off to a blocked getter allocates once the event heap and the
+// queue's lists have grown.
+func TestProcSwitchAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue(e)
+	stop := false
+	e.Go("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+		}
+	})
+	e.Go("getter", func(p *Proc) {
+		for {
+			if _, ok := q.Get(p); !ok {
+				return
+			}
+		}
+	})
+	if got := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now() + 1) }); got != 0 {
+		t.Errorf("a warm Sleep round trip allocates %.0f objects, want 0", got)
+	}
+	stop = true
+	e.RunUntil(e.Now() + 1)
+	if got := testing.AllocsPerRun(1000, func() {
+		q.Put(e) // a pointer: boxing it allocates nothing
+		e.RunUntil(e.Now())
+	}); got != 0 {
+		t.Errorf("a warm Queue hand-off allocates %.0f objects, want 0", got)
+	}
+	q.Close()
 	e.Run()
 }
 
