@@ -70,34 +70,44 @@ func CommPattern(workload string) string {
 // tokenizer for wordcount, inverted-index, and their oracles.
 func Tokenize(line []byte) []string {
 	var words []string
+	eachWord(line, func(w []byte) error {
+		words = append(words, string(appendLower(nil, w)))
+		return nil
+	})
+	return words
+}
+
+// eachWord calls fn with every maximal run of ASCII letters and digits in
+// line, as a view into line (not yet lowercased), stopping at fn's first
+// error. The mappers lowercase each word into a Text they own.
+func eachWord(line []byte, fn func(word []byte) error) error {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			words = append(words, string(toLower(line[start:end])))
-			start = -1
-		}
-	}
 	for i, c := range line {
 		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 		if alnum && start < 0 {
 			start = i
-		} else if !alnum {
-			flush(i)
+		} else if !alnum && start >= 0 {
+			if err := fn(line[start:i]); err != nil {
+				return err
+			}
+			start = -1
 		}
 	}
-	flush(len(line))
-	return words
+	if start >= 0 {
+		return fn(line[start:])
+	}
+	return nil
 }
 
-func toLower(b []byte) []byte {
-	out := make([]byte, len(b))
-	for i, c := range b {
+// appendLower appends b with ASCII upper case folded to lower.
+func appendLower(dst, b []byte) []byte {
+	for _, c := range b {
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		out[i] = c
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // sortedKeys returns a map's keys in sorted order (oracles render their

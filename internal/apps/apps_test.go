@@ -180,3 +180,20 @@ func TestHSValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestWordMappersAllocateNothing: wordcount's and inverted-index's mappers
+// re-emit the Texts they own, so a line costs no allocation per word.
+func TestWordMappersAllocateNothing(t *testing.T) {
+	discard := mapreduce.CollectorFunc(func(_, _ writable.Writable) error { return nil })
+	offset := &writable.LongWritable{Value: 1234}
+	line := writable.NewText("The quick BROWN fox, 3rd of 7 foxes")
+	for _, m := range []mapreduce.Mapper{&WordCountMapper{}, &InvIndexMapper{}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := m.Map(offset, line, discard, mapreduce.NullReporter{}); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%T.Map: %v allocs per line, want 0", m, n)
+		}
+	}
+}

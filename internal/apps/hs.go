@@ -3,10 +3,11 @@ package apps
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/mapreduce"
@@ -40,43 +41,106 @@ func hsMix(seed, n int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// HSRowKey is row n's 10-char sort key.
-func HSRowKey(seed, row int64) string {
+// The row renderer appends to a caller's buffer and never goes through fmt:
+// HSGen, the "hs:" scheme and HSDigest render every row through it, so a
+// row costs no allocation anywhere it is produced. HSRowKey, HSRowValue and
+// HSLine are string wrappers over it for tests and tools.
+
+// appendHSKey appends row n's 10-char sort key.
+func appendHSKey(dst []byte, seed, row int64) []byte {
 	r := hsMix(seed, 2*row)
-	key := make([]byte, hsKeyLen)
-	for i := range key {
-		key[i] = hsAlphabet[r&63]
+	// 10 chars need 60 bits; the top nibble recycles mixed low bits.
+	for i := 0; i < hsKeyLen; i++ {
+		dst = append(dst, hsAlphabet[r&63])
 		r >>= 6
 	}
-	// 10 chars need 60 bits; the top nibble recycles mixed low bits.
-	return string(key)
+	return dst
 }
 
-// HSRowValue is row n's payload: the row id (the permutation witness) plus
-// 16 hex filler chars.
-func HSRowValue(seed, row int64) string {
-	return fmt.Sprintf("%020d%016x", row, hsMix(seed, 2*row+1))
+// appendHSValue appends row n's payload: the row id (the permutation
+// witness) zero-padded to 20 digits, then 16 hex filler chars — fmt's
+// "%020d%016x", byte for byte.
+func appendHSValue(dst []byte, seed, row int64) []byte {
+	var digits [20]byte // |row| has at most 19 digits
+	n, u := len(digits), uint64(row)
+	if row < 0 {
+		dst = append(dst, '-') // %020d pads after the sign
+		n, u = n-1, -u
+	}
+	i := n
+	for { // at least one digit: row 0 renders as zeros then "0"
+		i--
+		digits[i] = '0' + byte(u%10)
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	dst = append(dst, "00000000000000000000"[:i]...)
+	dst = append(dst, digits[i:n]...)
+	h := hsMix(seed, 2*row+1)
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[h>>shift&15])
+	}
+	return dst
 }
+
+// appendHSLine appends row n as it appears on disk (no terminator).
+func appendHSLine(dst []byte, seed, row int64) []byte {
+	dst = appendHSKey(dst, seed, row)
+	dst = append(dst, '\t')
+	return appendHSValue(dst, seed, row)
+}
+
+// HSRowKey is row n's 10-char sort key.
+func HSRowKey(seed, row int64) string { return string(appendHSKey(nil, seed, row)) }
+
+// HSRowValue is row n's payload.
+func HSRowValue(seed, row int64) string { return string(appendHSValue(nil, seed, row)) }
 
 // HSLine renders row n as it appears on disk (no terminator).
-func HSLine(seed, row int64) string {
-	return HSRowKey(seed, row) + "\t" + HSRowValue(seed, row)
-}
+func HSLine(seed, row int64) string { return string(appendHSLine(nil, seed, row)) }
 
-// HSRowDigest hashes one row's line.
+// HSRowDigest hashes one row's line: FNV-64a, inline.
 func HSRowDigest(line []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(line)
-	return h.Sum64()
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, c := range line {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-64 prime
+	}
+	return h
 }
 
 // HSDigest is the order-insensitive dataset digest: the wrapping sum of the
 // per-row digests. Any process can recompute it from (seed, rows) alone,
-// which is how HSValidate knows what the sorted output must add up to.
+// which is how HSValidate knows what the sorted output must add up to. A
+// wrapping sum does not depend on the order of its terms, so summing the
+// rows in per-CPU slices gives the same value as one serial pass.
 func HSDigest(seed, rows int64) uint64 {
+	workers := int64(runtime.GOMAXPROCS(0))
+	per := (rows + workers - 1) / workers
+	sums := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := int64(0); w*per < rows; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[w] = hsDigestRange(seed, w*per, min((w+1)*per, rows))
+		}()
+	}
+	wg.Wait()
 	var sum uint64
-	for i := int64(0); i < rows; i++ {
-		sum += HSRowDigest([]byte(HSLine(seed, i)))
+	for _, s := range sums {
+		sum += s
+	}
+	return sum
+}
+
+// hsDigestRange sums the row digests of rows [lo, hi).
+func hsDigestRange(seed, lo, hi int64) uint64 {
+	var buf [64]byte // a rendered row is at most 48 bytes
+	var sum uint64
+	for row := lo; row < hi; row++ {
+		sum += HSRowDigest(appendHSLine(buf[:0], seed, row))
 	}
 	return sum
 }
@@ -129,54 +193,44 @@ func (r *rowReader) Next() (writable.Writable, writable.Writable, bool, error) {
 func (r *rowReader) Close() error { return nil }
 
 // HSGenMapper renders (key, payload) for each row id. Map-only: the job's
-// output commits one part file per map, rows in id order.
+// output commits one part file per map, rows in id order. It re-renders
+// the same two Texts row after row: a Collector consumes both before it
+// returns.
 type HSGenMapper struct {
 	Seed int64
+
+	key, val writable.Text
 }
 
 func (m *HSGenMapper) Map(key, _ writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
 	row := key.(*writable.LongWritable).Value
-	return out.Collect(writable.NewText(HSRowKey(m.Seed, row)), writable.NewText(HSRowValue(m.Seed, row)))
+	m.key.Data = appendHSKey(m.key.Data[:0], m.Seed, row)
+	m.val.Data = appendHSValue(m.val.Data[:0], m.Seed, row)
+	return out.Collect(&m.key, &m.val)
 }
 
 func (m *HSGenMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // HSSortMapper splits each generated line at its tab into (key, payload).
 // The job's total-order partitioner plus the engines' sorted merge do the
-// actual sorting; the identity reducer writes rows back out.
-type HSSortMapper struct{}
+// actual sorting; mapreduce.IdentityReducer writes rows back out. The two
+// Texts it emits are views into the reader's line, valid until Collect
+// returns.
+type HSSortMapper struct {
+	key, val writable.Text
+}
 
-func (HSSortMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
+func (m *HSSortMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
 	line := value.(*writable.Text).Data
 	i := bytes.IndexByte(line, '\t')
 	if i < 0 {
 		return errf("hssort: record without tab separator: %q", line)
 	}
-	return out.Collect(&writable.Text{Data: append([]byte(nil), line[:i]...)},
-		&writable.Text{Data: append([]byte(nil), line[i+1:]...)})
+	m.key.Data, m.val.Data = line[:i], line[i+1:]
+	return out.Collect(&m.key, &m.val)
 }
 
-func (HSSortMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
-
-// HSIdentityReducer emits every (key, value) unchanged.
-type HSIdentityReducer struct{}
-
-func (HSIdentityReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, out mapreduce.Collector, _ mapreduce.Reporter) error {
-	k := key.(*writable.Text)
-	for {
-		v, ok := values.Next()
-		if !ok {
-			return nil
-		}
-		vt := v.(*writable.Text)
-		if err := out.Collect(&writable.Text{Data: append([]byte(nil), k.Data...)},
-			&writable.Text{Data: append([]byte(nil), vt.Data...)}); err != nil {
-			return err
-		}
-	}
-}
-
-func (HSIdentityReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
+func (m *HSSortMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // HSKeySampleFormat adapts sorted-input sampling: it wraps the stage's text
 // input but yields the HS key as the record key, so
@@ -317,14 +371,14 @@ func init() {
 		if err != nil {
 			return err
 		}
+		var buf []byte
 		for m := int64(0); m < spec.Maps; m++ {
-			var buf bytes.Buffer
+			buf = buf[:0]
 			for i := int64(0); i < spec.Rows; i++ {
-				buf.WriteString(HSLine(spec.Seed, m*spec.Rows+i))
-				buf.WriteByte('\n')
+				buf = append(appendHSLine(buf, spec.Seed, m*spec.Rows+i), '\n')
 			}
 			name := filepath.Join(dir, inputformat.PartName(int(m)))
-			if err := os.WriteFile(name, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(name, buf, 0o644); err != nil {
 				return err
 			}
 		}

@@ -9,19 +9,26 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// WordCountMapper tokenizes each line and emits (word, 1).
-type WordCountMapper struct{}
+// The mappers below re-emit instances they own and the reducers emit the
+// group key they were handed: a Collector consumes key and value before it
+// returns (see mapreduce.Collector), so nothing is copied or allocated per
+// record.
 
-func (WordCountMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
-	for _, w := range Tokenize(value.(*writable.Text).Data) {
-		if err := out.Collect(writable.NewText(w), &writable.LongWritable{Value: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
+// WordCountMapper tokenizes each line and emits (word, 1).
+type WordCountMapper struct {
+	word writable.Text
+	one  writable.LongWritable
 }
 
-func (WordCountMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
+func (m *WordCountMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
+	m.one.Value = 1
+	return eachWord(value.(*writable.Text).Data, func(w []byte) error {
+		m.word.Data = appendLower(m.word.Data[:0], w)
+		return out.Collect(&m.word, &m.one)
+	})
+}
+
+func (m *WordCountMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // SumReducer folds LongWritable counts — the reducer for wordcount and
 // grep, and (being associative and commutative) also their combiner.
@@ -36,8 +43,7 @@ func (SumReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, 
 		}
 		sum += v.(*writable.LongWritable).Value
 	}
-	k := key.(*writable.Text)
-	return out.Collect(&writable.Text{Data: append([]byte(nil), k.Data...)}, &writable.LongWritable{Value: sum})
+	return out.Collect(key, &writable.LongWritable{Value: sum})
 }
 
 func (SumReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
@@ -47,11 +53,16 @@ func (SumReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return 
 // shuffle carries a small fraction of the input — the map-heavy profile.
 type GrepMapper struct {
 	Re *regexp.Regexp
+
+	match writable.Text
+	one   writable.LongWritable
 }
 
 func (m *GrepMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
+	m.one.Value = 1
 	for _, match := range m.Re.FindAll(value.(*writable.Text).Data, -1) {
-		if err := out.Collect(&writable.Text{Data: append([]byte(nil), match...)}, &writable.LongWritable{Value: 1}); err != nil {
+		m.match.Data = match
+		if err := out.Collect(&m.match, &m.one); err != nil {
 			return err
 		}
 	}
@@ -63,19 +74,19 @@ func (m *GrepMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { retu
 // InvIndexMapper emits (word, posting) where the posting is the record's
 // corpus-global line offset (the key inputformat's reader supplies) — a
 // stable document position independent of how the corpus was split.
-type InvIndexMapper struct{}
-
-func (InvIndexMapper) Map(key, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
-	posting := strconv.FormatInt(key.(*writable.LongWritable).Value, 10)
-	for _, w := range Tokenize(value.(*writable.Text).Data) {
-		if err := out.Collect(writable.NewText(w), writable.NewText(posting)); err != nil {
-			return err
-		}
-	}
-	return nil
+type InvIndexMapper struct {
+	word, posting writable.Text
 }
 
-func (InvIndexMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
+func (m *InvIndexMapper) Map(key, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
+	m.posting.Data = strconv.AppendInt(m.posting.Data[:0], key.(*writable.LongWritable).Value, 10)
+	return eachWord(value.(*writable.Text).Data, func(w []byte) error {
+		m.word.Data = appendLower(m.word.Data[:0], w)
+		return out.Collect(&m.word, &m.posting)
+	})
+}
+
+func (m *InvIndexMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // InvIndexReducer collects a word's postings, sorts them numerically, and
 // dedupes (a word twice on one line is one posting) — the canonical order
@@ -95,8 +106,7 @@ func (InvIndexReducer) Reduce(key writable.Writable, values mapreduce.ValueItera
 		}
 		postings = append(postings, n)
 	}
-	k := key.(*writable.Text)
-	return out.Collect(&writable.Text{Data: append([]byte(nil), k.Data...)}, writable.NewText(JoinPostings(postings)))
+	return out.Collect(key, writable.NewText(JoinPostings(postings)))
 }
 
 func (InvIndexReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }

@@ -74,6 +74,9 @@ func (w *digestWriter) Close() error {
 	return w.inner.Close()
 }
 
+// Abort discards the attempt: no digest is recorded.
+func (w *digestWriter) Abort() error { return w.inner.Abort() }
+
 // foldDigests combines per-reduce digests (in task order) into one job
 // digest.
 func foldDigests(digests []uint64) uint64 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mrmicro/internal/fuzzcorpus"
@@ -24,6 +25,8 @@ func fuzzSeeds() [][]byte {
 		[]byte("\n"),                       // lone newline
 		{},                                 // empty file
 		[]byte("mixed\r\nterminators\nhere\r\nz"), // LF and CRLF interleaved
+		// Longer than bufio's 4 KiB buffer, CRLF straddling its edge.
+		[]byte(strings.Repeat("l", 4095) + "\r\n" + strings.Repeat("m", 4097) + "\nz"),
 	}
 }
 

@@ -38,8 +38,9 @@ type LineReader struct {
 	base  int64 // corpus-global offset of the file's first byte
 	bytes int64 // raw bytes of records emitted so far
 
-	key writable.LongWritable
-	val writable.Text
+	key  writable.LongWritable
+	val  writable.Text
+	long []byte // a line longer than br's buffer, assembled; reused
 }
 
 // NewLineReader positions a reader at the first record the split owns.
@@ -68,7 +69,7 @@ func NewLineReader(s *FileSplit) (*LineReader, error) {
 	}
 	r.pos = s.Start
 	if prev != '\n' {
-		skipped, err := r.br.ReadBytes('\n')
+		skipped, err := r.readLine()
 		if err != nil && err != io.EOF {
 			f.Close()
 			return nil, fmt.Errorf("inputformat: %w", err)
@@ -81,14 +82,31 @@ func NewLineReader(s *FileSplit) (*LineReader, error) {
 	return r, nil
 }
 
+// readLine reads up to and including the next '\n' (or to EOF). The line
+// is a view into the bufio buffer, or into r.long when it outgrows the
+// buffer; either way it is valid until the next read.
+func (r *LineReader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	r.long = append(r.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.br.ReadSlice('\n')
+		r.long = append(r.long, line...)
+	}
+	return r.long, err
+}
+
 // Next emits the next owned record. The returned key and value are reused
-// between calls; callers must copy to retain.
+// between calls, and the value's bytes are a view into the reader's buffer:
+// callers must copy to retain.
 func (r *LineReader) Next() (writable.Writable, writable.Writable, bool, error) {
 	if r.pos >= r.end {
 		// The record starting here (if any) belongs to the next split.
 		return nil, nil, false, nil
 	}
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.readLine()
 	if err != nil && err != io.EOF {
 		return nil, nil, false, fmt.Errorf("inputformat: %w", err)
 	}

@@ -92,6 +92,9 @@ func expectedLines(content string) (keys []int64, lines []string) {
 // one or several boundaries; CRLF straddling a boundary; missing final
 // newline; empty files; splits smaller than a record.
 func TestSplitBoundaryMatrix(t *testing.T) {
+	// Lines around bufio's 4 KiB buffer take LineReader's long-line path:
+	// 4095 bytes + '\n' fill the buffer exactly, 4096 and up overflow it.
+	long := func(n int, c string) string { return strings.Repeat(c, n) }
 	cases := []struct {
 		name      string
 		content   string
@@ -140,6 +143,22 @@ func TestSplitBoundaryMatrix(t *testing.T) {
 		{name: "split smaller than one record", content: "a long record here\nshort\n", splitSize: 2},
 		{name: "lone newline", content: "\n", splitSize: 1},
 		{name: "single byte no newline", content: "x", splitSize: 1},
+		{name: "4095-byte line", content: long(4095, "a") + "\nb\n", splitSize: 1 << 20},
+		{name: "4096-byte line", content: long(4096, "a") + "\nb\n", splitSize: 1 << 20},
+		{name: "4097-byte line", content: long(4097, "a") + "\nb\n", splitSize: 1 << 20},
+		{name: "10000-byte lines", content: long(10000, "a") + "\n" + long(10000, "b"), splitSize: 1 << 20},
+		{
+			// '\r' is the last byte of the first buffer fill, '\n' the first
+			// of the next: the CR is stripped from the assembled line.
+			name: "CRLF straddling the buffer edge", content: long(4095, "c") + "\r\nd\r\n",
+			splitSize: 1 << 20, wantPerSplit: [][]int{{0, 1}},
+		},
+		{
+			// Split 1 starts inside the long line and skips the rest of it
+			// through the long-line path; split 2 starts inside it too.
+			name: "split boundary inside a long line", content: "s\n" + long(10000, "l") + "\r\nafter\n",
+			splitSize: 4000, wantPerSplit: [][]int{{0, 1}, {}, {2}},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,6 +294,61 @@ func TestConfSplitSize(t *testing.T) {
 	}
 	if len(splits) != 3 {
 		t.Fatalf("got %d splits, want 3", len(splits))
+	}
+}
+
+// TestLineReaderAllocatesNothing: a short line is a view into the reader's
+// buffer, so reading one allocates nothing.
+func TestLineReaderAllocatesNothing(t *testing.T) {
+	path := writeCorpusFile(t, strings.Repeat("key\tvalue\r\n", 1000))
+	r, err := NewLineReader(&FileSplit{Path: path, End: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := testing.AllocsPerRun(500, func() {
+		if _, v, ok, err := r.Next(); err != nil || !ok || string(v.(*writable.Text).Data) != "key\tvalue" {
+			t.Fatalf("Next = %v, %v, %v", v, ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("LineReader.Next: %v allocs per line, want 0", n)
+	}
+}
+
+// TestTextWriterAllocatesNothing: a Text key and value go out as their
+// bytes, without a string conversion.
+func TestTextWriterAllocatesNothing(t *testing.T) {
+	w, err := TextOutput{Dir: t.TempDir()}.Writer(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	key, val := writable.NewText("key"), writable.NewText("value")
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := w.Write(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("textWriter.Write: %v allocs per record, want 0", n)
+	}
+}
+
+// TestTextOutputAbort: an aborted writer removes its temp and commits
+// nothing.
+func TestTextOutputAbort(t *testing.T) {
+	dir := t.TempDir()
+	w, err := TextOutput{Dir: dir}.Writer(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(writable.NewText("k"), writable.NewText("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("aborted writer left %v", left)
 	}
 }
 

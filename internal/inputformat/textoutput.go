@@ -3,7 +3,9 @@ package inputformat
 import (
 	"bufio"
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -44,18 +46,22 @@ type textWriter struct {
 }
 
 func (w *textWriter) Write(key, value writable.Writable) error {
-	if _, err := w.bw.WriteString(Render(key)); err != nil {
-		return err
-	}
+	w.field(key)
 	if _, ok := value.(writable.NullWritable); !ok {
-		if err := w.bw.WriteByte('\t'); err != nil {
-			return err
-		}
-		if _, err := w.bw.WriteString(Render(value)); err != nil {
-			return err
-		}
+		w.bw.WriteByte('\t')
+		w.field(value)
 	}
+	// bufio.Writer errors are sticky: the terminator reports any earlier one.
 	return w.bw.WriteByte('\n')
+}
+
+// field writes one rendered writable; a Text's bytes go in as they are.
+func (w *textWriter) field(v writable.Writable) {
+	if t, ok := v.(*writable.Text); ok {
+		w.bw.Write(t.Data)
+	} else {
+		w.bw.WriteString(Render(v))
+	}
 }
 
 func (w *textWriter) Close() error {
@@ -69,6 +75,12 @@ func (w *textWriter) Close() error {
 		return err
 	}
 	return os.Rename(w.f.Name(), w.final)
+}
+
+// Abort closes and removes the temp file; the final name is never touched.
+func (w *textWriter) Abort() error {
+	w.f.Close()
+	return os.Remove(w.f.Name())
 }
 
 // Render is the textual form a writable takes in a part file: Text values
@@ -88,21 +100,41 @@ func Render(w writable.Writable) string {
 // corpus file's name and contents in sorted name order. Two directories
 // with identical committed parts digest identically regardless of where
 // they live, which is what the chained-pipeline identity check compares.
+// Contents stream through one reused buffer, never a whole file at once.
 func DirDigest(dir string) (uint64, error) {
 	paths, err := ListFiles(dir)
 	if err != nil {
 		return 0, err
 	}
 	h := fnv.New64a()
+	buf := make([]byte, 256<<10)
 	for _, p := range paths {
 		h.Write([]byte(filepath.Base(p)))
 		h.Write([]byte{0})
-		data, err := os.ReadFile(p)
-		if err != nil {
+		if err := hashFile(h, p, buf); err != nil {
 			return 0, fmt.Errorf("inputformat: %w", err)
 		}
-		h.Write(data)
 		h.Write([]byte{0})
 	}
 	return h.Sum64(), nil
+}
+
+// hashFile writes the file's contents into h through buf. (io.CopyBuffer
+// would hand the copy to os.File.WriteTo, which brings its own buffer.)
+func hashFile(h hash.Hash64, path string, buf []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	for {
+		n, err := f.Read(buf)
+		h.Write(buf[:n])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }

@@ -107,7 +107,7 @@ func BenchmarkTeraSortEndToEnd(b *testing.B) {
 				SetInt(mapreduce.ConfIOSortMB, 1),
 			Mapper: func() mapreduce.Mapper { return mapreduce.IdentityMapper{} },
 			Reducer: func() mapreduce.Reducer {
-				return mapreduce.IdentityReducer{KeyType: "BytesWritable", ValueType: "BytesWritable"}
+				return mapreduce.IdentityReducer{}
 			},
 			Input:              &mapreduce.SliceInput{Pairs: pairs},
 			Output:             mapreduce.NullOutput{},

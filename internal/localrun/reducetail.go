@@ -157,7 +157,8 @@ func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer
 
 // reduceSources is the sort+reduce tail of a reduce task: the final merge
 // over srcs streams straight into the reducer, whose output goes to the
-// job's Output for partition r.
+// job's Output for partition r. A failed pass aborts the writer, so the
+// attempt leaves no open file and no partial part behind.
 func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	var t groupTally
 	defer func() {
@@ -171,6 +172,7 @@ func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapr
 		return fmt.Errorf("localrun: reduce %d output: %w", r, err)
 	}
 	if err := tr.runGroups(srcs, tr.job.Reducer(), writer.Write, rep, &t); err != nil {
+		writer.Abort()
 		return fmt.Errorf("localrun: reduce %d: %w", r, err)
 	}
 	return writer.Close()

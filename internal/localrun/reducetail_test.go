@@ -72,7 +72,7 @@ func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
 			t.Errorf("%s: error %q does not name the reduce and the disorder", name, msg)
 		}
 	}
-	ident := mapreduce.IdentityReducer{KeyType: "Text", ValueType: "Text"}
+	ident := mapreduce.IdentityReducer{}
 
 	job, _ := tailJob(ident)
 	ctrs := mapreduce.NewCounters()
@@ -162,7 +162,7 @@ func TestReduceTailsAgree(t *testing.T) {
 		}
 		return segs
 	}
-	ident := mapreduce.IdentityReducer{KeyType: "Text", ValueType: "Text"}
+	ident := mapreduce.IdentityReducer{}
 
 	job, out := tailJob(ident)
 	wantCtrs := mapreduce.NewCounters()

@@ -842,25 +842,30 @@ func (tr *TaskRunner) runMapOnly(idx int) (*mapreduce.Counters, error) {
 		outRecords++
 		return writer.Write(k, v)
 	})
-	mapper := job.Mapper()
-	for {
-		k, v, ok, err := reader.Next()
-		if err != nil {
-			return ctrs, err
-		}
-		if !ok {
-			break
-		}
-		inRecords++
-		if err := mapper.Map(k, v, out, rep); err != nil {
-			return ctrs, err
-		}
-	}
-	if err := mapper.Close(out, rep); err != nil {
+	if err := mapInto(reader, job.Mapper(), out, rep, &inRecords); err != nil {
+		writer.Abort() // no open file, no partial part left by a failed attempt
 		return ctrs, err
 	}
 	chargeInputBytes(ctrs, reader)
 	return ctrs, writer.Close()
+}
+
+// mapInto feeds every record of reader through mapper, then closes the
+// mapper, counting input records into *in.
+func mapInto(reader mapreduce.RecordReader, mapper mapreduce.Mapper, out mapreduce.Collector, rep mapreduce.Reporter, in *int64) error {
+	for {
+		k, v, ok, err := reader.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return mapper.Close(out, rep)
+		}
+		*in++
+		if err := mapper.Map(k, v, out, rep); err != nil {
+			return err
+		}
+	}
 }
 
 // chargeInputBytes credits MAP_INPUT_BYTES when the reader can account for

@@ -490,7 +490,7 @@ func TestIdentityComponents(t *testing.T) {
 		Name:               "identity",
 		Conf:               mapreduce.NewConf().SetInt(mapreduce.ConfNumMaps, 2).SetInt(mapreduce.ConfNumReduces, 2),
 		Mapper:             func() mapreduce.Mapper { return mapreduce.IdentityMapper{} },
-		Reducer:            func() mapreduce.Reducer { return mapreduce.IdentityReducer{KeyType: "IntWritable", ValueType: "Text"} },
+		Reducer:            func() mapreduce.Reducer { return mapreduce.IdentityReducer{} },
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
 		MapOutputKeyType:   "IntWritable",

@@ -5,12 +5,14 @@ import (
 )
 
 // Collector receives the key/value pairs a Mapper or Reducer emits
-// (Hadoop's OutputCollector). Collect never mutates key or value, and a
-// collector that feeds the shuffle — every one an engine hands a Mapper or a
-// combiner — serializes both before it returns, so the emitter may refill
-// and re-emit the same instances record after record. Reduce output goes to
-// the job's RecordWriter, which may retain what it is given (MemoryOutput
-// does): re-emit instances there only if they are never modified again.
+// (Hadoop's OutputCollector).
+//
+// One rule covers every Collector and every RecordWriter: they consume key
+// and value before they return — serialize them into the shuffle, write
+// them out, or copy them — and never mutate or retain them. So an emitter
+// may refill and re-emit the same instances record after record, emit views
+// into its input, and a reducer may emit the iterator's key and values as
+// they are. MemoryOutput keeps copies for exactly this reason.
 type Collector interface {
 	Collect(key, value writable.Writable) error
 }
@@ -73,10 +75,15 @@ type InputFormat interface {
 	Reader(split InputSplit, conf *Conf) (RecordReader, error)
 }
 
-// RecordWriter consumes reduce output.
+// RecordWriter consumes reduce output (and a map-only job's map output)
+// under the Collector rule: Write is done with key and value when it
+// returns. Exactly one of Close (commit) or Abort (discard) ends a writer;
+// an engine calls Abort on every error after the writer was opened, so a
+// failed attempt leaves no open file and no partial output behind.
 type RecordWriter interface {
 	Write(key, value writable.Writable) error
 	Close() error
+	Abort() error
 }
 
 // OutputFormat produces one writer per reduce task.

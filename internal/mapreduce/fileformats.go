@@ -128,3 +128,10 @@ func (w *seqWriter) Close() error {
 	}
 	return w.f.Close()
 }
+
+// Abort closes and removes the part file: a failed attempt's partial
+// SequenceFile must not be mistaken for output.
+func (w *seqWriter) Abort() error {
+	w.f.Close()
+	return os.Remove(w.f.Name())
+}

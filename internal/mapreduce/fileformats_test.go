@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -214,6 +215,75 @@ func TestSampleSplitPoints(t *testing.T) {
 	}
 	if s := mid.String(); s < "080" || s > "120" {
 		t.Errorf("median cut = %q, want near 100", s)
+	}
+}
+
+// TestSampleSplitPointsMatchesReference holds the arena sampler to the
+// sort.Slice sampler it replaced, inlined here: the same samples (the first
+// perSplit keys of each split, in split order), sorted by the raw
+// comparator, cut at the same quantile indices — byte for byte, over keys
+// with heavy duplicates, for Text and BytesWritable (terasort's) keys.
+func TestSampleSplitPointsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	keyTypes := []struct {
+		name string
+		gen  func() writable.Writable
+	}{
+		{"Text", func() writable.Writable {
+			if rng.Intn(4) > 0 { // three in four keys are one of five
+				return writable.NewText(fmt.Sprintf("dup%d", rng.Intn(5)))
+			}
+			return writable.NewText(fmt.Sprintf("u%06d", rng.Intn(1e6)))
+		}},
+		{"BytesWritable", func() writable.Writable {
+			b := make([]byte, rng.Intn(4)) // short keys over three bytes repeat a lot
+			for i := range b {
+				b[i] = []byte{0, 1, 0xff}[rng.Intn(3)]
+			}
+			return &writable.BytesWritable{Data: b}
+		}},
+	}
+	reference := func(in InputFormat, conf *Conf, keyType string, numReduces, maxSamples int) [][]byte {
+		cmp, _ := writable.Comparator(keyType)
+		splits, _ := in.Splits(conf)
+		perSplit := (maxSamples + len(splits) - 1) / len(splits)
+		var samples [][]byte
+		for _, s := range splits {
+			r, _ := in.Reader(s, conf)
+			for i := 0; i < perSplit; i++ {
+				k, _, ok, _ := r.Next()
+				if !ok {
+					break
+				}
+				samples = append(samples, writable.Marshal(k))
+			}
+		}
+		sort.Slice(samples, func(i, j int) bool { return cmp(samples[i], samples[j]) < 0 })
+		var cuts [][]byte
+		for i := 1; i < numReduces; i++ {
+			cuts = append(cuts, samples[i*len(samples)/numReduces])
+		}
+		return cuts
+	}
+	for _, kt := range keyTypes {
+		keyType := kt.name
+		in := &SliceInput{}
+		for i := 0; i < 3000; i++ {
+			in.Pairs = append(in.Pairs, Pair{Key: kt.gen(), Value: writable.NullWritable{}})
+		}
+		conf := NewConf().SetInt(ConfNumMaps, 3)
+		for _, reduces := range []int{1, 2, 3, 4, 7, 16} {
+			for _, maxSamples := range []int{10, 1000, 5000} {
+				got, err := SampleSplitPoints(in, conf, keyType, reduces, maxSamples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := reference(in, conf, keyType, reduces, maxSamples)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s, %d reduces, %d samples: cuts %x, reference %x", keyType, reduces, maxSamples, got, want)
+				}
+			}
+		}
 	}
 }
 

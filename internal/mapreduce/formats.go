@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -133,8 +135,9 @@ func (r *textReader) Next() (writable.Writable, writable.Writable, bool, error) 
 
 func (r *textReader) Close() error { return nil }
 
-// MemoryOutput collects reduce output in memory, keyed by reduce index.
-// Safe for concurrent writers (one per reduce task).
+// MemoryOutput collects reduce output in memory, keyed by reduce index. It
+// stores a deep copy of every record: writers may not retain what they are
+// handed (see Collector). Safe for concurrent writers (one per reduce task).
 type MemoryOutput struct {
 	mu     sync.Mutex
 	byTask map[int][]Pair
@@ -170,8 +173,40 @@ type memoryWriter struct {
 }
 
 func (w *memoryWriter) Write(key, value writable.Writable) error {
-	w.buf = append(w.buf, Pair{Key: key, Value: value})
+	k, err := clone(key)
+	if err != nil {
+		return err
+	}
+	v, err := clone(value)
+	if err != nil {
+		return err
+	}
+	w.buf = append(w.buf, Pair{Key: k, Value: v})
 	return nil
+}
+
+func (w *memoryWriter) Abort() error {
+	w.buf = nil
+	return nil
+}
+
+// clone deep-copies a writable into a fresh instance of its concrete type,
+// through its serialization. A Text copies its bytes instead, skipping
+// ReadFields' UTF-8 check: the copy holds whatever the reducer emitted.
+func clone(w writable.Writable) (writable.Writable, error) {
+	switch v := w.(type) {
+	case *writable.Text:
+		return &writable.Text{Data: bytes.Clone(v.Data)}, nil
+	case *writable.ArrayWritable: // ReadFields needs the element type
+		c := &writable.ArrayWritable{ValueClass: v.ValueClass}
+		return c, writable.Unmarshal(writable.Marshal(v), c)
+	}
+	t := reflect.TypeOf(w)
+	if t.Kind() != reflect.Pointer {
+		return w, nil // the interface already holds a copy of a value type
+	}
+	c := reflect.New(t.Elem()).Interface().(writable.Writable)
+	return c, writable.Unmarshal(writable.Marshal(w), c)
 }
 
 func (w *memoryWriter) Close() error {
@@ -195,3 +230,4 @@ type nullWriter struct{}
 
 func (nullWriter) Write(key, value writable.Writable) error { return nil }
 func (nullWriter) Close() error                             { return nil }
+func (nullWriter) Abort() error                             { return nil }

@@ -22,29 +22,18 @@ func (IdentityMapper) Map(k, v writable.Writable, out Collector, _ Reporter) err
 func (IdentityMapper) Close(Collector, Reporter) error { return nil }
 
 // IdentityReducer re-emits each key with each of its values (Hadoop's
-// Reducer base behaviour). Keys and values are deep-copied through
-// serialization because engines reuse the instances across calls.
-type IdentityReducer struct {
-	// KeyType/ValueType name the registered types used to copy records.
-	KeyType, ValueType string
-}
+// Reducer base behaviour), as the engine hands them over: the output writer
+// consumes both before the iterator reuses them (see Collector).
+type IdentityReducer struct{}
 
 // Reduce forwards the group.
-func (r IdentityReducer) Reduce(k writable.Writable, vs ValueIterator, out Collector, _ Reporter) error {
+func (IdentityReducer) Reduce(k writable.Writable, vs ValueIterator, out Collector, _ Reporter) error {
 	for {
 		v, ok := vs.Next()
 		if !ok {
 			return nil
 		}
-		kc, err := copyWritable(r.KeyType, k)
-		if err != nil {
-			return err
-		}
-		vc, err := copyWritable(r.ValueType, v)
-		if err != nil {
-			return err
-		}
-		if err := out.Collect(kc, vc); err != nil {
+		if err := out.Collect(k, v); err != nil {
 			return err
 		}
 	}
@@ -52,17 +41,6 @@ func (r IdentityReducer) Reduce(k writable.Writable, vs ValueIterator, out Colle
 
 // Close is a no-op.
 func (IdentityReducer) Close(Collector, Reporter) error { return nil }
-
-func copyWritable(typeName string, w writable.Writable) (writable.Writable, error) {
-	fresh, err := writable.New(typeName)
-	if err != nil {
-		return nil, err
-	}
-	if err := writable.Unmarshal(writable.Marshal(w), fresh); err != nil {
-		return nil, err
-	}
-	return fresh, nil
-}
 
 // TokenCounterMapper splits Text values into whitespace tokens and emits
 // (token, 1), Hadoop's lib.map.TokenCounterMapper.
@@ -96,12 +74,7 @@ func (LongSumReducer) Reduce(k writable.Writable, vs ValueIterator, out Collecto
 		}
 		sum += v.(*writable.LongWritable).Value
 	}
-	kc, err := copyWritable("Text", k)
-	if err != nil {
-		// Non-Text keys: fall back to serialized copy via the key's own bytes.
-		kc = k
-	}
-	return out.Collect(kc, &writable.LongWritable{Value: sum})
+	return out.Collect(k, &writable.LongWritable{Value: sum})
 }
 
 // Close is a no-op.

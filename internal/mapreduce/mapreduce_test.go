@@ -295,3 +295,38 @@ func TestAdapters(t *testing.T) {
 		t.Error("CountersReporter not recording")
 	}
 }
+
+// TestMemoryOutputStoresCopies: a reducer may refill the instances it
+// emitted as soon as Write returns, so MemoryOutput keeps deep copies; an
+// aborted writer publishes nothing.
+func TestMemoryOutputStoresCopies(t *testing.T) {
+	out := &MemoryOutput{}
+	w, _ := out.Writer(nil, 0)
+	key, val := writable.NewText("k1"), &writable.LongWritable{Value: 1}
+	arr := writable.NewArrayWritable("Text", writable.NewText("a"))
+	for _, v := range []writable.Writable{val, arr, writable.NullWritable{}} {
+		if err := w.Write(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key.Data[1], val.Value = '2', 2
+	arr.Values[0].(*writable.Text).Data[0] = 'b'
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := out.Pairs(0)
+	if len(got) != 3 {
+		t.Fatalf("%d pairs, want 3", len(got))
+	}
+	for i, want := range []string{"1", "[a]", "(null)"} {
+		if k, v := got[i].Key.(*writable.Text).String(), got[i].Value.(interface{ String() string }).String(); k != "k1" || v != want {
+			t.Errorf("pair %d = (%s, %s), want (k1, %s)", i, k, v, want)
+		}
+	}
+
+	aborted, _ := out.Writer(nil, 1)
+	aborted.Write(key, val)
+	if err := aborted.Abort(); err != nil || out.Pairs(1) != nil {
+		t.Errorf("aborted writer: err %v, pairs %v", err, out.Pairs(1))
+	}
+}

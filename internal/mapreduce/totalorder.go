@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mrmicro/internal/writable"
@@ -44,6 +46,10 @@ func (t *TotalOrderPartitioner) Partition(key, _ writable.Writable, numReduces i
 // SampleSplitPoints scans up to maxSamples keys from the input (round-robin
 // over splits, like Hadoop's InputSampler.SplitSampler) and returns
 // numReduces-1 quantile cut points in serialized form.
+//
+// The samples are marshalled into one arena and sorted as views into it.
+// Keys that compare equal serialize to equal bytes, so the cut at each
+// quantile index is the same bytes whichever correct sort put it there.
 func SampleSplitPoints(input InputFormat, conf *Conf, keyType string, numReduces, maxSamples int) ([][]byte, error) {
 	if numReduces < 1 {
 		return nil, fmt.Errorf("mapreduce: sampler needs at least one reduce")
@@ -60,7 +66,8 @@ func SampleSplitPoints(input InputFormat, conf *Conf, keyType string, numReduces
 		maxSamples = 100000
 	}
 	perSplit := (maxSamples + len(splits) - 1) / len(splits)
-	var samples [][]byte
+	arena := writable.NewDataOutput(64 << 10)
+	var ends []int // sample i is arena[ends[i-1]:ends[i]]
 	for _, s := range splits {
 		r, err := input.Reader(s, conf)
 		if err != nil {
@@ -75,19 +82,27 @@ func SampleSplitPoints(input InputFormat, conf *Conf, keyType string, numReduces
 			if !ok {
 				break
 			}
-			samples = append(samples, writable.Marshal(k))
+			k.Write(arena)
+			ends = append(ends, arena.Len())
 		}
 		if err := r.Close(); err != nil {
 			return nil, err
 		}
 	}
-	if len(samples) == 0 {
+	if len(ends) == 0 {
 		return nil, fmt.Errorf("mapreduce: sampler saw no records")
 	}
-	sort.Slice(samples, func(i, j int) bool { return cmp(samples[i], samples[j]) < 0 })
+	buf := arena.Bytes()
+	samples := make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		samples[i] = buf[start:end:end]
+		start = end
+	}
+	slices.SortFunc(samples, cmp)
 	cuts := make([][]byte, 0, numReduces-1)
 	for i := 1; i < numReduces; i++ {
-		cuts = append(cuts, samples[i*len(samples)/numReduces])
+		cuts = append(cuts, bytes.Clone(samples[i*len(samples)/numReduces]))
 	}
 	return cuts, nil
 }

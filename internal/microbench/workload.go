@@ -45,7 +45,7 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 
 	switch cfg.Workload {
 	case apps.WordCount:
-		job.Mapper = func() mapreduce.Mapper { return apps.WordCountMapper{} }
+		job.Mapper = func() mapreduce.Mapper { return &apps.WordCountMapper{} }
 		job.Reducer = func() mapreduce.Reducer { return apps.SumReducer{} }
 		job.MapOutputValueType = "LongWritable"
 	case apps.Grep:
@@ -59,7 +59,7 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 		job.Reducer = func() mapreduce.Reducer { return apps.SumReducer{} }
 		job.MapOutputValueType = "LongWritable"
 	case apps.InvIndex:
-		job.Mapper = func() mapreduce.Mapper { return apps.InvIndexMapper{} }
+		job.Mapper = func() mapreduce.Mapper { return &apps.InvIndexMapper{} }
 		job.Reducer = func() mapreduce.Reducer { return apps.InvIndexReducer{} }
 		job.MapOutputValueType = "Text"
 	case apps.HSGen:
@@ -67,8 +67,8 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 		job.Mapper = func() mapreduce.Mapper { return &apps.HSGenMapper{Seed: seed} }
 		job.MapOutputValueType = "Text"
 	case apps.HSSort:
-		job.Mapper = func() mapreduce.Mapper { return apps.HSSortMapper{} }
-		job.Reducer = func() mapreduce.Reducer { return apps.HSIdentityReducer{} }
+		job.Mapper = func() mapreduce.Mapper { return &apps.HSSortMapper{} }
+		job.Reducer = func() mapreduce.Reducer { return mapreduce.IdentityReducer{} }
 		job.MapOutputValueType = "Text"
 		if err := wireTotalOrder(job, input, conf, cfg.NumReduces); err != nil {
 			return nil, err

@@ -10,7 +10,10 @@ import (
 	"mrmicro/internal/apps"
 	"mrmicro/internal/distrun"
 	"mrmicro/internal/inputformat"
+	"mrmicro/internal/localrun"
+	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
+	"mrmicro/internal/writable"
 )
 
 // TestMain lets the dist-engine tests spawn real worker processes: the pool
@@ -228,16 +231,17 @@ func TestHSPipelineDistMatchesLocalAndMaterialized(t *testing.T) {
 	}
 }
 
-// TestPipelineFailsOnCorruptedSort proves HSValidate is a real checker: a
-// sorted directory with one corrupted row must fail the validate job.
-func TestPipelineFailsOnCorruptedSort(t *testing.T) {
+// corruptedSort runs gen+sort and flips the first sorted row's first
+// payload byte: ordering still holds, but the row digest no longer matches
+// the generator's. It returns the validate stage, pointed at that output.
+func corruptedSort(t *testing.T) Stage {
+	t.Helper()
 	base := microbench.Config{NumMaps: 2, PairsPerMap: 30, NumReduces: 2, Seed: 3}
-	work := t.TempDir()
 	stages, err := HSPipeline(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunStages(stages[:2], work, nil)
+	results, err := RunStages(stages[:2], t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("gen+sort: %v", err)
 	}
@@ -250,16 +254,157 @@ func TestPipelineFailsOnCorruptedSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the first row's first payload byte: ordering still holds, but
-	// the row digest no longer matches the generator's.
 	data[strings.IndexByte(string(data), '\t')+1] ^= 1
 	if err := os.WriteFile(parts[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	validate := stages[2]
 	validate.Config.InputSpec = "dir:" + sortedDir
-	_, err = RunStages([]Stage{validate}, filepath.Join(work, "v"), &Options{})
+	return validate
+}
+
+// TestPipelineFailsOnCorruptedSort proves HSValidate is a real checker: a
+// sorted directory with one corrupted row must fail the validate job.
+func TestPipelineFailsOnCorruptedSort(t *testing.T) {
+	validate := corruptedSort(t)
+	_, err := RunStages([]Stage{validate}, t.TempDir(), &Options{})
 	if err == nil || !strings.Contains(err.Error(), "hsvalidate") {
 		t.Fatalf("validate accepted corrupted rows (err=%v)", err)
+	}
+}
+
+// TestFailedJobLeavesNoWriterBehind: a job that fails after its output
+// writers opened — HSValidate over a corrupted sort, whose every reduce
+// attempt fails at Close, and a map-only job whose mapper fails mid-split —
+// leaves no file descriptor open and nothing, not even a dot-prefixed temp
+// part, in its output directory.
+func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("needs /proc/self/fd")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	validate := corruptedSort(t)
+	for _, tc := range []struct {
+		name string
+		run  func(outDir string) error
+	}{
+		{"hsvalidate over a corrupted sort", func(outDir string) error {
+			v := validate
+			v.Config.OutputDir = outDir
+			_, err := RunStages([]Stage{v}, t.TempDir(), nil)
+			return err
+		}},
+		{"map-only mapper failing mid-split", func(outDir string) error {
+			job, err := microbench.BuildJob(microbench.Config{
+				Workload: apps.HSGen, NumMaps: 3, PairsPerMap: 50, Seed: 3, OutputDir: outDir,
+			})
+			if err != nil {
+				return err
+			}
+			gen := job.Mapper
+			job.Mapper = func() mapreduce.Mapper {
+				m, rows := gen(), 0
+				return mapreduce.MapperFunc(func(k, v writable.Writable, out mapreduce.Collector, rep mapreduce.Reporter) error {
+					if rows++; rows > 10 {
+						return fmt.Errorf("mapper fails at row %d", rows)
+					}
+					return m.Map(k, v, out, rep)
+				})
+			}
+			_, err = localrun.Run(job, &localrun.Options{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Run twice and measure the second: the first also opens what
+			// the runtime opens once per process (the network poller).
+			for run := 0; run < 2; run++ {
+				outDir := filepath.Join(t.TempDir(), "out")
+				if err := os.MkdirAll(outDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				before := openFDs()
+				if err := tc.run(outDir); err == nil {
+					t.Fatal("job succeeded")
+				}
+				if run == 0 {
+					continue
+				}
+				if after := openFDs(); after != before {
+					t.Errorf("%d file descriptors open after the failed job, %d before", after, before)
+				}
+				left, err := os.ReadDir(outDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range left {
+					t.Errorf("failed job left %s in its output directory", e.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestFailedPipelineJoinsDigests: each stage's output digest runs while
+// the next stage does; when a later stage fails, RunStages still returns
+// only after the completed stages' digests are in.
+func TestFailedPipelineJoinsDigests(t *testing.T) {
+	stages, err := HSPipeline(microbench.Config{NumMaps: 2, PairsPerMap: 30, NumReduces: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages[2].Config.ExtraConf[apps.ConfHSRows] = "59" // the generator wrote 60
+	results, err := RunStages(stages, t.TempDir(), nil)
+	if err == nil || !strings.Contains(err.Error(), "60 rows in sorted output, generator wrote 59") {
+		t.Fatalf("err = %v, want the validate stage's row-count failure", err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("%d results, want the 2 completed stages", len(results))
+	}
+	for _, r := range results {
+		want, err := inputformat.DirDigest(r.Config.OutputDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.OutputDigest != want {
+			t.Errorf("stage %s digest %016x, directory digests to %016x", r.Name, r.OutputDigest, want)
+		}
+	}
+}
+
+// TestDigestFailureKeepsLaterStageError: stage 0's digest fails while
+// stage 1, already running on the same directory, fails too. The pipeline
+// reports both, not just the digest's I/O error.
+func TestDigestFailureKeepsLaterStageError(t *testing.T) {
+	stages, err := HSPipeline(microbench.Config{NumMaps: 2, PairsPerMap: 30, NumReduces: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	genDir := filepath.Join(t.TempDir(), "gen")
+	if err := os.MkdirAll(genDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A dangling link is listed as a corpus file but cannot be opened: the
+	// digest of the gen output and the sort stage's splits both trip on it.
+	if err := os.Symlink(filepath.Join(genDir, "missing"), filepath.Join(genDir, "zz-dangling")); err != nil {
+		t.Fatal(err)
+	}
+	stages[0].Config.OutputDir = genDir
+	results, err := RunStages(stages, t.TempDir(), nil)
+	if err == nil {
+		t.Fatal("pipeline over a directory with a dangling part succeeded")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "stage 0 (hsgen) output") || !strings.Contains(msg, "stage 1 (hssort)") {
+		t.Fatalf("err = %v, want stage 0's digest failure and stage 1's own failure", err)
+	}
+	if len(results) != 0 {
+		t.Fatalf("%d results, want none: stage 0's output failed to digest", len(results))
 	}
 }

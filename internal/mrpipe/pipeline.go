@@ -13,10 +13,12 @@
 package mrpipe
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"time"
 
 	"mrmicro/internal/apps"
@@ -67,6 +69,14 @@ type Options struct {
 // returns one result per stage. A stage failure aborts the pipeline — for
 // the HS pipeline that is the contract: HSValidate failing its job is the
 // suite's loud signal that an engine broke the sort.
+//
+// Stage i's OutputDigest is computed while stage i+1 runs: the next stage
+// only reads that directory, and the digest is a whole-directory pass that
+// would otherwise sit alone on the critical path between the two jobs.
+// Every digest started is joined before RunStages returns, on success and
+// on failure. A failed digest ends the results at its stage, but later
+// stages may already have run on that directory by then; when one of them
+// failed too, the returned error carries both.
 func RunStages(stages []Stage, workDir string, opts *Options) ([]StageResult, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -78,15 +88,30 @@ func RunStages(stages []Stage, workDir string, opts *Options) ([]StageResult, er
 		return nil, fmt.Errorf("mrpipe: %v", err)
 	}
 	results := make([]StageResult, 0, len(stages))
+	digestErrs := make([]error, len(stages))
+	var digests sync.WaitGroup
+	// join waits for the digests and folds them into the results. A failed
+	// digest ends the results at its stage, as if that stage had failed; a
+	// later stage's own error is kept beside it.
+	join := func(err error) ([]StageResult, error) {
+		digests.Wait()
+		for i, derr := range digestErrs[:len(results)] {
+			if derr != nil {
+				derr = fmt.Errorf("mrpipe: stage %d (%s) output: %w", i, results[i].Name, derr)
+				return results[:i], errors.Join(derr, err)
+			}
+		}
+		return results, err
+	}
 	prevOut := ""
 	for i, st := range stages {
 		cfg := st.Config
 		if cfg.Workload == "" {
-			return nil, fmt.Errorf("mrpipe: stage %d (%s) names no workload", i, st.Name)
+			return join(fmt.Errorf("mrpipe: stage %d (%s) names no workload", i, st.Name))
 		}
 		if cfg.InputSpec == "" && apps.FileBacked(cfg.Workload) {
 			if prevOut == "" {
-				return nil, fmt.Errorf("mrpipe: stage %d (%s) has no input and no previous stage output to chain", i, st.Name)
+				return join(fmt.Errorf("mrpipe: stage %d (%s) has no input and no previous stage output to chain", i, st.Name))
 			}
 			cfg.InputSpec = "dir:" + prevOut
 		}
@@ -95,22 +120,26 @@ func RunStages(stages []Stage, workDir string, opts *Options) ([]StageResult, er
 		}
 		cfg, err := cfg.Normalize()
 		if err != nil {
-			return nil, fmt.Errorf("mrpipe: stage %d (%s): %w", i, st.Name, err)
+			return join(fmt.Errorf("mrpipe: stage %d (%s): %w", i, st.Name, err))
 		}
 		res, err := runStage(cfg, opts)
 		if err != nil {
-			return results, fmt.Errorf("mrpipe: stage %d (%s): %w", i, st.Name, err)
+			return join(fmt.Errorf("mrpipe: stage %d (%s): %w", i, st.Name, err))
 		}
 		res.Name = st.Name
 		res.Config = cfg
-		res.OutputDigest, err = inputformat.DirDigest(cfg.OutputDir)
-		if err != nil {
-			return results, fmt.Errorf("mrpipe: stage %d (%s) output: %w", i, st.Name, err)
-		}
 		results = append(results, *res)
+		// results never reallocates (cap len(stages)): the goroutine owns
+		// this element's digest until join reads it.
+		out := &results[i]
+		digests.Add(1)
+		go func() {
+			defer digests.Done()
+			out.OutputDigest, digestErrs[i] = inputformat.DirDigest(cfg.OutputDir)
+		}()
 		prevOut = cfg.OutputDir
 	}
-	return results, nil
+	return join(nil)
 }
 
 func runStage(cfg microbench.Config, opts *Options) (*StageResult, error) {
