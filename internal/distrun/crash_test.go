@@ -49,8 +49,8 @@ func testConfig() microbench.Config {
 
 // assertMatchesOracle compares a distributed run against the in-process
 // oracle for the same configuration: output digests, per-reduce shape, and
-// the Task counter group must match exactly.
-func assertMatchesOracle(t *testing.T, cfg microbench.Config, got *Result) {
+// the Task counter group but the exempt counters must match exactly.
+func assertMatchesOracle(t *testing.T, cfg microbench.Config, got *Result, exempt ...string) {
 	t.Helper()
 	want, err := LocalOracle(cfg)
 	if err != nil {
@@ -72,6 +72,10 @@ func assertMatchesOracle(t *testing.T, cfg microbench.Config, got *Result) {
 	}
 	gotTask := got.Counters.Snapshot()[mapreduce.CounterGroupTask]
 	wantTask := want.Counters.Snapshot()[mapreduce.CounterGroupTask]
+	for _, ctr := range exempt {
+		delete(gotTask, ctr)
+		delete(wantTask, ctr)
+	}
 	if !reflect.DeepEqual(gotTask, wantTask) {
 		t.Errorf("task counters diverge:\n got  %v\n want %v", gotTask, wantTask)
 	}
@@ -114,6 +118,30 @@ func TestCleanRunMatchesOracle(t *testing.T) {
 	assertMatchesOracle(t, cfg, res)
 	if res.RequeuedMaps != 0 || res.SpeculativeWins != 0 {
 		t.Errorf("clean run reported recovery: requeued=%d specWins=%d", res.RequeuedMaps, res.SpeculativeWins)
+	}
+}
+
+// TestDistBoundedCopyPhase: a dist reduce attempt runs the in-process copy
+// phase, so the shuffle memory budget, merge fan-in and copier count reach
+// it. A 1-byte budget sends every fetched segment through an on-disk run —
+// reduce-side SPILLED_RECORDS an unbounded run does not have — and the
+// output still matches the oracle. How many records spill together depends
+// on fetch arrival order, so SPILLED_RECORDS is exempt from the comparison.
+func TestDistBoundedCopyPhase(t *testing.T) {
+	unbounded, err := Run(testConfig(), &Options{Workers: 2, Digest: true})
+	if err != nil {
+		t.Fatalf("Run unbounded: %v", err)
+	}
+	cfg := testConfig()
+	cfg.ShuffleMemBudget, cfg.MergeFactor, cfg.ParallelCopies = 1, 2, 2
+	res, err := Run(cfg, &Options{Workers: 2, Digest: true})
+	if err != nil {
+		t.Fatalf("Run bounded: %v", err)
+	}
+	assertMatchesOracle(t, cfg, res, mapreduce.CtrSpilledRecords)
+	got, base := res.Counters.Task(mapreduce.CtrSpilledRecords), unbounded.Counters.Task(mapreduce.CtrSpilledRecords)
+	if got <= base {
+		t.Errorf("SPILLED_RECORDS = %d bounded, %d unbounded: the reduce-side pool never spilled", got, base)
 	}
 }
 

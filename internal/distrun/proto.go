@@ -11,10 +11,10 @@
 // and resume from committed work instead of rerunning the job.
 //
 // Because workers execute the exact localrun task bodies
-// (localrun.TaskRunner) over the exact same shuffle bytes, a distributed
-// run's output digest and task counters are byte-identical to a
-// single-process run of the same config — the invariant the crash tests
-// and mrcheck's dist engine assert.
+// (localrun.TaskRunner), copy phase included, over the exact same shuffle
+// bytes, a distributed run's output digest and task counters are
+// byte-identical to a single-process run of the same config — the invariant
+// the crash tests and mrcheck's dist engine assert.
 package distrun
 
 import (
@@ -105,7 +105,7 @@ type taskResp struct {
 	Kind    string   `json:"kind"`
 	Task    int      `json:"task,omitempty"`
 	Attempt int      `json:"attempt,omitempty"`
-	Maps    []mapLoc `json:"maps,omitempty"` // reduce only: every map's location
+	Maps    []mapLoc `json:"maps,omitempty"` // reduce only: every map's location, in map order
 	Err     string   `json:"err,omitempty"`  // exit only: job failure, if any
 }
 

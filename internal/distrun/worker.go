@@ -1,6 +1,13 @@
 package distrun
 
+// This file is the worker process: it registers with the coordinator,
+// heartbeats, and runs each attempt it is handed through localrun's task
+// bodies — a map into its own shuffle server, a reduce through the
+// in-process executor's copy phase, whose parallel copiers fetch each map's
+// partition from the worker serving it into the (optionally bounded) merge.
+
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -10,7 +17,6 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/hadooprpc"
-	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
@@ -313,64 +319,34 @@ func (w *worker) runMap(idx, attempt int) error {
 	}
 }
 
-// runReduce fetches every map's partition from its holder, runs the reduce
-// tail, and commits counters + digest. A permanently unfetchable map (its
-// worker died) is reported so the coordinator re-runs that map, and the
-// reduce attempt is abandoned for a later retry.
+// runReduce runs one reduce attempt through localrun's copy phase — fetching
+// each map's partition from the worker that serves it — and commits counters
+// + digest. A permanently unfetchable map (its worker died) is reported so
+// the coordinator re-runs that map, and the reduce attempt is abandoned for a
+// later retry.
 func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 	faultCtrs := w.taskFaultCtrs(TaskReduce, r)
-	compressed := w.runner.Compressed()
-	parts := make([]*kvbuf.Segment, len(maps))
-	// One persistent connection per peer for the whole fetch loop; the
-	// fetched buffers go back to the segment pool once the reduce tail is
-	// done with them, however this attempt ends.
-	fetchers := make(map[string]*localrun.MapOutputFetcher)
-	defer func() {
-		for _, f := range fetchers {
-			f.Close()
-		}
-		for _, seg := range parts {
-			if seg != nil {
-				seg.Recycle()
-			}
-		}
-	}()
-	ctrs := mapreduce.NewCounters()
+	peers := make([]string, len(maps))
 	for i, loc := range maps {
-		if i == len(maps)/2 {
-			w.checkpoint() // mid-shuffle
-		}
-		f := fetchers[loc.Addr]
-		if f == nil {
-			f = localrun.NewMapOutputFetcher(loc.Addr, r, compressed, w.plan, faultinject.Backoff{})
-			fetchers[loc.Addr] = f
-		}
-		seg, wireLen, st, err := f.Fetch(loc.Map)
-		st.AddTo(faultCtrs)
-		if err != nil {
+		peers[i] = loc.Addr
+	}
+	ctrs, err := w.runner.RunReduceFrom(r, attempt, peers, w.plan, faultCtrs, w.checkpoint /* mid-shuffle */)
+	if err != nil {
+		var fe *localrun.FetchError
+		fetch := errors.As(err, &fe)
+		if fetch {
 			var fresp sessionResp
 			_ = call(w.coord, MethodFetchFailed, &fetchFailedReq{
 				Session: w.session.Load(),
 				Reduce:  r,
-				Map:     loc.Map,
-				Version: loc.Version,
+				Map:     fe.Map,
+				Version: maps[fe.Map].Version,
 			}, &fresp)
-			faultCtrs.IncrFault(mapreduce.CtrReduceAttemptsFailed, 1)
-			w.reportFailed(TaskReduce, r, attempt, true, fmt.Errorf("fetch map %d from %s: %w", loc.Map, loc.Addr, err))
-			return nil
 		}
-		parts[i] = seg
-		ctrs.IncrTask(mapreduce.CtrShuffledMaps, 1)
-		ctrs.IncrTask(mapreduce.CtrReduceShuffleBytes, wireLen)
-	}
-
-	rctrs, err := w.runner.RunReduce(r, attempt, parts, w.plan)
-	if err != nil {
 		faultCtrs.IncrFault(mapreduce.CtrReduceAttemptsFailed, 1)
-		w.reportFailed(TaskReduce, r, attempt, false, err)
+		w.reportFailed(TaskReduce, r, attempt, fetch, err)
 		return nil
 	}
-	ctrs.Merge(rctrs)
 	ctrs.Merge(faultCtrs)
 	w.checkpoint() // pre-commit
 

@@ -13,39 +13,47 @@ import (
 // exists instead of after a global barrier.
 //
 // The invariant the copy phase rests on: a map is announced only after all
-// its partitions are registered with the shuffle server, and exactly once per
-// job (failed attempts never announce). So an announced map's segments are
-// there to fetch and never change, and each (map, reduce) partition crosses
-// the wire once per reduce attempt.
+// its partitions are registered with the shuffle server that serves it, and
+// exactly once per job (failed attempts never announce). So an announced map's
+// segments are there to fetch and never change, and each (map, reduce)
+// partition crosses the wire once per reduce attempt.
 type completionBoard struct {
 	mu         sync.Mutex
-	attempts   []int // per map: committed attempt id; -1 until it commits
+	events     []completion // per map; attempt -1 until it commits
 	committed  int
 	lastCommit time.Time
 	broadcast  chan struct{} // closed and replaced on every announce
 }
 
+// completion is one map's task-completion event: its committed attempt and,
+// as in Hadoop's TaskCompletionEvent, where its output is served.
+type completion struct {
+	attempt int
+	addr    string
+}
+
 func newCompletionBoard(numMaps int) *completionBoard {
 	b := &completionBoard{
-		attempts:  make([]int, numMaps),
+		events:    make([]completion, numMaps),
 		broadcast: make(chan struct{}),
 	}
-	for i := range b.attempts {
-		b.attempts[i] = -1
+	for i := range b.events {
+		b.events[i].attempt = -1
 	}
 	return b
 }
 
-// Announce publishes map mapIdx's committed attempt. A map commits once: a
-// second announcement is a scheduler bug, and panics before touching the
-// board — subscribers may already have fetched the first attempt's bytes.
-func (b *completionBoard) Announce(mapIdx, attempt int) {
+// Announce publishes map mapIdx's committed attempt, served at addr. A map
+// commits once: a second announcement is a scheduler bug, and panics before
+// touching the board — subscribers may already have fetched the first
+// attempt's bytes.
+func (b *completionBoard) Announce(mapIdx, attempt int, addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if prev := b.attempts[mapIdx]; prev >= 0 {
+	if prev := b.events[mapIdx].attempt; prev >= 0 {
 		panic(fmt.Sprintf("localrun: map %d announced twice (attempt %d after attempt %d)", mapIdx, attempt, prev))
 	}
-	b.attempts[mapIdx] = attempt
+	b.events[mapIdx] = completion{attempt: attempt, addr: addr}
 	b.committed++
 	b.lastCommit = time.Now()
 	close(b.broadcast)
@@ -67,14 +75,14 @@ func (b *completionBoard) LastCommit() time.Time {
 	return b.lastCommit
 }
 
-// poll copies the per-map committed attempts into snap (which must hold
+// poll copies the per-map completion events into snap (which must hold
 // numMaps entries) and returns a channel that is closed at the next
 // announcement. Subscribers loop: poll, act on the snapshot, then block on
 // the returned channel.
-func (b *completionBoard) poll(snap []int) (next <-chan struct{}) {
+func (b *completionBoard) poll(snap []completion) (next <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	copy(snap, b.attempts)
+	copy(snap, b.events)
 	return b.broadcast
 }
 

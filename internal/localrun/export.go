@@ -3,8 +3,9 @@ package localrun
 // This file is localrun's task-level surface for the distributed runtime
 // (internal/distrun): worker processes execute the exact same task bodies the
 // in-process executor runs — same sort/spill/merge machinery, same TCP
-// shuffle data plane — just driven by a remote coordinator instead of the
-// in-process scheduler. Keeping one implementation is what lets distrun
+// shuffle data plane, same copy phase (streamShuffle, fetching from whichever
+// worker serves each map) — just driven by a remote coordinator instead of
+// the in-process scheduler. Keeping one implementation is what lets distrun
 // assert byte-identical output against an in-process run of the same config.
 
 import (
@@ -47,10 +48,10 @@ func (a *FetchStats) add(b FetchStats) {
 	a.Slow += b.Slow
 }
 
-// AddTo folds the tally into a reduce task's fault counters, skipping zero
+// addTo folds the tally into a reduce task's fault counters, skipping zero
 // increments so clean runs don't grow an all-zero FaultCounter group in
 // their counter dump.
-func (a FetchStats) AddTo(faultCtrs *mapreduce.Counters) {
+func (a FetchStats) addTo(faultCtrs *mapreduce.Counters) {
 	if a.Failures > 0 {
 		faultCtrs.IncrFault(mapreduce.CtrShuffleFetchFailures, a.Failures)
 	}
@@ -62,37 +63,14 @@ func (a FetchStats) AddTo(faultCtrs *mapreduce.Counters) {
 	}
 }
 
-// MapOutputFetcher fetches one reduce task's partitions from one (possibly
-// remote) worker's shuffle server over a single persistent connection,
-// dialed on first use and re-dialed after a failure that killed it: a reduce
-// task keeps one per peer for its whole fetch loop instead of dialing per
-// segment. Not safe for concurrent use.
-type MapOutputFetcher struct{ f segmentFetcher }
-
-// NewMapOutputFetcher prepares a fetcher of partition reduce from the server
-// at addr; nothing is dialed until the first Fetch.
-func NewMapOutputFetcher(addr string, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) *MapOutputFetcher {
-	return &MapOutputFetcher{f: segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: new(FetchStats)}}
-}
-
-// Fetch retrieves map mapIdx's partition, verifying the IFile checksum as it
-// streams in and retrying transient failures with backoff. wireLen is the
-// payload size of the winning attempt; st tallies this fetch alone.
-func (mf *MapOutputFetcher) Fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
-	*mf.f.st = FetchStats{}
-	seg, wireLen, err = mf.f.fetch(mapIdx)
-	return seg, wireLen, *mf.f.st, err
-}
-
-// Close drops the connection, if one is open.
-func (mf *MapOutputFetcher) Close() { mf.f.closeConn() }
-
-// FetchMapOutput is open, Fetch, Close: one partition over a connection of
-// its own.
+// FetchMapOutput fetches one partition over a connection of its own: the
+// copy phase's fetcher run over a single map. wireLen is the payload size of
+// the winning attempt; st tallies this fetch alone.
 func FetchMapOutput(addr string, mapIdx, reduce int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) (seg *kvbuf.Segment, wireLen int64, st FetchStats, err error) {
-	mf := NewMapOutputFetcher(addr, reduce, compressed, plan, bo)
-	defer mf.Close()
-	return mf.Fetch(mapIdx)
+	f := &segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: &st}
+	defer f.closeConn()
+	err = f.run([]int{mapIdx}, func(_ int, s *kvbuf.Segment, n int64) { seg, wireLen = s, n })
+	return seg, wireLen, st, err
 }
 
 // NewTaskRunner builds the task environment of a job with a reduce phase —
@@ -122,13 +100,14 @@ func (tr *TaskRunner) NumReduces() int { return tr.numReduces }
 func (tr *TaskRunner) Compressed() bool { return tr.codec != nil }
 
 // withPlan returns the runner a coordinator-driven attempt runs in: the
-// fault plan arrives with the assignment, not with the job.
+// fault plan arrives with the assignment, not with the job, and brings its
+// fetch-attempt bound with it (the runner was built without a plan).
 func (tr *TaskRunner) withPlan(plan *faultinject.Plan) *TaskRunner {
 	if plan == tr.plan {
 		return tr
 	}
 	t := *tr
-	t.plan = plan
+	t.plan, t.backoff = plan, fetchBackoff(tr.backoff, plan)
 	return &t
 }
 
@@ -144,11 +123,33 @@ func (tr *TaskRunner) RunMap(idx, attempt int, server *ShuffleServer, plan *faul
 	return tr.withPlan(plan).runMapTask(aid, server, faultCtrs, &spillTimings{})
 }
 
+// RunReduceFrom executes one attempt of reduce task r end to end — the
+// in-process executor's copy phase, merge and reduce tail — over map outputs
+// served at peers (per map, the shuffle server holding its committed output).
+// midShuffle, when non-nil, runs once, when half the segments are in; a
+// fetch whose retries ran out fails the attempt with a *FetchError.
+func (tr *TaskRunner) RunReduceFrom(r, attempt int, peers []string, plan *faultinject.Plan, faultCtrs *mapreduce.Counters, midShuffle func()) (*mapreduce.Counters, error) {
+	if r < 0 || r >= tr.numReduces {
+		return nil, fmt.Errorf("localrun: reduce index %d out of range [0, %d)", r, tr.numReduces)
+	}
+	if len(peers) != len(tr.splits) {
+		return nil, fmt.Errorf("localrun: %d map locations for %d maps", len(peers), len(tr.splits))
+	}
+	board := newCompletionBoard(len(peers))
+	for m, addr := range peers {
+		board.Announce(m, 0, addr) // the map's attempt id is the coordinator's business
+	}
+	aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
+	return tr.withPlan(plan).runReduceTask(aid, faultCtrs, board, nil, &mergeTimings{}, midShuffle)
+}
+
 // RunReduce executes the sort+reduce tail of reduce task r over partition
 // segments the caller already fetched (one per map, ascending map order; a
-// flat merge over them emits records byte-identical to the in-process
-// executor's streamed copy phase). The caller owns shuffle-side counters
-// (SHUFFLED_MAPS, REDUCE_SHUFFLE_BYTES); this adds the merge/reduce ones.
+// flat merge over them emits records byte-identical to the copy phase's). It
+// is the entry of the benchmark's staged serial replay, which fetches each
+// segment with FetchMapOutput and times the stages apart. The caller owns
+// shuffle-side counters (SHUFFLED_MAPS, REDUCE_SHUFFLE_BYTES); this adds the
+// merge/reduce ones.
 func (tr *TaskRunner) RunReduce(r, attempt int, parts []*kvbuf.Segment, plan *faultinject.Plan) (*mapreduce.Counters, error) {
 	if r < 0 || r >= tr.numReduces {
 		return nil, fmt.Errorf("localrun: reduce index %d out of range [0, %d)", r, tr.numReduces)

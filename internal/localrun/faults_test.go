@@ -152,7 +152,8 @@ func TestExhaustedAttemptsFailTheJob(t *testing.T) {
 // TestExhaustedTruncationIsAnInjectedFailure: a fetch whose every attempt
 // rolled an injected truncation is rejected by the checksum (or the codec's
 // stream-end check), but it is the fault plan that failed the job — the error
-// must say both, or mrcheck reports a seeded failure as an organic one.
+// must say both, or mrcheck reports a seeded failure as an organic one. It
+// is also a *FetchError naming the map and the peer whose retries ran out.
 func TestExhaustedTruncationIsAnInjectedFailure(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		text, _ := corpus()
@@ -165,6 +166,10 @@ func TestExhaustedTruncationIsAnInjectedFailure(t *testing.T) {
 		}
 		if !errors.Is(err, faultinject.ErrInjected) || !errors.Is(err, kvbuf.ErrCorruptSegment) {
 			t.Errorf("compress=%v: error must carry both ErrInjected and ErrCorruptSegment: %v", compress, err)
+		}
+		var fe *FetchError
+		if !errors.As(err, &fe) || fe.Map < 0 || fe.Map >= 2 || fe.Peer == "" {
+			t.Errorf("compress=%v: error must be a *FetchError naming the map and the peer: %v", compress, err)
 		}
 	}
 }

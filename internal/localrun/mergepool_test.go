@@ -66,9 +66,9 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := &mergeTimings{}
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, tm)
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, tm)
 	for m := 0; m < maps; m++ {
-		board.Announce(m, 0)
+		board.Announce(m, 0, s.Addr())
 	}
 
 	res, err := ss.run(nil)
@@ -106,9 +106,9 @@ func TestBoundedShuffleAborts(t *testing.T) {
 	registerWordSegment(t, s, 0, "k0", "v")
 	registerWordSegment(t, s, 1, "k1", "v")
 	board := newCompletionBoard(maps)
-	board.Announce(0, 0)
-	board.Announce(1, 0)
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), s.Addr(), 0, board, &mergeTimings{})
+	board.Announce(0, 0, s.Addr())
+	board.Announce(1, 0, s.Addr())
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, &mergeTimings{})
 
 	done := make(chan struct{})
 	result := make(chan error, 1)

@@ -2,6 +2,7 @@ package localrun
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -38,27 +39,27 @@ func TestCompletionBoardVersionsAndWait(t *testing.T) {
 	if got := b.CommittedMaps(); got != 0 {
 		t.Fatalf("fresh board committed = %d", got)
 	}
-	snap := make([]int, 3)
+	snap := make([]completion, 3)
 	next := b.poll(snap)
-	b.Announce(1, 0)
+	b.Announce(1, 0, "peer-a")
 	select {
 	case <-next:
 	default:
 		t.Fatal("announce did not wake the broadcast channel")
 	}
-	b.Announce(0, 2)
+	b.Announce(0, 2, "peer-b")
 	if got := b.CommittedMaps(); got != 2 {
 		t.Fatalf("committed = %d, want 2", got)
 	}
 	b.poll(snap)
-	if snap[0] != 2 || snap[1] != 0 || snap[2] != -1 {
-		t.Errorf("committed attempts = %v, want [2 0 -1]", snap)
+	if want := []completion{{2, "peer-b"}, {0, "peer-a"}, {-1, ""}}; !slices.Equal(snap, want) {
+		t.Errorf("completion events = %v, want %v", snap, want)
 	}
 
 	// waitCommitted returns once the threshold lands, and aborts on done.
 	ready := make(chan bool)
 	go func() { ready <- b.waitCommitted(3, nil) }()
-	b.Announce(2, 0)
+	b.Announce(2, 0, "peer-a")
 	if !<-ready {
 		t.Error("waitCommitted(3) returned false after 3 commits")
 	}
@@ -76,8 +77,8 @@ func TestCompletionBoardVersionsAndWait(t *testing.T) {
 // already hold the first attempt's bytes.
 func TestSecondAnnounceRejected(t *testing.T) {
 	b := newCompletionBoard(2)
-	b.Announce(1, 0)
-	snap := make([]int, 2)
+	b.Announce(1, 0, "peer")
+	snap := make([]completion, 2)
 	next := b.poll(snap)
 	last := b.LastCommit()
 
@@ -87,7 +88,7 @@ func TestSecondAnnounceRejected(t *testing.T) {
 				t.Errorf("second Announce: recovered %v, want an announced-twice panic", r)
 			}
 		}()
-		b.Announce(1, 1)
+		b.Announce(1, 1, "other-peer")
 	}()
 
 	select {
@@ -96,10 +97,10 @@ func TestSecondAnnounceRejected(t *testing.T) {
 	default:
 	}
 	b.poll(snap)
-	if snap[1] != 0 || b.CommittedMaps() != 1 || !b.LastCommit().Equal(last) {
-		t.Errorf("rejected announce changed the board: attempt %d, committed %d", snap[1], b.CommittedMaps())
+	if snap[1] != (completion{0, "peer"}) || b.CommittedMaps() != 1 || !b.LastCommit().Equal(last) {
+		t.Errorf("rejected announce changed the board: event %v, committed %d", snap[1], b.CommittedMaps())
 	}
-	b.Announce(0, 0) // the board is still usable (lock released by the panic path)
+	b.Announce(0, 0, "peer") // the board is still usable (lock released by the panic path)
 	if got := b.CommittedMaps(); got != 2 {
 		t.Errorf("committed = %d after a rejected announce, want 2", got)
 	}
@@ -338,10 +339,10 @@ func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 	board := newCompletionBoard(maps)
 	for m := 0; m < maps; m++ {
 		registerWordSegment(t, s, m, fmt.Sprintf("key-%d", m), "ok")
-		board.Announce(m, 0)
+		board.Announce(m, 0, s.Addr())
 	}
 	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
-	res, err := newStreamShuffle(tr, s.Addr(), 0, board, &mergeTimings{}).run(nil)
+	res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +377,8 @@ func TestStreamShuffleAborts(t *testing.T) {
 	const maps = 4
 	registerWordSegment(t, s, 0, "k", "v")
 	board := newCompletionBoard(maps)
-	board.Announce(0, 0)
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), s.Addr(), 0, board, &mergeTimings{})
+	board.Announce(0, 0, s.Addr())
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), 0, board, &mergeTimings{})
 
 	done := make(chan struct{})
 	result := make(chan error, 1)

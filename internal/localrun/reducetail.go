@@ -1,10 +1,10 @@
 // reducetail.go is the one reduce-shaped pass of the executor: a k-way merge
 // over sorted record sources streamed, key group by key group, straight into
-// a Reducer. Both reduce tails — in-memory segments (reduceOverParts, also
-// what distrun workers run) and the bounded pool's memory+disk mix
-// (reduceOverInputs, mergepool.go) — and the map-side combiner are this loop
-// with different sources and sinks, so none of them ever materializes a
-// record set and all of them validate sort order the same way.
+// a Reducer. Both reduce tails — in-memory segments (reduceOverParts) and the
+// bounded pool's memory+disk mix (reduceOverInputs, mergepool.go) — and the
+// map-side combiner are this loop with different sources and sinks, so none
+// of them ever materializes a record set and all of them validate sort order
+// the same way.
 package localrun
 
 import (
@@ -180,10 +180,8 @@ func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapr
 
 // reduceOverParts runs the reduce tail over in-memory partition segments,
 // one per map in map order: a single wide in-memory merge whose equal keys
-// tie-break by map index. It is shared between the in-process executor's
-// unbounded copy phase and the distributed runtime's workers (whose parts
-// come from per-map fetches against remote shuffle servers), so both emit
-// byte-identical output.
+// tie-break by map index. It is shared between the unbounded copy phase and
+// RunReduce's staged replay, so both emit byte-identical output.
 func (tr *TaskRunner) reduceOverParts(r int, parts []*kvbuf.Segment, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	srcs := make([]kvbuf.RecordSource, len(parts))
 	for i, p := range parts {

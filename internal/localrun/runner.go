@@ -136,12 +136,9 @@ func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
 		job:      job,
 		jobID:    mapreduce.JobID{Seq: 1},
 		copies:   opts.ParallelCopies,
-		backoff:  opts.FetchBackoff,
+		backoff:  fetchBackoff(opts.FetchBackoff, opts.Faults),
 		plan:     opts.Faults,
 		attempts: opts.taskAttempts(),
-	}
-	if tr.backoff.Attempts == 0 && tr.plan != nil {
-		tr.backoff.Attempts = tr.plan.FetchAttempts()
 	}
 	conf := job.Conf
 	bad := func(key, want string) error {
@@ -203,6 +200,15 @@ func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// fetchBackoff resolves the shuffle-fetch retry schedule: an unset attempt
+// bound takes the fault plan's.
+func fetchBackoff(bo faultinject.Backoff, plan *faultinject.Plan) faultinject.Backoff {
+	if bo.Attempts == 0 && plan != nil {
+		bo.Attempts = plan.FetchAttempts()
+	}
+	return bo
 }
 
 // parallelism defaults an unset task-slot count to this host's GOMAXPROCS.
@@ -302,7 +308,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-reduceSlots }()
-				c, err := tr.runReduceWithRetry(r, server.Addr(), board, sched.done, jobTM)
+				c, err := tr.runReduceWithRetry(r, board, sched.done, jobTM)
 				redCtrs[r] = c
 				if err != nil {
 					sched.fail(err)
@@ -445,7 +451,7 @@ func (tr *TaskRunner) runMapWithRetry(idx int, server *shuffleServer, board *com
 		tm := &spillTimings{}
 		c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, idx, attempt), server, faultCtrs, tm)
 		if err == nil {
-			board.Announce(idx, attempt)
+			board.Announce(idx, attempt, server.Addr())
 			c.Merge(faultCtrs)
 			// Only the winning attempt's pipeline work counts, matching the
 			// counter semantics above.
@@ -461,11 +467,11 @@ func (tr *TaskRunner) runMapWithRetry(idx int, server *shuffleServer, board *com
 // runReduceWithRetry is runMapWithRetry's reduce-side twin. done aborts
 // attempts (and the wait for map announcements inside them) once the job
 // has failed elsewhere.
-func (tr *TaskRunner) runReduceWithRetry(r int, serverAddr string, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
+func (tr *TaskRunner) runReduceWithRetry(r int, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
 	faultCtrs := mapreduce.NewCounters()
 	var lastErr error
 	for attempt := 0; attempt < tr.attempts; attempt++ {
-		c, err := tr.runReduceTask(mapreduce.ReduceAttempt(tr.jobID, r, attempt), serverAddr, faultCtrs, board, done, jobTM)
+		c, err := tr.runReduceTask(mapreduce.ReduceAttempt(tr.jobID, r, attempt), faultCtrs, board, done, jobTM, nil)
 		if err == nil {
 			c.Merge(faultCtrs)
 			return c, nil
@@ -760,19 +766,24 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 	return ctrs, nil
 }
 
-func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, serverAddr string, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
+// runReduceTask runs one reduce attempt: the copy phase over the maps board
+// announces, with midShuffle as its checkpoint (streamShuffle.midShuffle),
+// then the merge and reduce tail.
+func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings, midShuffle func()) (*mapreduce.Counters, error) {
 	r, numMaps := aid.Task.Index, len(tr.splits)
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
 
 	// Shuffle: stream this partition's segment from every map as it commits
 	// to the completion board, over parallelcopies persistent pipelined
-	// connections. Each fetch verifies the IFile checksum as it streams in
-	// and retries transient failures with backoff. With a shuffle memory
-	// budget the bounded pool's background spiller compacts in-memory
-	// segments to on-disk runs while the copiers keep fetching.
+	// connections to the servers the board names. Each fetch verifies the
+	// IFile checksum as it streams in and retries transient failures with
+	// backoff. With a shuffle memory budget the bounded pool's background
+	// spiller compacts in-memory segments to on-disk runs while the copiers
+	// keep fetching.
 	tm := &mergeTimings{} // this attempt's pipeline stats
-	ss := newStreamShuffle(tr, serverAddr, r, board, tm)
+	ss := newStreamShuffle(tr, r, board, tm)
+	ss.midShuffle = midShuffle
 	sres, err := ss.run(done)
 	if sres.cleanup != nil {
 		// Once the reduce pass below is done with the merge inputs, return
@@ -780,7 +791,7 @@ func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, serverAddr stri
 		// (a failed attempt cleans up the same way; the retry re-fetches).
 		defer sres.cleanup()
 	}
-	sres.st.AddTo(faultCtrs)
+	sres.st.addTo(faultCtrs)
 	for m := 0; m < numMaps; m++ {
 		if sres.fetched[m] {
 			ctrs.IncrTask(mapreduce.CtrShuffledMaps, 1)

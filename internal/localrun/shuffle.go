@@ -244,13 +244,28 @@ func missingSegmentErr(mapIdx, partition int) error {
 	return faultinject.Permanent(fmt.Errorf("localrun: map %d partition %d not found on server", mapIdx, partition))
 }
 
-// segmentFetcher drains one reduce task's share of map outputs through a
-// single persistent shuffle connection: the Hadoop copier thread. The happy
-// path pipelines requests up to fetchPipelineDepth deep; segments whose
-// first attempt failed are retried with backoff, re-dialing first when the
-// failure killed the connection. Injected faults (dropped connections,
-// truncated payloads, slow peers) enter here — the same code path that
-// recovers from a genuinely flaky peer.
+// FetchError reports a map output a reduce task could not fetch — retries
+// ran out, or the failure was permanent — and the shuffle server it was
+// asked of, so a distributed reduce can report that map's output lost.
+type FetchError struct {
+	Map, Reduce int
+	Peer        string
+	Err         error
+}
+
+func (e *FetchError) Error() string {
+	return fmt.Sprintf("localrun: fetch map %d -> reduce %d from %s: %v", e.Map, e.Reduce, e.Peer, e.Err)
+}
+
+func (e *FetchError) Unwrap() error { return e.Err }
+
+// segmentFetcher drains one reduce task's share of map outputs from one peer
+// through a single persistent shuffle connection: the Hadoop copier thread's
+// connection to one tracker. The happy path pipelines requests up to
+// fetchPipelineDepth deep; segments whose first attempt failed are retried
+// with backoff, re-dialing first when the failure killed the connection.
+// Injected faults (dropped connections, truncated payloads, slow peers) enter
+// here — the same code path that recovers from a genuinely flaky peer.
 type segmentFetcher struct {
 	addr       string
 	reduce     int
@@ -272,18 +287,6 @@ func (f *segmentFetcher) seed(mapIdx int) int64 {
 func (f *segmentFetcher) closeConn() {
 	f.conn.Close()
 	f.conn = nil
-}
-
-func (f *segmentFetcher) ensureConn() error {
-	if f.conn != nil {
-		return nil
-	}
-	c, err := dialShuffle(f.addr)
-	if err != nil {
-		return err
-	}
-	f.conn = c
-	return nil
 }
 
 // receive reads the next pipelined response, for map mapIdx. A clean attempt
@@ -320,35 +323,47 @@ func (f *segmentFetcher) receive(mapIdx int, truncate bool) (*kvbuf.Segment, int
 	return seg, wire, nil
 }
 
-// fetchOne performs a single unpipelined fetch attempt for one map output
-// on the persistent connection, reconnecting first if an earlier failure
-// killed it. It is the retry-path workhorse and the body behind fetch.
-func (f *segmentFetcher) fetchOne(mapIdx, attempt int) (*kvbuf.Segment, int64, error) {
+// send rolls one fetch attempt against the fault plan and, unless it drops,
+// puts the request on the persistent connection, dialing first if there is
+// none; truncate is the fault its response must suffer. A failed dial or
+// request leaves no connection; a drop leaves the connection as it was.
+func (f *segmentFetcher) send(mapIdx, attempt int) (truncate bool, err error) {
 	fault := faultinject.FetchOK
 	if f.plan != nil {
 		fault = f.plan.Fetch(f.reduce, mapIdx, attempt)
 	}
 	switch fault {
 	case faultinject.FetchDrop:
-		f.st.Failures++
-		// The injected drop takes the TCP connection with it: the retry
-		// that follows must re-dial, exercising reconnect for real.
-		f.closeConn()
-		return nil, 0, faultinject.Errorf("localrun: shuffle map %d -> reduce %d attempt %d: connection dropped", mapIdx, f.reduce, attempt)
+		return false, faultinject.Errorf("localrun: shuffle map %d -> reduce %d attempt %d: connection dropped", mapIdx, f.reduce, attempt)
 	case faultinject.FetchSlow:
 		f.st.Slow++
 		time.Sleep(f.plan.Slowness())
 	}
-	if err := f.ensureConn(); err != nil {
-		f.st.Failures++
-		return nil, 0, err
+	if f.conn == nil {
+		if f.conn, err = dialShuffle(f.addr); err != nil {
+			return false, err
+		}
 	}
 	if err := f.conn.request(mapIdx, f.reduce); err != nil {
+		f.closeConn()
+		return false, err
+	}
+	return fault == faultinject.FetchTruncate, nil
+}
+
+// fetchOne performs a single unpipelined fetch attempt for one map output
+// on the persistent connection, reconnecting first if an earlier failure
+// killed it: the retry pass's workhorse.
+func (f *segmentFetcher) fetchOne(mapIdx, attempt int) (*kvbuf.Segment, int64, error) {
+	truncate, err := f.send(mapIdx, attempt)
+	if err != nil {
 		f.st.Failures++
+		// An injected drop takes the TCP connection with it: the retry
+		// that follows must re-dial, exercising reconnect for real.
 		f.closeConn()
 		return nil, 0, err
 	}
-	seg, wire, err := f.receive(mapIdx, fault == faultinject.FetchTruncate)
+	seg, wire, err := f.receive(mapIdx, truncate)
 	if err != nil {
 		f.st.Failures++
 		if errors.Is(err, errSegmentMissing) {
@@ -378,9 +393,8 @@ type failedFetch struct {
 // run fetches the given map outputs, delivering each fetched segment (and
 // its on-the-wire byte count) through store. First attempts ride the
 // pipelined window; failures fall through to per-segment backoff retries.
-// Like the pre-pipelining fetcher, one segment's exhausted retries do not
-// abort the rest — the first error is returned after every segment has had
-// its chance.
+// One segment's exhausted retries do not abort the rest: the first
+// *FetchError is returned after every segment has had its chance.
 func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segment, n int64)) error {
 	var retry []failedFetch
 	fail := func(mapIdx int, err error) {
@@ -395,35 +409,21 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 		for next < len(maps) && len(inflight) < fetchPipelineDepth {
 			m := maps[next]
 			next++
-			fault := faultinject.FetchOK
-			if f.plan != nil {
-				fault = f.plan.Fetch(f.reduce, m, 0)
-			}
-			if fault == faultinject.FetchDrop {
-				fail(m, faultinject.Errorf("localrun: shuffle map %d -> reduce %d attempt %d: connection dropped", m, f.reduce, 0))
-				continue
-			}
-			if fault == faultinject.FetchSlow {
-				f.st.Slow++
-				time.Sleep(f.plan.Slowness())
-			}
-			if err := f.ensureConn(); err != nil {
+			truncate, err := f.send(m, 0)
+			if err != nil {
 				fail(m, err)
-				continue
-			}
-			if err := f.conn.request(m, f.reduce); err != nil {
-				// The pipe died: responses for everything in flight are
-				// lost with it. All of them ride the retry path, which
-				// reconnects.
-				fail(m, err)
-				for _, q := range inflight {
-					fail(q.mapIdx, err)
+				if f.conn == nil {
+					// The pipe died: responses for everything in flight
+					// are lost with it. All of them ride the retry path,
+					// which reconnects.
+					for _, q := range inflight {
+						fail(q.mapIdx, err)
+					}
+					inflight = inflight[:0]
 				}
-				inflight = inflight[:0]
-				f.closeConn()
 				continue
 			}
-			inflight = append(inflight, inflightFetch{mapIdx: m, truncate: fault == faultinject.FetchTruncate})
+			inflight = append(inflight, inflightFetch{mapIdx: m, truncate: truncate})
 		}
 		if len(inflight) == 0 {
 			continue
@@ -475,7 +475,7 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 			return nil
 		})
 		if err != nil && firstErr == nil {
-			firstErr = err
+			firstErr = &FetchError{Map: m, Reduce: f.reduce, Peer: f.addr, Err: err}
 		}
 	}
 	return firstErr
@@ -506,29 +506,31 @@ type shuffleResult struct {
 	cleanup func()
 }
 
-// streamShuffle coordinates one reduce task's overlapped copy phase: a
-// subscriber turns completion-board announcements into fetch work and
-// tr.copies fetcher goroutines drain it over persistent pipelined
-// connections (segmentFetcher). A map is announced once, so each map is
-// queued, fetched and stored once. Unbounded, the phase hands the final merge
-// its numMaps fetched segments in map order; with tr.memBudget set, the
-// bounded pool's background spiller (mergepool.go) is the one reduce-side
-// background merge.
+// streamShuffle coordinates one reduce task's overlapped copy phase, on both
+// real engines: a subscriber turns completion-board announcements into fetch
+// work and tr.copies fetcher goroutines drain it over persistent pipelined
+// connections (segmentFetcher), one per peer a copier has fetched from. A map
+// is announced once, so each map is queued, fetched and stored once.
+// Unbounded, the phase hands the final merge its numMaps fetched segments in
+// map order; with tr.memBudget set, the bounded pool's background spiller
+// (mergepool.go) is the one reduce-side background merge.
 type streamShuffle struct {
 	tr      *TaskRunner
-	addr    string
 	reduce  int
 	numMaps int
 	copies  int
 	board   *completionBoard
 	tm      *mergeTimings // this attempt's merge pipeline stats
 
-	onFetch func(mapIdx int) // test hook: called after a segment is stored
+	// midShuffle, when set, runs once: when half the segments (rounded
+	// down) are stored, or before the first fetch when that is none.
+	midShuffle func()
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []int  // announced maps awaiting dispatch
-	fetched  []bool // per map: its segment was stored
+	queue    []int    // announced maps awaiting dispatch
+	peer     []string // per map: the shuffle server serving it; "" until announced
+	fetched  []bool   // per map: its segment was stored
 	nFetched int
 	segs     []*kvbuf.Segment
 	wire     []int64
@@ -550,18 +552,18 @@ type streamShuffle struct {
 }
 
 // newStreamShuffle prepares reduce task `reduce`'s copy phase against the
-// shuffle server at addr.
-func newStreamShuffle(tr *TaskRunner, addr string, reduce int, board *completionBoard, tm *mergeTimings) *streamShuffle {
+// maps announced on board.
+func newStreamShuffle(tr *TaskRunner, reduce int, board *completionBoard, tm *mergeTimings) *streamShuffle {
 	numMaps := len(tr.splits)
 	copies := min(tr.copies, numMaps)
 	ss := &streamShuffle{
 		tr:      tr,
-		addr:    addr,
 		reduce:  reduce,
 		numMaps: numMaps,
 		copies:  copies,
 		board:   board,
 		tm:      tm,
+		peer:    make([]string, numMaps),
 		fetched: make([]bool, numMaps),
 		segs:    make([]*kvbuf.Segment, numMaps),
 		wire:    make([]int64, numMaps),
@@ -575,6 +577,9 @@ func newStreamShuffle(tr *TaskRunner, addr string, reduce int, board *completion
 // or the first error / cancellation. done aborts waits when the job fails
 // elsewhere; nil means never cancel.
 func (ss *streamShuffle) run(done <-chan struct{}) (*shuffleResult, error) {
+	if ss.midShuffle != nil && ss.numMaps/2 == 0 {
+		ss.midShuffle()
+	}
 	stop := make(chan struct{})
 	defer close(stop)
 	go ss.watchDone(done, stop)
@@ -607,14 +612,13 @@ func (ss *streamShuffle) watchDone(done, stop <-chan struct{}) {
 // subscribe queues each map's fetch the first time the board shows it
 // committed, until the copy phase ends.
 func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
-	snap := make([]int, ss.numMaps)
-	seen := make([]bool, ss.numMaps)
+	snap := make([]completion, ss.numMaps)
 	for {
 		next := ss.board.poll(snap)
 		ss.mu.Lock()
-		for m, attempt := range snap {
-			if attempt >= 0 && !seen[m] {
-				seen[m] = true
+		for m, c := range snap {
+			if c.attempt >= 0 && ss.peer[m] == "" {
+				ss.peer[m] = c.addr
 				ss.queue = append(ss.queue, m)
 			}
 		}
@@ -633,36 +637,54 @@ func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
 func (ss *streamShuffle) allFetched() bool { return ss.nFetched == ss.numMaps }
 
 // nextBatch blocks until fetch work is available, handing out up to a
-// pipeline window's worth of maps, or returns nil when the copy phase is
-// over (complete, failed, or aborted).
-func (ss *streamShuffle) nextBatch() []int {
+// pipeline window's worth of queued maps served by one peer — the oldest
+// queued map's — or returns nil when the copy phase is over (complete,
+// failed, or aborted).
+func (ss *streamShuffle) nextBatch() (peer string, batch []int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for {
 		if ss.err != nil || ss.aborted || ss.allFetched() {
-			return nil
+			return "", nil
 		}
 		if len(ss.queue) > 0 {
 			break
 		}
 		ss.cond.Wait()
 	}
-	n := min(len(ss.queue), fetchPipelineDepth)
-	batch := make([]int, n)
-	copy(batch, ss.queue[:n])
-	ss.queue = append(ss.queue[:0], ss.queue[n:]...)
-	return batch
+	peer = ss.peer[ss.queue[0]]
+	batch = make([]int, 0, min(len(ss.queue), fetchPipelineDepth))
+	rest := ss.queue[:0]
+	for _, m := range ss.queue {
+		if len(batch) < fetchPipelineDepth && ss.peer[m] == peer {
+			batch = append(batch, m)
+		} else {
+			rest = append(rest, m)
+		}
+	}
+	ss.queue = rest
+	return peer, batch
 }
 
-// worker is one copier thread: it owns a persistent connection and drains
-// batches through the pipelined fetcher until the phase ends.
+// worker is one copier thread: it keeps a persistent connection to each peer
+// it has fetched from and drains batches through the pipelined fetcher until
+// the phase ends.
 func (ss *streamShuffle) worker(w int) {
-	f := &segmentFetcher{addr: ss.addr, reduce: ss.reduce, compressed: ss.tr.codec != nil, plan: ss.tr.plan, bo: ss.tr.backoff, st: &ss.sts[w]}
-	defer f.closeConn()
+	fetchers := make(map[string]*segmentFetcher)
+	defer func() {
+		for _, f := range fetchers {
+			f.closeConn()
+		}
+	}()
 	for {
-		batch := ss.nextBatch()
+		peer, batch := ss.nextBatch()
 		if batch == nil {
 			return
+		}
+		f := fetchers[peer]
+		if f == nil {
+			f = &segmentFetcher{addr: peer, reduce: ss.reduce, compressed: ss.tr.codec != nil, plan: ss.tr.plan, bo: ss.tr.backoff, st: &ss.sts[w]}
+			fetchers[peer] = f
 		}
 		ss.batchDone(f.run(batch, ss.store))
 	}
@@ -683,10 +705,11 @@ func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.wire[m] = n
 	ss.fetched[m] = true
 	ss.nFetched++
+	half := ss.nFetched == ss.numMaps/2
 	ss.maybeSpillLocked()
 	ss.mu.Unlock()
-	if ss.onFetch != nil {
-		ss.onFetch(m)
+	if half && ss.midShuffle != nil {
+		ss.midShuffle()
 	}
 }
 
@@ -730,28 +753,4 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	}
 	res.parts = ss.segs
 	return res, nil
-}
-
-// fetch retrieves one map-output partition on the fetcher's persistent
-// connection, verifying its IFile checksum while it streams in (inflating it
-// first when the shuffle is compressed) and retrying transient failures with
-// jittered exponential backoff — the single-segment face of the pipelined
-// machinery above. wireLen is the payload size moved on the wire for the
-// successful attempt.
-func (f *segmentFetcher) fetch(mapIdx int) (seg *kvbuf.Segment, wireLen int64, err error) {
-	err = f.bo.Retry(f.seed(mapIdx), func(attempt int) error {
-		if attempt > 0 {
-			f.st.Retries++
-		}
-		s, n, ferr := f.fetchOne(mapIdx, attempt)
-		if ferr != nil {
-			return ferr
-		}
-		seg, wireLen = s, n
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return seg, wireLen, nil
 }

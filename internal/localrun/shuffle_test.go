@@ -25,10 +25,10 @@ import (
 func copyPhase(addr string, maps, reduce, copies int, bo faultinject.Backoff) (*shuffleResult, error) {
 	board := newCompletionBoard(maps)
 	for m := 0; m < maps; m++ {
-		board.Announce(m, 0)
+		board.Announce(m, 0, addr)
 	}
 	tr := copyRunner("BytesWritable", maps, copies, func(tr *TaskRunner) { tr.backoff = bo })
-	return newStreamShuffle(tr, addr, reduce, board, &mergeTimings{}).run(nil)
+	return newStreamShuffle(tr, reduce, board, &mergeTimings{}).run(nil)
 }
 
 // copyRunner is the slice of a job's task environment a copy phase reads:
@@ -281,7 +281,7 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 		srv = newFlipServer(t, 1, wire)
 		board := newCompletionBoard(maps)
 		for m := 0; m < maps; m++ {
-			board.Announce(m, 0)
+			board.Announce(m, 0, srv.ln.Addr().String())
 		}
 		tr := copyRunner("BytesWritable", maps, 2, func(tr *TaskRunner) {
 			tr.backoff = bo
@@ -289,7 +289,7 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 				tr.codec = kvbuf.Deflate
 			}
 		})
-		res, err := newStreamShuffle(tr, srv.ln.Addr().String(), 0, board, &mergeTimings{}).run(nil)
+		res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(nil)
 		if err != nil {
 			t.Fatalf("compressed=%v: copy phase: %v", compressed, err)
 		}
@@ -315,6 +315,68 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 		}
 		if st.Failures != 3 || st.Retries != 2 {
 			t.Errorf("compressed=%v: always-damaged peer: stats %+v, want 3 failures, 2 retries", compressed, st)
+		}
+	}
+}
+
+// TestMultiPeerCopyPhase: the board names the server each map is served
+// from, and the copy phase fetches every map from its own. Two servers each
+// hold half the maps (and only that half, so a fetch from the wrong peer
+// fails); the phase must return every map's segment in map order and merge
+// to the same records, equal keys tie-broken by map, as the same maps served
+// from one server — unbounded and through a 1-byte pool.
+func TestMultiPeerCopyPhase(t *testing.T) {
+	const maps = 10
+	newServer := func() *shuffleServer {
+		s, err := newShuffleServer(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	one, peers := newServer(), []*shuffleServer{newServer(), newServer()}
+	segment := func(m int) *kvbuf.Segment {
+		w := kvbuf.NewWriter(64)
+		w.Append([]byte(fmt.Sprintf("key-%02d", m)), []byte("ok"))
+		w.Append([]byte("shared"), []byte{'0' + byte(m)})
+		return w.Close()
+	}
+	for m := 0; m < maps; m++ {
+		if err := one.Register(m, 0, segment(m)); err != nil {
+			t.Fatal(err)
+		}
+		if err := peers[m%2].Register(m, 0, segment(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmp, _ := writable.Comparator("Text")
+	phase := func(budget int64, addr func(m int) string) string {
+		board := newCompletionBoard(maps)
+		for m := 0; m < maps; m++ {
+			board.Announce(m, 0, addr(m))
+		}
+		res, err := newStreamShuffle(copyRunner("Text", maps, 3, bounded(2, budget)), 0, board, &mergeTimings{}).run(nil)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		defer res.cleanup()
+		for m := 0; m < maps; m++ {
+			if !res.fetched[m] {
+				t.Errorf("budget %d: map %d not fetched", budget, m)
+			}
+		}
+		for m, part := range res.parts {
+			if k, _, ok, err := part.NewReader().Next(); err != nil || !ok || string(k) != fmt.Sprintf("key-%02d", m) {
+				t.Errorf("budget %d: part %d starts with %q (ok=%v err=%v), want map %d's segment", budget, m, k, ok, err, m)
+			}
+		}
+		return renderShuffleResult(t, cmp, res)
+	}
+	for _, budget := range []int64{0, 1} {
+		want := phase(budget, func(int) string { return one.Addr() })
+		if got := phase(budget, func(m int) string { return peers[m%2].Addr() }); got != want {
+			t.Errorf("budget %d: two peers merge to\n%s\none server to\n%s", budget, got, want)
 		}
 	}
 }

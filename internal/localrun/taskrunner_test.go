@@ -135,6 +135,20 @@ func TestTaskRunnerResolvesConf(t *testing.T) {
 	}
 }
 
+// TestWithPlanResolvesFetchAttempts: a coordinator-driven attempt gets its
+// fault plan with the assignment, and the plan's fetch-attempt bound with it,
+// as a runner built with that plan does.
+func TestWithPlanResolvesFetchAttempts(t *testing.T) {
+	job, _ := wordCountJob("a b\nc d\n", 2, 3, false)
+	tr, err := NewTaskRunner(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.withPlan(&faultinject.Plan{Seed: 1, MaxFetchAttempts: 8}).backoff.Attempts; got != 8 {
+		t.Errorf("withPlan(MaxFetchAttempts: 8): backoff.Attempts = %d, want 8", got)
+	}
+}
+
 // TestBadConfFailsBeforeAnyTask: a conf value that does not parse, is out of
 // range or names an unknown codec is a typed error naming key and value from
 // Run and NewTaskRunner alike, returned before a single task is built — not a
