@@ -24,9 +24,6 @@ func New(seed int64) *Rand {
 	return &Rand{seed: (seed ^ multiplier) & mask}
 }
 
-// SetSeed reseeds the generator, as java.util.Random.setSeed.
-func (r *Rand) SetSeed(seed int64) { r.seed = (seed ^ multiplier) & mask }
-
 // next returns the low `bits` bits of the next LCG step, as Java's
 // protected int next(int bits).
 func (r *Rand) next(bits uint) int32 {
@@ -51,38 +48,6 @@ func (r *Rand) NextIntn(bound int32) int32 {
 		val := bits % bound
 		if bits-val+(bound-1) >= 0 {
 			return val
-		}
-	}
-}
-
-// NextLong returns the next pseudorandom int64, as Java's nextLong.
-func (r *Rand) NextLong() int64 {
-	hi := int64(r.next(32))
-	lo := int64(r.next(32))
-	return (hi << 32) + lo
-}
-
-// NextDouble returns the next pseudorandom float64 in [0, 1), as Java.
-func (r *Rand) NextDouble() float64 {
-	hi := int64(r.next(26))
-	lo := int64(r.next(27))
-	return float64((hi<<27)+lo) / float64(int64(1)<<53)
-}
-
-// NextFloat returns the next pseudorandom float32 in [0, 1), as Java.
-func (r *Rand) NextFloat() float32 {
-	return float32(r.next(24)) / float32(int32(1)<<24)
-}
-
-// NextBytes fills b with pseudorandom bytes exactly as Java's nextBytes:
-// each 4-byte group comes from one nextInt, least significant byte first.
-func (r *Rand) NextBytes(b []byte) {
-	for i := 0; i < len(b); {
-		v := r.NextInt()
-		for n := 0; n < 4 && i < len(b); n++ {
-			b[i] = byte(v)
-			v >>= 8
-			i++
 		}
 	}
 }

@@ -22,17 +22,6 @@ func TestNextIntKnownVectors(t *testing.T) {
 	}
 }
 
-func TestSetSeedMatchesNew(t *testing.T) {
-	a := New(12345)
-	b := New(0)
-	b.SetSeed(12345)
-	for i := 0; i < 100; i++ {
-		if x, y := a.NextInt(), b.NextInt(); x != y {
-			t.Fatalf("diverged at %d: %d vs %d", i, x, y)
-		}
-	}
-}
-
 func TestNextIntnBounds(t *testing.T) {
 	f := func(seed int64, bound int32) bool {
 		if bound <= 0 {
@@ -93,57 +82,6 @@ func TestNextIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).NextIntn(0)
-}
-
-func TestNextDoubleRange(t *testing.T) {
-	r := New(99)
-	for i := 0; i < 1000; i++ {
-		d := r.NextDouble()
-		if d < 0 || d >= 1 {
-			t.Fatalf("nextDouble out of [0,1): %v", d)
-		}
-	}
-}
-
-func TestNextFloatRange(t *testing.T) {
-	r := New(99)
-	for i := 0; i < 1000; i++ {
-		f := r.NextFloat()
-		if f < 0 || f >= 1 {
-			t.Fatalf("nextFloat out of [0,1): %v", f)
-		}
-	}
-}
-
-func TestNextLongMatchesComposition(t *testing.T) {
-	// nextLong must equal (next(32)<<32) + next(32) from the same state.
-	a := New(5)
-	b := New(5)
-	for i := 0; i < 100; i++ {
-		want := (int64(b.next(32)) << 32) + int64(b.next(32))
-		if got := a.NextLong(); got != want {
-			t.Fatalf("nextLong #%d = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestNextBytesLayout(t *testing.T) {
-	// Java emits ints little-endian into the byte array.
-	a := New(3)
-	b := New(3)
-	buf := make([]byte, 10)
-	a.NextBytes(buf)
-	v1, v2, v3 := b.NextInt(), b.NextInt(), b.NextInt()
-	want := []byte{
-		byte(v1), byte(v1 >> 8), byte(v1 >> 16), byte(v1 >> 24),
-		byte(v2), byte(v2 >> 8), byte(v2 >> 16), byte(v2 >> 24),
-		byte(v3), byte(v3 >> 8),
-	}
-	for i := range buf {
-		if buf[i] != want[i] {
-			t.Fatalf("byte %d = %#x, want %#x", i, buf[i], want[i])
-		}
-	}
 }
 
 func TestDeterministicSequences(t *testing.T) {

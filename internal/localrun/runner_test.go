@@ -456,27 +456,6 @@ func TestCompressedShuffleSameResults(t *testing.T) {
 	t.Logf("shuffle bytes: plain=%d compressed=%d (%.0f%% saved)", bp, bz, 100*float64(bp-bz)/float64(bp))
 }
 
-func TestStockWordCountJob(t *testing.T) {
-	// The library's prefab wordcount (TokenCounterMapper + LongSumReducer)
-	// must agree with the hand-rolled one.
-	text, want := corpus()
-	out := &mapreduce.MemoryOutput{}
-	job := mapreduce.WordCountJob(text, 3, 2, out)
-	res, err := Run(job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectCounts(t, out, 2)
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("count[%s] = %d, want %d", w, got[w], n)
-		}
-	}
-	if res.Counters.Task(mapreduce.CtrCombineInputRecords) == 0 {
-		t.Error("prefab combiner never ran")
-	}
-}
-
 func TestIdentityComponents(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 20; i++ {

@@ -3,120 +3,13 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"mrmicro/internal/seqfile"
 	"mrmicro/internal/writable"
 )
-
-func writeSeqFile(t *testing.T, path string, n int, keyf func(i int) string) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w, err := seqfile.NewWriter(f, "Text", "IntWritable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := w.Append(writable.NewText(keyf(i)), &writable.IntWritable{Value: int32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSequenceFileInputSplitsPerFile(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		writeSeqFile(t, filepath.Join(dir, fmt.Sprintf("f%d.seq", i)), 10, func(j int) string {
-			return fmt.Sprintf("k%d-%d", i, j)
-		})
-	}
-	in := &SequenceFileInput{Paths: []string{dir}}
-	splits, err := in.Splits(NewConf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("splits = %d, want 3 (one per file)", len(splits))
-	}
-	total := 0
-	for _, s := range splits {
-		if s.Length() <= 0 {
-			t.Error("split has no length")
-		}
-		r, err := in.Reader(s, NewConf())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			_, _, ok, err := r.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			total++
-		}
-		r.Close()
-	}
-	if total != 30 {
-		t.Errorf("records = %d, want 30", total)
-	}
-}
-
-func TestSequenceFileInputMissingPath(t *testing.T) {
-	in := &SequenceFileInput{Paths: []string{"/no/such/dir"}}
-	if _, err := in.Splits(NewConf()); err == nil {
-		t.Error("missing path accepted")
-	}
-	in2 := &SequenceFileInput{Paths: []string{t.TempDir()}}
-	if _, err := in2.Splits(NewConf()); err == nil {
-		t.Error("empty dir accepted")
-	}
-}
-
-func TestSequenceFileOutputRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	out := &SequenceFileOutput{Dir: filepath.Join(dir, "out"), KeyClass: "Text", ValueClass: "IntWritable"}
-	w, err := out.Writer(NewConf(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(writable.NewText("hello"), &writable.IntWritable{Value: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(filepath.Join(dir, "out", "part-r-00002"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := seqfile.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, v, ok, err := r.Next()
-	if err != nil || !ok {
-		t.Fatalf("read back: ok=%v err=%v", ok, err)
-	}
-	if k.(*writable.Text).String() != "hello" || v.(*writable.IntWritable).Value != 7 {
-		t.Errorf("got %v=%v", k, v)
-	}
-}
 
 func TestTotalOrderPartitionerRouting(t *testing.T) {
 	cuts := [][]byte{
@@ -231,12 +124,13 @@ func TestTotalOrderPreservesGlobalOrderProperty(t *testing.T) {
 }
 
 func TestSampleSplitPoints(t *testing.T) {
-	dir := t.TempDir()
-	// Keys 000..199 spread over two files.
-	writeSeqFile(t, filepath.Join(dir, "a.seq"), 100, func(i int) string { return fmt.Sprintf("%03d", i*2) })
-	writeSeqFile(t, filepath.Join(dir, "b.seq"), 100, func(i int) string { return fmt.Sprintf("%03d", i*2+1) })
-	in := &SequenceFileInput{Paths: []string{dir}}
-	cuts, err := SampleSplitPoints(in, NewConf(), "Text", 4, 1000)
+	// Keys 000..199, round-robin over two splits: the even keys in one, the
+	// odd keys in the other.
+	in := &SliceInput{}
+	for i := 0; i < 200; i++ {
+		in.Pairs = append(in.Pairs, Pair{Key: writable.NewText(fmt.Sprintf("%03d", i)), Value: &writable.IntWritable{Value: int32(i)}})
+	}
+	cuts, err := SampleSplitPoints(in, NewConf().SetInt(ConfNumMaps, 2), "Text", 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +157,7 @@ func TestSampleSplitPoints(t *testing.T) {
 // sort.Slice sampler it replaced, inlined here: the same samples (the first
 // perSplit keys of each split, in split order), sorted by the raw
 // comparator, cut at the same quantile indices — byte for byte, over keys
-// with heavy duplicates, for Text and BytesWritable (terasort's) keys.
+// with heavy duplicates, for Text and BytesWritable keys.
 func TestSampleSplitPointsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	keyTypes := []struct {
@@ -376,10 +270,7 @@ func BenchmarkSampleSplitPoints(b *testing.B) {
 }
 
 func TestSampleSplitPointsEmptyInput(t *testing.T) {
-	dir := t.TempDir()
-	writeSeqFile(t, filepath.Join(dir, "empty.seq"), 0, nil)
-	in := &SequenceFileInput{Paths: []string{dir}}
-	if _, err := SampleSplitPoints(in, NewConf(), "Text", 2, 10); err == nil {
+	if _, err := SampleSplitPoints(&SliceInput{}, NewConf(), "Text", 2, 10); err == nil {
 		t.Error("empty input produced cut points")
 	}
 }

@@ -176,9 +176,11 @@ func validateVerdict(t *testing.T, results []StageResult) string {
 }
 
 // TestHSPipelineLocal runs the full gen → sort → validate chain in-process
-// and checks the validator's verdict accounts for every generated row.
+// and checks the validator's verdict accounts for every generated row, and
+// that the sampled cut points spread the rows over the sort's reducers.
 func TestHSPipelineLocal(t *testing.T) {
-	base := microbench.Config{NumMaps: 3, PairsPerMap: 40, NumReduces: 3, Seed: 7, SplitSize: 256}
+	const rows = 120
+	base := microbench.Config{NumMaps: 3, PairsPerMap: rows / 3, NumReduces: 3, Seed: 7, SplitSize: 256}
 	results, err := RunHS(base, t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -187,12 +189,30 @@ func TestHSPipelineLocal(t *testing.T) {
 		t.Fatalf("got %d stage results, want 3", len(results))
 	}
 	verdict := validateVerdict(t, results)
-	if !strings.Contains(verdict, "ok rows=120") {
-		t.Errorf("validator verdict %q does not account for all 120 rows", verdict)
+	if want := fmt.Sprintf("ok rows=%d", rows); !strings.Contains(verdict, want) {
+		t.Errorf("validator verdict %q does not account for all %d rows", verdict, rows)
 	}
 	for _, r := range results {
 		if r.OutputDigest == 0 {
 			t.Errorf("stage %s committed no output", r.Name)
+		}
+	}
+	// Each sorted part holds one row per line; every reducer must get at
+	// least a quarter of an even share.
+	parts, err := inputformat.ListFiles(results[1].Config.OutputDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != base.NumReduces {
+		t.Fatalf("sort committed %d parts, want %d", len(parts), base.NumReduces)
+	}
+	for _, p := range parts {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n < rows/base.NumReduces/4 {
+			t.Errorf("%s holds only %d of %d rows (poor balance)", filepath.Base(p), n, rows)
 		}
 	}
 }
