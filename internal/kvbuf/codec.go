@@ -4,6 +4,8 @@ import (
 	"compress/flate"
 	"io"
 	"sync"
+
+	"mrmicro/internal/deflate"
 )
 
 // Codec is a pluggable compression codec for IFile segments, the
@@ -21,7 +23,7 @@ type Codec interface {
 	NewReader(r io.Reader) io.ReadCloser
 }
 
-// Deflate is the stdlib DEFLATE codec at BestSpeed — the spiritual
+// Deflate is the DEFLATE codec at BestSpeed — the spiritual
 // equivalent of Hadoop's default DefaultCodec (zlib), tuned for the
 // shuffle's throughput-over-ratio trade-off.
 var Deflate Codec = deflateCodec{}
@@ -46,17 +48,7 @@ type deflateCodec struct{}
 
 func (deflateCodec) Name() string { return "deflate" }
 
-// flateWriters recycles flate.Writer state (~600KB of window and huffman
-// tables each) across spills; flateReaders does the same for the ~40KB
-// decompressor state on the fetch path.
-var flateWriters = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err) // fixed, valid level
-	}
-	return w
-}}
-
+// flateReaders recycles the ~40KB decompressor state on the fetch path.
 var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(emptyReader{})
 }}
@@ -65,28 +57,9 @@ type emptyReader struct{}
 
 func (emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// appendWriter is an io.Writer that appends into a slice, so codecs can
-// compress straight into a pooled segment buffer.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (deflateCodec) Compress(dst, src []byte) []byte {
-	aw := &appendWriter{buf: dst}
-	zw := flateWriters.Get().(*flate.Writer)
-	zw.Reset(aw)
-	if _, err := zw.Write(src); err != nil {
-		panic(err) // appendWriter cannot fail
-	}
-	if err := zw.Close(); err != nil {
-		panic(err)
-	}
-	flateWriters.Put(zw)
-	return aw.buf
-}
+// Compress writes the bytes compress/flate writes at BestSpeed, through
+// internal/deflate's one-shot copy of that encoder.
+func (deflateCodec) Compress(dst, src []byte) []byte { return deflate.AppendBestSpeed(dst, src) }
 
 func (deflateCodec) NewReader(r io.Reader) io.ReadCloser {
 	zr := flateReaders.Get().(io.ReadCloser)

@@ -11,19 +11,30 @@ import (
 // benchSegmentFor builds one sorted single-partition segment of n records
 // with 10-byte keys and 30-byte values. fill writes each value: random bytes
 // are deflate's worst case (stored blocks, wire/raw ~0.9 — only the keys
-// resist), constant bytes the shape of the suite's generated filler
-// (wire/raw ~0.26), bracketing the codec's range on real shuffle payloads.
+// resist), constant bytes leave only the keys to break matches (wire/raw
+// ~0.26). Either way the 10 random key bytes end every match within 40
+// bytes, so these two never see the long matches of the suite's own records
+// (BenchmarkCodecCompressDeflateGenerator).
 func benchSegmentFor(b *testing.B, n int, fill func(*rand.Rand, []byte)) *Segment {
-	b.Helper()
-	cmp, _ := writable.Comparator("BytesWritable")
 	rng := rand.New(rand.NewSource(42))
-	buf := NewSortBuffer(16<<20, 1, cmp)
-	defer buf.Release()
-	for i := 0; i < n; i++ {
-		k := make([]byte, 10)
-		v := make([]byte, 30)
+	return spillOne(b, n, func(k, v []byte) ([]byte, []byte) {
+		k, v = k[:10], v[:30]
 		rng.Read(k)
 		fill(rng, v)
+		return k, v
+	})
+}
+
+// spillOne spills n records, each key and value drawn by next into 256-byte
+// scratch, through a SortBuffer as one BytesWritable-keyed partition.
+func spillOne(b *testing.B, n int, next func(k, v []byte) ([]byte, []byte)) *Segment {
+	b.Helper()
+	cmp, _ := writable.Comparator("BytesWritable")
+	buf := NewSortBuffer(16<<20, 1, cmp)
+	defer buf.Release()
+	var kb, vb [256]byte
+	for i := 0; i < n; i++ {
+		k, v := next(kb[:], vb[:])
 		key := writable.Marshal(&writable.BytesWritable{Data: k})
 		if ok, err := buf.Add(0, key, v); err != nil || !ok {
 			b.Fatalf("add: ok=%v err=%v", ok, err)
@@ -38,8 +49,7 @@ func zeroFill(*rand.Rand, []byte)         {}
 
 // benchmarkCodecCompress measures spill-time compression throughput in raw
 // (uncompressed) MB/s, the rate the map task's spill path experiences.
-func benchmarkCodecCompress(b *testing.B, fill func(*rand.Rand, []byte)) {
-	seg := benchSegmentFor(b, 16384, fill)
+func benchmarkCodecCompress(b *testing.B, seg *Segment) {
 	comp := CompressSegmentWith(seg, Deflate)
 	ratio := float64(comp.Len()) / float64(seg.Len())
 	comp.Recycle()
@@ -53,8 +63,26 @@ func benchmarkCodecCompress(b *testing.B, fill func(*rand.Rand, []byte)) {
 	b.ReportMetric(ratio, "wire/raw")
 }
 
-func BenchmarkCodecCompressDeflateRandom(b *testing.B) { benchmarkCodecCompress(b, randomFill) }
-func BenchmarkCodecCompressDeflateConst(b *testing.B)  { benchmarkCodecCompress(b, zeroFill) }
+func BenchmarkCodecCompressDeflateRandom(b *testing.B) {
+	benchmarkCodecCompress(b, benchSegmentFor(b, 16384, randomFill))
+}
+
+func BenchmarkCodecCompressDeflateConst(b *testing.B) {
+	benchmarkCodecCompress(b, benchSegmentFor(b, 16384, zeroFill))
+}
+
+// BenchmarkCodecCompressDeflateGenerator is the partition the suite's
+// generator shuffles (microbench's makePair): 8 192 records of one key, a
+// 256 B BytesWritable filled with its key index, and a 256 B constant value.
+// Nearly every match runs to deflate's 258-byte maximum.
+func BenchmarkCodecCompressDeflateGenerator(b *testing.B) {
+	benchmarkCodecCompress(b, spillOne(b, 8192, func(k, v []byte) ([]byte, []byte) {
+		for i := range k {
+			k[i], v[i] = 3, 0x56
+		}
+		return k, v
+	}))
+}
 
 // benchmarkCodecDecompress measures the buffered decode path (header parse,
 // exact-size inflate, stream-end check) in raw MB/s.

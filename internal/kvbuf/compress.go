@@ -37,12 +37,6 @@ const maxDeflateRatio = 1032
 
 const maxCodecNameLen = 32
 
-// CompressSegment returns a DEFLATE-compressed copy of the segment in the
-// compressed wire format. Shorthand for CompressSegmentWith(s, Deflate).
-func CompressSegment(s *Segment) (*Segment, error) {
-	return CompressSegmentWith(s, Deflate), nil
-}
-
 // CompressSegmentWith returns a compressed copy of s in the compressed wire
 // format. The result draws its buffer from the segment pool, so Recycle
 // applies; s itself is untouched.

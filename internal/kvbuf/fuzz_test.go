@@ -3,9 +3,11 @@ package kvbuf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"mrmicro/internal/fuzzcorpus"
@@ -62,8 +64,9 @@ func fuzzSeeds() [][]byte {
 // Regenerate with MRMICRO_WRITE_CORPUS=1 go test -run TestFuzzSeedCorpusSync.
 func TestFuzzSeedCorpusSync(t *testing.T) {
 	for target, seeds := range map[string][][]byte{
-		"FuzzIFileReader": fuzzSeeds(),
-		"FuzzSpillOrder":  spillOrderSeeds(),
+		"FuzzIFileReader":       fuzzSeeds(),
+		"FuzzSpillOrder":        spillOrderSeeds(),
+		"FuzzCompressedSegment": compressedSegmentSeeds(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if os.Getenv("MRMICRO_WRITE_CORPUS") != "" {
@@ -189,6 +192,108 @@ func TestVerifyMatchesReaderOnCleanStreams(t *testing.T) {
 	}
 	if r.RecordsRead() != 3 {
 		t.Errorf("records = %d, want 3", r.RecordsRead())
+	}
+}
+
+// compressedHeader is the compressed segment wire header, spelled out so
+// seeds can lie in it.
+func compressedHeader(codec string, rawLen, records int64) []byte {
+	out := writable.NewDataOutput(16)
+	out.WriteVInt(int32(len(codec)))
+	out.Write([]byte(codec))
+	out.WriteVLong(rawLen)
+	out.WriteVLong(records)
+	return out.Bytes()
+}
+
+// validCompressedSeeds are the indices of compressedSegmentSeeds that both
+// decode paths accept.
+var validCompressedSeeds = map[int]bool{0: true, 5: true, 6: true}
+
+// compressedSegmentSeeds is the named seed list of FuzzCompressedSegment.
+// The committed corpus was written by compress/flate's own writer, so
+// TestFuzzSeedCorpusSync also holds Deflate's output to those bytes.
+func compressedSegmentSeeds() [][]byte {
+	raw := &Segment{data: fuzzLongSeedSegment(), records: 2}
+	valid := CompressSegmentWith(raw, Deflate).Bytes()
+	header := len(compressedHeader("deflate", int64(raw.Len()), 2))
+	flipped := bytes.Clone(valid)
+	flipped[header+(len(valid)-header)/2] ^= 0x10
+	return [][]byte{
+		valid,
+		valid[:len(valid)-3], // codec stream cut short
+		flipped,              // bit flip inside the codec stream
+		append(compressedHeader("snappy", 8, 0), valid[header:]...), // unknown codec
+		// 16 MiB declared for a payload of under 100 bytes: far enough past
+		// the ratio bound that a loosened bound shows as an allocation.
+		append(compressedHeader("deflate", 1<<24, 2), valid[header:]...),
+		append(bytes.Clone(valid), "junk"...),                      // framing slack after the stream's end
+		CompressSegmentWith(NewWriter(8).Close(), Deflate).Bytes(), // no records
+		{},
+	}
+}
+
+// FuzzCompressedSegment feeds arbitrary bytes to both compressed-segment
+// decoders: the buffered one a fetch with a whole response in hand uses
+// (CompressedSegmentFromBytes, Decompress, Verify) and the streaming one
+// that inflates off the connection (ReadCompressedSegment). Neither may
+// panic or allocate beyond what the header's ratio bound admits; both must
+// accept the input or both reject it with ErrCorruptSegment, and agree on
+// bytes and record count when they accept. The streaming decoder must leave
+// a framed stream in sync: it consumes exactly the payload, never the bytes
+// after it.
+func FuzzCompressedSegment(f *testing.F) {
+	for _, seed := range compressedSegmentSeeds() {
+		f.Add(seed)
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := allocated()
+		var buffered *Segment
+		z, bufErr := CompressedSegmentFromBytes(data)
+		if bufErr == nil {
+			buffered, bufErr = z.Decompress()
+		}
+		if bufErr == nil {
+			bufErr = buffered.Verify()
+		}
+		next := []byte("next response")
+		r := bytes.NewReader(append(bytes.Clone(data), next...))
+		streamed, streamErr := ReadCompressedSegment(r, len(data))
+		if spent, bound := allocated()-before, 2*uint64(len(data)+64)*maxDeflateRatio+1<<20; spent > bound {
+			t.Fatalf("%d input bytes made the decoders allocate %d bytes (bound %d)", len(data), spent, bound)
+		}
+		if r.Len() != len(next) {
+			t.Fatalf("streaming decoder left %d bytes of %d after the payload (err %v)", r.Len(), len(next), streamErr)
+		}
+		for _, err := range []error{bufErr, streamErr} {
+			if err != nil && !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("rejected without ErrCorruptSegment: %v", err)
+			}
+		}
+		if (bufErr == nil) != (streamErr == nil) {
+			t.Fatalf("buffered decoder err %v, streaming decoder err %v", bufErr, streamErr)
+		}
+		if bufErr == nil && (!bytes.Equal(buffered.Bytes(), streamed.Bytes()) || buffered.Records() != streamed.Records()) {
+			t.Fatalf("decoders disagree: buffered %d bytes %d records, streamed %d bytes %d records",
+				buffered.Len(), buffered.Records(), streamed.Len(), streamed.Records())
+		}
+	})
+}
+
+// TestCompressedSegmentSeedVerdicts: of the seeds, the writer's own output,
+// the empty segment and trailing framing slack decode; every other seed is
+// a corrupt segment on both paths.
+func TestCompressedSegmentSeedVerdicts(t *testing.T) {
+	for i, seed := range compressedSegmentSeeds() {
+		_, err := ReadCompressedSegment(bytes.NewReader(seed), len(seed))
+		if validCompressedSeeds[i] != (err == nil) {
+			t.Errorf("seed %d: err %v, want accepted=%v", i, err, validCompressedSeeds[i])
+		}
 	}
 }
 

@@ -381,10 +381,7 @@ func TestCompressSegmentRoundTrip(t *testing.T) {
 		w.Append(mkBytesWritable(fmt.Sprintf("key-%03d", i%10)), bytes.Repeat([]byte("v"), 50))
 	}
 	seg := w.Close()
-	z, err := CompressSegment(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := CompressSegmentWith(seg, Deflate)
 	if !z.Compressed() {
 		t.Error("compressed flag unset")
 	}
@@ -412,7 +409,7 @@ func TestCompressedSegmentReaderPanics(t *testing.T) {
 	}()
 	w := NewWriter(16)
 	w.Append([]byte("k"), []byte("v"))
-	z, _ := CompressSegment(w.Close())
+	z := CompressSegmentWith(w.Close(), Deflate)
 	z.NewReader()
 }
 
