@@ -29,9 +29,11 @@ func hsRowsGolden() []byte {
 	return buf.Bytes()
 }
 
-// TestHSRowsGolden holds HSLine and HSDigest to their values captured
-// before the allocation-free renderer replaced fmt: a changed byte here
-// means every HS pipeline digest moved too.
+// TestHSRowsGolden holds HSLine and HSDigest to committed values. The line
+// entries were captured before the allocation-free renderer replaced fmt:
+// a changed byte there means every HS pipeline digest moved too. The digest
+// entries were regenerated when the row digest moved from FNV-64a to XXH64,
+// with every line entry left as it was.
 func TestHSRowsGolden(t *testing.T) {
 	const golden = "testdata/hs_rows.golden"
 	got := hsRowsGolden()

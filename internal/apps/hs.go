@@ -12,6 +12,7 @@ import (
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
+	"mrmicro/internal/xxh64"
 )
 
 // The TPCx-HS-style pipeline: HSGen deterministically synthesizes rows
@@ -111,15 +112,8 @@ func HSRowValue(seed, row int64) string { return string(appendHSValue(nil, seed,
 // HSLine renders row n as it appears on disk (no terminator).
 func HSLine(seed, row int64) string { return string(appendHSLine(nil, seed, row)) }
 
-// HSRowDigest hashes one row's line: FNV-64a, inline.
-func HSRowDigest(line []byte) uint64 {
-	h := uint64(14695981039346656037) // FNV-64 offset basis
-	for _, c := range line {
-		h ^= uint64(c)
-		h *= 1099511628211 // FNV-64 prime
-	}
-	return h
-}
+// HSRowDigest hashes one row's line (no terminator) with XXH64, seed 0.
+func HSRowDigest(line []byte) uint64 { return xxh64.Sum64(line) }
 
 // HSDigest is the order-insensitive dataset digest: the wrapping sum of the
 // per-row digests. Any process can recompute it from (seed, rows) alone,

@@ -132,4 +132,18 @@ func TestHSPathAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("HSValidateMapper.Map: %v allocs per row, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { HSRowDigest(line.Data) }); n != 0 {
+		t.Errorf("HSRowDigest: %v allocs per row, want 0", n)
+	}
+}
+
+// BenchmarkHSDigest recomputes the bench hs-pipeline's dataset digest (4
+// maps × 100 000 rows), what HSValidateReducer.Close does before it
+// accepts the sorted output.
+func BenchmarkHSDigest(b *testing.B) {
+	const rows = 400000
+	b.SetBytes(rows * int64(len(HSLine(1, 0))))
+	for b.Loop() {
+		HSDigest(1, rows)
+	}
 }

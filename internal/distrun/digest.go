@@ -2,19 +2,18 @@ package distrun
 
 import (
 	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"sync"
 
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/writable"
+	"mrmicro/internal/xxh64"
 )
 
 // Output digests are how the suite compares reduce output across process
 // boundaries: each reduce task folds its emitted (key, value) records — in
-// emission order, with length framing — into an FNV-64a digest reported in
+// emission order, with length framing — into an XXH64 digest reported in
 // its commit. Two runs whose per-reduce digests all match produced
 // byte-identical output; localrun computes the same digests in-process, so
 // a distributed run can be checked against the single-process oracle.
@@ -38,7 +37,7 @@ func (d *digestOutput) Writer(conf *mapreduce.Conf, reduce int) (mapreduce.Recor
 	if err != nil {
 		return nil, err
 	}
-	return &digestWriter{out: d, reduce: reduce, inner: w, h: fnv.New64a()}, nil
+	return &digestWriter{out: d, reduce: reduce, inner: w, h: xxh64.New()}, nil
 }
 
 // digest returns reduce r's recorded digest (0 before its writer closed).
@@ -52,7 +51,7 @@ type digestWriter struct {
 	out    *digestOutput
 	reduce int
 	inner  mapreduce.RecordWriter
-	h      hash.Hash64
+	h      *xxh64.Digest
 	frame  [8]byte
 }
 
@@ -80,13 +79,11 @@ func (w *digestWriter) Abort() error { return w.inner.Abort() }
 // foldDigests combines per-reduce digests (in task order) into one job
 // digest.
 func foldDigests(digests []uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	buf := make([]byte, 0, 8*len(digests))
 	for _, d := range digests {
-		binary.BigEndian.PutUint64(buf[:], d)
-		h.Write(buf[:])
+		buf = binary.BigEndian.AppendUint64(buf, d)
 	}
-	return h.Sum64()
+	return xxh64.Sum64(buf)
 }
 
 // LocalOracle runs cfg in-process with the same per-reduce output digests a

@@ -2,15 +2,16 @@ package inputformat
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
+	"mrmicro/internal/xxh64"
 )
 
 // TextOutput commits each reduce task's output as Dir/part-r-NNNNN, one
@@ -99,45 +100,61 @@ func Render(w writable.Writable) string {
 	}
 }
 
-// DirDigest fingerprints a committed output directory: FNV-64a over each
-// corpus file's name and contents in sorted name order. Two directories
-// with identical committed parts digest identically regardless of where
-// they live, which is what the chained-pipeline identity check compares.
-// Contents stream through one reused buffer, never a whole file at once.
+// DirDigest fingerprints a committed output directory: XXH64 (seed 0) over
+// each corpus file in sorted name order, framed as the name's length, the
+// name, the content length and the contents, so no split of bytes between
+// names and files digests like another. Two directories with identical
+// committed parts digest identically regardless of where they live, which
+// is what the chained-pipeline identity check compares. Contents stream
+// through one reused buffer, never a whole file at once.
 func DirDigest(dir string) (uint64, error) {
 	paths, err := ListFiles(dir)
 	if err != nil {
 		return 0, err
 	}
-	h := fnv.New64a()
+	h := xxh64.New()
 	buf := make([]byte, 256<<10)
 	for _, p := range paths {
-		h.Write([]byte(filepath.Base(p)))
-		h.Write([]byte{0})
 		if err := hashFile(h, p, buf); err != nil {
 			return 0, fmt.Errorf("inputformat: %w", err)
 		}
-		h.Write([]byte{0})
 	}
 	return h.Sum64(), nil
 }
 
-// hashFile writes the file's contents into h through buf. (io.CopyBuffer
-// would hand the copy to os.File.WriteTo, which brings its own buffer.)
+// hashFile writes one file's frame into h through buf: the base name's
+// length and bytes, then the length Stat reports and the contents. A file
+// that reads back a different byte count changed while it was hashed.
+// (io.CopyBuffer would hand the copy to os.File.WriteTo, which brings its
+// own buffer.)
 func hashFile(h hash.Hash64, path string, buf []byte) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	name := filepath.Base(path)
+	frame := binary.BigEndian.AppendUint64(buf[:0], uint64(len(name)))
+	frame = binary.BigEndian.AppendUint64(append(frame, name...), uint64(st.Size()))
+	h.Write(frame)
+	var read int64
 	for {
 		n, err := f.Read(buf)
 		h.Write(buf[:n])
+		read += int64(n)
 		if err == io.EOF {
-			return nil
+			break
 		}
 		if err != nil {
 			return err
 		}
 	}
+	if read != st.Size() {
+		return fmt.Errorf("%s: read %d bytes, Stat reported %d", path, read, st.Size())
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/mrsim"
 	"mrmicro/internal/writable"
+	"mrmicro/internal/xxh64"
 )
 
 // Failure is one invariant violation: the config that triggered it (shrunk
@@ -654,9 +654,7 @@ func checkReducer() mapreduce.Reducer {
 			if !ok {
 				break
 			}
-			f := fnv.New64a()
-			f.Write(writableBytes(v))
-			fold = fold*0x100000001b3 + f.Sum64() // not commutative: a reordered group changes the digest
+			fold = fold*0x100000001b3 + xxh64.Sum64(writableBytes(v)) // not commutative: a reordered group changes the digest
 			count++
 		}
 		key := &writable.BytesWritable{Data: append([]byte(nil), writableBytes(k)...)}
@@ -676,9 +674,7 @@ func distinctReducer() mapreduce.Reducer {
 			if !ok {
 				break
 			}
-			f := fnv.New64a()
-			f.Write(writableBytes(v))
-			h := f.Sum64()
+			h := xxh64.Sum64(writableBytes(v))
 			if _, dup := seen[h]; !dup {
 				seen[h] = struct{}{}
 				fold += h
