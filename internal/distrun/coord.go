@@ -238,8 +238,8 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 		start:    time.Now(),
 	}
 
-	entries, err := readWAL(opts.WALPath)
-	if err != nil {
+	var entries []walEntry
+	if c.log, entries, err = openWAL(opts.WALPath); err != nil {
 		return nil, err
 	}
 	for _, e := range entries {
@@ -279,10 +279,6 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 		c.graceEnd = time.Now().Add(opts.recoveryGrace())
 	}
 
-	c.log, err = openWAL(opts.WALPath)
-	if err != nil {
-		return nil, err
-	}
 	srv, err := hadooprpc.NewServer(opts.addr(), Protocol)
 	if err != nil {
 		c.log.close()

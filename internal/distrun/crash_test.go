@@ -326,7 +326,7 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 
 	// What the WAL holds at the instant of death is exactly what the
 	// successor must replay.
-	entries, err := readWAL(walPath)
+	entries, _, err := readWAL(walPath)
 	if err != nil {
 		t.Fatalf("readWAL: %v", err)
 	}

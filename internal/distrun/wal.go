@@ -2,7 +2,9 @@ package distrun
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 )
@@ -33,17 +35,27 @@ type wal struct {
 	w *bufio.Writer
 }
 
-// openWAL opens (creating or appending) the log at path. An empty path
-// disables logging: every method is a no-op and recovery finds nothing.
-func openWAL(path string) (*wal, error) {
+// openWAL replays the log at path and opens it for appending. It first cuts
+// a torn tail off, durably: left in place, the next entry would fuse with it
+// into one unreadable line. An empty path disables logging: every method is
+// a no-op and recovery finds nothing.
+func openWAL(path string) (*wal, []walEntry, error) {
 	if path == "" {
-		return &wal{}, nil
+		return &wal{}, nil, nil
+	}
+	entries, size, err := readWAL(path)
+	if err != nil {
+		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("distrun: wal: %w", err)
+		return nil, nil, fmt.Errorf("distrun: wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriter(f)}, nil
+	if err := errors.Join(f.Truncate(size), f.Sync()); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("distrun: wal: %w", err)
+	}
+	return &wal{f: f, w: bufio.NewWriter(f)}, entries, nil
 }
 
 // append durably records one entry. The sync before returning is the whole
@@ -72,34 +84,23 @@ func (l *wal) close() {
 	}
 }
 
-// readWAL replays the log at path. A missing file is an empty log. Torn
-// final lines (the crash hit mid-append) are ignored: an unreadable entry
-// was never acknowledged, so dropping it is the correct recovery.
-func readWAL(path string) ([]walEntry, error) {
-	if path == "" {
-		return nil, nil
+// readWAL replays the log at path: its entries and the length of the lines
+// read. A missing file (or an empty path) is an empty log. Bytes after the
+// last newline are a torn tail, never acknowledged: append syncs an entry with
+// its newline before it acknowledges. A whole line that is not an entry is
+// skipped, not the end: only damage writes one, or an older coordinator's
+// append to a torn tail, and the entries after it were acknowledged.
+func readWAL(path string) (entries []walEntry, size int64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, 0, fmt.Errorf("distrun: wal replay: %w", err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("distrun: wal replay: %w", err)
-	}
-	defer f.Close()
-	var entries []walEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	size = int64(bytes.LastIndexByte(data, '\n') + 1)
+	for line := range bytes.Lines(data[:size]) {
 		var e walEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break // torn tail: never acknowledged
+		if json.Unmarshal(line, &e) == nil {
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
 	}
-	return entries, sc.Err()
+	return entries, size, nil
 }

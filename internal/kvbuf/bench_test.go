@@ -3,6 +3,7 @@ package kvbuf
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mrmicro/internal/writable"
@@ -220,4 +221,38 @@ func BenchmarkSourceMergerRuns(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+}
+
+// BenchmarkMergeHSKeys merges 8 sorted segments of 20 000 random
+// 10-character Text keys (HSSort's key shape) by the Text KeyOrder: nearly
+// every decision is made by unequal prefixes, in no predictable direction.
+// It is the benchmark behind KeyOrder.Compare's branch-free shape.
+func BenchmarkMergeHSKeys(b *testing.B) {
+	order, _ := writable.Order("Text")
+	const alphabet = "+/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	const ways, per = 8, 20000
+	rng := rand.New(rand.NewSource(1))
+	segs := make([]*Segment, ways)
+	for s := range segs {
+		keys := make([]string, per)
+		for i := range keys {
+			k := make([]byte, 10)
+			for j := range k {
+				k[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			keys[i] = string(k)
+		}
+		slices.Sort(keys)
+		w := NewWriter(per * 16)
+		for _, k := range keys {
+			w.Append(textKey(k), nil)
+		}
+		segs[s] = w.Close()
+	}
+	for b.Loop() {
+		if _, _, err := Merge(order, segs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ways*per), "ns/rec")
 }

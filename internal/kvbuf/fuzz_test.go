@@ -412,9 +412,9 @@ func mustPrefix(name string) writable.PrefixFunc {
 
 // FuzzSpillOrder holds Spill byte-identical to naiveSpill — a stable sort
 // with the full comparator and nothing else — for fuzzed record streams of
-// Text keys, BytesWritable keys and keys under a comparator with no prefix
-// extractor, spilling at GOMAXPROCS 1 and 2. The committed seeds run under
-// plain `go test`.
+// Text keys, BytesWritable keys and keys under a comparator alone (a buffer
+// never given a prefix func sorts by writable.ByComparator), spilling at
+// GOMAXPROCS 1 and 2. The committed seeds run under plain `go test`.
 func FuzzSpillOrder(f *testing.F) {
 	for _, seed := range spillOrderSeeds() {
 		f.Add(seed)

@@ -212,7 +212,7 @@ func TestMergeProducesSortedUnion(t *testing.T) {
 		}
 		segs = append(segs, w.Close())
 	}
-	merged, comps, err := Merge(cmp, nil, segs)
+	merged, comps, err := Merge(writable.ByComparator(cmp), segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestMergeMultisetProperty(t *testing.T) {
 			}
 			segs = append(segs, w.Close())
 		}
-		merged, _, err := Merge(cmp, nil, segs)
+		merged, _, err := Merge(writable.ByComparator(cmp), segs)
 		if err != nil {
 			return false
 		}
@@ -369,7 +369,7 @@ func BenchmarkMerge10Segments(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Merge(cmp, nil, segs); err != nil {
+		if _, _, err := Merge(writable.ByComparator(cmp), segs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,11 +8,11 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// MergeStream k-way merges the segments in key order, by the comparator
-// alone, and calls emit for every record. It returns the number of key
-// comparisons performed (which the simulated engines convert to CPU time).
+// MergeStream k-way merges the segments in key order by the comparator alone
+// (writable.ByComparator), calls emit for every record, and returns the
+// number of key comparisons performed.
 func MergeStream(cmp writable.RawComparator, segs []*Segment, emit func(key, val []byte) error) (comparisons int64, err error) {
-	return MergeSources(cmp, nil, readers(segs), emit)
+	return MergeSources(writable.ByComparator(cmp), readers(segs), emit)
 }
 
 func readers(segs []*Segment) []RecordSource {
@@ -23,14 +23,14 @@ func readers(segs []*Segment) []RecordSource {
 	return srcs
 }
 
-// Merge k-way merges segments into a single new segment. prefix may be nil.
-func Merge(cmp writable.RawComparator, prefix writable.PrefixFunc, segs []*Segment) (*Segment, int64, error) {
+// Merge k-way merges segments into a single new segment.
+func Merge(order writable.KeyOrder, segs []*Segment) (*Segment, int64, error) {
 	total := 0
 	for _, s := range segs {
 		total += s.Len()
 	}
 	w := NewWriter(total)
-	comparisons, err := MergeSources(cmp, prefix, readers(segs), func(k, v []byte) error {
+	comparisons, err := MergeSources(order, readers(segs), func(k, v []byte) error {
 		w.Append(k, v)
 		return nil
 	})
@@ -117,7 +117,7 @@ func MergeInPlace[T any](items []T, factor, parallelism int, merge func(group []
 // passes (scratch outputs recycled once consumed) reduce the count to at
 // most factor, then one final merge produces the output — byte for byte what
 // Merge produces over the same segments. parallelism <= 0 uses GOMAXPROCS.
-func MergeAll(cmp writable.RawComparator, prefix writable.PrefixFunc, segs []*Segment, factor, parallelism int) (*Segment, int64, error) {
+func MergeAll(order writable.KeyOrder, segs []*Segment, factor, parallelism int) (*Segment, int64, error) {
 	type item struct {
 		seg     *Segment
 		scratch bool // made by a pass here, never the caller's
@@ -128,7 +128,7 @@ func MergeAll(cmp writable.RawComparator, prefix writable.PrefixFunc, segs []*Se
 		for i, it := range group {
 			in[i] = it.seg
 		}
-		out, comps, err := Merge(cmp, prefix, in)
+		out, comps, err := Merge(order, in)
 		comparisons.Add(comps)
 		if err != nil {
 			return item{}, err

@@ -54,8 +54,7 @@ func segRecords(t *testing.T, seg *Segment) []string {
 // value, so the order in which a multi-pass merge lets equal keys through is
 // written into the output.
 func TestMergeAllMatchesSequentialMerge(t *testing.T) {
-	cmp, _ := writable.Comparator("BytesWritable")
-	pf, _ := writable.PrefixExtractor("BytesWritable")
+	order, _ := writable.Order("BytesWritable")
 	for k := 1; k <= 64; k++ {
 		build := func() []*Segment {
 			segs := make([]*Segment, k)
@@ -69,7 +68,7 @@ func TestMergeAllMatchesSequentialMerge(t *testing.T) {
 			}
 			return segs
 		}
-		want, wantComps, err := Merge(cmp, nil, build())
+		want, wantComps, err := Merge(writable.ByComparator(order.Cmp), build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +78,7 @@ func TestMergeAllMatchesSequentialMerge(t *testing.T) {
 			// scheduling.
 			var seqComps int64
 			for _, par := range []int{1, 4} {
-				got, comps, err := MergeAll(cmp, pf, build(), factor, par)
+				got, comps, err := MergeAll(order, build(), factor, par)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,8 +18,7 @@ import "mrmicro/internal/writable"
 type BufferRing struct {
 	capacity   int
 	partitions int
-	cmp        writable.RawComparator
-	prefix     writable.PrefixFunc
+	order      writable.KeyOrder
 
 	free    chan *SortBuffer
 	created int
@@ -28,23 +27,19 @@ type BufferRing struct {
 
 // NewBufferRing sizes a ring of at most max buffers (min 2: one active, one
 // spilling). Buffers are created lazily, so a map task that never spills
-// allocates exactly one.
-func NewBufferRing(capacityBytes, partitions, max int, cmp writable.RawComparator) *BufferRing {
+// allocates exactly one. Every buffer sorts by order.
+func NewBufferRing(capacityBytes, partitions, max int, order writable.KeyOrder) *BufferRing {
 	if max < 2 {
 		max = 2
 	}
 	return &BufferRing{
 		capacity:   capacityBytes,
 		partitions: partitions,
-		cmp:        cmp,
+		order:      order,
 		free:       make(chan *SortBuffer, max),
 		max:        max,
 	}
 }
-
-// SetPrefixFunc installs the key-prefix extractor applied to every buffer
-// the ring creates. Must be called before the first Take.
-func (r *BufferRing) SetPrefixFunc(f writable.PrefixFunc) { r.prefix = f }
 
 // Take returns an empty buffer, creating one while under the ring bound.
 // When all max buffers are out and sealed it blocks until Put returns one —
@@ -58,10 +53,8 @@ func (r *BufferRing) Take() (buf *SortBuffer, blocked bool) {
 	}
 	if r.created < r.max {
 		r.created++
-		buf = NewSortBuffer(r.capacity, r.partitions, r.cmp)
-		if r.prefix != nil {
-			buf.SetPrefixFunc(r.prefix)
-		}
+		buf = NewSortBuffer(r.capacity, r.partitions, r.order.Cmp)
+		buf.SetPrefixFunc(r.order.Prefix)
 		return buf, false
 	}
 	return <-r.free, true

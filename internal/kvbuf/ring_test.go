@@ -9,8 +9,8 @@ import (
 )
 
 func newTestRing(max int) *BufferRing {
-	cmp, _ := writable.Comparator("BytesWritable")
-	return NewBufferRing(1<<20, 2, max, rawBytes(cmp))
+	order, _ := writable.Order("BytesWritable")
+	return NewBufferRing(1<<20, 2, max, order)
 }
 
 func TestBufferRingLazyCreation(t *testing.T) {
@@ -76,18 +76,18 @@ func TestBufferRingBlockedFlagOnlyUnderPressure(t *testing.T) {
 }
 
 func TestBufferRingPrefixFuncInstalled(t *testing.T) {
-	r := newTestRing(2)
+	cmp, _ := writable.Comparator("BytesWritable")
 	called := false
-	r.SetPrefixFunc(func(raw []byte) uint64 {
+	r := NewBufferRing(1<<20, 2, 2, writable.KeyOrder{Cmp: cmp, Prefix: func(raw []byte) uint64 {
 		called = true
 		return 0
-	})
+	}})
 	buf, _ := r.Take()
 	if ok, err := buf.Add(0, mkBytesWritable("k"), []byte("v")); err != nil || !ok {
 		t.Fatalf("add: %v ok=%v", err, ok)
 	}
 	if !called {
-		t.Error("ring-created buffer did not use the installed prefix func")
+		t.Error("ring-created buffer did not use the order's prefix func")
 	}
 }
 

@@ -31,7 +31,7 @@ type RecordSource interface {
 type sourceEntry struct {
 	src      RecordSource
 	key, val []byte
-	prefix   uint64 // the merge's prefix of key; 0 when it has no PrefixFunc
+	prefix   uint64 // the merge order's prefix of key
 	eof      bool
 	index    int // tie-break: earlier source wins, keeping merges stable
 }
@@ -46,10 +46,7 @@ func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
 		e.key, e.val = nil, nil
 		return nil
 	}
-	e.key, e.val = k, v
-	if prefix != nil {
-		e.prefix = prefix(k)
-	}
+	e.key, e.val, e.prefix = k, v, prefix(k)
 	return nil
 }
 
@@ -68,27 +65,26 @@ func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
 // equal keys: a byte-equal next key leaves its (key, index) — the heap
 // minimum — unchanged, so one byte check replaces the sift.
 //
-// With a PrefixFunc (the one the spill sorted by) each head carries its key's
-// prefix, taken once as its source advances: an ordering decision compares
-// the integers and calls the comparator only when they tie, and the run check
-// compares them before the bytes. Equal keys always have equal prefixes, so
-// the output is the comparator-only merge's, decision for decision. A nil
-// PrefixFunc leaves every prefix 0: the same code, comparator only.
+// Each head carries its key's prefix under the merge's KeyOrder (the one the
+// spill sorted by), taken once as its source advances: an ordering decision
+// is KeyOrder.Compare, which calls the comparator only on a prefix tie, and
+// the run check compares prefixes before bytes. Equal keys always have equal
+// prefixes, so the output is the comparator-only merge's
+// (writable.ByComparator), decision for decision.
 type SourceMerger struct {
-	cmp     writable.RawComparator
-	prefix  writable.PrefixFunc
+	order   writable.KeyOrder
 	entries []*sourceEntry
 	comps   int64
 	started bool
 }
 
 // NewSourceMerger primes a cursor on every source. Sources that are empty
-// from the start simply never surface. prefix may be nil.
-func NewSourceMerger(cmp writable.RawComparator, prefix writable.PrefixFunc, srcs []RecordSource) (*SourceMerger, error) {
-	m := &SourceMerger{cmp: cmp, prefix: prefix, entries: make([]*sourceEntry, 0, len(srcs))}
+// from the start simply never surface.
+func NewSourceMerger(order writable.KeyOrder, srcs []RecordSource) (*SourceMerger, error) {
+	m := &SourceMerger{order: order, entries: make([]*sourceEntry, 0, len(srcs))}
 	for i, s := range srcs {
 		e := &sourceEntry{src: s, index: i}
-		if err := e.advance(prefix); err != nil {
+		if err := e.advance(order.Prefix); err != nil {
 			return nil, err
 		}
 		if !e.eof {
@@ -103,10 +99,7 @@ func NewSourceMerger(cmp writable.RawComparator, prefix writable.PrefixFunc, src
 // comparator made it.
 func (m *SourceMerger) less(a, b *sourceEntry) bool {
 	m.comps++
-	if a.prefix != b.prefix {
-		return a.prefix < b.prefix
-	}
-	if c := m.cmp(a.key, b.key); c != 0 {
+	if c := m.order.Compare(a.key, a.prefix, b.key, b.prefix); c != 0 {
 		return c < 0
 	}
 	return a.index < b.index
@@ -146,7 +139,7 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 		// Advance the cursor whose record the previous call handed out.
 		e := m.entries[0]
 		prev, prevPrefix := e.key, e.prefix // prev is still valid: a source's key outlives one more Next
-		if err := e.advance(m.prefix); err != nil {
+		if err := e.advance(m.order.Prefix); err != nil {
 			return nil, nil, false, err
 		}
 		if e.eof {
@@ -169,14 +162,14 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 	return e.key, e.val, true, nil
 }
 
-// Prefix is the prefix of the key the last Next returned (0 without a
-// PrefixFunc). Call it only after a Next that returned a record.
+// Prefix is the order's prefix of the key the last Next returned. Call it
+// only after a Next that returned a record.
 func (m *SourceMerger) Prefix() uint64 { return m.entries[0].prefix }
 
 // MergeSources drains a SourceMerger through emit, returning the number of
 // key comparisons performed.
-func MergeSources(cmp writable.RawComparator, prefix writable.PrefixFunc, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {
-	m, err := NewSourceMerger(cmp, prefix, srcs)
+func MergeSources(order writable.KeyOrder, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {
+	m, err := NewSourceMerger(order, srcs)
 	if err != nil {
 		return 0, err // priming compares nothing
 	}

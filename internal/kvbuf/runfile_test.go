@@ -166,7 +166,7 @@ func TestSourceMergerMatchesMergeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewSourceMerger(cmp, nil, []RecordSource{segs[0].NewReader(), rr1, rr2})
+	m, err := NewSourceMerger(writable.ByComparator(cmp), []RecordSource{segs[0].NewReader(), rr1, rr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,15 +332,15 @@ func TestSourceMergerRunsMatchReferenceHeap(t *testing.T) {
 		{"Text/prefix", "Text", textKey, true},
 		{"BytesWritable/prefix", "BytesWritable", bytesKey, true},
 	} {
-		cmp, _ := writable.Comparator(order.keyType)
-		var pf writable.PrefixFunc
-		if order.prefix {
-			pf, _ = writable.PrefixExtractor(order.keyType)
+		ko, _ := writable.Order(order.keyType)
+		cmp := ko.Cmp
+		if !order.prefix {
+			ko = writable.ByComparator(cmp)
 		}
 		for name, spec := range cases {
 			for kinds := 0; kinds < 3; kinds++ {
 				want := refMergeHeap(t, cmp, runSources(t, spec, kinds, order.encode))
-				m, err := NewSourceMerger(cmp, pf, runSources(t, spec, kinds, order.encode))
+				m, err := NewSourceMerger(ko, runSources(t, spec, kinds, order.encode))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -43,8 +43,7 @@ type recordMeta struct {
 // Commit time so segment buffers never regrow. Chunks and metadata arrays
 // are recycled across SortBuffer instances via Release().
 type SortBuffer struct {
-	cmp        writable.RawComparator
-	prefix     writable.PrefixFunc
+	order      writable.KeyOrder
 	partitions int
 	capacity   int
 
@@ -55,7 +54,7 @@ type SortBuffer struct {
 	out     writable.DataOutput // the open reservation, positioned at the tail chunk's free space
 
 	meta     []recordMeta
-	prefixes []uint64 // parallel to meta; only filled when prefix != nil
+	prefixes []uint64 // parallel to meta: each key's order.Prefix
 
 	partRecs  []int32 // records per partition (reset each spill)
 	partBytes []int64 // exact IFile body bytes per partition (reset each spill)
@@ -111,15 +110,15 @@ var (
 )
 
 // sortEntry is one record in a spill's sort index: its order-preserving key
-// prefix (zero for key types without an extractor) and its position in meta,
-// which doubles as the insertion-order tie-break.
+// prefix and its position in meta, which doubles as the insertion-order
+// tie-break.
 type sortEntry struct {
 	prefix uint64
 	idx    int32
 }
 
 // NewSortBuffer creates a buffer of capacityBytes for the given partition
-// count, sorting keys with cmp.
+// count, sorting keys by cmp alone until SetPrefixFunc installs a prefix.
 func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *SortBuffer {
 	if capacityBytes <= 0 || partitions <= 0 {
 		panic("kvbuf: capacity and partitions must be positive")
@@ -128,10 +127,11 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 		panic("kvbuf: nil comparator")
 	}
 	return &SortBuffer{
-		cmp:        cmp,
+		order:      writable.ByComparator(cmp),
 		partitions: partitions,
 		capacity:   capacityBytes,
 		meta:       (*metaPool.Get().(*[]recordMeta))[:0],
+		prefixes:   (*prefixPool.Get().(*[]uint64))[:0],
 		partRecs:   make([]int32, partitions),
 		partBytes:  make([]int64, partitions),
 	}
@@ -142,13 +142,13 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 // the raw comparator only inside runs of equal prefixes whose keys differ.
 // Must be called before the first record.
 func (b *SortBuffer) SetPrefixFunc(f writable.PrefixFunc) {
+	if f == nil {
+		panic("kvbuf: nil prefix func")
+	}
 	if len(b.meta) > 0 {
 		panic("kvbuf: SetPrefixFunc after Add")
 	}
-	b.prefix = f
-	if f != nil && b.prefixes == nil {
-		b.prefixes = (*prefixPool.Get().(*[]uint64))[:0]
-	}
+	b.order.Prefix = f
 }
 
 // Release returns the buffer's backing arrays to the shared pools. The
@@ -160,14 +160,10 @@ func (b *SortBuffer) Release() {
 	}
 	b.chunks = nil
 	if b.meta != nil {
-		m := b.meta[:0]
+		m, p := b.meta[:0], b.prefixes[:0]
 		metaPool.Put(&m)
-		b.meta = nil
-	}
-	if b.prefixes != nil {
-		p := b.prefixes[:0]
 		prefixPool.Put(&p)
-		b.prefixes = nil
+		b.meta, b.prefixes = nil, nil
 	}
 }
 
@@ -245,9 +241,7 @@ func (b *SortBuffer) Commit(partition, keyLen int) (bool, error) {
 		chunk:     int32(b.tail), off: int32(off),
 		keyLen: int32(keyLen), valLen: int32(n - keyLen),
 	})
-	if b.prefix != nil {
-		b.prefixes = append(b.prefixes, b.prefix(c[off:off+keyLen]))
-	}
+	b.prefixes = append(b.prefixes, b.order.Prefix(c[off:off+keyLen]))
 	b.partRecs[partition]++
 	b.partBytes[partition] += int64(n) +
 		int64(writable.VLongEncodedLen(int64(keyLen))+writable.VLongEncodedLen(int64(n-keyLen)))
@@ -312,11 +306,7 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 	copy(fill, starts[:b.partitions])
 	for i := range b.meta {
 		p := b.meta[i].partition
-		e := sortEntry{idx: int32(i)}
-		if b.prefix != nil {
-			e.prefix = b.prefixes[i]
-		}
-		ent[fill[p]] = e
+		ent[fill[p]] = sortEntry{prefix: b.prefixes[i], idx: int32(i)}
 		fill[p]++
 	}
 
@@ -363,9 +353,7 @@ func (b *SortBuffer) Reset() {
 	}
 	b.tail, b.payload = 0, 0
 	b.meta = b.meta[:0]
-	if b.prefixes != nil {
-		b.prefixes = b.prefixes[:0]
-	}
+	b.prefixes = b.prefixes[:0]
 	for p := range b.partRecs {
 		b.partRecs[p] = 0
 		b.partBytes[p] = 0
@@ -385,8 +373,8 @@ func (b *SortBuffer) Reset() {
 // only a run holding distinct keys under one prefix is re-sorted with the
 // raw comparator. The result is the order a stable full-comparator sort
 // produces, for any input, while the slab is touched O(n) times instead of
-// O(n log n). A key type without an extractor has every prefix zero: one
-// pass finds nothing to scatter, then one run, sorted by comparator.
+// O(n log n). Under writable.ByComparator every prefix is zero: one pass
+// finds nothing to scatter, then one run, sorted by comparator.
 func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Segment) int64 {
 	chunks, meta := b.chunks, b.meta
 	key := func(e sortEntry) []byte {
@@ -406,7 +394,7 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		if !same {
 			slices.SortFunc(part[lo:hi], func(x, y sortEntry) int {
 				comps++
-				if c := b.cmp(key(x), key(y)); c != 0 {
+				if c := b.order.Cmp(key(x), key(y)); c != 0 {
 					return c
 				}
 				return int(x.idx - y.idx) // stability: equal keys keep insertion order

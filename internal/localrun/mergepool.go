@@ -229,7 +229,7 @@ func (ss *streamShuffle) pickSpillRangeLocked() (lo, hi int) {
 func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 	defer ss.mergeWG.Done()
 	t0 := time.Now()
-	merged, _, err := kvbuf.MergeAll(ss.tr.cmp, ss.tr.prefix, members, ss.tr.factor, 0)
+	merged, _, err := kvbuf.MergeAll(ss.tr.order, members, ss.tr.factor, 0)
 	ss.tm.addMemMerge(time.Since(t0))
 	var (
 		run     *diskRun
@@ -396,7 +396,7 @@ func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *me
 		return mergeInput{}, err
 	}
 	sw := kvbuf.NewStreamWriter(f)
-	if _, err := kvbuf.MergeSources(tr.cmp, tr.prefix, srcs, sw.Append); err != nil {
+	if _, err := kvbuf.MergeSources(tr.order, srcs, sw.Append); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return mergeInput{}, fmt.Errorf("localrun: reduce %d disk merge maps [%d,%d): %w", r, in[0].lo, in[len(in)-1].hi, err)

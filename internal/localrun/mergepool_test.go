@@ -32,7 +32,7 @@ func renderShuffleResult(t *testing.T, cmp writable.RawComparator, res *shuffleR
 				o.Close()
 			}
 		}()
-		if _, err := kvbuf.MergeSources(cmp, nil, srcs, emit); err != nil {
+		if _, err := kvbuf.MergeSources(writable.ByComparator(cmp), srcs, emit); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

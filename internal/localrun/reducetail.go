@@ -8,7 +8,6 @@
 package localrun
 
 import (
-	"bytes"
 	"fmt"
 
 	"mrmicro/internal/kvbuf"
@@ -19,12 +18,11 @@ import (
 // mergedValueIter adapts the pull-based source merger into the reducer's
 // ValueIterator, one key group at a time. The merger's views are only valid
 // until the next pull, so each value is unmarshaled before advancing. Group
-// and order checks look at the merger's key prefixes first: by the
-// PrefixFunc contract equal keys have equal prefixes, and a smaller prefix is
-// a smaller key, so the comparator runs only on a prefix tie.
+// and order checks are the merge order's Same and Compare on the merger's
+// key prefixes, so the comparator runs only on a prefix tie.
 type mergedValueIter struct {
 	m           *kvbuf.SourceMerger
-	cmp         writable.RawComparator
+	order       writable.KeyOrder
 	inst        writable.Writable
 	in          writable.DataInput // reused across records: decoding allocates nothing
 	key, val    []byte             // pending record: views into the merger's sources
@@ -38,12 +36,12 @@ type mergedValueIter struct {
 	records     int64 // records consumed so far, over all groups
 }
 
-func newMergedValueIter(m *kvbuf.SourceMerger, cmp writable.RawComparator, valType string) (*mergedValueIter, error) {
+func newMergedValueIter(m *kvbuf.SourceMerger, order writable.KeyOrder, valType string) (*mergedValueIter, error) {
 	inst, err := writable.New(valType)
 	if err != nil {
 		return nil, err
 	}
-	it := &mergedValueIter{m: m, cmp: cmp, inst: inst}
+	it := &mergedValueIter{m: m, order: order, inst: inst}
 	it.pull()
 	return it, it.err
 }
@@ -56,12 +54,10 @@ func (it *mergedValueIter) pull() {
 }
 
 // inCurrentGroup reports whether the pending record belongs to the current
-// group. A different prefix is a different key, and byte-equal keys always
-// compare equal, so the comparator only runs at group boundaries the prefix
-// cannot see (and for types with several encodings of one value).
+// group: writable.KeyOrder.Same, whose comparator only runs at group
+// boundaries the prefix cannot see.
 func (it *mergedValueIter) inCurrentGroup() bool {
-	return it.err == nil && it.ok && it.prefix == it.groupPrefix &&
-		(bytes.Equal(it.key, it.groupKey) || it.cmp(it.key, it.groupKey) == 0)
+	return it.err == nil && it.ok && it.order.Same(it.key, it.prefix, it.groupKey, it.groupPrefix)
 }
 
 // beginGroup starts the next key group, unmarshaling its key into keyInst;
@@ -72,7 +68,7 @@ func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
 	if it.err != nil || !it.ok {
 		return false, it.err
 	}
-	if it.started && (it.prefix < it.groupPrefix || it.prefix == it.groupPrefix && it.cmp(it.key, it.groupKey) < 0) {
+	if it.started && it.order.Compare(it.key, it.prefix, it.groupKey, it.groupPrefix) < 0 {
 		return false, fmt.Errorf("merged records out of order at record %d", it.records)
 	}
 	it.groupKey, it.groupPrefix = append(it.groupKey[:0], it.key...), it.prefix
@@ -129,7 +125,7 @@ func addTask(ctrs *mapreduce.Counters, name string, n int64) {
 // one key group at a time, straight off the merge. No record set is ever
 // materialized, and sort order is validated at each group boundary.
 func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer, emit func(k, v writable.Writable) error, rep mapreduce.Reporter, t *groupTally) error {
-	merger, err := kvbuf.NewSourceMerger(tr.cmp, tr.prefix, srcs)
+	merger, err := kvbuf.NewSourceMerger(tr.order, srcs)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
@@ -137,7 +133,7 @@ func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer
 	if err != nil {
 		return err
 	}
-	it, err := newMergedValueIter(merger, tr.cmp, tr.job.MapOutputValueType)
+	it, err := newMergedValueIter(merger, tr.order, tr.job.MapOutputValueType)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}

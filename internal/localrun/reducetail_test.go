@@ -104,7 +104,7 @@ func TestReduceTailPrefixChecks(t *testing.T) {
 		runner := func(job *mapreduce.Job, maps int) *TaskRunner {
 			tr := tailRunner(job, maps, 10)
 			if !keyed {
-				tr.prefix = nil
+				tr.order = writable.ByComparator(tr.order.Cmp)
 			}
 			return tr
 		}
@@ -395,11 +395,12 @@ func TestValueIteratorAllocatesNothing(t *testing.T) {
 		}
 		srcs[s] = textSegment(kvs...).NewReader()
 	}
-	merger, err := kvbuf.NewSourceMerger(cmp, nil, srcs)
+	order := writable.ByComparator(cmp)
+	merger, err := kvbuf.NewSourceMerger(order, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := newMergedValueIter(merger, cmp, "Text")
+	it, err := newMergedValueIter(merger, order, "Text")
 	if err != nil {
 		t.Fatal(err)
 	}

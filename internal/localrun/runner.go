@@ -110,8 +110,7 @@ type TaskRunner struct {
 	jobID      mapreduce.JobID
 	splits     []mapreduce.InputSplit
 	numReduces int
-	cmp        writable.RawComparator
-	prefix     writable.PrefixFunc // nil: the key type sorts by comparator only
+	order      writable.KeyOrder
 
 	codec      kvbuf.Codec // nil: map output is stored and shuffled raw
 	sortBytes  int         // io.sort.mb, in bytes
@@ -157,10 +156,9 @@ func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
 		if tr.numReduces = conf.NumReduces(); tr.numReduces == 0 {
 			return nil // map-only: nothing below is read
 		}
-		if tr.cmp, err = writable.Comparator(job.MapOutputKeyType); err != nil {
+		if tr.order, err = writable.Order(job.MapOutputKeyType); err != nil {
 			return err
 		}
-		tr.prefix, _ = writable.PrefixExtractor(job.MapOutputKeyType)
 
 		var ok bool
 		if tr.codec, ok = kvbuf.CodecByName(conf.CompressCodec()); !ok {
@@ -632,8 +630,8 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 		pipe = newSpillPipeline(tr, tm)
 		buf, _ = pipe.ring.Take()
 	} else {
-		buf = kvbuf.NewSortBuffer(tr.sortBytes, numReduces, tr.cmp)
-		buf.SetPrefixFunc(tr.prefix)
+		buf = kvbuf.NewSortBuffer(tr.sortBytes, numReduces, tr.order.Cmp)
+		buf.SetPrefixFunc(tr.order.Prefix)
 	}
 	mc := &mapCollector{
 		tr:        tr,

@@ -35,12 +35,11 @@ func copyPhase(addr string, maps, reduce, copies int, bo faultinject.Backoff) (*
 // one split per map, the key comparator, the copier count and default
 // fan-in, plus whatever mod sets (codec, backoff, memory budget).
 func copyRunner(keyType string, maps, copies int, mod func(*TaskRunner)) *TaskRunner {
-	cmp, err := writable.Comparator(keyType)
+	order, err := writable.Order(keyType)
 	if err != nil {
 		panic(err)
 	}
-	pf, _ := writable.PrefixExtractor(keyType)
-	tr := &TaskRunner{splits: make([]mapreduce.InputSplit, maps), cmp: cmp, prefix: pf, copies: max(copies, 1), factor: 10}
+	tr := &TaskRunner{splits: make([]mapreduce.InputSplit, maps), order: order, copies: max(copies, 1), factor: 10}
 	if mod != nil {
 		mod(tr)
 	}

@@ -140,13 +140,12 @@ type spillPipeline struct {
 func newSpillPipeline(tr *TaskRunner, tm *spillTimings) *spillPipeline {
 	sp := &spillPipeline{
 		tr:    tr,
-		ring:  kvbuf.NewBufferRing(tr.sortBytes, tr.numReduces, tr.inflight+1, tr.cmp),
+		ring:  kvbuf.NewBufferRing(tr.sortBytes, tr.numReduces, tr.inflight+1, tr.order),
 		jobs:  make(chan *kvbuf.SortBuffer, tr.inflight+1),
 		done:  make(chan struct{}),
 		tm:    tm,
 		wctrs: mapreduce.NewCounters(),
 	}
-	sp.ring.SetPrefixFunc(tr.prefix)
 	go sp.worker()
 	return sp
 }
@@ -255,7 +254,7 @@ func (tr *TaskRunner) mergePartition(runs []mapRun, p int) (*kvbuf.Segment, erro
 		}
 		parts[i] = d
 	}
-	merged, _, err := kvbuf.MergeAll(tr.cmp, tr.prefix, parts, tr.factor, 0)
+	merged, _, err := kvbuf.MergeAll(tr.order, parts, tr.factor, 0)
 	if err != nil {
 		return nil, err
 	}

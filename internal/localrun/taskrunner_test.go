@@ -10,6 +10,7 @@ import (
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
+	"mrmicro/internal/writable"
 )
 
 // knobs is every field newTaskRunner resolves from the conf and Options.
@@ -126,8 +127,13 @@ func TestTaskRunnerResolvesConf(t *testing.T) {
 		if got := knobsOf(tr); got != tc.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
 		}
-		if tr.NumMaps() != 2 || tr.NumReduces() != 3 || tr.cmp == nil || tr.prefix == nil || tr.plan != tc.opts.Faults {
+		if tr.NumMaps() != 2 || tr.NumReduces() != 3 || tr.order.Cmp == nil || tr.plan != tc.opts.Faults {
 			t.Errorf("%s: job-scoped state not resolved: %d maps, %d reduces, plan %v", tc.name, tr.NumMaps(), tr.NumReduces(), tr.plan)
+		}
+		// The job's keys are Text: a runner left with the comparator-only
+		// order would give every key the prefix 0.
+		if p := tr.order.Prefix(writable.Marshal(writable.NewText("a"))); p == 0 {
+			t.Errorf("%s: the Text key \"a\" has prefix 0; the runner did not resolve the key type's prefix extractor", tc.name)
 		}
 		if tr.Compressed() != (tc.want.codec != nil) {
 			t.Errorf("%s: Compressed() = %v with codec %v", tc.name, tr.Compressed(), tc.want.codec)

@@ -245,13 +245,13 @@ type fixedSplits struct {
 
 func (f *fixedSplits) Splits(*Conf) ([]InputSplit, error) { return f.splits, nil }
 
-// BenchmarkSampleSplitPoints samples hs-pipeline's shape: 100 000 random
-// 10-character Text keys over four splits, cut for four reduces.
-func BenchmarkSampleSplitPoints(b *testing.B) {
+// hsKeyInput is hs-pipeline's key shape: n random 10-character Text keys
+// over four splits.
+func hsKeyInput(n int) (*fixedSplits, *Conf) {
 	const alphabet = "+/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 	rng := rand.New(rand.NewSource(1))
 	in := &SliceInput{}
-	for i := 0; i < 100000; i++ {
+	for i := 0; i < n; i++ {
 		k := make([]byte, 10)
 		for j := range k {
 			k[j] = alphabet[rng.Intn(len(alphabet))]
@@ -260,12 +260,59 @@ func BenchmarkSampleSplitPoints(b *testing.B) {
 	}
 	conf := NewConf().SetInt(ConfNumMaps, 4)
 	splits, _ := in.Splits(conf)
-	fixed := &fixedSplits{SliceInput: in, splits: splits}
+	return &fixedSplits{SliceInput: in, splits: splits}, conf
+}
+
+// BenchmarkSampleSplitPoints samples hs-pipeline's shape: 100 000 random
+// 10-character Text keys over four splits, cut for four reduces.
+func BenchmarkSampleSplitPoints(b *testing.B) {
+	fixed, conf := hsKeyInput(100000)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := SampleSplitPoints(fixed, conf, "Text", 4, 100000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// hsPartitioner cuts hs-pipeline's keys for 16 reduces: the search every
+// HSSort map record runs, against 15 cut points.
+func hsPartitioner(tb testing.TB) (*TotalOrderPartitioner, []Pair) {
+	in, conf := hsKeyInput(10000)
+	cuts, err := SampleSplitPoints(in, conf, "Text", 16, 10000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := NewTotalOrderPartitioner("Text", cuts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, in.Pairs
+}
+
+// BenchmarkTotalOrderPartition routes one HS key per op.
+func BenchmarkTotalOrderPartition(b *testing.B) {
+	p, pairs := hsPartitioner(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		p.Partition(pairs[i].Key, nil, 16)
+		if i++; i == len(pairs) {
+			i = 0
+		}
+	}
+}
+
+// TestTotalOrderPartitionAllocatesNothing guards the per-record search:
+// Partition reuses its encoding buffer and allocates nothing.
+func TestTotalOrderPartitionAllocatesNothing(t *testing.T) {
+	p, pairs := hsPartitioner(t)
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		p.Partition(pairs[i%len(pairs)].Key, nil, 16)
+		i++
+	}); avg != 0 {
+		t.Errorf("Partition allocates %.2f times per key, want 0", avg)
 	}
 }
 

@@ -77,7 +77,7 @@ func vlongPrefix(key []byte) uint64 {
 
 // PrefixExtractor returns the order-preserving prefix extractor for a
 // registered type, or ok=false when the type's comparator cannot be
-// accelerated this way (callers then sort with the full comparator only).
+// accelerated this way (Order then orders it by comparator alone).
 func PrefixExtractor(name string) (PrefixFunc, bool) {
 	f, ok := prefixExtractors[name]
 	return f, ok
