@@ -180,6 +180,9 @@ func runDist(cfg microbench.Config, opts *distrun.Options) {
 	fmt.Printf("worker processes    %d\n", opts.Workers)
 	fmt.Printf("wall time           %v\n", res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("job digest          %016x\n", res.JobDigest)
+	u := res.Workers
+	fmt.Printf("worker usage        user %v  sys %v  minor faults %d  max rss %.1f MiB\n",
+		u.UserCPU.Round(time.Millisecond), u.SysCPU.Round(time.Millisecond), u.MinorFaults, float64(u.MaxRSSBytes)/(1<<20))
 	if res.RequeuedMaps > 0 || res.SpeculativeWins > 0 || res.RecoveredMaps > 0 || res.RecoveredReduces > 0 {
 		fmt.Print(metrics.RenderKV("recovery:", []metrics.KV{
 			{Key: "maps re-queued (lost output)", Value: int64(res.RequeuedMaps)},

@@ -2,7 +2,8 @@
 // coordinator (mrcoord, or an `mrbench -engine=dist` run), serves its map
 // outputs from a local shuffle server, and executes task attempts until the
 // coordinator dismisses it. The job definition arrives from the coordinator
-// at registration — mrworker takes no benchmark flags of its own.
+// at registration — mrworker takes no benchmark flags of its own, only
+// -cpuprofile / -memprofile, which profile it until it is dismissed.
 //
 // Example:
 //
@@ -14,10 +15,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"mrmicro/internal/cliutil"
 	"mrmicro/internal/distrun"
 )
 
@@ -27,11 +30,17 @@ func main() {
 		index = flag.Int("index", 0, "worker slot index (stable across restarts of the same slot)")
 		epoch = flag.Int("epoch", 0, "process incarnation of this slot (bump when restarting after a crash)")
 	)
+	prof := cliutil.BindProfileFlags(flag.CommandLine)
 	flag.Parse()
 	if *coord == "" {
 		fatal(fmt.Errorf("-coord is required"))
 	}
-	if err := distrun.RunWorker(*coord, *index, *epoch); err != nil {
+	stopProf, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	// Arguments run left to right: the profile stops once the worker returns.
+	if err := errors.Join(distrun.RunWorker(*coord, *index, *epoch), stopProf()); err != nil {
 		fatal(err)
 	}
 }

@@ -127,6 +127,9 @@ type Result struct {
 	RecoveredReduces int
 	RequeuedMaps     int
 	SpeculativeWins  int
+
+	// Workers sums what the worker processes reaped before Run returned cost.
+	Workers WorkerUsage
 }
 
 // attemptRef is one running task attempt.

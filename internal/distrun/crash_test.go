@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,24 @@ func TestCleanRunMatchesOracle(t *testing.T) {
 	assertMatchesOracle(t, cfg, res)
 	if res.RequeuedMaps != 0 || res.SpeculativeWins != 0 {
 		t.Errorf("clean run reported recovery: requeued=%d specWins=%d", res.RequeuedMaps, res.SpeculativeWins)
+	}
+}
+
+// TestWorkerUsageReported: on Linux a run reports what its worker processes
+// cost. The kernel splits CPU time between user and system by tick samples,
+// so the job is big enough for the workers to be caught in user mode.
+func TestWorkerUsageReported(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("worker usage is read from Linux rusage")
+	}
+	cfg := testConfig()
+	cfg.PairsPerMap = 60000
+	res, err := Run(cfg, &Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if u := res.Workers; u.UserCPU <= 0 || u.MinorFaults <= 0 || u.MaxRSSBytes <= 0 {
+		t.Errorf("worker usage %+v, want user CPU, minor faults and max RSS above zero", u)
 	}
 }
 

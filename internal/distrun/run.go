@@ -32,5 +32,6 @@ func Run(cfg microbench.Config, opts *Options) (*Result, error) {
 	// Let workers pick up the exit directive so they shut down cleanly; the
 	// deferred Close reaps any that don't make it in time.
 	pool.WaitIdle(2 * time.Second)
+	res.Workers = pool.Usage()
 	return res, nil
 }

@@ -26,6 +26,15 @@ type WorkerPool struct {
 	closed bool
 	live   int
 	idle   chan struct{} // closed when the last worker slot ends
+	usage  WorkerUsage   // of every process reaped so far
+}
+
+// WorkerUsage is what worker processes cost the host, from the kernel's
+// accounting of each reaped process (Linux; zero elsewhere).
+type WorkerUsage struct {
+	UserCPU, SysCPU time.Duration
+	MinorFaults     int64
+	MaxRSSBytes     int64 // the largest any one process reached
 }
 
 // StartWorkers spawns n workers pointed at coordAddr.
@@ -78,6 +87,9 @@ func (p *WorkerPool) spawn(index, epoch int) error {
 func (p *WorkerPool) reap(index, epoch int, cmd *exec.Cmd) {
 	err := cmd.Wait()
 	p.mu.Lock()
+	if cmd.ProcessState != nil {
+		p.usage.add(cmd.ProcessState)
+	}
 	if p.procs[index] == cmd {
 		delete(p.procs, index)
 	}
@@ -135,6 +147,13 @@ func (p *WorkerPool) Epoch(index int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.epochs[index]
+}
+
+// Usage returns the summed usage of the worker processes reaped so far.
+func (p *WorkerPool) Usage() WorkerUsage {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.usage
 }
 
 // WaitIdle blocks until every worker slot has ended (all workers exited

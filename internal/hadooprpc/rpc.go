@@ -16,6 +16,7 @@
 package hadooprpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -231,12 +232,7 @@ func (c *Client) Call(method string, result writable.Writable, params ...writabl
 	for _, p := range params {
 		p.Write(enc)
 	}
-	var req []byte
-	req = binary.BigEndian.AppendUint32(req, uint32(id))
-	req = appendUTF(req, method)
-	req = binary.BigEndian.AppendUint32(req, uint32(enc.Len()))
-	req = append(req, enc.Bytes()...)
-	if _, err := c.conn.Write(req); err != nil {
+	if _, err := c.conn.Write(appendCall(nil, id, method, enc.Bytes())); err != nil {
 		return fmt.Errorf("hadooprpc: write: %w", err)
 	}
 
@@ -299,6 +295,40 @@ func readUTF(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// appendCall frames one call as readCall parses it.
+func appendCall(b []byte, id int32, method string, params []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(id))
+	b = appendUTF(b, method)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(params)))
+	return append(b, params...)
+}
+
+// payloadStep bounds allocation ahead of arrived bytes, above 64 KiB bulk payloads.
+const payloadStep = 256 << 10
+
+// readPayload reads a frame's n-byte payload: one exact buffer up to
+// payloadStep, else steps joined once all arrived, so a frame that declares
+// more than it carries costs what it carried, not what it declared.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= payloadStep {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	var steps [][]byte
+	for got := 0; got < n; got += payloadStep {
+		step := make([]byte, min(payloadStep, n-got))
+		if _, err := io.ReadFull(r, step); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		steps = append(steps, step)
+	}
+	return bytes.Join(steps, nil), nil
+}
+
 func readCall(r io.Reader) (id int32, method string, params []byte, err error) {
 	var idBuf [4]byte
 	if _, err = io.ReadFull(r, idBuf[:]); err != nil {
@@ -317,8 +347,7 @@ func readCall(r io.Reader) (id int32, method string, params []byte, err error) {
 		err = fmt.Errorf("hadooprpc: %d-byte params exceed limit", n)
 		return
 	}
-	params = make([]byte, n)
-	_, err = io.ReadFull(r, params)
+	params, err = readPayload(r, int(n))
 	return
 }
 
@@ -344,7 +373,6 @@ func readResponse(r io.Reader) (id int32, status byte, payload []byte, err error
 		err = fmt.Errorf("hadooprpc: %d-byte response exceeds limit", n)
 		return
 	}
-	payload = make([]byte, n)
-	_, err = io.ReadFull(r, payload)
+	payload, err = readPayload(r, int(n))
 	return
 }

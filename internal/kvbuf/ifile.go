@@ -54,7 +54,7 @@ func NewWriter(capacity int) *Writer {
 }
 
 // pooledBuf returns an empty buffer with at least the given capacity,
-// recycled from the segment pool when possible.
+// recycled from the segment pool when possible, else fresh from makeBuf.
 func pooledBuf(capacity int) []byte {
 	pool := bufClass(capacity)
 	if bp, _ := pool.Get().(*[]byte); bp != nil {
@@ -63,7 +63,7 @@ func pooledBuf(capacity int) []byte {
 		}
 		pool.Put(bp) // same class but shorter: leave it for a caller it fits
 	}
-	return make([]byte, 0, capacity)
+	return makeBuf(capacity)
 }
 
 // GrabBuf returns a length-n buffer drawn from the segment pool, for
