@@ -39,18 +39,24 @@ const maxCodecNameLen = 32
 
 // CompressSegmentWith returns a compressed copy of s in the compressed wire
 // format. The result draws its buffer from the segment pool, so Recycle
-// applies; s itself is untouched.
+// applies; s itself is untouched. A segment of several ranges is gathered
+// into one pooled buffer first.
 func CompressSegmentWith(s *Segment, c Codec) *Segment {
 	if s.compressed {
 		panic("kvbuf: CompressSegmentWith on already-compressed segment")
 	}
+	raw := s.data
+	if len(s.rest) > 0 {
+		raw = s.gather(pooledBuf(s.Len()))
+		defer recycleBuf(raw)
+	}
 	name := c.Name()
-	out := writable.NewDataOutputOn(pooledBuf(len(name) + 24 + len(s.data)/2))
+	out := writable.NewDataOutputOn(pooledBuf(len(name) + 24 + len(raw)/2))
 	out.WriteVInt(int32(len(name)))
 	out.Write([]byte(name))
-	out.WriteVLong(int64(len(s.data)))
+	out.WriteVLong(int64(len(raw)))
 	out.WriteVLong(int64(s.records))
-	buf := c.Compress(out.Bytes(), s.data)
+	buf := c.Compress(out.Bytes(), raw)
 	return &Segment{data: buf, records: s.records, compressed: true}
 }
 

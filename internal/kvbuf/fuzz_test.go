@@ -305,9 +305,8 @@ type spillKey struct {
 }
 
 // spillOrderInput encodes a FuzzSpillOrder input: the partition count, the
-// mode (key type in the low two bits, bit 2 varies each key's last payload
-// byte per pass over the templates), the record count, then the templates
-// the records cycle through.
+// mode (key type in the low two bits, then the flag bits below), the record
+// count, then the templates the records cycle through.
 func spillOrderInput(partitions int, mode byte, n int, keys ...spillKey) []byte {
 	out := []byte{byte(partitions - 1), mode, byte(n >> 8), byte(n)}
 	for _, k := range keys {
@@ -317,13 +316,27 @@ func spillOrderInput(partitions int, mode byte, n int, keys ...spillKey) []byte 
 	return out
 }
 
-// Spill-order modes: the key type, plus the vary bit.
+// Spill-order modes: the key type, plus flag bits.
 const (
 	spillText        = 0
 	spillBytes       = 1
 	spillNoExtractor = 2 // raw keys under a reversed bytewise comparator
-	spillVary        = 4
+	spillVary        = 4 // vary each key's last payload byte per pass over the templates
+	// Pad keys and values to lengths on either side of the 1-, 2- and
+	// 3-byte vint boundaries, changing from record to record (at most
+	// spillWideRecords records): headers whose size differs from the
+	// previous record's, and values larger than a chain's first chunk.
+	spillWide = 8
+	spillHuge = 16 // the middle record's value is larger than any chunk
 )
+
+// Record lengths the wide mode cycles through, and its record bound.
+var (
+	spillKeyWidths = []int{0, 127, 128, 255, 256, 300}
+	spillValWidths = []int{0, 1, 127, 128, 255, 256, 65535, 65536}
+)
+
+const spillWideRecords = 128
 
 // spillOrderSeeds aims each seed at one radix-sort boundary: equal
 // prefixes, prefixes that differ only in their first or only in their last
@@ -352,8 +365,25 @@ func spillOrderSeeds() [][]byte {
 	for _, size := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1} {
 		seeds = append(seeds, spillOrderInput(1, spillText|spillVary, 2*size, spillKey{0, "a000"}, spillKey{0, "b000"}))
 	}
-	return seeds
+	return append(seeds,
+		// Chained, framed layout: one key per partition keeps arrival order,
+		// so each chain of several chunks is handed over (spillSeedHandover).
+		spillOrderInput(2, spillBytes, 8191, spillKey{0, "one-key-for-the-lot"}, spillKey{1, "another-single-key"}),
+		// Lengths crossing vint boundaries record to record, values past the
+		// first chunk, one partition in order and one not.
+		spillOrderInput(2, spillBytes|spillWide, spillWideRecords, spillKey{0, "same"}, spillKey{1, "b"}, spillKey{1, "a"}),
+		spillOrderInput(3, spillText|spillWide|spillVary, 100, spillKey{0, "x"}, spillKey{1, "y"}, spillKey{2, "zz"}),
+		// A record larger than any chunk, in an ordered and in a sorted partition.
+		spillOrderInput(2, spillBytes|spillWide|spillHuge, 40, spillKey{0, "k"}, spillKey{1, "m"}, spillKey{1, "l"}),
+	)
 }
+
+// Seeds whose spill path TestSpillOrderSeedPaths pins: the handover of a
+// chain of several chunks, and the copy of a partition out of arrival order.
+const (
+	spillSeedHandover = 13
+	spillSeedCopied   = 1
+)
 
 // decodeSpillOrder turns a FuzzSpillOrder input into a comparator, an
 // extractor (nil for none) and a record stream. Values carry the record's
@@ -390,6 +420,9 @@ func decodeSpillOrder(data []byte) (cmp writable.RawComparator, pf writable.Pref
 	default:
 		cmp = func(a, b []byte) int { return bytes.Compare(b, a) }
 	}
+	if mode&spillWide != 0 {
+		n = min(n, spillWideRecords)
+	}
 	recs = make([]spillRec, n)
 	for i := range recs {
 		k := keys[i%len(keys)]
@@ -397,9 +430,39 @@ func decodeSpillOrder(data []byte) (cmp writable.RawComparator, pf writable.Pref
 		if mode&spillVary != 0 && len(p) > 0 {
 			p[len(p)-1] ^= byte(i / len(keys))
 		}
-		recs[i] = spillRec{part: int(k.part) % partitions, key: encode(p), val: binary.BigEndian.AppendUint32(nil, uint32(i))}
+		val := binary.BigEndian.AppendUint32(nil, uint32(i))
+		if mode&spillWide != 0 {
+			p = append(p, make([]byte, max(0, spillKeyWidths[i%len(spillKeyWidths)]-len(p)))...)
+			val = append(val, make([]byte, spillValWidths[i/2%len(spillValWidths)])...)
+		}
+		if mode&spillHuge != 0 && i == n/2 {
+			val = append(val, make([]byte, maxChunkBytes)...)
+		}
+		recs[i] = spillRec{part: int(k.part) % partitions, key: encode(p), val: val}
 	}
 	return cmp, pf, partitions, recs, true
+}
+
+// spillRecs buffers recs, odd ones through Reserve/Commit and even ones
+// through Add, in a buffer they fill exactly, and spills them.
+func spillRecs(t *testing.T, cmp writable.RawComparator, pf writable.PrefixFunc, partitions int, recs []spillRec) []*Segment {
+	t.Helper()
+	capacity := 1
+	for _, r := range recs {
+		capacity += len(r.key) + len(r.val) + MetaBytesPerRecord
+	}
+	buf := NewSortBuffer(capacity, partitions, cmp)
+	defer buf.Release()
+	if pf != nil {
+		buf.SetPrefixFunc(pf)
+	}
+	for i, r := range recs {
+		if ok, err := put(buf, i%2 == 1, r); err != nil || !ok {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	segs, _ := buf.Spill()
+	return segs
 }
 
 func mustPrefix(name string) writable.PrefixFunc {
@@ -414,7 +477,9 @@ func mustPrefix(name string) writable.PrefixFunc {
 // with the full comparator and nothing else — for fuzzed record streams of
 // Text keys, BytesWritable keys and keys under a comparator alone (a buffer
 // never given a prefix func sorts by writable.ByComparator), spilling at
-// GOMAXPROCS 1 and 2. The committed seeds run under plain `go test`.
+// GOMAXPROCS 1 and 2. Each partition's bytes are gathered across its
+// ranges, so a handed-over chain and a copied segment are held to the same
+// bytes. The committed seeds run under plain `go test`.
 func FuzzSpillOrder(f *testing.F) {
 	for _, seed := range spillOrderSeeds() {
 		f.Add(seed)
@@ -428,17 +493,7 @@ func FuzzSpillOrder(f *testing.F) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
-			buf := NewSortBuffer(4<<20, partitions, cmp)
-			if pf != nil {
-				buf.SetPrefixFunc(pf)
-			}
-			for _, r := range recs {
-				if ok, err := buf.Add(r.part, r.key, r.val); err != nil || !ok {
-					t.Fatalf("Add: ok=%v err=%v", ok, err)
-				}
-			}
-			segs, _ := buf.Spill()
-			buf.Release()
+			segs := spillRecs(t, cmp, pf, partitions, recs)
 			for p := range want {
 				if !bytes.Equal(segs[p].Bytes(), want[p]) {
 					t.Fatalf("GOMAXPROCS %d, %d records: partition %d differs from the naive stable sort", procs, len(recs), p)
@@ -446,4 +501,26 @@ func FuzzSpillOrder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSpillOrderSeedPaths pins which path each of two seeds takes: a
+// partition whose records keep arrival order is its chain, handed over as a
+// segment of several ranges, and one the sort reorders is copied into a
+// segment of exactly one.
+func TestSpillOrderSeedPaths(t *testing.T) {
+	seeds := spillOrderSeeds()
+	for _, tc := range []struct {
+		seed      int
+		handedOff bool
+	}{{spillSeedHandover, true}, {spillSeedCopied, false}} {
+		cmp, pf, partitions, recs, _ := decodeSpillOrder(seeds[tc.seed])
+		for p, seg := range spillRecs(t, cmp, pf, partitions, recs) {
+			if seg.Records() == 0 {
+				continue
+			}
+			if ranges := len(seg.AppendRanges(nil)); (ranges > 1) != tc.handedOff || ranges == 0 {
+				t.Errorf("seed %d partition %d: %d ranges, want handed over = %v", tc.seed, p, ranges, tc.handedOff)
+			}
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"net"
 	"sync"
 
 	"mrmicro/internal/writable"
@@ -92,6 +93,15 @@ func (w *Writer) Append(key, val []byte) {
 	}
 }
 
+// appendFramed adds one record already framed as an IFile record.
+func (w *Writer) appendFramed(rec []byte) {
+	w.out.Write(rec)
+	w.records++
+	if w.out.Len()-w.summed >= shuffleCRCChunk {
+		w.fold()
+	}
+}
+
 func (w *Writer) fold() {
 	w.crc = UpdateCRC(w.crc, w.out.Bytes()[w.summed:])
 	w.summed = w.out.Len()
@@ -135,6 +145,9 @@ func UpdateCRC(crc uint32, p []byte) uint32 {
 // Segment is one finished sorted run of records (a spill partition, a merge
 // output, or a shuffled map output).
 //
+// Its stream is a list of byte ranges: one, except for a chain SortBuffer.Spill
+// handed over, whose chunks are the ranges; no record straddles two.
+//
 // One checksum per side of the wire: a segment remembers that its CRC trailer
 // has been proven against these very bytes, and a Reader skips its
 // end-of-stream re-scan for such a segment. Only code in this package that
@@ -143,9 +156,10 @@ func UpdateCRC(crc uint32, p []byte) uint32 {
 // Verify. Bytes of unproven origin (SegmentFromBytes, Decompress, anything
 // read back from a file) are checked when read, as ever.
 type Segment struct {
-	data       []byte
+	data       []byte   // the stream, or its first range
+	rest       [][]byte // the ranges after data, in order
 	records    int
-	verified   bool // the trailer is known to match data
+	verified   bool // the trailer is known to match the stream
 	compressed bool
 }
 
@@ -199,16 +213,49 @@ func trailerCRC(data []byte) uint32 {
 	return uint32(t[0])<<24 | uint32(t[1])<<16 | uint32(t[2])<<8 | uint32(t[3])
 }
 
-// Bytes returns the raw IFile stream including trailer.
-func (s *Segment) Bytes() []byte { return s.data }
+// Bytes returns the raw IFile stream including trailer: the segment's
+// buffer when it is one range, its ranges gathered into a new one when not.
+func (s *Segment) Bytes() []byte {
+	if len(s.rest) == 0 {
+		return s.data
+	}
+	return s.gather(make([]byte, 0, s.Len()))
+}
+
+// gather appends the segment's ranges to dst.
+func (s *Segment) gather(dst []byte) []byte {
+	dst = append(dst, s.data...)
+	for _, r := range s.rest {
+		dst = append(dst, r...)
+	}
+	return dst
+}
+
+// AppendRanges appends the segment's byte ranges, in stream order, to dst:
+// a gather list for one writev.
+func (s *Segment) AppendRanges(dst [][]byte) [][]byte {
+	return append(append(dst, s.data), s.rest...)
+}
+
+// WriteTo writes the segment's stream to w, range by range.
+func (s *Segment) WriteTo(w io.Writer) (int64, error) {
+	bufs := net.Buffers(s.AppendRanges(nil))
+	return bufs.WriteTo(w)
+}
 
 // Len returns the segment's size in bytes.
-func (s *Segment) Len() int { return len(s.data) }
+func (s *Segment) Len() int {
+	n := len(s.data)
+	for _, r := range s.rest {
+		n += len(r)
+	}
+	return n
+}
 
 // Records returns the record count, or -1 when unknown (adopted segments).
 func (s *Segment) Records() int { return s.records }
 
-// Recycle returns the segment's backing buffer to the writer pool and
+// Recycle returns the segment's backing buffers to the writer pool and
 // clears the segment. Call it only when nothing can reference the segment
 // or views into its bytes anymore — e.g. a spill run after its bytes were
 // merged into the final map output. Using the segment (or byte slices read
@@ -218,7 +265,10 @@ func (s *Segment) Recycle() {
 		return
 	}
 	recycleBuf(s.data)
-	s.data = nil
+	for _, r := range s.rest {
+		recycleBuf(r)
+	}
+	s.data, s.rest = nil, nil
 	s.records = 0
 	s.verified = false
 	s.compressed = false
@@ -230,14 +280,16 @@ func (s *Segment) NewReader() *Reader {
 	if s.compressed {
 		panic("kvbuf: NewReader on compressed segment; call Decompress first")
 	}
-	return &Reader{data: s.data, verified: s.verified}
+	return &Reader{data: s.data, rest: s.rest, verified: s.verified}
 }
 
 // Reader iterates an IFile segment. At EOF it consumes the CRC trailer and,
 // unless the segment was already proven against it, verifies it.
 type Reader struct {
-	data     []byte
-	off      int // read position in data
+	data     []byte   // the range being read
+	rest     [][]byte // the ranges after it
+	crc      uint32   // checksum of the ranges before data, when not proven
+	off      int      // read position in data
 	verified bool
 	records  int
 	done     bool
@@ -266,6 +318,13 @@ func (r *Reader) Next() (key, val []byte, ok bool, err error) {
 func (r *Reader) next() (key, val []byte, ok bool, err error) {
 	if r.done {
 		return nil, nil, false, nil
+	}
+	if r.off == len(r.data) && len(r.rest) > 0 {
+		if !r.verified {
+			r.crc = UpdateCRC(r.crc, r.data)
+		}
+		r.data, r.rest, r.off = r.rest[0], r.rest[1:], 0
+		return r.Next()
 	}
 	in := writable.NewDataInput(r.data[r.off:])
 	defer func() { r.off += in.Offset() }()
@@ -312,10 +371,10 @@ func (r *Reader) verify(in *writable.DataInput) error {
 	if err != nil {
 		return fmt.Errorf("kvbuf: missing checksum: %w", err)
 	}
-	if r.verified && in.Remaining() == 0 {
+	if r.verified && in.Remaining() == 0 && len(r.rest) == 0 {
 		return nil // the proven trailer is the one just consumed, over this very body
 	}
-	if got := int32(UpdateCRC(0, body)); got != want {
+	if got := int32(UpdateCRC(r.crc, body)); got != want {
 		return fmt.Errorf("kvbuf: checksum mismatch: %08x != %08x", uint32(got), uint32(want))
 	}
 	return nil
@@ -340,10 +399,11 @@ func (s *Segment) Verify() error {
 		d.Recycle()
 		return err
 	}
-	if len(s.data) < 4 {
-		return fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", ErrCorruptSegment, len(s.data))
+	data := s.Bytes()
+	if len(data) < 4 {
+		return fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", ErrCorruptSegment, len(data))
 	}
-	if got, want := UpdateCRC(0, s.data[:len(s.data)-4]), trailerCRC(s.data); got != want {
+	if got, want := UpdateCRC(0, data[:len(data)-4]), trailerCRC(data); got != want {
 		return fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, got, want)
 	}
 	s.verified = true

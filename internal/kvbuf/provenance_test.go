@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mrmicro/internal/writable"
 )
 
 // drain reads a segment to its end, returning the records seen and the
@@ -76,6 +78,32 @@ func TestProvenanceIsSetOnlyByProof(t *testing.T) {
 		if n, err := drain(s); n != 2 || err != nil {
 			t.Errorf("clean segment read %d records, err %v", n, err)
 		}
+	}
+}
+
+// TestHandoverIsProven: a chain handed over by Spill had its trailer
+// computed over these very ranges, so it is marked like Writer.Close's
+// output; the mark is true of its bytes, and it reads clean.
+func TestHandoverIsProven(t *testing.T) {
+	cmp, _ := writable.Comparator("BytesWritable")
+	buf := NewSortBuffer(256<<10, 1, cmp)
+	defer buf.Release()
+	key, val := mkBytesWritable("one-key"), bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < 200; i++ {
+		if ok, err := buf.Add(0, key, val); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}
+	segs, _ := buf.Spill()
+	seg := segs[0]
+	if ranges := len(seg.AppendRanges(nil)); ranges < 2 || !seg.verified {
+		t.Fatalf("handed-over chain: %d ranges, marked %v; want several ranges, marked", ranges, seg.verified)
+	}
+	if err := SegmentFromBytes(seg.Bytes()).Verify(); err != nil {
+		t.Errorf("the handover's trailer does not hold for its bytes: %v", err)
+	}
+	if n, err := drain(seg); n != 200 || err != nil {
+		t.Errorf("handed-over chain read %d records, err %v", n, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package kvbuf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -12,46 +13,62 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// recordMeta locates one buffered record inside the slab, Hadoop's kvmeta
-// equivalent: the key starts at off in chunk and the value follows it.
+// recordMeta locates one buffered record: its key starts at off in chunk of
+// its partition's chain, right behind the record's IFile header, and the
+// value follows the key.
 type recordMeta struct {
 	partition      int32
 	chunk, off     int32
 	keyLen, valLen int32
 }
 
+// chain is one partition's share of the slab: chunks filled in arrival
+// order, chunks[open] the one records go to. Chunks past open are empty ones
+// kept from an earlier fill.
+type chain struct {
+	chunks [][]byte
+	open   int
+}
+
 // SortBuffer is the map-side collection buffer (io.sort.mb): records
-// accumulate in a byte slab with metadata entries; Spill sorts them by
-// (partition, key) using the key type's raw comparator and emits one IFile
-// segment per partition.
+// accumulate in per-partition chains of chunks with metadata entries; Spill
+// sorts them by (partition, key) using the key type's raw comparator and
+// emits one IFile segment per partition.
 //
-// The slab is a list of fixed-size chunks, so a byte lands once and is never
+// Every record is stored already framed as an IFile record (vint key length,
+// vint value length, key, value) in its partition's chain, so a chain is a
+// segment body wanting only its trailer. A byte lands once and is never
 // moved by growth: a record never straddles chunks (the tail of a chunk too
-// short for the next record stays unused) and one larger than a chunk gets a
-// chunk of its own. Records are serialised straight into the tail chunk
-// (Reserve/Commit; Add is the same two steps for bytes already serialised).
-// A buffer keeps its chunks across Spill and Reset, so a multi-spill map and
-// the buffer ring refill warm memory; only Release hands them back.
+// short for the next record stays unused, bar the room its trailer needs)
+// and one larger than a chunk gets a chunk of its own. Records are
+// serialised straight into the open chunk (Reserve/Commit; Add is the same
+// two steps for bytes already serialised). A chain's chunks grow from a
+// first size scaled to the buffer up to maxChunkBytes, so a small buffer's
+// few records buy few bytes and a long chain is huge-page backed.
 //
 // The spill path is the map side's hottest loop, so it avoids the obvious
 // costs: records are grouped by partition with a stable counting pass (no
 // partition comparisons at all), each partition is sorted as compact
 // (prefix, index) entries on integers alone with the key bytes consulted
 // only to resolve equal-prefix runs (see spillPartition), partitions sort
-// and serialize in parallel when the record count warrants it, and every
-// per-partition IFile writer is sized from the exact bytes observed at
-// Commit time so segment buffers never regrow. Chunks and metadata arrays
-// are recycled across SortBuffer instances via Release().
+// and serialize in parallel when the record count warrants it, and a
+// partition whose sort keeps arrival order becomes its segment without a
+// copy: the chain is handed over. Any other partition is copied once into
+// a segment sized from the exact bytes observed at Commit time. Chunks come
+// from and go back to the segment pool; metadata arrays are recycled across
+// SortBuffer instances via Release().
 type SortBuffer struct {
 	order      writable.KeyOrder
 	partitions int
 	capacity   int
 
-	chunks  [][]byte            // the slab; len(chunk) is its fill, chunks past tail are empty
-	tail    int                 // chunk being filled
+	chains  []chain             // one per partition
+	chunk0  int                 // a chain's first chunk size (firstChunkBytes)
 	payload int                 // record bytes buffered, what Used charges beside the metadata
 	lastLen int                 // size of the last committed record: Reserve's guess at the next
-	out     writable.DataOutput // the open reservation, positioned at the tail chunk's free space
+	lastHdr int                 // its IFile header size: the room Reserve leaves for the next one's
+	resPart int                 // partition of the open reservation
+	out     writable.DataOutput // the open reservation, positioned behind its header's room
 
 	meta     []recordMeta
 	prefixes []uint64 // parallel to meta: each key's order.Prefix
@@ -73,32 +90,83 @@ const parallelSpillRecords = 4096
 // 4-byte CRC32 trailer.
 const segmentTrailerBytes = 6
 
-// slabChunkBytes is the size of one slab chunk: large enough that the unused
-// tail of a chunk and the per-chunk bookkeeping vanish against the records,
-// small enough that a buffer's first records do not wait for megabytes of
-// fresh pages to be zeroed.
-const slabChunkBytes = 1 << 20
+// Chunks double from minChunkBytes up to maxChunkBytes: one transparent huge
+// page, which makeBuf backs with a huge page, and 64 KiB of small pages past
+// it. The margin holds the IFile headers of a partition whose records fill a
+// whole number of huge pages, as fixed-size records dealt evenly do: without
+// it such a chain ends in a chunk of a few KiB of headers and a huge page of
+// slack.
+const (
+	minChunkBytes = 64 << 10
+	maxChunkBytes = 2<<20 + 64<<10
+)
 
-// chunkPool is the one free list slab chunks come from and Release returns
-// them to. Every pooled chunk has exactly slabChunkBytes of capacity.
-var chunkPool sync.Pool // of *[slabChunkBytes]byte
-
-// newChunk returns an empty chunk with room for n bytes: a pooled
-// fixed-size one, or an exactly-sized one for a record larger than that.
-func newChunk(n int) []byte {
-	if n > slabChunkBytes {
-		return make([]byte, 0, n)
-	}
-	if c, _ := chunkPool.Get().(*[slabChunkBytes]byte); c != nil {
-		return c[:0]
-	}
-	return make([]byte, 0, slabChunkBytes)
+// firstChunkBytes sizes a chain's first chunk: a quarter of the buffer's
+// share per partition, rounded down to a power of two, within the chunk
+// bounds. Each chunk after it doubles, so a partition's open chunk is never
+// larger than what it already holds plus the first, and the open chunks
+// together stay well under io.sort.mb.
+func firstChunkBytes(capacity, partitions int) int {
+	share := max(capacity/(4*partitions), 1)
+	return min(max(1<<(bits.Len(uint(share))-1), minChunkBytes), maxChunkBytes)
 }
 
-func freeChunk(c []byte) {
-	if cap(c) == slabChunkBytes {
-		chunkPool.Put((*[slabChunkBytes]byte)(c[:slabChunkBytes]))
+// tailFor returns the open chunk once it has room for an n-byte framed
+// record and the trailer that may follow it, moving on to the next chunk
+// when it has not; the k-th chunk opened holds chunk0<<k bytes, at most
+// maxChunkBytes. An empty chunk too small for the record stays for later
+// records behind a new one that fits.
+func (c *chain) tailFor(n, chunk0 int) []byte {
+	need := n + segmentTrailerBytes
+	for {
+		if c.open < len(c.chunks) {
+			ch := c.chunks[c.open]
+			if need <= cap(ch)-len(ch) {
+				return ch
+			}
+			if len(ch) > 0 {
+				c.open++
+				continue
+			}
+		}
+		size := min(chunk0<<min(c.open, 6), maxChunkBytes) // six doublings take minChunkBytes past the cap
+		c.chunks = slices.Insert(c.chunks, c.open, pooledBuf(max(size, need)))
 	}
+}
+
+// chainSum folds a chain's checksum while the spill reads its records in
+// chain order, a shuffleCRCChunk at a time, so the fold finds the bytes the
+// key checks just pulled into cache instead of reading the chain again.
+type chainSum struct {
+	crc    uint32
+	k, off int // folded so far: the chunks before k, and chunk k up to off
+}
+
+// to folds the chain up to offset end of chunk k, once a step has gathered.
+func (s *chainSum) to(chunks [][]byte, k, end int) {
+	for ; s.k < k; s.k, s.off = s.k+1, 0 {
+		s.crc = UpdateCRC(s.crc, chunks[s.k][s.off:])
+	}
+	if end-s.off >= shuffleCRCChunk {
+		s.crc = UpdateCRC(s.crc, chunks[k][s.off:end])
+		s.off = end
+	}
+}
+
+// handOver seals the chain as a segment of its records in arrival order and
+// empties the chain: the chunks up to the open one become the segment's
+// ranges, and the trailer goes into the open chunk, where tailFor always
+// leaves room for it. sum is the checksum folded so far; the fold is
+// finished here, so the chain is checksummed once.
+func (c *chain) handOver(records int, sum chainSum) *Segment {
+	ranges := c.chunks[: c.open+1 : c.open+1]
+	c.chunks, c.open = slices.Clone(c.chunks[c.open+1:]), 0
+	last := &ranges[len(ranges)-1]
+	*last = append(*last, 0xff, 0xff) // EOFMarker twice, as one-byte vints
+	sum.to(ranges, len(ranges)-1, 0)
+	crc := UpdateCRC(sum.crc, (*last)[sum.off:])
+	*last = binary.BigEndian.AppendUint32(*last, crc)
+	return &Segment{data: ranges[0], rest: ranges[1:], records: records, verified: true}
 }
 
 // Pools recycling the per-buffer metadata arrays across SortBuffer instances
@@ -130,6 +198,8 @@ func NewSortBuffer(capacityBytes, partitions int, cmp writable.RawComparator) *S
 		order:      writable.ByComparator(cmp),
 		partitions: partitions,
 		capacity:   capacityBytes,
+		chains:     make([]chain, partitions),
+		chunk0:     firstChunkBytes(capacityBytes, partitions),
 		meta:       (*metaPool.Get().(*[]recordMeta))[:0],
 		prefixes:   (*prefixPool.Get().(*[]uint64))[:0],
 		partRecs:   make([]int32, partitions),
@@ -155,10 +225,12 @@ func (b *SortBuffer) SetPrefixFunc(f writable.PrefixFunc) {
 // buffer must not be used afterwards. Segments returned by earlier Spills
 // stay valid: they own their bytes.
 func (b *SortBuffer) Release() {
-	for _, c := range b.chunks {
-		freeChunk(c)
+	for p := range b.chains {
+		for _, c := range b.chains[p].chunks {
+			recycleBuf(c)
+		}
+		b.chains[p] = chain{}
 	}
-	b.chunks = nil
 	if b.meta != nil {
 		m, p := b.meta[:0], b.prefixes[:0]
 		metaPool.Put(&m)
@@ -167,53 +239,49 @@ func (b *SortBuffer) Release() {
 	}
 }
 
-// tailFor returns the chunk an n-byte record goes to, moving the tail on when
-// the current chunk cannot hold it. Chunks past the tail are empty ones kept
-// from an earlier fill; one too small for the record is replaced.
-func (b *SortBuffer) tailFor(n int) []byte {
-	for {
-		if b.tail == len(b.chunks) {
-			b.chunks = append(b.chunks, newChunk(n))
-		}
-		c := b.chunks[b.tail]
-		switch {
-		case n <= cap(c)-len(c):
-			return c
-		case len(c) == 0:
-			freeChunk(c)
-			b.chunks[b.tail] = newChunk(n)
-		default:
-			b.tail++
-		}
+// headerLen is the size of an IFile record header: both lengths as vints.
+func headerLen(keyLen, valLen int) int {
+	if keyLen|valLen <= 127 { // two one-byte vints: lengths are never negative
+		return 2
 	}
+	return writable.VLongEncodedLen(int64(keyLen)) + writable.VLongEncodedLen(int64(valLen))
 }
 
-// reserve opens a reservation in a chunk with room for n bytes (at most a
-// chunk's worth: a larger record is written past the reservation and gets
-// its own chunk at Commit).
-func (b *SortBuffer) reserve(n int) *writable.DataOutput {
-	c := b.tailFor(min(n, slabChunkBytes))
-	b.out.ResetOn(c[len(c):])
+// reserve opens a reservation for a record of partition p behind hdr bytes
+// of room for its header, in a chunk with room for hdr+n bytes (at most a
+// chunk's worth: a larger one gets its own chunk at Commit). An out-of-range
+// p gets a reservation of its own, for Commit to refuse.
+func (b *SortBuffer) reserve(p, hdr, n int) *writable.DataOutput {
+	b.resPart = p
+	if p < 0 || p >= b.partitions {
+		b.out.ResetOn(nil)
+		return &b.out
+	}
+	c := b.chains[p].tailFor(min(hdr+n, maxChunkBytes), b.chunk0)
+	b.out.ResetOn(c[len(c)+hdr : len(c)+hdr])
 	return &b.out
 }
 
-// Reserve opens a reservation for one record: the caller writes the key and
-// then the value to the returned output, which appends straight into the
-// slab, and calls Commit. Nothing is buffered until Commit; a second Reserve
-// discards the first. The reservation sits where a record as long as the
-// previous one fits, so same-sized records never outgrow it; one that does
-// is moved to the next chunk at Commit.
-func (b *SortBuffer) Reserve() *writable.DataOutput { return b.reserve(b.lastLen) }
+// Reserve opens a reservation for one record of the given partition: the
+// caller writes the key and then the value to the returned output, which
+// appends straight into the partition's open chunk, and calls Commit.
+// Nothing is buffered until Commit; a second Reserve discards the first.
+// Room is left for a header and a record as long as the previous ones, so
+// same-sized records never move; any other is moved once, at Commit.
+func (b *SortBuffer) Reserve(partition int) *writable.DataOutput {
+	return b.reserve(partition, b.lastHdr, b.lastLen)
+}
 
 // Commit buffers the record written since Reserve, whose first keyLen bytes
-// are the key. It returns false when the record does not fit (the buffer is
-// unchanged; the caller must spill, then reserve and write the record
-// again); a single record larger than the whole buffer is an error.
-func (b *SortBuffer) Commit(partition, keyLen int) (bool, error) {
+// are the key, framing it with its IFile header. It returns false when the
+// record does not fit (the buffer is unchanged; the caller must spill, then
+// reserve and write the record again); a single record larger than the
+// whole buffer is an error.
+func (b *SortBuffer) Commit(keyLen int) (bool, error) {
 	rec := b.out.Bytes()
-	n := len(rec)
-	if partition < 0 || partition >= b.partitions {
-		return false, fmt.Errorf("kvbuf: partition %d out of range [0,%d)", partition, b.partitions)
+	n, p := len(rec), b.resPart
+	if p < 0 || p >= b.partitions {
+		return false, fmt.Errorf("kvbuf: partition %d out of range [0,%d)", p, b.partitions)
 	}
 	if keyLen < 0 || keyLen > n {
 		return false, fmt.Errorf("kvbuf: key length %d outside the %d-byte record", keyLen, n)
@@ -225,26 +293,35 @@ func (b *SortBuffer) Commit(partition, keyLen int) (bool, error) {
 	if b.Used()+sz > b.capacity {
 		return false, nil
 	}
-	c := b.tailFor(n)
+	hdr := headerLen(keyLen, n-keyLen)
+	ch := &b.chains[p]
+	c := ch.tailFor(hdr+n, b.chunk0)
 	off := len(c)
-	c = c[:off+n]
-	if n > 0 && &c[off] != &rec[0] {
-		// The record outgrew its reservation: the output moved to a grown
-		// copy, which is re-homed here, once per chunk at most.
-		copy(c[off:], rec)
+	c = c[:off+hdr+n]
+	if n > 0 && &c[off+hdr] != &rec[0] {
+		// The header's room was guessed wrong, or the record outgrew its
+		// reservation and the output moved to a grown copy: move it into
+		// place, once per record at most.
+		copy(c[off+hdr:], rec)
 	}
-	b.chunks[b.tail] = c
+	if hdr == 2 {
+		c[off], c[off+1] = byte(keyLen), byte(n-keyLen)
+	} else {
+		b.out.ResetOn(c[off:off])
+		b.out.WriteVInt(int32(keyLen))
+		b.out.WriteVInt(int32(n - keyLen))
+	}
+	ch.chunks[ch.open] = c
 	b.payload += n
-	b.lastLen = n
+	b.lastLen, b.lastHdr = n, hdr
 	b.meta = append(b.meta, recordMeta{
-		partition: int32(partition),
-		chunk:     int32(b.tail), off: int32(off),
+		partition: int32(p),
+		chunk:     int32(ch.open), off: int32(off + hdr),
 		keyLen: int32(keyLen), valLen: int32(n - keyLen),
 	})
-	b.prefixes = append(b.prefixes, b.order.Prefix(c[off:off+keyLen]))
-	b.partRecs[partition]++
-	b.partBytes[partition] += int64(n) +
-		int64(writable.VLongEncodedLen(int64(keyLen))+writable.VLongEncodedLen(int64(n-keyLen)))
+	b.prefixes = append(b.prefixes, b.order.Prefix(c[off+hdr:off+hdr+keyLen]))
+	b.partRecs[p]++
+	b.partBytes[p] += int64(hdr + n)
 	return true, nil
 }
 
@@ -252,10 +329,10 @@ func (b *SortBuffer) Commit(partition, keyLen int) (bool, error) {
 // returns false when the record does not fit (the caller must spill first);
 // a single record larger than the whole buffer is an error.
 func (b *SortBuffer) Add(partition int, key, val []byte) (bool, error) {
-	out := b.reserve(len(key) + len(val))
+	out := b.reserve(partition, headerLen(len(key), len(val)), len(key)+len(val))
 	out.Write(key)
 	out.Write(val)
-	return b.Commit(partition, len(key))
+	return b.Commit(len(key))
 }
 
 // Used returns the occupied bytes including per-record metadata. It counts
@@ -348,10 +425,14 @@ func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 // (Spill resets implicitly; this covers discarding buffered records, e.g.
 // when a background spill pipeline drains after an error).
 func (b *SortBuffer) Reset() {
-	for i := range b.chunks {
-		b.chunks[i] = b.chunks[i][:0]
+	for p := range b.chains {
+		c := &b.chains[p]
+		for i := range c.chunks {
+			c.chunks[i] = c.chunks[i][:0]
+		}
+		c.open = 0
 	}
-	b.tail, b.payload = 0, 0
+	b.payload = 0
 	b.meta = b.meta[:0]
 	b.prefixes = b.prefixes[:0]
 	for p := range b.partRecs {
@@ -361,8 +442,8 @@ func (b *SortBuffer) Reset() {
 }
 
 // spillPartition sorts one partition's entries by (key, insertion order) and
-// serializes them into an exactly-sized IFile segment, returning the key
-// comparisons spent (integer and byte-wise alike).
+// turns them into its IFile segment, returning the key comparisons spent
+// (integer and byte-wise alike).
 //
 // The entries arrive in insertion order. They are first sorted on
 // (prefix, idx) by a stable radix sort on the prefix (radixSort, with
@@ -375,23 +456,40 @@ func (b *SortBuffer) Reset() {
 // produces, for any input, while the slab is touched O(n) times instead of
 // O(n log n). Under writable.ByComparator every prefix is zero: one pass
 // finds nothing to scatter, then one run, sorted by comparator.
+//
+// A partition whose order is its arrival order — every one whose records
+// share one key, as in MR-AVG — is its chain already; it is handed over.
+// Any other is copied, record by framed record, into one segment.
 func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Segment) int64 {
-	chunks, meta := b.chunks, b.meta
+	chunks, meta := b.chains[p].chunks, b.meta
 	key := func(e sortEntry) []byte {
 		m := &meta[e.idx]
 		return chunks[m.chunk][m.off : m.off+m.keyLen]
 	}
 	comps := radixSort(part, scratch)
+	// While the entries stand in arrival order the run checks read the
+	// chain front to back, and the handover's checksum is folded behind
+	// them (wasted only if a run's comparator sort then breaks that order).
+	var sum chainSum
+	ordered := inArrivalOrder(part)
+	read := func(e sortEntry) []byte {
+		if ordered {
+			m := &meta[e.idx]
+			sum.to(chunks, int(m.chunk), int(m.off+m.keyLen+m.valLen))
+		}
+		return key(e)
+	}
 	for lo := 0; lo < len(part); {
 		hi := lo + 1
-		first, same := key(part[lo]), true
+		first, same := read(part[lo]), true
 		for ; hi < len(part) && part[hi].prefix == part[lo].prefix; hi++ {
 			if same {
 				comps++
-				same = bytes.Equal(first, key(part[hi]))
+				same = bytes.Equal(first, read(part[hi]))
 			}
 		}
 		if !same {
+			ordered = false
 			slices.SortFunc(part[lo:hi], func(x, y sortEntry) int {
 				comps++
 				if c := b.order.Cmp(key(x), key(y)); c != 0 {
@@ -402,14 +500,29 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		}
 		lo = hi
 	}
+	if len(part) > 0 && (ordered || inArrivalOrder(part)) {
+		segs[p] = b.chains[p].handOver(len(part), sum)
+		return comps
+	}
 	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
 	for _, e := range part {
 		m := &meta[e.idx]
-		rec := chunks[m.chunk][m.off : m.off+m.keyLen+m.valLen]
-		w.Append(rec[:m.keyLen], rec[m.keyLen:])
+		start := int(m.off) - headerLen(int(m.keyLen), int(m.valLen))
+		w.appendFramed(chunks[m.chunk][start : m.off+m.keyLen+m.valLen])
 	}
 	segs[p] = w.Close()
 	return comps
+}
+
+// inArrivalOrder reports whether part's entries stand in insertion order:
+// an integer scan, no key is looked at.
+func inArrivalOrder(part []sortEntry) bool {
+	for i := 1; i < len(part); i++ {
+		if part[i].idx < part[i-1].idx {
+			return false
+		}
+	}
+	return true
 }
 
 // radixCutoff is the range length at or below which radixSort finishes with

@@ -195,10 +195,10 @@ func put(buf *SortBuffer, direct bool, r spillRec) (bool, error) {
 	if !direct {
 		return buf.Add(r.part, r.key, r.val)
 	}
-	out := buf.Reserve()
+	out := buf.Reserve(r.part)
 	out.Write(r.key)
 	out.Write(r.val)
-	return buf.Commit(r.part, len(r.key))
+	return buf.Commit(len(r.key))
 }
 
 // bwKey is a BytesWritable key of exactly n serialised bytes (n >= 4) whose
@@ -220,7 +220,7 @@ func bwKey(n int, tag uint32) []byte {
 func TestChunkedSlabMatchesNaiveSort(t *testing.T) {
 	cmp, _ := writable.Comparator("BytesWritable")
 	pf, _ := writable.PrefixExtractor("BytesWritable")
-	const quarter = slabChunkBytes / 4
+	const quarter = minChunkBytes / 4
 	shapes := []struct {
 		name string
 		n    int
@@ -230,15 +230,15 @@ func TestChunkedSlabMatchesNaiveSort(t *testing.T) {
 		{"overruns-a-chunk-by-one", 19, func(*rand.Rand, int) (int, int) { return quarter / 2, quarter/2 + 1 }},
 		{"larger-than-a-chunk", 5, func(_ *rand.Rand, i int) (int, int) {
 			if i == 2 {
-				return 100, slabChunkBytes + 100
+				return 100, maxChunkBytes + 100
 			}
 			return 100, 1000
 		}},
-		{"key-larger-than-a-chunk", 3, func(*rand.Rand, int) (int, int) { return slabChunkBytes + 7, 0 }},
+		{"key-larger-than-a-chunk", 3, func(*rand.Rand, int) (int, int) { return maxChunkBytes + 7, 0 }},
 		{"mixed-tiny-and-huge", parallelSpillRecords + 300, func(rng *rand.Rand, i int) (int, int) {
 			switch {
 			case i%1500 == 7:
-				return 40, 2*slabChunkBytes + rng.Intn(1000)
+				return 40, 2*maxChunkBytes + rng.Intn(1000)
 			case i%97 == 0:
 				return 4 + rng.Intn(60), quarter + rng.Intn(quarter)
 			}
@@ -298,7 +298,7 @@ func TestChunkedSlabMatchesNaiveSort(t *testing.T) {
 // buffer usable.
 func TestRecordLargerThanCapacityErrors(t *testing.T) {
 	cmp, _ := writable.Comparator("BytesWritable")
-	for _, capacity := range []int{1 << 10, slabChunkBytes + 1<<10} {
+	for _, capacity := range []int{1 << 10, maxChunkBytes + 1<<10} {
 		for _, direct := range []bool{false, true} {
 			buf := NewSortBuffer(capacity, 1, cmp)
 			big := spillRec{key: bwKey(8, 1), val: make([]byte, capacity)}
@@ -368,10 +368,12 @@ func TestSpillBoundariesGolden(t *testing.T) {
 	}
 }
 
-// TestWarmBufferAddAllocatesNothing: a buffer keeps its chunks and metadata
-// arrays across Spill and Reset, so refilling one costs no allocation at
-// all — neither face of the primitive, and no chunk-boundary garbage for
-// same-sized records.
+// TestWarmBufferAddAllocatesNothing: a buffer keeps its metadata arrays
+// across Spill and Reset, and its chunks across Reset, so refilling one
+// costs no allocation per record — neither face of the primitive, and no
+// chunk-boundary garbage for same-sized records. (A Spill hands these
+// single-key chains over with their chunks; the refill draws a few chunks,
+// far fewer than one per record.)
 func TestWarmBufferAddAllocatesNothing(t *testing.T) {
 	cmp, _ := writable.Comparator("BytesWritable")
 	pf, _ := writable.PrefixExtractor("BytesWritable")

@@ -278,7 +278,7 @@ func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, com
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(seg.Bytes()); err != nil {
+	if _, err := seg.WriteTo(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return nil, fmt.Errorf("localrun: writing merge run: %w", err)

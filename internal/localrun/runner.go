@@ -543,16 +543,17 @@ func (mc *mapCollector) Collect(key, value writable.Writable) error {
 	return nil
 }
 
-// emit serialises one record straight into the sort buffer's slab and
-// commits it to partition p, returning its serialised size; ok=false when
-// the buffer must spill first.
+// emit serialises one record straight into partition p's open chunk of the
+// sort buffer and commits it there, returning its serialised size; ok=false
+// when the buffer must spill first.
 func (mc *mapCollector) emit(p int, key, value writable.Writable) (n int, ok bool, err error) {
-	out := mc.buf.Reserve()
+	out := mc.buf.Reserve(p)
 	key.Write(out)
 	kl := out.Len()
 	value.Write(out)
-	ok, err = mc.buf.Commit(p, kl)
-	return out.Len(), ok, err
+	n = out.Len()
+	ok, err = mc.buf.Commit(kl)
+	return n, ok, err
 }
 
 func (mc *mapCollector) spill() error {

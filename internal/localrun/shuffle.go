@@ -106,13 +106,14 @@ func (s *shuffleServer) acceptLoop() {
 
 func (s *shuffleServer) serve(conn net.Conn) {
 	var req [8]byte
+	sc := new(sendScratch)
 	for {
 		if _, err := io.ReadFull(conn, req[:]); err != nil {
 			return // client done
 		}
 		mapIdx := int(binary.BigEndian.Uint32(req[:4]))
 		part := int(binary.BigEndian.Uint32(req[4:]))
-		found, err := s.store.send(conn, mapIdx, part)
+		found, err := s.store.send(conn, sc, mapIdx, part)
 		if err != nil {
 			return
 		}

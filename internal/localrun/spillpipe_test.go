@@ -1,11 +1,14 @@
 package localrun
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
 	"mrmicro/internal/mapreduce"
+	"mrmicro/internal/microbench"
+	"mrmicro/internal/writable"
 )
 
 // outputFingerprint renders every reduce partition's pairs in order, so two
@@ -180,5 +183,94 @@ func TestSyncSpillStatsStallEqualsWork(t *testing.T) {
 	}
 	if got := st.Overlapped(); got != 0 {
 		t.Errorf("sync run reports %v overlap, want 0", got)
+	}
+}
+
+// stampedMapper is a generator whose values each carry their record's
+// index in the map, so bytes overwritten after a spill show in the output.
+type stampedMapper struct{ mapreduce.Mapper }
+
+func (m stampedMapper) Map(k, v writable.Writable, out mapreduce.Collector, rep mapreduce.Reporter) error {
+	return m.Mapper.Map(k, v, &stampingCollector{out: out}, rep)
+}
+
+type stampingCollector struct {
+	out mapreduce.Collector
+	n   uint32
+	val writable.BytesWritable
+}
+
+func (s *stampingCollector) Collect(k, v writable.Writable) error {
+	s.val.Data = binary.BigEndian.AppendUint32(s.val.Data[:0], s.n)
+	s.val.Data = append(s.val.Data, v.(*writable.BytesWritable).Data[4:]...)
+	s.n++
+	return s.out.Collect(k, &s.val)
+}
+
+// TestHandedOverChunksOutliveTheBuffer: a spill hands a partition's chain
+// of chunks over as its segment, so the chunks must leave the sort buffer
+// with it. An MR-AVG job — every partition one key, so every partition is
+// handed over — runs with overlap on while the ring refills the buffers
+// that spilled and slow-start reducers fetch while later maps collect: at
+// several spills per map, where the chains wait for the final merge, and at
+// one, where they are served as they are. Values carry their record's
+// index, so a chunk a refill overwrote shows in the output, which with the
+// counters must equal the local oracle's: the same job spilled inline behind
+// a strict barrier. Under -race, a refill writing a chunk while a merge or a
+// serve reads it is a reported race.
+func TestHandedOverChunksOutliveTheBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		sortMB       int
+		spillPct     float64
+		spillsPerMap int64
+	}{
+		{"several-spills-per-map", 1, 0.5, 4},
+		{"one-spill-per-map", 4, 0.8, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := microbench.Config{
+				Pattern: microbench.MRAvg, DataType: "BytesWritable", KeySize: 256, ValueSize: 256,
+				PairsPerMap: 3000, NumMaps: 6, NumReduces: 4, ParallelCopies: 2, Seed: 3,
+			}
+			run := func(oracle bool) (string, *Result) {
+				job, err := microbench.BuildJob(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := job.Mapper
+				job.Mapper = func() mapreduce.Mapper { return stampedMapper{gen()} }
+				out := &mapreduce.MemoryOutput{}
+				job.Reducer = func() mapreduce.Reducer { return mapreduce.IdentityReducer{} }
+				job.Output = out
+				job.Conf.SetInt(mapreduce.ConfIOSortMB, tc.sortMB).SetFloat(mapreduce.ConfSortSpillPercent, tc.spillPct)
+				opts := &Options{MapParallelism: 2, ReduceParallelism: 2, ParallelCopies: cfg.ParallelCopies}
+				if oracle {
+					job.Conf.SetBool(mapreduce.ConfSpillOverlap, false).SetFloat(mapreduce.ConfSlowstartMaps, 1.0)
+					opts = nil
+				} else {
+					job.Conf.SetFloat(mapreduce.ConfSlowstartMaps, 0.05)
+				}
+				res, err := Run(job, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return renderOutput(out, cfg.NumReduces), res
+			}
+			wantOut, want := run(true)
+			gotOut, got := run(false)
+			if got.MapSpill.AsyncSpills == 0 {
+				t.Fatal("the background spiller never ran")
+			}
+			if spills := got.MapSpill.Spills / int64(cfg.NumMaps); spills != tc.spillsPerMap {
+				t.Fatalf("%d spills per map, want %d", spills, tc.spillsPerMap)
+			}
+			if gotOut != wantOut || gotOut == "" {
+				t.Error("reduce output differs from the local oracle's")
+			}
+			if got.Counters.String() != want.Counters.String() {
+				t.Errorf("counters differ from the local oracle's:\ngot:\n%s\nwant:\n%s", got.Counters, want.Counters)
+			}
+		})
 	}
 }

@@ -20,9 +20,10 @@ type segmentStore interface {
 	// put publishes seg, the newest registration for a key winning. The
 	// store owns seg from here on.
 	put(mapIdx, partition int, seg *kvbuf.Segment) error
-	// send answers one request on conn with the ok header and the payload;
-	// found=false, nothing written, when the key is not registered.
-	send(conn net.Conn, mapIdx, partition int) (found bool, err error)
+	// send answers one request on conn with the ok header and the payload,
+	// building the response in sc, the connection's scratch; found=false,
+	// nothing written, when the key is not registered.
+	send(conn net.Conn, sc *sendScratch, mapIdx, partition int) (found bool, err error)
 	// dropMap withdraws every partition of mapIdx.
 	dropMap(mapIdx int)
 	// close releases what the store retains, once no connection is left.
@@ -39,6 +40,14 @@ func okHeader(n int64) (hdr [9]byte) {
 	return hdr
 }
 
+// sendScratch is what a serving connection reuses across responses, so that
+// answering allocates nothing: the header, and the gather list WriteTo consumes.
+type sendScratch struct {
+	hdr  [9]byte
+	vec  [][]byte
+	bufs net.Buffers
+}
+
 // memStore serves segments from their retained in-memory buffers.
 type memStore struct {
 	mu   sync.Mutex
@@ -52,7 +61,7 @@ func (m *memStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
 	return nil
 }
 
-func (m *memStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
+func (m *memStore) send(conn net.Conn, sc *sendScratch, mapIdx, partition int) (bool, error) {
 	m.mu.Lock()
 	seg, ok := m.segs[segKey{mapIdx, partition}]
 	m.mu.Unlock()
@@ -60,11 +69,15 @@ func (m *memStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
 		return false, nil
 	}
 	// One writev per response: header and payload leave in a single syscall
-	// straight from the retained segment buffer — no read-back copy — so the
-	// client's pipelined reads never stall on a 9-byte header packet.
-	hdr := okHeader(int64(seg.Len()))
-	bufs := net.Buffers{hdr[:], seg.Bytes()}
-	if _, err := bufs.WriteTo(conn); err != nil {
+	// straight from the retained segment buffers — no read-back copy, a
+	// handed-over chain gathered by the kernel — so the client's pipelined
+	// reads never stall on a 9-byte header packet.
+	sc.hdr = okHeader(int64(seg.Len()))
+	sc.vec = seg.AppendRanges(append(sc.vec[:0], sc.hdr[:]))
+	sc.bufs = sc.vec
+	_, err := sc.bufs.WriteTo(conn)
+	clear(sc.vec) // a connection outlives the segments it served
+	if err != nil {
 		return true, err
 	}
 	serveWritevBytes.Add(int64(seg.Len()))
@@ -129,12 +142,12 @@ func newDiskStore() (*diskStore, error) {
 func (d *diskStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, err := d.w.Write(seg.Bytes())
+	n, err := seg.WriteTo(d.w)
 	if err != nil {
 		return fmt.Errorf("localrun: shuffle spill write: %w", err)
 	}
-	d.segs[segKey{mapIdx, partition}] = diskSeg{off: d.off, n: int64(n)}
-	d.off += int64(n)
+	d.segs[segKey{mapIdx, partition}] = diskSeg{off: d.off, n: n}
+	d.off += n
 	seg.Recycle()
 	return nil
 }
@@ -145,7 +158,7 @@ func (d *diskStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
 // io.Copy's buffer loop as the portable fallback. Each send in flight holds a
 // read handle of its own, so concurrent sendfiles never race on a shared file
 // offset.
-func (d *diskStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
+func (d *diskStore) send(conn net.Conn, sc *sendScratch, mapIdx, partition int) (bool, error) {
 	d.mu.Lock()
 	ds, ok := d.segs[segKey{mapIdx, partition}]
 	var rf *os.File
@@ -167,8 +180,8 @@ func (d *diskStore) send(conn net.Conn, mapIdx, partition int) (bool, error) {
 		d.readers = append(d.readers, rf)
 		d.mu.Unlock()
 	}()
-	hdr := okHeader(ds.n)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	sc.hdr = okHeader(ds.n)
+	if _, err := conn.Write(sc.hdr[:]); err != nil {
 		return true, err
 	}
 	if _, err := rf.Seek(ds.off, io.SeekStart); err != nil {

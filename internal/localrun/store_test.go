@@ -1,12 +1,17 @@
 package localrun
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"testing"
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
+	"mrmicro/internal/writable"
 )
 
 // runCountsAndStats executes the canonical word-count job with the given
@@ -91,10 +96,32 @@ func TestDiskShuffleCompressedEndToEnd(t *testing.T) {
 	}
 }
 
+// chainedSegment spills n records of one key into one partition: a chain
+// of several chunks, handed over as a segment of as many ranges.
+func chainedSegment(t testing.TB, n int) *kvbuf.Segment {
+	t.Helper()
+	cmp, _ := writable.Comparator("BytesWritable")
+	buf := kvbuf.NewSortBuffer(256<<10, 1, cmp)
+	defer buf.Release()
+	key := writable.Marshal(&writable.BytesWritable{Data: []byte("chained")})
+	for i := 0; i < n; i++ {
+		val := fmt.Appendf(make([]byte, 0, 1000), "%0*d", 1000, i)
+		if ok, err := buf.Add(0, key, val); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}
+	segs, _ := buf.Spill()
+	if ranges := len(segs[0].AppendRanges(nil)); ranges < 2 {
+		t.Fatalf("%d records spilled into %d range(s), want a chain of several", n, ranges)
+	}
+	return segs[0]
+}
+
 // TestStoreContract holds the memory and the disk store to the one contract
 // the shuffle server is written against: register, re-register newest-wins,
 // a miss answers status 1 without killing a pipelined connection, Unregister
-// drops every partition of a map, and register-after-close errors.
+// drops every partition of a map, register-after-close errors, and a
+// segment of several ranges is served as its bytes.
 func TestStoreContract(t *testing.T) {
 	seg := func(val string) *kvbuf.Segment {
 		w := kvbuf.NewWriter(64)
@@ -141,11 +168,24 @@ func TestStoreContract(t *testing.T) {
 					}
 				}
 			}
+			chain := chainedSegment(t, 200)
+			want := chain.Bytes()
+			if err := srv.Register(2, 0, chain); err != nil {
+				t.Fatal(err)
+			}
+
 			fetch(7, 7, "")
 			fetch(0, 0, "m0p0")
 			fetch(0, 1, "m0p1")
 			fetch(1, 0, "m1p0") // newest registration wins
 			fetch(1, 1, "")
+
+			if err := c.request(2, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := c.response(false); err != nil || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("chained segment: err %v, bytes served equal %v", err, err == nil && bytes.Equal(got.Bytes(), want))
+			}
 
 			srv.Unregister(0)
 			fetch(0, 0, "")
@@ -159,6 +199,44 @@ func TestStoreContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemStoreSendAllocatesNothing: a response is built in the
+// connection's scratch, so serving a chained segment from memory over a
+// loopback connection allocates nothing.
+func TestMemStoreSendAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, c)
+		c.Close()
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &memStore{segs: map[segKey]*kvbuf.Segment{{0, 0}: chainedSegment(t, 200)}}
+	defer m.close()
+	sc := new(sendScratch)
+	send := func() {
+		if found, err := m.send(conn, sc, 0, 0); !found || err != nil {
+			t.Fatalf("send: found %v err %v", found, err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, send); avg != 0 {
+		t.Errorf("serving a chained segment allocates %.2f times per response, want 0", avg)
+	}
+	conn.Close()
+	<-drained
 }
 
 // benchmarkServePath measures the segment-serving hot path end to end over

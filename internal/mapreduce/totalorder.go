@@ -87,8 +87,11 @@ func SampleSplitPoints(input InputFormat, conf *Conf, keyType string, numReduces
 		maxSamples = 100000
 	}
 	perSplit := (maxSamples + len(splits) - 1) / len(splits)
-	arena := writable.NewDataOutput(64 << 10)
-	var ends []int // sample i is arena[ends[i-1]:ends[i]]
+	// The sample list holds every sample the loop may take, and the arena,
+	// sized at the first key, that many keys of its length: neither regrows.
+	target := perSplit * len(splits)
+	samples := make([]sample, 0, target)
+	var arena *writable.DataOutput
 	for _, s := range splits {
 		r, err := input.Reader(s, conf)
 		if err != nil {
@@ -103,23 +106,21 @@ func SampleSplitPoints(input InputFormat, conf *Conf, keyType string, numReduces
 			if !ok {
 				break
 			}
+			if arena == nil {
+				arena = writable.NewDataOutput(len(writable.Marshal(k)) * target)
+			}
+			start := arena.Len()
 			k.Write(arena)
-			ends = append(ends, arena.Len())
+			samples = append(samples, sample{prefix: order.Prefix(arena.Bytes()[start:]), start: start, end: arena.Len()})
 		}
 		if err := r.Close(); err != nil {
 			return nil, err
 		}
 	}
-	if len(ends) == 0 {
+	if len(samples) == 0 {
 		return nil, errNoSamples
 	}
 	buf := arena.Bytes()
-	samples := make([]sample, len(ends))
-	start := 0
-	for i, end := range ends {
-		samples[i] = sample{prefix: order.Prefix(buf[start:end]), start: start, end: end}
-		start = end
-	}
 	key := func(s sample) []byte { return buf[s.start:s.end] }
 	// The one order decision outside writable.KeyOrder: as Compare(key(a),
 	// a.prefix, key(b), b.prefix) it slices both keys out of the arena on every

@@ -3,6 +3,7 @@ package microbench
 import (
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"strconv"
@@ -62,9 +63,11 @@ func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 }
 
 // ParseRepro parses a flag-form argument vector (the output of ReproFlags)
-// back into the configuration it encodes.
+// back into the configuration it encodes. A malformed vector is reported in
+// the error alone: no usage text is printed.
 func ParseRepro(args []string) (Config, error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	config := BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return Config{}, err
