@@ -252,8 +252,8 @@ func (w *worker) taskLoop() error {
 }
 
 // taskFaultCtrs returns the fault-counter accumulator shared by every
-// attempt of one task this process runs (mirroring localrun's
-// runMapWithRetry, where fault counters outlive failed attempts).
+// attempt of one task this process runs (mirroring localrun's runTask,
+// where fault counters outlive failed attempts).
 func (w *worker) taskFaultCtrs(kind string, idx int) *mapreduce.Counters {
 	key := fmt.Sprintf("%s/%d", kind, idx)
 	w.mu.Lock()
@@ -296,27 +296,18 @@ func (w *worker) runMap(idx, attempt int) error {
 	w.checkpoint() // pre-commit
 
 	req := &commitMapReq{Task: idx, Attempt: attempt, Counters: ctrs.Snapshot()}
-	for {
-		req.Session = w.session.Load()
-		var resp commitResp
-		if err := call(w.coord, MethodCommitMap, req, &resp); err != nil {
-			return err
-		}
-		if resp.Fenced {
-			if err := w.fenced(); err != nil {
-				return err
-			}
-			continue
-		}
-		if resp.Win {
-			w.mu.Lock()
-			w.held[idx] = resp.Version
-			w.mu.Unlock()
-		} else {
-			w.server.Unregister(idx)
-		}
-		return nil
+	resp, err := w.commit(MethodCommitMap, req, &req.Session)
+	if err != nil {
+		return err
 	}
+	if resp.Win {
+		w.mu.Lock()
+		w.held[idx] = resp.Version
+		w.mu.Unlock()
+	} else {
+		w.server.Unregister(idx)
+	}
+	return nil
 }
 
 // runReduce runs one reduce attempt through localrun's copy phase — fetching
@@ -361,18 +352,25 @@ func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 		Digest:   digest,
 		Records:  ctrs.Task(mapreduce.CtrReduceInputRecords),
 	}
+	_, err = w.commit(MethodCommitReduce, req, &req.Session)
+	return err
+}
+
+// commit sends a task commit under the worker's current session, which it
+// stamps into *session (req's Session field) before each call; a fenced
+// session re-registers and the commit is sent again under the new one.
+func (w *worker) commit(method string, req any, session *int64) (commitResp, error) {
 	for {
-		req.Session = w.session.Load()
+		*session = w.session.Load()
 		var resp commitResp
-		if err := call(w.coord, MethodCommitReduce, req, &resp); err != nil {
-			return err
+		if err := call(w.coord, method, req, &resp); err != nil {
+			return resp, err
 		}
-		if resp.Fenced {
-			if err := w.fenced(); err != nil {
-				return err
-			}
-			continue
+		if !resp.Fenced {
+			return resp, nil
 		}
-		return nil
+		if err := w.fenced(); err != nil {
+			return resp, err
+		}
 	}
 }

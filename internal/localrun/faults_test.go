@@ -3,11 +3,14 @@ package localrun
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/inputformat"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
@@ -386,5 +389,88 @@ func TestFaultPlanRetriesOrganicErrors(t *testing.T) {
 	}
 	if n := len(out.Pairs(0)); n != 3 {
 		t.Errorf("output records = %d, want 3", n)
+	}
+}
+
+// TestMapOnlyAttemptsRetry: a map-only job's attempts re-execute like every
+// other map's. Each map's first attempt fails mid-split, after writing part
+// of its output; the retried attempts commit output byte-identical to a
+// clean run and leave no temp part behind.
+func TestMapOnlyAttemptsRetry(t *testing.T) {
+	const maps, rows = 4, 40
+	var pairs []mapreduce.Pair
+	for i := 0; i < rows; i++ {
+		pairs = append(pairs, mapreduce.Pair{
+			Key:   &writable.IntWritable{Value: int32(i)},
+			Value: writable.NewText(fmt.Sprintf("row-%03d", i)),
+		})
+	}
+	run := func(failFirst bool, opts *Options) (string, *Result, error) {
+		dir := t.TempDir()
+		var mu sync.Mutex
+		failed := map[int32]bool{} // by the split's first key, which is its map index
+		job := &mapreduce.Job{
+			Name: "maponly-retry",
+			Conf: mapreduce.NewConf().SetInt(mapreduce.ConfNumMaps, maps).SetInt(mapreduce.ConfNumReduces, 0),
+			Mapper: func() mapreduce.Mapper {
+				var first int32
+				n := 0
+				return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, _ mapreduce.Reporter) error {
+					if n++; n == 1 {
+						first = k.(*writable.IntWritable).Value
+					}
+					if failFirst && n == 3 {
+						mu.Lock()
+						again := failed[first]
+						failed[first] = true
+						mu.Unlock()
+						if !again {
+							return fmt.Errorf("first attempt of map %d fails", first)
+						}
+					}
+					return o.Collect(k, v)
+				})
+			},
+			Input:              &mapreduce.SliceInput{Pairs: pairs},
+			Output:             inputformat.TextOutput{Dir: dir},
+			MapOutputKeyType:   "IntWritable",
+			MapOutputValueType: "Text",
+		}
+		res, err := Run(job, opts)
+		return dir, res, err
+	}
+
+	cleanDir, _, err := run(false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := inputformat.DirDigest(cleanDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, res, err := run(true, &Options{MaxTaskAttempts: 2})
+	if err != nil {
+		t.Fatalf("map-only attempts not retried: %v", err)
+	}
+	if got, err := inputformat.DirDigest(dir); err != nil || got != want {
+		t.Errorf("retried output digest %016x (err %v), clean run %016x", got, err, want)
+	}
+	if got := res.Counters.Fault(mapreduce.CtrMapAttemptsFailed); got != maps {
+		t.Errorf("MAP_ATTEMPTS_FAILED = %d, want %d", got, maps)
+	}
+	if got := res.Counters.Task(mapreduce.CtrMapOutputRecords); got != rows {
+		t.Errorf("MAP_OUTPUT_RECORDS = %d, want %d: only the winning attempts count", got, rows)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != maps {
+		t.Errorf("%d entries in the output directory, want %d parts", len(ents), maps)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ".") {
+			t.Errorf("retried job left temp part %s behind", e.Name())
+		}
 	}
 }

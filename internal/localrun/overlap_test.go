@@ -2,6 +2,7 @@ package localrun
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/inputformat"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
@@ -106,52 +108,65 @@ func TestSecondAnnounceRejected(t *testing.T) {
 	}
 }
 
-// TestParallelForFastFail pins the satellite fix: after the first error no
-// further index may be dispatched (in-flight calls finish, the rest never
-// start).
-func TestParallelForFastFail(t *testing.T) {
-	const n, workers = 1000, 4
-	var calls atomic.Int64
-	err := parallelFor(n, workers, func(i int) error {
-		calls.Add(1)
-		return fmt.Errorf("boom at %d", i)
-	})
-	if err == nil {
-		t.Fatal("no error surfaced")
-	}
-	// At most the in-flight set plus one blocked send can run after the
-	// first failure; anything near n means the loop kept dispatching.
-	if got := calls.Load(); got > 2*workers {
-		t.Errorf("dispatched %d calls after first error, want <= %d", got, 2*workers)
-	}
-}
-
-// TestSchedulerFastFail pins the same property on the unified scheduler: a
-// failing map task stops the job from launching the remaining maps.
+// TestSchedulerFastFail pins fast-fail on the one scheduler every job runs
+// through: a failing map task stops the job from launching the remaining
+// maps, with or without a reduce phase.
 func TestSchedulerFastFail(t *testing.T) {
 	text, _ := corpus()
-	job, _ := wordCountJob(text, 16, 2, false)
-	var started atomic.Int64
-	inner := job.Mapper
-	job.Mapper = func() mapreduce.Mapper {
-		m := inner()
-		return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, rep mapreduce.Reporter) error {
-			if started.Add(1) == 1 {
-				return fmt.Errorf("injected mapper failure")
-			}
-			time.Sleep(time.Millisecond)
-			return m.Map(k, v, o, rep)
-		})
-	}
-	_, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2})
-	if err == nil || !strings.Contains(err.Error(), "injected mapper failure") {
-		t.Fatalf("err = %v, want injected mapper failure", err)
-	}
-	// 16 maps × many records each: if dispatch kept going after the failure
-	// the count would be far larger than the handful of in-flight tasks.
-	if got := started.Load(); got > 16 {
-		t.Errorf("mapper invoked %d times after first error, want a handful", got)
-	}
+	t.Run("with reduces", func(t *testing.T) {
+		job, _ := wordCountJob(text, 16, 2, false)
+		var started atomic.Int64
+		inner := job.Mapper
+		job.Mapper = func() mapreduce.Mapper {
+			m := inner()
+			return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, rep mapreduce.Reporter) error {
+				if started.Add(1) == 1 {
+					return fmt.Errorf("injected mapper failure")
+				}
+				time.Sleep(time.Millisecond)
+				return m.Map(k, v, o, rep)
+			})
+		}
+		_, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2})
+		if err == nil || !strings.Contains(err.Error(), "injected mapper failure") {
+			t.Fatalf("err = %v, want injected mapper failure", err)
+		}
+		// 16 maps × many records each: if dispatch kept going after the
+		// failure the count would be far larger than the handful of
+		// in-flight tasks.
+		if got := started.Load(); got > 16 {
+			t.Errorf("mapper invoked %d times after first error, want a handful", got)
+		}
+	})
+	t.Run("map-only", func(t *testing.T) {
+		const maps, slots = 64, 4
+		job, _ := wordCountJob(text, maps, 0, false)
+		dir := t.TempDir()
+		job.Output = inputformat.TextOutput{Dir: dir}
+		var started atomic.Int64
+		job.Mapper = func() mapreduce.Mapper {
+			return mapreduce.MapperFunc(func(_, _ writable.Writable, _ mapreduce.Collector, _ mapreduce.Reporter) error {
+				return fmt.Errorf("boom at map %d", started.Add(1))
+			})
+		}
+		_, err := Run(job, &Options{MapParallelism: slots})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("err = %v, want a mapper failure", err)
+		}
+		// Every map fails at its first record. After the first failure at
+		// most the in-flight slots plus one more can have started; anything
+		// near the map count means dispatch kept going.
+		if got := started.Load(); got > slots+1 {
+			t.Errorf("%d maps started, want <= %d", got, slots+1)
+		}
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("failed map-only job left %s in its output directory", e.Name())
+		}
+	})
 }
 
 func TestJobSchedulerAcquireAfterFail(t *testing.T) {

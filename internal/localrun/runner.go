@@ -76,12 +76,13 @@ type Result struct {
 	// patterns shape).
 	PerReduceRecords []int64
 
-	// Phase split of the overlapped schedule (zero for map-only jobs):
-	// MapPhase spans job start to the last map commit, OverlapWindow is how
-	// long map and reduce attempts ran concurrently within it, and
-	// ReduceTail is the exposed reduce time after the last map commit. The
-	// overlap win shows up as OverlapWindow growing and ReduceTail
-	// shrinking while output bytes stay identical.
+	// Phase split of the overlapped schedule: MapPhase spans job start to
+	// the last map commit, OverlapWindow is how long map and reduce attempts
+	// ran concurrently within it, and ReduceTail is the exposed reduce time
+	// after the last map commit. The overlap win shows up as OverlapWindow
+	// growing and ReduceTail shrinking while output bytes stay identical. A
+	// map-only job has no overlap: its MapPhase ends at the last map's
+	// output commit and its ReduceTail is only the job's wind-down after it.
 	MapPhase      time.Duration
 	OverlapWindow time.Duration
 	ReduceTail    time.Duration
@@ -228,42 +229,30 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 		return nil, err
 	}
 	numMaps, numReduces := len(tr.splits), tr.numReduces
-	total := mapreduce.NewCounters()
 
+	// A map-only job commits each map's output straight to the output
+	// format: no shuffle server, no reduce dispatch. Every other job's maps
+	// register their partitions with the server, and the board names it.
+	var server *shuffleServer
+	var addr string
 	if numReduces == 0 {
-		// Map-only job: mapper output goes straight to the output format.
 		if job.Output == nil {
 			return nil, &mapreduce.JobError{Msg: "localrun: map-only job needs an Output"}
 		}
-		taskCtrs := make([]*mapreduce.Counters, numMaps)
-		err := parallelFor(numMaps, parallelism(opts.MapParallelism), func(i int) error {
-			c, err := tr.runMapOnly(i)
-			taskCtrs[i] = c
-			return err
-		})
-		if err != nil {
+	} else {
+		if server, err = newShuffleServer(opts.DiskShuffle); err != nil {
 			return nil, err
 		}
-		for _, c := range taskCtrs {
-			total.Merge(c)
-		}
-		return &Result{Counters: total, NumMaps: numMaps, Elapsed: time.Since(start)}, nil
+		defer server.Close()
+		addr = server.Addr()
 	}
 
-	server, err := newShuffleServer(opts.DiskShuffle)
-	if err != nil {
-		return nil, err
-	}
-	defer server.Close()
-
-	// One unified scheduler replaces the old map-barrier-reduce phases: map
-	// and reduce attempts share a pool under separate slot caps, reducers
-	// launching once the slow-start threshold of maps has committed to the
-	// completion board and streaming the rest of their input as it appears.
+	// One scheduler runs every job: map and reduce attempts share a pool
+	// under separate slot caps, reducers launching once the slow-start
+	// threshold of maps has committed to the completion board and streaming
+	// the rest of their input as it appears.
 	board := newCompletionBoard(numMaps)
 	sched := newJobScheduler()
-	mapSlots := make(chan struct{}, parallelism(opts.MapParallelism))
-	reduceSlots := make(chan struct{}, parallelism(opts.ReduceParallelism))
 	mapCtrs := make([]*mapreduce.Counters, numMaps)
 	redCtrs := make([]*mapreduce.Counters, numReduces)
 	jobTM := &mergeTimings{} // reduce-side merge pipeline totals
@@ -271,54 +260,69 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	var firstReduceStart time.Time
 
 	var wg sync.WaitGroup
-	wg.Add(2)
+	// dispatch launches the tasks of one type in index order, at most
+	// `slots` at a time, until every one is launched or the job has failed;
+	// task i's counters land in ctrs[i].
+	dispatch := func(typ mapreduce.TaskType, slots int, ctrs []*mapreduce.Counters, attempt attemptFunc) {
+		sem := make(chan struct{}, slots)
+		for i := range ctrs {
+			if !sched.acquire(sem) {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				c, err := tr.runTask(mapreduce.TaskID{Job: tr.jobID, Type: typ, Index: i}, sched.done, attempt)
+				ctrs[i] = c
+				if err != nil {
+					sched.fail(err)
+				}
+			}()
+		}
+	}
+
+	wg.Add(1)
 	go func() { // map dispatch
 		defer wg.Done()
-		for i := 0; i < numMaps; i++ {
-			if !sched.acquire(mapSlots) {
+		dispatch(mapreduce.TaskMap, parallelism(opts.MapParallelism), mapCtrs, func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
+			var c *mapreduce.Counters
+			var err error
+			tm := &spillTimings{}
+			if server == nil {
+				c, err = tr.runMapOnly(aid)
+			} else {
+				c, err = tr.runMapTask(aid, server, faultCtrs, tm)
+			}
+			if err == nil {
+				// The winning attempt — and only it — is published, so
+				// waiting reducers fetch it at once and each map is announced
+				// once; only its pipeline work counts, as only its counters do.
+				board.Announce(aid.Task.Index, aid.Attempt, addr)
+				jobST.absorb(tm)
+			}
+			return c, err
+		})
+	}()
+	if numReduces > 0 {
+		wg.Add(1)
+		go func() { // reduce dispatch, gated on the slow-start threshold
+			defer wg.Done()
+			if !board.waitCommitted(slowstartTarget(tr.slowstart, numMaps), sched.done) {
 				return
 			}
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-mapSlots }()
-				c, err := tr.runMapWithRetry(i, server, board, jobST)
-				mapCtrs[i] = c
-				if err != nil {
-					sched.fail(err)
-				}
-			}()
-		}
-	}()
-	go func() { // reduce dispatch, gated on the slow-start threshold
-		defer wg.Done()
-		if !board.waitCommitted(slowstartTarget(tr.slowstart, numMaps), sched.done) {
-			return
-		}
-		firstReduceStart = time.Now()
-		for r := 0; r < numReduces; r++ {
-			if !sched.acquire(reduceSlots) {
-				return
-			}
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-reduceSlots }()
-				c, err := tr.runReduceWithRetry(r, board, sched.done, jobTM)
-				redCtrs[r] = c
-				if err != nil {
-					sched.fail(err)
-				}
-			}()
-		}
-	}()
+			firstReduceStart = time.Now()
+			dispatch(mapreduce.TaskReduce, parallelism(opts.ReduceParallelism), redCtrs, func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
+				return tr.runReduceTask(aid, faultCtrs, board, sched.done, jobTM, nil)
+			})
+		}()
+	}
 	wg.Wait()
 	if err := sched.firstErr(); err != nil {
 		return nil, err
 	}
 
+	total := mapreduce.NewCounters()
 	for _, c := range mapCtrs {
 		total.Merge(c)
 	}
@@ -393,98 +397,42 @@ func (s *jobScheduler) acquire(sem chan struct{}) bool {
 	}
 }
 
-// parallelFor runs fn(0..n-1) on up to `workers` goroutines and returns the
-// first error. Once an error is recorded no further index is dispatched —
-// in-flight calls finish, the rest never start.
-func parallelFor(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-		nextCh = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range nextCh {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		failed := first != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		nextCh <- i
-	}
-	close(nextCh)
-	wg.Wait()
-	return first
-}
+// attemptFunc runs one attempt of a task. faultCtrs is the task's fault
+// tally, shared by all its attempts; the counters returned are the
+// attempt's own.
+type attemptFunc func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error)
 
-// runMapWithRetry executes map task idx, re-executing failed attempts with
-// fresh attempt IDs up to the bound (Hadoop's mapreduce.map.maxattempts).
-// Each attempt gets fresh task counters — only the winning attempt's work
-// counts, as in Hadoop — while fault counters accumulate across attempts so
-// the job report shows what the executor survived. The winning attempt —
-// and only it — is published to the completion board, so waiting reducers
-// fetch it immediately and each map is announced once.
-func (tr *TaskRunner) runMapWithRetry(idx int, server *shuffleServer, board *completionBoard, jobST *spillTimings) (*mapreduce.Counters, error) {
-	faultCtrs := mapreduce.NewCounters()
-	var lastErr error
-	for attempt := 0; attempt < tr.attempts; attempt++ {
-		tm := &spillTimings{}
-		c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, idx, attempt), server, faultCtrs, tm)
-		if err == nil {
-			board.Announce(idx, attempt, server.Addr())
-			c.Merge(faultCtrs)
-			// Only the winning attempt's pipeline work counts, matching the
-			// counter semantics above.
-			jobST.absorb(tm)
-			return c, nil
-		}
-		lastErr = err
-		faultCtrs.IncrFault(mapreduce.CtrMapAttemptsFailed, 1)
+// runTask executes one map or reduce task, re-executing failed attempts with
+// fresh attempt IDs up to the bound (Hadoop's mapreduce.map.maxattempts and
+// mapreduce.reduce.maxattempts). Each attempt gets fresh task counters —
+// only the winning attempt's work counts, as in Hadoop — while fault
+// counters accumulate across attempts, each failure counted in
+// MAP_ATTEMPTS_FAILED or REDUCE_ATTEMPTS_FAILED, so the job report shows what
+// the executor survived. Once the job has failed elsewhere (done closed) a
+// failed attempt is not re-executed: a reduce would only wait on
+// announcements that will never come, and a map's output would never be
+// read.
+func (tr *TaskRunner) runTask(task mapreduce.TaskID, done <-chan struct{}, attempt attemptFunc) (*mapreduce.Counters, error) {
+	kind, failedCtr := "map", mapreduce.CtrMapAttemptsFailed
+	if task.Type == mapreduce.TaskReduce {
+		kind, failedCtr = "reduce", mapreduce.CtrReduceAttemptsFailed
 	}
-	return faultCtrs, fmt.Errorf("localrun: map %d failed after %d attempts: %w", idx, tr.attempts, lastErr)
-}
-
-// runReduceWithRetry is runMapWithRetry's reduce-side twin. done aborts
-// attempts (and the wait for map announcements inside them) once the job
-// has failed elsewhere.
-func (tr *TaskRunner) runReduceWithRetry(r int, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
 	faultCtrs := mapreduce.NewCounters()
-	var lastErr error
-	for attempt := 0; attempt < tr.attempts; attempt++ {
-		c, err := tr.runReduceTask(mapreduce.ReduceAttempt(tr.jobID, r, attempt), faultCtrs, board, done, jobTM, nil)
-		if err == nil {
+	var err error
+	for n := 0; n < tr.attempts; n++ {
+		var c *mapreduce.Counters
+		if c, err = attempt(mapreduce.TaskAttemptID{Task: task, Attempt: n}, faultCtrs); err == nil {
 			c.Merge(faultCtrs)
 			return c, nil
 		}
-		lastErr = err
-		faultCtrs.IncrFault(mapreduce.CtrReduceAttemptsFailed, 1)
+		faultCtrs.IncrFault(failedCtr, 1)
 		select {
 		case <-done:
-			// The job is failing elsewhere; re-running this attempt would
-			// only wait on announcements that will never come.
-			return faultCtrs, fmt.Errorf("localrun: reduce %d: %w", r, lastErr)
+			return faultCtrs, fmt.Errorf("localrun: %s %d: %w", kind, task.Index, err)
 		default:
 		}
 	}
-	return faultCtrs, fmt.Errorf("localrun: reduce %d failed after %d attempts: %w", r, tr.attempts, lastErr)
+	return faultCtrs, fmt.Errorf("localrun: %s %d failed after %d attempts: %w", kind, task.Index, tr.attempts, err)
 }
 
 // mapCollector routes mapper output into the sort buffer, spilling as the
@@ -609,13 +557,6 @@ func (mc *mapCollector) spill() error {
 func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleServer, faultCtrs *mapreduce.Counters, tm *spillTimings) (*mapreduce.Counters, error) {
 	job, idx, numReduces, codec := tr.job, aid.Task.Index, tr.numReduces, tr.codec
 	ctrs := mapreduce.NewCounters()
-	rep := &mapreduce.CountersReporter{C: ctrs}
-	reader, err := job.Input.Reader(tr.splits[idx], job.Conf)
-	if err != nil {
-		return ctrs, fmt.Errorf("localrun: map %d reader: %w", idx, err)
-	}
-	defer reader.Close()
-
 	part := job.Partitioner
 	if job.PartitionerForTask != nil {
 		// Seeded per task, not per attempt: a re-executed attempt emits the
@@ -645,7 +586,6 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 		tm:        tm,
 	}
 	drained := false
-	var inRecords int64
 	defer func() {
 		if pipe != nil && !drained {
 			pipe.abort()
@@ -654,28 +594,12 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 			mc.buf.Release()
 		}
 		// Deferred so a failed attempt still reports what it did.
-		addTask(ctrs, mapreduce.CtrMapInputRecords, inRecords)
 		addTask(ctrs, mapreduce.CtrMapOutputRecords, mc.outRecords)
 		addTask(ctrs, mapreduce.CtrMapOutputBytes, mc.outBytes)
 	}()
-	mapper := job.Mapper()
-	for {
-		k, v, ok, err := reader.Next()
-		if err != nil {
-			return ctrs, fmt.Errorf("localrun: map %d input: %w", idx, err)
-		}
-		if !ok {
-			break
-		}
-		inRecords++
-		if err := mapper.Map(k, v, mc, rep); err != nil {
-			return ctrs, fmt.Errorf("localrun: map %d: %w", idx, err)
-		}
+	if err := tr.mapInto(idx, mc, ctrs); err != nil {
+		return ctrs, err
 	}
-	if err := mapper.Close(mc, rep); err != nil {
-		return ctrs, fmt.Errorf("localrun: map %d close: %w", idx, err)
-	}
-	chargeInputBytes(ctrs, reader)
 	if err := mc.spill(); err != nil {
 		return ctrs, err
 	}
@@ -684,6 +608,7 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 	// the tail of collection was its whole point — only the last spills wait
 	// here), or adopt the synchronous spill list as raw runs.
 	var runs []mapRun
+	var err error
 	if pipe != nil {
 		drained = true
 		runs, err = pipe.drain(ctrs)
@@ -830,52 +755,65 @@ func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, faultCtrs *mapr
 	return ctrs, nil
 }
 
-func (tr *TaskRunner) runMapOnly(idx int) (*mapreduce.Counters, error) {
-	job := tr.job
+// runMapOnly runs one attempt of a map-only job's map task: the mapper's
+// output goes straight to the output format's writer for task idx, which
+// commits it when the attempt succeeds and leaves nothing behind when it
+// fails, so a re-executed attempt starts from an empty slot.
+func (tr *TaskRunner) runMapOnly(aid mapreduce.TaskAttemptID) (*mapreduce.Counters, error) {
+	job, idx := tr.job, aid.Task.Index
 	ctrs := mapreduce.NewCounters()
-	rep := &mapreduce.CountersReporter{C: ctrs}
-	reader, err := job.Input.Reader(tr.splits[idx], job.Conf)
-	if err != nil {
-		return ctrs, err
-	}
-	defer reader.Close()
 	writer, err := job.Output.Writer(job.Conf, idx)
 	if err != nil {
-		return ctrs, err
+		return ctrs, fmt.Errorf("localrun: map %d output: %w", idx, err)
 	}
-	var inRecords, outRecords int64
-	defer func() {
-		addTask(ctrs, mapreduce.CtrMapInputRecords, inRecords)
-		addTask(ctrs, mapreduce.CtrMapOutputRecords, outRecords)
-	}()
+	var outRecords int64
+	defer func() { addTask(ctrs, mapreduce.CtrMapOutputRecords, outRecords) }()
 	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
 		outRecords++
 		return writer.Write(k, v)
 	})
-	if err := mapInto(reader, job.Mapper(), out, rep, &inRecords); err != nil {
+	if err := tr.mapInto(idx, out, ctrs); err != nil {
 		writer.Abort() // no open file, no partial part left by a failed attempt
 		return ctrs, err
 	}
-	chargeInputBytes(ctrs, reader)
-	return ctrs, writer.Close()
+	if err := writer.Close(); err != nil {
+		return ctrs, fmt.Errorf("localrun: map %d commit: %w", idx, err)
+	}
+	return ctrs, nil
 }
 
-// mapInto feeds every record of reader through mapper, then closes the
-// mapper, counting input records into *in.
-func mapInto(reader mapreduce.RecordReader, mapper mapreduce.Mapper, out mapreduce.Collector, rep mapreduce.Reporter, in *int64) error {
+// mapInto feeds every record of map task idx's split through a fresh mapper
+// into out, then closes the mapper, counting MAP_INPUT_RECORDS (also for a
+// failed attempt) and MAP_INPUT_BYTES into ctrs.
+func (tr *TaskRunner) mapInto(idx int, out mapreduce.Collector, ctrs *mapreduce.Counters) error {
+	job := tr.job
+	reader, err := job.Input.Reader(tr.splits[idx], job.Conf)
+	if err != nil {
+		return fmt.Errorf("localrun: map %d reader: %w", idx, err)
+	}
+	defer reader.Close()
+	var in int64
+	defer func() { addTask(ctrs, mapreduce.CtrMapInputRecords, in) }()
+	rep := &mapreduce.CountersReporter{C: ctrs}
+	mapper := job.Mapper()
 	for {
 		k, v, ok, err := reader.Next()
 		if err != nil {
-			return err
+			return fmt.Errorf("localrun: map %d input: %w", idx, err)
 		}
 		if !ok {
-			return mapper.Close(out, rep)
+			break
 		}
-		*in++
+		in++
 		if err := mapper.Map(k, v, out, rep); err != nil {
-			return err
+			return fmt.Errorf("localrun: map %d: %w", idx, err)
 		}
 	}
+	if err := mapper.Close(out, rep); err != nil {
+		return fmt.Errorf("localrun: map %d close: %w", idx, err)
+	}
+	chargeInputBytes(ctrs, reader)
+	return nil
 }
 
 // chargeInputBytes credits MAP_INPUT_BYTES when the reader can account for

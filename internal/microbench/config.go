@@ -280,7 +280,10 @@ func (c Config) withWorkloadDefaults() (Config, error) {
 		}
 	case apps.HSGen:
 		// Map-only: each map commits its generated rows straight to the
-		// output directory.
+		// output directory. Under a fault plan its attempts re-execute like
+		// every other task's, but no fault site strikes them (a map-only
+		// attempt has no spill, registration or shuffle to fail); the plan
+		// strikes in the hssort and hsvalidate stages.
 		c.NumReduces = 0
 	case apps.HSValidate:
 		// The cross-split ordering chain folds in one place.
@@ -291,9 +294,6 @@ func (c Config) withWorkloadDefaults() (Config, error) {
 	}
 	if c.Combine && c.Workload != apps.WordCount && c.Workload != apps.Grep {
 		return c, fmt.Errorf("microbench: workload %s has no combiner (sum combining only applies to wordcount/grep)", c.Workload)
-	}
-	if c.Faults != nil && c.Workload == apps.HSGen {
-		return c, fmt.Errorf("microbench: hsgen runs map-only without task recovery; drop fault injection")
 	}
 	return c, nil
 }

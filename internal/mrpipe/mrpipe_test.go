@@ -9,6 +9,7 @@ import (
 
 	"mrmicro/internal/apps"
 	"mrmicro/internal/distrun"
+	"mrmicro/internal/faultinject"
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
@@ -217,6 +218,43 @@ func TestHSPipelineLocal(t *testing.T) {
 	}
 }
 
+// TestHSPipelineUnderFaults runs the whole pipeline under a seeded plan of
+// map failures, reduce failures and shuffle drops: the plan must strike the
+// sort, and recovery must leave HSValidate passing and the sorted output
+// byte-identical to a clean run's.
+func TestHSPipelineUnderFaults(t *testing.T) {
+	base := microbench.Config{NumMaps: 3, PairsPerMap: 200, NumReduces: 3, Seed: 7}
+	clean, err := RunHS(base, t.TempDir(), nil)
+	if err != nil {
+		t.Fatalf("clean pipeline: %v", err)
+	}
+	// Half of all task attempts fail, so the sort's six tasks cannot all
+	// escape; eight attempts per task keep an exhausted task improbable.
+	base.Faults = &faultinject.Plan{Seed: 7, MapFailureRate: 0.5, ReduceFailureRate: 0.5, ShuffleDropRate: 0.2, MaxTaskAttempts: 8}
+	faulty, err := RunHS(base, t.TempDir(), nil)
+	if err != nil {
+		t.Fatalf("pipeline under faults: %v", err)
+	}
+	verdict := validateVerdict(t, faulty)
+	if want := validateVerdict(t, clean); !strings.Contains(verdict, "ok rows=600") || verdict != want {
+		t.Errorf("validator verdict under faults %q, clean %q", verdict, want)
+	}
+	sorted := faulty[1]
+	if sorted.Name != apps.HSSort {
+		t.Fatalf("stage 1 is %s, want %s", sorted.Name, apps.HSSort)
+	}
+	if sorted.OutputDigest != clean[1].OutputDigest {
+		t.Errorf("hssort digest %016x under faults, %016x clean", sorted.OutputDigest, clean[1].OutputDigest)
+	}
+	c := sorted.Counters
+	failed := c.Fault(mapreduce.CtrMapAttemptsFailed) + c.Fault(mapreduce.CtrReduceAttemptsFailed)
+	if failed == 0 {
+		t.Errorf("no hssort attempt failed: the plan did not strike (fetch failures %d)", c.Fault(mapreduce.CtrShuffleFetchFailures))
+	}
+	t.Logf("hssort survived: map attempts failed=%d reduce attempts failed=%d fetch failures=%d",
+		c.Fault(mapreduce.CtrMapAttemptsFailed), c.Fault(mapreduce.CtrReduceAttemptsFailed), c.Fault(mapreduce.CtrShuffleFetchFailures))
+}
+
 // TestHSPipelineDistMatchesLocalAndMaterialized is the chained-job identity
 // check, three ways: the sorted output of (a) the local chained pipeline,
 // (b) the distributed chained pipeline, and (c) a sort run directly over an
@@ -297,7 +335,8 @@ func TestPipelineFailsOnCorruptedSort(t *testing.T) {
 // writers opened — HSValidate over a corrupted sort, whose every reduce
 // attempt fails at Close, and a map-only job whose mapper fails mid-split —
 // leaves no file descriptor open and nothing, not even a dot-prefixed temp
-// part, in its output directory.
+// part, in its output directory; so does the map-only job under a fault
+// plan, where every map's two attempts fail.
 func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("needs /proc/self/fd")
@@ -321,24 +360,13 @@ func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
 			return err
 		}},
 		{"map-only mapper failing mid-split", func(outDir string) error {
-			job, err := microbench.BuildJob(microbench.Config{
-				Workload: apps.HSGen, NumMaps: 3, PairsPerMap: 50, Seed: 3, OutputDir: outDir,
-			})
-			if err != nil {
-				return err
-			}
-			gen := job.Mapper
-			job.Mapper = func() mapreduce.Mapper {
-				m, rows := gen(), 0
-				return mapreduce.MapperFunc(func(k, v writable.Writable, out mapreduce.Collector, rep mapreduce.Reporter) error {
-					if rows++; rows > 10 {
-						return fmt.Errorf("mapper fails at row %d", rows)
-					}
-					return m.Map(k, v, out, rep)
-				})
-			}
-			_, err = localrun.Run(job, &localrun.Options{})
-			return err
+			return runFailingMapOnly(outDir, &localrun.Options{})
+		}},
+		{"map-only mapper failing mid-split under a fault plan", func(outDir string) error {
+			// Both attempts of every map fail: each retry must abort its
+			// writer as the first attempt did.
+			plan := &faultinject.Plan{Seed: 3, MapFailureRate: 0.3, ShuffleDropRate: 0.2}
+			return runFailingMapOnly(outDir, &localrun.Options{Faults: plan, MaxTaskAttempts: 2})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,6 +397,30 @@ func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runFailingMapOnly runs the hsgen job into outDir with a mapper that fails
+// every attempt at its eleventh row, after the attempt's writer has opened
+// and taken rows.
+func runFailingMapOnly(outDir string, opts *localrun.Options) error {
+	job, err := microbench.BuildJob(microbench.Config{
+		Workload: apps.HSGen, NumMaps: 3, PairsPerMap: 50, Seed: 3, OutputDir: outDir,
+	})
+	if err != nil {
+		return err
+	}
+	gen := job.Mapper
+	job.Mapper = func() mapreduce.Mapper {
+		m, rows := gen(), 0
+		return mapreduce.MapperFunc(func(k, v writable.Writable, out mapreduce.Collector, rep mapreduce.Reporter) error {
+			if rows++; rows > 10 {
+				return fmt.Errorf("mapper fails at row %d", rows)
+			}
+			return m.Map(k, v, out, rep)
+		})
+	}
+	_, err = localrun.Run(job, opts)
+	return err
 }
 
 // TestFailedPipelineJoinsDigests: each stage's output digest runs while
