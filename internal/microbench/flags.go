@@ -44,13 +44,7 @@ func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 		if cfg.ValueSize <= 0 {
 			cfg.ValueSize = *kv
 		}
-		// The plan exists only when some rate asks for faults; its seed falls
-		// back to the benchmark seed.
-		if !cfg.Faults.Enabled() {
-			cfg.Faults = nil
-		} else if cfg.Faults.Seed == 0 {
-			cfg.Faults.Seed = cfg.Seed
-		}
+		cfg.settlePlan()
 		if *size != "" {
 			n, err := cliutil.ParseSize(*size)
 			if err != nil {
@@ -59,6 +53,16 @@ func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 			cfg = cfg.WithShuffleSize(n)
 		}
 		return cfg, nil
+	}
+}
+
+// settlePlan keeps the fault plan only when some rate asks for faults, and
+// falls its seed back to the benchmark seed.
+func (c *Config) settlePlan() {
+	if !c.Faults.Enabled() {
+		c.Faults = nil
+	} else if c.Faults.Seed == 0 {
+		c.Faults.Seed = c.Seed
 	}
 }
 

@@ -1,4 +1,4 @@
-package microbench
+package microbench_test
 
 import (
 	"os"
@@ -6,12 +6,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mrmicro/internal/fuzzcorpus"
+	"mrmicro/internal/microbench"
+	"mrmicro/internal/mrcheck"
 )
 
 // FuzzRepro feeds ParseRepro any bytes split on whitespace. It must not
 // panic, and a configuration it accepts must survive its own flag form:
 // ParseRepro(cfg.ReproFlags()) normalises to what cfg normalises to. The
-// seeds are mrcheck's committed corpus files, comments stripped.
+// seeds are mrcheck's committed corpus files, comments stripped, and the
+// flag form of the config each committed FuzzJob seed decodes to.
 func FuzzRepro(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "mrcheck", "testdata", "corpus", "*.repro"))
 	if err != nil || len(files) == 0 {
@@ -31,8 +36,15 @@ func FuzzRepro(f *testing.F) {
 		}
 		f.Add([]byte(strings.Join(flags, " ")))
 	}
+	jobs, err := fuzzcorpus.Load(filepath.Join("..", "mrcheck", "testdata", "fuzz", "FuzzJob"))
+	if err != nil || len(jobs) == 0 {
+		f.Fatalf("no FuzzJob seeds: %v", err)
+	}
+	for _, data := range jobs {
+		f.Add([]byte(strings.Join(mrcheck.Decode(data, mrcheck.GenOptions{Faults: true}).ReproFlags(), " ")))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := ParseRepro(strings.Fields(string(data)))
+		cfg, err := microbench.ParseRepro(strings.Fields(string(data)))
 		if err != nil {
 			return
 		}
@@ -41,7 +53,7 @@ func FuzzRepro(f *testing.F) {
 			return
 		}
 		args := cfg.ReproFlags()
-		back, err := ParseRepro(args)
+		back, err := microbench.ParseRepro(args)
 		if err != nil {
 			t.Fatalf("ParseRepro rejects the flag form of a config it accepted: %v\nargs: %q", err, args)
 		}

@@ -3,6 +3,7 @@ package microbench
 import (
 	"errors"
 	"maps"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +66,65 @@ func TestKnobTableCoversConfig(t *testing.T) {
 	}
 	for f := range owner {
 		t.Errorf("exclusion list names %s, which is not a field", f)
+	}
+}
+
+// noDraw names the rows the generator leaves at their default, each with
+// the reason.
+var noDraw = map[string]string{
+	"engine": "mrcheck's CheckOptions pick the engines a config runs on",
+	"outdir": "mrcheck owns the output directories of the jobs it checks",
+	"pairs":  "mrcheck sizes the record count to its shuffle budget",
+	"input":  "the decoder derives the input from the workload draw",
+}
+
+// TestEveryRowDraws holds the generator to the table: a row has a draw or a
+// reason on noDraw, every value a draw yields passes the row's own Set, and
+// the draw leaves the default.
+func TestEveryRowDraws(t *testing.T) {
+	data := make([]byte, 1<<14)
+	rand.New(rand.NewSource(1)).Read(data)
+	d := Draws(data)
+	for _, k := range Knobs {
+		if _, skip := noDraw[k.Name]; skip == k.drawn() {
+			t.Errorf("-%s: has a draw = %t, on the no-draw list = %t", k.Name, k.drawn(), skip)
+		}
+		if !k.drawn() {
+			continue
+		}
+		moved := false
+		for i := 0; i < 100; i++ {
+			v := k.Draw(&d)
+			if err := k.Set(&Config{Faults: &faultinject.Plan{}}, v); err != nil {
+				t.Errorf("-%s draws %q, which it rejects: %v", k.Name, v, err)
+			}
+			moved = moved || v != k.Default
+		}
+		if !moved {
+			t.Errorf("-%s: 100 draws never left the default %q", k.Name, k.Default)
+		}
+	}
+	for name := range noDraw {
+		if KnobByName(name) == nil {
+			t.Errorf("the no-draw list names -%s, which is not a row", name)
+		}
+	}
+}
+
+// TestEmptyDrawIsTheDefaults: an exhausted stream reads as zeros and a zero
+// keeps every default, so no bytes decode to the configuration the flags
+// spell when none is given.
+func TestEmptyDrawIsTheDefaults(t *testing.T) {
+	got := new(Draws).Config()
+	got.PairsPerMap = 1
+	want, err := ParseRepro([]string{"-pairs", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotN, err1 := got.Normalize()
+	wantN, err2 := want.Normalize()
+	if err1 != nil || err2 != nil || !reflect.DeepEqual(gotN, wantN) {
+		t.Errorf("empty input decodes to %+v (%v), the flag defaults are %+v (%v)", gotN, err1, wantN, err2)
 	}
 }
 

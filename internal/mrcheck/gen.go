@@ -16,13 +16,8 @@
 package mrcheck
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
-	"mrmicro/internal/apps"
-	"mrmicro/internal/faultinject"
-	"mrmicro/internal/inputformat"
 	"mrmicro/internal/microbench"
 )
 
@@ -32,11 +27,11 @@ type GenOptions struct {
 	// check run's cost is bounded. Zero means 512 KiB.
 	MaxShuffleBytes int64
 
-	// Faults makes the generator attach a seeded fault plan to (roughly half
-	// of) the generated configs.
+	// Faults keeps the seeded fault plans the decoder draws (on about half
+	// of the configs); off, every config runs clean.
 	Faults bool
 
-	// WorkloadOnly restricts the stream to real-input workload configs
+	// WorkloadOnly restricts Generate's stream to real-input workload configs
 	// (wordcount/grep/invindex over generated corpora, hssort over
 	// materialized generator rows). Off, workloads ride along on roughly a
 	// fifth of the stream.
@@ -50,9 +45,13 @@ func (o GenOptions) maxShuffleBytes() int64 {
 	return 512 << 10
 }
 
-// Generate derives iteration i of suite seed's configuration stream. The
-// stream is pure: (seed, i, opts) always yields the same config, so any
-// iteration can be replayed in isolation.
+// streamLen is the number of seeded bytes Generate decodes a config from,
+// more than one decode reads; past them the stream reads as zeros.
+const streamLen = 1024
+
+// Generate derives iteration i of suite seed's configuration stream: seeded
+// bytes fed to Decode. The stream is pure: (seed, i, opts) always yields the
+// same config, so any iteration can be replayed in isolation.
 func Generate(seed int64, i int, opts GenOptions) microbench.Config {
 	// Mix the iteration into the seed (splitmix64-style) so neighbouring
 	// iterations draw unrelated streams.
@@ -60,181 +59,30 @@ func Generate(seed int64, i int, opts GenOptions) microbench.Config {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4B9B1
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	rng := rand.New(rand.NewSource(int64(z ^ (z >> 31))))
-
-	if opts.WorkloadOnly || rng.Intn(5) == 0 {
-		return genWorkload(rng, opts)
-	}
-
-	patterns := microbench.Patterns()
-	cfg := microbench.Config{
-		Pattern:    patterns[rng.Intn(len(patterns))],
-		DataType:   pickOne(rng, "BytesWritable", "BytesWritable", "Text"),
-		Slaves:     1 + rng.Intn(4),
-		NumMaps:    1 + rng.Intn(8),
-		NumReduces: 1 + rng.Intn(6),
-		// Log-uniform payload sizes over the paper's 1B–64KB parameter range,
-		// biased small so most configs are cheap.
-		KeySize:   logUniform(rng, 1, 64<<10),
-		ValueSize: logUniform(rng, 1, 64<<10),
-		Seed:      rng.Int63(),
-		// Exercise the scheduler knobs the conformance contract spans.
-		Slowstart:      pickFloat(rng, 0.05, 0.25, 0.5, 1.0),
-		ParallelCopies: rng.Intn(5), // 0 = Hadoop default
-		// Data-plane knobs: compressed shuffle and the first-value combiner
-		// each ride along on about a third of the configs, exercising the
-		// codec-identity and combine-identity twins.
-		Codec:   pickOne(rng, "", "", "deflate"),
-		Combine: rng.Intn(3) == 0,
-	}
-
-	// Occasionally force tiny sort buffers / merge fan-in / early spill
-	// thresholds so multi-spill, premerge-block, and on-disk merge paths run,
-	// not just the single-spill fast path. Tiny factors against many spills
-	// are what drive the background premerge and its adjacency argument.
-	if rng.Intn(3) == 0 {
-		cfg.IOSortMB = []int{1, 1, 2}[rng.Intn(3)]
-		cfg.SpillPercent = []float64{0, 0.3, 0.5, 0.8}[rng.Intn(4)]
-		cfg.ExtraConf = map[string]string{
-			"mapreduce.task.io.sort.factor": pickOne(rng, "2", "3", "4"),
+	for {
+		data := make([]byte, streamLen)
+		rng.Read(data)
+		// A workload-only stream passes over the synthetic draws.
+		if cfg := Decode(data, opts); cfg.Workload != "" || !opts.WorkloadOnly {
+			return cfg
 		}
 	}
+}
 
-	// Reduce-side merge knobs: about a third of configs run with a bounded
-	// shuffle memory pool, so the background spiller, disk runs, and the
-	// multi-pass disk merge differentially test against the unbounded twin.
-	// Budget 1 pins the extreme (every fetched segment spills to its own
-	// run); the larger draws leave a mix of pooled and spilled segments.
-	if rng.Intn(3) == 0 {
-		cfg.ShuffleMemBudget = []int64{1, 1, 4 << 10, 64 << 10}[rng.Intn(4)]
-		cfg.MergeFactor = []int{0, 2, 3, 4}[rng.Intn(4)]
+// Decode turns bytes into a check configuration: microbench's decoder walks
+// the knob table (so a knob joins the generator with its row's draw), then
+// a synthetic job's record count is drawn up to the byte budget, exact for
+// the partition oracles and at least one record per map. FuzzJob feeds it
+// the fuzzer's bytes. WorkloadOnly is Generate's to apply.
+func Decode(data []byte, opts GenOptions) microbench.Config {
+	d := microbench.Draws(data)
+	cfg := d.Config()
+	if !opts.Faults {
+		cfg.Faults = nil
 	}
-
-	// Size the record stream to the byte budget, keeping draws exact for the
-	// partition oracles and at least one record per map.
-	pairLen, err := microbench.SerializedPairLen(cfg.DataType, cfg.KeySize, cfg.ValueSize)
-	if err != nil {
-		panic(err) // generated from the valid domain; unreachable
-	}
-	maxPairs := opts.maxShuffleBytes() / int64(cfg.NumMaps) / int64(pairLen)
-	if maxPairs < 1 {
-		maxPairs = 1
-	}
-	if maxPairs >= microbench.MaxExactSpecDraws {
-		maxPairs = microbench.MaxExactSpecDraws - 1
-	}
-	cfg.PairsPerMap = 1 + rng.Int63n(maxPairs)
-
-	if opts.Faults && rng.Intn(2) == 0 {
-		cfg.Faults = genPlan(rng)
+	if cfg.Workload == "" {
+		maxPairs := min(cfg.WithShuffleSize(opts.maxShuffleBytes()).PairsPerMap, microbench.MaxExactSpecDraws-1)
+		cfg.PairsPerMap = 1 + d.Below(maxPairs)
 	}
 	return cfg
-}
-
-// genWorkload draws a real-input workload configuration. Text workloads run
-// over generated content-addressed corpora so a repro line replays against
-// identical bytes; the split sizes are drawn small enough that records
-// routinely straddle split boundaries, keeping the chunk-spanning reader on
-// the critical path. hssort draws pin the chained-pipeline identity: the
-// "hs:" spec materializes exactly the rows the gen stage would commit.
-func genWorkload(rng *rand.Rand, opts GenOptions) microbench.Config {
-	cfg := microbench.Config{
-		Slaves:     1 + rng.Intn(4),
-		NumReduces: 1 + rng.Intn(4),
-		Seed:       rng.Int63(),
-		Slowstart:  pickFloat(rng, 0.05, 0.25, 1.0),
-		Codec:      pickOne(rng, "", "", "deflate"),
-		Workload: pickOne(rng, apps.WordCount, apps.WordCount, apps.Grep,
-			apps.Grep, apps.InvIndex, apps.HSSort),
-	}
-	if cfg.Workload == apps.HSSort {
-		maps := 1 + rng.Intn(3)
-		rows := int64(8 + rng.Intn(57))
-		seed := rng.Int63n(1 << 30)
-		cfg.NumMaps = maps
-		cfg.PairsPerMap = rows
-		cfg.Seed = seed
-		cfg.InputSpec = fmt.Sprintf("hs:seed=%d,maps=%d,rows=%d", seed, maps, rows)
-	} else {
-		spec := inputformat.TextSpec{
-			Seed:  rng.Int63n(1 << 30),
-			Files: 1 + rng.Intn(3),
-			Bytes: int64(logUniform(rng, 256, 8<<10)),
-			Shape: inputformat.TextShapes[rng.Intn(len(inputformat.TextShapes))],
-		}
-		cfg.InputSpec = spec.String()
-		if rng.Intn(2) == 0 {
-			cfg.SplitSize = int64(logUniform(rng, 48, 4096))
-		}
-		if cfg.Workload == apps.Grep {
-			// A mix of hit-heavy, literal, regex, and no-match patterns.
-			cfg.GrepPattern = pickOne(rng, "data", "the", "[a-z]o", "zqzq")
-		}
-		if cfg.Workload != apps.InvIndex && rng.Intn(2) == 0 {
-			cfg.Combine = true
-		}
-	}
-	if opts.Faults && rng.Intn(2) == 0 {
-		cfg.Faults = genPlan(rng)
-	}
-	return cfg
-}
-
-// genPlan draws a modest fault plan: enough injected failures to exercise
-// recovery, generous attempt bounds so legal exhaustion (a Skip, not a
-// Failure) stays rare, and microsecond backoff so checks stay fast.
-func genPlan(rng *rand.Rand) *faultinject.Plan {
-	p := &faultinject.Plan{
-		Seed:             rng.Int63(),
-		MaxTaskAttempts:  8,
-		MaxFetchAttempts: 8,
-		ShuffleSlowness:  100 * time.Microsecond,
-	}
-	for _, r := range []*float64{
-		&p.MapFailureRate, &p.ReduceFailureRate, &p.ShuffleDropRate,
-		&p.ShuffleTruncateRate, &p.ShuffleSlowRate, &p.SpillErrorRate,
-	} {
-		if rng.Intn(3) == 0 {
-			*r = 0.05 + 0.25*rng.Float64()
-		}
-	}
-	if !p.Enabled() {
-		// Guarantee at least one active site so -faults runs inject something.
-		p.ShuffleDropRate = 0.2
-	}
-	// Process-level faults: only the distributed runtime acts on these (the
-	// in-process engines ignore them), so they ride along at modest rates and
-	// make `-engines dist -faults` runs exercise worker death and fencing.
-	// Drawn after the task-level fallback so that guarantee stays task-level.
-	if rng.Intn(4) == 0 {
-		p.WorkerKillRate = 0.05 + 0.1*rng.Float64()
-	}
-	if rng.Intn(6) == 0 {
-		p.PartitionRate = 0.03 + 0.05*rng.Float64()
-	}
-	return p
-}
-
-// logUniform draws from [lo, hi] uniformly in log2 space.
-func logUniform(rng *rand.Rand, lo, hi int) int {
-	bits := 0
-	for 1<<bits < hi/lo {
-		bits++
-	}
-	v := lo << rng.Intn(bits+1)
-	if v > hi {
-		v = hi
-	}
-	// Jitter within the chosen octave so sizes aren't all powers of two.
-	if v > 1 {
-		v = v/2 + rng.Intn(v/2+1)
-	}
-	return v
-}
-
-func pickOne(rng *rand.Rand, choices ...string) string {
-	return choices[rng.Intn(len(choices))]
-}
-
-func pickFloat(rng *rand.Rand, choices ...float64) float64 {
-	return choices[rng.Intn(len(choices))]
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mrmicro/internal/apps"
@@ -44,13 +46,15 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGeneratedConfigsValid: every generated config normalizes, stays under
-// the exact-oracle draw bound, and respects the byte budget (modulo the
-// one-pair-per-map floor).
+// TestGeneratedConfigsValid: every config of the golden stream normalizes,
+// stays under the exact-oracle draw bound, respects the byte budget (modulo
+// the one-pair-per-map floor, which is all a text workload meets: its input
+// sizes it), and spells each knob once: it carries no ExtraConf key a row
+// owns.
 func TestGeneratedConfigsValid(t *testing.T) {
 	opts := GenOptions{Faults: true}
-	for i := 0; i < 100; i++ {
-		cfg := Generate(7, i, opts)
+	for i := 0; i < goldenConfigs; i++ {
+		cfg := Generate(goldenSeed, i, opts)
 		n, err := cfg.Normalize()
 		if err != nil {
 			t.Fatalf("iteration %d does not normalize: %v\n%+v", i, err, cfg)
@@ -58,10 +62,46 @@ func TestGeneratedConfigsValid(t *testing.T) {
 		if n.PairsPerMap >= microbench.MaxExactSpecDraws {
 			t.Errorf("iteration %d: %d pairs/map reaches the sampled-spec regime", i, n.PairsPerMap)
 		}
-		pairLen := int64(n.PairLen())
-		budget := opts.maxShuffleBytes() + int64(n.NumMaps)*pairLen // one-pair floor slack
-		if vol := n.PairsPerMap * int64(n.NumMaps) * pairLen; vol > budget {
+		maps, pairs, pairLen := int64(n.NumMaps), n.PairsPerMap, int64(n.PairLen())
+		if n.Workload == apps.HSSort {
+			// hssort's maps emit the rows of its hs: input as Text pairs.
+			spec, err := apps.ParseHSSpec(strings.TrimPrefix(n.InputSpec, "hs:"))
+			if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			row, _ := microbench.SerializedPairLen("Text", len(apps.HSRowKey(0, 0)), len(apps.HSRowValue(0, 0)))
+			maps, pairs, pairLen = spec.Maps, spec.Rows, int64(row)
+		}
+		budget := opts.maxShuffleBytes() + maps*pairLen // one-pair floor slack
+		if vol := pairs * maps * pairLen; vol > budget {
 			t.Errorf("iteration %d: %d shuffle bytes exceeds budget %d", i, vol, budget)
+		}
+		for key := range cfg.ExtraConf {
+			for _, k := range microbench.Knobs {
+				if slices.Contains(k.Keys, key) {
+					t.Errorf("iteration %d carries ExtraConf[%q], a second spelling of -%s", i, key, k.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestGeneratorCoversShrinkableRows: over the golden stream, every row the
+// shrinker can simplify is off its default in at least 5% of the configs,
+// so no mechanism runs only as some check's clean reference twin.
+func TestGeneratorCoversShrinkableRows(t *testing.T) {
+	off := map[string]int{}
+	for i := 0; i < goldenConfigs; i++ {
+		cfg := Generate(goldenSeed, i, GenOptions{Faults: true})
+		for _, k := range microbench.Knobs {
+			if !(k.Fault && cfg.Faults == nil) && k.Get(&cfg) != k.Default {
+				off[k.Name]++
+			}
+		}
+	}
+	for _, k := range microbench.Knobs {
+		if k.Shrink != microbench.ShrinkNone && off[k.Name]*20 < goldenConfigs {
+			t.Errorf("-%s is off its default %s in %d of %d generated configs, want at least 5%%", k.Name, k.Default, off[k.Name], goldenConfigs)
 		}
 	}
 }
@@ -176,7 +216,7 @@ func swapTaskStampsWhenSyncSpill(job *mapreduce.Job) {
 	if job.Conf.GetBool(mapreduce.ConfSpillOverlap, true) {
 		return
 	}
-	orig := job.PartitionerForTask
+	orig := taskPartitioner(job)
 	job.PartitionerForTask = func(task int) mapreduce.Partitioner {
 		inner := orig(task)
 		var serial uint64
@@ -189,13 +229,31 @@ func swapTaskStampsWhenSyncSpill(job *mapreduce.Job) {
 	}
 }
 
+// taskPartitioner returns the job's partitioner per map task, however the
+// job names it: the synthetic jobs seed one per task, a workload's is shared
+// (hash partitioning when it names none).
+func taskPartitioner(job *mapreduce.Job) func(int) mapreduce.Partitioner {
+	shared := job.Partitioner
+	switch {
+	case job.PartitionerForTask != nil:
+		return job.PartitionerForTask
+	case shared == nil:
+		shared = func() mapreduce.Partitioner { return mapreduce.HashPartitioner{} }
+	}
+	return func(int) mapreduce.Partitioner { return shared() }
+}
+
 // TestShrinkSynthetic pins the shrinker's greedy minimization on a synthetic
 // predicate: everything irrelevant to the predicate must collapse to floors.
 func TestShrinkSynthetic(t *testing.T) {
-	cfg := Generate(3, 0, GenOptions{Faults: true})
-	cfg.NumMaps = 8
-	cfg.ShuffleMemBudget = 64 << 10
-	cfg.MergeFactor = 3
+	cfg := microbench.Config{
+		Pattern: microbench.MRSkew, DataType: "Text", KeySize: 300, ValueSize: 40, PairsPerMap: 700,
+		NumMaps: 8, NumReduces: 5, Slaves: 3, Seed: 77, Slowstart: 0.25, ParallelCopies: 3,
+		ShuffleMemBudget: 64 << 10, MergeFactor: 3, IOSortMB: 2, SpillPercent: 0.5,
+		SyncSpill: true, Codec: "deflate", Combine: true,
+		ExtraConf: map[string]string{mapreduce.ConfMapSlots: "2"},
+		Faults:    &faultinject.Plan{Seed: 9, ShuffleDropRate: 0.2, SpillErrorRate: 0.1},
+	}
 	failing := func(c microbench.Config) bool { return c.NumMaps >= 2 }
 	got := Shrink(cfg, failing)
 	if got.NumMaps != 2 {
@@ -213,6 +271,9 @@ func TestShrinkSynthetic(t *testing.T) {
 	if got.ShuffleMemBudget != 0 || got.MergeFactor != 0 {
 		t.Errorf("irrelevant merge knobs survived shrinking: budget=%d factor=%d",
 			got.ShuffleMemBudget, got.MergeFactor)
+	}
+	if got.Codec != "" || got.Combine || got.SyncSpill {
+		t.Errorf("irrelevant mechanisms survived shrinking: codec=%q combine=%t syncspill=%t", got.Codec, got.Combine, got.SyncSpill)
 	}
 }
 
@@ -302,7 +363,7 @@ func TestOracleMatchesSpec(t *testing.T) {
 // decision is rotated to the next reducer. Exported for the build-tag-gated
 // mutation matrix and the verify recipe's self-check.
 func FlipFirstPartition(job *mapreduce.Job) {
-	orig := job.PartitionerForTask
+	orig := taskPartitioner(job)
 	job.PartitionerForTask = func(mapTask int) mapreduce.Partitioner {
 		p := orig(mapTask)
 		if mapTask != 0 {
@@ -399,7 +460,7 @@ func TestWorkloadMutationCaught(t *testing.T) {
 func TestShrinkIsolatesAnyFaultRate(t *testing.T) {
 	for _, rate := range []string{"fault-worker-kill", "fault-partition", "fault-spill"} {
 		k := microbench.KnobByName(rate)
-		cfg := Generate(3, 0, GenOptions{})
+		cfg := microbench.Config{Pattern: microbench.MRRand, NumMaps: 3, NumReduces: 2, PairsPerMap: 40, Slaves: 1, Seed: 1}
 		cfg.Faults = &faultinject.Plan{
 			Seed: 5, MapFailureRate: 0.2, ReduceFailureRate: 0.2, ShuffleDropRate: 0.2, ShuffleTruncateRate: 0.2,
 			ShuffleSlowRate: 0.2, SpillErrorRate: 0.2, WorkerKillRate: 0.2, PartitionRate: 0.2,

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"testing"
 
+	"mrmicro/internal/fuzzcorpus"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/writable"
@@ -75,7 +76,9 @@ func mutateMapper(drop, dup bool) func(*mapreduce.Job) {
 }
 
 // TestMutationMatrix: every mutation must be caught, each by the invariant
-// class that owns the semantics it breaks.
+// class that owns the semantics it breaks, on a fixed config per pattern;
+// and each must be caught on the config of at least one of FuzzJob's
+// committed seeds, so the fuzzer starts from inputs that can see it.
 func TestMutationMatrix(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -85,6 +88,7 @@ func TestMutationMatrix(t *testing.T) {
 		{"partition-flip", FlipFirstPartition, "partition-oracle/localrun"},
 		{"record-drop", mutateMapper(true, false), "partition-oracle/localrun"},
 		{"record-dup", mutateMapper(false, true), "partition-oracle/localrun"},
+		{"order-swap", swapTaskStampsWhenSyncSpill, "spill-identity/output"},
 	}
 	for _, pattern := range microbench.Patterns() {
 		for _, tc := range cases {
@@ -115,5 +119,26 @@ func TestMutationMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+	seeds, err := fuzzcorpus.Load(fuzzJobDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run("FuzzJob-seeds/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			caught := 0
+			for _, seed := range seeds {
+				var fail *Failure
+				if errors.As(CheckConfig(Decode(seed, GenOptions{Faults: true}), CheckOptions{MutateJob: tc.mutate}), &fail) {
+					caught++
+				}
+			}
+			t.Logf("caught on the configs of %d of %d seeds", caught, len(seeds))
+			if caught == 0 {
+				t.Errorf("the %s mutant passed every invariant on the config of every committed FuzzJob seed", tc.name)
+			}
+		})
 	}
 }

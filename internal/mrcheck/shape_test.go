@@ -1,6 +1,7 @@
 package mrcheck
 
 import (
+	"math/rand"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -14,22 +15,32 @@ import (
 	"mrmicro/internal/mrsim"
 )
 
-// envOnlyValues gives every environment-only knob two valid settings; the
-// property below moves a config to the first one it is not already at.
-var envOnlyValues = map[string][2]string{
-	"slaves":         {"2", "3"},
-	"engine":         {"yarn", "mrv1"},
-	"cluster":        {"B", "A"},
-	"network":        {"10GigE", "1GigE"},
-	"slowstart":      {"0.3", "0.7"},
-	"parallelcopies": {"2", "7"},
-	"shufflemem":     {"4096", "8192"},
-	"mergefactor":    {"3", "5"},
-	"iosortmb":       {"2", "3"},
-	"spillpercent":   {"0.4", "0.6"},
-	"syncspill":      {"true", "false"},
-	"codec":          {"deflate", ""},
-	"rdma":           {"true", "false"},
+// envMoves gives every environment-only knob two distinct values, drawn
+// from its row by a seeded stream; the property below moves a config to the
+// first one it is not already at. A row whose draw never yields a second
+// value fails here. -engine has no draw (the checker picks engines): it
+// moves between the two simulated engines.
+func envMoves(t *testing.T) map[string][2]string {
+	data := make([]byte, 1<<12)
+	rand.New(rand.NewSource(goldenSeed)).Read(data)
+	d := microbench.Draws(data)
+	moves := map[string][2]string{"engine": {string(microbench.EngineYARN), string(microbench.EngineMRv1)}}
+	for _, k := range microbench.Knobs {
+		if !k.EnvOnly || k.Name == "engine" {
+			continue
+		}
+		first := k.Draw(&d)
+		for i := 0; i < 64; i++ {
+			if v := k.Draw(&d); v != first {
+				moves[k.Name] = [2]string{first, v}
+				break
+			}
+		}
+		if _, ok := moves[k.Name]; !ok {
+			t.Fatalf("knob -%s is environment-only, but 64 seeded draws gave it no second value to move to", k.Name)
+		}
+	}
+	return moves
 }
 
 // sharesMatrix reports whether two specs of one Sweep alias one matrix, which
@@ -48,11 +59,7 @@ var inputSeed = regexp.MustCompile(`seed=(\d+)`)
 // from scratch for the moved config has a deep-equal one — while moving any
 // field of the data shape takes the point off it.
 func TestMatrixSharingProperty(t *testing.T) {
-	for _, k := range microbench.Knobs {
-		if _, ok := envOnlyValues[k.Name]; ok != k.EnvOnly {
-			t.Fatalf("knob -%s: environment-only = %t, has values to move to = %t", k.Name, k.EnvOnly, ok)
-		}
-	}
+	envOnlyValues := envMoves(t)
 	var envMoves, shapeMoves int
 	for i := 0; i < 200; i++ {
 		// Normalized, so task counts no longer default from the slave count.
