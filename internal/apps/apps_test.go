@@ -2,6 +2,7 @@ package apps
 
 import (
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -194,6 +195,83 @@ func TestWordMappersAllocateNothing(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("%T.Map: %v allocs per line, want 0", m, n)
+		}
+	}
+}
+
+// TestGrepMapperMatchesFindAll holds GrepMapper's literal path to
+// regexp's FindAll, and shows anchored (at one end or both), case-folded
+// and empty patterns still take FindAll.
+func TestGrepMapperMatchesFindAll(t *testing.T) {
+	lines := []string{"", "data", "the", "metadata data", "metadata datadata dat a data", "a.b axb", "the theme: then the", "aaaa", "The THE the", "no match here"}
+	for _, pattern := range []string{"data", "the", "aa", "zqzq", "[a-z]o", "^the", "^the$", `\Athe\z`, "^data$", `\Adata\z`, "the$", `\bthe\b`, "(?s)the", "a\\.b", "(?i)the", "", "a|th"} {
+		re := regexp.MustCompile(pattern)
+		m := &GrepMapper{Re: re}
+		for _, line := range lines {
+			var got []string
+			collect := mapreduce.CollectorFunc(func(k, _ writable.Writable) error {
+				got = append(got, string(k.(*writable.Text).Data))
+				return nil
+			})
+			if err := m.Map(nil, writable.NewText(line), collect, mapreduce.NullReporter{}); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, match := range re.FindAll([]byte(line), -1) {
+				want = append(want, string(match))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pattern %q, line %q: emitted %q, FindAll %q", pattern, line, got, want)
+			}
+		}
+	}
+}
+
+// valueList replays its values as one group, from the start on each reset.
+type valueList struct {
+	vals []writable.Writable
+	next int
+}
+
+func (l *valueList) Next() (writable.Writable, bool) {
+	if l.next == len(l.vals) {
+		return nil, false
+	}
+	l.next++
+	return l.vals[l.next-1], true
+}
+
+// TestGroupPathsAllocateNothing: a grep map of a line holding the default
+// literal pattern, and a SumReducer or InvIndexReducer group, re-emit
+// writables their task owns, so once warm they allocate nothing.
+func TestGroupPathsAllocateNothing(t *testing.T) {
+	discard := mapreduce.CollectorFunc(func(_, _ writable.Writable) error { return nil })
+	key := writable.NewText("word")
+	grep := &GrepMapper{Re: regexp.MustCompile("data")}
+	sum, inv := &SumReducer{}, &InvIndexReducer{}
+	line := writable.NewText("metadata about the data, and more data")
+	counts := &valueList{vals: []writable.Writable{&writable.LongWritable{Value: 3}, &writable.LongWritable{Value: 4}}}
+	postings := &valueList{vals: []writable.Writable{writable.NewText("120"), writable.NewText("7"), writable.NewText("120"), writable.NewText("4096")}}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"GrepMapper.Map", func() error { return grep.Map(nil, line, discard, mapreduce.NullReporter{}) }},
+		{"SumReducer.Reduce", func() error {
+			counts.next = 0
+			return sum.Reduce(key, counts, discard, mapreduce.NullReporter{})
+		}},
+		{"InvIndexReducer.Reduce", func() error {
+			postings.next = 0
+			return inv.Reduce(key, postings, discard, mapreduce.NullReporter{})
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
 		}
 	}
 }

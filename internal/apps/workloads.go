@@ -1,8 +1,9 @@
 package apps
 
 import (
+	"bytes"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 
 	"mrmicro/internal/mapreduce"
@@ -32,21 +33,23 @@ func (m *WordCountMapper) Close(mapreduce.Collector, mapreduce.Reporter) error {
 
 // SumReducer folds LongWritable counts — the reducer for wordcount and
 // grep, and (being associative and commutative) also their combiner.
-type SumReducer struct{}
+type SumReducer struct {
+	sum writable.LongWritable
+}
 
-func (SumReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, out mapreduce.Collector, _ mapreduce.Reporter) error {
-	var sum int64
+func (r *SumReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, out mapreduce.Collector, _ mapreduce.Reporter) error {
+	r.sum.Value = 0
 	for {
 		v, ok := values.Next()
 		if !ok {
 			break
 		}
-		sum += v.(*writable.LongWritable).Value
+		r.sum.Value += v.(*writable.LongWritable).Value
 	}
-	return out.Collect(key, &writable.LongWritable{Value: sum})
+	return out.Collect(key, &r.sum)
 }
 
-func (SumReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
+func (*SumReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // GrepMapper emits (match, 1) for every occurrence of its pattern, like
 // Hadoop's grep example's map side. Most lines match nothing, so the
@@ -60,7 +63,26 @@ type GrepMapper struct {
 
 func (m *GrepMapper) Map(_, value writable.Writable, out mapreduce.Collector, _ mapreduce.Reporter) error {
 	m.one.Value = 1
-	for _, match := range m.Re.FindAll(value.(*writable.Text).Data, -1) {
+	line := value.(*writable.Text).Data
+	// A pattern that is one plain literal, as the default is, matches
+	// where bytes.Index finds it, without regexp's per-line result slice.
+	// LiteralPrefix alone is not proof: it also reports complete for a
+	// literal anchored at both ends (^data$), so the pattern's source must
+	// be the quoted literal itself. regexp has no call that searches from
+	// an offset, so any other pattern goes through FindAll, which sees the
+	// whole line for its anchors.
+	if lit, complete := m.Re.LiteralPrefix(); complete && lit != "" && regexp.QuoteMeta(lit) == m.Re.String() {
+		sep := []byte(lit)
+		for i := bytes.Index(line, sep); i >= 0; i = bytes.Index(line, sep) {
+			m.match.Data = line[i : i+len(sep)]
+			if err := out.Collect(&m.match, &m.one); err != nil {
+				return err
+			}
+			line = line[i+len(sep):]
+		}
+		return nil
+	}
+	for _, match := range m.Re.FindAll(line, -1) {
 		m.match.Data = match
 		if err := out.Collect(&m.match, &m.one); err != nil {
 			return err
@@ -90,11 +112,15 @@ func (m *InvIndexMapper) Close(mapreduce.Collector, mapreduce.Reporter) error { 
 
 // InvIndexReducer collects a word's postings, sorts them numerically, and
 // dedupes (a word twice on one line is one posting) — the canonical order
-// makes the output independent of shuffle merge order.
-type InvIndexReducer struct{}
+// makes the output independent of shuffle merge order. The postings and
+// their rendering live in buffers reused from group to group.
+type InvIndexReducer struct {
+	postings []int64
+	list     writable.Text
+}
 
-func (InvIndexReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, out mapreduce.Collector, _ mapreduce.Reporter) error {
-	var postings []int64
+func (r *InvIndexReducer) Reduce(key writable.Writable, values mapreduce.ValueIterator, out mapreduce.Collector, _ mapreduce.Reporter) error {
+	r.postings = r.postings[:0]
 	for {
 		v, ok := values.Next()
 		if !ok {
@@ -104,35 +130,30 @@ func (InvIndexReducer) Reduce(key writable.Writable, values mapreduce.ValueItera
 		if err != nil {
 			return errf("invindex: bad posting %q: %v", v.(*writable.Text).Data, err)
 		}
-		postings = append(postings, n)
+		r.postings = append(r.postings, n)
 	}
-	return out.Collect(key, writable.NewText(JoinPostings(postings)))
+	r.list.Data = appendPostings(r.list.Data[:0], r.postings)
+	return out.Collect(key, &r.list)
 }
 
-func (InvIndexReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
+func (*InvIndexReducer) Close(mapreduce.Collector, mapreduce.Reporter) error { return nil }
 
 // JoinPostings renders a posting list in canonical form: sorted ascending,
 // deduplicated, comma-separated.
-func JoinPostings(postings []int64) string {
-	if len(postings) == 0 {
-		return ""
-	}
-	sortInt64s(postings)
-	out := make([]byte, 0, len(postings)*4)
-	var prev int64
+func JoinPostings(postings []int64) string { return string(appendPostings(nil, postings)) }
+
+// appendPostings sorts postings in place and appends their canonical form
+// to out.
+func appendPostings(out []byte, postings []int64) []byte {
+	slices.Sort(postings)
 	for i, p := range postings {
-		if i > 0 && p == prev {
+		if i > 0 && p == postings[i-1] {
 			continue
 		}
-		if len(out) > 0 {
+		if i > 0 {
 			out = append(out, ',')
 		}
 		out = strconv.AppendInt(out, p, 10)
-		prev = p
 	}
-	return string(out)
-}
-
-func sortInt64s(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return out
 }

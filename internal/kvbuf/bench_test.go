@@ -1,6 +1,7 @@
 package kvbuf
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -142,6 +143,40 @@ func BenchmarkCollectColdSlab(b *testing.B) {
 		b.StopTimer()
 		buf.Release()
 		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+}
+
+// BenchmarkCollectSpillAvg1K measures one avg-1k map's collect and spill
+// together: 16 384 records of 1 KiB BytesWritable keys and values dealt
+// round-robin over 4 partitions, one key per partition, in a buffer of the
+// default io.sort.mb. Every partition stays in key order, so the proof and
+// the checksum fold move from the spill into collect, and this is where
+// the move shows.
+func BenchmarkCollectSpillAvg1K(b *testing.B) {
+	cmp, _ := writable.Comparator("BytesWritable")
+	pf, _ := writable.PrefixExtractor("BytesWritable")
+	const n, partitions = 16384, 4
+	var keys [partitions][]byte
+	for p := range keys {
+		keys[p] = writable.Marshal(&writable.BytesWritable{Data: bytes.Repeat([]byte{byte(p)}, 1<<10)})
+	}
+	val := writable.Marshal(&writable.BytesWritable{Data: bytes.Repeat([]byte{0x56}, 1<<10)})
+	buf := NewSortBuffer(100<<20, partitions, cmp)
+	defer buf.Release()
+	buf.SetPrefixFunc(pf)
+	b.ReportAllocs()
+	b.SetBytes(int64(n * (len(keys[0]) + len(val))))
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < n; j++ {
+			if ok, err := buf.Add(j%partitions, keys[j%partitions], val); err != nil || !ok {
+				b.Fatalf("add: ok=%v err=%v", ok, err)
+			}
+		}
+		segs, _ := buf.Spill()
+		for _, s := range segs {
+			s.Recycle()
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
 }

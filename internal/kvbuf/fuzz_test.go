@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"mrmicro/internal/fuzzcorpus"
@@ -321,13 +324,30 @@ const (
 	spillText        = 0
 	spillBytes       = 1
 	spillNoExtractor = 2 // raw keys under a reversed bytewise comparator
-	spillVary        = 4 // vary each key's last payload byte per pass over the templates
+	// VLongWritable keys: the payload's first byte is the value, written
+	// as 8f05 rather than 05 when its second byte is odd, so keys the
+	// comparator holds equal can differ in their bytes.
+	spillVLong = 3
+	spillVary  = 4 // vary each key's last payload byte per pass over the templates
 	// Pad keys and values to lengths on either side of the 1-, 2- and
 	// 3-byte vint boundaries, changing from record to record (at most
 	// spillWideRecords records): headers whose size differs from the
 	// previous record's, and values larger than a chain's first chunk.
 	spillWide = 8
 	spillHuge = 16 // the middle record's value is larger than any chunk
+	// Pad every value by spillLongValue bytes, as avg-1k's are (at most
+	// spillLongRecords records): chains of several chunks, checksummed in
+	// several shuffleCRCChunk steps while they are collected.
+	spillLong = 32
+	// The last record goes to the first template's partition with an empty
+	// key payload, which sorts before any other under Text, BytesWritable
+	// and VLongWritable keys: a proof of order that breaks at the very end.
+	spillBreak = 64
+)
+
+const (
+	spillLongValue   = 1 << 10
+	spillLongRecords = 1 << 10
 )
 
 // Record lengths the wide mode cycles through, and its record bound.
@@ -375,14 +395,31 @@ func spillOrderSeeds() [][]byte {
 		spillOrderInput(3, spillText|spillWide|spillVary, 100, spillKey{0, "x"}, spillKey{1, "y"}, spillKey{2, "zz"}),
 		// A record larger than any chunk, in an ordered and in a sorted partition.
 		spillOrderInput(2, spillBytes|spillWide|spillHuge, 40, spillKey{0, "k"}, spillKey{1, "m"}, spillKey{1, "l"}),
+		// avg-1k's shape: one key per partition, chains of several chunks
+		// checksummed in several steps as they are collected (spillSeedFolds).
+		spillOrderInput(2, spillBytes|spillLong, spillLongRecords, spillKey{0, "avg-key-0"}, spillKey{1, "avg-key-1"}),
+		// Order breaks on the last record, after 300 KiB were folded
+		// (spillSeedLateBreak).
+		spillOrderInput(1, spillText|spillLong|spillBreak, 300, spillKey{0, "key"}),
+		// 05 and 8f05, both the vlong 5: equal keys in arrival order, not
+		// out of order (spillSeedEqualEncodings).
+		spillOrderInput(1, spillVLong, 200, spillKey{0, "\x05"}, spillKey{0, "\x05\x01"}),
+		// A record larger than any chunk in a partition kept in order
+		// (spillSeedHugeOrdered).
+		spillOrderInput(1, spillBytes|spillHuge, 40, spillKey{0, "k"}),
 	)
 }
 
 // Seeds whose spill path TestSpillOrderSeedPaths pins: the handover of a
-// chain of several chunks, and the copy of a partition out of arrival order.
+// chain of several chunks, the copy of a partition out of arrival order,
+// and one seed per way Commit's proof of order can go.
 const (
-	spillSeedHandover = 13
-	spillSeedCopied   = 1
+	spillSeedHandover       = 13
+	spillSeedCopied         = 1
+	spillSeedFolds          = 17
+	spillSeedLateBreak      = 18
+	spillSeedEqualEncodings = 19
+	spillSeedHugeOrdered    = 20
 )
 
 // decodeSpillOrder turns a FuzzSpillOrder input into a comparator, an
@@ -417,15 +454,35 @@ func decodeSpillOrder(data []byte) (cmp writable.RawComparator, pf writable.Pref
 	case spillBytes:
 		cmp, pf = writable.CompareBytesWritable, mustPrefix("BytesWritable")
 		encode = func(p []byte) []byte { return writable.Marshal(&writable.BytesWritable{Data: p}) }
-	default:
+	case spillNoExtractor:
 		cmp = func(a, b []byte) int { return bytes.Compare(b, a) }
+	case spillVLong:
+		cmp, pf = writable.CompareVLong, mustPrefix("VLongWritable")
+		encode = func(p []byte) []byte {
+			v := int64(0)
+			if len(p) > 0 {
+				v = int64(p[0])
+			}
+			if len(p) > 1 && p[1]&1 != 0 {
+				return []byte{0x8f, byte(v)} // one magnitude byte follows
+			}
+			o := writable.NewDataOutput(2)
+			o.WriteVLong(v)
+			return o.Bytes()
+		}
 	}
 	if mode&spillWide != 0 {
 		n = min(n, spillWideRecords)
 	}
+	if mode&spillLong != 0 {
+		n = min(n, spillLongRecords)
+	}
 	recs = make([]spillRec, n)
 	for i := range recs {
 		k := keys[i%len(keys)]
+		if mode&spillBreak != 0 && i == n-1 {
+			k = spillKey{part: keys[0].part}
+		}
 		p := []byte(k.payload)
 		if mode&spillVary != 0 && len(p) > 0 {
 			p[len(p)-1] ^= byte(i / len(keys))
@@ -438,21 +495,23 @@ func decodeSpillOrder(data []byte) (cmp writable.RawComparator, pf writable.Pref
 		if mode&spillHuge != 0 && i == n/2 {
 			val = append(val, make([]byte, maxChunkBytes)...)
 		}
+		if mode&spillLong != 0 {
+			val = append(val, make([]byte, spillLongValue)...)
+		}
 		recs[i] = spillRec{part: int(k.part) % partitions, key: encode(p), val: val}
 	}
 	return cmp, pf, partitions, recs, true
 }
 
-// spillRecs buffers recs, odd ones through Reserve/Commit and even ones
-// through Add, in a buffer they fill exactly, and spills them.
-func spillRecs(t *testing.T, cmp writable.RawComparator, pf writable.PrefixFunc, partitions int, recs []spillRec) []*Segment {
+// collectRecs buffers recs, odd ones through Reserve/Commit and even ones
+// through Add, in a buffer they fill exactly.
+func collectRecs(t *testing.T, cmp writable.RawComparator, pf writable.PrefixFunc, partitions int, recs []spillRec) *SortBuffer {
 	t.Helper()
 	capacity := 1
 	for _, r := range recs {
 		capacity += len(r.key) + len(r.val) + MetaBytesPerRecord
 	}
 	buf := NewSortBuffer(capacity, partitions, cmp)
-	defer buf.Release()
 	if pf != nil {
 		buf.SetPrefixFunc(pf)
 	}
@@ -461,6 +520,14 @@ func spillRecs(t *testing.T, cmp writable.RawComparator, pf writable.PrefixFunc,
 			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
 		}
 	}
+	return buf
+}
+
+// spillRecs collects recs as collectRecs does and spills them.
+func spillRecs(t *testing.T, cmp writable.RawComparator, pf writable.PrefixFunc, partitions int, recs []spillRec) []*Segment {
+	t.Helper()
+	buf := collectRecs(t, cmp, pf, partitions, recs)
+	defer buf.Release()
 	segs, _ := buf.Spill()
 	return segs
 }
@@ -503,23 +570,87 @@ func FuzzSpillOrder(f *testing.F) {
 	})
 }
 
-// TestSpillOrderSeedPaths pins which path each of two seeds takes: a
-// partition whose records keep arrival order is its chain, handed over as a
-// segment of several ranges, and one the sort reorders is copied into a
-// segment of exactly one.
+// folded is the number of chain bytes c's checksum has folded.
+func folded(c *chain) int {
+	n := c.sum.off
+	for _, ch := range c.chunks[:c.sum.k] {
+		n += len(ch)
+	}
+	return n
+}
+
+// TestSpillOrderSeedPaths pins which path each seed takes. A partition
+// whose records keep arrival order is its chain, handed over: the segment
+// starts in the chain's first chunk. One the sort reorders is copied into a
+// segment of exactly one range. Where a seed is aimed at a way Commit's
+// proof of order can go, partition 0's chain is checked before the spill.
 func TestSpillOrderSeedPaths(t *testing.T) {
 	seeds := spillOrderSeeds()
 	for _, tc := range []struct {
+		name      string
 		seed      int
 		handedOff bool
-	}{{spillSeedHandover, true}, {spillSeedCopied, false}} {
+		proof     func(c *chain, b *SortBuffer, recs []spillRec) string // why c missed the path, or ""
+	}{
+		{"chain-of-chunks", spillSeedHandover, true, nil},
+		{"reordered", spillSeedCopied, false, nil},
+		{"several-folds", spillSeedFolds, true, func(c *chain, _ *SortBuffer, _ []spillRec) string {
+			// A fold step takes at most a shuffleCRCChunk and a record.
+			if c.unordered || c.open < 2 || folded(c) < 3*shuffleCRCChunk {
+				return fmt.Sprintf("unordered=%v, %d chunks, %d bytes folded: want an ordered chain of 3+ chunks folded in 3+ steps", c.unordered, c.open+1, folded(c))
+			}
+			return ""
+		}},
+		{"breaks-on-last", spillSeedLateBreak, false, func(c *chain, b *SortBuffer, _ []spillRec) string {
+			if !c.unordered || c.last != len(b.meta)-2 || folded(c) <= shuffleCRCChunk {
+				return fmt.Sprintf("unordered=%v, proven up to record %d of %d, %d bytes folded: want the break on the last record, past %d folded bytes",
+					c.unordered, c.last, len(b.meta), folded(c), shuffleCRCChunk)
+			}
+			return ""
+		}},
+		{"equal-encodings", spillSeedEqualEncodings, true, func(c *chain, _ *SortBuffer, recs []spillRec) string {
+			encodings := map[string]bool{}
+			for _, r := range recs {
+				encodings[string(r.key)] = true
+			}
+			if c.unordered || !encodings["\x05"] || !encodings["\x8f\x05"] {
+				return fmt.Sprintf("unordered=%v, key encodings %q: want 05 and 8f05 held in order", c.unordered, slices.Sorted(maps.Keys(encodings)))
+			}
+			return ""
+		}},
+		{"record-past-a-chunk", spillSeedHugeOrdered, true, func(c *chain, _ *SortBuffer, _ []spillRec) string {
+			longest := 0
+			for _, ch := range c.chunks[:c.open+1] {
+				longest = max(longest, len(ch))
+			}
+			if c.unordered || longest <= maxChunkBytes {
+				return fmt.Sprintf("unordered=%v, longest chunk %d bytes: want an ordered chain holding a record larger than %d", c.unordered, longest, maxChunkBytes)
+			}
+			return ""
+		}},
+	} {
 		cmp, pf, partitions, recs, _ := decodeSpillOrder(seeds[tc.seed])
-		for p, seg := range spillRecs(t, cmp, pf, partitions, recs) {
+		buf := collectRecs(t, cmp, pf, partitions, recs)
+		if tc.proof != nil {
+			if why := tc.proof(&buf.chains[0], buf, recs); why != "" {
+				t.Errorf("%s (seed %d): %s", tc.name, tc.seed, why)
+			}
+		}
+		firsts := make([]*byte, partitions)
+		for p := range firsts {
+			if c := &buf.chains[p]; buf.partRecs[p] > 0 {
+				firsts[p] = &c.chunks[0][0]
+			}
+		}
+		segs, _ := buf.Spill()
+		buf.Release()
+		for p, seg := range segs {
 			if seg.Records() == 0 {
 				continue
 			}
-			if ranges := len(seg.AppendRanges(nil)); (ranges > 1) != tc.handedOff || ranges == 0 {
-				t.Errorf("seed %d partition %d: %d ranges, want handed over = %v", tc.seed, p, ranges, tc.handedOff)
+			ranges := seg.AppendRanges(nil)
+			if handed := &ranges[0][0] == firsts[p]; handed != tc.handedOff || !handed && len(ranges) != 1 {
+				t.Errorf("%s (seed %d) partition %d: handed over = %v in %d ranges, want handed over = %v", tc.name, tc.seed, p, handed, len(ranges), tc.handedOff)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package kvbuf
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -128,5 +129,67 @@ func TestBufferRingConcurrentExchange(t *testing.T) {
 	close(jobs)
 	wg.Wait()
 	buf.Release()
+	r.Release()
+}
+
+// TestBufferRingOrderProofPerBuffer is the -race witness for the proof of
+// order Commit makes: the collector fills one buffer, proving its chains
+// ordered record by record, while the spiller hands the other's ordered
+// chains over. The proof lives in each buffer's chains, so the partition
+// that broke order in one fill never leaks into the next: every spill hands
+// over exactly the partition its fill kept in order and copies the other.
+func TestBufferRingOrderProofPerBuffer(t *testing.T) {
+	cmp, _ := writable.Comparator("BytesWritable")
+	r := newTestRing(2)
+	type fill struct {
+		buf     *SortBuffer
+		ordered int   // the partition kept in order
+		first   *byte // its chain's first byte: where a handed-over segment starts
+		want    [][]byte
+	}
+	jobs := make(chan fill, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for f := range jobs {
+			segs, _ := f.buf.Spill()
+			r.Put(f.buf)
+			for p, seg := range segs {
+				ranges := seg.AppendRanges(nil)
+				if handed := &ranges[0][0] == f.first; handed != (p == f.ordered) {
+					t.Errorf("ordered partition %d: partition %d handed over = %v", f.ordered, p, handed)
+				}
+				if !bytes.Equal(seg.Bytes(), f.want[p]) {
+					t.Errorf("ordered partition %d: partition %d differs from the naive stable sort", f.ordered, p)
+				}
+				if err := seg.Verify(); err != nil {
+					t.Errorf("ordered partition %d: partition %d: %v", f.ordered, p, err)
+				}
+				seg.Recycle()
+			}
+		}
+	}()
+	val := make([]byte, 1<<10)
+	for spill := 0; spill < 20; spill++ {
+		f := fill{ordered: spill % 2}
+		f.buf, _ = r.Take()
+		var recs []spillRec
+		for i := 0; i < 300; i++ {
+			rec := spillRec{part: i % 2, key: mkBytesWritable("one-key"), val: val}
+			if rec.part != f.ordered {
+				rec.key = mkBytesWritable(fmt.Sprintf("key-%03d", 300-i))
+			}
+			if ok, err := f.buf.Add(rec.part, rec.key, rec.val); err != nil || !ok {
+				t.Fatalf("add: %v ok=%v", err, ok)
+			}
+			recs = append(recs, rec)
+		}
+		f.first = &f.buf.chains[f.ordered].chunks[0][0]
+		f.want = naiveSpill(cmp, 2, recs)
+		jobs <- f
+	}
+	close(jobs)
+	wg.Wait()
 	r.Release()
 }

@@ -25,9 +25,19 @@ type recordMeta struct {
 // chain is one partition's share of the slab: chunks filled in arrival
 // order, chunks[open] the one records go to. Chunks past open are empty ones
 // kept from an earlier fill.
+//
+// Commit proves the chain ordered record by record (see prove) until a key
+// sorts before its predecessor, which sets unordered and ends the proof:
+// last is the newest record proven, as an index into meta, sum the checksum
+// folded behind the records as they land, and comps the comparisons the
+// proof spent. A chain still ordered at Spill is handed over as its segment.
 type chain struct {
-	chunks [][]byte
-	open   int
+	chunks    [][]byte
+	open      int
+	unordered bool
+	last      int
+	sum       chainSum
+	comps     int64
 }
 
 // SortBuffer is the map-side collection buffer (io.sort.mb): records
@@ -47,16 +57,16 @@ type chain struct {
 // few records buy few bytes and a long chain is huge-page backed.
 //
 // The spill path is the map side's hottest loop, so it avoids the obvious
-// costs: records are grouped by partition with a stable counting pass (no
-// partition comparisons at all), each partition is sorted as compact
-// (prefix, index) entries on integers alone with the key bytes consulted
-// only to resolve equal-prefix runs (see spillPartition), partitions sort
-// and serialize in parallel when the record count warrants it, and a
-// partition whose sort keeps arrival order becomes its segment without a
-// copy: the chain is handed over. Any other partition is copied once into
-// a segment sized from the exact bytes observed at Commit time. Chunks come
-// from and go back to the segment pool; metadata arrays are recycled across
-// SortBuffer instances via Release().
+// costs. A partition whose keys arrived in order, which Commit proves while
+// each record is still in cache (see prove), becomes its segment without a
+// sort or a copy: the chain is handed over. The others are grouped by
+// partition with a stable counting pass (no partition comparisons at all),
+// each sorted as compact (prefix, index) entries on integers alone with the
+// key bytes consulted only to resolve equal-prefix runs (see
+// spillPartition), in parallel when the record count warrants it, and
+// copied once into a segment sized from the exact bytes observed at Commit
+// time. Chunks come from and go back to the segment pool; metadata arrays
+// are recycled across SortBuffer instances via Release().
 type SortBuffer struct {
 	order      writable.KeyOrder
 	partitions int
@@ -134,9 +144,9 @@ func (c *chain) tailFor(n, chunk0 int) []byte {
 	}
 }
 
-// chainSum folds a chain's checksum while the spill reads its records in
-// chain order, a shuffleCRCChunk at a time, so the fold finds the bytes the
-// key checks just pulled into cache instead of reading the chain again.
+// chainSum folds a chain's checksum while Commit appends its records, a
+// shuffleCRCChunk at a time, so the fold finds the bytes collect just wrote
+// still in cache instead of reading the chain again at spill.
 type chainSum struct {
 	crc    uint32
 	k, off int // folded so far: the chunks before k, and chunk k up to off
@@ -156,13 +166,15 @@ func (s *chainSum) to(chunks [][]byte, k, end int) {
 // handOver seals the chain as a segment of its records in arrival order and
 // empties the chain: the chunks up to the open one become the segment's
 // ranges, and the trailer goes into the open chunk, where tailFor always
-// leaves room for it. sum is the checksum folded so far; the fold is
-// finished here, so the chain is checksummed once.
-func (c *chain) handOver(records int, sum chainSum) *Segment {
+// leaves room for it. Commit folded the checksum to within a
+// shuffleCRCChunk of the end; the fold is finished here, so the chain is
+// checksummed once.
+func (c *chain) handOver(records int) *Segment {
 	ranges := c.chunks[: c.open+1 : c.open+1]
 	c.chunks, c.open = slices.Clone(c.chunks[c.open+1:]), 0
 	last := &ranges[len(ranges)-1]
 	*last = append(*last, 0xff, 0xff) // EOFMarker twice, as one-byte vints
+	sum := c.sum
 	sum.to(ranges, len(ranges)-1, 0)
 	crc := UpdateCRC(sum.crc, (*last)[sum.off:])
 	*last = binary.BigEndian.AppendUint32(*last, crc)
@@ -320,9 +332,34 @@ func (b *SortBuffer) Commit(keyLen int) (bool, error) {
 		keyLen: int32(keyLen), valLen: int32(n - keyLen),
 	})
 	b.prefixes = append(b.prefixes, b.order.Prefix(c[off+hdr:off+hdr+keyLen]))
+	if !ch.unordered {
+		b.prove(ch, len(b.meta)-1, b.partRecs[p] > 0)
+	}
 	b.partRecs[p]++
 	b.partBytes[p] += int64(hdr + n)
 	return true, nil
+}
+
+// prove extends c's proof of order by its newest record, meta[i]: its key
+// must not sort before the one of the record before it (hasPrev), both still
+// in cache. A prefix tie counts one comparison, as the spill's run check
+// would. The checksum fold follows the records. Kept out of Commit, so a
+// partition whose order broke pays one predictable branch per record.
+func (b *SortBuffer) prove(c *chain, i int, hasPrev bool) {
+	m := &b.meta[i]
+	if hasPrev {
+		l := &b.meta[c.last]
+		pi, pl := b.prefixes[i], b.prefixes[c.last]
+		if pi == pl {
+			c.comps++
+		}
+		if b.order.Compare(c.chunks[m.chunk][m.off:m.off+m.keyLen], pi, c.chunks[l.chunk][l.off:l.off+l.keyLen], pl) < 0 {
+			c.unordered = true
+			return
+		}
+	}
+	c.last = i
+	c.sum.to(c.chunks, int(m.chunk), int(m.off+m.keyLen+m.valLen))
 }
 
 // Add buffers one already-serialised record: Reserve, write, Commit. It
@@ -355,10 +392,14 @@ func (b *SortBuffer) ShouldSpill(spillPercent float64) bool {
 // segment per partition (empty partitions yield empty segments), then
 // resets the buffer. Comparisons is the number of comparisons the sort
 // performed — insertion-sort steps on prefixes, equal-run byte checks and
-// raw comparator calls alike; the radix passes compare nothing — a
-// deterministic work count for benchmarks. The sort is stable: records with
-// equal keys keep insertion order, so output is deterministic regardless of
-// how many goroutines the spill used.
+// raw comparator calls alike; the radix passes compare nothing — plus, for
+// a partition Commit proved ordered, one per record that tied its
+// predecessor's prefix (for a partition of one key, the count its run check
+// would make; for keys that differ, no more than a sort would count, so the
+// count depends on arrival order): a deterministic work count for a given
+// input, for benchmarks. The sort is stable: records with equal keys keep
+// insertion order, so output is deterministic regardless of how many
+// goroutines the spill used.
 func (b *SortBuffer) Spill() (segs []*Segment, comparisons int64) {
 	n := len(b.meta)
 	segs = make([]*Segment, b.partitions)
@@ -430,7 +471,7 @@ func (b *SortBuffer) Reset() {
 		for i := range c.chunks {
 			c.chunks[i] = c.chunks[i][:0]
 		}
-		c.open = 0
+		*c = chain{chunks: c.chunks}
 	}
 	b.payload = 0
 	b.meta = b.meta[:0]
@@ -441,9 +482,13 @@ func (b *SortBuffer) Reset() {
 	}
 }
 
-// spillPartition sorts one partition's entries by (key, insertion order) and
-// turns them into its IFile segment, returning the key comparisons spent
-// (integer and byte-wise alike).
+// spillPartition turns one partition into its IFile segment, returning the
+// key comparisons spent (integer and byte-wise alike).
+//
+// A partition Commit proved ordered — every one whose records share one key,
+// as in MR-AVG — is already what a stable sort produces: its chain is
+// handed over, with the comparisons the proof spent. Any other is sorted
+// and copied, record by framed record, into one segment.
 //
 // The entries arrive in insertion order. They are first sorted on
 // (prefix, idx) by a stable radix sort on the prefix (radixSort, with
@@ -456,40 +501,28 @@ func (b *SortBuffer) Reset() {
 // produces, for any input, while the slab is touched O(n) times instead of
 // O(n log n). Under writable.ByComparator every prefix is zero: one pass
 // finds nothing to scatter, then one run, sorted by comparator.
-//
-// A partition whose order is its arrival order — every one whose records
-// share one key, as in MR-AVG — is its chain already; it is handed over.
-// Any other is copied, record by framed record, into one segment.
 func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Segment) int64 {
-	chunks, meta := b.chains[p].chunks, b.meta
+	ch := &b.chains[p]
+	if len(part) > 0 && !ch.unordered {
+		segs[p] = ch.handOver(len(part))
+		return ch.comps
+	}
+	chunks, meta := ch.chunks, b.meta
 	key := func(e sortEntry) []byte {
 		m := &meta[e.idx]
 		return chunks[m.chunk][m.off : m.off+m.keyLen]
 	}
 	comps := radixSort(part, scratch)
-	// While the entries stand in arrival order the run checks read the
-	// chain front to back, and the handover's checksum is folded behind
-	// them (wasted only if a run's comparator sort then breaks that order).
-	var sum chainSum
-	ordered := inArrivalOrder(part)
-	read := func(e sortEntry) []byte {
-		if ordered {
-			m := &meta[e.idx]
-			sum.to(chunks, int(m.chunk), int(m.off+m.keyLen+m.valLen))
-		}
-		return key(e)
-	}
 	for lo := 0; lo < len(part); {
 		hi := lo + 1
-		first, same := read(part[lo]), true
+		first, same := key(part[lo]), true
 		for ; hi < len(part) && part[hi].prefix == part[lo].prefix; hi++ {
 			if same {
 				comps++
-				same = bytes.Equal(first, read(part[hi]))
+				same = bytes.Equal(first, key(part[hi]))
 			}
 		}
 		if !same {
-			ordered = false
 			slices.SortFunc(part[lo:hi], func(x, y sortEntry) int {
 				comps++
 				if c := b.order.Cmp(key(x), key(y)); c != 0 {
@@ -500,10 +533,6 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		}
 		lo = hi
 	}
-	if len(part) > 0 && (ordered || inArrivalOrder(part)) {
-		segs[p] = b.chains[p].handOver(len(part), sum)
-		return comps
-	}
 	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
 	for _, e := range part {
 		m := &meta[e.idx]
@@ -512,17 +541,6 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 	}
 	segs[p] = w.Close()
 	return comps
-}
-
-// inArrivalOrder reports whether part's entries stand in insertion order:
-// an integer scan, no key is looked at.
-func inArrivalOrder(part []sortEntry) bool {
-	for i := 1; i < len(part); i++ {
-		if part[i].idx < part[i-1].idx {
-			return false
-		}
-	}
-	return true
 }
 
 // radixCutoff is the range length at or below which radixSort finishes with

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -402,6 +403,73 @@ func TestWarmBufferAddAllocatesNothing(t *testing.T) {
 				t.Errorf("direct=%v: %s then Add allocates %.2f times per record, want 0", direct, empty.name, avg)
 			}
 		}
+		buf.Release()
+	}
+}
+
+// TestOrderedSpillFoldsOnlyItsTail: Commit folds an ordered partition's
+// checksum as its records land, so the Spill that hands its chain over folds
+// only the tail a fold step had not reached yet and the trailer's EOF
+// markers. A partition whose order breaks is sealed by the copy, which folds
+// its whole body: the proof wasted at most the bytes collected before the
+// break.
+func TestOrderedSpillFoldsOnlyItsTail(t *testing.T) {
+	cmp, pf := writable.CompareBytesWritable, mustPrefix("BytesWritable")
+	val := make([]byte, 1<<10)
+	const n = 1000 // about 1 MiB: several chunks, several fold steps
+	counted := func(f func()) int {
+		var total int
+		restore := ObserveCRC(func(k int) { total += k })
+		f()
+		restore()
+		return total
+	}
+	collect := func(buf *SortBuffer, keys ...[]byte) (framed int) {
+		for _, k := range keys {
+			if ok, err := buf.Add(0, k, val); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			framed += headerLen(len(k), len(val)) + len(k) + len(val)
+		}
+		return framed
+	}
+	newBuf := func() *SortBuffer {
+		buf := NewSortBuffer(4<<20, 1, cmp)
+		buf.SetPrefixFunc(pf)
+		return buf
+	}
+	verify := func(name string, seg *Segment) {
+		if err := SegmentFromBytes(seg.Bytes()).Verify(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	key := mkBytesWritable("the-one-key")
+	keys := slices.Repeat([][]byte{key}, n)
+	buf := newBuf()
+	collect(buf, keys...)
+	var segs []*Segment
+	if got := counted(func() { segs, _ = buf.Spill() }); got >= shuffleCRCChunk+segmentTrailerBytes {
+		t.Errorf("ordered partition: Spill folded %d bytes, want under a shuffleCRCChunk plus the trailer (%d)", got, shuffleCRCChunk+segmentTrailerBytes)
+	}
+	verify("ordered partition", segs[0])
+	buf.Release()
+
+	for _, k := range []int{1, n / 3, n - 1} {
+		buf := newBuf()
+		var before int
+		got := counted(func() {
+			before = collect(buf, keys[:k]...)
+			collect(buf, mkBytesWritable("a-key-sorting-first"))
+			collect(buf, keys[k+1:]...)
+			segs, _ = buf.Spill()
+		})
+		body := len(segs[0].Bytes()) - 4
+		if wasted := got - body; wasted > before || wasted <= before-shuffleCRCChunk {
+			t.Errorf("order broken after %d bytes: %d bytes folded beside the %d-byte body, want a waste in (%d, %d]",
+				before, wasted, body, before-shuffleCRCChunk, before)
+		}
+		verify(fmt.Sprintf("broken after record %d", k), segs[0])
 		buf.Release()
 	}
 }

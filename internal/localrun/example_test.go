@@ -31,8 +31,8 @@ func ExampleRun() {
 			SetInt(mapreduce.ConfNumMaps, 3).
 			SetInt(mapreduce.ConfNumReduces, 2),
 		Mapper:             func() mapreduce.Mapper { return &apps.WordCountMapper{} },
-		Reducer:            func() mapreduce.Reducer { return apps.SumReducer{} },
-		Combiner:           func() mapreduce.Reducer { return apps.SumReducer{} },
+		Reducer:            func() mapreduce.Reducer { return &apps.SumReducer{} },
+		Combiner:           func() mapreduce.Reducer { return &apps.SumReducer{} },
 		Input:              &mapreduce.TextInput{Text: corpus},
 		Output:             out,
 		MapOutputKeyType:   "Text",

@@ -46,7 +46,7 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 	switch cfg.Workload {
 	case apps.WordCount:
 		job.Mapper = func() mapreduce.Mapper { return &apps.WordCountMapper{} }
-		job.Reducer = func() mapreduce.Reducer { return apps.SumReducer{} }
+		job.Reducer = func() mapreduce.Reducer { return &apps.SumReducer{} }
 		job.MapOutputValueType = "LongWritable"
 	case apps.Grep:
 		re, err := regexp.Compile(cfg.GrepPattern)
@@ -56,11 +56,11 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 		// One compiled regexp shared across tasks: regexp.Regexp is
 		// concurrency-safe and compilation dominates tiny splits.
 		job.Mapper = func() mapreduce.Mapper { return &apps.GrepMapper{Re: re} }
-		job.Reducer = func() mapreduce.Reducer { return apps.SumReducer{} }
+		job.Reducer = func() mapreduce.Reducer { return &apps.SumReducer{} }
 		job.MapOutputValueType = "LongWritable"
 	case apps.InvIndex:
 		job.Mapper = func() mapreduce.Mapper { return &apps.InvIndexMapper{} }
-		job.Reducer = func() mapreduce.Reducer { return apps.InvIndexReducer{} }
+		job.Reducer = func() mapreduce.Reducer { return &apps.InvIndexReducer{} }
 		job.MapOutputValueType = "Text"
 	case apps.HSGen:
 		seed := cfg.Seed
@@ -86,7 +86,7 @@ func buildWorkloadJob(cfg Config) (*mapreduce.Job, error) {
 	}
 
 	if cfg.Combine {
-		job.Combiner = func() mapreduce.Reducer { return apps.SumReducer{} }
+		job.Combiner = func() mapreduce.Reducer { return &apps.SumReducer{} }
 	}
 	return job, nil
 }
