@@ -224,9 +224,9 @@ func runLocal(cfg microbench.Config, disk bool, reps int) {
 	if ms := res.MapSpill; ms.Spills > 0 {
 		fmt.Printf("map-side spill pipeline (%d spills, %d on the background spiller):\n", ms.Spills, ms.AsyncSpills)
 		fmt.Printf("  collect stall     %v (mapper blocked on spilling)\n", ms.CollectStall.Round(time.Millisecond))
-		fmt.Printf("  spill work        %v sort+combine+codec, %v premerge\n", ms.SpillWork.Round(time.Millisecond), ms.Premerge.Round(time.Millisecond))
+		fmt.Printf("  spill work        %v sort+combine, %v premerge\n", ms.SpillWork.Round(time.Millisecond), ms.Premerge.Round(time.Millisecond))
 		fmt.Printf("  spill overlap     %v (seal work hidden under collection)\n", ms.Overlapped().Round(time.Millisecond))
-		fmt.Printf("  drain + merge     %v waiting for last spills, %v per-map final merge\n", ms.DrainWait.Round(time.Millisecond), ms.FinalMerge.Round(time.Millisecond))
+		fmt.Printf("  drain + merge     %v waiting for last spills, %v per-map final merge + codec\n", ms.DrainWait.Round(time.Millisecond), ms.FinalMerge.Round(time.Millisecond))
 	}
 	if rm := res.ReduceMerge; rm.DiskRuns > 0 || cfg.ShuffleMemBudget > 0 {
 		fmt.Printf("reduce-side merge (budget %d bytes):\n", cfg.ShuffleMemBudget)

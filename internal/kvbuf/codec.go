@@ -9,9 +9,10 @@ import (
 )
 
 // Codec is a pluggable compression codec for IFile segments, the
-// real-execution analogue of mapreduce.map.output.compress.codec. Segments
-// are compressed once on the map side (at spill time) and travel the wire
-// compressed; the reduce side inflates them streaming off the socket.
+// real-execution analogue of mapreduce.map.output.compress.codec. A map's
+// output is compressed once per partition, when the map registers it, and
+// travels the wire compressed; the reduce side inflates it streaming off
+// the socket.
 type Codec interface {
 	// Name identifies the codec in conf values and in the compressed
 	// segment header.

@@ -47,8 +47,8 @@ func spillOne(b *testing.B, n int, next func(k, v []byte) ([]byte, []byte)) *Seg
 func randomFill(rng *rand.Rand, v []byte) { rng.Read(v) }
 func zeroFill(*rand.Rand, []byte)         {}
 
-// benchmarkCodecCompress measures spill-time compression throughput in raw
-// (uncompressed) MB/s, the rate the map task's spill path experiences.
+// benchmarkCodecCompress measures map-output compression throughput in raw
+// (uncompressed) MB/s, the rate a map task pays as it registers its output.
 func benchmarkCodecCompress(b *testing.B, seg *Segment) {
 	comp := CompressSegmentWith(seg, Deflate)
 	ratio := float64(comp.Len()) / float64(seg.Len())
@@ -83,26 +83,6 @@ func BenchmarkCodecCompressDeflateGenerator(b *testing.B) {
 		return k, v
 	}))
 }
-
-// benchmarkCodecDecompress measures the buffered decode path (header parse,
-// exact-size inflate, stream-end check) in raw MB/s.
-func benchmarkCodecDecompress(b *testing.B, fill func(*rand.Rand, []byte)) {
-	seg := benchSegmentFor(b, 16384, fill)
-	comp := CompressSegmentWith(seg, Deflate)
-	b.ReportAllocs()
-	b.SetBytes(int64(seg.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := comp.Decompress()
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw.Recycle()
-	}
-}
-
-func BenchmarkCodecDecompressDeflateRandom(b *testing.B) { benchmarkCodecDecompress(b, randomFill) }
-func BenchmarkCodecDecompressDeflateConst(b *testing.B)  { benchmarkCodecDecompress(b, zeroFill) }
 
 // BenchmarkCodecStreamRead measures the fetch-side streaming path: inflate
 // fused with the IFile CRC verify in fixed-size chunks, as segmentFetcher

@@ -1,7 +1,6 @@
 package kvbuf
 
 import (
-	"bytes"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -60,67 +59,8 @@ func CompressSegmentWith(s *Segment, c Codec) *Segment {
 	return &Segment{data: buf, records: s.records, compressed: true}
 }
 
-// CompressedSegmentFromBytes adopts wire bytes in the compressed segment
-// format, recovering the record count from the header.
-func CompressedSegmentFromBytes(data []byte) (*Segment, error) {
-	_, _, records, _, err := parseCompressedHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Segment{data: data, records: records, compressed: true}, nil
-}
-
 // Compressed reports whether the segment holds codec-compressed records.
 func (s *Segment) Compressed() bool { return s.compressed }
-
-func parseCompressedHeader(data []byte) (c Codec, rawLen, records int, body []byte, err error) {
-	in := writable.NewDataInput(data)
-	nameLen, err := in.ReadVInt()
-	if err != nil || nameLen <= 0 || nameLen > maxCodecNameLen {
-		return nil, 0, 0, nil, fmt.Errorf("%w: bad codec name length", ErrCorruptSegment)
-	}
-	nameBytes, err := in.ReadFull(int(nameLen))
-	if err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("%w: truncated header", ErrCorruptSegment)
-	}
-	c, ok := CodecByName(string(nameBytes))
-	if !ok || c == nil {
-		return nil, 0, 0, nil, fmt.Errorf("%w: unknown codec %q", ErrCorruptSegment, nameBytes)
-	}
-	rawLen64, err1 := in.ReadVLong()
-	records64, err2 := in.ReadVLong()
-	body = data[in.Offset():]
-	if err1 != nil || err2 != nil || rawLen64 < 4 || records64 < 0 ||
-		rawLen64 > (int64(len(body))+64)*maxDeflateRatio {
-		return nil, 0, 0, nil, fmt.Errorf("%w: bad header lengths", ErrCorruptSegment)
-	}
-	return c, int(rawLen64), int(records64), body, nil
-}
-
-// Decompress materializes the raw IFile stream from a compressed segment
-// into an exact-size pooled buffer. The raw segment carries the header's
-// record count.
-func (s *Segment) Decompress() (*Segment, error) {
-	if !s.compressed {
-		return s, nil
-	}
-	c, rawLen, records, body, err := parseCompressedHeader(s.data)
-	if err != nil {
-		return nil, err
-	}
-	zr := c.NewReader(bytes.NewReader(body))
-	defer zr.Close()
-	buf := pooledBuf(rawLen)[:rawLen]
-	if _, err := io.ReadFull(zr, buf); err != nil {
-		recycleBuf(buf)
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSegment, err)
-	}
-	if err := expectStreamEnd(zr); err != nil {
-		recycleBuf(buf)
-		return nil, err
-	}
-	return &Segment{data: buf, records: records}, nil
-}
 
 // expectStreamEnd checks the codec stream ends cleanly exactly where the
 // declared raw length says it does. Only io.EOF is a clean end: deflate
@@ -153,57 +93,30 @@ func expectStreamEnd(zr io.Reader) error {
 func ReadCompressedSegment(r io.Reader, payloadLen int) (*Segment, error) {
 	lr := &io.LimitedReader{R: r, N: int64(payloadLen)}
 	seg, err := readCompressedPayload(lr, payloadLen)
-	if err != nil {
-		if errors.Is(err, ErrCorruptSegment) {
-			if _, derr := io.Copy(io.Discard, lr); derr != nil {
-				return nil, derr
-			}
-		}
+	if err != nil && !errors.Is(err, ErrCorruptSegment) {
 		return nil, err
 	}
-	// The inflater stops at the codec stream's end; drain whatever framing
-	// slack follows it inside the payload.
+	// The inflater stops at the codec stream's end, a corrupt payload
+	// wherever it broke: drain the rest of the payload either way.
 	if _, derr := io.Copy(io.Discard, lr); derr != nil {
-		seg.Recycle()
+		if seg != nil {
+			seg.Recycle()
+		}
 		return nil, derr
 	}
-	return seg, nil
+	return seg, err
 }
 
 func readCompressedPayload(lr *io.LimitedReader, payloadLen int) (*Segment, error) {
-	hr := &headerReader{r: lr}
-	nameLen, err := readStreamVLong(hr)
-	if err != nil || nameLen <= 0 || nameLen > maxCodecNameLen {
-		return nil, corruptOrIO(err, "bad codec name length")
+	c, rawLen, records, err := readCompressedHeader(headerReader{lr}, int64(payloadLen))
+	if err != nil {
+		return nil, err
 	}
-	var nameBuf [maxCodecNameLen]byte
-	if _, err := io.ReadFull(hr, nameBuf[:nameLen]); err != nil {
-		return nil, corruptOrIO(err, "truncated header")
-	}
-	c, ok := CodecByName(string(nameBuf[:nameLen]))
-	if !ok || c == nil {
-		return nil, fmt.Errorf("%w: unknown codec %q", ErrCorruptSegment, nameBuf[:nameLen])
-	}
-	rawLen64, err1 := readStreamVLong(hr)
-	records64, err2 := readStreamVLong(hr)
-	if err1 != nil {
-		return nil, corruptOrIO(err1, "bad header lengths")
-	}
-	if err2 != nil {
-		return nil, corruptOrIO(err2, "bad header lengths")
-	}
-	if rawLen64 < 4 || records64 < 0 || rawLen64 > (int64(payloadLen)+64)*maxDeflateRatio {
-		return nil, fmt.Errorf("%w: bad header lengths", ErrCorruptSegment)
-	}
-	rawLen := int(rawLen64)
-
-	// readerOnly hides headerReader's ReadByte so flate buffers reads in
-	// large chunks itself; the LimitedReader keeps it inside the payload.
-	zr := c.NewReader(readerOnly{lr})
+	zr := c.NewReader(lr)
 	defer zr.Close()
 	// The decompressed bytes are a raw IFile stream: read and check them as
 	// one, folding the CRC over each chunk as it comes out of the codec.
-	seg, err := ReadSegment(zr, rawLen)
+	seg, err := ReadSegment(zr, int(rawLen))
 	if err != nil {
 		if errors.Is(err, ErrCorruptSegment) {
 			return nil, err
@@ -214,8 +127,40 @@ func readCompressedPayload(lr *io.LimitedReader, payloadLen int) (*Segment, erro
 		seg.Recycle()
 		return nil, err
 	}
-	seg.records = int(records64)
+	seg.records = int(records)
 	return seg, nil
+}
+
+// readCompressedHeader reads the compressed segment header off br: the one
+// header parser of the format, for fetched payloads and run files alike. A
+// codec name this package does not know, a raw length too short to hold an
+// IFile trailer or a negative record count is corrupt, and so is a raw
+// length past what DEFLATE can expand a payload of payloadLen bytes to
+// (payloadLen < 0: unknown, no ratio bound).
+func readCompressedHeader(br io.ByteReader, payloadLen int64) (c Codec, rawLen, records int64, err error) {
+	nameLen, err := readStreamVLong(br)
+	if err != nil || nameLen <= 0 || nameLen > maxCodecNameLen {
+		return nil, 0, 0, corruptOrIO(err, "bad codec name length")
+	}
+	var name [maxCodecNameLen]byte
+	for i := range name[:nameLen] {
+		if name[i], err = br.ReadByte(); err != nil {
+			return nil, 0, 0, corruptOrIO(err, "truncated header")
+		}
+	}
+	if c, _ = CodecByName(string(name[:nameLen])); c == nil {
+		return nil, 0, 0, fmt.Errorf("%w: unknown codec %q", ErrCorruptSegment, name[:nameLen])
+	}
+	if rawLen, err = readStreamVLong(br); err != nil {
+		return nil, 0, 0, corruptOrIO(err, "bad header lengths")
+	}
+	if records, err = readStreamVLong(br); err != nil {
+		return nil, 0, 0, corruptOrIO(err, "bad header lengths")
+	}
+	if rawLen < 4 || records < 0 || payloadLen >= 0 && rawLen > (payloadLen+64)*maxDeflateRatio {
+		return nil, 0, 0, fmt.Errorf("%w: bad header lengths", ErrCorruptSegment)
+	}
+	return c, rawLen, records, nil
 }
 
 // corruptOrIO classifies a decode-path error: stream-shape failures (early
@@ -244,20 +189,11 @@ func isCodecError(err error) bool {
 // payload reader.
 type headerReader struct{ r io.Reader }
 
-func (h *headerReader) Read(p []byte) (int, error) { return h.r.Read(p) }
-
-func (h *headerReader) ReadByte() (byte, error) {
+func (h headerReader) ReadByte() (byte, error) {
 	var b [1]byte
 	_, err := io.ReadFull(h.r, b[:])
 	return b[0], err
 }
-
-// readerOnly strips io.ByteReader from its wrapped reader so compress/flate
-// installs its own internal buffering (bulk reads) instead of going byte at
-// a time.
-type readerOnly struct{ r io.Reader }
-
-func (r readerOnly) Read(p []byte) (int, error) { return r.r.Read(p) }
 
 // readStreamVLong reads a Hadoop vlong from a byte stream, mirroring
 // writable.DataInput.ReadVLong.

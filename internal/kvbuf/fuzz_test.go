@@ -2,9 +2,12 @@ package kvbuf
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -89,18 +92,20 @@ func TestFuzzSeedCorpusSync(t *testing.T) {
 }
 
 // FuzzIFileReader feeds arbitrary bytes through the IFile segment decoder:
-// Verify() and a full Next() iteration must reject truncated or corrupt
-// input with an error, never a panic or runaway allocation. The committed
-// seed corpus (valid, truncated, bit-flipped, trailing-junk, empty) also
-// runs as a regression test under plain `go test`.
+// ReadSegment's trailer check and a full Next() iteration must reject
+// truncated or corrupt input with an error, never a panic or runaway
+// allocation. The committed seed corpus (valid, truncated, bit-flipped,
+// trailing-junk, empty) also runs as a regression test under plain `go test`.
 func FuzzIFileReader(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seg := SegmentFromBytes(data)
-		verifyErr := seg.Verify()
+		seg, verifyErr := ReadSegment(bytes.NewReader(data), len(data))
+		if verifyErr != nil {
+			seg = adopt(data)
+		}
 
 		r := seg.NewReader()
 		var readErr error
@@ -122,18 +127,18 @@ func FuzzIFileReader(f *testing.F) {
 		if r.RecordsRead() != records {
 			t.Errorf("RecordsRead() = %d, iterated %d", r.RecordsRead(), records)
 		}
-		// A passing Verify marks the segment proven, and its Reader may then
-		// skip the end-of-stream re-scan. That must never change what is
-		// accepted: a Reader over the same bytes with no mark — which always
-		// re-scans — sees the same records and the same verdict.
-		plainRecords, plainErr := drain(SegmentFromBytes(data))
+		// A segment ReadSegment accepts comes back marked proven, and its
+		// Reader may then skip the end-of-stream re-scan. That must never
+		// change what is accepted: a Reader over the same bytes with no mark
+		// — which always re-scans — sees the same records and the same verdict.
+		plainRecords, plainErr := drain(adopt(data))
 		if plainRecords != records || (plainErr == nil) != (readErr == nil) {
-			t.Errorf("Verify err %v: marked read %d records (err %v), unmarked read %d (err %v)",
+			t.Errorf("ReadSegment err %v: marked read %d records (err %v), unmarked read %d (err %v)",
 				verifyErr, records, readErr, plainRecords, plainErr)
 		}
 		// Next's one-byte case agrees with the general decoder record for
 		// record, and on where and whether the stream fails.
-		fast, general := SegmentFromBytes(data).NewReader(), SegmentFromBytes(data).NewReader()
+		fast, general := adopt(data).NewReader(), adopt(data).NewReader()
 		for i := 0; ; i++ {
 			fk, fv, fok, ferr := fast.Next()
 			gk, gv, gok, gerr := general.next()
@@ -145,10 +150,10 @@ func FuzzIFileReader(f *testing.F) {
 			}
 		}
 		// A stream that reads cleanly to its EOF marker has a valid CRC over
-		// the prefix the reader consumed; whole-segment Verify may still
-		// reject trailing junk, but the reverse implication must hold: a
-		// Verify-clean segment that is exactly the written stream never
-		// produces a read error. We can only assert that cheaply for the
+		// the prefix the reader consumed; ReadSegment's whole-buffer check
+		// may still reject trailing junk, but the reverse implication must
+		// hold: a trailer-clean segment that is exactly the written stream
+		// never produces a read error. We can only assert that cheaply for the
 		// canonical seed shape, so beyond the equivalence above the invariant
 		// checked for arbitrary input is the absence of panics.
 	})
@@ -159,29 +164,32 @@ func FuzzIFileReader(f *testing.F) {
 // malformed-marker seeds are all rejected by the Reader, mark or no mark.
 func TestFuzzSeedsRejectedByReader(t *testing.T) {
 	for i, seed := range fuzzSeeds() {
-		seg := SegmentFromBytes(seed)
-		verr := seg.Verify()
+		seg, verr := ReadSegment(bytes.NewReader(seed), len(seed))
+		if verr != nil {
+			seg = adopt(seed)
+		}
 		_, rerr := drain(seg)
 		switch {
 		case validFuzzSeeds[i] && (verr != nil || rerr != nil):
-			t.Errorf("valid seed %d: Verify %v, read %v", i, verr, rerr)
+			t.Errorf("valid seed %d: ReadSegment %v, read %v", i, verr, rerr)
 		case i == 4 && (verr == nil || rerr != nil):
 			// Trailing junk: the records and their trailer are intact, the
 			// whole-buffer check is not.
-			t.Errorf("trailing-junk seed: Verify %v, read %v", verr, rerr)
+			t.Errorf("trailing-junk seed: ReadSegment %v, read %v", verr, rerr)
 		case !validFuzzSeeds[i] && i != 4 && (verr == nil || rerr == nil):
-			t.Errorf("seed %d (%q): Verify %v, read %v; want both to reject it", i, seed, verr, rerr)
+			t.Errorf("seed %d (%q): ReadSegment %v, read %v; want both to reject it", i, seed, verr, rerr)
 		}
 	}
 }
 
 // TestVerifyMatchesReaderOnCleanStreams pins the relationship the fuzz
 // target cannot assert for arbitrary bytes: for exact writer output, both
-// validation paths agree.
+// validation paths — ReadSegment's trailer check and the Reader — agree.
 func TestVerifyMatchesReaderOnCleanStreams(t *testing.T) {
-	seg := SegmentFromBytes(fuzzSeedSegment())
-	if err := seg.Verify(); err != nil {
-		t.Fatalf("Verify on clean stream: %v", err)
+	clean := fuzzSeedSegment()
+	seg, err := ReadSegment(bytes.NewReader(clean), len(clean))
+	if err != nil {
+		t.Fatalf("ReadSegment on clean stream: %v", err)
 	}
 	r := seg.NewReader()
 	for {
@@ -209,8 +217,8 @@ func compressedHeader(codec string, rawLen, records int64) []byte {
 	return out.Bytes()
 }
 
-// validCompressedSeeds are the indices of compressedSegmentSeeds that both
-// decode paths accept.
+// validCompressedSeeds are the indices of compressedSegmentSeeds that the
+// decoders accept.
 var validCompressedSeeds = map[int]bool{0: true, 5: true, 6: true}
 
 // compressedSegmentSeeds is the named seed list of FuzzCompressedSegment.
@@ -236,15 +244,65 @@ func compressedSegmentSeeds() [][]byte {
 	}
 }
 
-// FuzzCompressedSegment feeds arbitrary bytes to both compressed-segment
-// decoders: the buffered one a fetch with a whole response in hand uses
-// (CompressedSegmentFromBytes, Decompress, Verify) and the streaming one
-// that inflates off the connection (ReadCompressedSegment). Neither may
-// panic or allocate beyond what the header's ratio bound admits; both must
-// accept the input or both reject it with ErrCorruptSegment, and agree on
-// bytes and record count when they accept. The streaming decoder must leave
-// a framed stream in sync: it consumes exactly the payload, never the bytes
-// after it.
+// referenceInflate decodes a compressed segment with none of the package's
+// decode path: the header through writable.DataInput, the codec stream
+// through compress/flate over the rest of the buffer, the trailer through
+// hash/crc32. It applies the format's rules — a codec named deflate, a raw
+// length that holds a trailer and lies within maxDeflateRatio of the
+// payload, a record count of at least zero, a codec stream that ends exactly
+// at the raw length, a trailer that is the checksum of the bytes before it —
+// and returns the raw IFile stream and the header's record count, or ok =
+// false where a rule fails.
+func referenceInflate(data []byte) (raw []byte, records int64, ok bool) {
+	in := writable.NewDataInput(data)
+	nameLen, err := in.ReadVLong()
+	if err != nil || nameLen <= 0 || nameLen > maxCodecNameLen {
+		return nil, 0, false
+	}
+	if name, err := in.ReadFull(int(nameLen)); err != nil || string(name) != "deflate" {
+		return nil, 0, false
+	}
+	rawLen, err1 := in.ReadVLong()
+	records, err2 := in.ReadVLong()
+	if err1 != nil || err2 != nil || rawLen < 4 || records < 0 || rawLen > (int64(len(data))+64)*maxDeflateRatio {
+		return nil, 0, false
+	}
+	zr := flate.NewReader(bytes.NewReader(data[in.Offset():]))
+	raw = make([]byte, rawLen)
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return nil, 0, false
+	}
+	if n, err := io.ReadFull(zr, make([]byte, 1)); n != 0 || err != io.EOF {
+		return nil, 0, false
+	}
+	body := raw[:len(raw)-4]
+	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.BigEndian.Uint32(raw[len(body):]) {
+		return nil, 0, false
+	}
+	return raw, records, true
+}
+
+// sourceRecords drains src, returning its records and the first error.
+func sourceRecords(src RecordSource) (recs [][2]string, err error) {
+	for {
+		k, v, ok, err := src.Next()
+		if err != nil || !ok {
+			return recs, err
+		}
+		recs = append(recs, [2]string{string(k), string(v)})
+	}
+}
+
+// FuzzCompressedSegment feeds arbitrary bytes to the compressed-segment
+// decoders: ReadCompressedSegment, which inflates a fetched payload off the
+// connection, and NewRunReader, which streams a compressed run file. Neither
+// may panic or allocate beyond what the header's ratio bound admits.
+// ReadCompressedSegment is held to referenceInflate: it accepts exactly
+// what the reference accepts, rejecting the rest with ErrCorruptSegment,
+// and where both accept it yields the reference's bytes, record count and
+// records. It must leave a framed stream in sync: it consumes exactly the
+// payload, never the bytes after it. Where the run reader and the fetch
+// path both read a stream to its end, they yield the same records.
 func FuzzCompressedSegment(f *testing.F) {
 	for _, seed := range compressedSegmentSeeds() {
 		f.Add(seed)
@@ -255,35 +313,51 @@ func FuzzCompressedSegment(f *testing.F) {
 		return sample[0].Value.Uint64()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		bound := 2*uint64(len(data)+64)*maxDeflateRatio + 1<<20
 		before := allocated()
-		var buffered *Segment
-		z, bufErr := CompressedSegmentFromBytes(data)
-		if bufErr == nil {
-			buffered, bufErr = z.Decompress()
-		}
-		if bufErr == nil {
-			bufErr = buffered.Verify()
-		}
 		next := []byte("next response")
 		r := bytes.NewReader(append(bytes.Clone(data), next...))
 		streamed, streamErr := ReadCompressedSegment(r, len(data))
-		if spent, bound := allocated()-before, 2*uint64(len(data)+64)*maxDeflateRatio+1<<20; spent > bound {
-			t.Fatalf("%d input bytes made the decoders allocate %d bytes (bound %d)", len(data), spent, bound)
+		if spent := allocated() - before; spent > bound {
+			t.Fatalf("%d input bytes made ReadCompressedSegment allocate %d bytes (bound %d)", len(data), spent, bound)
 		}
 		if r.Len() != len(next) {
 			t.Fatalf("streaming decoder left %d bytes of %d after the payload (err %v)", r.Len(), len(next), streamErr)
 		}
-		for _, err := range []error{bufErr, streamErr} {
-			if err != nil && !errors.Is(err, ErrCorruptSegment) {
-				t.Fatalf("rejected without ErrCorruptSegment: %v", err)
+		if streamErr != nil && !errors.Is(streamErr, ErrCorruptSegment) {
+			t.Fatalf("rejected without ErrCorruptSegment: %v", streamErr)
+		}
+
+		raw, records, ok := referenceInflate(data)
+		if ok != (streamErr == nil) {
+			t.Fatalf("reference accepts: %v, ReadCompressedSegment err %v", ok, streamErr)
+		}
+		var fetched [][2]string
+		fetchErr := streamErr
+		if ok {
+			if !bytes.Equal(streamed.Bytes(), raw) || int64(streamed.Records()) != records {
+				t.Fatalf("decoders disagree: reference %d bytes %d records, streamed %d bytes %d records",
+					len(raw), records, streamed.Len(), streamed.Records())
+			}
+			want, wantErr := sourceRecords(adopt(raw).NewReader())
+			fetched, fetchErr = sourceRecords(streamed.NewReader())
+			if (fetchErr == nil) != (wantErr == nil) || !slices.Equal(fetched, want) {
+				t.Fatalf("reference read %d records (err %v), streamed %d (err %v)", len(want), wantErr, len(fetched), fetchErr)
 			}
 		}
-		if (bufErr == nil) != (streamErr == nil) {
-			t.Fatalf("buffered decoder err %v, streaming decoder err %v", bufErr, streamErr)
+
+		before = allocated()
+		run, runErr := NewRunReader(bytes.NewReader(data), true)
+		var fromRun [][2]string
+		if runErr == nil {
+			fromRun, runErr = sourceRecords(run)
+			run.Close()
 		}
-		if bufErr == nil && (!bytes.Equal(buffered.Bytes(), streamed.Bytes()) || buffered.Records() != streamed.Records()) {
-			t.Fatalf("decoders disagree: buffered %d bytes %d records, streamed %d bytes %d records",
-				buffered.Len(), buffered.Records(), streamed.Len(), streamed.Records())
+		if spent := allocated() - before; spent > bound {
+			t.Fatalf("%d input bytes made the run reader allocate %d bytes (bound %d)", len(data), spent, bound)
+		}
+		if fetchErr == nil && runErr == nil && !slices.Equal(fromRun, fetched) {
+			t.Fatalf("run reader read %d records, the fetch path %d", len(fromRun), len(fetched))
 		}
 	})
 }

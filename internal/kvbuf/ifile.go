@@ -68,9 +68,13 @@ func pooledBuf(capacity int) []byte {
 }
 
 // GrabBuf returns a length-n buffer drawn from the segment pool, for
-// callers that receive segment wire bytes from outside and adopt them via
-// SegmentFromBytes: recycling the segment then returns the buffer here.
+// callers that hold segment wire bytes of their own for a while; RecycleBuf
+// returns it.
 func GrabBuf(n int) []byte { return pooledBuf(n)[:n] }
+
+// RecycleBuf returns a buffer GrabBuf handed out to the segment pool. Call
+// it only once nothing references the buffer's bytes.
+func RecycleBuf(buf []byte) { recycleBuf(buf) }
 
 // recycleBuf returns a dead buffer to the segment pool.
 func recycleBuf(buf []byte) {
@@ -152,9 +156,9 @@ func UpdateCRC(crc uint32, p []byte) uint32 {
 // has been proven against these very bytes, and a Reader skips its
 // end-of-stream re-scan for such a segment. Only code in this package that
 // has just computed or checked the trailer sets the mark — Writer.Close,
-// ReadSegment and ReadCompressedSegment while streaming a payload in, and
-// Verify. Bytes of unproven origin (SegmentFromBytes, Decompress, anything
-// read back from a file) are checked when read, as ever.
+// SortBuffer.Spill's handover, and ReadSegment and ReadCompressedSegment
+// while streaming a payload in. A segment without the mark is checked when
+// read, as ever.
 type Segment struct {
 	data       []byte   // the stream, or its first range
 	rest       [][]byte // the ranges after data, in order
@@ -162,10 +166,6 @@ type Segment struct {
 	verified   bool // the trailer is known to match the stream
 	compressed bool
 }
-
-// SegmentFromBytes adopts a serialized IFile stream of unproven origin;
-// record count is discovered, and the checksum checked, on read.
-func SegmentFromBytes(data []byte) *Segment { return &Segment{data: data, records: -1} }
 
 // shuffleCRCChunk is the granularity of incremental checksumming, on the
 // sealing side and while streaming a payload in: big enough to amortize
@@ -252,7 +252,8 @@ func (s *Segment) Len() int {
 	return n
 }
 
-// Records returns the record count, or -1 when unknown (adopted segments).
+// Records returns the record count, or -1 when unknown (a raw segment
+// ReadSegment streamed in).
 func (s *Segment) Records() int { return s.records }
 
 // Recycle returns the segment's backing buffers to the writer pool and
@@ -274,11 +275,11 @@ func (s *Segment) Recycle() {
 	s.compressed = false
 }
 
-// NewReader opens the segment for iteration. Compressed segments must be
-// Decompress()ed first.
+// NewReader opens the segment for iteration. A compressed segment has no
+// records to iterate: ReadCompressedSegment inflates its bytes.
 func (s *Segment) NewReader() *Reader {
 	if s.compressed {
-		panic("kvbuf: NewReader on compressed segment; call Decompress first")
+		panic("kvbuf: NewReader on compressed segment; inflate it through ReadCompressedSegment")
 	}
 	return &Reader{data: s.data, rest: s.rest, verified: s.verified}
 }
@@ -382,30 +383,3 @@ func (r *Reader) verify(in *writable.DataInput) error {
 
 // RecordsRead returns how many records Next has yielded.
 func (r *Reader) RecordsRead() int { return r.records }
-
-// Verify checks the segment's CRC32 trailer without parsing records: the
-// last four bytes must be the Castagnoli checksum of everything before
-// them. Shuffle clients call it on received payloads so a truncated or
-// corrupted transfer is rejected at fetch time (and can be retried) instead
-// of surfacing later as a merge error. Compressed segments are verified
-// after decompression. A raw segment that passes is marked proven.
-func (s *Segment) Verify() error {
-	if s.compressed {
-		d, err := s.Decompress()
-		if err != nil {
-			return err
-		}
-		err = d.Verify()
-		d.Recycle()
-		return err
-	}
-	data := s.Bytes()
-	if len(data) < 4 {
-		return fmt.Errorf("%w: segment of %d bytes cannot hold a checksum trailer", ErrCorruptSegment, len(data))
-	}
-	if got, want := UpdateCRC(0, data[:len(data)-4]), trailerCRC(data); got != want {
-		return fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, got, want)
-	}
-	s.verified = true
-	return nil
-}

@@ -51,7 +51,7 @@ func TestIFileChecksumDetectsCorruption(t *testing.T) {
 	seg := w.Close()
 	data := append([]byte(nil), seg.Bytes()...)
 	data[2] ^= 0xFF // flip a payload byte
-	r := SegmentFromBytes(data).NewReader()
+	r := adopt(data).NewReader()
 	for {
 		_, _, ok, err := r.Next()
 		if err != nil {
@@ -388,7 +388,7 @@ func TestCompressSegmentRoundTrip(t *testing.T) {
 	if z.Len() >= seg.Len() {
 		t.Errorf("compression grew repetitive data: %d -> %d", seg.Len(), z.Len())
 	}
-	back, err := z.Decompress()
+	back, err := ReadCompressedSegment(bytes.NewReader(z.Bytes()), z.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,14 +411,4 @@ func TestCompressedSegmentReaderPanics(t *testing.T) {
 	w.Append([]byte("k"), []byte("v"))
 	z := CompressSegmentWith(w.Close(), Deflate)
 	z.NewReader()
-}
-
-func TestDecompressPlainIsIdentity(t *testing.T) {
-	w := NewWriter(16)
-	w.Append([]byte("k"), []byte("v"))
-	seg := w.Close()
-	same, err := seg.Decompress()
-	if err != nil || same != seg {
-		t.Error("plain segment decompress should be identity")
-	}
 }

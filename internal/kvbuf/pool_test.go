@@ -166,7 +166,7 @@ func TestSortBufferSpillReusesBuffersWithoutLeaking(t *testing.T) {
 	check("second", second)
 	// And recycling must not have corrupted the bytes we copied beforehand.
 	for part, data := range firstCopies {
-		if got, want := segRecords(t, SegmentFromBytes(data)), wantRecs("first", part); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := segRecords(t, adopt(data)), wantRecs("first", part); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("copied first-spill bytes changed after recycle+respill (partition %d)", part)
 		}
 	}

@@ -21,6 +21,20 @@ func drain(seg *Segment) (records int, err error) {
 	}
 }
 
+// adopt wraps bytes of unproven origin as a segment: no mark, its record
+// count discovered and its checksum checked on read.
+func adopt(data []byte) *Segment { return &Segment{data: data, records: -1} }
+
+// checkTrailer holds seg's CRC trailer to its bytes through ReadSegment,
+// the check every fetched raw payload gets.
+func checkTrailer(seg *Segment) error {
+	read, err := ReadSegment(bytes.NewReader(seg.Bytes()), seg.Len())
+	if err == nil {
+		read.Recycle()
+	}
+	return err
+}
+
 func provenanceSegment() *Segment {
 	w := NewWriter(64)
 	w.Append([]byte("alpha"), bytes.Repeat([]byte("1"), 300))
@@ -30,20 +44,20 @@ func provenanceSegment() *Segment {
 
 // TestUnprovenBytesAreStillVerified: the mark saves a re-scan only for
 // bytes this package itself sealed or checked. Every flipped body bit of an
-// adopted stream is still caught by the Reader, and by Verify.
+// adopted stream is still caught by the Reader, and by ReadSegment.
 func TestUnprovenBytesAreStillVerified(t *testing.T) {
 	clean := provenanceSegment().Bytes()
-	if n, err := drain(SegmentFromBytes(bytes.Clone(clean))); n != 2 || err != nil {
+	if n, err := drain(adopt(bytes.Clone(clean))); n != 2 || err != nil {
 		t.Fatalf("clean adopted stream: %d records, err %v", n, err)
 	}
 	for bit := 0; bit < (len(clean)-4)*8; bit += 7 {
 		data := bytes.Clone(clean)
 		data[bit/8] ^= 1 << (bit % 8)
-		if _, err := drain(SegmentFromBytes(data)); err == nil {
+		if _, err := drain(adopt(data)); err == nil {
 			t.Fatalf("bit %d flipped: the Reader accepted the stream", bit)
 		}
-		if err := SegmentFromBytes(data).Verify(); !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("bit %d flipped: Verify = %v, want ErrCorruptSegment", bit, err)
+		if err := checkTrailer(adopt(data)); !errors.Is(err, ErrCorruptSegment) {
+			t.Fatalf("bit %d flipped: ReadSegment = %v, want ErrCorruptSegment", bit, err)
 		}
 	}
 }
@@ -54,27 +68,19 @@ func TestProvenanceIsSetOnlyByProof(t *testing.T) {
 	if !sealed.verified {
 		t.Error("Writer.Close just computed the trailer: its segment must be marked")
 	}
-	adopted := SegmentFromBytes(bytes.Clone(sealed.Bytes()))
-	if adopted.verified {
-		t.Error("SegmentFromBytes marked bytes of unproven origin")
-	}
-	if err := adopted.Verify(); err != nil || !adopted.verified {
-		t.Errorf("Verify on clean bytes: err %v, marked %v", err, adopted.verified)
-	}
 	streamed, err := ReadSegment(bytes.NewReader(sealed.Bytes()), sealed.Len())
 	if err != nil || !streamed.verified || !bytes.Equal(streamed.Bytes(), sealed.Bytes()) {
 		t.Errorf("ReadSegment on clean bytes: err %v", err)
 	}
 	z := CompressSegmentWith(sealed, Deflate)
-	d, err := z.Decompress()
-	if err != nil || d.verified {
-		t.Errorf("Decompress checks nothing and must not mark: err %v", err)
+	if z.verified {
+		t.Error("a compressed segment has no trailer of its own: it must not be marked")
 	}
 	inflated, err := ReadCompressedSegment(bytes.NewReader(z.Bytes()), z.Len())
 	if err != nil || !inflated.verified {
 		t.Errorf("ReadCompressedSegment on clean bytes: err %v", err)
 	}
-	for _, s := range []*Segment{sealed, adopted, streamed, d, inflated} {
+	for _, s := range []*Segment{sealed, streamed, inflated} {
 		if n, err := drain(s); n != 2 || err != nil {
 			t.Errorf("clean segment read %d records, err %v", n, err)
 		}
@@ -99,7 +105,7 @@ func TestHandoverIsProven(t *testing.T) {
 	if ranges := len(seg.AppendRanges(nil)); ranges < 2 || !seg.verified {
 		t.Fatalf("handed-over chain: %d ranges, marked %v; want several ranges, marked", ranges, seg.verified)
 	}
-	if err := SegmentFromBytes(seg.Bytes()).Verify(); err != nil {
+	if err := checkTrailer(seg); err != nil {
 		t.Errorf("the handover's trailer does not hold for its bytes: %v", err)
 	}
 	if n, err := drain(seg); n != 200 || err != nil {
@@ -149,7 +155,7 @@ func TestRecycleClearsProvenance(t *testing.T) {
 		t.Fatalf("recycled segment keeps state: verified %v, %d bytes", seg.verified, seg.Len())
 	}
 	buf[50] ^= 0x04 // the pool's next user scribbles on it, inside the first value
-	if _, err := drain(SegmentFromBytes(buf)); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := drain(adopt(buf)); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("re-adopted recycled buffer with a flipped bit: err %v, want a checksum error", err)
 	}
 }
@@ -162,11 +168,11 @@ func TestProvenTrailerMustBeTheOneConsumed(t *testing.T) {
 	junk := append(bytes.Clone(inner[:len(inner)-4]), 0xde, 0xad, 0xbe, 0xef, 'j', 'u', 'n', 'k')
 	crc := UpdateCRC(0, junk)
 	junk = append(junk, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	marked := SegmentFromBytes(junk)
-	if err := marked.Verify(); err != nil || !marked.verified {
+	marked, err := ReadSegment(bytes.NewReader(junk), len(junk))
+	if err != nil || !marked.verified {
 		t.Fatalf("whole-buffer checksum was built to match: err %v", err)
 	}
-	_, wantErr := drain(SegmentFromBytes(junk))
+	_, wantErr := drain(adopt(junk))
 	if _, err := drain(marked); (err == nil) != (wantErr == nil) || wantErr == nil {
 		t.Errorf("marked read err %v, unmarked read err %v: both must reject the inner trailer", err, wantErr)
 	}

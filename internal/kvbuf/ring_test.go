@@ -108,7 +108,7 @@ func TestBufferRingConcurrentExchange(t *testing.T) {
 			segs, _ := buf.Spill()
 			r.Put(buf)
 			for _, seg := range segs {
-				if err := seg.Verify(); err != nil {
+				if err := checkTrailer(seg); err != nil {
 					t.Errorf("spilled segment corrupt: %v", err)
 				}
 				seg.Recycle()
@@ -163,7 +163,7 @@ func TestBufferRingOrderProofPerBuffer(t *testing.T) {
 				if !bytes.Equal(seg.Bytes(), f.want[p]) {
 					t.Errorf("ordered partition %d: partition %d differs from the naive stable sort", f.ordered, p)
 				}
-				if err := seg.Verify(); err != nil {
+				if err := checkTrailer(seg); err != nil {
 					t.Errorf("ordered partition %d: partition %d: %v", f.ordered, p, err)
 				}
 				seg.Recycle()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 
 	"mrmicro/internal/writable"
 )
@@ -269,6 +270,7 @@ func (sw *StreamWriter) Close() (records, bytes int64, err error) {
 type RunReader struct {
 	br      *bufio.Reader
 	zr      io.ReadCloser // codec stream when compressed; nil otherwise
+	left    int64         // compressed: raw bytes the header declares and Next has not read
 	crc     uint32
 	vint    [9]byte // the framing vint being read, folded into crc in one call
 	keyBufs [2][]byte
@@ -277,34 +279,26 @@ type RunReader struct {
 	done    bool
 }
 
-// NewRunReader opens a run stream. For compressed runs it parses the
-// compressed segment header (codec name, raw length, record count) before
-// handing the codec stream to the record parser.
+// NewRunReader opens a run stream. For compressed runs it reads the
+// compressed segment header through the parser ReadCompressedSegment uses,
+// with the ratio bound taken from r's size when r reports one (a file
+// section, a bytes.Reader), and holds the run's records to the declared raw
+// length.
 func NewRunReader(r io.Reader, compressed bool) (*RunReader, error) {
 	base := bufio.NewReaderSize(r, 64<<10)
 	if !compressed {
-		return &RunReader{br: base}, nil
+		return &RunReader{br: base, left: math.MaxInt64}, nil
 	}
-	nameLen, err := readStreamVLong(base)
-	if err != nil || nameLen <= 0 || nameLen > maxCodecNameLen {
-		return nil, corruptOrIO(err, "bad codec name length")
+	size := int64(-1)
+	if s, ok := r.(interface{ Size() int64 }); ok {
+		size = s.Size()
 	}
-	var nameBuf [maxCodecNameLen]byte
-	if _, err := io.ReadFull(base, nameBuf[:nameLen]); err != nil {
-		return nil, corruptOrIO(err, "truncated header")
+	c, rawLen, _, err := readCompressedHeader(base, size)
+	if err != nil {
+		return nil, err
 	}
-	c, ok := CodecByName(string(nameBuf[:nameLen]))
-	if !ok || c == nil {
-		return nil, fmt.Errorf("%w: unknown codec %q", ErrCorruptSegment, nameBuf[:nameLen])
-	}
-	if _, err := readStreamVLong(base); err != nil { // raw length (unused: the stream self-terminates)
-		return nil, corruptOrIO(err, "bad header lengths")
-	}
-	if _, err := readStreamVLong(base); err != nil { // record count
-		return nil, corruptOrIO(err, "bad header lengths")
-	}
-	zr := c.NewReader(readerOnly{base})
-	return &RunReader{br: bufio.NewReaderSize(zr, 64<<10), zr: zr}, nil
+	zr := c.NewReader(base)
+	return &RunReader{br: bufio.NewReaderSize(zr, 64<<10), zr: zr, left: rawLen}, nil
 }
 
 // readVInt reads one framing vint, folding its bytes into the CRC.
@@ -328,6 +322,7 @@ func (r *RunReader) readVInt() (int64, error) {
 		v = v<<8 | int64(b)
 	}
 	r.crc = UpdateCRC(r.crc, r.vint[:n])
+	r.left -= int64(n)
 	if n == 1 {
 		return int64(int8(first)), nil
 	}
@@ -345,6 +340,7 @@ func (r *RunReader) readFull(buf []byte) error {
 		return err
 	}
 	r.crc = UpdateCRC(r.crc, buf)
+	r.left -= int64(len(buf))
 	return nil
 }
 
@@ -379,8 +375,11 @@ func (r *RunReader) Next() (key, val []byte, ok bool, err error) {
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("kvbuf: run: reading value length: %w", err)
 	}
-	if kl < 0 || vl < 0 {
-		return nil, nil, false, fmt.Errorf("kvbuf: run: negative record lengths %d/%d", kl, vl)
+	if kl < 0 || vl < 0 || kl > math.MaxInt32 || vl > math.MaxInt32 {
+		return nil, nil, false, fmt.Errorf("kvbuf: run: record lengths %d/%d out of vint range", kl, vl)
+	}
+	if kl+vl > r.left {
+		return nil, nil, false, fmt.Errorf("%w: run: record of %d bytes past the declared raw length", ErrCorruptSegment, kl+vl)
 	}
 	kb := &r.keyBufs[r.records&1]
 	*kb = grow(*kb, int(kl))
@@ -397,7 +396,8 @@ func (r *RunReader) Next() (key, val []byte, ok bool, err error) {
 
 // verifyTrailer reads the 4-byte CRC (not folded) and checks it against the
 // running checksum; for compressed runs it also requires the codec stream
-// to end exactly here, mirroring ReadCompressedSegment's truncation check.
+// to end exactly here, at the declared raw length, mirroring
+// ReadCompressedSegment's truncation check.
 func (r *RunReader) verifyTrailer() error {
 	var trailer [4]byte
 	if _, err := io.ReadFull(r.br, trailer[:]); err != nil {
@@ -410,6 +410,9 @@ func (r *RunReader) verifyTrailer() error {
 	if r.zr != nil {
 		if _, err := r.br.ReadByte(); err != io.EOF {
 			return fmt.Errorf("%w: codec stream longer than declared run", ErrCorruptSegment)
+		}
+		if r.left != 4 {
+			return fmt.Errorf("%w: run's raw length is %d bytes off its header's", ErrCorruptSegment, r.left-4)
 		}
 	}
 	return nil

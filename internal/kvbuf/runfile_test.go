@@ -2,7 +2,9 @@ package kvbuf
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -74,6 +76,55 @@ func compareRecords(t *testing.T, want, got []Record) {
 	for i := range want {
 		if !bytes.Equal(want[i].Key, got[i].Key) || !bytes.Equal(want[i].Val, got[i].Val) {
 			t.Fatalf("record %d differs", i)
+		}
+	}
+}
+
+// TestRunReaderRejectsBadHeader: a compressed run's header goes through the
+// parser ReadCompressedSegment uses, and its declared raw length binds the
+// run. A raw length that cannot hold a trailer, a negative record count, a
+// raw length the stream does not end at, and — where the reader knows its
+// size — one past the ratio bound are corrupt segments, at open or at EOF.
+func TestRunReaderRejectsBadHeader(t *testing.T) {
+	seg := runTestSegment(t, 100, 'a')
+	body := CompressSegmentWith(seg, Deflate).Bytes()[len(compressedHeader("deflate", int64(seg.Len()), 100)):]
+	// read opens and drains a run; unsized hides the reader's Size.
+	read := func(data []byte, unsized bool) error {
+		var r io.Reader = bytes.NewReader(data)
+		if unsized {
+			r = io.MultiReader(r)
+		}
+		rr, err := NewRunReader(r, true)
+		if err != nil {
+			return err
+		}
+		defer rr.Close()
+		for {
+			_, _, ok, err := rr.Next()
+			if err != nil || !ok {
+				return err
+			}
+		}
+	}
+	if err := read(append(compressedHeader("deflate", int64(seg.Len()), 100), body...), false); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for _, tc := range []struct {
+		name            string
+		rawLen, records int64
+		unsized         bool
+	}{
+		{"negative raw length", -5, 100, false},
+		{"raw length shorter than a trailer", 3, 100, false},
+		{"negative record count", int64(seg.Len()), -1, false},
+		{"raw length one past the stream", int64(seg.Len()) + 1, 100, false},
+		{"raw length one short of the stream", int64(seg.Len()) - 1, 100, false},
+		{"raw length past the ratio bound", 1 << 30, 100, false},
+		{"raw length past the stream, size unknown", 1 << 30, 100, true},
+	} {
+		err := read(append(compressedHeader("deflate", tc.rawLen, tc.records), body...), tc.unsized)
+		if !errors.Is(err, ErrCorruptSegment) {
+			t.Errorf("%s: err %v, want ErrCorruptSegment", tc.name, err)
 		}
 	}
 }

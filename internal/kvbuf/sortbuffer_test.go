@@ -439,7 +439,7 @@ func TestOrderedSpillFoldsOnlyItsTail(t *testing.T) {
 		return buf
 	}
 	verify := func(name string, seg *Segment) {
-		if err := SegmentFromBytes(seg.Bytes()).Verify(); err != nil {
+		if err := checkTrailer(seg); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -1,6 +1,9 @@
 package localrun
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -269,21 +272,35 @@ func TestMissingSegmentFailsFastWithoutRetries(t *testing.T) {
 	}
 }
 
-func TestTruncatedSegmentRejectedByVerify(t *testing.T) {
+// TestTruncatedPayloadRejectedByFetchDecoder: a truncated payload goes
+// through the decoder every clean fetch uses, raw and compressed, and is
+// rejected as corrupt and injected; the connection stays in sync, so the
+// next response behind it reads clean.
+func TestTruncatedPayloadRejectedByFetchDecoder(t *testing.T) {
 	w := kvbuf.NewWriter(64)
-	w.Append([]byte("key"), []byte("value"))
+	for i := 0; i < 50; i++ {
+		w.Append([]byte(fmt.Sprintf("key-%02d", i)), []byte("value"))
+	}
 	seg := w.Close()
-	if err := seg.Verify(); err != nil {
-		t.Fatalf("intact segment failed verification: %v", err)
-	}
-	data := seg.Bytes()
-	if err := kvbuf.SegmentFromBytes(data[:len(data)-3]).Verify(); err == nil {
-		t.Error("truncated segment passed verification")
-	}
-	corrupt := append([]byte(nil), data...)
-	corrupt[1] ^= 0xff
-	if err := kvbuf.SegmentFromBytes(corrupt).Verify(); err == nil {
-		t.Error("corrupted segment passed verification")
+	for _, compressed := range []bool{false, true} {
+		payload := seg.Bytes()
+		if compressed {
+			payload = kvbuf.CompressSegmentWith(seg, kvbuf.Deflate).Bytes()
+		}
+		var frames []byte
+		for range 2 {
+			frames = append(frames, 0)
+			frames = binary.BigEndian.AppendUint64(frames, uint64(len(payload)))
+			frames = append(frames, payload...)
+		}
+		f := &segmentFetcher{reduce: 0, compressed: compressed, conn: &shuffleConn{br: bufio.NewReader(bytes.NewReader(frames))}}
+		if _, _, err := f.receive(3, true); !errors.Is(err, kvbuf.ErrCorruptSegment) || !errors.Is(err, faultinject.ErrInjected) {
+			t.Errorf("compressed=%v: truncated payload: err %v, want ErrCorruptSegment and ErrInjected", compressed, err)
+		}
+		got, wire, err := f.receive(3, false)
+		if err != nil || !bytes.Equal(got.Bytes(), seg.Bytes()) || wire != int64(len(payload)) {
+			t.Errorf("compressed=%v: the response behind the truncated one: err %v, wire %d of %d", compressed, err, wire, len(payload))
+		}
 	}
 }
 

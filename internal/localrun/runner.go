@@ -555,7 +555,7 @@ func (mc *mapCollector) spill() error {
 }
 
 func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleServer, faultCtrs *mapreduce.Counters, tm *spillTimings) (*mapreduce.Counters, error) {
-	job, idx, numReduces, codec := tr.job, aid.Task.Index, tr.numReduces, tr.codec
+	job, idx, numReduces := tr.job, aid.Task.Index, tr.numReduces
 	ctrs := mapreduce.NewCounters()
 	part := job.Partitioner
 	if job.PartitionerForTask != nil {
@@ -625,13 +625,7 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 		// No output at all: publish empty segments so reducers find them.
 		empty := make([]*kvbuf.Segment, numReduces)
 		for p := range empty {
-			e := kvbuf.NewWriter(8).Close()
-			if codec != nil {
-				z := kvbuf.CompressSegmentWith(e, codec)
-				e.Recycle()
-				e = z
-			}
-			empty[p] = e
+			empty[p] = kvbuf.NewWriter(8).Close()
 		}
 		runs = append(runs, mapRun{segs: empty})
 	}
@@ -646,15 +640,15 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 	}
 
 	// Merge runs per partition into the final map output (multi-pass with
-	// io.sort.factor fan-in when a task spilled many times). Raw spill runs
-	// are already combined/compressed per the job conf, so the single-spill
-	// fast path registers them untouched; otherwise the merge decompresses
-	// the raw runs (premerged blocks are kept uncompressed), merges,
-	// re-combines (the combiner's second chance, as in Hadoop's merge-side
-	// combine), and re-compresses the final output. Blocks replace contiguous
-	// run ranges and every pass of MergeAll merges adjacent runs in place
-	// (kvbuf.MergeInPlace), so the bytes are those of one flat merge of the
-	// raw spills whether or not the spiller premerged.
+	// io.sort.factor fan-in when a task spilled many times). A raw spill run
+	// is already combined per the job conf, so the single-spill fast path
+	// takes it untouched; otherwise the merge re-combines (the combiner's
+	// second chance, as in Hadoop's merge-side combine). Blocks replace
+	// contiguous run ranges and every pass of MergeAll merges adjacent runs
+	// in place (kvbuf.MergeInPlace), so the bytes are those of one flat merge
+	// of the raw spills whether or not the spiller premerged. Spills stay in
+	// memory, so the codec has no spill file to shrink: each partition's
+	// final segment is compressed once, here, as it is registered.
 	mergeStart := time.Now()
 	single := len(runs) == 1 && !runs[0].merged
 	for p := 0; p < numReduces; p++ {
@@ -676,11 +670,11 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 				final.Recycle()
 				final = combined
 			}
-			if codec != nil {
-				z := kvbuf.CompressSegmentWith(final, codec)
-				final.Recycle()
-				final = z
-			}
+		}
+		if tr.codec != nil {
+			z := kvbuf.CompressSegmentWith(final, tr.codec)
+			final.Recycle()
+			final = z
 		}
 		if err := server.Register(idx, p, final); err != nil {
 			return ctrs, fmt.Errorf("localrun: %s: %w", aid, err)

@@ -11,6 +11,7 @@ package localrun
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -213,29 +214,39 @@ func (c *shuffleConn) response(compressed bool) (seg *kvbuf.Segment, wire int64,
 	if err != nil {
 		return nil, 0, err
 	}
-	if compressed {
-		seg, err = kvbuf.ReadCompressedSegment(c.br, n)
-	} else {
-		seg, err = kvbuf.ReadSegment(c.br, n)
-	}
-	if err != nil {
+	if seg, err = readPayload(c.br, n, compressed); err != nil {
 		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
 	}
 	return seg, int64(n), nil
 }
 
-// responseBytes reads the next pipelined response's payload as it is on the
-// wire, unchecked: what an injected truncation fault mangles.
-func (c *shuffleConn) responseBytes() ([]byte, error) {
+// readPayload decodes one n-byte payload off r: the one decode path of
+// every fetched byte, clean or mangled.
+func readPayload(r io.Reader, n int, compressed bool) (*kvbuf.Segment, error) {
+	if compressed {
+		return kvbuf.ReadCompressedSegment(r, n)
+	}
+	return kvbuf.ReadSegment(r, n)
+}
+
+// truncatedResponse reads the next pipelined response's payload as it is on
+// the wire and decodes it cut short, as an injected truncation fault
+// mangles it; wire is the payload's full on-the-wire byte count.
+func (c *shuffleConn) truncatedResponse(compressed bool) (seg *kvbuf.Segment, wire int64, err error) {
 	n, err := c.header()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	data := kvbuf.GrabBuf(n)
+	defer kvbuf.RecycleBuf(data)
 	if _, err := io.ReadFull(c.br, data); err != nil {
-		return nil, fmt.Errorf("localrun: shuffle payload: %w", err)
+		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
 	}
-	return data, nil
+	if n > 0 {
+		data = data[:n-(1+n/16)]
+	}
+	seg, err = readPayload(bytes.NewReader(data), len(data), compressed)
+	return seg, int64(n), err
 }
 
 // missingSegmentErr is permanent: a map is announced only after all its
@@ -292,36 +303,19 @@ func (f *segmentFetcher) closeConn() {
 
 // receive reads the next pipelined response, for map mapIdx. A clean attempt
 // streams through response. An attempt with an injected truncation fault
-// needs real bytes to mangle: its payload is buffered, cut short, and then
-// held to the same decode and checksum as any bytes of unproven origin, which
-// reject it as a corrupt segment — proving the corrupt-stream retry path. The
-// rejection also carries ErrInjected: the checksum caught it, a fault caused it.
+// needs real bytes to mangle: its payload is buffered, cut short, and decoded
+// by the same decoder from the cut bytes, which rejects it as a corrupt
+// segment — proving the corrupt-stream retry path. The rejection also
+// carries ErrInjected: the checksum caught it, a fault caused it.
 func (f *segmentFetcher) receive(mapIdx int, truncate bool) (*kvbuf.Segment, int64, error) {
 	if !truncate {
 		return f.conn.response(f.compressed)
 	}
-	data, err := f.conn.responseBytes()
-	if err != nil {
-		return nil, 0, err
-	}
-	wire := int64(len(data))
-	if len(data) > 0 {
-		data = data[:len(data)-(1+len(data)/16)]
-	}
-	seg := kvbuf.SegmentFromBytes(data)
-	if f.compressed {
-		z, err := kvbuf.CompressedSegmentFromBytes(data)
-		if err == nil {
-			seg, err = z.Decompress()
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w: %w", mapIdx, f.reduce, err, faultinject.ErrInjected)
-		}
-	}
-	if err := seg.Verify(); err != nil {
+	seg, wire, err := f.conn.truncatedResponse(f.compressed)
+	if errors.Is(err, kvbuf.ErrCorruptSegment) {
 		return nil, 0, fmt.Errorf("localrun: shuffle map %d -> reduce %d: %w: %w", mapIdx, f.reduce, err, faultinject.ErrInjected)
 	}
-	return seg, wire, nil
+	return seg, wire, err
 }
 
 // send rolls one fetch attempt against the fault plan and, unless it drops,

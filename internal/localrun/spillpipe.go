@@ -2,18 +2,18 @@
 // overlap Hadoop's MapTask gets from SpillThread + the equator split. When
 // the active SortBuffer crosses the sort.spill.percent soft limit the
 // collector seals it and hands it to a single background spiller goroutine
-// (sort → combine → codec, the whole seal path off the mapper goroutine),
+// (sort → combine, the whole seal path off the mapper goroutine),
 // takes a fresh buffer from a bounded ring, and keeps collecting; it blocks
 // only when every ring buffer is sealed and unspilled (backpressure when
 // collection outruns spilling). The spiller additionally premerges every
-// io.sort.factor completed spills into one uncompressed block, so most of
+// io.sort.factor completed spills into one block, so most of
 // the per-map multi-spill final merge overlaps the last collect wave and the
 // mapper-side final pass starts from a small fan-in.
 //
 // Byte identity with the synchronous path is structural, not incidental:
 // spill *boundaries* depend only on the record stream and the conf (every
 // ring buffer has the full io.sort.mb capacity and the collector applies the
-// same ShouldSpill trigger), each spill's seal work (sort/combine/codec) is
+// same ShouldSpill trigger), each spill's seal work (sort/combine) is
 // the same pure function either way, and the final output per partition is a
 // merge of the same runs in which only position-adjacent runs ever combine
 // and the result takes their place: a premerged block replaces a contiguous
@@ -26,7 +26,6 @@
 package localrun
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +39,7 @@ import (
 // concurrently; absorb folds a winning attempt into the job totals.
 type spillTimings struct {
 	collectStallNs atomic.Int64 // collector blocked: ring empty (async) or spilling inline (sync)
-	spillWorkNs    atomic.Int64 // sort + combine + codec seal work
+	spillWorkNs    atomic.Int64 // sort + combine seal work
 	premergeNs     atomic.Int64 // background block premerges
 	drainWaitNs    atomic.Int64 // mapper waiting for the spiller to finish after close
 	finalMergeNs   atomic.Int64 // mapper-side final merge + register
@@ -86,10 +85,10 @@ func (tm *spillTimings) stats() MapSpillStats {
 // SpillWork runs concurrently with collection.
 type MapSpillStats struct {
 	CollectStall time.Duration // collector blocked waiting on spilling
-	SpillWork    time.Duration // sort + combine + codec seal time (wherever it ran)
+	SpillWork    time.Duration // sort + combine seal time (wherever it ran)
 	Premerge     time.Duration // background block premerges of completed spills
 	DrainWait    time.Duration // mapper waiting for the last spills after input close
-	FinalMerge   time.Duration // mapper-side final merge + shuffle registration
+	FinalMerge   time.Duration // mapper-side final merge, codec + shuffle registration
 
 	Spills        int64 // spills produced
 	AsyncSpills   int64 // spills sealed on the background spiller
@@ -108,10 +107,11 @@ func (s MapSpillStats) Overlapped() time.Duration {
 }
 
 // mapRun is one final-merge input of a map task: either a raw spill (one
-// sealed segment per partition, combined/compressed per the job conf) or a
-// premerged block standing in for a contiguous range of spills (always
-// uncompressed and not yet re-combined — the final pass does both once, as
-// the synchronous multi-spill path does).
+// sealed segment per partition, combined per the job conf) or a premerged
+// block standing in for a contiguous range of spills, not yet re-combined —
+// the final pass does that once, as the synchronous multi-spill path does.
+// Both are uncompressed: the codec meets a map's output only when it is
+// registered.
 type mapRun struct {
 	segs   []*kvbuf.Segment
 	merged bool
@@ -165,7 +165,7 @@ func (sp *spillPipeline) fail(err error) {
 }
 
 // worker seals buffers FIFO: sort (which resets the buffer, returned to the
-// ring immediately so the collector can reuse it), then combine and codec.
+// ring immediately so the collector can reuse it), then combine.
 // After an error it keeps draining so the collector never blocks on a dead
 // ring, discarding the work.
 func (sp *spillPipeline) worker() {
@@ -195,7 +195,7 @@ func (sp *spillPipeline) worker() {
 }
 
 // maybePremerge folds the trailing io.sort.factor raw spills into one
-// uncompressed block once they accumulate, bounding the final fan-in and
+// block once they accumulate, bounding the final fan-in and
 // moving most merge work off the mapper's critical path. Only contiguous
 // raw runs merge and blocks never re-merge, so positional tie-breaking —
 // and with it final-output byte identity — is preserved.
@@ -236,34 +236,19 @@ func (tr *TaskRunner) premergeRuns(runs []mapRun) (mapRun, error) {
 }
 
 // mergePartition merges partition p of position-ordered runs into one
-// uncompressed segment, the step the background premerge and the mapper's
-// final merge share: raw runs are decompressed when the conf compresses
-// spills (premerged blocks never are), kvbuf.MergeAll merges them with
-// positional tie-breaks, and the runs' partition buffers are recycled once
-// their bytes live in the result.
+// segment, the step the background premerge and the mapper's final merge
+// share: kvbuf.MergeAll merges them with positional tie-breaks, and the
+// runs' partition buffers are recycled once their bytes live in the result.
 func (tr *TaskRunner) mergePartition(runs []mapRun, p int) (*kvbuf.Segment, error) {
 	parts := make([]*kvbuf.Segment, len(runs))
 	for i, run := range runs {
 		parts[i] = run.segs[p]
-		if run.merged || tr.codec == nil {
-			continue
-		}
-		d, err := parts[i].Decompress()
-		if err != nil {
-			return nil, fmt.Errorf("run %d: %w", i, err)
-		}
-		parts[i] = d
 	}
 	merged, _, err := kvbuf.MergeAll(tr.order, parts, tr.factor, 0)
 	if err != nil {
 		return nil, err
 	}
-	for i, run := range runs {
-		if parts[i] != run.segs[p] {
-			parts[i].Recycle() // decompression scratch
-		}
-		run.segs[p].Recycle()
-	}
+	recycleSegs(parts)
 	return merged, nil
 }
 
@@ -301,32 +286,23 @@ func (sp *spillPipeline) abort() {
 
 var errPipelineAborted = &mapreduce.JobError{Msg: "localrun: spill pipeline aborted"}
 
-// sealSegments applies the per-spill seal path — combiner, then codec — to
-// one spill's partition segments in place, the same transformation (same
+// sealSegments applies the per-spill seal path — the combiner — to one
+// spill's partition segments in place, the same transformation (same
 // order, same counter increments) as the synchronous spill.
 func (tr *TaskRunner) sealSegments(segs []*kvbuf.Segment, ctrs *mapreduce.Counters) error {
-	if tr.job.Combiner != nil {
-		for p, seg := range segs {
-			if seg.Records() == 0 {
-				continue
-			}
-			combined, err := tr.combineSegment(seg, ctrs)
-			if err != nil {
-				return err
-			}
-			seg.Recycle() // combineSegment copied what it kept
-			segs[p] = combined
-		}
+	if tr.job.Combiner == nil {
+		return nil
 	}
-	if tr.codec != nil {
-		// Compress at spill time, as Hadoop does: from here on the segment
-		// is stored, merged (via decompress), and shuffled as compressed
-		// bytes.
-		for p, seg := range segs {
-			z := kvbuf.CompressSegmentWith(seg, tr.codec)
-			seg.Recycle()
-			segs[p] = z
+	for p, seg := range segs {
+		if seg.Records() == 0 {
+			continue
 		}
+		combined, err := tr.combineSegment(seg, ctrs)
+		if err != nil {
+			return err
+		}
+		seg.Recycle() // combineSegment copied what it kept
+		segs[p] = combined
 	}
 	return nil
 }

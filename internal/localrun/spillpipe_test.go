@@ -3,9 +3,12 @@ package localrun
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/writable"
@@ -270,6 +273,102 @@ func TestHandedOverChunksOutliveTheBuffer(t *testing.T) {
 			}
 			if got.Counters.String() != want.Counters.String() {
 				t.Errorf("counters differ from the local oracle's:\ngot:\n%s\nwant:\n%s", got.Counters, want.Counters)
+			}
+		})
+	}
+}
+
+// countingCodec wraps a codec with a tally of what it is asked to do.
+type countingCodec struct {
+	kvbuf.Codec
+	compress, readers atomic.Int64
+}
+
+func (c *countingCodec) Compress(dst, src []byte) []byte {
+	c.compress.Add(1)
+	return c.Codec.Compress(dst, src)
+}
+
+func (c *countingCodec) NewReader(r io.Reader) io.ReadCloser {
+	c.readers.Add(1)
+	return c.Codec.NewReader(r)
+}
+
+// TestMapOutputCompressedOnce: spills stay in memory, so a map's output
+// meets the codec once per partition, when it is registered, however many
+// times the map spilled, and the map side never inflates anything. The
+// order-revealing job with a combiner spills many times per map in both
+// spill modes; its output and record counters must be the codec-off run's.
+func TestMapOutputCompressedOnce(t *testing.T) {
+	const maps, reduces = 3, 2
+	text := spillCorpus()
+	for _, syncSpill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("syncspill=%v", syncSpill), func(t *testing.T) {
+			build := func(compress bool) (*mapreduce.Job, *mapreduce.MemoryOutput) {
+				job, out := orderJob(text, maps, reduces, true)
+				spillHeavyConf(job.Conf)
+				job.Conf.SetBool(mapreduce.ConfCompressMapOut, compress)
+				job.Conf.SetBool(mapreduce.ConfSpillOverlap, !syncSpill)
+				return job, out
+			}
+			plainJob, plainOut := build(false)
+			plain, err := Run(plainJob, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Every lookup of deflate by name — the runner's from the conf, a
+			// decoder's from a segment header — now finds the counting codec.
+			codec := &countingCodec{Codec: kvbuf.Deflate}
+			kvbuf.Deflate = codec
+			defer func() { kvbuf.Deflate = codec.Codec }()
+			job, out := build(true)
+			tr, err := NewTaskRunner(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, err := newShuffleServer(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			ctrs := mapreduce.NewCounters()
+			peers := make([]string, maps)
+			for m := range peers {
+				tm := &spillTimings{}
+				c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, m, 0), server, mapreduce.NewCounters(), tm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spills := tm.spills.Load(); spills < 3 {
+					t.Fatalf("map %d spilled %d times, want 3 or more", m, spills)
+				}
+				ctrs.Merge(c)
+				peers[m] = server.Addr()
+			}
+			if n, r := codec.compress.Load(), codec.readers.Load(); n != maps*reduces || r != 0 {
+				t.Errorf("map side compressed %d times and opened %d codec readers, want %d and 0", n, r, maps*reduces)
+			}
+			for r := 0; r < reduces; r++ {
+				c, err := tr.RunReduceFrom(r, 0, peers, nil, mapreduce.NewCounters(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctrs.Merge(c)
+			}
+
+			if got, want := outputFingerprint(out, reduces), outputFingerprint(plainOut, reduces); got != want {
+				t.Error("compressed run's output differs from the codec-off run's")
+			}
+			for _, name := range []string{
+				mapreduce.CtrMapInputRecords, mapreduce.CtrMapOutputRecords, mapreduce.CtrMapOutputBytes,
+				mapreduce.CtrCombineInputRecords, mapreduce.CtrCombineOutputRecs, mapreduce.CtrSpilledRecords,
+				mapreduce.CtrShuffledMaps, mapreduce.CtrReduceInputGroups, mapreduce.CtrReduceInputRecords,
+				mapreduce.CtrReduceOutputRecords,
+			} {
+				if got, want := ctrs.Task(name), plain.Counters.Task(name); got != want {
+					t.Errorf("%s = %d, codec-off run %d", name, got, want)
+				}
 			}
 		})
 	}

@@ -85,10 +85,11 @@ type Config struct {
 	// keeps the Hadoop default of 0.05; 1.0 is a strict barrier.
 	Slowstart float64
 	// Codec names the map-output compression codec ("" or "none" disables;
-	// "deflate" turns on spill-time compression). The same knob drives both
-	// paths: the real executor compresses IFile segments at spill and ships
-	// them compressed, the simulated engines model the byte reduction and
-	// the compress/decompress CPU.
+	// "deflate" turns on map-output compression). The same knob drives both
+	// paths: the real executor, whose spills stay in memory, compresses each
+	// map's partition once as it registers it and ships it compressed; the
+	// simulated engines model Hadoop's spill files, the byte reduction and
+	// the compress/decompress CPU of every spill and merge pass.
 	Codec string
 	// Combine runs the suite's first-value combiner over sorted runs at
 	// spill and merge. GenMapper values are constant filler per data type,
