@@ -291,3 +291,72 @@ func BenchmarkMergeHSKeys(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ways*per), "ns/rec")
 }
+
+// benchmarkReadSegment measures the fetch decoder over one segment: the
+// read into a pooled buffer, the CRC fold and the run-mark scan.
+func benchmarkReadSegment(b *testing.B, seg *Segment) {
+	data := seg.Bytes()
+	r := bytes.NewReader(data)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		s, err := ReadSegment(r, len(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Recycle()
+	}
+}
+
+// BenchmarkReadSegmentAvg1K fetches an avg-1k map output: 4 MiB of
+// records with one 1 KiB key and 1 KiB values, every record after the
+// first a repeat, with three-byte vint headers.
+func BenchmarkReadSegmentAvg1K(b *testing.B) {
+	key, val := bytes.Repeat([]byte{'k'}, 1024), bytes.Repeat([]byte{'v'}, 1024)
+	w := NewWriter(4 << 20)
+	for w.Len() < 4<<20 {
+		w.Append(key, val)
+	}
+	benchmarkReadSegment(b, w.Close())
+}
+
+// BenchmarkReadSegmentRand10B fetches a rand-10b map output's shape: 100 000
+// records of 11-byte Text keys, runs of one key, one-byte vint headers.
+func BenchmarkReadSegmentRand10B(b *testing.B) {
+	cmp, _ := writable.Comparator("Text")
+	keys, val, _ := rand10BKV(100000)
+	buf := NewSortBuffer(16<<20, 1, cmp)
+	defer buf.Release()
+	for _, k := range keys {
+		if ok, err := buf.Add(0, k, val); err != nil || !ok {
+			b.Fatalf("add: ok=%v err=%v", ok, err)
+		}
+	}
+	segs, _ := buf.Spill()
+	benchmarkReadSegment(b, segs[0])
+}
+
+// BenchmarkReadSegmentHS fetches an HSSort map output's shape: 100 000
+// sorted random 10-character Text keys, no two alike, so the scan marks
+// nothing, with 90-byte Text values.
+func BenchmarkReadSegmentHS(b *testing.B) {
+	const alphabet = "+/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 100000)
+	for i := range keys {
+		k := make([]byte, 10)
+		for j := range k {
+			k[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		keys[i] = string(k)
+	}
+	slices.Sort(keys)
+	val := textKey(string(bytes.Repeat([]byte{'v'}, 89)))
+	w := NewWriter(len(keys) * 104)
+	for _, k := range keys {
+		w.Append(textKey(k), val)
+	}
+	benchmarkReadSegment(b, w.Close())
+}

@@ -94,7 +94,8 @@ func TestFuzzSeedCorpusSync(t *testing.T) {
 // FuzzIFileReader feeds arbitrary bytes through the IFile segment decoder:
 // ReadSegment's trailer check and a full Next() iteration must reject
 // truncated or corrupt input with an error, never a panic or runaway
-// allocation. The committed seed corpus (valid, truncated, bit-flipped,
+// allocation. Where ReadSegment accepts the bytes, its run marks must equal
+// the reference's (refMarks). The committed seed corpus (valid, truncated, bit-flipped,
 // trailing-junk, empty) also runs as a regression test under plain `go test`.
 func FuzzIFileReader(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
@@ -105,6 +106,10 @@ func FuzzIFileReader(f *testing.F) {
 		seg, verifyErr := ReadSegment(bytes.NewReader(data), len(data))
 		if verifyErr != nil {
 			seg = adopt(data)
+		} else {
+			// The run marks proven while the bytes streamed in are those a
+			// plain Reader's keys give, record for record.
+			checkMarks(t, "ReadSegment", seg, data)
 		}
 
 		r := seg.NewReader()
@@ -296,7 +301,11 @@ func sourceRecords(src RecordSource) (recs [][2]string, err error) {
 // FuzzCompressedSegment feeds arbitrary bytes to the compressed-segment
 // decoders: ReadCompressedSegment, which inflates a fetched payload off the
 // connection, and NewRunReader, which streams a compressed run file. Neither
-// may panic or allocate beyond what the header's ratio bound admits.
+// may panic or take more memory than the header's ratio bound admits: the
+// fetch path is held to the bytes it asks the segment pool for (a warm pool
+// serves them without a heap allocation, so the heap's counter would not
+// show a loosened bound), the run reader, which draws on no pool, to the
+// heap's allocation counter.
 // ReadCompressedSegment is held to referenceInflate: it accepts exactly
 // what the reference accepts, rejecting the rest with ErrCorruptSegment,
 // and where both accept it yields the reference's bytes, record count and
@@ -314,12 +323,14 @@ func FuzzCompressedSegment(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bound := 2*uint64(len(data)+64)*maxDeflateRatio + 1<<20
-		before := allocated()
 		next := []byte("next response")
 		r := bytes.NewReader(append(bytes.Clone(data), next...))
+		asked := 0
+		restore := ObservePool(func(n int) { asked += n })
 		streamed, streamErr := ReadCompressedSegment(r, len(data))
-		if spent := allocated() - before; spent > bound {
-			t.Fatalf("%d input bytes made ReadCompressedSegment allocate %d bytes (bound %d)", len(data), spent, bound)
+		restore()
+		if limit := (len(data) + 64) * maxDeflateRatio; asked > limit {
+			t.Fatalf("%d input bytes made ReadCompressedSegment ask the pool for %d bytes (ratio bound %d)", len(data), asked, limit)
 		}
 		if r.Len() != len(next) {
 			t.Fatalf("streaming decoder left %d bytes of %d after the payload (err %v)", r.Len(), len(next), streamErr)
@@ -346,7 +357,7 @@ func FuzzCompressedSegment(f *testing.F) {
 			}
 		}
 
-		before = allocated()
+		before := allocated()
 		run, runErr := NewRunReader(bytes.NewReader(data), true)
 		var fromRun [][2]string
 		if runErr == nil {

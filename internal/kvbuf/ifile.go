@@ -8,9 +8,11 @@
 package kvbuf
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 	"net"
 	"sync"
@@ -54,9 +56,16 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{out: writable.NewDataOutputOn(pooledBuf(capacity))}
 }
 
+// poolObserver, when a test sets it, sees the capacity of every buffer a
+// caller asks the segment pool for, whether the pool or makeBuf serves it.
+var poolObserver func(n int)
+
 // pooledBuf returns an empty buffer with at least the given capacity,
 // recycled from the segment pool when possible, else fresh from makeBuf.
 func pooledBuf(capacity int) []byte {
+	if poolObserver != nil {
+		poolObserver(capacity)
+	}
 	pool := bufClass(capacity)
 	if bp, _ := pool.Get().(*[]byte); bp != nil {
 		if cap(*bp) >= capacity {
@@ -159,9 +168,16 @@ func UpdateCRC(crc uint32, p []byte) uint32 {
 // SortBuffer.Spill's handover, and ReadSegment and ReadCompressedSegment
 // while streaming a payload in. A segment without the mark is checked when
 // read, as ever.
+//
+// A segment ReadSegment streamed in also carries its run marks: one bit per
+// record, set when the record's key is byte-identical to the previous
+// record's. They are proven while the bytes arrive, so a merge can keep a
+// marked record at the heap's head without reading its key again. No other
+// path sets them; a segment without marks reads exactly as before.
 type Segment struct {
 	data       []byte   // the stream, or its first range
 	rest       [][]byte // the ranges after data, in order
+	marks      []uint64 // run marks, bit i for record i; nil when none were proven
 	records    int
 	verified   bool // the trailer is known to match the stream
 	compressed bool
@@ -177,7 +193,9 @@ const shuffleCRCChunk = 128 << 10
 // a shuffle response on a connection's reader, or a compressed one coming
 // out of its codec — into a pooled buffer,
 // folding the CRC over the bytes as they arrive, so the returned segment is
-// already verified and nothing scans it again. A trailer that does not match
+// already verified and nothing scans it again. Right after each fold it walks
+// the chunk's records while they are still in cache and proves the segment's
+// run marks (runScan). A trailer that does not match
 // is an ErrCorruptSegment: the payload was consumed, a framed stream stays in
 // sync and the fetch can be retried on the same connection. Other errors are
 // I/O failures of r itself.
@@ -185,6 +203,7 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 	data := GrabBuf(n)
 	body := max(n-4, 0)
 	var crc uint32
+	var scan runScan
 	for off := 0; off < n; {
 		end := min(off+shuffleCRCChunk, n)
 		if _, err := io.ReadFull(r, data[off:end]); err != nil {
@@ -194,6 +213,7 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 		if off < body {
 			crc = UpdateCRC(crc, data[off:min(end, body)])
 		}
+		scan.walk(data[:end])
 		off = end
 	}
 	if n < 4 {
@@ -204,7 +224,119 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 		recycleBuf(data)
 		return nil, fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, crc, want)
 	}
-	return &Segment{data: data, records: -1, verified: true}, nil
+	return &Segment{data: data, marks: scan.done(), records: -1, verified: true}, nil
+}
+
+// runScan proves a segment's run marks as its bytes arrive: walk is handed
+// the bytes received so far, parses every record they now hold whole, and
+// marks each one whose key is byte-identical to the previous record's. It
+// parses exactly as Reader does, so it marks the records a Reader of the
+// same bytes returns; at the EOF marker, a malformed header or a record cut
+// off by the end of the stream it stops, leaving what follows unmarked for
+// the Reader to reject.
+type runScan struct {
+	off      int    // where the next record's header starts
+	prev     []byte // the previous record's key
+	records  int
+	word     uint64 // marks of the records in the current 64, not yet in marks
+	marks    []uint64
+	finished bool
+}
+
+func (s *runScan) walk(data []byte) {
+	// The cursor lives in locals for the loop: this runs once per record of
+	// every fetched byte.
+	off, prev, rec, word := s.off, s.prev, s.records, s.word
+	for !s.finished {
+		d := data[off:]
+		var kl, vl, h int
+		if len(d) >= 2 && d[0] < 0x80 && d[1] < 0x80 {
+			// Both lengths one-byte vints in [0, 127]: every record of a
+			// small-record job, decoded with no call.
+			kl, vl, h = int(d[0]), int(d[1]), 2
+		} else if kl, vl, h = recordHeader(d); h <= 0 {
+			s.finished = h < 0
+			break
+		}
+		if h+kl+vl > len(d) {
+			break // the rest of the record is in a chunk still to come
+		}
+		key := d[h : h+kl]
+		if rec > 0 && bytes.Equal(key, prev) {
+			word |= 1 << (rec & 63)
+		}
+		prev = key
+		off += h + kl + vl
+		if rec++; rec&63 == 0 && word != 0 {
+			s.store(word, rec-1, off, cap(data))
+			word = 0
+		}
+	}
+	s.off, s.prev, s.records, s.word = off, prev, rec, word
+}
+
+// store puts the marks word of the 64 records up to rec into marks. The
+// first store sizes the bitset for the whole segment of size bytes, at the
+// record size seen up to off, so uniform records allocate their marks once.
+func (s *runScan) store(word uint64, rec, off, size int) {
+	if w := rec >> 6; w >= len(s.marks) {
+		n := w + 1
+		if s.marks == nil {
+			n = max(n, (size/off*(rec+1))>>6+1)
+		}
+		s.marks = append(s.marks, make([]uint64, max(n, 2*len(s.marks))-len(s.marks))...)
+	}
+	s.marks[rec>>6] = word
+}
+
+// done returns the segment's marks once every byte has been walked.
+func (s *runScan) done() []uint64 {
+	if s.word != 0 {
+		s.store(s.word, s.records-1, s.off, s.off)
+	}
+	return s.marks
+}
+
+// recordHeader decodes a record header the one-byte case of walk does not
+// take: h > 0 is its length, h == 0 means d ends inside it, and h < 0 that
+// no record starts here — the EOF marker, or lengths Reader rejects.
+func recordHeader(d []byte) (kl, vl, h int) {
+	k, n := headerVInt(d)
+	if n <= 0 {
+		return 0, 0, n
+	}
+	v, m := headerVInt(d[n:])
+	if m <= 0 {
+		return 0, 0, m
+	}
+	if k < 0 || v < 0 || k > math.MaxInt32 || v > math.MaxInt32 {
+		return 0, 0, -1
+	}
+	return int(k), int(v), n + m
+}
+
+// headerVInt decodes the vint at the head of d as writable's decoder does,
+// returning its value and encoded length, or n == 0 when d ends inside it.
+// DataInput.ReadVLong would build an error for every header a chunk
+// boundary cuts, and reading 3-byte headers through it made
+// BenchmarkReadSegmentAvg1K ≈6 % slower.
+func headerVInt(d []byte) (v int64, n int) {
+	if len(d) == 0 {
+		return 0, 0
+	}
+	if n = writable.VIntSize(d[0]); n == 1 {
+		return int64(int8(d[0])), 1
+	}
+	if len(d) < n {
+		return 0, 0
+	}
+	for _, b := range d[1:n] {
+		v = v<<8 | int64(b)
+	}
+	if writable.VIntNegative(d[0]) {
+		v ^= -1
+	}
+	return v, n
 }
 
 // trailerCRC decodes the big-endian checksum in data's last four bytes.
@@ -269,7 +401,7 @@ func (s *Segment) Recycle() {
 	for _, r := range s.rest {
 		recycleBuf(r)
 	}
-	s.data, s.rest = nil, nil
+	s.data, s.rest, s.marks = nil, nil, nil
 	s.records = 0
 	s.verified = false
 	s.compressed = false
@@ -281,7 +413,7 @@ func (s *Segment) NewReader() *Reader {
 	if s.compressed {
 		panic("kvbuf: NewReader on compressed segment; inflate it through ReadCompressedSegment")
 	}
-	return &Reader{data: s.data, rest: s.rest, verified: s.verified}
+	return &Reader{data: s.data, rest: s.rest, marks: s.marks, verified: s.verified}
 }
 
 // Reader iterates an IFile segment. At EOF it consumes the CRC trailer and,
@@ -289,6 +421,7 @@ func (s *Segment) NewReader() *Reader {
 type Reader struct {
 	data     []byte   // the range being read
 	rest     [][]byte // the ranges after it
+	marks    []uint64 // the segment's run marks
 	crc      uint32   // checksum of the ranges before data, when not proven
 	off      int      // read position in data
 	verified bool
@@ -383,3 +516,10 @@ func (r *Reader) verify(in *writable.DataInput) error {
 
 // RecordsRead returns how many records Next has yielded.
 func (r *Reader) RecordsRead() int { return r.records }
+
+// marked reports the run mark of the record Next just returned: true when
+// ReadSegment proved its key byte-identical to the previous record's.
+func (r *Reader) marked() bool {
+	i := r.records - 1
+	return i >= 0 && i>>6 < len(r.marks) && r.marks[i>>6]&(1<<(i&63)) != 0
+}

@@ -177,3 +177,43 @@ func TestProvenTrailerMustBeTheOneConsumed(t *testing.T) {
 		t.Errorf("marked read err %v, unmarked read err %v: both must reject the inner trailer", err, wantErr)
 	}
 }
+
+// TestOnlyReadSegmentSetsRunMarks: run marks are proven only while a
+// fetched payload streams in. A Writer's segment, a chain Spill hands over
+// and a Merge output carry none, whatever their keys, and Recycle drops a
+// fetched segment's.
+func TestOnlyReadSegmentSetsRunMarks(t *testing.T) {
+	key := mkBytesWritable("one-key")
+	w := NewWriter(64)
+	for i := 0; i < 100; i++ {
+		w.Append(key, []byte{byte(i)})
+	}
+	written := w.Close()
+	cmp, _ := writable.Comparator("BytesWritable")
+	buf := NewSortBuffer(256<<10, 1, cmp)
+	defer buf.Release()
+	for i := 0; i < 200; i++ {
+		if ok, err := buf.Add(0, key, bytes.Repeat([]byte("v"), 1000)); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}
+	spilled, _ := buf.Spill()
+	order, _ := writable.Order("BytesWritable")
+	merged, _, err := Merge(order, []*Segment{written, spilled[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, seg := range map[string]*Segment{"Writer": written, "Spill handover": spilled[0], "Merge": merged} {
+		if seg.marks != nil {
+			t.Errorf("%s's segment carries run marks", name)
+		}
+	}
+	fetched, err := ReadSegment(bytes.NewReader(written.Bytes()), written.Len())
+	if err != nil || fetched.marks == nil {
+		t.Fatalf("ReadSegment over 100 records of one key: err %v, marks %v", err, fetched.marks)
+	}
+	fetched.Recycle()
+	if fetched.marks != nil {
+		t.Error("a recycled segment keeps its run marks")
+	}
+}

@@ -31,10 +31,12 @@ type RecordSource interface {
 // sourceEntry is one source's cursor in a SourceMerger.
 type sourceEntry struct {
 	src      RecordSource
+	rd       *Reader // src, when it is an in-memory segment's Reader
 	key, val []byte
 	prefix   uint64 // the merge order's prefix of key
 	eof      bool
-	index    int // tie-break: earlier source wins, keeping merges stable
+	marked   bool // key carries its segment's run mark: the previous key, byte for byte
+	index    int  // tie-break: earlier source wins, keeping merges stable
 }
 
 func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
@@ -47,7 +49,10 @@ func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
 		e.key, e.val = nil, nil
 		return nil
 	}
-	e.key, e.val, e.prefix = k, v, prefix(k)
+	e.key, e.val = k, v
+	if e.marked = e.rd != nil && e.rd.marked(); !e.marked {
+		e.prefix = prefix(k) // a marked key's prefix is the one it repeats
+	}
 	return nil
 }
 
@@ -66,6 +71,12 @@ func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
 // equal keys: a byte-equal next key leaves its (key, index) — the heap
 // minimum — unchanged, so one byte check replaces the sift.
 //
+// A record carrying its segment's run mark (ReadSegment proved its key equal
+// to the one before it) skips even that check: it stays at the head with
+// its prefix taken over and its key bytes untouched. The decision is still
+// counted, so the comparison tally does not depend on where the proof was
+// made.
+//
 // Each head carries its key's prefix under the merge's KeyOrder (the one the
 // spill sorted by), taken once as its source advances: an ordering decision
 // is KeyOrder.Compare, which calls the comparator only on a prefix tie, and
@@ -77,6 +88,7 @@ type SourceMerger struct {
 	entries []*sourceEntry
 	comps   int64
 	started bool
+	repeat  bool // the last record came from the same source as the one before, with the same key
 }
 
 // NewSourceMerger primes a cursor on every source. Sources that are empty
@@ -84,7 +96,8 @@ type SourceMerger struct {
 func NewSourceMerger(order writable.KeyOrder, srcs []RecordSource) (*SourceMerger, error) {
 	m := &SourceMerger{order: order, entries: make([]*sourceEntry, 0, len(srcs))}
 	for i, s := range srcs {
-		e := &sourceEntry{src: s, index: i}
+		rd, _ := s.(*Reader)
+		e := &sourceEntry{src: s, rd: rd, index: i}
 		if err := e.advance(order.Prefix); err != nil {
 			return nil, err
 		}
@@ -143,6 +156,7 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 		if err := e.advance(m.order.Prefix); err != nil {
 			return nil, nil, false, err
 		}
+		m.repeat = false
 		if e.eof {
 			last := len(m.entries) - 1
 			m.entries[0] = m.entries[last]
@@ -151,8 +165,10 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 			if len(m.entries) > 1 {
 				m.siftDown(0)
 			}
-		} else if m.comps++; e.prefix != prevPrefix || !bytes.Equal(e.key, prev) {
-			m.siftDown(0) // a byte-equal key is still the minimum
+		} else if m.comps++; e.marked || e.prefix == prevPrefix && bytes.Equal(e.key, prev) {
+			m.repeat = true // a byte-equal key is still the minimum
+		} else {
+			m.siftDown(0)
 		}
 	}
 	if len(m.entries) == 0 {
@@ -166,6 +182,11 @@ func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
 // Prefix is the order's prefix of the key the last Next returned. Call it
 // only after a Next that returned a record.
 func (m *SourceMerger) Prefix() uint64 { return m.entries[0].prefix }
+
+// Repeat reports whether the record the last Next returned came from the
+// same source as the one before it, with a byte-identical key: it belongs
+// to the previous record's key group whatever the grouping order.
+func (m *SourceMerger) Repeat() bool { return m.repeat }
 
 // MergeSources drains a SourceMerger through emit, returning the number of
 // key comparisons performed.

@@ -303,8 +303,9 @@ type keyRun struct {
 // runSources builds one segment per source from its key runs, each key
 // serialized by encode — values tag the source index and the record's
 // position in it, so a record from the wrong source or out of turn shows —
-// and opens each as kinds[i % 3]: an in-memory Reader, a plain RunReader or a
-// deflate RunReader. Call it once per merge: sources are single-use.
+// and opens each as kinds[i % 4]: an in-memory Reader, a plain RunReader, a
+// deflate RunReader or the Reader of a fetched segment, which carries run
+// marks. Call it once per merge: sources are single-use.
 func runSources(t *testing.T, spec [][]keyRun, kinds int, encode func(string) []byte) []RecordSource {
 	t.Helper()
 	srcs := make([]RecordSource, len(spec))
@@ -319,13 +320,17 @@ func runSources(t *testing.T, spec [][]keyRun, kinds int, encode func(string) []
 		}
 		seg := w.Close()
 		var err error
-		switch (i + kinds) % 3 {
+		switch (i + kinds) % 4 {
 		case 0:
 			srcs[i] = seg.NewReader()
 		case 1:
 			srcs[i], err = NewRunReader(bytes.NewReader(seg.Bytes()), false)
-		default:
+		case 2:
 			srcs[i], err = NewRunReader(bytes.NewReader(CompressSegmentWith(seg, Deflate).Bytes()), true)
+		default:
+			if seg, err = ReadSegment(bytes.NewReader(seg.Bytes()), seg.Len()); err == nil {
+				srcs[i] = seg.NewReader()
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +348,7 @@ func bytesKey(s string) []byte { return writable.Marshal(&writable.BytesWritable
 // shapes the run check decides: long runs of one key, one key tied across
 // sources, runs that end at EOF, a lower-index source arriving at the key a
 // higher-index one is running on, and random run layouts — in memory, as
-// plain runs and as deflate runs, mixed. Every case runs by comparator alone
+// plain runs, as deflate runs and fetched with run marks, mixed. Every case runs by comparator alone
 // (no extractor) and keyed by the Text and the BytesWritable prefixes; the
 // "tie8" keys share their first 8 bytes and differ after, so only the
 // comparator can order them. The values name the source and position, so
@@ -389,7 +394,7 @@ func TestSourceMergerRunsMatchReferenceHeap(t *testing.T) {
 			ko = writable.ByComparator(cmp)
 		}
 		for name, spec := range cases {
-			for kinds := 0; kinds < 3; kinds++ {
+			for kinds := 0; kinds < 4; kinds++ {
 				want := refMergeHeap(t, cmp, runSources(t, spec, kinds, order.encode))
 				m, err := NewSourceMerger(ko, runSources(t, spec, kinds, order.encode))
 				if err != nil {

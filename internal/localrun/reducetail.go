@@ -16,15 +16,19 @@ import (
 )
 
 // mergedValueIter adapts the pull-based source merger into the reducer's
-// ValueIterator, one key group at a time. The merger's views are only valid
-// until the next pull, so each value is unmarshaled before advancing. Group
-// and order checks are the merge order's Same and Compare on the merger's
-// key prefixes, so the comparator runs only on a prefix tie.
+// ValueIterator, one key group at a time. Values reach the reducer as views:
+// they are decoded in the input's view mode, straight off the merger's
+// record, and the merger advances only at the next Next (or endGroup), so a
+// view stays valid exactly as long as ValueIterator promises. Group and
+// order checks are the merge order's Same and Compare on the merger's key
+// prefixes, so the comparator runs only on a prefix tie — and not even that
+// for a record the merger reports as a repeat of the one before it.
 type mergedValueIter struct {
 	m           *kvbuf.SourceMerger
 	order       writable.KeyOrder
 	inst        writable.Writable
-	in          writable.DataInput // reused across records: decoding allocates nothing
+	keyIn       writable.DataInput // reused across groups: decoding allocates nothing
+	valIn       writable.DataInput // view mode: values alias the merger's records
 	key, val    []byte             // pending record: views into the merger's sources
 	prefix      uint64             // pending key's prefix
 	ok          bool
@@ -33,6 +37,7 @@ type mergedValueIter struct {
 	groupPrefix uint64
 	started     bool
 	inGroup     bool
+	handed      bool  // the pending record went to the reducer: pull before looking further
 	records     int64 // records consumed so far, over all groups
 }
 
@@ -42,6 +47,7 @@ func newMergedValueIter(m *kvbuf.SourceMerger, order writable.KeyOrder, valType 
 		return nil, err
 	}
 	it := &mergedValueIter{m: m, order: order, inst: inst}
+	it.valIn.SetView(true)
 	it.pull()
 	return it, it.err
 }
@@ -53,11 +59,21 @@ func (it *mergedValueIter) pull() {
 	}
 }
 
+// pending makes the pending record the one after whatever the reducer was
+// last handed.
+func (it *mergedValueIter) pending() {
+	if it.handed {
+		it.handed = false
+		it.pull()
+	}
+}
+
 // inCurrentGroup reports whether the pending record belongs to the current
-// group: writable.KeyOrder.Same, whose comparator only runs at group
-// boundaries the prefix cannot see.
+// group: a repeat of the record before it does, else writable.KeyOrder.Same
+// decides, whose comparator only runs at group boundaries the prefix cannot
+// see.
 func (it *mergedValueIter) inCurrentGroup() bool {
-	return it.err == nil && it.ok && it.order.Same(it.key, it.prefix, it.groupKey, it.groupPrefix)
+	return it.err == nil && it.ok && (it.m.Repeat() || it.order.Same(it.key, it.prefix, it.groupKey, it.groupPrefix))
 }
 
 // beginGroup starts the next key group, unmarshaling its key into keyInst;
@@ -74,7 +90,7 @@ func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
 	it.groupKey, it.groupPrefix = append(it.groupKey[:0], it.key...), it.prefix
 	it.started = true
 	it.inGroup = true
-	if err := it.in.Unmarshal(it.groupKey, keyInst); err != nil {
+	if err := it.keyIn.Unmarshal(it.groupKey, keyInst); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -82,24 +98,26 @@ func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
 
 // Next implements mapreduce.ValueIterator over the current group.
 func (it *mergedValueIter) Next() (writable.Writable, bool) {
-	if !it.inGroup || !it.inCurrentGroup() {
+	if !it.inGroup {
 		return nil, false
 	}
-	if err := it.in.Unmarshal(it.val, it.inst); err != nil {
+	if it.pending(); !it.inCurrentGroup() {
+		return nil, false
+	}
+	if err := it.valIn.Unmarshal(it.val, it.inst); err != nil {
 		it.err = err
 		return nil, false
 	}
 	it.records++
-	it.pull()
+	it.handed = true
 	return it.inst, true
 }
 
 // endGroup drains whatever the reducer left unread, so the record tally is
 // exact however early the reducer stopped.
 func (it *mergedValueIter) endGroup() error {
-	for it.inCurrentGroup() {
+	for it.pending(); it.inCurrentGroup(); it.pull() {
 		it.records++
-		it.pull()
 	}
 	it.inGroup = false
 	return it.err

@@ -416,3 +416,102 @@ func TestValueIteratorAllocatesNothing(t *testing.T) {
 		t.Errorf("ValueIterator.Next allocates %.2f times per record, want 0", avg)
 	}
 }
+
+// viewJob is a word job whose values are BytesWritable, distinct for every
+// record (the line offset and the word's position), reduced by red into
+// memory. Values reach red as views, so a stale or overwritten view shows
+// in the output.
+func viewJob(text string, maps, reduces int, red mapreduce.Reducer) (*mapreduce.Job, *mapreduce.MemoryOutput) {
+	job, out := wordCountJob(text, maps, reduces, false)
+	job.Name = "value-views"
+	job.MapOutputValueType = "BytesWritable"
+	job.Mapper = func() mapreduce.Mapper {
+		return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, _ mapreduce.Reporter) error {
+			for i, w := range strings.Fields(v.(*writable.Text).String()) {
+				val := &writable.BytesWritable{Data: fmt.Appendf(nil, "%d.%d", k.(*writable.LongWritable).Value, i)}
+				if err := o.Collect(writable.NewText(w), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	job.Reducer = func() mapreduce.Reducer { return red }
+	return job, out
+}
+
+// growingReducer forwards every value after growing its Data by an append,
+// the one write a caller may make to a view: capacity-capped, the append
+// lands in a fresh array and the bytes after the view stay as they are.
+func growingReducer(grown *int) mapreduce.Reducer {
+	junk := bytes.Repeat([]byte{0xee}, 64)
+	return mapreduce.ReducerFunc(func(k writable.Writable, vs mapreduce.ValueIterator, o mapreduce.Collector, _ mapreduce.Reporter) error {
+		for {
+			v, ok := vs.Next()
+			if !ok {
+				return nil
+			}
+			*grown += len(append(v.(*writable.BytesWritable).Data, junk...))
+			if err := o.Collect(k, v); err != nil {
+				return err
+			}
+		}
+	})
+}
+
+// TestValueViewsHoldOverDiskRuns runs the bounded pool at a one-byte budget
+// and fan-in 2, so every reduce merges on-disk runs whose RunReader reuses
+// its value buffer as the merge advances, against the unbounded barrier run.
+// The iterator hands out a value only while its source has not moved on;
+// one that advanced the merge before returning the value would hand the
+// reducer the next record's bytes.
+func TestValueViewsHoldOverDiskRuns(t *testing.T) {
+	text, _ := corpus()
+	barrier, barrierOut := viewJob(text, 8, 3, mapreduce.IdentityReducer{})
+	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := renderOutput(barrierOut, 3)
+	job, out := viewJob(text, 8, 3, mapreduce.IdentityReducer{})
+	slowstart(job, 0.25).Conf.
+		SetInt(mapreduce.ConfShuffleInputBufBytes, 1).
+		SetInt(mapreduce.ConfIOSortFactor, 2)
+	res, err := Run(job, &Options{ParallelCopies: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReduceMerge.DiskRuns == 0 || res.ReduceMerge.DiskPasses == 0 {
+		t.Fatalf("stats %+v: the bounded run merged no disk runs", res.ReduceMerge)
+	}
+	if got := renderOutput(out, 3); got != want {
+		t.Error("values read over disk runs differ from the unbounded barrier run's")
+	}
+}
+
+// TestGrowingAViewLeavesOutputIntact: a reducer that appends to every
+// value's Data, in memory and over disk runs, leaves the job's output
+// byte-identical to the identity reducer's.
+func TestGrowingAViewLeavesOutputIntact(t *testing.T) {
+	text, _ := corpus()
+	ident, identOut := viewJob(text, 6, 2, mapreduce.IdentityReducer{})
+	if _, err := Run(ident, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := renderOutput(identOut, 2)
+	for _, budget := range []int{0, 1} {
+		grown := 0
+		job, out := viewJob(text, 6, 2, growingReducer(&grown))
+		if budget > 0 {
+			slowstart(job, 0.25).Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, budget).SetInt(mapreduce.ConfIOSortFactor, 2)
+		}
+		if _, err := Run(job, &Options{ReduceParallelism: 1}); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if grown == 0 {
+			t.Fatalf("budget %d: the reducer grew no value", budget)
+		}
+		if got := renderOutput(out, 2); got != want {
+			t.Errorf("budget %d: growing every value changed the job's output", budget)
+		}
+	}
+}

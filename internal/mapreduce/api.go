@@ -39,6 +39,10 @@ type Mapper interface {
 type ValueIterator interface {
 	// Next returns the next value, or ok=false at group end. The returned
 	// Writable may be reused between calls; callers must copy to retain.
+	// Its byte payload (BytesWritable.Data, Text.Data) may be a view of the
+	// merge's input, valid until the next Next: copy it to retain it, and
+	// never grow it in place — an append reallocates, a write through the
+	// view is a write into the input.
 	Next() (writable.Writable, bool)
 }
 

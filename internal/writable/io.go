@@ -122,8 +122,26 @@ func (o *DataOutput) WriteVLong(v int64) {
 
 // DataInput reads Java DataInput-compatible primitives from a byte slice.
 type DataInput struct {
-	buf []byte
-	off int
+	buf  []byte
+	off  int
+	view bool
+}
+
+// SetView switches the input's view mode. In view mode BytesWritable and
+// Text decode to a view of the input — its bytes, capacity capped at their
+// length, so an append reallocates instead of writing past them — instead of
+// a copy into the box's own storage. A box so decoded aliases the input: it
+// must not outlive the input's bytes, nor be decoded again by an input in
+// copy mode, which would copy into those bytes.
+func (i *DataInput) SetView(on bool) { i.view = on }
+
+// keep lands a decoded payload b in a box whose storage is dst: a view of b
+// in view mode, a copy into dst otherwise.
+func (i *DataInput) keep(dst, b []byte) []byte {
+	if i.view {
+		return b[:len(b):len(b)]
+	}
+	return append(dst[:0], b...)
 }
 
 // NewDataInput wraps buf for reading.

@@ -180,7 +180,7 @@ func (w *BytesWritable) ReadFields(i *DataInput) error {
 	if err != nil {
 		return err
 	}
-	w.Data = append(w.Data[:0], b...)
+	w.Data = i.keep(w.Data, b)
 	return nil
 }
 
@@ -220,7 +220,7 @@ func (w *Text) ReadFields(i *DataInput) error {
 	if !utf8.Valid(b) {
 		return fmt.Errorf("writable: Text payload is not valid UTF-8")
 	}
-	w.Data = append(w.Data[:0], b...)
+	w.Data = i.keep(w.Data, b)
 	return nil
 }
 

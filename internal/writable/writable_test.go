@@ -406,3 +406,60 @@ func TestArrayWritableNestedText(t *testing.T) {
 		t.Errorf("element 1 = %v", out.Values[1])
 	}
 }
+
+// TestViewModeAliasesCapped: in view mode BytesWritable and Text decode to
+// a view of the input capped at its length — an append reallocates instead
+// of writing over the input — and reject what copy mode rejects.
+func TestViewModeAliasesCapped(t *testing.T) {
+	for _, tc := range []struct {
+		w     Writable
+		fresh func() Writable
+	}{
+		{&BytesWritable{Data: []byte("payload")}, func() Writable { return new(BytesWritable) }},
+		{NewText("payload"), func() Writable { return new(Text) }},
+	} {
+		w := tc.w
+		enc := append(Marshal(w), "next"...)
+		buf := enc[:len(enc)-4]
+		var in DataInput
+		in.SetView(true)
+		fresh := tc.fresh()
+		if err := in.Unmarshal(buf, fresh); err != nil {
+			t.Fatalf("%T: %v", w, err)
+		}
+		data := payload(fresh)
+		if string(data) != "payload" || &data[0] != &buf[len(buf)-len(data)] || cap(data) != len(data) {
+			t.Fatalf("%T: view %q (cap %d) is not a capped view of the input", w, data, cap(data))
+		}
+		_ = append(data, "XXXX"...)
+		if string(enc[len(enc)-4:]) != "next" {
+			t.Fatalf("%T: appending to a view wrote over the input after it", w)
+		}
+		in.SetView(false)
+		copied := tc.fresh()
+		if err := in.Unmarshal(buf, copied); err != nil || &payload(copied)[0] == &buf[len(buf)-len(data)] {
+			t.Fatalf("%T: copy mode err %v or aliased the input", w, err)
+		}
+	}
+	var in DataInput
+	in.SetView(true)
+	if err := in.Unmarshal(append(Marshal(NewText("ok")), 0), new(Text)); err == nil {
+		t.Error("view mode accepted a trailing byte")
+	}
+	if err := in.Unmarshal([]byte{2, 0xff, 0xfe}, new(Text)); err == nil {
+		t.Error("view mode accepted invalid UTF-8")
+	}
+	if err := in.Unmarshal([]byte{0, 0, 0, 9, 1}, new(BytesWritable)); err == nil {
+		t.Error("view mode accepted a BytesWritable longer than its input")
+	}
+}
+
+func payload(w Writable) []byte {
+	switch v := w.(type) {
+	case *BytesWritable:
+		return v.Data
+	case *Text:
+		return v.Data
+	}
+	return nil
+}
