@@ -6,18 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"mrmicro/internal/faultinject"
 	"mrmicro/internal/hadooprpc"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 )
-
-// ErrAttemptsExhausted marks a job failure caused by a task legally running
-// out of its attempt budget under fault injection — the recovery machinery
-// working as specified rather than a runtime bug. Differential checkers
-// (mrcheck) skip such runs instead of flagging them.
-var ErrAttemptsExhausted = errors.New("distrun: task attempts exhausted")
 
 // Options tunes the distributed runtime.
 type Options struct {
@@ -94,15 +87,6 @@ func (o *Options) recoveryGrace() time.Duration {
 	return 500 * time.Millisecond
 }
 
-// taskAttempts bounds per-task execution attempts counted from explicit
-// failure reports: the fault plan's bound, 4 without a plan.
-func taskAttempts(plan *faultinject.Plan) int {
-	if plan != nil {
-		return plan.TaskAttempts()
-	}
-	return 4
-}
-
 // Result summarizes a completed distributed job, mirroring localrun.Result
 // plus the recovery bookkeeping the crash tests assert on.
 type Result struct {
@@ -150,7 +134,6 @@ type taskState struct {
 	digest    uint64 // reduces
 	records   int64  // reduces
 	attempts  int    // attempt numbers issued
-	failures  int    // explicit failure reports (bounds re-execution)
 	running   []attemptRef
 }
 
@@ -177,10 +160,11 @@ type workerState struct {
 // Coordinator owns the job: task tables, worker sessions, the WAL, and the
 // RPC server workers talk to.
 type Coordinator struct {
-	cfg  microbench.Config
-	opts Options
-	srv  *hadooprpc.Server
-	log  *wal
+	cfg   microbench.Config
+	opts  Options
+	srv   *hadooprpc.Server
+	log   *wal
+	blame *localrun.Blame // charges every reported failure (localrun's rule)
 
 	mu       sync.Mutex
 	sessions map[int64]*workerState
@@ -233,7 +217,14 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 	c := &Coordinator{
 		cfg:      cfg,
 		opts:     *opts,
+		blame:    localrun.NewBlame(cfg.Faults),
 		sessions: make(map[int64]*workerState),
+		// Sessions count up from the start time in nanoseconds, so a
+		// successor on the same address never reissues a session its
+		// predecessor handed out: a worker still holding one is fenced and
+		// re-registers, instead of being taken for the successor's worker of
+		// the same number (and committing maps at that worker's address).
+		nextSess: time.Now().UnixNano(),
 		maps:     make([]taskState, numMaps),
 		reduces:  make([]taskState, cfg.NumReduces),
 		done:     make(chan struct{}),
@@ -294,7 +285,6 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 	srv.Register(MethodCommitMap, handler(c.handleCommitMap))
 	srv.Register(MethodCommitReduce, handler(c.handleCommitReduce))
 	srv.Register(MethodTaskFailed, handler(c.handleTaskFailed))
-	srv.Register(MethodFetchFailed, handler(c.handleFetchFailed))
 	go c.monitor()
 	c.mu.Lock()
 	c.maybeFinish() // a fully-committed WAL finishes the job outright
@@ -455,10 +445,7 @@ func (c *Coordinator) requeueMapLocked(i int) {
 	if !t.committed {
 		return
 	}
-	t.committed = false
-	t.located = false
-	t.session = 0
-	t.addr = ""
+	t.committed, t.located, t.session, t.addr = false, false, 0, ""
 	c.mapsDone--
 	c.requeuedMaps++
 }
@@ -497,9 +484,7 @@ func (c *Coordinator) handleRegister(req *registerReq) (*registerResp, error) {
 				c.requeuedMaps--
 			}
 		}
-		t.located = true
-		t.session = w.session
-		t.addr = w.addr
+		t.located, t.session, t.addr = true, w.session, w.addr
 	}
 	c.maybeFinish()
 	return &registerResp{
@@ -511,24 +496,21 @@ func (c *Coordinator) handleRegister(req *registerReq) (*registerResp, error) {
 	}, nil
 }
 
-// sessionLocked resolves a live session, nil if unknown or fenced.
+// sessionLocked resolves a live session and stamps its heartbeat: any call
+// is a sign of life. It returns nil if the session is unknown or fenced.
 func (c *Coordinator) sessionLocked(id int64) *workerState {
 	w := c.sessions[id]
 	if w == nil || w.dead {
 		return nil
 	}
+	w.lastBeat = time.Now()
 	return w
 }
 
 func (c *Coordinator) handleHeartbeat(req *sessionReq) (*sessionResp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.sessionLocked(req.Session)
-	if w == nil {
-		return &sessionResp{Fenced: true}, nil
-	}
-	w.lastBeat = time.Now()
-	return &sessionResp{}, nil
+	return &sessionResp{Fenced: c.sessionLocked(req.Session) == nil}, nil
 }
 
 func (c *Coordinator) handleGetTask(req *sessionReq) (*taskResp, error) {
@@ -538,7 +520,6 @@ func (c *Coordinator) handleGetTask(req *sessionReq) (*taskResp, error) {
 	if w == nil {
 		return &taskResp{sessionResp: sessionResp{Fenced: true}, Kind: TaskWait}, nil
 	}
-	w.lastBeat = time.Now()
 	if c.failed != nil {
 		return &taskResp{Kind: TaskExit, Err: c.failed.Error()}, nil
 	}
@@ -627,30 +608,30 @@ func (c *Coordinator) handleCommitMap(req *commitMapReq) (*commitResp, error) {
 	if w == nil {
 		return &commitResp{sessionResp: sessionResp{Fenced: true}}, nil
 	}
-	w.lastBeat = time.Now()
 	if req.Task < 0 || req.Task >= len(c.maps) {
 		return nil, fmt.Errorf("distrun: map %d out of range", req.Task)
 	}
 	t := &c.maps[req.Task]
-	if t.committed {
+	if t.committed && t.located {
 		return &commitResp{Win: false}, nil // a rival attempt already won
 	}
-	if len(t.running) > 1 {
-		c.specWins++
+	// A map committed but located nowhere is a restarted coordinator's
+	// recovered commit, most often this very attempt's, whose reply died
+	// with the predecessor: map output is deterministic, so these bytes
+	// serve the logged version instead of the map re-running.
+	if !t.committed {
+		if len(t.running) > 1 {
+			c.specWins++
+		}
+		c.version++
+		if err := c.log.append(walEntry{Type: "map", Task: req.Task, Version: c.version, Counters: req.Counters}); err != nil {
+			c.failLocked(fmt.Errorf("distrun: wal: %w", err))
+			return nil, err
+		}
+		t.committed, t.version, t.counters = true, c.version, req.Counters
+		c.mapsDone++
 	}
-	c.version++
-	if err := c.log.append(walEntry{Type: "map", Task: req.Task, Version: c.version, Counters: req.Counters}); err != nil {
-		c.failLocked(fmt.Errorf("distrun: wal: %w", err))
-		return nil, err
-	}
-	t.committed = true
-	t.located = true
-	t.session = w.session
-	t.addr = w.addr
-	t.version = c.version
-	t.counters = req.Counters
-	t.running = nil
-	c.mapsDone++
+	t.located, t.session, t.addr, t.running = true, w.session, w.addr, nil
 	return &commitResp{Win: true, Version: t.version}, nil
 }
 
@@ -661,7 +642,6 @@ func (c *Coordinator) handleCommitReduce(req *commitReduceReq) (*commitResp, err
 	if w == nil {
 		return &commitResp{sessionResp: sessionResp{Fenced: true}}, nil
 	}
-	w.lastBeat = time.Now()
 	if req.Task < 0 || req.Task >= len(c.reduces) {
 		return nil, fmt.Errorf("distrun: reduce %d out of range", req.Task)
 	}
@@ -686,53 +666,40 @@ func (c *Coordinator) handleCommitReduce(req *commitReduceReq) (*commitResp, err
 	return &commitResp{Win: true}, nil
 }
 
+// handleTaskFailed charges a failed attempt by localrun's Blame rule, to the
+// task or to the map a reduce could not fetch, re-queued under the same
+// lock. A report against a version already superseded (by a fence or an
+// earlier charge) charges nobody: one lost output is charged once.
 func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.sessionLocked(req.Session)
-	if w == nil {
+	if c.sessionLocked(req.Session) == nil {
 		return &sessionResp{Fenced: true}, nil
 	}
-	w.lastBeat = time.Now()
-	tasks := c.maps
+	tasks, task := c.maps, mapreduce.TaskID{Type: mapreduce.TaskMap, Index: req.Task}
 	if req.Kind == TaskReduce {
-		tasks = c.reduces
+		tasks, task.Type = c.reduces, mapreduce.TaskReduce
 	}
 	if req.Task < 0 || req.Task >= len(tasks) {
 		return nil, fmt.Errorf("distrun: %s %d out of range", req.Kind, req.Task)
 	}
 	t := &tasks[req.Task]
 	t.dropAttempt(req.Session)
-	if t.committed {
+	cause := errors.New(req.Err)
+	if lost := req.Lost; lost != nil {
+		if lost.Map < 0 || lost.Map >= len(c.maps) {
+			return nil, fmt.Errorf("distrun: map %d out of range", lost.Map)
+		}
+		if m := &c.maps[lost.Map]; !m.committed || !m.located || m.version != lost.Version {
+			return &sessionResp{}, nil // superseded: already re-queued
+		}
+		c.requeueMapLocked(lost.Map)
+		cause = &localrun.FetchError{Map: lost.Map, Reduce: req.Task, Peer: lost.Addr, Err: cause}
+	} else if t.committed {
 		return &sessionResp{}, nil // a rival attempt won anyway
 	}
-	if req.Fetch {
-		return &sessionResp{}, nil // blameless: the lost map was re-queued, not this task
-	}
-	t.failures++
-	if bound := taskAttempts(c.cfg.Faults); t.failures >= bound {
-		c.failLocked(fmt.Errorf("%w: %s %d failed %d times, last: %s",
-			ErrAttemptsExhausted, req.Kind, req.Task, t.failures, req.Err))
-	}
-	return &sessionResp{}, nil
-}
-
-func (c *Coordinator) handleFetchFailed(req *fetchFailedReq) (*sessionResp, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.sessionLocked(req.Session)
-	if w == nil {
-		return &sessionResp{Fenced: true}, nil
-	}
-	w.lastBeat = time.Now()
-	if req.Map < 0 || req.Map >= len(c.maps) {
-		return nil, fmt.Errorf("distrun: map %d out of range", req.Map)
-	}
-	t := &c.maps[req.Map]
-	// Only the reported version re-queues: a stale report against an output
-	// that already re-ran must not kill the fresh copy.
-	if t.committed && t.located && t.version == req.Version {
-		c.requeueMapLocked(req.Map)
+	if err := c.blame.Charge(task, cause); err != nil {
+		c.failLocked(err)
 	}
 	return &sessionResp{}, nil
 }

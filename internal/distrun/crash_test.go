@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 )
@@ -381,6 +382,13 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 	if res.RecoveredReduces != len(walReds) {
 		t.Errorf("RecoveredReduces = %d, want %d (WAL reduce commits)", res.RecoveredReduces, len(walReds))
 	}
+	// No process failed after the restart, so every recovered map is
+	// re-located from a worker that still serves it: none re-runs. A
+	// successor that takes a stale session for a live one records maps at
+	// the wrong worker's address and re-queues them fetch after fetch.
+	if res.RequeuedMaps != 0 {
+		t.Errorf("RequeuedMaps = %d after a restart with every worker alive, want 0", res.RequeuedMaps)
+	}
 	assertMatchesOracle(t, cfg, res)
 	pool.WaitIdle(5 * time.Second)
 }
@@ -412,4 +420,84 @@ func TestCoordinatorResumeCompleteWAL(t *testing.T) {
 		t.Errorf("resumed digest %016x != original %016x", resumed.JobDigest, res.JobDigest)
 	}
 	assertMatchesOracle(t, cfg, resumed)
+}
+
+// TestEveryJobEnds holds both real engines to liveness under a fetch-only
+// plan that truncates every fetch attempt of one (reduce, map) pair. Fetch
+// faults roll by (reduce, map, fetch attempt), so the pair fails the same way
+// on every reduce attempt and every re-run map version, and a coordinator
+// that re-queues the map without charging it never ends the job. Each
+// engine must fail within the deadline with the exhaustion error, charging
+// that map for that reduce's fetches. Dist runs through NewCoordinator and
+// StartWorkers so an expired deadline can kill the coordinator and close
+// the pool.
+func TestEveryJobEnds(t *testing.T) {
+	const deadline = 5 * time.Second
+	cfg, err := microbench.ParseRepro(strings.Fields(
+		"-pairs 1000 -kv 1024 -maps 4 -reduces 2 -iosortmb 1 -codec deflate -fault-shuffle-truncate 0.3 -fault-seed 7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cfg.Faults
+	var doomed []localrun.FetchError
+	for r := 0; r < cfg.NumReduces; r++ {
+		for m := 0; m < cfg.NumMaps; m++ {
+			all := true
+			for a := 0; a < plan.FetchAttempts(); a++ {
+				all = all && plan.Fetch(r, m, a) == faultinject.FetchTruncate
+			}
+			if all {
+				doomed = append(doomed, localrun.FetchError{Map: m, Reduce: r})
+			}
+		}
+	}
+	if len(doomed) != 1 {
+		t.Fatalf("the plan dooms %d (reduce, map) pairs, want exactly one", len(doomed))
+	}
+	want := doomed[0]
+	check := func(engine string, err error) {
+		t.Helper()
+		var ee *localrun.ExhaustedError
+		var fe *localrun.FetchError
+		if !errors.Is(err, localrun.ErrAttemptsExhausted) || !errors.As(err, &ee) || !errors.As(err, &fe) {
+			t.Errorf("%s: %v, want the attempts-exhausted error of a fetch", engine, err)
+			return
+		}
+		if fe.Map != want.Map || fe.Reduce != want.Reduce || ee.Culprit.Type != mapreduce.TaskMap || ee.Culprit.Index != want.Map {
+			t.Errorf("%s: %v, want map %d charged for reduce %d's fetches", engine, err, want.Map, want.Reduce)
+		}
+	}
+
+	job, err := microbench.BuildJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make(chan error, 1)
+	go func() {
+		_, err := localrun.Run(job, &localrun.Options{Faults: plan})
+		local <- err
+	}()
+	select {
+	case err := <-local:
+		check("localrun", err)
+	case <-time.After(deadline):
+		t.Errorf("localrun: no verdict within %v", deadline)
+	}
+
+	coord, err := NewCoordinator(cfg, &Options{})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Stop()
+	pool, err := StartWorkers(coord.Addr(), 2, false)
+	if err != nil {
+		t.Fatalf("StartWorkers: %v", err)
+	}
+	defer pool.Close()
+	timer := time.AfterFunc(deadline, coord.Kill)
+	_, err = coord.Wait()
+	if !timer.Stop() {
+		t.Fatalf("dist: no verdict within %v", deadline)
+	}
+	check("dist", err)
 }

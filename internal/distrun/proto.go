@@ -40,7 +40,6 @@ const (
 	MethodCommitMap    = "commitmap"
 	MethodCommitReduce = "commitreduce"
 	MethodTaskFailed   = "taskfailed"
-	MethodFetchFailed  = "fetchfailed"
 )
 
 // heldMap is one committed map output a worker still serves, reported at
@@ -139,29 +138,18 @@ type commitReduceReq struct {
 	Records  int64                       `json:"records"`
 }
 
-// taskFailedReq reports a failed attempt so the coordinator re-queues it.
-// Fetch marks a blameless abandonment: the attempt died because a map output
-// was unreachable, which indicts the *map's* worker, not this task — it
-// re-queues without counting toward the task's attempt bound (Hadoop
-// likewise blames the mapper for reducer fetch failures).
+// taskFailedReq reports a failed attempt, charged by localrun's Blame rule.
+// Lost names the map output a reduce attempt ran out of fetch retries on, at
+// the version and address it was given, and Err is then the fetch's cause:
+// the map is charged, not the reduce (Hadoop likewise blames the mapper),
+// and re-runs as a new version unless that version was already superseded.
 type taskFailedReq struct {
-	Session int64  `json:"session"`
-	Kind    string `json:"kind"` // TaskMap or TaskReduce
-	Task    int    `json:"task"`
-	Attempt int    `json:"attempt"`
-	Err     string `json:"err"`
-	Fetch   bool   `json:"fetch,omitempty"`
-}
-
-// fetchFailedReq reports that reduce Reduce could not fetch map Map's
-// version Version output (its worker is gone). The coordinator re-queues
-// the map if that version is still the committed one — Hadoop's
-// fetch-failure-driven map re-execution.
-type fetchFailedReq struct {
-	Session int64 `json:"session"`
-	Reduce  int   `json:"reduce"`
-	Map     int   `json:"map"`
-	Version int64 `json:"version"`
+	Session int64   `json:"session"`
+	Kind    string  `json:"kind"` // TaskMap or TaskReduce
+	Task    int     `json:"task"`
+	Attempt int     `json:"attempt"`
+	Err     string  `json:"err"`
+	Lost    *mapLoc `json:"lost,omitempty"`
 }
 
 // rpcCaller abstracts hadooprpc.Client / hadooprpc.RetryClient.

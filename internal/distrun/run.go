@@ -21,7 +21,6 @@ func Run(cfg microbench.Config, opts *Options) (*Result, error) {
 	defer coord.Stop()
 	pool, err := StartWorkers(coord.Addr(), opts.workers(), opts.Respawn)
 	if err != nil {
-		coord.Stop()
 		return nil, err
 	}
 	defer pool.Close()

@@ -26,6 +26,7 @@ type WorkerPool struct {
 	closed bool
 	live   int
 	idle   chan struct{} // closed when the last worker slot ends
+	once   sync.Once     // closes idle
 	usage  WorkerUsage   // of every process reaped so far
 }
 
@@ -107,19 +108,10 @@ func (p *WorkerPool) reap(index, epoch int, cmd *exec.Cmd) {
 	}
 	if last {
 		p.mu.Lock()
-		if p.live == 0 && !p.closedIdle() {
-			close(p.idle)
+		if p.live == 0 {
+			p.once.Do(func() { close(p.idle) })
 		}
 		p.mu.Unlock()
-	}
-}
-
-func (p *WorkerPool) closedIdle() bool {
-	select {
-	case <-p.idle:
-		return true
-	default:
-		return false
 	}
 }
 

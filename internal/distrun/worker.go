@@ -55,20 +55,11 @@ func MaybeWorker() {
 	}
 	index, _ := strconv.Atoi(os.Getenv(EnvWorkerIndex))
 	epoch, _ := strconv.Atoi(os.Getenv(EnvWorkerEpoch))
-	if err := runWorker(addr, index, epoch); err != nil {
+	if err := RunWorker(addr, index, epoch); err != nil {
 		fmt.Fprintf(os.Stderr, "mrworker[%d.%d]: %v\n", index, epoch, err)
 		os.Exit(exitErr)
 	}
 	os.Exit(exitOK)
-}
-
-// RunWorker runs this process as one worker against the coordinator at addr,
-// returning once the coordinator dismisses it (the job finished or failed).
-// cmd/mrworker uses it to join a coordinator started elsewhere — e.g. one
-// launched by cmd/mrcoord in another shell; coordinator-spawned workers
-// bootstrap through MaybeWorker instead.
-func RunWorker(addr string, index, epoch int) error {
-	return runWorker(addr, index, epoch)
 }
 
 // worker is one worker process's state.
@@ -92,9 +83,13 @@ type worker struct {
 	faultCtrs map[string]*mapreduce.Counters // per task key: fault counters across attempts
 }
 
-// runWorker is the worker main loop: register, heartbeat, then ask for and
-// execute task attempts until the coordinator says exit.
-func runWorker(addr string, index, epoch int) error {
+// RunWorker runs this process as one worker against the coordinator at addr
+// — register, heartbeat, then ask for and execute task attempts — returning
+// once the coordinator dismisses it (the job finished or failed).
+// cmd/mrworker uses it to join a coordinator started elsewhere, e.g. one
+// launched by cmd/mrcoord in another shell; coordinator-spawned workers
+// reach it through MaybeWorker.
+func RunWorker(addr string, index, epoch int) error {
 	server, err := localrun.NewShuffleServer()
 	if err != nil {
 		return err
@@ -210,13 +205,6 @@ func (w *worker) checkpoint() {
 	}
 }
 
-// fenced re-registers after the coordinator rejected our session (it timed
-// us out, or it is a restarted process that never knew us).
-func (w *worker) fenced() error {
-	_, err := w.register()
-	return err
-}
-
 // taskLoop asks for work until told to exit.
 func (w *worker) taskLoop() error {
 	for {
@@ -224,8 +212,8 @@ func (w *worker) taskLoop() error {
 		if err := call(w.coord, MethodGetTask, &sessionReq{Session: w.session.Load()}, &task); err != nil {
 			return err
 		}
-		if task.Fenced {
-			if err := w.fenced(); err != nil {
+		if task.Fenced { // timed out, or a restarted coordinator never knew us
+			if _, err := w.register(); err != nil {
 				return err
 			}
 			continue
@@ -266,10 +254,11 @@ func (w *worker) taskFaultCtrs(kind string, idx int) *mapreduce.Counters {
 	return c
 }
 
-// report sends a task-failure note; delivery is best effort (a fenced
+// reportFailed sends a task-failure note; delivery is best effort (a fenced
 // session re-registers and the coordinator re-queues by timeout anyway).
-// fetch marks a blameless abandonment over an unreachable map output.
-func (w *worker) reportFailed(kind string, task, attempt int, fetch bool, cause error) {
+// lost names the map output a reduce could not fetch, nil for a failure of
+// the attempt's own.
+func (w *worker) reportFailed(kind string, task, attempt int, cause error, lost *mapLoc) {
 	var resp sessionResp
 	_ = call(w.coord, MethodTaskFailed, &taskFailedReq{
 		Session: w.session.Load(),
@@ -277,7 +266,7 @@ func (w *worker) reportFailed(kind string, task, attempt int, fetch bool, cause 
 		Task:    task,
 		Attempt: attempt,
 		Err:     cause.Error(),
-		Fetch:   fetch,
+		Lost:    lost,
 	}, &resp)
 }
 
@@ -289,7 +278,7 @@ func (w *worker) runMap(idx, attempt int) error {
 	if err != nil {
 		faultCtrs.IncrFault(mapreduce.CtrMapAttemptsFailed, 1)
 		w.server.Unregister(idx) // partial registrations must not be fetchable
-		w.reportFailed(TaskMap, idx, attempt, false, err)
+		w.reportFailed(TaskMap, idx, attempt, err, nil)
 		return nil
 	}
 	ctrs.Merge(faultCtrs)
@@ -312,9 +301,9 @@ func (w *worker) runMap(idx, attempt int) error {
 
 // runReduce runs one reduce attempt through localrun's copy phase — fetching
 // each map's partition from the worker that serves it — and commits counters
-// + digest. A permanently unfetchable map (its worker died) is reported so
-// the coordinator re-runs that map, and the reduce attempt is abandoned for a
-// later retry.
+// + digest. A map whose fetch ran out of retries (its worker died, or every
+// fetch attempt failed) is reported as lost, so the coordinator charges and
+// re-runs that map, and the reduce attempt is abandoned for a later retry.
 func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 	faultCtrs := w.taskFaultCtrs(TaskReduce, r)
 	peers := make([]string, len(maps))
@@ -323,19 +312,13 @@ func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 	}
 	ctrs, err := w.runner.RunReduceFrom(r, attempt, peers, w.plan, faultCtrs, w.checkpoint /* mid-shuffle */)
 	if err != nil {
-		var fe *localrun.FetchError
-		fetch := errors.As(err, &fe)
-		if fetch {
-			var fresp sessionResp
-			_ = call(w.coord, MethodFetchFailed, &fetchFailedReq{
-				Session: w.session.Load(),
-				Reduce:  r,
-				Map:     fe.Map,
-				Version: maps[fe.Map].Version,
-			}, &fresp)
-		}
 		faultCtrs.IncrFault(mapreduce.CtrReduceAttemptsFailed, 1)
-		w.reportFailed(TaskReduce, r, attempt, fetch, err)
+		var lost *mapLoc
+		var fe *localrun.FetchError
+		if errors.As(err, &fe) {
+			lost, err = &maps[fe.Map], fe.Err
+		}
+		w.reportFailed(TaskReduce, r, attempt, err, lost)
 		return nil
 	}
 	ctrs.Merge(faultCtrs)
@@ -369,7 +352,7 @@ func (w *worker) commit(method string, req any, session *int64) (commitResp, err
 		if !resp.Fenced {
 			return resp, nil
 		}
-		if err := w.fenced(); err != nil {
+		if _, err := w.register(); err != nil {
 			return resp, err
 		}
 	}

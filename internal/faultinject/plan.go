@@ -112,9 +112,10 @@ func (p *Plan) ProcEnabled() bool {
 		len(p.WorkerKills) > 0 || len(p.Partitions) > 0
 }
 
-// TaskAttempts returns the task-attempt bound with the Hadoop default.
-func (p Plan) TaskAttempts() int {
-	if p.MaxTaskAttempts > 0 {
+// TaskAttempts returns the task-attempt bound both real engines charge
+// failed attempts against, with the Hadoop default of 4 (also for a nil plan).
+func (p *Plan) TaskAttempts() int {
+	if p != nil && p.MaxTaskAttempts > 0 {
 		return p.MaxTaskAttempts
 	}
 	return 4

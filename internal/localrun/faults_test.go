@@ -362,9 +362,10 @@ func TestSpillErrorsRetriedToCompletion(t *testing.T) {
 	}
 }
 
-func TestCleanRunSingleAttemptSemanticsPreserved(t *testing.T) {
-	// Without a fault plan a deterministic user error surfaces after one
-	// attempt — mappers are not silently re-executed.
+func TestCleanRunRetriesToTheDefaultBound(t *testing.T) {
+	// Without a fault plan a failing task re-executes as it does on dist and
+	// in Hadoop, up to the default bound of 4, and the job then fails with
+	// the exhaustion error naming the task and carrying the user error.
 	calls := 0
 	job, _ := wordCountJob("a b c\n", 1, 1, false)
 	job.Mapper = func() mapreduce.Mapper {
@@ -373,17 +374,22 @@ func TestCleanRunSingleAttemptSemanticsPreserved(t *testing.T) {
 			return fmt.Errorf("boom")
 		})
 	}
-	if _, err := Run(job, nil); err == nil || !strings.Contains(err.Error(), "boom") {
+	_, err := Run(job, nil)
+	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("map error not propagated: %v", err)
 	}
-	if calls != 1 {
-		t.Errorf("mapper ran %d times on a clean run, want 1", calls)
+	var ee *ExhaustedError
+	if !errors.As(err, &ee) || !errors.Is(err, ErrAttemptsExhausted) || ee.Culprit.Type != mapreduce.TaskMap || ee.Culprit.Index != 0 {
+		t.Errorf("error does not charge map 0 with exhausted attempts: %v", err)
+	}
+	if calls != 4 {
+		t.Errorf("mapper ran %d times on a clean run, want 4", calls)
 	}
 }
 
 func TestFaultPlanRetriesOrganicErrors(t *testing.T) {
-	// An explicit attempt budget covers organic (non-injected) failures
-	// too: a mapper that fails twice then succeeds completes the job.
+	// Organic (non-injected) failures re-execute like injected ones: a
+	// mapper that fails twice then succeeds completes the job.
 	var calls int
 	job, out := wordCountJob("a b c\n", 1, 1, false)
 	inner := job.Mapper
@@ -397,7 +403,7 @@ func TestFaultPlanRetriesOrganicErrors(t *testing.T) {
 			return m.Map(k, v, o, rep)
 		})
 	}
-	res, err := Run(job, &Options{MaxTaskAttempts: 4, FetchBackoff: fastBackoff()})
+	res, err := Run(job, &Options{FetchBackoff: fastBackoff()})
 	if err != nil {
 		t.Fatalf("flaky mapper not recovered: %v", err)
 	}
@@ -465,7 +471,7 @@ func TestMapOnlyAttemptsRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, res, err := run(true, &Options{MaxTaskAttempts: 2})
+	dir, res, err := run(true, &Options{Faults: &faultinject.Plan{MaxTaskAttempts: 2}})
 	if err != nil {
 		t.Fatalf("map-only attempts not retried: %v", err)
 	}

@@ -109,8 +109,9 @@ func TestSecondAnnounceRejected(t *testing.T) {
 }
 
 // TestSchedulerFastFail pins fast-fail on the one scheduler every job runs
-// through: a failing map task stops the job from launching the remaining
-// maps, with or without a reduce phase.
+// through: a map task that fails the job stops it from launching the
+// remaining maps, with or without a reduce phase. A plan bound of one
+// attempt makes the first failure the job's.
 func TestSchedulerFastFail(t *testing.T) {
 	text, _ := corpus()
 	t.Run("with reduces", func(t *testing.T) {
@@ -127,7 +128,7 @@ func TestSchedulerFastFail(t *testing.T) {
 				return m.Map(k, v, o, rep)
 			})
 		}
-		_, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2})
+		_, err := Run(job, &Options{MapParallelism: 2, ReduceParallelism: 2, Faults: &faultinject.Plan{MaxTaskAttempts: 1}})
 		if err == nil || !strings.Contains(err.Error(), "injected mapper failure") {
 			t.Fatalf("err = %v, want injected mapper failure", err)
 		}
@@ -149,7 +150,7 @@ func TestSchedulerFastFail(t *testing.T) {
 				return fmt.Errorf("boom at map %d", started.Add(1))
 			})
 		}
-		_, err := Run(job, &Options{MapParallelism: slots})
+		_, err := Run(job, &Options{MapParallelism: slots, Faults: &faultinject.Plan{MaxTaskAttempts: 1}})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("err = %v, want a mapper failure", err)
 		}

@@ -47,21 +47,6 @@ type Options struct {
 	// take the faultinject defaults (4 attempts, 2ms base, 2x growth,
 	// ±20% jitter).
 	FetchBackoff faultinject.Backoff
-
-	// MaxTaskAttempts bounds map/reduce task execution. Zero picks 1 for
-	// clean runs (a deterministic user-code error should surface, not
-	// re-execute) and Faults.TaskAttempts() when fault injection is on.
-	MaxTaskAttempts int
-}
-
-func (o *Options) taskAttempts() int {
-	if o.MaxTaskAttempts > 0 {
-		return o.MaxTaskAttempts
-	}
-	if o.Faults.Enabled() {
-		return o.Faults.TaskAttempts()
-	}
-	return 1
 }
 
 // Result summarizes a completed job.
@@ -123,9 +108,8 @@ type TaskRunner struct {
 	memBudget  int64       // reduce-side segment pool bound in bytes; 0: unbounded
 	spillAbove int64       // pool bytes that trigger a background reduce-side spill
 
-	backoff  faultinject.Backoff
-	plan     *faultinject.Plan
-	attempts int
+	backoff faultinject.Backoff
+	plan    *faultinject.Plan
 }
 
 // newTaskRunner validates the job and resolves its configuration. A conf
@@ -133,12 +117,11 @@ type TaskRunner struct {
 // *mapreduce.JobError naming key and value.
 func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
 	tr := &TaskRunner{
-		job:      job,
-		jobID:    mapreduce.JobID{Seq: 1},
-		copies:   opts.ParallelCopies,
-		backoff:  fetchBackoff(opts.FetchBackoff, opts.Faults),
-		plan:     opts.Faults,
-		attempts: opts.taskAttempts(),
+		job:     job,
+		jobID:   mapreduce.JobID{Seq: 1},
+		copies:  opts.ParallelCopies,
+		backoff: fetchBackoff(opts.FetchBackoff, opts.Faults),
+		plan:    opts.Faults,
 	}
 	conf := job.Conf
 	bad := func(key, want string) error {
@@ -257,6 +240,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	redCtrs := make([]*mapreduce.Counters, numReduces)
 	jobTM := &mergeTimings{} // reduce-side merge pipeline totals
 	jobST := &spillTimings{} // map-side collect/spill pipeline totals
+	blame := NewBlame(tr.plan)
 	var firstReduceStart time.Time
 
 	var wg sync.WaitGroup
@@ -273,7 +257,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				c, err := tr.runTask(mapreduce.TaskID{Job: tr.jobID, Type: typ, Index: i}, sched.done, attempt)
+				c, err := tr.runTask(mapreduce.TaskID{Job: tr.jobID, Type: typ, Index: i}, sched.done, blame, attempt)
 				ctrs[i] = c
 				if err != nil {
 					sched.fail(err)
@@ -403,36 +387,37 @@ func (s *jobScheduler) acquire(sem chan struct{}) bool {
 type attemptFunc func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error)
 
 // runTask executes one map or reduce task, re-executing failed attempts with
-// fresh attempt IDs up to the bound (Hadoop's mapreduce.map.maxattempts and
-// mapreduce.reduce.maxattempts). Each attempt gets fresh task counters —
-// only the winning attempt's work counts, as in Hadoop — while fault
+// fresh attempt IDs until one succeeds or blame fails the job (Hadoop's
+// mapreduce.{map,reduce}.maxattempts). Each attempt gets fresh task counters
+// — only the winning attempt's work counts, as in Hadoop — while fault
 // counters accumulate across attempts, each failure counted in
-// MAP_ATTEMPTS_FAILED or REDUCE_ATTEMPTS_FAILED, so the job report shows what
-// the executor survived. Once the job has failed elsewhere (done closed) a
-// failed attempt is not re-executed: a reduce would only wait on
-// announcements that will never come, and a map's output would never be
-// read.
-func (tr *TaskRunner) runTask(task mapreduce.TaskID, done <-chan struct{}, attempt attemptFunc) (*mapreduce.Counters, error) {
-	kind, failedCtr := "map", mapreduce.CtrMapAttemptsFailed
+// MAP_ATTEMPTS_FAILED or REDUCE_ATTEMPTS_FAILED. A map charged for a
+// reduce's fetch failure is not re-run: the server keeps serving the bytes
+// it registered, and only the reduce retries. Once the job has failed
+// elsewhere (done closed) a failed attempt is neither charged nor
+// re-executed: a reduce would only wait on announcements that never come.
+func (tr *TaskRunner) runTask(task mapreduce.TaskID, done <-chan struct{}, blame *Blame, attempt attemptFunc) (*mapreduce.Counters, error) {
+	failedCtr := mapreduce.CtrMapAttemptsFailed
 	if task.Type == mapreduce.TaskReduce {
-		kind, failedCtr = "reduce", mapreduce.CtrReduceAttemptsFailed
+		failedCtr = mapreduce.CtrReduceAttemptsFailed
 	}
 	faultCtrs := mapreduce.NewCounters()
-	var err error
-	for n := 0; n < tr.attempts; n++ {
-		var c *mapreduce.Counters
-		if c, err = attempt(mapreduce.TaskAttemptID{Task: task, Attempt: n}, faultCtrs); err == nil {
+	for n := 0; ; n++ {
+		c, err := attempt(mapreduce.TaskAttemptID{Task: task, Attempt: n}, faultCtrs)
+		if err == nil {
 			c.Merge(faultCtrs)
 			return c, nil
 		}
 		faultCtrs.IncrFault(failedCtr, 1)
 		select {
 		case <-done:
-			return faultCtrs, fmt.Errorf("localrun: %s %d: %w", kind, task.Index, err)
+			return faultCtrs, fmt.Errorf("localrun: %s %d: %w", kindOf(task.Type), task.Index, err)
 		default:
 		}
+		if err := blame.Charge(task, err); err != nil {
+			return faultCtrs, err
+		}
 	}
-	return faultCtrs, fmt.Errorf("localrun: %s %d failed after %d attempts: %w", kind, task.Index, tr.attempts, err)
 }
 
 // mapCollector routes mapper output into the sort buffer, spilling as the

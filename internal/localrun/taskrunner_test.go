@@ -24,20 +24,19 @@ type knobs struct {
 	copies     int
 	memBudget  int64
 	spillAbove int64
-	attempts   int
 	fetchTries int
 }
 
 func knobsOf(tr *TaskRunner) knobs {
 	return knobs{tr.codec, tr.sortBytes, tr.factor, tr.spillPct, tr.inflight, tr.slowstart,
-		tr.copies, tr.memBudget, tr.spillAbove, tr.attempts, tr.backoff.Attempts}
+		tr.copies, tr.memBudget, tr.spillAbove, tr.backoff.Attempts}
 }
 
 // TestTaskRunnerResolvesConf: the job Conf is the one source of every
 // executor knob, resolved once; Options only overrides what a conf cannot
 // say about this host and this run.
 func TestTaskRunnerResolvesConf(t *testing.T) {
-	defaults := knobs{nil, 100 << 20, 10, 0.80, 1, 0.05, 5, 0, 0, 1, 0}
+	defaults := knobs{nil, 100 << 20, 10, 0.80, 1, 0.05, 5, 0, 0, 0}
 	with := func(mod func(*knobs)) knobs {
 		k := defaults
 		mod(&k)
@@ -65,7 +64,7 @@ func TestTaskRunnerResolvesConf(t *testing.T) {
 				mapreduce.ConfCompressMapOut:       "true",
 				mapreduce.ConfCompressCodec:        "deflate",
 			},
-			want: knobs{kvbuf.Deflate, 3 << 20, 4, 0.5, 3, 1, 7, 1000, 500, 1, 0},
+			want: knobs{kvbuf.Deflate, 3 << 20, 4, 0.5, 3, 1, 7, 1000, 500, 0},
 		},
 		{
 			name: "sync spill ignores inflight",
@@ -104,14 +103,14 @@ func TestTaskRunnerResolvesConf(t *testing.T) {
 			want: with(func(k *knobs) { k.memBudget, k.spillAbove = 65536, 43253 }),
 		},
 		{
-			name: "fault plan sets the attempt bounds",
+			name: "fault plan sets the fetch bound",
 			opts: Options{Faults: plan},
-			want: with(func(k *knobs) { k.attempts, k.fetchTries = plan.TaskAttempts(), plan.FetchAttempts() }),
+			want: with(func(k *knobs) { k.fetchTries = plan.FetchAttempts() }),
 		},
 		{
-			name: "explicit bounds win over the plan's",
-			opts: Options{Faults: plan, MaxTaskAttempts: 9, FetchBackoff: faultinject.Backoff{Attempts: 2, Base: time.Millisecond}},
-			want: with(func(k *knobs) { k.attempts, k.fetchTries = 9, 2 }),
+			name: "an explicit fetch bound wins over the plan's",
+			opts: Options{Faults: plan, FetchBackoff: faultinject.Backoff{Attempts: 2, Base: time.Millisecond}},
+			want: with(func(k *knobs) { k.fetchTries = 2 }),
 		},
 	} {
 		job, _ := wordCountJob("a b\nc d\n", 2, 3, false)
@@ -184,8 +183,9 @@ func TestBadConfFailsBeforeAnyTask(t *testing.T) {
 			started.Add(1)
 			return mapper()
 		}
-		// A fault plan widens the attempt budget: a bad value must not burn it.
-		opts := &Options{Faults: &faultinject.Plan{Seed: 3}, MaxTaskAttempts: 4}
+		// Failed attempts re-execute up to the plan's bound: a bad value must
+		// not burn it.
+		opts := &Options{Faults: &faultinject.Plan{Seed: 3}}
 		_, runErr := Run(job, opts)
 		_, newErr := NewTaskRunner(job)
 		for entry, err := range map[string]error{"Run": runErr, "NewTaskRunner": newErr} {

@@ -262,9 +262,17 @@ func CheckConfig(cfg microbench.Config, opts CheckOptions) error {
 
 	// Invariant: recovery equivalence — the same job under its injected fault
 	// plan must produce the clean run's output and task counters exactly.
+	wantDist := cfg.Engine == microbench.EngineDist || hasEngine(opts.engines(), microbench.EngineDist)
 	if cfg.Faults != nil {
 		faulted, err := runLocal(cfg, true, opts.MutateJob)
 		if errors.Is(err, faultinject.ErrInjected) {
+			// Nothing to compare, but the plan must end the dist job too:
+			// it still runs, under checkDist's deadline.
+			if wantDist {
+				if err := checkDist(cfg); err != nil {
+					return err
+				}
+			}
 			return &SkipError{err}
 		}
 		if err != nil {
@@ -288,7 +296,7 @@ func CheckConfig(cfg microbench.Config, opts CheckOptions) error {
 	// digests, record counts, and task counters exactly. Runs when the config
 	// itself pins the dist engine (as distributed corpus repros do) or when
 	// the caller asked for it in Engines.
-	if cfg.Engine == microbench.EngineDist || hasEngine(opts.engines(), microbench.EngineDist) {
+	if wantDist {
 		if err := checkDist(cfg); err != nil {
 			return err
 		}
@@ -381,14 +389,21 @@ func simWireBytes(cfg microbench.Config, spec *mrsim.JobSpec) int64 {
 	return wire
 }
 
+// distDeadline bounds one dist run in mrcheck. Every job must end — match
+// the oracle or fail with a typed error — and the ones mrcheck draws and
+// pins take seconds.
+const distDeadline = time.Minute
+
 // checkDist runs cfg on the real distributed runtime and holds it to
 // distrun's single-process oracle: per-reduce output digests, input record
 // counts, and the task counter group must match exactly, faults or not.
-// A job that legally exhausts a task's attempt budget under the plan is a
-// Skip, like localrun's ErrInjected. MutateJob does not cross the process
-// boundary, so this invariant always checks the unmutated job; the calling
-// binary must run distrun.MaybeWorker at startup (cmd/mrcheck and this
-// package's TestMain both do) so spawned workers can bootstrap.
+// A job that legally exhausts a task's attempt budget under the plan
+// (localrun.ErrAttemptsExhausted) is a Skip, like localrun's ErrInjected; a
+// job with no verdict by distDeadline is a dist/liveness Failure, its
+// coordinator killed and its workers closed. MutateJob does not cross the
+// process boundary, so this invariant always checks the unmutated job; the
+// calling binary must run distrun.MaybeWorker at startup (cmd/mrcheck and
+// this package's TestMain both do) so spawned workers can bootstrap.
 func checkDist(cfg microbench.Config) error {
 	want, err := distrun.LocalOracle(cfg)
 	if err != nil {
@@ -396,9 +411,23 @@ func checkDist(cfg microbench.Config) error {
 	}
 	dcfg := cfg
 	dcfg.Engine = microbench.EngineDist
-	res, err := distrun.Run(dcfg, &distrun.Options{Workers: 2, Digest: true, Respawn: true})
+	coord, err := distrun.NewCoordinator(dcfg, &distrun.Options{Digest: true})
 	if err != nil {
-		if errors.Is(err, distrun.ErrAttemptsExhausted) {
+		return err
+	}
+	defer coord.Stop()
+	pool, err := distrun.StartWorkers(coord.Addr(), 2, true)
+	if err != nil {
+		return err
+	}
+	defer pool.Close()
+	deadline := time.AfterFunc(distDeadline, coord.Kill) // Kill ends Wait
+	res, err := coord.Wait()
+	if !deadline.Stop() {
+		return &Failure{cfg, "dist/liveness", fmt.Sprintf("no verdict within %v: the job neither finished nor failed", distDeadline)}
+	}
+	if err != nil {
+		if errors.Is(err, localrun.ErrAttemptsExhausted) {
 			return &SkipError{err}
 		}
 		return err

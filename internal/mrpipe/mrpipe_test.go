@@ -365,8 +365,8 @@ func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
 		{"map-only mapper failing mid-split under a fault plan", func(outDir string) error {
 			// Both attempts of every map fail: each retry must abort its
 			// writer as the first attempt did.
-			plan := &faultinject.Plan{Seed: 3, MapFailureRate: 0.3, ShuffleDropRate: 0.2}
-			return runFailingMapOnly(outDir, &localrun.Options{Faults: plan, MaxTaskAttempts: 2})
+			plan := &faultinject.Plan{Seed: 3, MapFailureRate: 0.3, ShuffleDropRate: 0.2, MaxTaskAttempts: 2}
+			return runFailingMapOnly(outDir, &localrun.Options{Faults: plan})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
