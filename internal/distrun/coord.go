@@ -1,6 +1,7 @@
 package distrun
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -166,6 +167,13 @@ type Coordinator struct {
 	log   *wal
 	blame *localrun.Blame // charges every reported failure (localrun's rule)
 
+	// job ends when every reduce commits (cause errJobDone), a task fails
+	// the job, or the coordinator is killed or stopped; its cause is the
+	// job's verdict.
+	job     context.Context
+	end     context.CancelCauseFunc
+	closing sync.Once // the server and the WAL close once, whoever ends the job
+
 	mu       sync.Mutex
 	sessions map[int64]*workerState
 	nextSess int64
@@ -174,11 +182,6 @@ type Coordinator struct {
 	version  int64 // map announcement version counter
 	mapsDone int
 	redsDone int
-	failed   error
-	finished bool
-	stopped  bool
-	done     chan struct{}
-	stop     chan struct{}
 	start    time.Time
 	graceEnd time.Time // restarted coordinator: unlocated-map requeue deadline
 
@@ -227,10 +230,9 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 		nextSess: time.Now().UnixNano(),
 		maps:     make([]taskState, numMaps),
 		reduces:  make([]taskState, cfg.NumReduces),
-		done:     make(chan struct{}),
-		stop:     make(chan struct{}),
 		start:    time.Now(),
 	}
+	c.job, c.end = context.WithCancelCause(context.Background())
 
 	var entries []walEntry
 	if c.log, entries, err = openWAL(opts.WALPath); err != nil {
@@ -324,46 +326,42 @@ func (c *Coordinator) Progress() Progress {
 	return p
 }
 
+// errJobDone is the cause that ends a job every reduce of which committed.
+var errJobDone = errors.New("distrun: job done")
+
 // Kill shuts the coordinator down abruptly — no graceful handoff, exactly
-// what a crashed process looks like to its workers. The server is severed
-// *before* any state flips: an in-flight gettask must die with a connection
-// error, not answer "exit" (workers that were told to exit would never find
-// the successor). The WAL stays on disk for that successor.
-func (c *Coordinator) Kill() {
+// what a crashed process looks like to its workers. The WAL stays on disk for
+// a successor.
+func (c *Coordinator) Kill() { c.kill(errors.New("distrun: coordinator killed")) }
+
+// kill is Kill with cause as the verdict. The server is severed *before* the
+// job ends: an in-flight gettask must die with a connection error, not answer
+// "exit" (workers told to exit would never find the successor).
+func (c *Coordinator) kill(cause error) {
 	c.srv.Abort()
-	c.shutdown("killed")
+	c.shutdown(cause)
 }
 
 // Stop is the happy-path teardown once Wait has returned; on an unfinished
 // job it behaves like Kill.
-func (c *Coordinator) Stop() { c.shutdown("stopped") }
+func (c *Coordinator) Stop() { c.shutdown(errors.New("distrun: coordinator stopped")) }
 
-func (c *Coordinator) shutdown(reason string) {
-	c.mu.Lock()
-	if !c.finished {
-		c.finished = true
-		if c.failed == nil {
-			c.failed = fmt.Errorf("distrun: coordinator %s", reason)
-		}
-		close(c.done)
-	}
-	if !c.stopped {
-		c.stopped = true
-		close(c.stop)
-	}
-	c.mu.Unlock()
-	c.srv.Close()
-	c.log.close()
+func (c *Coordinator) shutdown(cause error) {
+	c.end(cause)
+	c.closing.Do(func() {
+		c.srv.Close()
+		c.log.close()
+	})
 }
 
 // Wait blocks until the job completes (or fails) and returns its result.
 func (c *Coordinator) Wait() (*Result, error) {
-	<-c.done
+	<-c.job.Done()
+	if err := context.Cause(c.job); err != errJobDone {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.failed != nil {
-		return nil, c.failed
-	}
 	res := &Result{
 		Counters:         mapreduce.NewCounters(),
 		NumMaps:          len(c.maps),
@@ -390,13 +388,14 @@ func (c *Coordinator) Wait() (*Result, error) {
 }
 
 // monitor declares silent workers dead and, on a restarted coordinator,
-// re-queues WAL-committed maps nobody re-announced within the grace period.
+// re-queues WAL-committed maps nobody re-announced within the grace period,
+// until the job ends.
 func (c *Coordinator) monitor() {
 	tick := time.NewTicker(c.opts.heartbeatEvery())
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.job.Done():
 			return
 		case now := <-tick.C:
 			c.mu.Lock()
@@ -520,11 +519,10 @@ func (c *Coordinator) handleGetTask(req *sessionReq) (*taskResp, error) {
 	if w == nil {
 		return &taskResp{sessionResp: sessionResp{Fenced: true}, Kind: TaskWait}, nil
 	}
-	if c.failed != nil {
-		return &taskResp{Kind: TaskExit, Err: c.failed.Error()}, nil
-	}
-	if c.finished {
+	if err := context.Cause(c.job); err == errJobDone {
 		return &taskResp{Kind: TaskExit}, nil
+	} else if err != nil {
+		return &taskResp{Kind: TaskExit, Err: err.Error()}, nil
 	}
 
 	// Pending maps first.
@@ -625,7 +623,7 @@ func (c *Coordinator) handleCommitMap(req *commitMapReq) (*commitResp, error) {
 		}
 		c.version++
 		if err := c.log.append(walEntry{Type: "map", Task: req.Task, Version: c.version, Counters: req.Counters}); err != nil {
-			c.failLocked(fmt.Errorf("distrun: wal: %w", err))
+			c.end(fmt.Errorf("distrun: wal: %w", err))
 			return nil, err
 		}
 		t.committed, t.version, t.counters = true, c.version, req.Counters
@@ -653,7 +651,7 @@ func (c *Coordinator) handleCommitReduce(req *commitReduceReq) (*commitResp, err
 		c.specWins++
 	}
 	if err := c.log.append(walEntry{Type: "reduce", Task: req.Task, Counters: req.Counters, Digest: req.Digest, Records: req.Records}); err != nil {
-		c.failLocked(fmt.Errorf("distrun: wal: %w", err))
+		c.end(fmt.Errorf("distrun: wal: %w", err))
 		return nil, err
 	}
 	t.committed = true
@@ -699,24 +697,13 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 		return &sessionResp{}, nil // a rival attempt won anyway
 	}
 	if err := c.blame.Charge(task, cause); err != nil {
-		c.failLocked(err)
+		c.end(err)
 	}
 	return &sessionResp{}, nil
 }
 
-func (c *Coordinator) failLocked(err error) {
-	if c.failed == nil {
-		c.failed = err
-	}
-	if !c.finished {
-		c.finished = true
-		close(c.done)
-	}
-}
-
 func (c *Coordinator) maybeFinish() {
-	if !c.finished && c.redsDone == len(c.reduces) {
-		c.finished = true
-		close(c.done)
+	if c.redsDone == len(c.reduces) {
+		c.end(errJobDone)
 	}
 }

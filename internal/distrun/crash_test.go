@@ -11,6 +11,7 @@ package distrun
 // point of the injury.
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -428,9 +429,8 @@ func TestCoordinatorResumeCompleteWAL(t *testing.T) {
 // on every reduce attempt and every re-run map version, and a coordinator
 // that re-queues the map without charging it never ends the job. Each
 // engine must fail within the deadline with the exhaustion error, charging
-// that map for that reduce's fetches. Dist runs through NewCoordinator and
-// StartWorkers so an expired deadline can kill the coordinator and close
-// the pool.
+// that map for that reduce's fetches. Both run under the same deadline
+// context: one that expires ends the job with context.DeadlineExceeded.
 func TestEveryJobEnds(t *testing.T) {
 	const deadline = 5 * time.Second
 	cfg, err := microbench.ParseRepro(strings.Fields(
@@ -472,32 +472,23 @@ func TestEveryJobEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := make(chan error, 1)
-	go func() {
-		_, err := localrun.Run(job, &localrun.Options{Faults: plan})
-		local <- err
-	}()
-	select {
-	case err := <-local:
-		check("localrun", err)
-	case <-time.After(deadline):
-		t.Errorf("localrun: no verdict within %v", deadline)
+	for engine, run := range map[string]func(context.Context) error{
+		"localrun": func(ctx context.Context) error {
+			_, err := localrun.RunContext(ctx, job, &localrun.Options{Faults: plan})
+			return err
+		},
+		"dist": func(ctx context.Context) error {
+			_, err := RunContext(ctx, cfg, &Options{})
+			return err
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		err := run(ctx)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: no verdict within %v", engine, deadline)
+			continue
+		}
+		check(engine, err)
 	}
-
-	coord, err := NewCoordinator(cfg, &Options{})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Stop()
-	pool, err := StartWorkers(coord.Addr(), 2, false)
-	if err != nil {
-		t.Fatalf("StartWorkers: %v", err)
-	}
-	defer pool.Close()
-	timer := time.AfterFunc(deadline, coord.Kill)
-	_, err = coord.Wait()
-	if !timer.Stop() {
-		t.Fatalf("dist: no verdict within %v", deadline)
-	}
-	check("dist", err)
 }

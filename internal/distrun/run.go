@@ -1,6 +1,7 @@
 package distrun
 
 import (
+	"context"
 	"time"
 
 	"mrmicro/internal/microbench"
@@ -11,6 +12,15 @@ import (
 // MaybeWorker at the top of main (or TestMain) for the spawned processes to
 // bootstrap.
 func Run(cfg microbench.Config, opts *Options) (*Result, error) {
+	return RunContext(context.Background(), cfg, opts)
+}
+
+var startWorkers = StartWorkers // tests swap it to count what a job leaves running
+
+// RunContext is Run under ctx: when ctx ends before the job does, the
+// coordinator is killed, the workers with it, and ctx's cause is the job's
+// error.
+func RunContext(ctx context.Context, cfg microbench.Config, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -19,7 +29,8 @@ func Run(cfg microbench.Config, opts *Options) (*Result, error) {
 		return nil, err
 	}
 	defer coord.Stop()
-	pool, err := StartWorkers(coord.Addr(), opts.workers(), opts.Respawn)
+	defer context.AfterFunc(ctx, func() { coord.kill(context.Cause(ctx)) })()
+	pool, err := startWorkers(coord.Addr(), opts.workers(), opts.Respawn)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -15,10 +16,16 @@ import (
 // exits abnormally — killed by the crash harness, by injected faults, or by
 // a genuine crash — is respawned with a bumped epoch when Respawn is on; a
 // zero exit means the coordinator dismissed it and ends the slot.
+//
+// A process cannot clean up after its own kill, so the pool does: each
+// process runs with TMPDIR set to a directory of its own under the pool's
+// root, removed when the process is reaped, and Close removes the root.
 type WorkerPool struct {
 	coordAddr string
 	respawn   bool
 	bin       string
+	root      string
+	reaping   sync.WaitGroup // one per process not yet reaped
 
 	mu     sync.Mutex
 	procs  map[int]*exec.Cmd
@@ -44,10 +51,15 @@ func StartWorkers(coordAddr string, n int, respawn bool) (*WorkerPool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distrun: locating own binary: %w", err)
 	}
+	root, err := os.MkdirTemp("", "mrmicro-workers-")
+	if err != nil {
+		return nil, fmt.Errorf("distrun: worker temp root: %w", err)
+	}
 	p := &WorkerPool{
 		coordAddr: coordAddr,
 		respawn:   respawn,
 		bin:       bin,
+		root:      root,
 		procs:     make(map[int]*exec.Cmd),
 		epochs:    make(map[int]int),
 		idle:      make(chan struct{}),
@@ -67,26 +79,36 @@ func (p *WorkerPool) spawn(index, epoch int) error {
 	if p.closed {
 		return nil
 	}
+	tmp := filepath.Join(p.root, fmt.Sprintf("%d.%d", index, epoch))
+	if err := os.Mkdir(tmp, 0o700); err != nil {
+		return fmt.Errorf("distrun: worker %d temp dir: %w", index, err)
+	}
 	cmd := exec.Command(p.bin)
 	cmd.Env = append(os.Environ(),
 		EnvCoordAddr+"="+p.coordAddr,
 		EnvWorkerIndex+"="+strconv.Itoa(index),
 		EnvWorkerEpoch+"="+strconv.Itoa(epoch),
+		"TMPDIR="+tmp, // exec.Cmd keeps the last of duplicate keys
 	)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("distrun: spawning worker %d: %w", index, err)
 	}
 	p.procs[index] = cmd
 	p.epochs[index] = epoch
 	p.live++
-	go p.reap(index, epoch, cmd)
+	p.reaping.Add(1)
+	go p.reap(index, epoch, cmd, tmp)
 	return nil
 }
 
-// reap waits for one worker process and respawns abnormal exits.
-func (p *WorkerPool) reap(index, epoch int, cmd *exec.Cmd) {
+// reap waits for one worker process, removes its temp dir, and respawns
+// abnormal exits.
+func (p *WorkerPool) reap(index, epoch int, cmd *exec.Cmd, tmp string) {
+	defer p.reaping.Done()
 	err := cmd.Wait()
+	os.RemoveAll(tmp)
 	p.mu.Lock()
 	if cmd.ProcessState != nil {
 		p.usage.add(cmd.ProcessState)
@@ -165,7 +187,8 @@ func (p *WorkerPool) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// Close stops respawning and kills any worker still running.
+// Close stops respawning, kills any worker still running, waits for every
+// process to be reaped, and removes the pool's temp root.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -179,4 +202,6 @@ func (p *WorkerPool) Close() {
 			cmd.Process.Kill()
 		}
 	}
+	p.reaping.Wait()
+	os.RemoveAll(p.root)
 }

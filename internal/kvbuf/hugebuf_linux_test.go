@@ -53,13 +53,26 @@ func needHugePages(t *testing.T) int {
 }
 
 // TestLargeBufferAlignment: a fresh segment buffer of one huge page or more
-// starts on a huge-page boundary with exactly the capacity asked for, and a
-// Recycle → reuse round trip hands the same aligned buffer back (not checked
-// under -race, whose pools drop buffers at random). Smaller requests are
-// plain, unadvised allocations of exactly their size.
+// starts on a huge-page boundary with exactly the capacity asked for, and so
+// does every buffer of a 20-round Recycle → reuse loop. A sync.Pool may drop
+// what it holds (a GC, or the goroutine moving to another P), and makeBuf
+// then hands out a fresh buffer: a round the pool served is one that made no
+// new MADV_HUGEPAGE call, and only such a round must hand back a buffer this
+// test recycled, at least once per size (not checked under -race, whose
+// pools drop buffers at random). Smaller requests are plain, unadvised
+// allocations of exactly their size.
 func TestLargeBufferAlignment(t *testing.T) {
 	hp := needHugePages(t)
 	advised := watchAdvice(t)
+	hugeCalls := func() (n int) {
+		for _, a := range *advised {
+			if a.kind == syscall.MADV_HUGEPAGE {
+				n++
+			}
+		}
+		return n
+	}
+	recycled := make(map[uintptr]bool) // every buffer this test put back
 	// Two GCs empty the segment pools, so every first request is fresh.
 	runtime.GC()
 	runtime.GC()
@@ -75,20 +88,26 @@ func TestLargeBufferAlignment(t *testing.T) {
 			if _, ok := hugeAdvice(*advised, bufAddr(b)); !ok {
 				t.Fatalf("%s(%d): fresh buffer was not advised for huge pages", name, n)
 			}
+			recycled[bufAddr(b)] = true
 			recycleBuf(b)
-			if raceEnabled {
-				continue
-			}
-			var first uintptr
+			served := 0
 			for range 20 {
+				calls := hugeCalls()
 				c := grab(n)
-				if first == 0 {
-					first = bufAddr(c)
+				if bufAddr(c)%uintptr(hp) != 0 || cap(c) < n {
+					t.Fatalf("%s(%d) round trip: address %#x cap %d, want a multiple of %d and cap at least %d", name, n, bufAddr(c), cap(c), hp, n)
 				}
-				if bufAddr(c) != first || first%uintptr(hp) != 0 {
-					t.Fatalf("%s(%d) round trip: got %#x, want the aligned %#x each time", name, n, bufAddr(c), first)
+				if hugeCalls() == calls {
+					served++
+					if !recycled[bufAddr(c)] {
+						t.Fatalf("%s(%d) round trip: the pool served %#x, which this test never recycled", name, n, bufAddr(c))
+					}
 				}
+				recycled[bufAddr(c)] = true
 				recycleBuf(c)
+			}
+			if served == 0 && !raceEnabled {
+				t.Errorf("%s(%d): the pool served none of 20 round trips", name, n)
 			}
 		}
 	}

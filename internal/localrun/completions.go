@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -86,10 +87,10 @@ func (b *completionBoard) poll(snap []completion) (next <-chan struct{}) {
 	return b.broadcast
 }
 
-// waitCommitted blocks until at least target maps have committed or done
-// closes, reporting whether the target was reached. This is the reduce
+// waitCommitted blocks until at least target maps have committed or ctx
+// ends, reporting whether the target was reached. This is the reduce
 // slow-start gate: target = ceil-ish slowstart fraction of the map count.
-func (b *completionBoard) waitCommitted(target int, done <-chan struct{}) bool {
+func (b *completionBoard) waitCommitted(ctx context.Context, target int) bool {
 	for {
 		b.mu.Lock()
 		reached := b.committed >= target
@@ -100,7 +101,7 @@ func (b *completionBoard) waitCommitted(target int, done <-chan struct{}) bool {
 		}
 		select {
 		case <-next:
-		case <-done:
+		case <-ctx.Done():
 			return false
 		}
 	}

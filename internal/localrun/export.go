@@ -9,6 +9,7 @@ package localrun
 // assert byte-identical output against an in-process run of the same config.
 
 import (
+	"context"
 	"fmt"
 
 	"mrmicro/internal/faultinject"
@@ -140,7 +141,7 @@ func (tr *TaskRunner) RunReduceFrom(r, attempt int, peers []string, plan *faulti
 		board.Announce(m, 0, addr) // the map's attempt id is the coordinator's business
 	}
 	aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
-	return tr.withPlan(plan).runReduceTask(aid, faultCtrs, board, nil, &mergeTimings{}, midShuffle)
+	return tr.withPlan(plan).runReduceTask(context.Background(), aid, faultCtrs, board, &mergeTimings{}, midShuffle)
 }
 
 // RunReduce executes the sort+reduce tail of reduce task r over partition

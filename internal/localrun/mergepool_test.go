@@ -2,6 +2,7 @@ package localrun
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -71,7 +72,7 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 		board.Announce(m, 0, s.Addr())
 	}
 
-	res, err := ss.run(nil)
+	res, err := ss.run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +111,10 @@ func TestBoundedShuffleAborts(t *testing.T) {
 	board.Announce(1, 0, s.Addr())
 	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, &mergeTimings{})
 
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	result := make(chan error, 1)
 	go func() {
-		res, err := ss.run(done)
+		res, err := ss.run(ctx)
 		if res != nil && res.cleanup != nil {
 			res.cleanup()
 		}
@@ -124,14 +125,14 @@ func TestBoundedShuffleAborts(t *testing.T) {
 		t.Fatalf("run returned %v before cancellation with 2 maps unannounced", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(done)
+	cancel()
 	select {
 	case err := <-result:
 		if err != errShuffleAborted {
 			t.Errorf("err = %v, want errShuffleAborted", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("bounded shuffle did not abort after done closed")
+		t.Fatal("bounded shuffle did not abort after the context ended")
 	}
 }
 

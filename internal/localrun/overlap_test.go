@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"slices"
@@ -58,16 +59,17 @@ func TestCompletionBoardVersionsAndWait(t *testing.T) {
 		t.Errorf("completion events = %v, want %v", snap, want)
 	}
 
-	// waitCommitted returns once the threshold lands, and aborts on done.
+	// waitCommitted returns once the threshold lands, and aborts when the
+	// job's context ends.
 	ready := make(chan bool)
-	go func() { ready <- b.waitCommitted(3, nil) }()
+	go func() { ready <- b.waitCommitted(context.Background(), 3) }()
 	b.Announce(2, 0, "peer-a")
 	if !<-ready {
 		t.Error("waitCommitted(3) returned false after 3 commits")
 	}
-	done := make(chan struct{})
-	go func() { ready <- b.waitCommitted(4, done) }()
-	close(done)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { ready <- b.waitCommitted(ctx, 4) }()
+	cancel()
 	if <-ready {
 		t.Error("waitCommitted past numMaps returned true after cancel")
 	}
@@ -170,23 +172,28 @@ func TestSchedulerFastFail(t *testing.T) {
 	})
 }
 
-func TestJobSchedulerAcquireAfterFail(t *testing.T) {
-	s := newJobScheduler()
+// TestAcquireAfterFail: once the job's context ends, dispatch takes no
+// slot, and the job's error is the first task's: a later failure does not
+// replace it.
+func TestAcquireAfterFail(t *testing.T) {
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
 	sem := make(chan struct{}, 1)
-	if !s.acquire(sem) {
-		t.Fatal("acquire on a healthy scheduler failed")
+	if !acquire(ctx, sem) {
+		t.Fatal("acquire on a running job failed")
 	}
 	<-sem
-	s.fail(fmt.Errorf("first"))
-	s.fail(fmt.Errorf("second")) // first error wins
-	if s.acquire(sem) {
+	first := fmt.Errorf("first")
+	fail(first)
+	fail(fmt.Errorf("second"))
+	if acquire(ctx, sem) {
 		t.Error("acquire succeeded after failure")
 	}
 	if len(sem) != 0 {
 		t.Error("slot leaked by post-failure acquire")
 	}
-	if got := s.firstErr(); got == nil || got.Error() != "first" {
-		t.Errorf("firstErr = %v, want first", got)
+	if got := context.Cause(ctx); got != first {
+		t.Errorf("job error = %v, want first", got)
 	}
 }
 
@@ -358,7 +365,7 @@ func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 		board.Announce(m, 0, s.Addr())
 	}
 	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
-	res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(nil)
+	res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +390,7 @@ func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 }
 
 // TestStreamShuffleAborts: a reducer waiting on announcements that will
-// never come must unblock when the job-level done channel closes.
+// never come must unblock when the job's context ends.
 func TestStreamShuffleAborts(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
@@ -396,10 +403,10 @@ func TestStreamShuffleAborts(t *testing.T) {
 	board.Announce(0, 0, s.Addr())
 	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), 0, board, &mergeTimings{})
 
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	result := make(chan error, 1)
 	go func() {
-		_, err := ss.run(done)
+		_, err := ss.run(ctx)
 		result <- err
 	}()
 	select {
@@ -407,13 +414,13 @@ func TestStreamShuffleAborts(t *testing.T) {
 		t.Fatalf("run returned %v before cancellation with 3 maps unannounced", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(done)
+	cancel()
 	select {
 	case err := <-result:
 		if err != errShuffleAborted {
 			t.Errorf("err = %v, want errShuffleAborted", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("shuffle did not abort after done closed")
+		t.Fatal("shuffle did not abort after the context ended")
 	}
 }

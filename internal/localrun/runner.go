@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -203,6 +204,14 @@ func parallelism(n int) int {
 
 // Run executes the job to completion and returns its merged counters.
 func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
+	return RunContext(context.Background(), job, opts)
+}
+
+// RunContext is Run under ctx. The job has one context: a failing task ends
+// it with its error, and so does the caller's cancel or deadline with ctx's
+// cause. Either way no further task is launched, blocked waits return, and
+// the cause is the job's error.
+func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result, error) {
 	start := time.Now()
 	if opts == nil {
 		opts = &Options{}
@@ -235,7 +244,8 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	// threshold of maps has committed to the completion board and streaming
 	// the rest of their input as it appears.
 	board := newCompletionBoard(numMaps)
-	sched := newJobScheduler()
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 	mapCtrs := make([]*mapreduce.Counters, numMaps)
 	redCtrs := make([]*mapreduce.Counters, numReduces)
 	jobTM := &mergeTimings{} // reduce-side merge pipeline totals
@@ -245,22 +255,22 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 
 	var wg sync.WaitGroup
 	// dispatch launches the tasks of one type in index order, at most
-	// `slots` at a time, until every one is launched or the job has failed;
+	// `slots` at a time, until every one is launched or the job has ended;
 	// task i's counters land in ctrs[i].
 	dispatch := func(typ mapreduce.TaskType, slots int, ctrs []*mapreduce.Counters, attempt attemptFunc) {
 		sem := make(chan struct{}, slots)
 		for i := range ctrs {
-			if !sched.acquire(sem) {
+			if !acquire(ctx, sem) {
 				return
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				c, err := tr.runTask(mapreduce.TaskID{Job: tr.jobID, Type: typ, Index: i}, sched.done, blame, attempt)
+				c, err := tr.runTask(ctx, mapreduce.TaskID{Job: tr.jobID, Type: typ, Index: i}, blame, attempt)
 				ctrs[i] = c
 				if err != nil {
-					sched.fail(err)
+					fail(err)
 				}
 			}()
 		}
@@ -269,7 +279,7 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	wg.Add(1)
 	go func() { // map dispatch
 		defer wg.Done()
-		dispatch(mapreduce.TaskMap, parallelism(opts.MapParallelism), mapCtrs, func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
+		dispatch(mapreduce.TaskMap, parallelism(opts.MapParallelism), mapCtrs, func(_ context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
 			var c *mapreduce.Counters
 			var err error
 			tm := &spillTimings{}
@@ -292,18 +302,18 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 		wg.Add(1)
 		go func() { // reduce dispatch, gated on the slow-start threshold
 			defer wg.Done()
-			if !board.waitCommitted(slowstartTarget(tr.slowstart, numMaps), sched.done) {
+			if !board.waitCommitted(ctx, slowstartTarget(tr.slowstart, numMaps)) {
 				return
 			}
 			firstReduceStart = time.Now()
-			dispatch(mapreduce.TaskReduce, parallelism(opts.ReduceParallelism), redCtrs, func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
-				return tr.runReduceTask(aid, faultCtrs, board, sched.done, jobTM, nil)
+			dispatch(mapreduce.TaskReduce, parallelism(opts.ReduceParallelism), redCtrs, func(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
+				return tr.runReduceTask(ctx, aid, faultCtrs, board, jobTM, nil)
 			})
 		}()
 	}
 	wg.Wait()
-	if err := sched.firstErr(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 
 	total := mapreduce.NewCounters()
@@ -335,56 +345,25 @@ func Run(job *mapreduce.Job, opts *Options) (*Result, error) {
 	return res, nil
 }
 
-// jobScheduler is the shared control state of the unified task pool: the
-// first recorded error wins and closes done, after which no further task is
-// scheduled (fast-fail) and blocked waits abort.
-type jobScheduler struct {
-	mu   sync.Mutex
-	err  error
-	done chan struct{}
-}
-
-func newJobScheduler() *jobScheduler {
-	return &jobScheduler{done: make(chan struct{})}
-}
-
-func (s *jobScheduler) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil && err != nil {
-		s.err = err
-		close(s.done)
-	}
-}
-
-func (s *jobScheduler) firstErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// acquire takes a slot from sem unless the job has failed; it re-checks
-// after acquiring so a slot freed by a failing task is not used to launch
-// more work.
-func (s *jobScheduler) acquire(sem chan struct{}) bool {
+// acquire takes a slot from sem unless ctx has ended. It re-checks after
+// acquiring, so a slot freed by a failing task launches no more work.
+func acquire(ctx context.Context, sem chan struct{}) bool {
 	select {
 	case sem <- struct{}{}:
-	case <-s.done:
+	case <-ctx.Done():
 		return false
 	}
-	select {
-	case <-s.done:
+	if ctx.Err() != nil {
 		<-sem
 		return false
-	default:
-		return true
 	}
+	return true
 }
 
-// attemptFunc runs one attempt of a task. faultCtrs is the task's fault
-// tally, shared by all its attempts; the counters returned are the
-// attempt's own.
-type attemptFunc func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error)
+// attemptFunc runs one attempt of a task under the job's context. faultCtrs
+// is the task's fault tally, shared by all its attempts; the counters
+// returned are the attempt's own.
+type attemptFunc func(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error)
 
 // runTask executes one map or reduce task, re-executing failed attempts with
 // fresh attempt IDs until one succeeds or blame fails the job (Hadoop's
@@ -393,26 +372,25 @@ type attemptFunc func(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters
 // counters accumulate across attempts, each failure counted in
 // MAP_ATTEMPTS_FAILED or REDUCE_ATTEMPTS_FAILED. A map charged for a
 // reduce's fetch failure is not re-run: the server keeps serving the bytes
-// it registered, and only the reduce retries. Once the job has failed
-// elsewhere (done closed) a failed attempt is neither charged nor
-// re-executed: a reduce would only wait on announcements that never come.
-func (tr *TaskRunner) runTask(task mapreduce.TaskID, done <-chan struct{}, blame *Blame, attempt attemptFunc) (*mapreduce.Counters, error) {
+// it registered, and only the reduce retries. Once the job has ended
+// elsewhere (ctx done: a task failed, or the caller cancelled) a failed
+// attempt is neither charged nor re-executed: a reduce would only wait on
+// announcements that never come.
+func (tr *TaskRunner) runTask(ctx context.Context, task mapreduce.TaskID, blame *Blame, attempt attemptFunc) (*mapreduce.Counters, error) {
 	failedCtr := mapreduce.CtrMapAttemptsFailed
 	if task.Type == mapreduce.TaskReduce {
 		failedCtr = mapreduce.CtrReduceAttemptsFailed
 	}
 	faultCtrs := mapreduce.NewCounters()
 	for n := 0; ; n++ {
-		c, err := attempt(mapreduce.TaskAttemptID{Task: task, Attempt: n}, faultCtrs)
+		c, err := attempt(ctx, mapreduce.TaskAttemptID{Task: task, Attempt: n}, faultCtrs)
 		if err == nil {
 			c.Merge(faultCtrs)
 			return c, nil
 		}
 		faultCtrs.IncrFault(failedCtr, 1)
-		select {
-		case <-done:
+		if ctx.Err() != nil {
 			return faultCtrs, fmt.Errorf("localrun: %s %d: %w", kindOf(task.Type), task.Index, err)
-		default:
 		}
 		if err := blame.Charge(task, err); err != nil {
 			return faultCtrs, err
@@ -671,8 +649,8 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 
 // runReduceTask runs one reduce attempt: the copy phase over the maps board
 // announces, with midShuffle as its checkpoint (streamShuffle.midShuffle),
-// then the merge and reduce tail.
-func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings, midShuffle func()) (*mapreduce.Counters, error) {
+// then the merge and reduce tail. The copy phase ends early when ctx does.
+func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters, board *completionBoard, jobTM *mergeTimings, midShuffle func()) (*mapreduce.Counters, error) {
 	r, numMaps := aid.Task.Index, len(tr.splits)
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
@@ -687,7 +665,7 @@ func (tr *TaskRunner) runReduceTask(aid mapreduce.TaskAttemptID, faultCtrs *mapr
 	tm := &mergeTimings{} // this attempt's pipeline stats
 	ss := newStreamShuffle(tr, r, board, tm)
 	ss.midShuffle = midShuffle
-	sres, err := ss.run(done)
+	sres, err := ss.run(ctx)
 	if sres.cleanup != nil {
 		// Once the reduce pass below is done with the merge inputs, return
 		// every fetched buffer to the segment pool and delete any disk runs

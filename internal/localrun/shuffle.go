@@ -12,6 +12,7 @@ package localrun
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -476,7 +477,7 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 	return firstErr
 }
 
-// errShuffleAborted reports a copy phase cut short because the job failed
+// errShuffleAborted reports a copy phase cut short because the job ended
 // elsewhere: the reduce attempt gives up waiting for announcements that
 // will never come.
 var errShuffleAborted = errors.New("localrun: shuffle aborted: job canceled")
@@ -569,16 +570,21 @@ func newStreamShuffle(tr *TaskRunner, reduce int, board *completionBoard, tm *me
 }
 
 // run drives the copy phase to completion: every map announced and fetched,
-// or the first error / cancellation. done aborts waits when the job fails
-// elsewhere; nil means never cancel.
-func (ss *streamShuffle) run(done <-chan struct{}) (*shuffleResult, error) {
+// or the first error, or ctx's end (the job failed elsewhere or was
+// cancelled), which aborts every wait.
+func (ss *streamShuffle) run(ctx context.Context) (*shuffleResult, error) {
 	if ss.midShuffle != nil && ss.numMaps/2 == 0 {
 		ss.midShuffle()
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go ss.watchDone(done, stop)
-	go ss.subscribe(stop)
+	defer context.AfterFunc(ctx, func() {
+		ss.mu.Lock()
+		ss.aborted = true
+		ss.cond.Broadcast()
+		ss.mu.Unlock()
+	})()
+	sub, endSub := context.WithCancel(ctx)
+	defer endSub()
+	go ss.subscribe(sub)
 
 	var wg sync.WaitGroup
 	for w := 0; w < ss.copies; w++ {
@@ -593,20 +599,9 @@ func (ss *streamShuffle) run(done <-chan struct{}) (*shuffleResult, error) {
 	return ss.finalize()
 }
 
-func (ss *streamShuffle) watchDone(done, stop <-chan struct{}) {
-	select {
-	case <-done:
-		ss.mu.Lock()
-		ss.aborted = true
-		ss.cond.Broadcast()
-		ss.mu.Unlock()
-	case <-stop:
-	}
-}
-
 // subscribe queues each map's fetch the first time the board shows it
-// committed, until the copy phase ends.
-func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
+// committed, until ctx (the copy phase's) ends.
+func (ss *streamShuffle) subscribe(ctx context.Context) {
 	snap := make([]completion, ss.numMaps)
 	for {
 		next := ss.board.poll(snap)
@@ -621,7 +616,7 @@ func (ss *streamShuffle) subscribe(stop <-chan struct{}) {
 		ss.mu.Unlock()
 		select {
 		case <-next:
-		case <-stop:
+		case <-ctx.Done():
 			return
 		}
 	}

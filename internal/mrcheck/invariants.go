@@ -1,6 +1,7 @@
 package mrcheck
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -411,19 +412,10 @@ func checkDist(cfg microbench.Config) error {
 	}
 	dcfg := cfg
 	dcfg.Engine = microbench.EngineDist
-	coord, err := distrun.NewCoordinator(dcfg, &distrun.Options{Digest: true})
-	if err != nil {
-		return err
-	}
-	defer coord.Stop()
-	pool, err := distrun.StartWorkers(coord.Addr(), 2, true)
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	deadline := time.AfterFunc(distDeadline, coord.Kill) // Kill ends Wait
-	res, err := coord.Wait()
-	if !deadline.Stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), distDeadline)
+	defer cancel()
+	res, err := distrun.RunContext(ctx, dcfg, &distrun.Options{Workers: 2, Respawn: true, Digest: true})
+	if errors.Is(err, context.DeadlineExceeded) {
 		return &Failure{cfg, "dist/liveness", fmt.Sprintf("no verdict within %v: the job neither finished nor failed", distDeadline)}
 	}
 	if err != nil {
