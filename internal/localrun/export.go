@@ -121,7 +121,7 @@ func (tr *TaskRunner) RunMap(idx, attempt int, server *ShuffleServer, plan *faul
 		return nil, fmt.Errorf("localrun: map index %d out of range [0, %d)", idx, len(tr.splits))
 	}
 	aid := mapreduce.MapAttempt(tr.jobID, idx, attempt)
-	return tr.withPlan(plan).runMapTask(aid, server, faultCtrs, &spillTimings{})
+	return tr.withPlan(plan).runMapTask(aid, server, faultCtrs)
 }
 
 // RunReduceFrom executes one attempt of reduce task r end to end — the
@@ -141,7 +141,7 @@ func (tr *TaskRunner) RunReduceFrom(r, attempt int, peers []string, plan *faulti
 		board.Announce(m, 0, addr) // the map's attempt id is the coordinator's business
 	}
 	aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
-	return tr.withPlan(plan).runReduceTask(context.Background(), aid, faultCtrs, board, &mergeTimings{}, midShuffle)
+	return tr.withPlan(plan).runReduceTask(context.Background(), aid, faultCtrs, board, midShuffle)
 }
 
 // RunReduce executes the sort+reduce tail of reduce task r over partition

@@ -136,6 +136,49 @@ func TestDeterministicFailureCountsRetried(t *testing.T) {
 	}
 }
 
+// TestBreakdownCountsWinningAttemptsOnly: the breakdown of a job whose maps
+// die after spilling and whose reduce dies after spilling to disk is the
+// breakdown of its winning attempts, as its counters are. Map spills are
+// deterministic, so they match the clean run's; reduce-side disk runs depend
+// on fetch order, so the check is that the counter's excess over the clean
+// run is exactly what the breakdown says the winning reduces spilled.
+func TestBreakdownCountsWinningAttemptsOnly(t *testing.T) {
+	text, _ := corpus()
+	build := func() *mapreduce.Job {
+		job, _ := orderJob(text, 4, 2, false)
+		spillHeavyConf(job.Conf)
+		return job
+	}
+	clean, err := Run(build(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := build()
+	job.Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, 1)
+	plan := &faultinject.Plan{MapFailures: map[int]int{0: 2, 3: 1}, ReduceFailures: map[int]int{1: 1}}
+	res, err := Run(job, &Options{Faults: plan, FetchBackoff: fastBackoff(), ParallelCopies: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Counters.Fault(mapreduce.CtrMapAttemptsFailed); got != 3 {
+		t.Fatalf("map attempts failed = %d, want 3", got)
+	}
+	if got := res.Counters.Fault(mapreduce.CtrReduceAttemptsFailed); got != 1 {
+		t.Fatalf("reduce attempts failed = %d, want 1", got)
+	}
+	got, want := res.MapSpill, clean.MapSpill
+	if got.Spills != want.Spills || got.AsyncSpills != want.AsyncSpills || got.PremergedRuns != want.PremergedRuns {
+		t.Errorf("map spills/async/premerged = %d/%d/%d, want the clean run's %d/%d/%d",
+			got.Spills, got.AsyncSpills, got.PremergedRuns, want.Spills, want.AsyncSpills, want.PremergedRuns)
+	}
+	if res.ReduceMerge.SpilledRecords == 0 {
+		t.Fatal("a 1-byte pool spilled nothing on the reduce side")
+	}
+	if got, want := res.Counters.Task(mapreduce.CtrSpilledRecords)-res.ReduceMerge.SpilledRecords, clean.Counters.Task(mapreduce.CtrSpilledRecords); got != want {
+		t.Errorf("SPILLED_RECORDS minus the reduce-side breakdown = %d, want the clean run's %d", got, want)
+	}
+}
+
 func TestExhaustedAttemptsFailTheJob(t *testing.T) {
 	text, _ := corpus()
 	job, _ := wordCountJob(text, 2, 2, false)

@@ -21,56 +21,11 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 )
-
-// mergeTimings accumulates the reduce-side merge pipeline's work for the
-// bench breakdown. Atomics because spills, intermediate merge passes, and
-// blocked copiers record concurrently.
-type mergeTimings struct {
-	fetchWaitNs  atomic.Int64 // copier time blocked on pool admission
-	memMergeNs   atomic.Int64 // in-memory merges feeding spills
-	diskPassNs   atomic.Int64 // writing spill runs + intermediate disk merges
-	finalMergeNs atomic.Int64 // final merge + reduce pass
-	diskRuns     atomic.Int64 // runs created by pool spills
-	diskPasses   atomic.Int64 // intermediate disk merge passes
-	spilledRecs  atomic.Int64 // records written to reduce-side disk runs
-	spilledBytes atomic.Int64
-}
-
-func (tm *mergeTimings) addFetchWait(d time.Duration)  { tm.fetchWaitNs.Add(int64(d)) }
-func (tm *mergeTimings) addMemMerge(d time.Duration)   { tm.memMergeNs.Add(int64(d)) }
-func (tm *mergeTimings) addDiskPass(d time.Duration)   { tm.diskPassNs.Add(int64(d)) }
-func (tm *mergeTimings) addFinalMerge(d time.Duration) { tm.finalMergeNs.Add(int64(d)) }
-
-// absorb folds o into tm (a winning reduce attempt into the job totals).
-func (tm *mergeTimings) absorb(o *mergeTimings) {
-	tm.fetchWaitNs.Add(o.fetchWaitNs.Load())
-	tm.memMergeNs.Add(o.memMergeNs.Load())
-	tm.diskPassNs.Add(o.diskPassNs.Load())
-	tm.finalMergeNs.Add(o.finalMergeNs.Load())
-	tm.diskRuns.Add(o.diskRuns.Load())
-	tm.diskPasses.Add(o.diskPasses.Load())
-	tm.spilledRecs.Add(o.spilledRecs.Load())
-	tm.spilledBytes.Add(o.spilledBytes.Load())
-}
-
-func (tm *mergeTimings) stats() ReduceMergeStats {
-	return ReduceMergeStats{
-		FetchWait:      time.Duration(tm.fetchWaitNs.Load()),
-		MemMerge:       time.Duration(tm.memMergeNs.Load()),
-		DiskPass:       time.Duration(tm.diskPassNs.Load()),
-		FinalMerge:     time.Duration(tm.finalMergeNs.Load()),
-		DiskRuns:       tm.diskRuns.Load(),
-		DiskPasses:     tm.diskPasses.Load(),
-		SpilledRecords: tm.spilledRecs.Load(),
-		SpilledBytes:   tm.spilledBytes.Load(),
-	}
-}
 
 // ReduceMergeStats breaks down the reduce-side merge pipeline's work across
 // all winning reduce attempts: where the copy phase waited, what moved to
@@ -89,11 +44,16 @@ type ReduceMergeStats struct {
 }
 
 // runDir lazily materializes one reduce attempt's scratch directory for
-// disk runs; nothing touches the filesystem until the first spill.
+// disk runs; nothing touches the filesystem until the first spill. It owns
+// every run made in it, so removeAll also drops the runs the last merge pass
+// wrote, which no later pass consumes.
 type runDir struct {
 	once sync.Once
 	dir  string
 	err  error
+
+	mu   sync.Mutex
+	runs []*diskRun
 }
 
 func (rd *runDir) create() (*os.File, error) {
@@ -104,7 +64,21 @@ func (rd *runDir) create() (*os.File, error) {
 	return os.CreateTemp(rd.dir, "run-*.ifile")
 }
 
+// newRun records the run written to f as made in rd.
+func (rd *runDir) newRun(f *os.File, lo, hi int, bytes int64, compressed bool) *diskRun {
+	run := &diskRun{lo: lo, hi: hi, f: f, bytes: bytes, compressed: compressed}
+	rd.mu.Lock()
+	rd.runs = append(rd.runs, run)
+	rd.mu.Unlock()
+	return run
+}
+
 func (rd *runDir) removeAll() {
+	rd.mu.Lock()
+	for _, run := range rd.runs {
+		run.drop()
+	}
+	rd.mu.Unlock()
 	if rd.dir != "" {
 		os.RemoveAll(rd.dir)
 	}
@@ -115,9 +89,7 @@ func (rd *runDir) removeAll() {
 type diskRun struct {
 	lo, hi     int
 	f          *os.File
-	name       string
 	bytes      int64
-	records    int64
 	compressed bool
 }
 
@@ -125,7 +97,7 @@ type diskRun struct {
 func (dr *diskRun) drop() {
 	if dr.f != nil {
 		dr.f.Close()
-		os.Remove(dr.name)
+		os.Remove(dr.f.Name())
 		dr.f = nil
 	}
 }
@@ -164,7 +136,7 @@ func (ss *streamShuffle) admitLocked(sz int64) bool {
 	}
 	ss.admitWaiters--
 	if !blocked.IsZero() {
-		ss.tm.addFetchWait(time.Since(blocked))
+		ss.tm.since(fetchWait, blocked)
 	}
 	if ss.err != nil || ss.aborted {
 		return false
@@ -230,7 +202,7 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 	defer ss.mergeWG.Done()
 	t0 := time.Now()
 	merged, _, err := kvbuf.MergeAll(ss.tr.order, members, ss.tr.factor, 0)
-	ss.tm.addMemMerge(time.Since(t0))
+	ss.tm.since(memMerge, t0)
 	var (
 		run     *diskRun
 		records int64
@@ -246,8 +218,8 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 			compressed = true
 		}
 		t1 := time.Now()
-		run, err = writeRunFile(&ss.rdir, out, lo, hi, records, compressed)
-		ss.tm.addDiskPass(time.Since(t1))
+		run, err = writeRunFile(&ss.rdir, out, lo, hi, compressed)
+		ss.tm.since(diskPass, t1)
 		out.Recycle()
 	}
 	var freed int64
@@ -264,16 +236,16 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 		}
 	} else {
 		ss.runs = append(ss.runs, run)
-		ss.tm.diskRuns.Add(1)
-		ss.tm.spilledRecs.Add(records)
-		ss.tm.spilledBytes.Add(run.bytes)
+		ss.tm.add(diskRuns, 1)
+		ss.tm.add(spilledRecs, records)
+		ss.tm.add(spilledBytes, run.bytes)
 	}
 	ss.maybeSpillLocked() // the pool may still be over threshold / starved
 	ss.cond.Broadcast()
 	ss.mu.Unlock()
 }
 
-func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, compressed bool) (*diskRun, error) {
+func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, compressed bool) (*diskRun, error) {
 	f, err := rd.create()
 	if err != nil {
 		return nil, err
@@ -283,13 +255,7 @@ func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, records int64, com
 		os.Remove(f.Name())
 		return nil, fmt.Errorf("localrun: writing merge run: %w", err)
 	}
-	return &diskRun{
-		lo: lo, hi: hi,
-		f: f, name: f.Name(),
-		bytes:      int64(seg.Len()),
-		records:    records,
-		compressed: compressed,
-	}, nil
+	return rd.newRun(f, lo, hi, int64(seg.Len()), compressed), nil
 }
 
 // boundedInputsLocked assembles the final merge's mixed memory+disk source
@@ -321,19 +287,17 @@ func (ss *streamShuffle) boundedInputsLocked() ([]mergeInput, error) {
 }
 
 // releaseAll returns every buffer and disk artifact the copy phase still
-// owns: remaining pooled segments, disk runs, and the scratch directory. The
-// reduce task calls it (via shuffleResult.cleanup) once the reduce pass no
-// longer references the merge inputs; Recycle and drop are idempotent, so
-// inputs consumed early by intermediate merge passes are skipped naturally.
+// owns: remaining pooled segments, and the scratch directory with every run
+// made in it. The reduce task calls it (via shuffleResult.cleanup) once the
+// reduce pass no longer references the merge inputs; Recycle and drop are
+// idempotent, so inputs consumed early by intermediate merge passes are
+// skipped naturally.
 func (ss *streamShuffle) releaseAll() {
 	ss.mu.Lock()
 	for _, s := range ss.segs {
 		if s != nil {
 			s.Recycle()
 		}
-	}
-	for _, run := range ss.runs {
-		run.drop()
 	}
 	ss.mu.Unlock()
 	ss.rdir.removeAll()
@@ -367,9 +331,9 @@ func openInputs(r int, inputs []mergeInput) ([]kvbuf.RecordSource, []*kvbuf.RunR
 // adjacent inputs into a new on-disk run that takes their place, so
 // positional tie-breaking — and with it output byte-identity — survives
 // every pass. Consumed inputs are recycled/deleted as their pass completes.
-func (tr *TaskRunner) intermediateMerges(r int, inputs []mergeInput, rdir *runDir, tm *mergeTimings) ([]mergeInput, error) {
+func (tr *TaskRunner) intermediateMerges(r int, inputs []mergeInput, rdir *runDir, tm *tally) ([]mergeInput, error) {
 	return kvbuf.MergeInPlace(inputs, tr.factor, 0, func(group []mergeInput) (mergeInput, error) {
-		tm.diskPasses.Add(1)
+		tm.add(diskPasses, 1)
 		return tr.mergeRunGroup(r, group, rdir, tm)
 	})
 }
@@ -379,9 +343,8 @@ func (tr *TaskRunner) intermediateMerges(r int, inputs []mergeInput, rdir *runDi
 // uncompressed: they are short-lived local scratch, and the one-shot codec
 // would force materializing the merged bytes in memory — exactly what the
 // bounded pipeline exists to avoid.
-func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *mergeTimings) (mergeInput, error) {
-	t0 := time.Now()
-	defer func() { tm.addDiskPass(time.Since(t0)) }()
+func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *tally) (mergeInput, error) {
+	defer tm.since(diskPass, time.Now())
 	srcs, open, err := openInputs(r, in)
 	if err != nil {
 		return mergeInput{}, err
@@ -414,14 +377,9 @@ func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *me
 			m.run.drop()
 		}
 	}
-	tm.spilledRecs.Add(records)
-	tm.spilledBytes.Add(bytes)
-	out := &diskRun{
-		lo: in[0].lo, hi: in[len(in)-1].hi,
-		f: f, name: f.Name(),
-		bytes:   bytes,
-		records: records,
-	}
+	tm.add(spilledRecs, records)
+	tm.add(spilledBytes, bytes)
+	out := rdir.newRun(f, in[0].lo, in[len(in)-1].hi, bytes, false)
 	return mergeInput{lo: out.lo, hi: out.hi, run: out}, nil
 }
 
@@ -431,13 +389,12 @@ func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *me
 // so a reduce whose shuffle volume exceeds RAM completes, emitting the bytes
 // reduceOverParts would over the same fetched segments (adjacent-only
 // merging preserves positional tie-breaks).
-func (tr *TaskRunner) reduceOverInputs(r int, inputs []mergeInput, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+func (tr *TaskRunner) reduceOverInputs(r int, inputs []mergeInput, rdir *runDir, tm *tally, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	inputs, err := tr.intermediateMerges(r, inputs, rdir, tm)
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	defer func() { tm.addFinalMerge(time.Since(t0)) }()
+	defer tm.since(reduceFinalMerge, time.Now())
 
 	srcs, open, err := openInputs(r, inputs)
 	if err != nil {

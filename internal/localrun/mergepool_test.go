@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := &mergeTimings{}
+	tm := &tally{}
 	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, tm)
 	for m := 0; m < maps; m++ {
 		board.Announce(m, 0, s.Addr())
@@ -83,8 +84,8 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 		}
 	}
 	// A 1-byte pool cannot hold two segments, so the phase must have spilled.
-	if res.inputs == nil || tm.diskRuns.Load() == 0 {
-		t.Fatalf("budget=1 recorded no disk runs (inputs=%v, runs=%d)", res.inputs != nil, tm.diskRuns.Load())
+	if res.inputs == nil || tm[diskRuns].Load() == 0 {
+		t.Fatalf("budget=1 recorded no disk runs (inputs=%v, runs=%d)", res.inputs != nil, tm[diskRuns].Load())
 	}
 	out := renderShuffleResult(t, cmp, res)
 	for m := 0; m < maps; m++ {
@@ -109,7 +110,7 @@ func TestBoundedShuffleAborts(t *testing.T) {
 	board := newCompletionBoard(maps)
 	board.Announce(0, 0, s.Addr())
 	board.Announce(1, 0, s.Addr())
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, &mergeTimings{})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, bounded(2, 1)), 0, board, &tally{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	result := make(chan error, 1)
@@ -203,6 +204,40 @@ func TestBoundedRunByteIdenticalAndMultiPass(t *testing.T) {
 				t.Errorf("%s MERGED_MAP_OUTPUTS = %d, want %d", v.name, got, v.maps*3)
 			}
 		}
+	}
+}
+
+// TestBoundedRunReleasesEveryRunFile: a bounded reduce whose disk passes
+// leave runs for the final merge closes those runs' files when it ends, not
+// when the garbage collector finalises them. An unlinked run file held open
+// keeps its descriptor and its disk blocks.
+func TestBoundedRunReleasesEveryRunFile(t *testing.T) {
+	countFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no per-process fd table to count: %v", err)
+		}
+		return len(fds)
+	}
+	text, _ := corpus()
+	job, _ := orderJob(text, 4, 2, false)
+	spillHeavyConf(job.Conf)
+	job.Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, 1)
+	before := countFDs()
+	res, err := Run(job, &Options{ParallelCopies: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReduceMerge.DiskPasses == 0 {
+		t.Fatalf("stats %+v: want intermediate disk passes", res.ReduceMerge)
+	}
+	// Shuffle connections close as their goroutines see the server go.
+	after := countFDs()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = countFDs() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d descriptors open after the run, %d before", after, before)
 	}
 }
 

@@ -365,7 +365,7 @@ func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 		board.Announce(m, 0, s.Addr())
 	}
 	tr := copyRunner("Text", maps, 2, func(tr *TaskRunner) { tr.factor = 2 })
-	res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(context.Background())
+	res, err := newStreamShuffle(tr, 0, board, &tally{}).run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestStreamShuffleAborts(t *testing.T) {
 	registerWordSegment(t, s, 0, "k", "v")
 	board := newCompletionBoard(maps)
 	board.Announce(0, 0, s.Addr())
-	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), 0, board, &mergeTimings{})
+	ss := newStreamShuffle(copyRunner("Text", maps, 2, nil), 0, board, &tally{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	result := make(chan error, 1)

@@ -90,7 +90,7 @@ func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
 	}
 	rdir := &runDir{}
 	defer rdir.removeAll()
-	check("inputs", tailRunner(job, 2, 10).reduceOverInputs(3, inputs, rdir, &mergeTimings{}, mapreduce.NewCounters(), mapreduce.NullReporter{}))
+	check("inputs", tailRunner(job, 2, 10).reduceOverInputs(3, inputs, rdir, &tally{}, mapreduce.NewCounters(), mapreduce.NullReporter{}))
 }
 
 // TestReduceTailPrefixChecks: the tail's group and order checks look at key
@@ -126,7 +126,7 @@ func TestReduceTailPrefixChecks(t *testing.T) {
 			}
 			rdir := &runDir{}
 			job, _ = tailJob(mapreduce.IdentityReducer{})
-			err = runner(job, 2).reduceOverInputs(0, inputs, rdir, &mergeTimings{}, mapreduce.NewCounters(), mapreduce.NullReporter{})
+			err = runner(job, 2).reduceOverInputs(0, inputs, rdir, &tally{}, mapreduce.NewCounters(), mapreduce.NullReporter{})
 			rdir.removeAll()
 			if err == nil || !strings.Contains(err.Error(), "out of order") {
 				t.Errorf("keyed=%v %s: bounded tail err %v, want out of order", keyed, name, err)
@@ -239,7 +239,7 @@ func TestReduceTailsAgree(t *testing.T) {
 		for i, s := range build() {
 			inputs = append(inputs, mergeInput{lo: i, hi: i + 1, seg: s})
 		}
-		rdir, tm, ctrs := &runDir{}, &mergeTimings{}, mapreduce.NewCounters()
+		rdir, tm, ctrs := &runDir{}, &tally{}, mapreduce.NewCounters()
 		err := tailRunner(job, maps, factor).reduceOverInputs(1, inputs, rdir, tm, ctrs, mapreduce.NullReporter{})
 		rdir.removeAll()
 		if err != nil {
@@ -251,7 +251,7 @@ func TestReduceTailsAgree(t *testing.T) {
 		if got, want := ctrs.String(), wantCtrs.String(); got != want {
 			t.Errorf("factor %d: counters differ:\n%s\nwant:\n%s", factor, got, want)
 		}
-		if passes := tm.diskPasses.Load(); (passes > 0) != (factor < maps) {
+		if passes := tm[diskPasses].Load(); (passes > 0) != (factor < maps) {
 			t.Errorf("factor %d: %d intermediate disk passes", factor, passes)
 		}
 	}
@@ -281,7 +281,7 @@ func TestCollectAllocatesNothing(t *testing.T) {
 			part: mapreduce.HashPartitioner{},
 			buf:  buf,
 			ctrs: mapreduce.NewCounters(),
-			tm:   &spillTimings{},
+			tm:   &tally{},
 		}
 		// Grow the slab and metadata arrays past what the measured run needs.
 		const records = 20000
@@ -356,7 +356,7 @@ func TestCollectRollsBackAndSpills(t *testing.T) {
 		part: part,
 		buf:  buf,
 		ctrs: mapreduce.NewCounters(),
-		tm:   &spillTimings{},
+		tm:   &tally{},
 	}
 	for _, kv := range pairs {
 		if err := mc.Collect(kv[0], kv[1]); err != nil {

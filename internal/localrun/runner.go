@@ -111,6 +111,10 @@ type TaskRunner struct {
 
 	backoff faultinject.Backoff
 	plan    *faultinject.Plan
+
+	// total sums every winning attempt's breakdown; a pointer, so the
+	// attempts of the copies withPlan makes count toward it too.
+	total *tally
 }
 
 // newTaskRunner validates the job and resolves its configuration. A conf
@@ -123,6 +127,7 @@ func newTaskRunner(job *mapreduce.Job, opts *Options) (*TaskRunner, error) {
 		copies:  opts.ParallelCopies,
 		backoff: fetchBackoff(opts.FetchBackoff, opts.Faults),
 		plan:    opts.Faults,
+		total:   &tally{},
 	}
 	conf := job.Conf
 	bad := func(key, want string) error {
@@ -248,8 +253,6 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 	defer fail(nil)
 	mapCtrs := make([]*mapreduce.Counters, numMaps)
 	redCtrs := make([]*mapreduce.Counters, numReduces)
-	jobTM := &mergeTimings{} // reduce-side merge pipeline totals
-	jobST := &spillTimings{} // map-side collect/spill pipeline totals
 	blame := NewBlame(tr.plan)
 	var firstReduceStart time.Time
 
@@ -282,18 +285,16 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 		dispatch(mapreduce.TaskMap, parallelism(opts.MapParallelism), mapCtrs, func(_ context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
 			var c *mapreduce.Counters
 			var err error
-			tm := &spillTimings{}
 			if server == nil {
 				c, err = tr.runMapOnly(aid)
 			} else {
-				c, err = tr.runMapTask(aid, server, faultCtrs, tm)
+				c, err = tr.runMapTask(aid, server, faultCtrs)
 			}
 			if err == nil {
 				// The winning attempt — and only it — is published, so
 				// waiting reducers fetch it at once and each map is announced
-				// once; only its pipeline work counts, as only its counters do.
+				// once.
 				board.Announce(aid.Task.Index, aid.Attempt, addr)
-				jobST.absorb(tm)
 			}
 			return c, err
 		})
@@ -307,7 +308,7 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 			}
 			firstReduceStart = time.Now()
 			dispatch(mapreduce.TaskReduce, parallelism(opts.ReduceParallelism), redCtrs, func(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
-				return tr.runReduceTask(ctx, aid, faultCtrs, board, jobTM, nil)
+				return tr.runReduceTask(ctx, aid, faultCtrs, board, nil)
 			})
 		}()
 	}
@@ -336,8 +337,8 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 		PerReduceRecords: perReduce,
 		MapPhase:         lastCommit.Sub(start),
 		ReduceTail:       end.Sub(lastCommit),
-		ReduceMerge:      jobTM.stats(),
-		MapSpill:         jobST.stats(),
+		ReduceMerge:      tr.total.reduceMerge(),
+		MapSpill:         tr.total.mapSpill(),
 	}
 	if !firstReduceStart.IsZero() && lastCommit.After(firstReduceStart) {
 		res.OverlapWindow = lastCommit.Sub(firstReduceStart)
@@ -417,7 +418,7 @@ type mapCollector struct {
 	outRecords, outBytes int64
 
 	pipe *spillPipeline // non-nil: background spill overlap
-	tm   *spillTimings  // this attempt's pipeline breakdown
+	tm   *tally         // this attempt's pipeline breakdown
 
 	// Fault plumbing: aid names the running attempt (tr.plan injects spill
 	// errors against it), faultCtrs outlives failed attempts.
@@ -481,7 +482,7 @@ func (mc *mapCollector) spill() error {
 		mc.faultCtrs.IncrFault(mapreduce.CtrSpillTransientErrors, 1)
 		return faultinject.Errorf("localrun: %s spill %d: transient write error", mc.aid, seq)
 	}
-	mc.tm.spills.Add(1)
+	mc.tm.add(spills, 1)
 	mc.ctrs.IncrTask(mapreduce.CtrSpilledRecords, int64(records))
 
 	if mc.pipe != nil {
@@ -495,7 +496,7 @@ func (mc *mapCollector) spill() error {
 		t0 := time.Now()
 		buf, blocked := mc.pipe.ring.Take()
 		if blocked {
-			mc.tm.addCollectStall(time.Since(t0))
+			mc.tm.since(collectStall, t0)
 		}
 		mc.buf = buf
 		return nil
@@ -507,8 +508,8 @@ func (mc *mapCollector) spill() error {
 	segs, _ := mc.buf.Spill()
 	err := mc.tr.sealSegments(segs, mc.ctrs)
 	d := time.Since(t0)
-	mc.tm.addSpillWork(d)
-	mc.tm.addCollectStall(d)
+	mc.tm.add(spillWork, int64(d))
+	mc.tm.add(collectStall, int64(d))
 	if err != nil {
 		recycleSegs(segs)
 		return err
@@ -517,9 +518,12 @@ func (mc *mapCollector) spill() error {
 	return nil
 }
 
-func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleServer, faultCtrs *mapreduce.Counters, tm *spillTimings) (*mapreduce.Counters, error) {
+// runMapTask runs one map attempt and registers its output with server. A
+// winning attempt's pipeline breakdown joins the runner's total.
+func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleServer, faultCtrs *mapreduce.Counters) (*mapreduce.Counters, error) {
 	job, idx, numReduces := tr.job, aid.Task.Index, tr.numReduces
 	ctrs := mapreduce.NewCounters()
+	tm := &tally{}
 	part := job.Partitioner
 	if job.PartitionerForTask != nil {
 		// Seeded per task, not per attempt: a re-executed attempt emits the
@@ -643,14 +647,16 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 			return ctrs, fmt.Errorf("localrun: %s: %w", aid, err)
 		}
 	}
-	tm.addFinalMerge(time.Since(mergeStart))
+	tm.since(mapFinalMerge, mergeStart)
+	tr.total.absorb(tm)
 	return ctrs, nil
 }
 
 // runReduceTask runs one reduce attempt: the copy phase over the maps board
 // announces, with midShuffle as its checkpoint (streamShuffle.midShuffle),
 // then the merge and reduce tail. The copy phase ends early when ctx does.
-func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters, board *completionBoard, jobTM *mergeTimings, midShuffle func()) (*mapreduce.Counters, error) {
+// A winning attempt's merge breakdown joins the runner's total.
+func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttemptID, faultCtrs *mapreduce.Counters, board *completionBoard, midShuffle func()) (*mapreduce.Counters, error) {
 	r, numMaps := aid.Task.Index, len(tr.splits)
 	ctrs := mapreduce.NewCounters()
 	rep := &mapreduce.CountersReporter{C: ctrs}
@@ -662,7 +668,7 @@ func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttem
 	// backoff. With a shuffle memory budget the bounded pool's background
 	// spiller compacts in-memory segments to on-disk runs while the copiers
 	// keep fetching.
-	tm := &mergeTimings{} // this attempt's pipeline stats
+	tm := &tally{}
 	ss := newStreamShuffle(tr, r, board, tm)
 	ss.midShuffle = midShuffle
 	sres, err := ss.run(ctx)
@@ -696,7 +702,7 @@ func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttem
 	} else {
 		t0 := time.Now()
 		err = tr.reduceOverParts(r, sres.parts, ctrs, rep)
-		tm.addFinalMerge(time.Since(t0))
+		tm.since(reduceFinalMerge, t0)
 	}
 	if err != nil {
 		return ctrs, err
@@ -705,10 +711,10 @@ func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttem
 	// total is schedule-dependent under a general budget (which segments
 	// share a spill depends on fetch arrival order), so identity checks
 	// treat it separately from the deterministic task counters.
-	if sr := tm.spilledRecs.Load(); sr > 0 {
+	if sr := tm[spilledRecs].Load(); sr > 0 {
 		ctrs.IncrTask(mapreduce.CtrSpilledRecords, sr)
 	}
-	jobTM.absorb(tm)
+	tr.total.absorb(tm)
 	return ctrs, nil
 }
 

@@ -516,7 +516,7 @@ type streamShuffle struct {
 	numMaps int
 	copies  int
 	board   *completionBoard
-	tm      *mergeTimings // this attempt's merge pipeline stats
+	tm      *tally // this attempt's merge pipeline stats
 
 	// midShuffle, when set, runs once: when half the segments (rounded
 	// down) are stored, or before the first fetch when that is none.
@@ -549,7 +549,7 @@ type streamShuffle struct {
 
 // newStreamShuffle prepares reduce task `reduce`'s copy phase against the
 // maps announced on board.
-func newStreamShuffle(tr *TaskRunner, reduce int, board *completionBoard, tm *mergeTimings) *streamShuffle {
+func newStreamShuffle(tr *TaskRunner, reduce int, board *completionBoard, tm *tally) *streamShuffle {
 	numMaps := len(tr.splits)
 	copies := min(tr.copies, numMaps)
 	ss := &streamShuffle{

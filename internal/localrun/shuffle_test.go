@@ -29,7 +29,7 @@ func copyPhase(addr string, maps, reduce, copies int, bo faultinject.Backoff) (*
 		board.Announce(m, 0, addr)
 	}
 	tr := copyRunner("BytesWritable", maps, copies, func(tr *TaskRunner) { tr.backoff = bo })
-	return newStreamShuffle(tr, reduce, board, &mergeTimings{}).run(context.Background())
+	return newStreamShuffle(tr, reduce, board, &tally{}).run(context.Background())
 }
 
 // copyRunner is the slice of a job's task environment a copy phase reads:
@@ -290,7 +290,7 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 				tr.codec = kvbuf.Deflate
 			}
 		})
-		res, err := newStreamShuffle(tr, 0, board, &mergeTimings{}).run(context.Background())
+		res, err := newStreamShuffle(tr, 0, board, &tally{}).run(context.Background())
 		if err != nil {
 			t.Fatalf("compressed=%v: copy phase: %v", compressed, err)
 		}
@@ -357,7 +357,7 @@ func TestMultiPeerCopyPhase(t *testing.T) {
 		for m := 0; m < maps; m++ {
 			board.Announce(m, 0, addr(m))
 		}
-		res, err := newStreamShuffle(copyRunner("Text", maps, 3, bounded(2, budget)), 0, board, &mergeTimings{}).run(context.Background())
+		res, err := newStreamShuffle(copyRunner("Text", maps, 3, bounded(2, budget)), 0, board, &tally{}).run(context.Background())
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}

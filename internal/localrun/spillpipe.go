@@ -27,56 +27,11 @@ package localrun
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 )
-
-// spillTimings accumulates one map attempt's collect/spill pipeline work.
-// Atomics because the collector and the background spiller record
-// concurrently; absorb folds a winning attempt into the job totals.
-type spillTimings struct {
-	collectStallNs atomic.Int64 // collector blocked: ring empty (async) or spilling inline (sync)
-	spillWorkNs    atomic.Int64 // sort + combine seal work
-	premergeNs     atomic.Int64 // background block premerges
-	drainWaitNs    atomic.Int64 // mapper waiting for the spiller to finish after close
-	finalMergeNs   atomic.Int64 // mapper-side final merge + register
-	spills         atomic.Int64 // spills produced
-	asyncSpills    atomic.Int64 // spills sealed on the background spiller
-	premergedRuns  atomic.Int64 // raw runs consumed by background premerges
-}
-
-func (tm *spillTimings) addCollectStall(d time.Duration) { tm.collectStallNs.Add(int64(d)) }
-func (tm *spillTimings) addSpillWork(d time.Duration)    { tm.spillWorkNs.Add(int64(d)) }
-func (tm *spillTimings) addPremerge(d time.Duration)     { tm.premergeNs.Add(int64(d)) }
-func (tm *spillTimings) addDrainWait(d time.Duration)    { tm.drainWaitNs.Add(int64(d)) }
-func (tm *spillTimings) addFinalMerge(d time.Duration)   { tm.finalMergeNs.Add(int64(d)) }
-
-func (tm *spillTimings) absorb(o *spillTimings) {
-	tm.collectStallNs.Add(o.collectStallNs.Load())
-	tm.spillWorkNs.Add(o.spillWorkNs.Load())
-	tm.premergeNs.Add(o.premergeNs.Load())
-	tm.drainWaitNs.Add(o.drainWaitNs.Load())
-	tm.finalMergeNs.Add(o.finalMergeNs.Load())
-	tm.spills.Add(o.spills.Load())
-	tm.asyncSpills.Add(o.asyncSpills.Load())
-	tm.premergedRuns.Add(o.premergedRuns.Load())
-}
-
-func (tm *spillTimings) stats() MapSpillStats {
-	return MapSpillStats{
-		CollectStall:  time.Duration(tm.collectStallNs.Load()),
-		SpillWork:     time.Duration(tm.spillWorkNs.Load()),
-		Premerge:      time.Duration(tm.premergeNs.Load()),
-		DrainWait:     time.Duration(tm.drainWaitNs.Load()),
-		FinalMerge:    time.Duration(tm.finalMergeNs.Load()),
-		Spills:        tm.spills.Load(),
-		AsyncSpills:   tm.asyncSpills.Load(),
-		PremergedRuns: tm.premergedRuns.Load(),
-	}
-}
 
 // MapSpillStats breaks down the map-side collect/spill pipeline across all
 // winning map attempts. In the synchronous mode every spill stalls the
@@ -125,7 +80,7 @@ type spillPipeline struct {
 	ring *kvbuf.BufferRing
 	jobs chan *kvbuf.SortBuffer
 	done chan struct{}
-	tm   *spillTimings
+	tm   *tally
 
 	wctrs *mapreduce.Counters // worker-private combine counters, merged at drain
 	runs  []mapRun
@@ -137,7 +92,7 @@ type spillPipeline struct {
 // newSpillPipeline starts one map attempt's background spiller. tr.inflight
 // (>=1) bounds sealed buffers awaiting the worker; the ring holds inflight+1
 // buffers, so inflight=1 is the classic double buffer.
-func newSpillPipeline(tr *TaskRunner, tm *spillTimings) *spillPipeline {
+func newSpillPipeline(tr *TaskRunner, tm *tally) *spillPipeline {
 	sp := &spillPipeline{
 		tr:    tr,
 		ring:  kvbuf.NewBufferRing(tr.sortBytes, tr.numReduces, tr.inflight+1, tr.order),
@@ -180,8 +135,8 @@ func (sp *spillPipeline) worker() {
 		segs, _ := buf.Spill()
 		sp.ring.Put(buf)
 		err := sp.tr.sealSegments(segs, sp.wctrs)
-		sp.tm.addSpillWork(time.Since(t0))
-		sp.tm.asyncSpills.Add(1)
+		sp.tm.since(spillWork, t0)
+		sp.tm.add(asyncSpills, 1)
 		if err != nil {
 			recycleSegs(segs)
 			sp.fail(err)
@@ -214,8 +169,8 @@ func (sp *spillPipeline) maybePremerge() error {
 		return err
 	}
 	sp.runs = append(sp.runs[:len(sp.runs)-n], block)
-	sp.tm.addPremerge(time.Since(t0))
-	sp.tm.premergedRuns.Add(int64(n))
+	sp.tm.since(premerge, t0)
+	sp.tm.add(premergedRuns, int64(n))
 	return nil
 }
 
@@ -259,7 +214,7 @@ func (sp *spillPipeline) drain(ctrs *mapreduce.Counters) ([]mapRun, error) {
 	t0 := time.Now()
 	close(sp.jobs)
 	<-sp.done
-	sp.tm.addDrainWait(time.Since(t0))
+	sp.tm.since(drainWait, t0)
 	sp.ring.Release()
 	ctrs.Merge(sp.wctrs)
 	if err := sp.firstErr(); err != nil {

@@ -335,13 +335,13 @@ func TestMapOutputCompressedOnce(t *testing.T) {
 			ctrs := mapreduce.NewCounters()
 			peers := make([]string, maps)
 			for m := range peers {
-				tm := &spillTimings{}
-				c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, m, 0), server, mapreduce.NewCounters(), tm)
+				before := tr.total[spills].Load()
+				c, err := tr.runMapTask(mapreduce.MapAttempt(tr.jobID, m, 0), server, mapreduce.NewCounters())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if spills := tm.spills.Load(); spills < 3 {
-					t.Fatalf("map %d spilled %d times, want 3 or more", m, spills)
+				if n := tr.total[spills].Load() - before; n < 3 {
+					t.Fatalf("map %d spilled %d times, want 3 or more", m, n)
 				}
 				ctrs.Merge(c)
 				peers[m] = server.Addr()
