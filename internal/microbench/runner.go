@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"mrmicro/internal/cluster"
-	"mrmicro/internal/costmodel"
 	"mrmicro/internal/mrsim"
-	"mrmicro/internal/mrv1"
 	"mrmicro/internal/netsim"
 	"mrmicro/internal/sim"
-	"mrmicro/internal/yarn"
 )
 
 // Result is one micro-benchmark execution: the paper's reported output —
@@ -91,39 +88,31 @@ func (s *Sweep) Run(cfg Config) (*Result, error) {
 		cl = cluster.ClusterB(eng, cfg.Slaves, profile)
 	}
 
-	model := cfg.Model
-	if model == nil {
-		model = costmodel.Default()
-	}
-	var running interface{ done() *sim.Future }
+	var sched mrsim.Scheduler
 	switch cfg.Engine {
 	case EngineMRv1:
-		rj, err := mrv1.New(cl, model).Start(spec)
-		if err != nil {
-			return nil, err
-		}
-		running = mrv1Job{rj}
+		sched = mrsim.MRv1
 	case EngineYARN:
-		rj, err := yarn.New(cl, model).Start(spec)
-		if err != nil {
-			return nil, err
-		}
-		running = yarnJob{rj}
+		sched = mrsim.YARN
 	default:
 		return nil, fmt.Errorf("microbench: unknown engine %q", cfg.Engine)
+	}
+	done, err := mrsim.New(cl, cfg.Model, sched).Start(spec)
+	if err != nil {
+		return nil, err
 	}
 
 	var mon *cluster.Monitor
 	if cfg.MonitorInterval > 0 {
 		mon = cluster.StartMonitor(cl, sim.Duration(cfg.MonitorInterval))
 		eng.Go("monitor-stopper", func(p *sim.Proc) {
-			running.done().Wait(p)
+			done.Wait(p)
 			mon.Stop()
 		})
 	}
 
 	eng.Run()
-	report := running.done().Wait(nil).(*mrsim.Report)
+	report := done.Wait(nil).(*mrsim.Report)
 
 	res := &Result{Config: cfg, Report: report, ShuffleBytes: report.ShuffleBytes}
 	if mon != nil {
@@ -133,11 +122,3 @@ func (s *Sweep) Run(cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
-
-type mrv1Job struct{ rj *mrv1.RunningJob }
-
-func (j mrv1Job) done() *sim.Future { return j.rj.Done }
-
-type yarnJob struct{ rj *yarn.RunningJob }
-
-func (j yarnJob) done() *sim.Future { return j.rj.Done }

@@ -8,10 +8,10 @@ import (
 )
 
 // JobState is one job in execution on a simulated cluster. Schedulers
-// (mrv1's JobTracker, yarn's ApplicationMaster) decide when and where task
-// bodies run; JobState carries the shared execution machinery: the
-// completed-map feed reducers fetch from, placement records, phase
-// timestamps and counters.
+// (MRv1's JobTracker, YARN's ApplicationMaster) decide when and where task
+// bodies run; JobState carries the shared execution machinery: the tasks
+// awaiting assignment, the completed-map feed reducers fetch from,
+// placement records, phase timestamps and counters.
 type JobState struct {
 	Spec    *JobSpec
 	Cluster *cluster.Cluster
@@ -22,6 +22,11 @@ type JobState struct {
 	MapsDone      int
 	MapCompletion sim.Cond // broadcast on every map completion and spill
 	AllDone       sim.WaitGroup
+
+	// pending holds the tasks awaiting assignment, indexed by
+	// mapreduce.TaskType: every task at submission, then failed attempts
+	// and speculative duplicates as they are queued again.
+	pending [2][]int
 
 	// SpillFeed is the per-spill availability stream consumed by eager
 	// (RDMA) shuffle plugins; stock Hadoop reducers ignore it and wait for
@@ -76,7 +81,7 @@ func (js *JobState) PublishSpill(mapIdx, index, of, node int) {
 
 // NewJobState prepares execution state for spec on c.
 func NewJobState(spec *JobSpec, c *cluster.Cluster, model *costmodel.Model) *JobState {
-	return &JobState{
+	js := &JobState{
 		Spec:            spec,
 		Cluster:         c,
 		Model:           model,
@@ -92,6 +97,13 @@ func NewJobState(spec *JobSpec, c *cluster.Cluster, model *costmodel.Model) *Job
 		},
 		Done: sim.NewFuture(),
 	}
+	for m := 0; m < spec.NumMaps(); m++ {
+		js.pending[mapreduce.TaskMap] = append(js.pending[mapreduce.TaskMap], m)
+	}
+	for r := 0; r < spec.NumReduces(); r++ {
+		js.pending[mapreduce.TaskReduce] = append(js.pending[mapreduce.TaskReduce], r)
+	}
+	return js
 }
 
 // WireFactor returns the modelled intermediate-compression ratio applied

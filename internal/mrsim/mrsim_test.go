@@ -11,15 +11,17 @@ import (
 	"mrmicro/internal/sim"
 )
 
-func uniform(maps, reduces int, recs, bytesPerRec int64) *JobSpec {
+// uniformSpec builds a spec where every map sends the same amount to every
+// reducer.
+func uniformSpec(name string, maps, reduces int, recsPerSeg, bytesPerRec int64) *JobSpec {
 	parts := make([][]SegSpec, maps)
 	for m := range parts {
 		parts[m] = make([]SegSpec, reduces)
 		for r := range parts[m] {
-			parts[m][r] = SegSpec{Records: recs, Bytes: recs * bytesPerRec}
+			parts[m][r] = SegSpec{Records: recsPerSeg, Bytes: recsPerSeg * bytesPerRec}
 		}
 	}
-	return &JobSpec{Name: "u", Conf: mapreduce.NewConf(), Partitions: parts, TypeFactor: 1}
+	return &JobSpec{Name: name, Conf: mapreduce.NewConf(), Partitions: parts, TypeFactor: 1}
 }
 
 func TestChunkOf(t *testing.T) {
@@ -67,7 +69,7 @@ func TestChunkOf(t *testing.T) {
 }
 
 func TestSlowstartTarget(t *testing.T) {
-	spec := uniform(40, 2, 1, 1)
+	spec := uniformSpec("u", 40, 2, 1, 1)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
 	js := NewJobState(spec, c, costmodel.Default())
@@ -85,7 +87,7 @@ func TestSlowstartTarget(t *testing.T) {
 }
 
 func TestSpillFeedPublish(t *testing.T) {
-	spec := uniform(2, 2, 10, 10)
+	spec := uniformSpec("u", 2, 2, 10, 10)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
 	js := NewJobState(spec, c, costmodel.Default())
@@ -100,7 +102,7 @@ func TestSpillFeedPublish(t *testing.T) {
 }
 
 func TestFinishFillsCounters(t *testing.T) {
-	spec := uniform(2, 2, 100, 10)
+	spec := uniformSpec("u", 2, 2, 100, 10)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
 	js := NewJobState(spec, c, costmodel.Default())

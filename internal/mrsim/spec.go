@@ -1,7 +1,8 @@
-// Package mrsim holds the engine-neutral pieces of the simulated MapReduce
-// runtimes: the resolved JobSpec (the per-(map, reduce) record/byte matrix
-// a job shuffles), the Report, and the task execution bodies shared by the
-// MRv1 (JobTracker/slots) and YARN (RM/containers) schedulers.
+// Package mrsim is the simulated MapReduce runtime: the resolved JobSpec
+// (the per-(map, reduce) record/byte matrix a job shuffles), the Report, one
+// Engine that drives a job's master process, the task execution bodies, and
+// the two Hadoop generations' scheduling policies that assign those bodies
+// to nodes: MRv1 (JobTracker/slots) and YARN (RM/containers).
 //
 // Task execution follows Hadoop's phase structure — map generate/collect,
 // buffer sort + multi-spill, on-disk merge passes, slow-start shuffle with

@@ -8,13 +8,13 @@ import (
 	"mrmicro/internal/sim"
 )
 
-// RunMapTask executes one map attempt on node: startup, record
+// runMapTask executes one map attempt on node: startup, record
 // generation/collection, buffer sorts + spills, and the multi-pass on-disk
 // merge to the final map output file. onDone(ok) runs when the attempt
 // ends: schedulers free their slot/container there and re-queue the task
 // when ok is false (injected fault). Speculative duplicate attempts are
 // deduplicated: only the first completion counts.
-func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
+func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
 	m := js.Model
 	spec := js.Spec
 	attempt := js.MapAttempts[idx]
@@ -37,9 +37,7 @@ func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 		node.Compute(p, cpu/2)
 		js.FailedAttempts++
 		js.logTask(TaskEvent{Type: mapreduce.TaskMap, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now()})
-		if onDone != nil {
-			onDone(false)
-		}
+		onDone(false)
 		return
 	}
 	// Combine and codec CPU shares (the post-combine matrix is what spills,
@@ -111,9 +109,7 @@ func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 	// Report completion; a speculative duplicate that lost only frees its
 	// slot.
 	if js.MapCompleted[idx] {
-		if onDone != nil {
-			onDone(true)
-		}
+		onDone(true)
 		return
 	}
 	js.MapCompleted[idx] = true
@@ -124,9 +120,7 @@ func (js *JobState) RunMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 	if js.MapsDone == spec.NumMaps() {
 		js.Report.MapPhaseEnd = p.Now()
 	}
-	if onDone != nil {
-		onDone(true)
-	}
+	onDone(true)
 	js.MapCompletion.Broadcast()
 	js.AllDone.Done()
 }
@@ -301,10 +295,10 @@ type ShufflePlugin interface {
 	RunShuffle(p *sim.Proc, js *JobState, node *cluster.Node, idx int) ShuffleResult
 }
 
-// RunReduceTask executes one reduce attempt on node: the copy phase (via
+// runReduceTask executes one reduce attempt on node: the copy phase (via
 // the job's shuffle plugin), final merge, and the reduce function over
-// NullOutputFormat. onDone(ok) mirrors RunMapTask's contract.
-func (js *JobState) RunReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
+// NullOutputFormat. onDone(ok) mirrors runMapTask's contract.
+func (js *JobState) runReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
 	m := js.Model
 	spec := js.Spec
 	attempt := js.ReduceAttempts[idx]
@@ -316,9 +310,7 @@ func (js *JobState) RunReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDo
 		// Dies during task initialization, before any copying.
 		js.FailedAttempts++
 		js.logTask(TaskEvent{Type: mapreduce.TaskReduce, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now()})
-		if onDone != nil {
-			onDone(false)
-		}
+		onDone(false)
 		return
 	}
 
@@ -359,16 +351,12 @@ func (js *JobState) RunReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDo
 
 	js.logTask(TaskEvent{Type: mapreduce.TaskReduce, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now(), Succeeded: true, ShuffleDone: shuffleDone})
 	if js.ReduceCompleted[idx] {
-		if onDone != nil {
-			onDone(true)
-		}
+		onDone(true)
 		return
 	}
 	js.ReduceCompleted[idx] = true
 	js.Report.ReduceEnds[idx] = p.Now()
-	if onDone != nil {
-		onDone(true)
-	}
+	onDone(true)
 	js.AllDone.Done()
 }
 

@@ -6,7 +6,6 @@ import (
 	"mrmicro/internal/cluster"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/mrsim"
-	"mrmicro/internal/mrv1"
 	"mrmicro/internal/netsim"
 	"mrmicro/internal/sim"
 )
@@ -35,7 +34,7 @@ func caseStudy(t *testing.T, slaves int, profile netsim.Profile, plugin mrsim.Sh
 	recs := totalGB << 30 / recBytes / (32 * 16)
 	e := sim.NewEngine()
 	c := cluster.ClusterB(e, slaves, profile)
-	rep, err := mrv1.New(c, nil).Run(spec("fig8", 32, 16, recs, recBytes, plugin))
+	rep, err := mrsim.New(c, nil, mrsim.MRv1).Run(spec("fig8", 32, 16, recs, recBytes, plugin))
 	if err != nil {
 		t.Fatal(err)
 	}
