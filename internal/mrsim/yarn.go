@@ -23,7 +23,8 @@ const (
 // The structural differences from MRv1 that the paper's Fig. 3 exercises —
 // no fixed slot grid, memory-bound concurrency, faster (1 s) allocation
 // heartbeats, an AM container consuming resources on one node — are all
-// modelled.
+// modelled. A job whose task containers no node can hold beside the AM is
+// rejected: its AM would otherwise heartbeat forever.
 func YARN(js *JobState) (Master, error) {
 	slaves := js.Cluster.Slaves()
 	conf := js.Spec.Conf
@@ -42,11 +43,12 @@ func YARN(js *JobState) (Master, error) {
 	for i := range am.freeMB {
 		am.freeMB[i] = nodeMB
 	}
-	if slices.Max(am.sizeMB[:]) > nodeMB {
-		return Master{}, fmt.Errorf("yarn: container size exceeds NodeManager capacity %d MB", nodeMB)
-	}
 	// The AM container occupies memory on the first slave.
 	am.freeMB[0] -= amContainerMB
+	if slices.Max(am.sizeMB[:]) > slices.Max(am.freeMB) {
+		return Master{}, fmt.Errorf("yarn: no node can hold a %d MB map and a %d MB reduce container beside the %d MB ApplicationMaster at %s=%d",
+			am.sizeMB[mapreduce.TaskMap], am.sizeMB[mapreduce.TaskReduce], amContainerMB, mapreduce.ConfNodeMemoryMB, nodeMB)
+	}
 	// Client submission + RM accepting the app + AM container spin-up.
 	return Master{Name: "appmaster", Setup: js.Model.JobSetup + js.Model.TaskStartup, Assign: am.run}, nil
 }

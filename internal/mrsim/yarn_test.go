@@ -1,6 +1,7 @@
 package mrsim
 
 import (
+	"strings"
 	"testing"
 
 	"mrmicro/internal/cluster"
@@ -73,5 +74,43 @@ func TestYarnRequeuesFailedContainers(t *testing.T) {
 	if rep.ExecutionSeconds() <= clean.ExecutionSeconds() {
 		t.Errorf("faults did not cost time: %.1fs vs clean %.1fs",
 			rep.ExecutionSeconds(), clean.ExecutionSeconds())
+	}
+}
+
+func TestYarnAMLeavesNoRoomRejected(t *testing.T) {
+	// On one slave the 1536 MB AM container takes node 0 first: a job whose
+	// map or reduce container no longer fits anywhere is rejected at Start,
+	// naming the NodeManager key, instead of heartbeating forever.
+	for _, tc := range []struct {
+		slaves           int
+		nodeMB, reduceMB int
+		rejected         bool
+	}{
+		{1, 1024, 0, true},
+		{1, 2048, 0, true},
+		{1, 2560, 2048, true}, // the maps fit, the reduces do not
+		{1, 2560, 0, false},
+		{2, 1024, 0, false}, // node 1 holds every task
+	} {
+		spec := uniformSpec("room", 4, 2, 100, 512)
+		spec.Conf.SetInt(mapreduce.ConfNodeMemoryMB, tc.nodeMB)
+		if tc.reduceMB > 0 {
+			spec.Conf.SetInt(mapreduce.ConfReduceMemoryMB, tc.reduceMB)
+		}
+		e := sim.NewEngine()
+		done, err := New(cluster.ClusterA(e, tc.slaves, netsim.TenGigE), nil, YARN).Start(spec)
+		switch {
+		case tc.rejected && err == nil:
+			t.Errorf("%+v: accepted a job the AM leaves no room for", tc)
+		case tc.rejected && !strings.Contains(err.Error(), mapreduce.ConfNodeMemoryMB):
+			t.Errorf("%+v: error %q does not name %s", tc, err, mapreduce.ConfNodeMemoryMB)
+		case !tc.rejected && err != nil:
+			t.Errorf("%+v: %v", tc, err)
+		case !tc.rejected:
+			e.Run()
+			if rep := done.Wait(nil).(*Report); rep.ExecutionSeconds() <= 0 {
+				t.Errorf("%+v: job did not run", tc)
+			}
+		}
 	}
 }
