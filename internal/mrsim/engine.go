@@ -61,7 +61,7 @@ func (e *Engine) Start(spec *JobSpec) (*sim.Future, error) {
 	if len(e.Cluster.Slaves()) == 0 {
 		return nil, fmt.Errorf("mrsim: cluster has no slaves")
 	}
-	js := NewJobState(spec, e.Cluster, e.Model)
+	js := newJobState(spec, e.Cluster, e.Model)
 	m, err := e.Scheduler(js)
 	if err != nil {
 		return nil, err
@@ -69,14 +69,14 @@ func (e *Engine) Start(spec *JobSpec) (*sim.Future, error) {
 	e.Cluster.Engine().Go(spec.Name+"/"+m.Name, func(p *sim.Proc) {
 		js.Report.JobStart = p.Now()
 		p.Sleep(sim.DurationOf(m.Setup))
-		js.AllDone.Add(spec.NumMaps() + spec.NumReduces())
+		js.allDone.Add(spec.NumMaps() + spec.NumReduces())
 		m.Assign(p)
-		js.AllDone.Wait(p)
-		js.CleanupIntermediate()
+		js.allDone.Wait(p)
+		js.cleanupIntermediate()
 		p.Sleep(sim.DurationOf(js.Model.JobCleanup))
-		js.Finish(p.Now())
+		js.finish(p.Now())
 	})
-	return js.Done, nil
+	return js.done, nil
 }
 
 // launch starts an attempt of task idx of type t on node in a process of
@@ -86,7 +86,7 @@ func (js *JobState) launch(t mapreduce.TaskType, node *cluster.Node, idx int, re
 	body, kind := js.runReduceTask, "reduce"
 	if t == mapreduce.TaskMap {
 		body, kind = js.runMapTask, "map"
-		js.MapLoc[idx] = node.Index
+		js.mapLoc[idx] = node.Index
 	}
 	js.Cluster.Engine().Go(fmt.Sprintf("%s/%s%d", js.Spec.Name, kind, idx), func(p *sim.Proc) {
 		body(p, node, idx, func(ok bool) {

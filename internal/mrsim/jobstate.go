@@ -7,49 +7,50 @@ import (
 	"mrmicro/internal/sim"
 )
 
-// JobState is one job in execution on a simulated cluster. Schedulers
-// (MRv1's JobTracker, YARN's ApplicationMaster) decide when and where task
+// JobState is one job in execution on a simulated cluster. A Scheduler
+// (MRv1's JobTracker, YARN's ApplicationMaster) decides when and where task
 // bodies run; JobState carries the shared execution machinery: the tasks
 // awaiting assignment, the completed-map feed reducers fetch from,
-// placement records, phase timestamps and counters.
+// placement records, phase timestamps and counters. Its exported fields are
+// what a ShufflePlugin reads.
 type JobState struct {
 	Spec    *JobSpec
 	Cluster *cluster.Cluster
 	Model   *costmodel.Model
+	Report  *Report
 
-	CompletedMaps []int // map indices in completion order
-	MapLoc        []int // node index that ran each map
 	MapsDone      int
 	MapCompletion sim.Cond // broadcast on every map completion and spill
-	AllDone       sim.WaitGroup
-
-	// pending holds the tasks awaiting assignment, indexed by
-	// mapreduce.TaskType: every task at submission, then failed attempts
-	// and speculative duplicates as they are queued again.
-	pending [2][]int
 
 	// SpillFeed is the per-spill availability stream consumed by eager
 	// (RDMA) shuffle plugins; stock Hadoop reducers ignore it and wait for
 	// whole-map completions.
 	SpillFeed []SpillEvent
 
+	// pending holds the tasks awaiting assignment, indexed by
+	// mapreduce.TaskType: every task at submission, then failed attempts
+	// and speculative duplicates as they are queued again.
+	pending [2][]int
+
+	completedMaps []int // map indices in completion order
+	mapLoc        []int // node index that ran each map
+	allDone       sim.WaitGroup
+
 	// Attempt bookkeeping (failure injection + speculative execution).
-	MapAttempts     []int  // attempts launched per map task
-	ReduceAttempts  []int  // attempts launched per reduce task
-	MapCompleted    []bool // first successful completion wins
-	ReduceCompleted []bool
-	MapStarted      []sim.Time // first-attempt start, for speculation
-	MapRuntimeSum   float64    // seconds, over successful completions
-	FailedAttempts  int        // total injected-fault attempt deaths
+	mapAttempts     []int  // attempts launched per map task
+	reduceAttempts  []int  // attempts launched per reduce task
+	mapCompleted    []bool // first successful completion wins
+	reduceCompleted []bool
+	mapStarted      []sim.Time // first-attempt start, for speculation
+	mapRuntimeSum   float64    // seconds, over successful completions
 	spillOwner      []bool     // eager-spill stream ownership per map
 
-	Finished bool
-	Report   *Report
-	Done     *sim.Future
+	finished bool
+	done     *sim.Future
 }
 
 // SpillEvent announces that spill Index of Of from map Map is fetchable on
-// Node. The node rides along because MapLoc can be overwritten by a later
+// Node. The node rides along because mapLoc can be overwritten by a later
 // (speculative or retried) attempt while eager fetchers are still pulling
 // the publisher's spills.
 type SpillEvent struct {
@@ -72,30 +73,30 @@ func ChunkOf(total int64, index, of int) int64 {
 	return base
 }
 
-// PublishSpill appends a spill-availability event and wakes waiting
+// publishSpill appends a spill-availability event and wakes waiting
 // fetchers.
-func (js *JobState) PublishSpill(mapIdx, index, of, node int) {
+func (js *JobState) publishSpill(mapIdx, index, of, node int) {
 	js.SpillFeed = append(js.SpillFeed, SpillEvent{Map: mapIdx, Index: index, Of: of, Node: node})
 	js.MapCompletion.Broadcast()
 }
 
-// NewJobState prepares execution state for spec on c.
-func NewJobState(spec *JobSpec, c *cluster.Cluster, model *costmodel.Model) *JobState {
+// newJobState prepares execution state for spec on c.
+func newJobState(spec *JobSpec, c *cluster.Cluster, model *costmodel.Model) *JobState {
 	js := &JobState{
 		Spec:            spec,
 		Cluster:         c,
 		Model:           model,
-		MapLoc:          make([]int, spec.NumMaps()),
-		MapAttempts:     make([]int, spec.NumMaps()),
-		ReduceAttempts:  make([]int, spec.NumReduces()),
-		MapCompleted:    make([]bool, spec.NumMaps()),
-		ReduceCompleted: make([]bool, spec.NumReduces()),
-		MapStarted:      make([]sim.Time, spec.NumMaps()),
+		mapLoc:          make([]int, spec.NumMaps()),
+		mapAttempts:     make([]int, spec.NumMaps()),
+		reduceAttempts:  make([]int, spec.NumReduces()),
+		mapCompleted:    make([]bool, spec.NumMaps()),
+		reduceCompleted: make([]bool, spec.NumReduces()),
+		mapStarted:      make([]sim.Time, spec.NumMaps()),
 		Report: &Report{
 			ReduceEnds: make([]sim.Time, spec.NumReduces()),
 			Counters:   mapreduce.NewCounters(),
 		},
-		Done: sim.NewFuture(),
+		done: sim.NewFuture(),
 	}
 	for m := 0; m < spec.NumMaps(); m++ {
 		js.pending[mapreduce.TaskMap] = append(js.pending[mapreduce.TaskMap], m)
@@ -106,10 +107,10 @@ func NewJobState(spec *JobSpec, c *cluster.Cluster, model *costmodel.Model) *Job
 	return js
 }
 
-// WireFactor returns the modelled intermediate-compression ratio applied
+// wireFactor returns the modelled intermediate-compression ratio applied
 // to shuffled and spilled bytes: 1.0 when mapreduce.map.output.compress is
 // off, else mapreduce.map.output.compress.ratio (default 0.5).
-func (js *JobState) WireFactor() float64 {
+func (js *JobState) wireFactor() float64 {
 	if !js.Spec.Conf.GetBool(mapreduce.ConfCompressMapOut, false) {
 		return 1.0
 	}
@@ -120,8 +121,8 @@ func (js *JobState) WireFactor() float64 {
 	return r
 }
 
-// SlowstartTarget returns the completed-map count reducers wait for.
-func (js *JobState) SlowstartTarget() int {
+// slowstartTarget returns the completed-map count reducers wait for.
+func (js *JobState) slowstartTarget() int {
 	t := int(js.Spec.Conf.SlowstartMaps() * float64(js.Spec.NumMaps()))
 	if t < 1 {
 		t = 1
@@ -129,20 +130,20 @@ func (js *JobState) SlowstartTarget() int {
 	return t
 }
 
-// Finish stamps the job end, derives counters and resolves Done. Schedulers
-// call it after AllDone drains and cleanup has been charged.
-func (js *JobState) Finish(now sim.Time) {
+// finish stamps the job end, derives counters and resolves done. The job
+// master calls it after allDone drains and cleanup has been charged.
+func (js *JobState) finish(now sim.Time) {
 	js.Report.JobEnd = now
-	js.Finished = true
+	js.finished = true
 	js.fillCounters()
-	js.Done.Set(js.Report)
+	js.done.Set(js.Report)
 }
 
-// CleanupIntermediate removes the map output files from their nodes' caches
+// cleanupIntermediate removes the map output files from their nodes' caches
 // (Hadoop's job-cleanup deletion of mapred.local.dir data).
-func (js *JobState) CleanupIntermediate() {
+func (js *JobState) cleanupIntermediate() {
 	for m := 0; m < js.Spec.NumMaps(); m++ {
-		js.Cluster.Node(js.MapLoc[m]).Store.Delete(js.Spec.MapShuffleBytes(m))
+		js.Cluster.Node(js.mapLoc[m]).Store.Delete(js.Spec.MapShuffleBytes(m))
 	}
 }
 

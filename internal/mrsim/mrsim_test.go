@@ -72,16 +72,16 @@ func TestSlowstartTarget(t *testing.T) {
 	spec := uniformSpec("u", 40, 2, 1, 1)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
-	js := NewJobState(spec, c, costmodel.Default())
-	if got := js.SlowstartTarget(); got != 2 { // 0.05 * 40
+	js := newJobState(spec, c, costmodel.Default())
+	if got := js.slowstartTarget(); got != 2 { // 0.05 * 40
 		t.Errorf("slowstart = %d, want 2", got)
 	}
 	spec.Conf.SetFloat(mapreduce.ConfSlowstartMaps, 1.0)
-	if got := js.SlowstartTarget(); got != 40 {
+	if got := js.slowstartTarget(); got != 40 {
 		t.Errorf("slowstart = %d, want 40", got)
 	}
 	spec.Conf.SetFloat(mapreduce.ConfSlowstartMaps, 0.0)
-	if got := js.SlowstartTarget(); got != 1 {
+	if got := js.slowstartTarget(); got != 1 {
 		t.Errorf("slowstart floor = %d, want 1", got)
 	}
 }
@@ -90,9 +90,9 @@ func TestSpillFeedPublish(t *testing.T) {
 	spec := uniformSpec("u", 2, 2, 10, 10)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
-	js := NewJobState(spec, c, costmodel.Default())
-	js.PublishSpill(0, 0, 3, 2)
-	js.PublishSpill(0, 1, 3, 2)
+	js := newJobState(spec, c, costmodel.Default())
+	js.publishSpill(0, 0, 3, 2)
+	js.publishSpill(0, 1, 3, 2)
 	if len(js.SpillFeed) != 2 {
 		t.Fatalf("feed length = %d", len(js.SpillFeed))
 	}
@@ -105,11 +105,11 @@ func TestFinishFillsCounters(t *testing.T) {
 	spec := uniformSpec("u", 2, 2, 100, 10)
 	e := sim.NewEngine()
 	c := cluster.ClusterA(e, 1, netsim.OneGigE)
-	js := NewJobState(spec, c, costmodel.Default())
+	js := newJobState(spec, c, costmodel.Default())
 	js.Report.ShuffleBytes = 4000
-	js.Finish(sim.DurationOf(5))
-	if !js.Finished || !js.Done.Done() {
-		t.Error("Finish did not finalize")
+	js.finish(sim.DurationOf(5))
+	if !js.finished || !js.done.Done() {
+		t.Error("finish did not finalize")
 	}
 	ctr := js.Report.Counters
 	if ctr.Task(mapreduce.CtrMapOutputRecords) != 400 {

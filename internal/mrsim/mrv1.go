@@ -52,12 +52,12 @@ func (jt *jobTracker) maybeSpeculate(now sim.Time) {
 	if js.MapsDone < js.Spec.NumMaps()/2 || js.MapsDone == js.Spec.NumMaps() {
 		return
 	}
-	mean := js.MapRuntimeSum / float64(js.MapsDone)
+	mean := js.mapRuntimeSum / float64(js.MapsDone)
 	for m := 0; m < js.Spec.NumMaps(); m++ {
-		if js.MapCompleted[m] || js.MapAttempts[m] != 1 || jt.speculated[m] {
+		if js.mapCompleted[m] || js.mapAttempts[m] != 1 || jt.speculated[m] {
 			continue // not running, retried, or already speculated
 		}
-		if (now - js.MapStarted[m]).Seconds() > 1.5*mean {
+		if (now - js.mapStarted[m]).Seconds() > 1.5*mean {
 			if jt.speculated == nil {
 				jt.speculated = make(map[int]bool)
 			}
@@ -78,8 +78,8 @@ type taskTracker struct {
 func (tt *taskTracker) run(p *sim.Proc) {
 	js := tt.jt.js
 	hb := sim.DurationOf(js.Model.Heartbeat)
-	slowstart := js.SlowstartTarget()
-	for !js.Finished {
+	slowstart := js.slowstartTarget()
+	for !js.finished {
 		tt.jt.maybeSpeculate(p.Now())
 		tt.claim(mapreduce.TaskMap)
 		if js.MapsDone >= slowstart {

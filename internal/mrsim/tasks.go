@@ -17,10 +17,10 @@ import (
 func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
 	m := js.Model
 	spec := js.Spec
-	attempt := js.MapAttempts[idx]
-	js.MapAttempts[idx]++
+	attempt := js.mapAttempts[idx]
+	js.mapAttempts[idx]++
 	if attempt == 0 {
-		js.MapStarted[idx] = p.Now()
+		js.mapStarted[idx] = p.Now()
 	}
 	started := p.Now()
 
@@ -35,7 +35,6 @@ func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 		// The attempt dies partway through the map function; the work is
 		// wasted and the scheduler re-queues the task.
 		node.Compute(p, cpu/2)
-		js.FailedAttempts++
 		js.logTask(TaskEvent{Type: mapreduce.TaskMap, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now()})
 		onDone(false)
 		return
@@ -49,7 +48,7 @@ func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 		outRecs = spec.MapShuffleRecords(idx)
 		outBytes = spec.MapShuffleBytes(idx)
 	}
-	wf := js.WireFactor()
+	wf := js.wireFactor()
 	compressCPU := 0.0
 	if wf < 1 {
 		compressCPU = float64(outBytes) * m.CompressCPU
@@ -93,7 +92,7 @@ func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 				node.Store.Write(p, w)
 			}
 			if publisher {
-				js.PublishSpill(idx, s, numSpills, node.Index)
+				js.publishSpill(idx, s, numSpills, node.Index)
 			}
 		}
 
@@ -108,21 +107,21 @@ func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone 
 	js.logTask(TaskEvent{Type: mapreduce.TaskMap, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now(), Succeeded: true})
 	// Report completion; a speculative duplicate that lost only frees its
 	// slot.
-	if js.MapCompleted[idx] {
+	if js.mapCompleted[idx] {
 		onDone(true)
 		return
 	}
-	js.MapCompleted[idx] = true
-	js.MapLoc[idx] = node.Index // winner's location serves the fetches
-	js.MapRuntimeSum += (p.Now() - started).Seconds()
-	js.CompletedMaps = append(js.CompletedMaps, idx)
+	js.mapCompleted[idx] = true
+	js.mapLoc[idx] = node.Index // winner's location serves the fetches
+	js.mapRuntimeSum += (p.Now() - started).Seconds()
+	js.completedMaps = append(js.completedMaps, idx)
 	js.MapsDone++
 	if js.MapsDone == spec.NumMaps() {
 		js.Report.MapPhaseEnd = p.Now()
 	}
 	onDone(true)
 	js.MapCompletion.Broadcast()
-	js.AllDone.Done()
+	js.allDone.Done()
 }
 
 // mergePasses charges the intermediate passes of the one merge plan
@@ -209,7 +208,7 @@ func (js *JobState) runMapSpillsOverlapped(p *sim.Proc, node *cluster.Node, idx 
 				node.Store.Write(sp, w)
 			}
 			if publisher {
-				js.PublishSpill(idx, done, numSpills, node.Index)
+				js.publishSpill(idx, done, numSpills, node.Index)
 			}
 			done++
 			rawTail++
@@ -301,14 +300,13 @@ type ShufflePlugin interface {
 func (js *JobState) runReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
 	m := js.Model
 	spec := js.Spec
-	attempt := js.ReduceAttempts[idx]
-	js.ReduceAttempts[idx]++
+	attempt := js.reduceAttempts[idx]
+	js.reduceAttempts[idx]++
 	started := p.Now()
 
 	p.Sleep(sim.DurationOf(m.TaskStartup))
 	if spec.FailReduce(idx, attempt) {
 		// Dies during task initialization, before any copying.
-		js.FailedAttempts++
 		js.logTask(TaskEvent{Type: mapreduce.TaskReduce, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now()})
 		onDone(false)
 		return
@@ -350,14 +348,14 @@ func (js *JobState) runReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDo
 	node.Compute(p, (float64(totalRecs)*m.ReduceRecordCPU+float64(totalBytes)*m.ReduceByteCPU)*spec.TypeFactor)
 
 	js.logTask(TaskEvent{Type: mapreduce.TaskReduce, Index: idx, Attempt: attempt, Node: node.Index, Start: started, End: p.Now(), Succeeded: true, ShuffleDone: shuffleDone})
-	if js.ReduceCompleted[idx] {
+	if js.reduceCompleted[idx] {
 		onDone(true)
 		return
 	}
-	js.ReduceCompleted[idx] = true
+	js.reduceCompleted[idx] = true
 	js.Report.ReduceEnds[idx] = p.Now()
 	onDone(true)
-	js.AllDone.Done()
+	js.allDone.Done()
 }
 
 // StockShuffle is Hadoop's copy phase: parallelcopies fetchers pull
@@ -374,7 +372,7 @@ func (StockShuffle) Name() string { return "hadoop-tcp" }
 func (StockShuffle) EagerSpills() bool { return false }
 
 type stockState struct {
-	next    int // cursor into CompletedMaps
+	next    int // cursor into completedMaps
 	fetched int
 	inMem   struct {
 		bytes, recs int64
@@ -413,8 +411,8 @@ func (StockShuffle) RunShuffle(p *sim.Proc, js *JobState, node *cluster.Node, id
 // the completion feed; ok=false once every map is claimed.
 func claimNext(p *sim.Proc, js *JobState, cursor *int) (int, bool) {
 	for {
-		if *cursor < len(js.CompletedMaps) {
-			mi := js.CompletedMaps[*cursor]
+		if *cursor < len(js.completedMaps) {
+			mi := js.completedMaps[*cursor]
 			*cursor++
 			return mi, true
 		}
@@ -429,9 +427,9 @@ func fetchOne(p *sim.Proc, js *JobState, node *cluster.Node, idx, mi int, thresh
 	m := js.Model
 	seg := js.Spec.ShuffleSeg(mi, idx)
 	if seg.Bytes > 0 {
-		wf := js.WireFactor()
+		wf := js.wireFactor()
 		wire := int64(float64(seg.Bytes) * wf)
-		src := js.MapLoc[mi]
+		src := js.mapLoc[mi]
 		if src == node.Index {
 			node.Store.Read(p, wire)
 		} else {
@@ -451,7 +449,7 @@ func fetchOne(p *sim.Proc, js *JobState, node *cluster.Node, idx, mi int, thresh
 			drainBytes, drainRecs, drainSegs := st.inMem.bytes, st.inMem.recs, st.inMem.segs
 			st.inMem.bytes, st.inMem.recs, st.inMem.segs = 0, 0, 0
 			node.Compute(p, m.MergeCPU(drainRecs, drainSegs)+float64(drainBytes)*m.MergeByteCPU)
-			drainBytes = int64(float64(drainBytes) * js.WireFactor())
+			drainBytes = int64(float64(drainBytes) * js.wireFactor())
 			node.Store.Write(p, drainBytes)
 			st.res.OnDiskBytes += drainBytes
 			st.res.OnDiskRecs += drainRecs

@@ -67,15 +67,15 @@ type appMaster struct {
 // pending tasks at each beat.
 func (am *appMaster) run(p *sim.Proc) {
 	js := am.js
-	slowstart := js.SlowstartTarget()
+	slowstart := js.slowstartTarget()
 	hb := sim.DurationOf(amHeartbeatSeconds)
-	for !js.Finished && (am.queued() || js.AllDone.Count() > 0) {
+	for !js.finished && (am.queued() || js.allDone.Count() > 0) {
 		// Allocate map containers first (the MR AM requests maps eagerly).
 		am.allocate(mapreduce.TaskMap)
 		if js.MapsDone >= slowstart {
 			am.allocate(mapreduce.TaskReduce)
 		}
-		if js.AllDone.Count() == 0 && !am.queued() {
+		if js.allDone.Count() == 0 && !am.queued() {
 			break
 		}
 		p.Sleep(hb)
