@@ -27,9 +27,9 @@ type Scheduler func(js *JobState) (Master, error)
 type Master struct {
 	Name  string  // process name under the job's ("jobtracker", "appmaster")
 	Setup float64 // seconds from submission until tasks may be assigned
-	// Assign runs in the master after setup. It returns once every task
-	// is assigned, or has handed assignment to processes of its own; the
-	// master then waits for the job's tasks to finish.
+	// Assign runs in the master after setup and assigns the job's tasks,
+	// itself or through processes it starts; once it returns, the master
+	// waits for every task to finish.
 	Assign func(p *sim.Proc)
 }
 

@@ -11,8 +11,8 @@ import (
 // runMapTask executes one map attempt on node: startup, record
 // generation/collection, buffer sorts + spills, and the multi-pass on-disk
 // merge to the final map output file. onDone(ok) runs when the attempt
-// ends: schedulers free their slot/container there and re-queue the task
-// when ok is false (injected fault). Speculative duplicate attempts are
+// ends: launch frees the policy's slot or container there and re-queues
+// the task when ok is false (injected fault). Speculative duplicate attempts are
 // deduplicated: only the first completion counts.
 func (js *JobState) runMapTask(p *sim.Proc, node *cluster.Node, idx int, onDone func(ok bool)) {
 	m := js.Model
