@@ -69,7 +69,9 @@ func main() {
 		cfg.MonitorInterval = time.Second
 	}
 	if *pipeline != "" {
-		runPipeline(*pipeline, cfg, *workers)
+		if err := runPipeline(*pipeline, cfg, *workers); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if cfg.PairsPerMap <= 0 && cfg.Workload == "" {
@@ -118,18 +120,21 @@ func main() {
 
 // runPipeline executes a named chained-job pipeline: each stage's committed
 // output directory feeds the next stage's splits, and the final stage is a
-// checker whose job failure is the pipeline's failure.
-func runPipeline(name string, cfg microbench.Config, workers int) {
+// checker whose job failure is the pipeline's failure. Without -outdir the
+// stages run in a temp dir that goes with the run, failed or not; it returns
+// instead of calling fatal, whose os.Exit would skip the removal.
+func runPipeline(name string, cfg microbench.Config, workers int) error {
 	if name != "hs" {
-		fatal(fmt.Errorf("unknown pipeline %q (have: hs)", name))
+		return fmt.Errorf("unknown pipeline %q (have: hs)", name)
 	}
 	workDir := cfg.OutputDir
 	cfg.OutputDir = "" // per-stage dirs are carved under workDir
 	if workDir == "" {
 		var err error
 		if workDir, err = os.MkdirTemp("", "mrmicro-hs-*"); err != nil {
-			fatal(err)
+			return err
 		}
+		defer os.RemoveAll(workDir)
 	}
 	opts := &mrpipe.Options{Dist: cfg.Engine == microbench.EngineDist, Workers: workers}
 	engine := "localrun"
@@ -142,14 +147,15 @@ func runPipeline(name string, cfg microbench.Config, workers int) {
 			r.Name, r.NumMaps, r.NumReduces, r.Elapsed.Round(time.Millisecond), r.OutputDigest, r.Config.OutputDir)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	last := results[len(results)-1]
-	verdict, rerr := os.ReadFile(filepath.Join(last.Config.OutputDir, inputformat.PartName(0)))
-	if rerr != nil {
-		fatal(fmt.Errorf("reading validate verdict: %w", rerr))
+	verdict, err := os.ReadFile(filepath.Join(last.Config.OutputDir, inputformat.PartName(0)))
+	if err != nil {
+		return fmt.Errorf("reading validate verdict: %w", err)
 	}
 	fmt.Printf("=== HS pipeline PASSED (%s) ===\n%s", engine, verdict)
+	return nil
 }
 
 // localOnce builds and executes one real run of cfg, returning the result

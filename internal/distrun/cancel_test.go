@@ -6,12 +6,12 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
@@ -25,7 +25,7 @@ var cancelPoints = []string{"before-dispatch", "mid-map", "mid-copy-phase", "mid
 // points: before dispatch, mid-map, mid-copy-phase (a 1-byte shuffle pool, so
 // the copiers have spilled to disk) and mid-reduce. Every run must return an
 // error wrapping context.Canceled within a second of the cancel and leave no
-// goroutine, worker process or mrmicro-* temp path behind.
+// goroutine, descriptor, worker process or temp path behind.
 //
 // localrun is cancelled from inside its own mapper and reducer, counting
 // collected records (maps run one at a time, so record k*pairs+1 is map k's
@@ -52,9 +52,11 @@ func TestCancelEndsEveryJob(t *testing.T) {
 	for _, engine := range []string{"localrun", "dist"} {
 		for _, point := range cancelPoints {
 			t.Run(engine+"/"+point, func(t *testing.T) {
-				tmp := t.TempDir()
-				t.Setenv("TMPDIR", tmp)
-				baseline := runtime.NumGoroutine()
+				var grace time.Duration
+				if engine == "dist" {
+					grace = leakcheck.ReapGrace
+				}
+				tmp := leakcheck.Check(t, grace)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var cancelled atomic.Int64 // UnixNano of the cancel
@@ -84,16 +86,10 @@ func TestCancelEndsEveryJob(t *testing.T) {
 					t.Errorf("error %v, want one wrapping context.Canceled", err)
 				}
 				cancel() // the dist poller ends with the context
-				if !waitUntil(2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
-					t.Errorf("%d goroutines after the job, %d before", runtime.NumGoroutine(), baseline)
-				}
 				for _, p := range pools {
 					if n := p.Live(); n != 0 {
 						t.Errorf("%d worker processes still live", n)
 					}
-				}
-				if left, _ := filepath.Glob(filepath.Join(tmp, "mrmicro-*")); len(left) > 0 {
-					t.Errorf("left behind: %v", left)
 				}
 			})
 		}
@@ -126,10 +122,11 @@ func cancelLocal(t *testing.T, ctx context.Context, cfg microbench.Config, point
 				return
 			}
 			// The reducers launched after map 0 committed; wait until
-			// their copiers have spilled a fetched segment to disk.
+			// their copiers have spilled a fetched segment to a run file
+			// in the job's scratch root.
 			if !waitUntil(2*time.Second, func() bool {
-				dirs, _ := filepath.Glob(filepath.Join(tmp, "mrmicro-reduce-merge-*"))
-				return len(dirs) > 0
+				runs, _ := filepath.Glob(filepath.Join(tmp, "mrmicro-job-*", "mrmicro-run-*.ifile"))
+				return len(runs) > 0
 			}) {
 				t.Error("no copy phase spilled to disk")
 			}
@@ -214,10 +211,11 @@ func (r *hookedReducer) Reduce(k writable.Writable, vs mapreduce.ValueIterator, 
 }
 
 // TestWorkerKillLeavesNoTempPath replays the corpus's bounded copy phase
-// under random worker kills. A killed worker cannot remove its reduce-merge
-// directory itself, so the pool removes the temp dir it gave the process:
-// three replays leave no mrmicro-* path in TMPDIR.
+// under random worker kills. A killed worker cannot remove its run files
+// itself, so the pool removes the temp dir it gave the process: three
+// replays leave nothing in TMPDIR.
 func TestWorkerKillLeavesNoTempPath(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	data, err := os.ReadFile("../mrcheck/testdata/corpus/dist-bounded-worker-kill.repro")
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +229,9 @@ func TestWorkerKillLeavesNoTempPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
 	for i := range 3 {
 		if _, err := Run(cfg, &Options{Workers: 2, Respawn: true, Digest: true}); err != nil && !errors.Is(err, localrun.ErrAttemptsExhausted) {
 			t.Fatalf("replay %d: %v", i, err)
-		}
-		if left, _ := filepath.Glob(filepath.Join(tmp, "mrmicro-*")); len(left) > 0 {
-			t.Fatalf("replay %d left %v", i, left)
 		}
 	}
 }

@@ -170,9 +170,10 @@ type Coordinator struct {
 	// job ends when every reduce commits (cause errJobDone), a task fails
 	// the job, or the coordinator is killed or stopped; its cause is the
 	// job's verdict.
-	job     context.Context
-	end     context.CancelCauseFunc
-	closing sync.Once // the server and the WAL close once, whoever ends the job
+	job        context.Context
+	end        context.CancelCauseFunc
+	closing    sync.Once      // the server and the WAL close once, whoever ends the job
+	monitoring sync.WaitGroup // the monitor goroutine, which closing waits out
 
 	mu       sync.Mutex
 	sessions map[int64]*workerState
@@ -287,6 +288,7 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 	srv.Register(MethodCommitMap, handler(c.handleCommitMap))
 	srv.Register(MethodCommitReduce, handler(c.handleCommitReduce))
 	srv.Register(MethodTaskFailed, handler(c.handleTaskFailed))
+	c.monitoring.Add(1)
 	go c.monitor()
 	c.mu.Lock()
 	c.maybeFinish() // a fully-committed WAL finishes the job outright
@@ -351,6 +353,7 @@ func (c *Coordinator) shutdown(cause error) {
 	c.closing.Do(func() {
 		c.srv.Close()
 		c.log.close()
+		c.monitoring.Wait()
 	})
 }
 
@@ -391,6 +394,7 @@ func (c *Coordinator) Wait() (*Result, error) {
 // re-queues WAL-committed maps nobody re-announced within the grace period,
 // until the job ends.
 func (c *Coordinator) monitor() {
+	defer c.monitoring.Done()
 	tick := time.NewTicker(c.opts.heartbeatEvery())
 	defer tick.Stop()
 	for {

@@ -3,6 +3,8 @@ package distrun
 import (
 	"path/filepath"
 	"testing"
+
+	"mrmicro/internal/leakcheck"
 )
 
 // TestSuccessorFencesPredecessorSessions: a coordinator restarted on the
@@ -11,6 +13,7 @@ import (
 // would hand that worker tasks as its own worker of the same number, and
 // record its map commits at that worker's address.
 func TestSuccessorFencesPredecessorSessions(t *testing.T) {
+	leakcheck.Check(t, 0)
 	cfg := testConfig()
 	walPath := filepath.Join(t.TempDir(), "job.wal")
 	first, err := NewCoordinator(cfg, &Options{WALPath: walPath})

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
@@ -101,6 +102,7 @@ func waitUntil(d time.Duration, cond func() bool) bool {
 // environment first, the same value panicked every spawned worker, which the
 // pool then respawned.
 func TestBadConfFailsBeforeWorkersSpawn(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.ExtraConf = map[string]string{mapreduce.ConfIOSortMB: "abc"}
 	_, err := Run(cfg, &Options{Workers: 2, Respawn: true})
@@ -113,6 +115,7 @@ func TestBadConfFailsBeforeWorkersSpawn(t *testing.T) {
 // TestCleanRunMatchesOracle establishes the baseline: with nothing injured, a
 // multi-process run is byte-identical to the single-process executor.
 func TestCleanRunMatchesOracle(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	res, err := Run(cfg, &Options{Workers: 2, Digest: true})
 	if err != nil {
@@ -128,6 +131,7 @@ func TestCleanRunMatchesOracle(t *testing.T) {
 // cost. The kernel splits CPU time between user and system by tick samples,
 // so the job is big enough for the workers to be caught in user mode.
 func TestWorkerUsageReported(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	if runtime.GOOS != "linux" {
 		t.Skip("worker usage is read from Linux rusage")
 	}
@@ -149,6 +153,7 @@ func TestWorkerUsageReported(t *testing.T) {
 // output still matches the oracle. How many records spill together depends
 // on fetch arrival order, so SPILLED_RECORDS is exempt from the comparison.
 func TestDistBoundedCopyPhase(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	unbounded, err := Run(testConfig(), &Options{Workers: 2, Digest: true})
 	if err != nil {
 		t.Fatalf("Run unbounded: %v", err)
@@ -175,6 +180,7 @@ func TestDistBoundedCopyPhase(t *testing.T) {
 // the forced schedule) plus fetch-failure re-execution must still converge
 // to oracle output.
 func TestForcedWorkerKills(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cases := []struct {
 		name  string
 		kills map[int]int // worker index -> checkpoint seq
@@ -200,6 +206,7 @@ func TestForcedWorkerKills(t *testing.T) {
 // instead of a fixed schedule — every incarnation keeps rolling dice, so the
 // run survives however many kills the seed decides to deal it.
 func TestRandomWorkerKillRate(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.Faults = &faultinject.Plan{Seed: 5, WorkerKillRate: 0.15}
 	res, err := Run(cfg, &Options{Workers: 3, Digest: true, Respawn: true})
@@ -214,6 +221,7 @@ func TestRandomWorkerKillRate(t *testing.T) {
 // specific job phases — one as soon as the first map commits, another once
 // the reduce phase is underway.
 func TestHarnessKillsWorkersMidPhase(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.NumMaps = 8
 	coord, err := NewCoordinator(cfg, &Options{Digest: true})
@@ -255,6 +263,7 @@ func TestHarnessKillsWorkersMidPhase(t *testing.T) {
 // outputs — which the coordinator re-adopts instead of re-running, because
 // the bytes never actually went anywhere.
 func TestPartitionFencesWorker(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.Faults = &faultinject.Plan{
 		Seed:              13,
@@ -281,6 +290,7 @@ func TestPartitionFencesWorker(t *testing.T) {
 // only once that map is running — started together, a quick worker 1 can
 // drain the map queue before worker 0 has registered.
 func TestSpeculativeExecution(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.Faults = &faultinject.Plan{
 		Seed:              17,
@@ -324,6 +334,7 @@ func TestSpeculativeExecution(t *testing.T) {
 // outputs from re-registering workers (whose retrying clients redial the
 // address), finish the remaining work, and still produce oracle output.
 func TestCoordinatorCrashRestart(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	cfg.NumMaps = 8
 	walPath := filepath.Join(t.TempDir(), "job.wal")
@@ -398,6 +409,7 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 // finished job: it must declare the job done from the log alone — no
 // workers, no re-execution — with the recorded digests intact.
 func TestCoordinatorResumeCompleteWAL(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := testConfig()
 	walPath := filepath.Join(t.TempDir(), "job.wal")
 	res, err := Run(cfg, &Options{Workers: 2, Digest: true, WALPath: walPath})
@@ -432,6 +444,7 @@ func TestCoordinatorResumeCompleteWAL(t *testing.T) {
 // that map for that reduce's fetches. Both run under the same deadline
 // context: one that expires ends the job with context.DeadlineExceeded.
 func TestEveryJobEnds(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	const deadline = 5 * time.Second
 	cfg, err := microbench.ParseRepro(strings.Fields(
 		"-pairs 1000 -kv 1024 -maps 4 -reduces 2 -iosortmb 1 -codec deflate -fault-shuffle-truncate 0.3 -fault-seed 7"))

@@ -54,7 +54,7 @@ func benchFetchAll(addr string, maps, reduce, parallel int) error {
 // benchmarkShuffleFetch measures copy-phase throughput: `maps` registered
 // segments of recs records each, fetched with `parallel` fetchers.
 func benchmarkShuffleFetch(b *testing.B, maps, recs, parallel int) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		b.Fatal(err)
 	}

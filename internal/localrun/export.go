@@ -24,12 +24,12 @@ type ShuffleServer = shuffleServer
 
 // NewShuffleServer starts a map-output server on an ephemeral loopback port
 // with the in-memory segment store (writev serving).
-func NewShuffleServer() (*ShuffleServer, error) { return newShuffleServer(false) }
+func NewShuffleServer() (*ShuffleServer, error) { return newShuffleServer(false, "") }
 
 // NewDiskShuffleServer starts a map-output server whose segments land in a
-// spill file and are served zero-copy via sendfile where the platform
-// allows (see sendSegmentFile).
-func NewDiskShuffleServer() (*ShuffleServer, error) { return newShuffleServer(true) }
+// spill file in the process temp dir and are served zero-copy via sendfile
+// where the platform allows (see sendSegmentFile).
+func NewDiskShuffleServer() (*ShuffleServer, error) { return newShuffleServer(true, "") }
 
 // Unregister withdraws every partition registered for mapIdx — the losing
 // side of a speculative race discards its output so reducers can only ever

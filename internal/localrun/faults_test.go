@@ -15,6 +15,7 @@ import (
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -40,6 +41,7 @@ func renderOutput(out *mapreduce.MemoryOutput, reduces int) string {
 // truncation, slow peers and spill errors) must leave the reduce output
 // byte-identical to a clean run, with the recovery visible in counters.
 func TestFaultScenarioByteIdenticalOutput(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 
 	clean, cleanOut := wordCountJob(text, 6, 3, false)
@@ -89,6 +91,7 @@ func TestFaultScenarioByteIdenticalOutput(t *testing.T) {
 }
 
 func TestFaultyRunsAreDeterministic(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	run := func() (string, string) {
 		job, out := wordCountJob(text, 4, 2, true)
@@ -110,6 +113,7 @@ func TestFaultyRunsAreDeterministic(t *testing.T) {
 }
 
 func TestDeterministicFailureCountsRetried(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// mrsim-style exact failure counts through the REAL executor: map 1
 	// dies twice, reduce 0 dies once; the job still completes.
 	text, want := corpus()
@@ -143,6 +147,7 @@ func TestDeterministicFailureCountsRetried(t *testing.T) {
 // on fetch order, so the check is that the counter's excess over the clean
 // run is exactly what the breakdown says the winning reduces spilled.
 func TestBreakdownCountsWinningAttemptsOnly(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	build := func() *mapreduce.Job {
 		job, _ := orderJob(text, 4, 2, false)
@@ -180,6 +185,7 @@ func TestBreakdownCountsWinningAttemptsOnly(t *testing.T) {
 }
 
 func TestExhaustedAttemptsFailTheJob(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	job, _ := wordCountJob(text, 2, 2, false)
 	plan := &faultinject.Plan{
@@ -204,6 +210,7 @@ func TestExhaustedAttemptsFailTheJob(t *testing.T) {
 // must say both, or mrcheck reports a seeded failure as an organic one. It
 // is also a *FetchError naming the map and the peer whose retries ran out.
 func TestExhaustedTruncationIsAnInjectedFailure(t *testing.T) {
+	leakcheck.Check(t, 0)
 	for _, compress := range []bool{false, true} {
 		text, _ := corpus()
 		job, _ := wordCountJob(text, 2, 2, false)
@@ -226,7 +233,7 @@ func TestExhaustedTruncationIsAnInjectedFailure(t *testing.T) {
 func TestPermanentlyDownShufflePeerFailsDescriptively(t *testing.T) {
 	// A closed listener: every dial is refused. The fetch must exhaust its
 	// bounded retries and return a descriptive error, not hang.
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +259,7 @@ func TestPermanentlyDownShufflePeerFailsDescriptively(t *testing.T) {
 }
 
 func TestCompressedShuffleSurvivesFaults(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, want := corpus()
 	job, out := wordCountJob(text, 3, 2, false)
 	job.Conf.SetBool(mapreduce.ConfCompressMapOut, true)
@@ -272,7 +280,7 @@ func TestCompressedShuffleSurvivesFaults(t *testing.T) {
 }
 
 func TestRegisterAfterCloseReturnsError(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +304,7 @@ func TestRegisterAfterCloseReturnsError(t *testing.T) {
 }
 
 func TestMissingSegmentFailsFastWithoutRetries(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +356,7 @@ func TestTruncatedPayloadRejectedByFetchDecoder(t *testing.T) {
 }
 
 func TestSpillErrorsRetriedToCompletion(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// Force multiple spills (1 MiB buffer, ~3 MiB of output) with a spill
 	// error rate: attempts die in the kvbuf spill path and re-execute.
 	var pairs []mapreduce.Pair
@@ -406,6 +415,7 @@ func TestSpillErrorsRetriedToCompletion(t *testing.T) {
 }
 
 func TestCleanRunRetriesToTheDefaultBound(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// Without a fault plan a failing task re-executes as it does on dist and
 	// in Hadoop, up to the default bound of 4, and the job then fails with
 	// the exhaustion error naming the task and carrying the user error.
@@ -431,6 +441,7 @@ func TestCleanRunRetriesToTheDefaultBound(t *testing.T) {
 }
 
 func TestFaultPlanRetriesOrganicErrors(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// Organic (non-injected) failures re-execute like injected ones: a
 	// mapper that fails twice then succeeds completes the job.
 	var calls int
@@ -463,6 +474,7 @@ func TestFaultPlanRetriesOrganicErrors(t *testing.T) {
 // of its output; the retried attempts commit output byte-identical to a
 // clean run and leave no temp part behind.
 func TestMapOnlyAttemptsRetry(t *testing.T) {
+	leakcheck.Check(t, 0)
 	const maps, rows = 4, 40
 	var pairs []mapreduce.Pair
 	for i := 0; i < rows; i++ {

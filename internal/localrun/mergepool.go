@@ -43,28 +43,14 @@ type ReduceMergeStats struct {
 	SpilledBytes   int64 // bytes written to reduce-side disk runs
 }
 
-// runDir lazily materializes one reduce attempt's scratch directory for
-// disk runs; nothing touches the filesystem until the first spill. It owns
-// every run made in it, so removeAll also drops the runs the last merge pass
-// wrote, which no later pass consumes.
+// runDir owns the run files one reduce attempt writes, so removeAll also
+// drops those the last merge pass wrote, which no later pass consumes.
 type runDir struct {
-	once sync.Once
-	dir  string
-	err  error
-
 	mu   sync.Mutex
 	runs []*diskRun
 }
 
-func (rd *runDir) create() (*os.File, error) {
-	rd.once.Do(func() { rd.dir, rd.err = os.MkdirTemp("", "mrmicro-reduce-merge-") })
-	if rd.err != nil {
-		return nil, fmt.Errorf("localrun: merge scratch dir: %w", rd.err)
-	}
-	return os.CreateTemp(rd.dir, "run-*.ifile")
-}
-
-// newRun records the run written to f as made in rd.
+// newRun records the run written to f as rd's.
 func (rd *runDir) newRun(f *os.File, lo, hi int, bytes int64, compressed bool) *diskRun {
 	run := &diskRun{lo: lo, hi: hi, f: f, bytes: bytes, compressed: compressed}
 	rd.mu.Lock()
@@ -79,9 +65,6 @@ func (rd *runDir) removeAll() {
 		run.drop()
 	}
 	rd.mu.Unlock()
-	if rd.dir != "" {
-		os.RemoveAll(rd.dir)
-	}
 }
 
 // diskRun is one sorted on-disk run covering the contiguous map-index range
@@ -218,7 +201,7 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 			compressed = true
 		}
 		t1 := time.Now()
-		run, err = writeRunFile(&ss.rdir, out, lo, hi, compressed)
+		run, err = writeRunFile(&ss.rdir, ss.tr.dir, out, lo, hi, compressed)
 		ss.tm.since(diskPass, t1)
 		out.Recycle()
 	}
@@ -245,8 +228,8 @@ func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 	ss.mu.Unlock()
 }
 
-func writeRunFile(rd *runDir, seg *kvbuf.Segment, lo, hi int, compressed bool) (*diskRun, error) {
-	f, err := rd.create()
+func writeRunFile(rd *runDir, dir string, seg *kvbuf.Segment, lo, hi int, compressed bool) (*diskRun, error) {
+	f, err := os.CreateTemp(dir, "mrmicro-run-*.ifile")
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +270,10 @@ func (ss *streamShuffle) boundedInputsLocked() ([]mergeInput, error) {
 }
 
 // releaseAll returns every buffer and disk artifact the copy phase still
-// owns: remaining pooled segments, and the scratch directory with every run
-// made in it. The reduce task calls it (via shuffleResult.cleanup) once the
-// reduce pass no longer references the merge inputs; Recycle and drop are
-// idempotent, so inputs consumed early by intermediate merge passes are
-// skipped naturally.
+// owns: remaining pooled segments, and every run file it made. The reduce
+// task calls it (via shuffleResult.cleanup) once the reduce pass no longer
+// references the merge inputs; Recycle and drop are idempotent, so inputs
+// consumed early by intermediate merge passes are skipped naturally.
 func (ss *streamShuffle) releaseAll() {
 	ss.mu.Lock()
 	for _, s := range ss.segs {
@@ -354,7 +336,7 @@ func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *ta
 			o.Close()
 		}
 	}()
-	f, err := rdir.create()
+	f, err := os.CreateTemp(tr.dir, "mrmicro-run-*.ifile")
 	if err != nil {
 		return mergeInput{}, err
 	}

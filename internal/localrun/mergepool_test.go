@@ -3,13 +3,17 @@ package localrun
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -52,7 +56,7 @@ func renderShuffleResult(t *testing.T, cmp writable.RawComparator, res *shuffleR
 // tear down — and the phase must close with every map fetched and every byte
 // accounted for in the memory+disk input set.
 func TestBoundedBackpressureCompletes(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,7 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 // phase — including copiers parked on pool admission — not just the
 // announcement wait.
 func TestBoundedShuffleAborts(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +149,7 @@ func TestBoundedShuffleAborts(t *testing.T) {
 // fan-ins 2, 3 and 10, plain and with codec + combiner: a pool spill or disk
 // pass that lets a later map's tie through first changes their bytes.
 func TestBoundedRunByteIdenticalAndMultiPass(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	type variant struct {
 		name   string
@@ -210,20 +215,13 @@ func TestBoundedRunByteIdenticalAndMultiPass(t *testing.T) {
 // TestBoundedRunReleasesEveryRunFile: a bounded reduce whose disk passes
 // leave runs for the final merge closes those runs' files when it ends, not
 // when the garbage collector finalises them. An unlinked run file held open
-// keeps its descriptor and its disk blocks.
+// keeps its descriptor and its disk blocks (leakcheck counts them).
 func TestBoundedRunReleasesEveryRunFile(t *testing.T) {
-	countFDs := func() int {
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("no per-process fd table to count: %v", err)
-		}
-		return len(fds)
-	}
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	job, _ := orderJob(text, 4, 2, false)
 	spillHeavyConf(job.Conf)
 	job.Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, 1)
-	before := countFDs()
 	res, err := Run(job, &Options{ParallelCopies: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -231,13 +229,71 @@ func TestBoundedRunReleasesEveryRunFile(t *testing.T) {
 	if res.ReduceMerge.DiskPasses == 0 {
 		t.Fatalf("stats %+v: want intermediate disk passes", res.ReduceMerge)
 	}
-	// Shuffle connections close as their goroutines see the server go.
-	after := countFDs()
-	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = countFDs() {
-		time.Sleep(10 * time.Millisecond)
+}
+
+// TestJobRootOwnsEveryScratchPath: a job makes one mrmicro-job-* root, and
+// the disk store's spill file and every reduce attempt's run files live in
+// it. While a map and a reduce run (disk store, 1-byte shuffle pool), TMPDIR
+// holds that root alone; the root goes when the job ends, however it ends:
+// cleanly, on exhausted attempts, or cancelled.
+func TestJobRootOwnsEveryScratchPath(t *testing.T) {
+	tmp := leakcheck.Check(t, 0)
+	inRoot := func(where string, runs bool) {
+		top, _ := filepath.Glob(filepath.Join(tmp, "*"))
+		if len(top) != 1 || !strings.HasPrefix(filepath.Base(top[0]), "mrmicro-job-") {
+			t.Errorf("%s: TMPDIR holds %v, want one mrmicro-job-* root", where, top)
+			return
+		}
+		spill, _ := filepath.Glob(filepath.Join(top[0], "mrmicro-shuffle-*.spill"))
+		run, _ := filepath.Glob(filepath.Join(top[0], "mrmicro-run-*.ifile"))
+		if len(spill) != 1 || runs != (len(run) > 0) {
+			t.Errorf("%s: the job root holds spill files %v and run files %v", where, spill, run)
+		}
 	}
-	if after > before {
-		t.Errorf("%d descriptors open after the run, %d before", after, before)
+	text, _ := corpus()
+	for _, tc := range []struct {
+		name   string
+		plan   *faultinject.Plan
+		cancel bool
+		want   error
+	}{
+		{name: "clean"},
+		{name: "exhausted", plan: &faultinject.Plan{ReduceFailures: map[int]int{0: 10}, MaxTaskAttempts: 2}, want: ErrAttemptsExhausted},
+		{name: "cancelled", cancel: true, want: context.Canceled},
+	} {
+		job, _ := orderJob(text, 4, 2, false)
+		spillHeavyConf(job.Conf)
+		job.Conf.SetInt(mapreduce.ConfShuffleInputBufBytes, 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		var mapped, reduced sync.Once
+		mapper, reducer := job.Mapper, job.Reducer
+		job.Mapper = func() mapreduce.Mapper {
+			m := mapper()
+			return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, rep mapreduce.Reporter) error {
+				mapped.Do(func() { inRoot(tc.name+" map", false) })
+				return m.Map(k, v, o, rep)
+			})
+		}
+		job.Reducer = func() mapreduce.Reducer {
+			r := reducer()
+			return mapreduce.ReducerFunc(func(k writable.Writable, vs mapreduce.ValueIterator, o mapreduce.Collector, rep mapreduce.Reporter) error {
+				reduced.Do(func() {
+					inRoot(tc.name+" reduce", true)
+					if tc.cancel {
+						cancel()
+					}
+				})
+				return r.Reduce(k, vs, o, rep)
+			})
+		}
+		_, err := RunContext(ctx, job, &Options{DiskShuffle: true, ParallelCopies: 1, Faults: tc.plan, FetchBackoff: fastBackoff()})
+		cancel()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) > 0 {
+			t.Errorf("%s: left %v", tc.name, left)
+		}
 	}
 }
 
@@ -245,6 +301,7 @@ func TestBoundedRunReleasesEveryRunFile(t *testing.T) {
 // compressed map output (spill runs stored compressed) and combiners, still
 // byte-identical to the unbounded run of the same job.
 func TestBoundedRunCompressedAndCombiner(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	base, baseOut := wordCountJob(text, 6, 2, true)
 	base.Conf.Set(mapreduce.ConfCompressMapOut, "true")

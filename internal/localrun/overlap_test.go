@@ -13,6 +13,7 @@ import (
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/inputformat"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -115,6 +116,7 @@ func TestSecondAnnounceRejected(t *testing.T) {
 // remaining maps, with or without a reduce phase. A plan bound of one
 // attempt makes the first failure the job's.
 func TestSchedulerFastFail(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	t.Run("with reduces", func(t *testing.T) {
 		job, _ := wordCountJob(text, 16, 2, false)
@@ -209,6 +211,7 @@ func overlapJob(text string, maps, reduces int) (*mapreduce.Job, *mapreduce.Memo
 // overlapped schedule must be invisible in the output bytes at every
 // slowstart setting.
 func TestByteIdenticalAcrossSlowstart(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
 	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
@@ -236,6 +239,7 @@ func TestByteIdenticalAcrossSlowstart(t *testing.T) {
 // announced, so reducers only ever fetch the attempt that committed, and a
 // failed reduce attempt re-fetches everything.
 func TestByteIdenticalUnderFaults(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	barrier, barrierOut := overlapJob(text, 8, 3)
 	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
@@ -270,6 +274,7 @@ func TestByteIdenticalUnderFaults(t *testing.T) {
 // attempt is announced, so nothing is fetched twice — on either serving
 // store, with or without the bounded merge pool.
 func TestEachPartitionServedOnce(t *testing.T) {
+	leakcheck.Check(t, 0)
 	const maps, reduces = 8, 3
 	text, _ := corpus()
 	for _, disk := range []bool{false, true} {
@@ -303,6 +308,7 @@ func TestEachPartitionServedOnce(t *testing.T) {
 // early slow-start, reducers must run concurrently with later map waves and
 // the phase split must record it.
 func TestOverlapWindowMeasured(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, want := corpus()
 	job, out := wordCountJob(text, 4, 2, false)
 	slow := job.Mapper
@@ -352,7 +358,7 @@ func registerWordSegment(t *testing.T, s *shuffleServer, mapIdx int, key, val st
 // map order — nothing collapsed, nothing reordered — whatever order the two
 // copiers' fetches landed in.
 func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +398,7 @@ func TestUnboundedCopyPhaseReturnsEveryMapInOrder(t *testing.T) {
 // TestStreamShuffleAborts: a reducer waiting on announcements that will
 // never come must unblock when the job's context ends.
 func TestStreamShuffleAborts(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

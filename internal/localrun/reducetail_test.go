@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -466,6 +467,7 @@ func growingReducer(grown *int) mapreduce.Reducer {
 // one that advanced the merge before returning the value would hand the
 // reducer the next record's bytes.
 func TestValueViewsHoldOverDiskRuns(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	barrier, barrierOut := viewJob(text, 8, 3, mapreduce.IdentityReducer{})
 	if _, err := Run(slowstart(barrier, 1.0), nil); err != nil {
@@ -492,6 +494,7 @@ func TestValueViewsHoldOverDiskRuns(t *testing.T) {
 // value's Data, in memory and over disk runs, leaves the job's output
 // byte-identical to the identity reducer's.
 func TestGrowingAViewLeavesOutputIntact(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	ident, identOut := viewJob(text, 6, 2, mapreduce.IdentityReducer{})
 	if _, err := Run(ident, nil); err != nil {

@@ -3,6 +3,7 @@ package localrun
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -111,6 +112,10 @@ type TaskRunner struct {
 
 	backoff faultinject.Backoff
 	plan    *faultinject.Plan
+
+	// dir is the job's scratch root, where the disk store's spill file and
+	// every reduce attempt's run files are made; "" is the process temp dir.
+	dir string
 
 	// total sums every winning attempt's breakdown; a pointer, so the
 	// attempts of the copies withPlan makes count toward it too.
@@ -227,6 +232,13 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 	}
 	numMaps, numReduces := len(tr.splits), tr.numReduces
 
+	// One scratch root per job, Hadoop's jobcache/<jobid>: it goes however
+	// the job ends, after the server (deferred below) closes its spill file.
+	if tr.dir, err = os.MkdirTemp("", "mrmicro-job-"); err != nil {
+		return nil, fmt.Errorf("localrun: job scratch root: %w", err)
+	}
+	defer os.RemoveAll(tr.dir)
+
 	// A map-only job commits each map's output straight to the output
 	// format: no shuffle server, no reduce dispatch. Every other job's maps
 	// register their partitions with the server, and the board names it.
@@ -237,7 +249,7 @@ func RunContext(ctx context.Context, job *mapreduce.Job, opts *Options) (*Result
 			return nil, &mapreduce.JobError{Msg: "localrun: map-only job needs an Output"}
 		}
 	} else {
-		if server, err = newShuffleServer(opts.DiskShuffle); err != nil {
+		if server, err = newShuffleServer(opts.DiskShuffle, tr.dir); err != nil {
 			return nil, err
 		}
 		defer server.Close()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mrmicro/internal/faultinject"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -119,6 +120,7 @@ func collectCounts(t *testing.T, out *mapreduce.MemoryOutput, reduces int) map[s
 }
 
 func TestWordCountEndToEnd(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, want := corpus()
 	job, out := wordCountJob(text, 4, 3, false)
 	res, err := Run(job, nil)
@@ -140,6 +142,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 }
 
 func TestWordCountWithCombiner(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, want := corpus()
 	job, out := wordCountJob(text, 4, 2, true)
 	res, err := Run(job, nil)
@@ -163,6 +166,7 @@ func TestWordCountWithCombiner(t *testing.T) {
 }
 
 func TestCounterInvariants(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	job, _ := wordCountJob(text, 3, 2, false)
 	res, err := Run(job, nil)
@@ -191,6 +195,7 @@ func TestCounterInvariants(t *testing.T) {
 }
 
 func TestMultipleSpillsPerMap(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// A 1 MiB sort buffer with >1 MiB of map output forces several spills,
 	// exercising the per-partition final merge.
 	var pairs []mapreduce.Pair
@@ -251,6 +256,7 @@ func TestMultipleSpillsPerMap(t *testing.T) {
 }
 
 func TestReduceOutputSortedWithinPartition(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	job, out := wordCountJob(text, 2, 2, false)
 	if _, err := Run(job, nil); err != nil {
@@ -268,6 +274,7 @@ func TestReduceOutputSortedWithinPartition(t *testing.T) {
 }
 
 func TestCustomPartitionerRouting(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// Route everything to partition 1; partition 0 must stay empty.
 	var pairs []mapreduce.Pair
 	for i := 0; i < 50; i++ {
@@ -315,6 +322,7 @@ func TestCustomPartitionerRouting(t *testing.T) {
 }
 
 func TestMapOnlyJob(t *testing.T) {
+	leakcheck.Check(t, 0)
 	var pairs []mapreduce.Pair
 	for i := 0; i < 10; i++ {
 		pairs = append(pairs, mapreduce.Pair{
@@ -350,6 +358,7 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestMapErrorPropagates(t *testing.T) {
+	leakcheck.Check(t, 0)
 	job, _ := wordCountJob("a b c\n", 1, 1, false)
 	job.Mapper = func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(_, _ writable.Writable, _ mapreduce.Collector, _ mapreduce.Reporter) error {
@@ -362,6 +371,7 @@ func TestMapErrorPropagates(t *testing.T) {
 }
 
 func TestReduceErrorPropagates(t *testing.T) {
+	leakcheck.Check(t, 0)
 	job, _ := wordCountJob("a b c\n", 1, 1, false)
 	job.Reducer = func() mapreduce.Reducer {
 		return mapreduce.ReducerFunc(func(_ writable.Writable, _ mapreduce.ValueIterator, _ mapreduce.Collector, _ mapreduce.Reporter) error {
@@ -374,6 +384,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 }
 
 func TestDeterministicOutput(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, _ := corpus()
 	run := func() string {
 		job, out := wordCountJob(text, 4, 3, true)
@@ -394,7 +405,7 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestShuffleServerMissingSegment(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,6 +420,7 @@ func TestShuffleServerMissingSegment(t *testing.T) {
 }
 
 func TestEmptyInputRejected(t *testing.T) {
+	leakcheck.Check(t, 0)
 	job, _ := wordCountJob("x\n", 1, 1, false)
 	job.Input = &mapreduce.SliceInput{}
 	job.Conf.SetInt(mapreduce.ConfNumMaps, 0)
@@ -428,6 +440,7 @@ func BenchmarkLocalWordCount(b *testing.B) {
 }
 
 func TestCompressedShuffleSameResults(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text, want := corpus()
 	plain, outP := wordCountJob(text, 3, 2, false)
 	resP, err := Run(plain, nil)
@@ -457,6 +470,7 @@ func TestCompressedShuffleSameResults(t *testing.T) {
 }
 
 func TestIdentityComponents(t *testing.T) {
+	leakcheck.Check(t, 0)
 	var pairs []mapreduce.Pair
 	for i := 0; i < 20; i++ {
 		pairs = append(pairs, mapreduce.Pair{

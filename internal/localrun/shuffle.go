@@ -52,10 +52,11 @@ type shuffleServer struct {
 	wg     sync.WaitGroup
 }
 
-func newShuffleServer(diskBacked bool) (*shuffleServer, error) {
+// newShuffleServer starts a server; a disk-backed one spills into dir.
+func newShuffleServer(diskBacked bool, dir string) (*shuffleServer, error) {
 	var store segmentStore = &memStore{segs: make(map[segKey]*kvbuf.Segment)}
 	if diskBacked {
-		d, err := newDiskStore()
+		d, err := newDiskStore(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -538,7 +539,7 @@ type streamShuffle struct {
 	// segment byte (including bytes held by an in-flight spill merge),
 	// admitWaiters counts copiers blocked on admission, spilling serializes
 	// background spills (mergeWG waits for the one in flight), runs are the
-	// recorded on-disk runs, and rdir lazily owns their scratch directory.
+	// recorded on-disk runs, and rdir owns every run file made.
 	poolUsed     int64
 	admitWaiters int
 	spilling     bool

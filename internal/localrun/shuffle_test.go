@@ -63,7 +63,7 @@ func slowstart(job *mapreduce.Job, frac float64) *mapreduce.Job {
 // contract: a miss answers one pipelined request and the connection keeps
 // serving the ones behind it.
 func TestMissingSegmentKeepsConnectionAlive(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMissingSegmentKeepsConnectionAlive(t *testing.T) {
 // TestCopyPhasePipelined drives the production copy path: many maps over few
 // persistent connections, every segment verified while streaming.
 func TestCopyPhasePipelined(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCopyPhasePipelined(t *testing.T) {
 // TestCopyPhaseMissingFailsFast: one unregistered map among many must fail
 // permanently (no backoff stalls) while the rest still fetch.
 func TestCopyPhaseMissingFailsFast(t *testing.T) {
-	s, err := newShuffleServer(false)
+	s, err := newShuffleServer(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestBitFlippedPayloadRejectedAtFetch(t *testing.T) {
 func TestMultiPeerCopyPhase(t *testing.T) {
 	const maps = 10
 	newServer := func() *shuffleServer {
-		s, err := newShuffleServer(false)
+		s, err := newShuffleServer(false, "")
 		if err != nil {
 			t.Fatal(err)
 		}

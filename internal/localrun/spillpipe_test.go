@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
 	"mrmicro/internal/writable"
@@ -54,6 +55,7 @@ func spillCorpus() string {
 // that keeps ties in run order makes them agree. Run under -race this doubles
 // as the concurrency witness for the buffer ring and segment pools.
 func TestAsyncSpillByteIdenticalToSync(t *testing.T) {
+	leakcheck.Check(t, 0)
 	type spillCase struct {
 		name     string
 		combiner bool
@@ -140,6 +142,7 @@ func TestAsyncSpillByteIdenticalToSync(t *testing.T) {
 // work lands on the background spiller, the premerge fires under a tiny merge
 // factor, and the derived overlap window is self-consistent.
 func TestSpillStatsAccounted(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text := spillCorpus()
 	job, _ := wordCountJob(text, 2, 2, false)
 	spillHeavyConf(job.Conf)
@@ -169,6 +172,7 @@ func TestSpillStatsAccounted(t *testing.T) {
 // the mrbench speedup math relies on: inline sealing charges every spill as
 // both collector stall and spill work, so Overlapped() reports zero.
 func TestSyncSpillStatsStallEqualsWork(t *testing.T) {
+	leakcheck.Check(t, 0)
 	text := spillCorpus()
 	job, _ := wordCountJob(text, 2, 2, false)
 	spillHeavyConf(job.Conf)
@@ -222,6 +226,7 @@ func (s *stampingCollector) Collect(k, v writable.Writable) error {
 // a strict barrier. Under -race, a refill writing a chunk while a merge or a
 // serve reads it is a reported race.
 func TestHandedOverChunksOutliveTheBuffer(t *testing.T) {
+	leakcheck.Check(t, 0)
 	for _, tc := range []struct {
 		name         string
 		sortMB       int
@@ -300,6 +305,7 @@ func (c *countingCodec) NewReader(r io.Reader) io.ReadCloser {
 // order-revealing job with a combiner spills many times per map in both
 // spill modes; its output and record counters must be the codec-off run's.
 func TestMapOutputCompressedOnce(t *testing.T) {
+	leakcheck.Check(t, 0)
 	const maps, reduces = 3, 2
 	text := spillCorpus()
 	for _, syncSpill := range []bool{false, true} {
@@ -327,7 +333,7 @@ func TestMapOutputCompressedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			server, err := newShuffleServer(false)
+			server, err := newShuffleServer(false, "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -129,8 +129,9 @@ type diskSeg struct {
 	n   int64
 }
 
-func newDiskStore() (*diskStore, error) {
-	f, err := os.CreateTemp("", "mrmicro-shuffle-*.spill")
+// newDiskStore makes the spill file in dir ("": the process temp dir).
+func newDiskStore(dir string) (*diskStore, error) {
+	f, err := os.CreateTemp(dir, "mrmicro-shuffle-*.spill")
 	if err != nil {
 		return nil, fmt.Errorf("localrun: shuffle spill file: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -40,6 +41,7 @@ func runCountsAndStats(t *testing.T, reduces int, opts *Options, compress bool) 
 // read-then-write double copy in the server would leave served bytes
 // unaccounted by both counters.
 func TestDiskShuffleEndToEnd(t *testing.T) {
+	leakcheck.Check(t, 0)
 	memGot, memRes, memStats := runCountsAndStats(t, 3, nil, false)
 	diskGot, diskRes, diskStats := runCountsAndStats(t, 3, &Options{DiskShuffle: true}, false)
 
@@ -80,6 +82,7 @@ func TestDiskShuffleEndToEnd(t *testing.T) {
 // compressed segments land in the spill file and still leave via sendfile,
 // and the reducers decode the same counts.
 func TestDiskShuffleCompressedEndToEnd(t *testing.T) {
+	leakcheck.Check(t, 0)
 	plainGot, _, _ := runCountsAndStats(t, 2, nil, false)
 	got, res, stats := runCountsAndStats(t, 2, &Options{DiskShuffle: true}, true)
 	for w, n := range plainGot {
@@ -130,7 +133,7 @@ func TestStoreContract(t *testing.T) {
 	}
 	for name, disk := range map[string]bool{"memory": false, "disk": true} {
 		t.Run(name, func(t *testing.T) {
-			srv, err := newShuffleServer(disk)
+			srv, err := newShuffleServer(disk, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +247,7 @@ func TestMemStoreSendAllocatesNothing(t *testing.T) {
 // writev from the retained buffer (memory store) or sendfile from the spill
 // file (disk store).
 func benchmarkServePath(b *testing.B, disk bool) {
-	srv, err := newShuffleServer(disk)
+	srv, err := newShuffleServer(disk, "")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -159,6 +160,7 @@ func TestWithPlanResolvesFetchAttempts(t *testing.T) {
 // Run and NewTaskRunner alike, returned before a single task is built — not a
 // panic inside a map goroutine, not "failed after N attempts".
 func TestBadConfFailsBeforeAnyTask(t *testing.T) {
+	leakcheck.Check(t, 0)
 	for _, tc := range []struct{ key, value string }{
 		{mapreduce.ConfIOSortMB, "abc"},
 		{mapreduce.ConfIOSortMB, "0"},

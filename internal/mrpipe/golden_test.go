@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mrmicro/internal/inputformat"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/microbench"
 )
 
@@ -37,6 +38,7 @@ var hsDigestShapes = []struct {
 // prints the sum of the row digests, and those are XXH64 now too. dirdigest
 // is today's DirDigest, which RunHS reports.
 func TestHSDigestsGolden(t *testing.T) {
+	leakcheck.Check(t, 0)
 	const golden = "testdata/hs_digests.golden"
 	var buf bytes.Buffer
 	for _, shape := range hsDigestShapes {

@@ -11,6 +11,7 @@ import (
 	"mrmicro/internal/distrun"
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/inputformat"
+	"mrmicro/internal/leakcheck"
 	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/microbench"
@@ -98,6 +99,7 @@ func concatParts(t *testing.T, dir string) string {
 // tiny split size forces records to straddle split boundaries, so the
 // chunk-spanning reader is on the critical path of every assertion.
 func TestWorkloadsGoldenLocalAndDist(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	for _, w := range []string{apps.WordCount, apps.Grep, apps.InvIndex} {
 		t.Run(w, func(t *testing.T) {
 			cfg := microbench.Config{
@@ -143,6 +145,7 @@ func TestWorkloadsGoldenLocalAndDist(t *testing.T) {
 // one reduce task, where output is spread across parts by the hash
 // partitioner (digests compare per-reduce streams, not a global sort).
 func TestWordCountMultiReduceDist(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	cfg := microbench.Config{
 		Workload:   apps.WordCount,
 		InputSpec:  "dir:" + corpusDir(t),
@@ -180,6 +183,7 @@ func validateVerdict(t *testing.T, results []StageResult) string {
 // and checks the validator's verdict accounts for every generated row, and
 // that the sampled cut points spread the rows over the sort's reducers.
 func TestHSPipelineLocal(t *testing.T) {
+	leakcheck.Check(t, 0)
 	const rows = 120
 	base := microbench.Config{NumMaps: 3, PairsPerMap: rows / 3, NumReduces: 3, Seed: 7, SplitSize: 256}
 	results, err := RunHS(base, t.TempDir(), nil)
@@ -223,6 +227,7 @@ func TestHSPipelineLocal(t *testing.T) {
 // sort, and recovery must leave HSValidate passing and the sorted output
 // byte-identical to a clean run's.
 func TestHSPipelineUnderFaults(t *testing.T) {
+	leakcheck.Check(t, 0)
 	base := microbench.Config{NumMaps: 3, PairsPerMap: 200, NumReduces: 3, Seed: 7}
 	clean, err := RunHS(base, t.TempDir(), nil)
 	if err != nil {
@@ -263,6 +268,7 @@ func TestHSPipelineUnderFaults(t *testing.T) {
 // exactly the bytes the generator defines; (a)=(b) proves the distributed
 // runtime sorts them identically.
 func TestHSPipelineDistMatchesLocalAndMaterialized(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
 	base := microbench.Config{NumMaps: 3, PairsPerMap: 40, NumReduces: 3, Seed: 11, SplitSize: 256}
 
 	local, err := RunHS(base, t.TempDir(), nil)
@@ -324,6 +330,7 @@ func corruptedSort(t *testing.T) Stage {
 // TestPipelineFailsOnCorruptedSort proves HSValidate is a real checker: a
 // sorted directory with one corrupted row must fail the validate job.
 func TestPipelineFailsOnCorruptedSort(t *testing.T) {
+	leakcheck.Check(t, 0)
 	validate := corruptedSort(t)
 	_, err := RunStages([]Stage{validate}, t.TempDir(), &Options{})
 	if err == nil || !strings.Contains(err.Error(), "hsvalidate") {
@@ -338,16 +345,7 @@ func TestPipelineFailsOnCorruptedSort(t *testing.T) {
 // part, in its output directory; so does the map-only job under a fault
 // plan, where every map's two attempts fail.
 func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
-	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
-		t.Skip("needs /proc/self/fd")
-	}
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ents)
-	}
+	leakcheck.Check(t, 0)
 	validate := corruptedSort(t)
 	for _, tc := range []struct {
 		name string
@@ -370,30 +368,20 @@ func TestFailedJobLeavesNoWriterBehind(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Run twice and measure the second: the first also opens what
-			// the runtime opens once per process (the network poller).
-			for run := 0; run < 2; run++ {
-				outDir := filepath.Join(t.TempDir(), "out")
-				if err := os.MkdirAll(outDir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				before := openFDs()
-				if err := tc.run(outDir); err == nil {
-					t.Fatal("job succeeded")
-				}
-				if run == 0 {
-					continue
-				}
-				if after := openFDs(); after != before {
-					t.Errorf("%d file descriptors open after the failed job, %d before", after, before)
-				}
-				left, err := os.ReadDir(outDir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range left {
-					t.Errorf("failed job left %s in its output directory", e.Name())
-				}
+			outDir := filepath.Join(t.TempDir(), "out")
+			if err := os.MkdirAll(outDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			leakcheck.Check(t, 0)
+			if err := tc.run(outDir); err == nil {
+				t.Fatal("job succeeded")
+			}
+			left, err := os.ReadDir(outDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range left {
+				t.Errorf("failed job left %s in its output directory", e.Name())
 			}
 		})
 	}
@@ -427,6 +415,7 @@ func runFailingMapOnly(outDir string, opts *localrun.Options) error {
 // the next stage does; when a later stage fails, RunStages still returns
 // only after the completed stages' digests are in.
 func TestFailedPipelineJoinsDigests(t *testing.T) {
+	leakcheck.Check(t, 0)
 	stages, err := HSPipeline(microbench.Config{NumMaps: 2, PairsPerMap: 30, NumReduces: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +443,7 @@ func TestFailedPipelineJoinsDigests(t *testing.T) {
 // stage 1, already running on the same directory, fails too. The pipeline
 // reports both, not just the digest's I/O error.
 func TestDigestFailureKeepsLaterStageError(t *testing.T) {
+	leakcheck.Check(t, 0)
 	stages, err := HSPipeline(microbench.Config{NumMaps: 2, PairsPerMap: 30, NumReduces: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
