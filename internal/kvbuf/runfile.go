@@ -188,6 +188,10 @@ func (m *SourceMerger) Prefix() uint64 { return m.entries[0].prefix }
 // to the previous record's key group whatever the grouping order.
 func (m *SourceMerger) Repeat() bool { return m.repeat }
 
+// Comparisons returns the key comparisons the merge has made so far, counted
+// as MergeSources counts them.
+func (m *SourceMerger) Comparisons() int64 { return m.comps }
+
 // MergeSources drains a SourceMerger through emit, returning the number of
 // key comparisons performed.
 func MergeSources(order writable.KeyOrder, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {

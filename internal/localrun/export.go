@@ -161,5 +161,5 @@ func (tr *TaskRunner) RunReduce(r, attempt int, parts []*kvbuf.Segment, plan *fa
 		aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
 		return ctrs, faultinject.Errorf("localrun: %s aborted after shuffle", aid)
 	}
-	return ctrs, tr.reduceOverParts(r, parts, ctrs, rep)
+	return ctrs, tr.reduceOverParts(r, parts, &tally{}, ctrs, rep)
 }

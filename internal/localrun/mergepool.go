@@ -41,6 +41,10 @@ type ReduceMergeStats struct {
 	DiskPasses     int64 // intermediate disk merge passes (each writes one run)
 	SpilledRecords int64 // records written to reduce-side disk runs
 	SpilledBytes   int64 // bytes written to reduce-side disk runs
+
+	// MergeComparisons counts the key comparisons of every reduce-side
+	// merge: pool spills, disk passes and the final merge (SourceMerger).
+	MergeComparisons int64
 }
 
 // runDir owns the run files one reduce attempt writes, so removeAll also
@@ -184,8 +188,9 @@ func (ss *streamShuffle) pickSpillRangeLocked() (lo, hi int) {
 func (ss *streamShuffle) spillRun(lo, hi int, members []*kvbuf.Segment) {
 	defer ss.mergeWG.Done()
 	t0 := time.Now()
-	merged, _, err := kvbuf.MergeAll(ss.tr.order, members, ss.tr.factor, 0)
+	merged, comps, err := kvbuf.MergeAll(ss.tr.order, members, ss.tr.factor, 0)
 	ss.tm.since(memMerge, t0)
+	ss.tm.add(reduceMergeComps, comps)
 	var (
 		run     *diskRun
 		records int64
@@ -341,7 +346,9 @@ func (tr *TaskRunner) mergeRunGroup(r int, in []mergeInput, rdir *runDir, tm *ta
 		return mergeInput{}, err
 	}
 	sw := kvbuf.NewStreamWriter(f)
-	if _, err := kvbuf.MergeSources(tr.order, srcs, sw.Append); err != nil {
+	comps, err := kvbuf.MergeSources(tr.order, srcs, sw.Append)
+	tm.add(reduceMergeComps, comps)
+	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return mergeInput{}, fmt.Errorf("localrun: reduce %d disk merge maps [%d,%d): %w", r, in[0].lo, in[len(in)-1].hi, err)
@@ -387,5 +394,5 @@ func (tr *TaskRunner) reduceOverInputs(r int, inputs []mergeInput, rdir *runDir,
 			o.Close()
 		}
 	}()
-	return tr.reduceSources(r, srcs, ctrs, rep)
+	return tr.reduceSources(r, srcs, tm, ctrs, rep)
 }

@@ -128,6 +128,7 @@ func (it *mergedValueIter) endGroup() error {
 // reports a failed pass's work too.
 type groupTally struct {
 	groups, in, out int64
+	comps           int64 // key comparisons the pass's merge made
 }
 
 // addTask folds a task-local tally into a task counter, leaving counters the
@@ -155,7 +156,7 @@ func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
-	defer func() { t.in = it.records }()
+	defer func() { t.in, t.comps = it.records, merger.Comparisons() }()
 	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
 		t.out++
 		return emit(k, v)
@@ -182,9 +183,10 @@ func (tr *TaskRunner) runGroups(srcs []kvbuf.RecordSource, red mapreduce.Reducer
 // over srcs streams straight into the reducer, whose output goes to the
 // job's Output for partition r. A failed pass aborts the writer, so the
 // attempt leaves no open file and no partial part behind.
-func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, tm *tally, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	var t groupTally
 	defer func() {
+		tm.add(reduceMergeComps, t.comps)
 		addTask(ctrs, mapreduce.CtrReduceInputGroups, t.groups)
 		addTask(ctrs, mapreduce.CtrReduceInputRecords, t.in)
 		addTask(ctrs, mapreduce.CtrReduceOutputRecords, t.out)
@@ -205,18 +207,19 @@ func (tr *TaskRunner) reduceSources(r int, srcs []kvbuf.RecordSource, ctrs *mapr
 // one per map in map order: a single wide in-memory merge whose equal keys
 // tie-break by map index. It is shared between the unbounded copy phase and
 // RunReduce's staged replay, so both emit byte-identical output.
-func (tr *TaskRunner) reduceOverParts(r int, parts []*kvbuf.Segment, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
+func (tr *TaskRunner) reduceOverParts(r int, parts []*kvbuf.Segment, tm *tally, ctrs *mapreduce.Counters, rep mapreduce.Reporter) error {
 	srcs := make([]kvbuf.RecordSource, len(parts))
 	for i, p := range parts {
 		srcs[i] = p.NewReader()
 	}
-	return tr.reduceSources(r, srcs, ctrs, rep)
+	return tr.reduceSources(r, srcs, tm, ctrs, rep)
 }
 
 // combineSegment runs the job's combiner over one sorted segment.
-func (tr *TaskRunner) combineSegment(seg *kvbuf.Segment, ctrs *mapreduce.Counters) (*kvbuf.Segment, error) {
+func (tr *TaskRunner) combineSegment(seg *kvbuf.Segment, ctrs *mapreduce.Counters, tm *tally) (*kvbuf.Segment, error) {
 	var t groupTally
 	defer func() {
+		tm.add(mapMergeComps, t.comps)
 		addTask(ctrs, mapreduce.CtrCombineInputRecords, t.in)
 		addTask(ctrs, mapreduce.CtrCombineOutputRecs, t.out)
 	}()

@@ -77,7 +77,7 @@ func TestReduceTailRejectsMisSortedSegment(t *testing.T) {
 
 	job, _ := tailJob(ident)
 	ctrs := mapreduce.NewCounters()
-	check("parts", tailRunner(job, 2, 10).reduceOverParts(3, build(), ctrs, mapreduce.NullReporter{}))
+	check("parts", tailRunner(job, 2, 10).reduceOverParts(3, build(), &tally{}, ctrs, mapreduce.NullReporter{}))
 	// The deferred tally reports what the failed pass consumed before it
 	// tripped: a1 c2 | b3 d4 merge to a b c d, then "a" again.
 	if got := ctrs.Task(mapreduce.CtrReduceInputRecords); got != 4 {
@@ -117,7 +117,7 @@ func TestReduceTailPrefixChecks(t *testing.T) {
 				}
 			}
 			job, _ := tailJob(mapreduce.IdentityReducer{})
-			err := runner(job, 2).reduceOverParts(0, build(), mapreduce.NewCounters(), mapreduce.NullReporter{})
+			err := runner(job, 2).reduceOverParts(0, build(), &tally{}, mapreduce.NewCounters(), mapreduce.NullReporter{})
 			if err == nil || !strings.Contains(err.Error(), "out of order") {
 				t.Errorf("keyed=%v %s: parts tail err %v, want out of order", keyed, name, err)
 			}
@@ -141,7 +141,7 @@ func TestReduceTailPrefixChecks(t *testing.T) {
 			textSegment([2]string{"tie8key", "8"}, [2]string{"tie8key-b", "9"}),
 		}
 		ctrs := mapreduce.NewCounters()
-		if err := runner(job, len(parts)).reduceOverParts(0, parts, ctrs, mapreduce.NullReporter{}); err != nil {
+		if err := runner(job, len(parts)).reduceOverParts(0, parts, &tally{}, ctrs, mapreduce.NullReporter{}); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := renderPairs(out, 0), "tie8key=1\ntie8key-a=3\ntie8key-b=4\ntie8key-c=1\n"; got != want {
@@ -180,7 +180,7 @@ func TestReduceTailCountsUnreadValues(t *testing.T) {
 			textSegment([2]string{"a", "5"}, [2]string{"c", "6"}, [2]string{"c", "7"}, [2]string{"c", "8"}),
 		}
 		ctrs := mapreduce.NewCounters()
-		if err := tailRunner(job, 2, 10).reduceOverParts(0, parts, ctrs, mapreduce.NullReporter{}); err != nil {
+		if err := tailRunner(job, 2, 10).reduceOverParts(0, parts, &tally{}, ctrs, mapreduce.NullReporter{}); err != nil {
 			t.Fatal(err)
 		}
 		for name, want := range map[string]int64{
@@ -226,7 +226,7 @@ func TestReduceTailsAgree(t *testing.T) {
 
 	job, out := tailJob(ident)
 	wantCtrs := mapreduce.NewCounters()
-	if err := tailRunner(job, maps, 10).reduceOverParts(1, build(), wantCtrs, mapreduce.NullReporter{}); err != nil {
+	if err := tailRunner(job, maps, 10).reduceOverParts(1, build(), &tally{}, wantCtrs, mapreduce.NullReporter{}); err != nil {
 		t.Fatal(err)
 	}
 	want := renderPairs(out, 1)

@@ -517,8 +517,9 @@ func (mc *mapCollector) spill() error {
 	// Synchronous mode: the whole seal path runs inline on the mapper
 	// goroutine, so the spill's duration is both work and stall.
 	t0 := time.Now()
-	segs, _ := mc.buf.Spill()
-	err := mc.tr.sealSegments(segs, mc.ctrs)
+	segs, comps := mc.buf.Spill()
+	mc.tm.add(sortComps, comps)
+	err := mc.tr.sealSegments(segs, mc.ctrs, mc.tm)
 	d := time.Since(t0)
 	mc.tm.add(spillWork, int64(d))
 	mc.tm.add(collectStall, int64(d))
@@ -638,11 +639,11 @@ func (tr *TaskRunner) runMapTask(aid mapreduce.TaskAttemptID, server *shuffleSer
 		if single {
 			final = runs[0].segs[p]
 		} else {
-			if final, err = tr.mergePartition(runs, p); err != nil {
+			if final, err = tr.mergePartition(runs, p, tm); err != nil {
 				return ctrs, fmt.Errorf("localrun: map %d final merge: %w", idx, err)
 			}
 			if job.Combiner != nil && final.Records() > 0 {
-				combined, err := tr.combineSegment(final, ctrs)
+				combined, err := tr.combineSegment(final, ctrs, tm)
 				if err != nil {
 					return ctrs, fmt.Errorf("localrun: map %d merge combine: %w", idx, err)
 				}
@@ -713,7 +714,7 @@ func (tr *TaskRunner) runReduceTask(ctx context.Context, aid mapreduce.TaskAttem
 		err = tr.reduceOverInputs(r, sres.inputs, &ss.rdir, tm, ctrs, rep)
 	} else {
 		t0 := time.Now()
-		err = tr.reduceOverParts(r, sres.parts, ctrs, rep)
+		err = tr.reduceOverParts(r, sres.parts, tm, ctrs, rep)
 		tm.since(reduceFinalMerge, t0)
 	}
 	if err != nil {

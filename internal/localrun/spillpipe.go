@@ -48,6 +48,13 @@ type MapSpillStats struct {
 	Spills        int64 // spills produced
 	AsyncSpills   int64 // spills sealed on the background spiller
 	PremergedRuns int64 // raw runs consumed by background premerges
+
+	// Key comparisons, as kvbuf counts them: those the spills' sorts made
+	// (SortBuffer.Spill), and those the premerges, final merges and
+	// combiner passes made (SourceMerger). Both are fixed by the records
+	// and the spill boundaries, not by the schedule.
+	SortComparisons  int64
+	MergeComparisons int64
 }
 
 // Overlapped estimates the seal+premerge work hidden under collection: the
@@ -132,9 +139,10 @@ func (sp *spillPipeline) worker() {
 			continue
 		}
 		t0 := time.Now()
-		segs, _ := buf.Spill()
+		segs, comps := buf.Spill()
 		sp.ring.Put(buf)
-		err := sp.tr.sealSegments(segs, sp.wctrs)
+		sp.tm.add(sortComps, comps)
+		err := sp.tr.sealSegments(segs, sp.wctrs, sp.tm)
 		sp.tm.since(spillWork, t0)
 		sp.tm.add(asyncSpills, 1)
 		if err != nil {
@@ -164,7 +172,7 @@ func (sp *spillPipeline) maybePremerge() error {
 	}
 	t0 := time.Now()
 	tail := sp.runs[len(sp.runs)-n:]
-	block, err := sp.tr.premergeRuns(tail)
+	block, err := sp.tr.premergeRuns(tail, sp.tm)
 	if err != nil {
 		return err
 	}
@@ -177,10 +185,10 @@ func (sp *spillPipeline) maybePremerge() error {
 // premergeRuns merges a contiguous range of raw spill runs into one block,
 // partition by partition. No combine: the final pass runs the combiner once
 // over the fully merged output, exactly like the synchronous multi-spill path.
-func (tr *TaskRunner) premergeRuns(runs []mapRun) (mapRun, error) {
+func (tr *TaskRunner) premergeRuns(runs []mapRun, tm *tally) (mapRun, error) {
 	out := make([]*kvbuf.Segment, len(runs[0].segs))
 	for p := range out {
-		merged, err := tr.mergePartition(runs, p)
+		merged, err := tr.mergePartition(runs, p, tm)
 		if err != nil {
 			recycleSegs(out)
 			return mapRun{}, err
@@ -194,12 +202,13 @@ func (tr *TaskRunner) premergeRuns(runs []mapRun) (mapRun, error) {
 // segment, the step the background premerge and the mapper's final merge
 // share: kvbuf.MergeAll merges them with positional tie-breaks, and the
 // runs' partition buffers are recycled once their bytes live in the result.
-func (tr *TaskRunner) mergePartition(runs []mapRun, p int) (*kvbuf.Segment, error) {
+func (tr *TaskRunner) mergePartition(runs []mapRun, p int, tm *tally) (*kvbuf.Segment, error) {
 	parts := make([]*kvbuf.Segment, len(runs))
 	for i, run := range runs {
 		parts[i] = run.segs[p]
 	}
-	merged, _, err := kvbuf.MergeAll(tr.order, parts, tr.factor, 0)
+	merged, comps, err := kvbuf.MergeAll(tr.order, parts, tr.factor, 0)
+	tm.add(mapMergeComps, comps)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +253,7 @@ var errPipelineAborted = &mapreduce.JobError{Msg: "localrun: spill pipeline abor
 // sealSegments applies the per-spill seal path — the combiner — to one
 // spill's partition segments in place, the same transformation (same
 // order, same counter increments) as the synchronous spill.
-func (tr *TaskRunner) sealSegments(segs []*kvbuf.Segment, ctrs *mapreduce.Counters) error {
+func (tr *TaskRunner) sealSegments(segs []*kvbuf.Segment, ctrs *mapreduce.Counters, tm *tally) error {
 	if tr.job.Combiner == nil {
 		return nil
 	}
@@ -252,7 +261,7 @@ func (tr *TaskRunner) sealSegments(segs []*kvbuf.Segment, ctrs *mapreduce.Counte
 		if seg.Records() == 0 {
 			continue
 		}
-		combined, err := tr.combineSegment(seg, ctrs)
+		combined, err := tr.combineSegment(seg, ctrs, tm)
 		if err != nil {
 			return err
 		}

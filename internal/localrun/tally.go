@@ -19,6 +19,8 @@ const (
 	spills                    // spills produced
 	asyncSpills               // spills sealed on the background spiller
 	premergedRuns             // raw runs consumed by background premerges
+	sortComps                 // key comparisons the spills' sorts made
+	mapMergeComps             // key comparisons the map-side merges and combines made
 
 	// Reduce side (ReduceMergeStats).
 	fetchWait        // copier time blocked on pool admission
@@ -29,6 +31,7 @@ const (
 	diskPasses       // intermediate disk merge passes
 	spilledRecs      // records written to reduce-side disk runs
 	spilledBytes     // bytes written to reduce-side disk runs
+	reduceMergeComps // key comparisons the reduce-side merges made
 
 	numStats
 )
@@ -62,6 +65,9 @@ func (t *tally) mapSpill() MapSpillStats {
 		Spills:        t[spills].Load(),
 		AsyncSpills:   t[asyncSpills].Load(),
 		PremergedRuns: t[premergedRuns].Load(),
+
+		SortComparisons:  t[sortComps].Load(),
+		MergeComparisons: t[mapMergeComps].Load(),
 	}
 }
 
@@ -75,5 +81,7 @@ func (t *tally) reduceMerge() ReduceMergeStats {
 		DiskPasses:     t[diskPasses].Load(),
 		SpilledRecords: t[spilledRecs].Load(),
 		SpilledBytes:   t[spilledBytes].Load(),
+
+		MergeComparisons: t[reduceMergeComps].Load(),
 	}
 }
