@@ -292,18 +292,23 @@ func BenchmarkMergeHSKeys(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ways*per), "ns/rec")
 }
 
-// benchmarkReadSegment measures the fetch decoder over one segment: the
-// read into a pooled buffer, the CRC fold and the run-mark scan.
+// benchmarkReadSegment measures the fetch decoder over one segment as the
+// shuffle sends it: the read into a pooled buffer and the CRC fold, then
+// the run-marks frame behind the payload.
 func benchmarkReadSegment(b *testing.B, seg *Segment) {
-	data := seg.Bytes()
+	payload := seg.Bytes()
+	data := seg.AppendMarksFrame(bytes.Clone(payload))
 	r := bytes.NewReader(data)
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		s, err := ReadSegment(r, len(data))
+		s, err := ReadSegment(r, len(payload))
 		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ReadMarksFrame(r, s); err != nil {
 			b.Fatal(err)
 		}
 		s.Recycle()
@@ -323,7 +328,8 @@ func BenchmarkReadSegmentAvg1K(b *testing.B) {
 }
 
 // BenchmarkReadSegmentRand10B fetches a rand-10b map output's shape: 100 000
-// records of 11-byte Text keys, runs of one key, one-byte vint headers.
+// records of 11-byte Text keys, runs of one key, one-byte vint headers,
+// every record but the first of a run marked by the spill.
 func BenchmarkReadSegmentRand10B(b *testing.B) {
 	cmp, _ := writable.Comparator("Text")
 	keys, val, _ := rand10BKV(100000)
@@ -339,8 +345,8 @@ func BenchmarkReadSegmentRand10B(b *testing.B) {
 }
 
 // BenchmarkReadSegmentHS fetches an HSSort map output's shape: 100 000
-// sorted random 10-character Text keys, no two alike, so the scan marks
-// nothing, with 90-byte Text values.
+// sorted random 10-character Text keys, no two alike, so nothing is marked,
+// with 90-byte Text values.
 func BenchmarkReadSegmentHS(b *testing.B) {
 	const alphabet = "+/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 	rng := rand.New(rand.NewSource(1))

@@ -37,9 +37,10 @@ const maxDeflateRatio = 1032
 const maxCodecNameLen = 32
 
 // CompressSegmentWith returns a compressed copy of s in the compressed wire
-// format. The result draws its buffer from the segment pool, so Recycle
-// applies; s itself is untouched. A segment of several ranges is gathered
-// into one pooled buffer first.
+// format, carrying s's run marks: they number the records of the raw stream
+// the payload inflates to. The result draws its buffer from the segment
+// pool, so Recycle applies; s itself is untouched. A segment of several
+// ranges is gathered into one pooled buffer first.
 func CompressSegmentWith(s *Segment, c Codec) *Segment {
 	if s.compressed {
 		panic("kvbuf: CompressSegmentWith on already-compressed segment")
@@ -56,7 +57,7 @@ func CompressSegmentWith(s *Segment, c Codec) *Segment {
 	out.WriteVLong(int64(len(raw)))
 	out.WriteVLong(int64(s.records))
 	buf := c.Compress(out.Bytes(), raw)
-	return &Segment{data: buf, records: s.records, compressed: true}
+	return &Segment{data: buf, marks: s.marks, records: s.records, compressed: true}
 }
 
 // Compressed reports whether the segment holds codec-compressed records.

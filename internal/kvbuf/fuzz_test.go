@@ -73,6 +73,7 @@ func TestFuzzSeedCorpusSync(t *testing.T) {
 		"FuzzIFileReader":       fuzzSeeds(),
 		"FuzzSpillOrder":        spillOrderSeeds(),
 		"FuzzCompressedSegment": compressedSegmentSeeds(),
+		"FuzzMarksFrame":        marksFrameSeeds(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if os.Getenv("MRMICRO_WRITE_CORPUS") != "" {
@@ -94,8 +95,7 @@ func TestFuzzSeedCorpusSync(t *testing.T) {
 // FuzzIFileReader feeds arbitrary bytes through the IFile segment decoder:
 // ReadSegment's trailer check and a full Next() iteration must reject
 // truncated or corrupt input with an error, never a panic or runaway
-// allocation. Where ReadSegment accepts the bytes, its run marks must equal
-// the reference's (refMarks). The committed seed corpus (valid, truncated, bit-flipped,
+// allocation. The committed seed corpus (valid, truncated, bit-flipped,
 // trailing-junk, empty) also runs as a regression test under plain `go test`.
 func FuzzIFileReader(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
@@ -106,10 +106,6 @@ func FuzzIFileReader(f *testing.F) {
 		seg, verifyErr := ReadSegment(bytes.NewReader(data), len(data))
 		if verifyErr != nil {
 			seg = adopt(data)
-		} else {
-			// The run marks proven while the bytes streamed in are those a
-			// plain Reader's keys give, record for record.
-			checkMarks(t, "ReadSegment", seg, data)
 		}
 
 		r := seg.NewReader()
@@ -631,7 +627,11 @@ func mustPrefix(name string) writable.PrefixFunc {
 // never given a prefix func sorts by writable.ByComparator), spilling at
 // GOMAXPROCS 1 and 2. Each partition's bytes are gathered across its
 // ranges, so a handed-over chain and a copied segment are held to the same
-// bytes. The committed seeds run under plain `go test`.
+// bytes. Their run marks are held to the reference scan, bytes.Equal of
+// consecutive keys: every repeat marked and nothing else, whether the
+// partition was copied or handed over; and a merge of the partitions marks
+// no record that is not a repeat. The committed seeds run under plain
+// `go test`.
 func FuzzSpillOrder(f *testing.F) {
 	for _, seed := range spillOrderSeeds() {
 		f.Add(seed)
@@ -650,7 +650,17 @@ func FuzzSpillOrder(f *testing.F) {
 				if !bytes.Equal(segs[p].Bytes(), want[p]) {
 					t.Fatalf("GOMAXPROCS %d, %d records: partition %d differs from the naive stable sort", procs, len(recs), p)
 				}
+				checkMarks(t, fmt.Sprintf("GOMAXPROCS %d partition %d", procs, p), segs[p], true)
 			}
+			order := writable.ByComparator(cmp)
+			if pf != nil {
+				order.Prefix = pf
+			}
+			merged, _, err := Merge(order, segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMarks(t, fmt.Sprintf("GOMAXPROCS %d merge", procs), merged, false)
 		}
 	})
 }
@@ -739,4 +749,98 @@ func TestSpillOrderSeedPaths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// marksFrameSegment is the segment FuzzMarksFrame's frames follow: 300
+// records of 8-byte keys in runs of three, every third record the head of a
+// run, so its marks take five words.
+func marksFrameSegment() *Segment {
+	w := NewWriter(300 * 12)
+	for i := 0; i < 300; i++ {
+		w.Append([]byte(fmt.Sprintf("key-%04d", i/3)), nil)
+		if i%3 != 0 {
+			w.mark()
+		}
+	}
+	return w.Close()
+}
+
+// marksFrameSeeds is the named seed list of FuzzMarksFrame: the segment's
+// own frame, an empty one, a flipped bit, a word count past what the
+// segment can hold and past what any can, and frames cut short.
+func marksFrameSeeds() [][]byte {
+	valid := marksFrameSegment().AppendMarksFrame(nil)
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x08
+	return [][]byte{
+		valid,
+		new(Segment).AppendMarksFrame(nil),
+		flipped,
+		binary.BigEndian.AppendUint32(nil, uint32(markWords(marksFrameSegment().Len())+1)),
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
+		valid[:len(valid)-1],
+		valid[:2],
+		{},
+	}
+}
+
+// FuzzMarksFrame feeds arbitrary bytes to ReadMarksFrame as the frame behind
+// a segment of 300 records, and behind a rejected payload (no segment). It
+// must give the segment the marks the bytes encode when their checksum
+// holds, no marks when it does not, or a typed error — ErrMarksFrame for a
+// count no segment of that size can need, io.ErrUnexpectedEOF for bytes cut
+// short — and never panic. A frame it accepts is consumed to its last byte
+// and no further, and nothing it allocates is sized by words it has not
+// read: past what the segment bounds, only the heap statistics' slack (they
+// count small allocations a span at a time).
+func FuzzMarksFrame(f *testing.F) {
+	for _, seed := range marksFrameSeeds() {
+		f.Add(seed)
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	base := marksFrameSegment()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, into := range []*Segment{nil, {data: base.data, records: base.records}} {
+			r := bytes.NewReader(data)
+			before := allocated()
+			err := ReadMarksFrame(r, into)
+			if grew, bound := allocated()-before, uint64(8*markWords(base.Len())+64<<10); grew > bound {
+				t.Fatalf("%d frame bytes made ReadMarksFrame allocate %d bytes (bound %d)", len(data), grew, bound)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrMarksFrame) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("untyped error %v", err)
+				}
+				if into != nil && into.marks != nil {
+					t.Fatalf("error %v, yet the segment was given marks", err)
+				}
+				continue
+			}
+			n := int(binary.BigEndian.Uint32(data))
+			if consumed := len(data) - r.Len(); consumed != 8+8*n {
+				t.Fatalf("a frame of %d words consumed %d bytes", n, consumed)
+			}
+			if into == nil || into.marks == nil {
+				continue
+			}
+			// Accepted marks are the encoded words, bar the first record's
+			// bit, under a checksum that holds.
+			if frameCRC(0, data[:4+8*n]) != binary.BigEndian.Uint32(data[4+8*n:]) {
+				t.Fatal("marks taken from a frame whose checksum does not hold")
+			}
+			for w := range n {
+				want := binary.BigEndian.Uint64(data[4+8*w:])
+				if w == 0 {
+					want &^= 1
+				}
+				if into.marks[w] != want {
+					t.Fatalf("word %d: got %016x, frame holds %016x", w, into.marks[w], want)
+				}
+			}
+		}
+	})
 }

@@ -8,11 +8,9 @@
 package kvbuf
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/bits"
 	"net"
 	"sync"
@@ -31,11 +29,13 @@ const EOFMarker = -1
 // seal reads bytes that are still cache-warm instead of re-scanning the whole
 // segment at Close.
 type Writer struct {
-	out     *writable.DataOutput
-	crc     uint32
-	summed  int // bytes of out already folded into crc
-	records int
-	closed  bool
+	out      *writable.DataOutput
+	crc      uint32
+	summed   int // bytes of out already folded into crc
+	records  int
+	marks    []uint64 // run marks of the records appended so far (see Segment)
+	markHint int      // records the segment is expected to hold: the marks' first size
+	closed   bool
 }
 
 // segBufPools recycles segment backing buffers between short-lived segments
@@ -115,6 +115,12 @@ func (w *Writer) appendFramed(rec []byte) {
 	}
 }
 
+// mark sets the run mark of the record just appended: its caller has proven
+// the key byte-identical to the previous record's.
+func (w *Writer) mark() {
+	w.marks = setMark(w.marks, w.records-1, w.markHint)
+}
+
 func (w *Writer) fold() {
 	w.crc = UpdateCRC(w.crc, w.out.Bytes()[w.summed:])
 	w.summed = w.out.Len()
@@ -136,7 +142,7 @@ func (w *Writer) Close() *Segment {
 	w.out.WriteVInt(EOFMarker)
 	w.fold()
 	w.out.WriteInt32(int32(w.crc))
-	return &Segment{data: w.out.Bytes(), records: w.records, verified: true}
+	return &Segment{data: w.out.Bytes(), marks: w.marks, records: w.records, verified: true}
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -145,9 +151,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var crcObserver func(n int)
 
 // UpdateCRC folds p into a running IFile checksum (CRC32-Castagnoli). Every
-// checksum in the package goes through it, which lets network readers verify
-// a segment incrementally while streaming it off the wire, instead of
-// re-scanning the whole buffer afterwards.
+// checksum of segment bytes in the package goes through it, which lets
+// network readers verify a segment incrementally while streaming it off the
+// wire, instead of re-scanning the whole buffer afterwards.
 func UpdateCRC(crc uint32, p []byte) uint32 {
 	if crcObserver != nil {
 		crcObserver(len(p))
@@ -169,11 +175,17 @@ func UpdateCRC(crc uint32, p []byte) uint32 {
 // while streaming a payload in. A segment without the mark is checked when
 // read, as ever.
 //
-// A segment ReadSegment streamed in also carries its run marks: one bit per
-// record, set when the record's key is byte-identical to the previous
-// record's. They are proven while the bytes arrive, so a merge can keep a
-// marked record at the heap's head without reading its key again. No other
-// path sets them; a segment without marks reads exactly as before.
+// A segment may carry run marks: one bit per record, set only when the
+// record's key is byte-identical to the previous record's, so a merge can
+// keep a marked record at the heap's head without reading its key again.
+// They are proven on the map side, where the keys are compared anyway: by
+// the spill's copy pass (spillPartition), by Commit's proof of order for a
+// handed-over chain (prove) and by a merge from its SourceMerger's Repeat.
+// A mark is never wrong, but marks may be incomplete: a record left
+// unmarked is merely compared. They travel with the segment through
+// compression and over the shuffle in a checksummed side frame
+// (AppendMarksFrame, ReadMarksFrame); a segment without marks reads exactly
+// as a marked one, only slower.
 type Segment struct {
 	data       []byte   // the stream, or its first range
 	rest       [][]byte // the ranges after data, in order
@@ -193,9 +205,9 @@ const shuffleCRCChunk = 128 << 10
 // a shuffle response on a connection's reader, or a compressed one coming
 // out of its codec — into a pooled buffer,
 // folding the CRC over the bytes as they arrive, so the returned segment is
-// already verified and nothing scans it again. Right after each fold it walks
-// the chunk's records while they are still in cache and proves the segment's
-// run marks (runScan). A trailer that does not match
+// already verified and nothing scans it again. It carries no run marks: the
+// fetch path reads those from the frame behind the payload (ReadMarksFrame).
+// A trailer that does not match
 // is an ErrCorruptSegment: the payload was consumed, a framed stream stays in
 // sync and the fetch can be retried on the same connection. Other errors are
 // I/O failures of r itself.
@@ -203,7 +215,6 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 	data := GrabBuf(n)
 	body := max(n-4, 0)
 	var crc uint32
-	var scan runScan
 	for off := 0; off < n; {
 		end := min(off+shuffleCRCChunk, n)
 		if _, err := io.ReadFull(r, data[off:end]); err != nil {
@@ -213,7 +224,6 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 		if off < body {
 			crc = UpdateCRC(crc, data[off:min(end, body)])
 		}
-		scan.walk(data[:end])
 		off = end
 	}
 	if n < 4 {
@@ -224,119 +234,7 @@ func ReadSegment(r io.Reader, n int) (*Segment, error) {
 		recycleBuf(data)
 		return nil, fmt.Errorf("%w: checksum mismatch: %08x != %08x", ErrCorruptSegment, crc, want)
 	}
-	return &Segment{data: data, marks: scan.done(), records: -1, verified: true}, nil
-}
-
-// runScan proves a segment's run marks as its bytes arrive: walk is handed
-// the bytes received so far, parses every record they now hold whole, and
-// marks each one whose key is byte-identical to the previous record's. It
-// parses exactly as Reader does, so it marks the records a Reader of the
-// same bytes returns; at the EOF marker, a malformed header or a record cut
-// off by the end of the stream it stops, leaving what follows unmarked for
-// the Reader to reject.
-type runScan struct {
-	off      int    // where the next record's header starts
-	prev     []byte // the previous record's key
-	records  int
-	word     uint64 // marks of the records in the current 64, not yet in marks
-	marks    []uint64
-	finished bool
-}
-
-func (s *runScan) walk(data []byte) {
-	// The cursor lives in locals for the loop: this runs once per record of
-	// every fetched byte.
-	off, prev, rec, word := s.off, s.prev, s.records, s.word
-	for !s.finished {
-		d := data[off:]
-		var kl, vl, h int
-		if len(d) >= 2 && d[0] < 0x80 && d[1] < 0x80 {
-			// Both lengths one-byte vints in [0, 127]: every record of a
-			// small-record job, decoded with no call.
-			kl, vl, h = int(d[0]), int(d[1]), 2
-		} else if kl, vl, h = recordHeader(d); h <= 0 {
-			s.finished = h < 0
-			break
-		}
-		if h+kl+vl > len(d) {
-			break // the rest of the record is in a chunk still to come
-		}
-		key := d[h : h+kl]
-		if rec > 0 && bytes.Equal(key, prev) {
-			word |= 1 << (rec & 63)
-		}
-		prev = key
-		off += h + kl + vl
-		if rec++; rec&63 == 0 && word != 0 {
-			s.store(word, rec-1, off, cap(data))
-			word = 0
-		}
-	}
-	s.off, s.prev, s.records, s.word = off, prev, rec, word
-}
-
-// store puts the marks word of the 64 records up to rec into marks. The
-// first store sizes the bitset for the whole segment of size bytes, at the
-// record size seen up to off, so uniform records allocate their marks once.
-func (s *runScan) store(word uint64, rec, off, size int) {
-	if w := rec >> 6; w >= len(s.marks) {
-		n := w + 1
-		if s.marks == nil {
-			n = max(n, (size/off*(rec+1))>>6+1)
-		}
-		s.marks = append(s.marks, make([]uint64, max(n, 2*len(s.marks))-len(s.marks))...)
-	}
-	s.marks[rec>>6] = word
-}
-
-// done returns the segment's marks once every byte has been walked.
-func (s *runScan) done() []uint64 {
-	if s.word != 0 {
-		s.store(s.word, s.records-1, s.off, s.off)
-	}
-	return s.marks
-}
-
-// recordHeader decodes a record header the one-byte case of walk does not
-// take: h > 0 is its length, h == 0 means d ends inside it, and h < 0 that
-// no record starts here — the EOF marker, or lengths Reader rejects.
-func recordHeader(d []byte) (kl, vl, h int) {
-	k, n := headerVInt(d)
-	if n <= 0 {
-		return 0, 0, n
-	}
-	v, m := headerVInt(d[n:])
-	if m <= 0 {
-		return 0, 0, m
-	}
-	if k < 0 || v < 0 || k > math.MaxInt32 || v > math.MaxInt32 {
-		return 0, 0, -1
-	}
-	return int(k), int(v), n + m
-}
-
-// headerVInt decodes the vint at the head of d as writable's decoder does,
-// returning its value and encoded length, or n == 0 when d ends inside it.
-// DataInput.ReadVLong would build an error for every header a chunk
-// boundary cuts, and reading 3-byte headers through it made
-// BenchmarkReadSegmentAvg1K ≈6 % slower.
-func headerVInt(d []byte) (v int64, n int) {
-	if len(d) == 0 {
-		return 0, 0
-	}
-	if n = writable.VIntSize(d[0]); n == 1 {
-		return int64(int8(d[0])), 1
-	}
-	if len(d) < n {
-		return 0, 0
-	}
-	for _, b := range d[1:n] {
-		v = v<<8 | int64(b)
-	}
-	if writable.VIntNegative(d[0]) {
-		v ^= -1
-	}
-	return v, n
+	return &Segment{data: data, records: -1, verified: true}, nil
 }
 
 // trailerCRC decodes the big-endian checksum in data's last four bytes.
@@ -518,7 +416,7 @@ func (r *Reader) verify(in *writable.DataInput) error {
 func (r *Reader) RecordsRead() int { return r.records }
 
 // marked reports the run mark of the record Next just returned: true when
-// ReadSegment proved its key byte-identical to the previous record's.
+// its key was proven byte-identical to the previous record's.
 func (r *Reader) marked() bool {
 	i := r.records - 1
 	return i >= 0 && i>>6 < len(r.marks) && r.marks[i>>6]&(1<<(i&63)) != 0

@@ -23,21 +23,34 @@ func readers(segs []*Segment) []RecordSource {
 	return srcs
 }
 
-// Merge k-way merges segments into a single new segment.
+// Merge k-way merges segments into a single new segment. A record the merge
+// reports as a repeat (SourceMerger.Repeat: same source, byte-identical key)
+// is marked in the output, so the marks of its inputs outlive the merge.
 func Merge(order writable.KeyOrder, segs []*Segment) (*Segment, int64, error) {
-	total := 0
+	total, records := 0, 0
 	for _, s := range segs {
 		total += s.Len()
+		records += max(s.Records(), 0)
 	}
 	w := NewWriter(total)
-	comparisons, err := MergeSources(order, readers(segs), func(k, v []byte) error {
-		w.Append(k, v)
-		return nil
-	})
+	w.markHint = records
+	m, err := NewSourceMerger(order, readers(segs))
 	if err != nil {
-		return nil, comparisons, err
+		return nil, 0, err // priming compares nothing
 	}
-	return w.Close(), comparisons, nil
+	for {
+		k, v, ok, err := m.Next()
+		if err != nil {
+			return nil, m.comps, err
+		}
+		if !ok {
+			return w.Close(), m.comps, nil
+		}
+		w.Append(k, v)
+		if m.Repeat() {
+			w.mark()
+		}
+	}
 }
 
 // MergePasses plans a Hadoop-style multi-pass merge: with fan-in factor F

@@ -178,17 +178,21 @@ func TestProvenTrailerMustBeTheOneConsumed(t *testing.T) {
 	}
 }
 
-// TestOnlyReadSegmentSetsRunMarks: run marks are proven only while a
-// fetched payload streams in. A Writer's segment, a chain Spill hands over
-// and a Merge output carry none, whatever their keys, and Recycle drops a
-// fetched segment's.
-func TestOnlyReadSegmentSetsRunMarks(t *testing.T) {
+// TestOnlyProducersSetRunMarks: run marks are proven where the map side
+// compares keys anyway. A Writer's segment carries none, whatever its keys;
+// a chain Spill hands over and a Merge of it carry them; ReadSegment proves
+// none, the fetch takes them from the frame behind the payload; and Recycle
+// drops a segment's.
+func TestOnlyProducersSetRunMarks(t *testing.T) {
 	key := mkBytesWritable("one-key")
 	w := NewWriter(64)
 	for i := 0; i < 100; i++ {
 		w.Append(key, []byte{byte(i)})
 	}
 	written := w.Close()
+	if written.marks != nil {
+		t.Error("a Writer's segment carries run marks")
+	}
 	cmp, _ := writable.Comparator("BytesWritable")
 	buf := NewSortBuffer(256<<10, 1, cmp)
 	defer buf.Release()
@@ -203,14 +207,17 @@ func TestOnlyReadSegmentSetsRunMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, seg := range map[string]*Segment{"Writer": written, "Spill handover": spilled[0], "Merge": merged} {
-		if seg.marks != nil {
-			t.Errorf("%s's segment carries run marks", name)
+	for name, seg := range map[string]*Segment{"Spill handover": spilled[0], "Merge": merged} {
+		if seg.marks == nil {
+			t.Errorf("%s's segment carries no run marks over records of one key", name)
 		}
 	}
-	fetched, err := ReadSegment(bytes.NewReader(written.Bytes()), written.Len())
-	if err != nil || fetched.marks == nil {
-		t.Fatalf("ReadSegment over 100 records of one key: err %v, marks %v", err, fetched.marks)
+	fetched, err := ReadSegment(bytes.NewReader(spilled[0].Bytes()), spilled[0].Len())
+	if err != nil || fetched.marks != nil {
+		t.Fatalf("ReadSegment over a marked spill: err %v, marks %v, want none", err, fetched.marks)
+	}
+	if err := ReadMarksFrame(bytes.NewReader(spilled[0].AppendMarksFrame(nil)), fetched); err != nil || fetched.marks == nil {
+		t.Fatalf("its marks frame: err %v, marks %v", err, fetched.marks)
 	}
 	fetched.Recycle()
 	if fetched.marks != nil {

@@ -29,8 +29,9 @@ type recordMeta struct {
 // Commit proves the chain ordered record by record (see prove) until a key
 // sorts before its predecessor, which sets unordered and ends the proof:
 // last is the newest record proven, as an index into meta, sum the checksum
-// folded behind the records as they land, and comps the comparisons the
-// proof spent. A chain still ordered at Spill is handed over as its segment.
+// folded behind the records as they land, comps the comparisons the proof
+// spent and marks the run marks it proved along the way. A chain still
+// ordered at Spill is handed over as its segment, marks and all.
 type chain struct {
 	chunks    [][]byte
 	open      int
@@ -38,6 +39,7 @@ type chain struct {
 	last      int
 	sum       chainSum
 	comps     int64
+	marks     []uint64
 }
 
 // SortBuffer is the map-side collection buffer (io.sort.mb): records
@@ -178,7 +180,7 @@ func (c *chain) handOver(records int) *Segment {
 	sum.to(ranges, len(ranges)-1, 0)
 	crc := UpdateCRC(sum.crc, (*last)[sum.off:])
 	*last = binary.BigEndian.AppendUint32(*last, crc)
-	return &Segment{data: ranges[0], rest: ranges[1:], records: records, verified: true}
+	return &Segment{data: ranges[0], rest: ranges[1:], marks: c.marks, records: records, verified: true}
 }
 
 // Pools recycling the per-buffer metadata arrays across SortBuffer instances
@@ -333,27 +335,32 @@ func (b *SortBuffer) Commit(keyLen int) (bool, error) {
 	})
 	b.prefixes = append(b.prefixes, b.order.Prefix(c[off+hdr:off+hdr+keyLen]))
 	if !ch.unordered {
-		b.prove(ch, len(b.meta)-1, b.partRecs[p] > 0)
+		b.prove(ch, len(b.meta)-1, int(b.partRecs[p]))
 	}
 	b.partRecs[p]++
 	b.partBytes[p] += int64(hdr + n)
 	return true, nil
 }
 
-// prove extends c's proof of order by its newest record, meta[i]: its key
-// must not sort before the one of the record before it (hasPrev), both still
-// in cache. A prefix tie counts one comparison, as the spill's run check
-// would. The checksum fold follows the records. Kept out of Commit, so a
-// partition whose order broke pays one predictable branch per record.
-func (b *SortBuffer) prove(c *chain, i int, hasPrev bool) {
+// prove extends c's proof of order by its newest record, meta[i], the
+// partition's record rec: its key must not sort before the one of the record
+// before it, both still in cache. A prefix tie counts one comparison, as the
+// spill's run check would, and a key byte-identical to its predecessor's is
+// marked, with no comparator call. The checksum fold follows the records.
+// Kept out of Commit, so a partition whose order broke pays one predictable
+// branch per record.
+func (b *SortBuffer) prove(c *chain, i, rec int) {
 	m := &b.meta[i]
-	if hasPrev {
+	if rec > 0 {
 		l := &b.meta[c.last]
 		pi, pl := b.prefixes[i], b.prefixes[c.last]
+		k, lk := c.chunks[m.chunk][m.off:m.off+m.keyLen], c.chunks[l.chunk][l.off:l.off+l.keyLen]
 		if pi == pl {
 			c.comps++
 		}
-		if b.order.Compare(c.chunks[m.chunk][m.off:m.off+m.keyLen], pi, c.chunks[l.chunk][l.off:l.off+l.keyLen], pl) < 0 {
+		if pi == pl && bytes.Equal(k, lk) {
+			c.marks = setMark(c.marks, rec, 0)
+		} else if b.order.Compare(k, pi, lk, pl) < 0 {
 			c.unordered = true
 			return
 		}
@@ -487,18 +494,23 @@ func (b *SortBuffer) Reset() {
 //
 // A partition Commit proved ordered — every one whose records share one key,
 // as in MR-AVG — is already what a stable sort produces: its chain is
-// handed over, with the comparisons the proof spent. Any other is sorted
-// and copied, record by framed record, into one segment.
+// handed over, with the comparisons and the run marks the proof made. Any
+// other is sorted and copied, record by framed record, into one segment.
 //
 // The entries arrive in insertion order. They are first sorted on
 // (prefix, idx) by a stable radix sort on the prefix (radixSort, with
 // scratch as its scatter target) — integers in a contiguous array, no slab
 // access. That is already the final order wherever a prefix decides it, and
 // also inside any equal-prefix run whose keys are all byte-equal (equal keys
-// keep insertion order), which one linear pass over the run establishes;
-// only a run holding distinct keys under one prefix is re-sorted with the
-// raw comparator. The result is the order a stable full-comparator sort
-// produces, for any input, while the slab is touched O(n) times instead of
+// keep insertion order). One pass establishes that and copies the run at
+// once: each record's key is compared with the run's first while the
+// record is copied, and marked when they are byte-identical, so every key is
+// read once, in cache. Only a run that turns out to hold distinct keys under
+// one prefix is cut from the output, re-sorted with the raw comparator and
+// copied again, its marks proven afresh between neighbours. Keys of unequal
+// prefixes differ, so a run's first record is never marked and the marks are
+// complete. The result is the order a stable full-comparator sort produces,
+// for any input, while the slab is touched O(n) times instead of
 // O(n log n). Under writable.ByComparator every prefix is zero: one pass
 // finds nothing to scatter, then one run, sorted by comparator.
 func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Segment) int64 {
@@ -512,14 +524,37 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		m := &meta[e.idx]
 		return chunks[m.chunk][m.off : m.off+m.keyLen]
 	}
+	framed := func(m *recordMeta) []byte {
+		start := int(m.off) - headerLen(int(m.keyLen), int(m.valLen))
+		return chunks[m.chunk][start : m.off+m.keyLen+m.valLen]
+	}
 	comps := radixSort(part, scratch)
+	// The segment is built in place: out is its stream, crc the checksum of
+	// out[:summed], folded a shuffleCRCChunk at a time behind the copy.
+	out := pooledBuf(int(b.partBytes[p]) + segmentTrailerBytes)
+	var (
+		marks  []uint64
+		crc    uint32
+		summed int
+	)
 	for lo := 0; lo < len(part); {
-		hi := lo + 1
-		first, same := key(part[lo]), true
+		run, runCRC, runSummed := len(out), crc, summed
+		m := &meta[part[lo].idx]
+		first := chunks[m.chunk][m.off : m.off+m.keyLen]
+		out = append(out, framed(m)...)
+		hi, same := lo+1, true
 		for ; hi < len(part) && part[hi].prefix == part[lo].prefix; hi++ {
-			if same {
-				comps++
-				same = bytes.Equal(first, key(part[hi]))
+			if !same {
+				continue // only the run's end is still wanted
+			}
+			comps++
+			m := &meta[part[hi].idx]
+			if same = bytes.Equal(first, chunks[m.chunk][m.off:m.off+m.keyLen]); same {
+				out = append(out, framed(m)...)
+				marks = setMark(marks, hi, len(part))
+				if len(out)-summed >= shuffleCRCChunk {
+					crc, summed = UpdateCRC(crc, out[summed:]), len(out)
+				}
 			}
 		}
 		if !same {
@@ -530,16 +565,20 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 				}
 				return int(x.idx - y.idx) // stability: equal keys keep insertion order
 			})
+			out, crc, summed = out[:run], runCRC, runSummed
+			clearMarks(marks, lo)
+			for i := lo; i < hi; i++ {
+				out = append(out, framed(&meta[part[i].idx])...)
+				if i > lo && bytes.Equal(key(part[i]), key(part[i-1])) {
+					marks = setMark(marks, i, len(part))
+				}
+			}
 		}
 		lo = hi
 	}
-	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
-	for _, e := range part {
-		m := &meta[e.idx]
-		start := int(m.off) - headerLen(int(m.keyLen), int(m.valLen))
-		w.appendFramed(chunks[m.chunk][start : m.off+m.keyLen+m.valLen])
-	}
-	segs[p] = w.Close()
+	out = append(out, 0xff, 0xff) // EOFMarker twice, as one-byte vints
+	out = binary.BigEndian.AppendUint32(out, UpdateCRC(crc, out[summed:]))
+	segs[p] = &Segment{data: out, marks: marks, records: len(part), verified: true}
 	return comps
 }
 

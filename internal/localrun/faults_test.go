@@ -343,6 +343,7 @@ func TestTruncatedPayloadRejectedByFetchDecoder(t *testing.T) {
 			frames = append(frames, 0)
 			frames = binary.BigEndian.AppendUint64(frames, uint64(len(payload)))
 			frames = append(frames, payload...)
+			frames = seg.AppendMarksFrame(frames)
 		}
 		f := &segmentFetcher{reduce: 0, compressed: compressed, conn: &shuffleConn{br: bufio.NewReader(bytes.NewReader(frames))}}
 		if _, _, err := f.receive(3, true); !errors.Is(err, kvbuf.ErrCorruptSegment) || !errors.Is(err, faultinject.ErrInjected) {

@@ -32,9 +32,15 @@ var ErrServerClosed = errors.New("localrun: shuffle server closed")
 // shuffleServer serves completed map-output partitions over TCP.
 //
 // Wire protocol (binary, big-endian): request = uint32 map index, uint32
-// partition; response = 1 status byte (0 = ok) then uint64 payload length
-// and the segment bytes (raw IFile, or the kvbuf compressed wire format
-// when the job compresses map output). Connections are persistent: a client
+// partition; response = 1 status byte (0 = ok) then uint64 payload length,
+// the segment bytes (raw IFile, or the kvbuf compressed wire format when the
+// job compresses map output) and the segment's run-marks frame
+// (kvbuf.AppendMarksFrame: which records repeat the key before them, as the
+// map side proved while it sorted and merged). The payload length counts the
+// segment alone, and so do REDUCE_SHUFFLE_BYTES and the serving counters: the
+// frame is not shuffle data, and a reduce that finds it damaged reads the
+// segment unmarked. A miss is the status byte 1 alone. Connections are
+// persistent: a client
 // may pipeline any number of requests on one connection and responses come
 // back in request order, so per-segment dial/teardown never touches the
 // copy phase's critical path.
@@ -54,7 +60,7 @@ type shuffleServer struct {
 
 // newShuffleServer starts a server; a disk-backed one spills into dir.
 func newShuffleServer(diskBacked bool, dir string) (*shuffleServer, error) {
-	var store segmentStore = &memStore{segs: make(map[segKey]*kvbuf.Segment)}
+	var store segmentStore = &memStore{segs: make(map[segKey]memSeg)}
 	if diskBacked {
 		d, err := newDiskStore(dir)
 		if err != nil {
@@ -207,16 +213,28 @@ func (c *shuffleConn) header() (int, error) {
 // one inflates straight off the socket into an exact-size raw segment with
 // the CRC folded over the decompressed bytes — the compressed payload is
 // never materialized. Either way the segment comes back proven, in a pooled
-// buffer its Recycle returns, and nothing scans it again. A
-// kvbuf.ErrCorruptSegment return means the payload was consumed and the
-// connection is still in sync (retry without reconnecting); other errors are
+// buffer its Recycle returns, and nothing scans it again: its run marks are
+// the ones the marks frame behind it carries. A kvbuf.ErrCorruptSegment
+// return means the payload and its frame were consumed and the connection is
+// still in sync (retry without reconnecting); other errors are
 // connection-level. wire is the payload's on-the-wire byte count.
 func (c *shuffleConn) response(compressed bool) (seg *kvbuf.Segment, wire int64, err error) {
 	n, err := c.header()
 	if err != nil {
 		return nil, 0, err
 	}
-	if seg, err = readPayload(c.br, n, compressed); err != nil {
+	seg, err = readPayload(c.br, n, compressed)
+	if err != nil && !errors.Is(err, kvbuf.ErrCorruptSegment) {
+		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
+	}
+	// The payload was consumed, damaged or not: so must its frame be.
+	if ferr := kvbuf.ReadMarksFrame(c.br, seg); ferr != nil {
+		if seg != nil {
+			seg.Recycle()
+		}
+		return nil, 0, fmt.Errorf("localrun: shuffle marks: %w", ferr)
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
 	}
 	return seg, int64(n), nil
@@ -243,6 +261,9 @@ func (c *shuffleConn) truncatedResponse(compressed bool) (seg *kvbuf.Segment, wi
 	defer kvbuf.RecycleBuf(data)
 	if _, err := io.ReadFull(c.br, data); err != nil {
 		return nil, 0, fmt.Errorf("localrun: shuffle payload: %w", err)
+	}
+	if err := kvbuf.ReadMarksFrame(c.br, nil); err != nil {
+		return nil, 0, fmt.Errorf("localrun: shuffle marks: %w", err)
 	}
 	if n > 0 {
 		data = data[:n-(1+n/16)]

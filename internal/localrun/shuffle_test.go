@@ -233,7 +233,9 @@ func (s *flipServer) serve(conn net.Conn) {
 		}
 		var hdr [9]byte
 		binary.BigEndian.PutUint64(hdr[1:], uint64(len(data)))
-		if _, err := conn.Write(append(hdr[:], data...)); err != nil {
+		// An empty marks frame behind the payload: a peer that proved no runs.
+		frame := new(kvbuf.Segment).AppendMarksFrame(nil)
+		if _, err := conn.Write(append(append(hdr[:], data...), frame...)); err != nil {
 			return
 		}
 	}

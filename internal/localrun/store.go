@@ -15,14 +15,15 @@ import (
 // segmentStore holds the map outputs a shuffle server serves, keyed by (map,
 // partition). Two implementations, chosen by Options.DiskShuffle: memStore
 // retains the registered buffers, diskStore (store.go) moves them to a spill
-// file. Safe for concurrent use.
+// file. Either keeps each segment's run-marks frame (kvbuf.AppendMarksFrame)
+// behind it and sends the frame behind the payload. Safe for concurrent use.
 type segmentStore interface {
 	// put publishes seg, the newest registration for a key winning. The
 	// store owns seg from here on.
 	put(mapIdx, partition int, seg *kvbuf.Segment) error
-	// send answers one request on conn with the ok header and the payload,
-	// building the response in sc, the connection's scratch; found=false,
-	// nothing written, when the key is not registered.
+	// send answers one request on conn with the ok header, the payload and
+	// its marks frame, building the response in sc, the connection's
+	// scratch; found=false, nothing written, when the key is not registered.
 	send(conn net.Conn, sc *sendScratch, mapIdx, partition int) (found bool, err error)
 	// dropMap withdraws every partition of mapIdx.
 	dropMap(mapIdx int)
@@ -51,29 +52,37 @@ type sendScratch struct {
 // memStore serves segments from their retained in-memory buffers.
 type memStore struct {
 	mu   sync.Mutex
-	segs map[segKey]*kvbuf.Segment
+	segs map[segKey]memSeg
+}
+
+// memSeg is one retained segment and its marks frame, encoded once at put.
+type memSeg struct {
+	seg   *kvbuf.Segment
+	frame []byte
 }
 
 func (m *memStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
+	ms := memSeg{seg: seg, frame: seg.AppendMarksFrame(nil)}
 	m.mu.Lock()
-	m.segs[segKey{mapIdx, partition}] = seg
+	m.segs[segKey{mapIdx, partition}] = ms
 	m.mu.Unlock()
 	return nil
 }
 
 func (m *memStore) send(conn net.Conn, sc *sendScratch, mapIdx, partition int) (bool, error) {
 	m.mu.Lock()
-	seg, ok := m.segs[segKey{mapIdx, partition}]
+	ms, ok := m.segs[segKey{mapIdx, partition}]
 	m.mu.Unlock()
 	if !ok {
 		return false, nil
 	}
-	// One writev per response: header and payload leave in a single syscall
-	// straight from the retained segment buffers — no read-back copy, a
-	// handed-over chain gathered by the kernel — so the client's pipelined
-	// reads never stall on a 9-byte header packet.
+	// One writev per response: header, payload and marks frame leave in a
+	// single syscall straight from the retained segment buffers — no
+	// read-back copy, a handed-over chain gathered by the kernel — so the
+	// client's pipelined reads never stall on a 9-byte header packet.
+	seg := ms.seg
 	sc.hdr = okHeader(int64(seg.Len()))
-	sc.vec = seg.AppendRanges(append(sc.vec[:0], sc.hdr[:]))
+	sc.vec = append(seg.AppendRanges(append(sc.vec[:0], sc.hdr[:])), ms.frame)
 	sc.bufs = sc.vec
 	_, err := sc.bufs.WriteTo(conn)
 	clear(sc.vec) // a connection outlives the segments it served
@@ -98,8 +107,8 @@ func (m *memStore) dropMap(mapIdx int) {
 // close hands the retained buffers to the segment pool for the next job's
 // spills and fetches.
 func (m *memStore) close() {
-	for _, seg := range m.segs {
-		seg.Recycle()
+	for _, ms := range m.segs {
+		ms.seg.Recycle()
 	}
 }
 
@@ -120,13 +129,13 @@ type diskStore struct {
 	readers []*os.File // idle read handles, one in use per concurrent send
 }
 
-// diskSeg is one registered segment's location in the spill file. Regions
-// are append-only and immutable once written, so readers need no lock
-// beyond the entry lookup; a re-registered map output appends a fresh
-// region and abandons the old one.
+// diskSeg is one registered segment's location in the spill file: n payload
+// bytes at off, then its marks frame of frame bytes. Regions are append-only
+// and immutable once written, so readers need no lock beyond the entry
+// lookup; a re-registered map output appends a fresh region and abandons the
+// old one.
 type diskSeg struct {
-	off int64
-	n   int64
+	off, n, frame int64
 }
 
 // newDiskStore makes the spill file in dir ("": the process temp dir).
@@ -138,23 +147,28 @@ func newDiskStore(dir string) (*diskStore, error) {
 	return &diskStore{path: f.Name(), w: f, segs: make(map[segKey]diskSeg)}, nil
 }
 
-// put appends seg's bytes to the spill file and records the region, then
-// recycles the in-memory buffer: the bytes are on disk.
+// put appends seg's bytes and its marks frame to the spill file and records
+// the region, then recycles the in-memory buffer: the bytes are on disk.
 func (d *diskStore) put(mapIdx, partition int, seg *kvbuf.Segment) error {
+	frame := seg.AppendMarksFrame(nil)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n, err := seg.WriteTo(d.w)
+	if err == nil {
+		_, err = d.w.Write(frame)
+	}
 	if err != nil {
 		return fmt.Errorf("localrun: shuffle spill write: %w", err)
 	}
-	d.segs[segKey{mapIdx, partition}] = diskSeg{off: d.off, n: n}
-	d.off += n
+	d.segs[segKey{mapIdx, partition}] = diskSeg{off: d.off, n: n, frame: int64(len(frame))}
+	d.off += n + int64(len(frame))
 	seg.Recycle()
 	return nil
 }
 
-// send serves one region: a 9-byte header write, then the payload handed to
-// the socket as a *io.LimitedReader over an *os.File — the shape
+// send serves one region: a 9-byte header write, then the payload and its
+// marks frame handed to the socket as a *io.LimitedReader over an *os.File —
+// the shape
 // (*net.TCPConn).ReadFrom turns into sendfile on platforms that have it, with
 // io.Copy's buffer loop as the portable fallback. Each send in flight holds a
 // read handle of its own, so concurrent sendfiles never race on a shared file
@@ -188,9 +202,9 @@ func (d *diskStore) send(conn net.Conn, sc *sendScratch, mapIdx, partition int) 
 	if _, err := rf.Seek(ds.off, io.SeekStart); err != nil {
 		return true, err
 	}
-	lr := &io.LimitedReader{R: rf, N: ds.n}
+	lr := &io.LimitedReader{R: rf, N: ds.n + ds.frame}
 	n, err := io.Copy(conn, lr)
-	serveSendfileBytes.Add(n)
+	serveSendfileBytes.Add(min(n, ds.n)) // the payload's bytes: the frame is not shuffle data
 	serveResponses.Add(1)
 	if err != nil {
 		return true, err
@@ -238,6 +252,7 @@ type ServeStats struct {
 	// WritevBytes were served from retained in-memory segment buffers via
 	// one writev — no intermediate read-back copy.
 	WritevBytes int64
+	// Neither counts the run-marks frames sent behind the payloads.
 	// Responses counts served segments across both paths.
 	Responses int64
 }

@@ -227,7 +227,8 @@ func TestMemStoreSendAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &memStore{segs: map[segKey]*kvbuf.Segment{{0, 0}: chainedSegment(t, 200)}}
+	m := &memStore{segs: map[segKey]memSeg{}}
+	m.put(0, 0, chainedSegment(t, 200))
 	defer m.close()
 	sc := new(sendScratch)
 	send := func() {
