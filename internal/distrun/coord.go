@@ -156,6 +156,19 @@ type workerState struct {
 	addr     string
 	lastBeat time.Time
 	dead     bool
+	lostPaid bool // its death was charged to its slot (Blame.Lost), once
+}
+
+// lostReport is a reduce's report that it could not fetch a map's output
+// from a host that still looked alive: held until the host's fate settles
+// it (settleLocked).
+type lostReport struct {
+	task    mapreduce.TaskID // the reduce that reported
+	m       int
+	version int64
+	host    int64 // the session serving the output
+	at      time.Time
+	cause   error
 }
 
 // Coordinator owns the job: task tables, worker sessions, the WAL, and the
@@ -185,6 +198,8 @@ type Coordinator struct {
 	redsDone int
 	start    time.Time
 	graceEnd time.Time // restarted coordinator: unlocated-map requeue deadline
+
+	held []lostReport // lost-output reports awaiting their host's fate
 
 	recoveredMaps    int
 	recoveredReduces int
@@ -409,6 +424,7 @@ func (c *Coordinator) monitor() {
 					c.markDeadLocked(w)
 				}
 			}
+			c.settleLocked()
 			if !c.graceEnd.IsZero() && now.After(c.graceEnd) {
 				c.graceEnd = time.Time{}
 				for i := range c.maps {
@@ -669,9 +685,12 @@ func (c *Coordinator) handleCommitReduce(req *commitReduceReq) (*commitResp, err
 }
 
 // handleTaskFailed charges a failed attempt by localrun's Blame rule, to the
-// task or to the map a reduce could not fetch, re-queued under the same
-// lock. A report against a version already superseded (by a fence or an
-// earlier charge) charges nobody: one lost output is charged once.
+// task or to the map a reduce could not fetch. A report against a version
+// already superseded (by a fence or an earlier charge) charges nobody: one
+// lost output is charged once. A map output lost with its host is not the
+// map's fault, so which of the two a fetch failure is waits for the host's
+// fate: a host past its heartbeat timeout is declared dead on the spot, and
+// any other report is held until the monitor settles it (settleLocked).
 func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -692,11 +711,24 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 		if lost.Map < 0 || lost.Map >= len(c.maps) {
 			return nil, fmt.Errorf("distrun: map %d out of range", lost.Map)
 		}
-		if m := &c.maps[lost.Map]; !m.committed || !m.located || m.version != lost.Version {
+		m := &c.maps[lost.Map]
+		if !m.committed || !m.located || m.version != lost.Version {
 			return &sessionResp{}, nil // superseded: already re-queued
 		}
-		c.requeueMapLocked(lost.Map)
 		cause = &localrun.FetchError{Map: lost.Map, Reduce: req.Task, Peer: lost.Addr, Err: cause}
+		host := c.sessions[m.session]
+		if host != nil && time.Since(host.lastBeat) > c.opts.workerTimeout() {
+			c.markDeadLocked(host) // re-queues the map, with all the host served
+			c.chargeLostLocked(host, cause)
+			return &sessionResp{}, nil
+		}
+		for _, h := range c.held {
+			if h.m == lost.Map && h.version == lost.Version {
+				return &sessionResp{}, nil // one report per lost output is enough
+			}
+		}
+		c.held = append(c.held, lostReport{task: task, m: lost.Map, version: lost.Version, host: m.session, at: time.Now(), cause: cause})
+		return &sessionResp{}, nil
 	} else if t.committed {
 		return &sessionResp{}, nil // a rival attempt won anyway
 	}
@@ -704,6 +736,45 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 		c.end(err)
 	}
 	return &sessionResp{}, nil
+}
+
+// settleLocked settles each held lost-output report once its host's fate is
+// known. A host declared dead took the output with it: the map already
+// re-runs, KILLED, and the death is charged to its worker slot. A host that
+// called in after the report is alive and could not serve the map: the map
+// is charged, FAILED, and re-runs. A report whose map version moved on in
+// between charges nobody.
+func (c *Coordinator) settleLocked() {
+	held := c.held[:0]
+	for _, h := range c.held {
+		host, m := c.sessions[h.host], &c.maps[h.m]
+		switch {
+		case host == nil || host.dead:
+			c.chargeLostLocked(host, h.cause)
+		case host.lastBeat.After(h.at):
+			if m.committed && m.located && m.version == h.version {
+				c.requeueMapLocked(h.m)
+				if err := c.blame.Charge(h.task, h.cause); err != nil {
+					c.end(err)
+				}
+			}
+		default:
+			held = append(held, h)
+		}
+	}
+	c.held = held
+}
+
+// chargeLostLocked charges host's death to its worker slot, once per
+// session however many outputs it lost.
+func (c *Coordinator) chargeLostLocked(host *workerState, cause error) {
+	if host == nil || host.lostPaid {
+		return
+	}
+	host.lostPaid = true
+	if err := c.blame.Lost(host.index, cause); err != nil {
+		c.end(err)
+	}
 }
 
 func (c *Coordinator) maybeFinish() {

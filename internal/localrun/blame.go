@@ -18,18 +18,26 @@ var ErrAttemptsExhausted = errors.New("localrun: task attempts exhausted")
 // distrun coordinator): every failed attempt is charged to one culprit, the
 // map a reduce's fetch ran out of retries on (a *FetchError in the cause;
 // Hadoop blames the mapper too), else the failing task. A culprit charged
-// plan.TaskAttempts() times fails the job, so a job makes at most
-// (maps + reduces) × bound failed attempts: every job ends. Reports against
-// a superseded map version are the coordinator's to drop uncharged.
+// plan.TaskAttempts() times fails the job. Reports against a superseded map
+// version are the coordinator's to drop uncharged.
+//
+// A map whose committed output died with the worker serving it did nothing
+// wrong: the coordinator charges that loss to the worker slot instead (Lost),
+// and the map's re-run is KILLED, not FAILED, as Hadoop counts a map re-run
+// for output lost with its TaskTracker outside mapreduce.map.maxattempts. A
+// slot charged bound times fails the job too, so a job makes at most
+// (maps + reduces + worker slots) × bound failed or killed attempts: every
+// job ends. localrun has no host to lose and only ever calls Charge.
 type Blame struct {
 	bound   int
 	mu      sync.Mutex
 	charges map[mapreduce.TaskID]int
+	lost    map[int]int // per worker slot: deaths that lost map output
 }
 
 // NewBlame returns a ledger with no charges, bounded by plan.TaskAttempts().
 func NewBlame(plan *faultinject.Plan) *Blame {
-	return &Blame{bound: plan.TaskAttempts(), charges: make(map[mapreduce.TaskID]int)}
+	return &Blame{bound: plan.TaskAttempts(), charges: make(map[mapreduce.TaskID]int), lost: make(map[int]int)}
 }
 
 // Charge charges one failed attempt of task, which failed with cause, to its
@@ -47,16 +55,35 @@ func (b *Blame) Charge(task mapreduce.TaskID, cause error) error {
 	return &ExhaustedError{Culprit: task, Attempts: b.bound, Err: cause}
 }
 
-// ExhaustedError is the job failure Charge returns. Err is the last charged
-// cause: for a map a reduce could not fetch, it holds the *FetchError naming
-// that reduce and the peer asked.
+// Lost charges one death of worker slot worker that took committed map
+// output with it, whose loss a reduce reported with cause, and returns an
+// *ExhaustedError once the slot reaches the bound. The map is not charged.
+func (b *Blame) Lost(worker int, cause error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.lost[worker]++; b.lost[worker] < b.bound {
+		return nil
+	}
+	return &ExhaustedError{Worker: worker, HostLost: true, Attempts: b.bound, Err: cause}
+}
+
+// ExhaustedError is the job failure Charge and Lost return. Err is the last
+// charged cause: for a map a reduce could not fetch, it holds the
+// *FetchError naming that reduce and the peer asked. HostLost marks Lost's:
+// Worker is then the slot whose deaths lost map output Attempts times, and
+// Culprit is unset.
 type ExhaustedError struct {
 	Culprit  mapreduce.TaskID
+	Worker   int
+	HostLost bool
 	Attempts int
 	Err      error
 }
 
 func (e *ExhaustedError) Error() string {
+	if e.HostLost {
+		return fmt.Sprintf("localrun: worker %d lost map output %d times: %v", e.Worker, e.Attempts, e.Err)
+	}
 	var fe *FetchError
 	if errors.As(e.Err, &fe) {
 		return fmt.Sprintf("localrun: map %d failed after %d attempts: reduce %d could not fetch it from %s: %v",
