@@ -5,10 +5,16 @@
 //
 //	mrpair [-workload W[,W...]] [-pairs 10] [-seconds S] [-seed N] <parent> <change>
 //	mrpair HEAD HEAD -workload sim-figs -pairs 3    # an A/A check: must say level
+//	mrpair HEAD .                                   # the working tree against its commit
 //
 // Each commit is checked out with `git worktree` under .bench_build/mrpair/,
 // and that commit's own bench/ module is built with bench/run.sh's offline
-// environment. The binaries then run directly, sides alternating which goes
+// environment. A side that names a directory is a working tree of the
+// repository, uncommitted changes and all: it is built and run where it is,
+// and never removed. Every row records each side's git tree hashes of
+// internal, cmd, bench and go.mod (a directory's hashed through a scratch
+// index), so a row measured on a working tree can be matched to the commit
+// that lands it. The binaries then run directly, sides alternating which goes
 // first, each pair on a fresh seed. Besides each metric mrpair reports the
 // CPU per job (the bench process's user+system time from wait4, divided by
 // the jobs it attempted) and its peak RSS. Each verdict is appended as one
@@ -93,13 +99,18 @@ func parseArgs(args []string) (*options, error) {
 	return o, nil
 }
 
-// checkout is one side: a revision checked out in a worktree, with its bench
-// binary built.
+// checkout is one side: a revision checked out in a worktree, or a working
+// tree in a directory of its own, with its bench binary built.
 type checkout struct {
 	rev, hash string
-	dir       string // the worktree
+	dir       string // the worktree, or the working tree
+	working   bool   // dir is the caller's working tree: never removed
+	trees     map[string]string
 	bin       string
 }
+
+// treePaths are the paths whose tree hashes identify what a side ran.
+var treePaths = []string{"internal", "cmd", "bench", "go.mod"}
 
 func run(ctx context.Context, o *options, out io.Writer) (err error) {
 	root, err := git(ctx, "", "rev-parse", "--show-toplevel")
@@ -112,7 +123,7 @@ func run(ctx context.Context, o *options, out io.Writer) (err error) {
 		// context.Background: an interrupt cancelled ctx, and the worktrees
 		// must go all the same.
 		for _, c := range sides {
-			if c == nil {
+			if c == nil || c.working {
 				continue
 			}
 			if _, rerr := git(context.Background(), root, "worktree", "remove", "--force", c.dir); rerr != nil {
@@ -127,11 +138,29 @@ func run(ctx context.Context, o *options, out io.Writer) (err error) {
 		return err
 	}
 	for i, name := range []string{"parent", "change"} {
+		if info, serr := os.Stat(o.revs[i]); serr == nil && info.IsDir() {
+			dir, err := filepath.Abs(o.revs[i])
+			if err != nil {
+				return err
+			}
+			c := &checkout{rev: o.revs[i], hash: "worktree", dir: dir, working: true}
+			if c.trees, err = dirTrees(ctx, root, dir, work); err != nil {
+				return err
+			}
+			sides[i] = c
+			if err := c.build(ctx, work); err != nil {
+				return err
+			}
+			continue
+		}
 		hash, err := git(ctx, root, "rev-parse", "--verify", o.revs[i]+"^{commit}")
 		if err != nil {
 			return err
 		}
 		c := &checkout{rev: o.revs[i], hash: hash, dir: filepath.Join(work, fmt.Sprintf("%s-%s", name, hash[:12]))}
+		if c.trees, err = commitTrees(ctx, root, hash); err != nil {
+			return err
+		}
 		if err := os.RemoveAll(c.dir); err != nil { // left by a run killed outright
 			return err
 		}
@@ -161,7 +190,14 @@ func run(ctx context.Context, o *options, out io.Writer) (err error) {
 		}
 	}
 	fmt.Fprintf(out, "mrpair %s (%s) vs %s (%s): %d pairs, %g s per run, seeds %d..%d\n",
-		sides[0].rev, sides[0].hash[:12], sides[1].rev, sides[1].hash[:12], o.pairs, o.seconds, o.seed, o.seed+int64(o.pairs)-1)
+		sides[0].rev, short(sides[0].hash), sides[1].rev, short(sides[1].hash), o.pairs, o.seconds, o.seed, o.seed+int64(o.pairs)-1)
+	for _, c := range sides {
+		fmt.Fprintf(out, "  %s trees:", c.rev)
+		for _, p := range treePaths {
+			fmt.Fprintf(out, " %s %s", p, short(c.trees[p]))
+		}
+		fmt.Fprintln(out)
+	}
 	var rows []trajectoryRow
 	for _, w := range workloads {
 		wrows, err := pairWorkload(ctx, o, spec, sides, w, out)
@@ -289,15 +325,61 @@ func pairWorkload(ctx context.Context, o *options, spec *benchSpec, sides [2]*ch
 			Rev: sides[1].hash, Parent: sides[0].hash, Workload: workload, Metric: m.Name, Unit: m.Unit,
 			Better: m.Better, Seconds: o.seconds, Seed: o.seed, Pairs: j.Pairs,
 			ParentAt: j.Parent, ChangeAt: j.Change, Wins: j.Wins, Losses: j.Losses, Verdict: j.Verdict,
+			ParentTrees: sides[0].trees, ChangeTrees: sides[1].trees,
 		})
 	}
 	return rows, nil
 }
 
+// commitTrees returns commit hash's tree hashes of treePaths.
+func commitTrees(ctx context.Context, root, hash string) (map[string]string, error) {
+	trees := make(map[string]string, len(treePaths))
+	for _, p := range treePaths {
+		h, err := git(ctx, root, "rev-parse", hash+":"+p)
+		if err != nil {
+			return nil, err
+		}
+		trees[p] = h
+	}
+	return trees, nil
+}
+
+// dirTrees returns the tree hashes of treePaths in the working tree dir, as
+// committing it would give them: the files go through a scratch index under
+// work, with the working tree's own ignore rules, and into root's object
+// store.
+func dirTrees(ctx context.Context, root, dir, work string) (map[string]string, error) {
+	if err := os.MkdirAll(work, 0o755); err != nil {
+		return nil, err
+	}
+	index := filepath.Join(work, "index-"+fmt.Sprint(os.Getpid()))
+	defer os.Remove(index)
+	env := "GIT_INDEX_FILE=" + index
+	if _, err := gitEnv(ctx, root, env, append([]string{"--work-tree=" + dir, "add", "-A", "--"}, treePaths...)...); err != nil {
+		return nil, err
+	}
+	tree, err := gitEnv(ctx, root, env, "write-tree")
+	if err != nil {
+		return nil, err
+	}
+	return commitTrees(ctx, root, tree)
+}
+
+// short abbreviates a hash for the table head.
+func short(h string) string { return h[:min(len(h), 12)] }
+
 // git runs one git command in dir and returns its trimmed output.
 func git(ctx context.Context, dir string, args ...string) (string, error) {
+	return gitEnv(ctx, dir, "", args...)
+}
+
+// gitEnv is git with one more environment variable set (none when empty).
+func gitEnv(ctx context.Context, dir, env string, args ...string) (string, error) {
 	cmd := exec.CommandContext(ctx, "git", args...)
 	cmd.Dir = dir
+	if env != "" {
+		cmd.Env = append(os.Environ(), env)
+	}
 	msg, err := cmd.CombinedOutput()
 	if err != nil {
 		return "", fmt.Errorf("git %s: %w\n%s", strings.Join(args, " "), err, msg)

@@ -190,6 +190,12 @@ type trajectoryRow struct {
 	Wins     int     `json:"wins"`
 	Losses   int     `json:"losses"`
 	Verdict  string  `json:"verdict"`
+
+	// The sides' tree hashes of internal, cmd, bench and go.mod. Rev (or
+	// Parent) is "worktree" for a side run from a working tree: these
+	// name what it ran.
+	ParentTrees map[string]string `json:"parent_trees,omitempty"`
+	ChangeTrees map[string]string `json:"change_trees,omitempty"`
 }
 
 // appendTrajectory appends rows to a trajectory file's contents, a JSON

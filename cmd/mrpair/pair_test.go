@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -102,7 +106,8 @@ func TestBenchSpecAndTrajectory(t *testing.T) {
 	if _, err := parseBenchSpec([]byte(`{"workloads": []}`)); err == nil {
 		t.Error("a spec with no workloads was accepted")
 	}
-	row := trajectoryRow{Rev: "b", Parent: "a", Workload: "avg-1k", Metric: "job_wall_ms", Verdict: verdictWins}
+	row := trajectoryRow{Rev: "b", Parent: "a", Workload: "avg-1k", Metric: "job_wall_ms", Verdict: verdictWins,
+		ChangeTrees: map[string]string{"internal": "c0ffee"}}
 	first, err := appendTrajectory(nil, []trajectoryRow{row})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +117,7 @@ func TestBenchSpecAndTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []trajectoryRow
-	if err := json.Unmarshal(both, &rows); err != nil || len(rows) != 2 || rows[1] != row {
+	if err := json.Unmarshal(both, &rows); err != nil || len(rows) != 2 || !reflect.DeepEqual(rows[1], row) {
 		t.Fatalf("trajectory %s: %v", both, err)
 	}
 	if strings.Count(string(both), "\n") != 4 {
@@ -135,6 +140,56 @@ func TestParseArgsTakesFlagsAroundRevisions(t *testing.T) {
 	for _, bad := range []string{"HEAD", "a b c", "a b -pairs 0"} {
 		if _, err := parseArgs(strings.Fields(bad)); err == nil {
 			t.Errorf("parseArgs(%q) accepted it", bad)
+		}
+	}
+}
+
+// TestDirTreesMatchTheCommit: a working tree's hashes are those of the
+// commit it would make, ignored files left out, and an edit moves only the
+// hash of the path it touches.
+func TestDirTreesMatchTheCommit(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"internal/a.go", "cmd/b.go", "bench/c.go", "go.mod", ".gitignore"} {
+		write(f, f+"\n")
+	}
+	write(".gitignore", ".bench_build/\n")
+	for _, args := range [][]string{{"init", "-q"}, {"add", "-A"}, {"-c", "user.name=m", "-c", "user.email=m@m", "commit", "-q", "-m", "x"}} {
+		if _, err := git(ctx, root, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, err := git(ctx, root, "rev-parse", "HEAD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := commitTrees(ctx, root, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := filepath.Join(root, ".bench_build", "mrpair")
+	write(".bench_build/mrpair/leftover", "ignored\n")
+	got, err := dirTrees(ctx, root, root, work)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("clean tree: %v (err %v), commit %v", got, err, want)
+	}
+	write("internal/a.go", "edited\n")
+	if got, err = dirTrees(ctx, root, root, work); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range treePaths {
+		if moved := got[p] != want[p]; moved != (p == "internal") {
+			t.Errorf("%s: hash %s, commit's %s after editing internal/a.go", p, got[p], want[p])
 		}
 	}
 }
