@@ -265,27 +265,6 @@ func bitsSet(w uint64) (n int) {
 	return n
 }
 
-// TestResortedRunMarksItsOwnRepeats pins the marks of the run the spill
-// re-sorts: those of its sorted order, none of those the copy pass set
-// before the run turned out to hold distinct keys.
-func TestResortedRunMarksItsOwnRepeats(t *testing.T) {
-	for _, tc := range markCases() {
-		if tc.name != "resorted-run" {
-			continue
-		}
-		segs := spillRecs(t, tc.order().Cmp, tc.pf(), tc.partitions, tc.recs)
-		var got []int
-		for i := 0; i < 64; i++ {
-			if marked(segs[0].marks, i) {
-				got = append(got, i)
-			}
-		}
-		if fmt.Sprint(got) != "[2 4 5]" {
-			t.Errorf("re-sorted run marks records %v, want [2 4 5]", got)
-		}
-	}
-}
-
 // TestRunMarksCorruptPayload: a damaged payload gives an error and no
 // segment, so no marks, on both fetch paths.
 func TestRunMarksCorruptPayload(t *testing.T) {
