@@ -530,7 +530,9 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 	}
 	comps := radixSort(part, scratch)
 	// The segment is built in place: out is its stream, crc the checksum of
-	// out[:summed], folded a shuffleCRCChunk at a time behind the copy.
+	// out[:summed], folded a shuffleCRCChunk at a time behind the copy, at
+	// run starts and inside a run of equal keys. A run cut from the output
+	// takes the checksum back to where it started.
 	out := pooledBuf(int(b.partBytes[p]) + segmentTrailerBytes)
 	var (
 		marks  []uint64
@@ -538,6 +540,9 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		summed int
 	)
 	for lo := 0; lo < len(part); {
+		if len(out)-summed >= shuffleCRCChunk {
+			crc, summed = UpdateCRC(crc, out[summed:]), len(out)
+		}
 		run, runCRC, runSummed := len(out), crc, summed
 		m := &meta[part[lo].idx]
 		first := chunks[m.chunk][m.off : m.off+m.keyLen]
