@@ -71,8 +71,8 @@ func (e *sourceEntry) advance(prefix writable.PrefixFunc) error {
 // equal keys: a byte-equal next key leaves its (key, index) — the heap
 // minimum — unchanged, so one byte check replaces the sift.
 //
-// A record carrying its segment's run mark (ReadSegment proved its key equal
-// to the one before it) skips even that check: it stays at the head with
+// A record carrying its segment's run mark (the map side proved its key
+// equal to the one before it) skips even that check: it stays at the head with
 // its prefix taken over and its key bytes untouched. The decision is still
 // counted, so the comparison tally does not depend on where the proof was
 // made.
