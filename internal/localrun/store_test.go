@@ -124,7 +124,7 @@ func chainedSegment(t testing.TB, n int) *kvbuf.Segment {
 // the shuffle server is written against: register, re-register newest-wins,
 // a miss answers status 1 without killing a pipelined connection, Unregister
 // drops every partition of a map, register-after-close errors, and a
-// segment of several ranges is served as its bytes.
+// segment of several ranges is served as its bytes, its run marks with it.
 func TestStoreContract(t *testing.T) {
 	seg := func(val string) *kvbuf.Segment {
 		w := kvbuf.NewWriter(64)
@@ -172,7 +172,10 @@ func TestStoreContract(t *testing.T) {
 				}
 			}
 			chain := chainedSegment(t, 200)
-			want := chain.Bytes()
+			want, wantMarks := chain.Bytes(), chain.AppendMarksFrame(nil)
+			if len(wantMarks) <= 8 {
+				t.Fatal("a chain of one key carries no run marks")
+			}
 			if err := srv.Register(2, 0, chain); err != nil {
 				t.Fatal(err)
 			}
@@ -186,8 +189,9 @@ func TestStoreContract(t *testing.T) {
 			if err := c.request(2, 0); err != nil {
 				t.Fatal(err)
 			}
-			if got, _, err := c.response(false); err != nil || !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("chained segment: err %v, bytes served equal %v", err, err == nil && bytes.Equal(got.Bytes(), want))
+			if got, _, err := c.response(false); err != nil || !bytes.Equal(got.Bytes(), want) || !bytes.Equal(got.AppendMarksFrame(nil), wantMarks) {
+				t.Errorf("chained segment: err %v, bytes served equal %v, marks equal %v", err,
+					err == nil && bytes.Equal(got.Bytes(), want), err == nil && bytes.Equal(got.AppendMarksFrame(nil), wantMarks))
 			}
 
 			srv.Unregister(0)
