@@ -199,7 +199,8 @@ type Coordinator struct {
 	start    time.Time
 	graceEnd time.Time // restarted coordinator: unlocated-map requeue deadline
 
-	held []lostReport // lost-output reports awaiting their host's fate
+	held     []lostReport // lost-output reports awaiting their host's fate
+	excluded map[int]bool // worker slots whose deaths lost output the bound's worth of times
 
 	recoveredMaps    int
 	recoveredReduces int
@@ -238,6 +239,7 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 		opts:     *opts,
 		blame:    localrun.NewBlame(cfg.Faults),
 		sessions: make(map[int64]*workerState),
+		excluded: make(map[int]bool),
 		// Sessions count up from the start time in nanoseconds, so a
 		// successor on the same address never reissues a session its
 		// predecessor handed out: a worker still holding one is fenced and
@@ -544,6 +546,9 @@ func (c *Coordinator) handleGetTask(req *sessionReq) (*taskResp, error) {
 	} else if err != nil {
 		return &taskResp{Kind: TaskExit, Err: err.Error()}, nil
 	}
+	if c.excluded[w.index] {
+		return &taskResp{Kind: TaskWait}, nil
+	}
 
 	// Pending maps first.
 	for i := range c.maps {
@@ -766,14 +771,20 @@ func (c *Coordinator) settleLocked() {
 }
 
 // chargeLostLocked charges host's death to its worker slot, once per
-// session however many outputs it lost.
+// session however many outputs it lost. A slot charged the bound's worth of
+// times is given no more tasks, as Hadoop stops assigning a job's tasks to
+// a TaskTracker that failed too often for it, and the job fails once every
+// slot is: a job loses output to at most workers × bound deaths.
 func (c *Coordinator) chargeLostLocked(host *workerState, cause error) {
 	if host == nil || host.lostPaid {
 		return
 	}
 	host.lostPaid = true
 	if err := c.blame.Lost(host.index, cause); err != nil {
-		c.end(err)
+		c.excluded[host.index] = true
+		if len(c.excluded) >= c.opts.workers() {
+			c.end(err)
+		}
 	}
 }
 

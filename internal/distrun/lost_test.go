@@ -84,6 +84,64 @@ func TestLostOutputRerunIsKilled(t *testing.T) {
 	}
 }
 
+// TestExhaustedSlotsEndTheJob: under a bound of one, a worker slot whose
+// death loses map output once gets no more tasks, even in a new session,
+// and the job goes on; once every slot has, the job ends with an
+// ErrAttemptsExhausted naming the last.
+func TestExhaustedSlotsEndTheJob(t *testing.T) {
+	leakcheck.Check(t, 0)
+	cfg := testConfig()
+	cfg.NumMaps, cfg.NumReduces = 1, 1
+	cfg.Faults = &faultinject.Plan{MaxTaskAttempts: 1}
+	c, err := NewCoordinator(cfg, &Options{Workers: 2, HeartbeatEvery: 2 * time.Millisecond, WorkerTimeout: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	register := func(slot int) int64 {
+		resp, err := c.handleRegister(&registerReq{Index: slot, Addr: fmt.Sprintf("127.0.0.1:%d", 40000+slot)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Session
+	}
+	reducer := register(9)
+	lose := func(slot int) {
+		host := register(slot)
+		m, _ := c.handleGetTask(&sessionReq{Session: host})
+		if m.Kind != TaskMap {
+			t.Fatalf("slot %d was handed %+v, want the map", slot, m)
+		}
+		c.handleCommitMap(&commitMapReq{Session: host, Task: m.Task, Attempt: m.Attempt})
+		r, _ := c.handleGetTask(&sessionReq{Session: reducer})
+		if r.Kind != TaskReduce {
+			t.Fatalf("the reducer was handed %+v, want the reduce", r)
+		}
+		c.handleTaskFailed(&taskFailedReq{Session: reducer, Kind: TaskReduce, Task: r.Task, Attempt: r.Attempt,
+			Err: "connection refused", Lost: &r.Maps[0]})
+		if !waitUntil(5*time.Second, func() bool {
+			c.handleHeartbeat(&sessionReq{Session: reducer})
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return !c.maps[0].committed
+		}) {
+			t.Fatalf("slot %d: map 0 never re-queued", slot)
+		}
+	}
+	lose(0)
+	if task, _ := c.handleGetTask(&sessionReq{Session: register(0)}); task.Kind != TaskWait {
+		t.Fatalf("the exhausted slot 0 was handed %+v in a new session", task)
+	}
+	if err := context.Cause(c.job); err != nil {
+		t.Fatalf("one slot of two exhausted ended the job: %v", err)
+	}
+	lose(1)
+	var ex *localrun.ExhaustedError
+	if err := context.Cause(c.job); !errors.As(err, &ex) || !ex.HostLost || ex.Worker != 1 {
+		t.Fatalf("every slot exhausted: job ended %v, want an ExhaustedError naming worker 1", err)
+	}
+}
+
 // TestSlotDeathsBoundLostOutput: the deaths of one worker slot that lose
 // map output are bounded like a task's attempts, so a job whose hosts keep
 // dying still ends, with an error naming the slot.

@@ -25,9 +25,10 @@ var ErrAttemptsExhausted = errors.New("localrun: task attempts exhausted")
 // wrong: the coordinator charges that loss to the worker slot instead (Lost),
 // and the map's re-run is KILLED, not FAILED, as Hadoop counts a map re-run
 // for output lost with its TaskTracker outside mapreduce.map.maxattempts. A
-// slot charged bound times fails the job too, so a job makes at most
-// (maps + reduces + worker slots) × bound failed or killed attempts: every
-// job ends. localrun has no host to lose and only ever calls Charge.
+// slot charged bound times gets no more tasks, and the job fails once every
+// slot has, so a job makes at most (maps + reduces + worker slots) × bound
+// failed or killed attempts: every job ends. localrun has no host to lose
+// and only ever calls Charge.
 type Blame struct {
 	bound   int
 	mu      sync.Mutex
@@ -57,7 +58,8 @@ func (b *Blame) Charge(task mapreduce.TaskID, cause error) error {
 
 // Lost charges one death of worker slot worker that took committed map
 // output with it, whose loss a reduce reported with cause, and returns an
-// *ExhaustedError once the slot reaches the bound. The map is not charged.
+// *ExhaustedError once the slot reaches the bound (and on every charge
+// after). The map is not charged.
 func (b *Blame) Lost(worker int, cause error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
