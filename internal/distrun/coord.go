@@ -160,15 +160,13 @@ type workerState struct {
 }
 
 // lostReport is a reduce's report that it could not fetch a map's output
-// from a host that still looked alive: held until the host's fate settles
-// it (settleLocked).
+// from a host that still looked alive. The map re-runs at once; whom the
+// loss is charged to waits for the host's fate (settleLocked).
 type lostReport struct {
-	task    mapreduce.TaskID // the reduce that reported
-	m       int
-	version int64
-	host    int64 // the session serving the output
-	at      time.Time
-	cause   error
+	task  mapreduce.TaskID // the reduce that reported
+	host  int64            // the session that served the output
+	at    time.Time
+	cause error
 }
 
 // Coordinator owns the job: task tables, worker sessions, the WAL, and the
@@ -199,8 +197,11 @@ type Coordinator struct {
 	start    time.Time
 	graceEnd time.Time // restarted coordinator: unlocated-map requeue deadline
 
-	held     []lostReport // lost-output reports awaiting their host's fate
-	excluded map[int]bool // worker slots whose deaths lost output the bound's worth of times
+	// held are lost-output reports whose charge awaits their host's fate.
+	// slots holds every worker slot that registered, true once it is
+	// excluded for deaths that lost map output the bound's worth of times.
+	held  []lostReport
+	slots map[int]bool
 
 	recoveredMaps    int
 	recoveredReduces int
@@ -239,7 +240,7 @@ func NewCoordinator(cfg microbench.Config, opts *Options) (*Coordinator, error) 
 		opts:     *opts,
 		blame:    localrun.NewBlame(cfg.Faults),
 		sessions: make(map[int64]*workerState),
-		excluded: make(map[int]bool),
+		slots:    make(map[int]bool),
 		// Sessions count up from the start time in nanoseconds, so a
 		// successor on the same address never reissues a session its
 		// predecessor handed out: a worker still holding one is fenced and
@@ -483,6 +484,9 @@ func (c *Coordinator) handleRegister(req *registerReq) (*registerResp, error) {
 		lastBeat: time.Now(),
 	}
 	c.sessions[w.session] = w
+	if _, known := c.slots[w.index]; !known {
+		c.slots[w.index] = false
+	}
 	// Re-adopt any committed map output the worker still serves at the
 	// committed version: this is how a restarted coordinator re-locates
 	// WAL-committed maps, and how a fenced-but-alive (partitioned) worker's
@@ -546,8 +550,8 @@ func (c *Coordinator) handleGetTask(req *sessionReq) (*taskResp, error) {
 	} else if err != nil {
 		return &taskResp{Kind: TaskExit, Err: err.Error()}, nil
 	}
-	if c.excluded[w.index] {
-		return &taskResp{Kind: TaskWait}, nil
+	if c.slots[w.index] {
+		return &taskResp{Kind: TaskWait}, nil // an excluded slot
 	}
 
 	// Pending maps first.
@@ -690,12 +694,13 @@ func (c *Coordinator) handleCommitReduce(req *commitReduceReq) (*commitResp, err
 }
 
 // handleTaskFailed charges a failed attempt by localrun's Blame rule, to the
-// task or to the map a reduce could not fetch. A report against a version
-// already superseded (by a fence or an earlier charge) charges nobody: one
-// lost output is charged once. A map output lost with its host is not the
-// map's fault, so which of the two a fetch failure is waits for the host's
-// fate: a host past its heartbeat timeout is declared dead on the spot, and
-// any other report is held until the monitor settles it (settleLocked).
+// task or to the map a reduce could not fetch, re-queued under the same
+// lock. A report against a version already superseded (by a fence or an
+// earlier report) charges nobody: one lost output is charged once. A map
+// output lost with its host is not the map's fault, so whom a fetch failure
+// is charged to waits for the host's fate: a host past its heartbeat timeout
+// is declared dead on the spot, and any other report is held until the
+// monitor settles it (settleLocked).
 func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -721,18 +726,14 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 			return &sessionResp{}, nil // superseded: already re-queued
 		}
 		cause = &localrun.FetchError{Map: lost.Map, Reduce: req.Task, Peer: lost.Addr, Err: cause}
-		host := c.sessions[m.session]
-		if host != nil && time.Since(host.lastBeat) > c.opts.workerTimeout() {
-			c.markDeadLocked(host) // re-queues the map, with all the host served
+		host := c.sessions[m.session] // located output has a registered host
+		c.requeueMapLocked(lost.Map)
+		if time.Since(host.lastBeat) > c.opts.workerTimeout() {
+			c.markDeadLocked(host) // re-queues the rest the host served
 			c.chargeLostLocked(host, cause)
 			return &sessionResp{}, nil
 		}
-		for _, h := range c.held {
-			if h.m == lost.Map && h.version == lost.Version {
-				return &sessionResp{}, nil // one report per lost output is enough
-			}
-		}
-		c.held = append(c.held, lostReport{task: task, m: lost.Map, version: lost.Version, host: m.session, at: time.Now(), cause: cause})
+		c.held = append(c.held, lostReport{task: task, host: host.session, at: time.Now(), cause: cause})
 		return &sessionResp{}, nil
 	} else if t.committed {
 		return &sessionResp{}, nil // a rival attempt won anyway
@@ -743,25 +744,20 @@ func (c *Coordinator) handleTaskFailed(req *taskFailedReq) (*sessionResp, error)
 	return &sessionResp{}, nil
 }
 
-// settleLocked settles each held lost-output report once its host's fate is
-// known. A host declared dead took the output with it: the map already
-// re-runs, KILLED, and the death is charged to its worker slot. A host that
-// called in after the report is alive and could not serve the map: the map
-// is charged, FAILED, and re-runs. A report whose map version moved on in
-// between charges nobody.
+// settleLocked charges each held lost-output report once its host's fate is
+// known. A host declared dead took the output with it: the map's re-run is
+// KILLED, and the death is charged to the host's worker slot. A host that
+// called in after the report is alive and could not serve the map: the
+// re-run is FAILED, and the map is charged.
 func (c *Coordinator) settleLocked() {
 	held := c.held[:0]
 	for _, h := range c.held {
-		host, m := c.sessions[h.host], &c.maps[h.m]
-		switch {
-		case host == nil || host.dead:
+		switch host := c.sessions[h.host]; {
+		case host.dead:
 			c.chargeLostLocked(host, h.cause)
 		case host.lastBeat.After(h.at):
-			if m.committed && m.located && m.version == h.version {
-				c.requeueMapLocked(h.m)
-				if err := c.blame.Charge(h.task, h.cause); err != nil {
-					c.end(err)
-				}
+			if err := c.blame.Charge(h.task, h.cause); err != nil {
+				c.end(err)
 			}
 		default:
 			held = append(held, h)
@@ -772,20 +768,27 @@ func (c *Coordinator) settleLocked() {
 
 // chargeLostLocked charges host's death to its worker slot, once per
 // session however many outputs it lost. A slot charged the bound's worth of
-// times is given no more tasks, as Hadoop stops assigning a job's tasks to
-// a TaskTracker that failed too often for it, and the job fails once every
-// slot is: a job loses output to at most workers × bound deaths.
+// times is excluded: it is given no more tasks, as Hadoop stops assigning a
+// job's tasks to a TaskTracker that failed too often for it. The job fails
+// once every slot that registered is excluded, so a job loses output to at
+// most (slots × bound) deaths, and ends while a healthy slot is left only
+// by finishing.
 func (c *Coordinator) chargeLostLocked(host *workerState, cause error) {
-	if host == nil || host.lostPaid {
+	if host.lostPaid {
 		return
 	}
 	host.lostPaid = true
-	if err := c.blame.Lost(host.index, cause); err != nil {
-		c.excluded[host.index] = true
-		if len(c.excluded) >= c.opts.workers() {
-			c.end(err)
+	err := c.blame.Lost(host.index, cause)
+	if err == nil {
+		return
+	}
+	c.slots[host.index] = true
+	for _, excluded := range c.slots {
+		if !excluded {
+			return
 		}
 	}
+	c.end(err)
 }
 
 func (c *Coordinator) maybeFinish() {

@@ -12,133 +12,149 @@ import (
 	"mrmicro/internal/localrun"
 )
 
-// TestLostOutputRerunIsKilled drives the coordinator's handlers by hand
-// through a map whose committed output is lost with its host
-// MaxTaskAttempts times. Each time a reduce reports the fetch failure while
-// the host still looks alive; the host never calls again, the heartbeat
-// timeout declares it dead, and the loss is charged to the host's worker
-// slot, not to the map, which re-runs KILLED. A third host's commit lets the
-// reduce commit and the job end done. Charging the map instead, as a fetch
-// failure against a live host is charged, ends the job with
-// ErrAttemptsExhausted at the second loss.
-func TestLostOutputRerunIsKilled(t *testing.T) {
-	leakcheck.Check(t, 0)
+// lostHarness drives a coordinator's handlers by hand: hosts commit the
+// map and fall silent, and a reducer reports the map's output lost.
+type lostHarness struct {
+	t *testing.T
+	c *Coordinator
+}
+
+// newLostHarness starts a coordinator for one map and one reduce under a
+// bound of attempts; its workers time out after 40ms of silence.
+func newLostHarness(t *testing.T, attempts int, opts Options) *lostHarness {
 	cfg := testConfig()
 	cfg.NumMaps, cfg.NumReduces = 1, 1
-	cfg.Faults = &faultinject.Plan{MaxTaskAttempts: 2}
-	c, err := NewCoordinator(cfg, &Options{HeartbeatEvery: 2 * time.Millisecond, WorkerTimeout: 40 * time.Millisecond})
+	cfg.Faults = &faultinject.Plan{MaxTaskAttempts: attempts}
+	opts.HeartbeatEvery, opts.WorkerTimeout = 2*time.Millisecond, 40*time.Millisecond
+	c, err := NewCoordinator(cfg, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
-	register := func(slot int) int64 {
-		resp, err := c.handleRegister(&registerReq{Index: slot, Addr: fmt.Sprintf("127.0.0.1:%d", 40000+slot)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Session
+	t.Cleanup(c.Stop)
+	return &lostHarness{t: t, c: c}
+}
+
+// register opens a new session of worker slot slot.
+func (h *lostHarness) register(slot int) int64 {
+	resp, err := h.c.handleRegister(&registerReq{Index: slot, Addr: fmt.Sprintf("127.0.0.1:%d", 40000+slot)})
+	if err != nil {
+		h.t.Fatal(err)
 	}
-	task := func(session int64, kind string) *taskResp {
-		resp, err := c.handleGetTask(&sessionReq{Session: session})
-		if err != nil || resp.Kind != kind {
-			t.Fatalf("session %d was handed %+v (err %v), want a %s task", session, resp, err, kind)
-		}
-		return resp
+	return resp.Session
+}
+
+func (h *lostHarness) task(session int64, kind string) *taskResp {
+	resp, err := h.c.handleGetTask(&sessionReq{Session: session})
+	if err != nil || resp.Kind != kind {
+		h.t.Fatalf("session %d was handed %+v (err %v), want a %s task", session, resp, err, kind)
 	}
-	commitMap := func(host int64) {
-		m := task(host, TaskMap)
-		if resp, err := c.handleCommitMap(&commitMapReq{Session: host, Task: m.Task, Attempt: m.Attempt}); err != nil || !resp.Win {
-			t.Fatalf("map commit: %+v, err %v", resp, err)
-		}
+	return resp
+}
+
+func (h *lostHarness) commitMap(host int64) {
+	m := h.task(host, TaskMap)
+	if resp, err := h.c.handleCommitMap(&commitMapReq{Session: host, Task: m.Task, Attempt: m.Attempt}); err != nil || !resp.Win {
+		h.t.Fatalf("map commit: %+v, err %v", resp, err)
 	}
-	reducer := register(9)
-	for loss := 0; loss < cfg.Faults.TaskAttempts(); loss++ {
-		commitMap(register(loss))
-		r := task(reducer, TaskReduce)
-		if _, err := c.handleTaskFailed(&taskFailedReq{Session: reducer, Kind: TaskReduce, Task: r.Task, Attempt: r.Attempt,
-			Err: "connection refused", Lost: &r.Maps[0]}); err != nil {
-			t.Fatal(err)
-		}
-		// The host is gone; the reducer keeps calling in until the map is
-		// back in the pending pool.
-		requeued := waitUntil(5*time.Second, func() bool {
-			c.handleHeartbeat(&sessionReq{Session: reducer})
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return !c.maps[0].committed
-		})
-		if err := context.Cause(c.job); err != nil {
+}
+
+// lose has a new session of slot commit the map and fall silent, and
+// reducer report the output lost. The map re-queues at once; the reducer
+// keeps calling in until the timeout declares the host dead and the report
+// is settled.
+func (h *lostHarness) lose(slot int, reducer int64) {
+	h.commitMap(h.register(slot))
+	r := h.task(reducer, TaskReduce)
+	if _, err := h.c.handleTaskFailed(&taskFailedReq{Session: reducer, Kind: TaskReduce, Task: r.Task, Attempt: r.Attempt,
+		Err: "connection refused", Lost: &r.Maps[0]}); err != nil {
+		h.t.Fatal(err)
+	}
+	h.c.mu.Lock()
+	requeued := !h.c.maps[0].committed
+	h.c.mu.Unlock()
+	if !requeued {
+		h.t.Fatalf("slot %d: the report left map 0 committed", slot)
+	}
+	if !waitUntil(5*time.Second, func() bool {
+		h.c.handleHeartbeat(&sessionReq{Session: reducer})
+		h.c.mu.Lock()
+		defer h.c.mu.Unlock()
+		return len(h.c.held) == 0
+	}) {
+		h.t.Fatalf("slot %d: the report never settled", slot)
+	}
+}
+
+// TestLostOutputRerunIsKilled loses one map's committed output with its
+// host MaxTaskAttempts times. Each time a reduce reports the fetch failure
+// while the host still looks alive; the host never calls again, the
+// heartbeat timeout declares it dead, and the loss is charged to the host's
+// worker slot, not to the map, which re-runs KILLED. A third host's commit
+// lets the reduce commit and the job end done. Charging the map instead, as
+// a fetch failure against a live host is charged, ends the job with
+// ErrAttemptsExhausted at the second loss.
+func TestLostOutputRerunIsKilled(t *testing.T) {
+	leakcheck.Check(t, 0)
+	h := newLostHarness(t, 2, Options{})
+	reducer := h.register(9)
+	for loss := 0; loss < 2; loss++ {
+		h.lose(loss, reducer)
+		if err := context.Cause(h.c.job); err != nil {
 			t.Fatalf("loss %d ended the job: %v", loss+1, err)
 		}
-		if !requeued {
-			t.Fatalf("loss %d: map 0 never re-queued", loss+1)
-		}
 	}
-	commitMap(register(2))
-	r := task(reducer, TaskReduce)
-	if _, err := c.handleCommitReduce(&commitReduceReq{Session: reducer, Task: r.Task, Attempt: r.Attempt}); err != nil {
+	h.commitMap(h.register(2))
+	r := h.task(reducer, TaskReduce)
+	if _, err := h.c.handleCommitReduce(&commitReduceReq{Session: reducer, Task: r.Task, Attempt: r.Attempt}); err != nil {
 		t.Fatal(err)
 	}
-	if err := context.Cause(c.job); err != errJobDone {
+	if err := context.Cause(h.c.job); err != errJobDone {
 		t.Fatalf("job ended %v, want done", err)
 	}
 }
 
 // TestExhaustedSlotsEndTheJob: under a bound of one, a worker slot whose
 // death loses map output once gets no more tasks, even in a new session,
-// and the job goes on; once every slot has, the job ends with an
-// ErrAttemptsExhausted naming the last.
+// and the job goes on while a registered slot is healthy, whatever
+// Options.Workers says; once every registered slot is excluded, the job
+// ends with an ErrAttemptsExhausted naming the last.
 func TestExhaustedSlotsEndTheJob(t *testing.T) {
 	leakcheck.Check(t, 0)
-	cfg := testConfig()
-	cfg.NumMaps, cfg.NumReduces = 1, 1
-	cfg.Faults = &faultinject.Plan{MaxTaskAttempts: 1}
-	c, err := NewCoordinator(cfg, &Options{Workers: 2, HeartbeatEvery: 2 * time.Millisecond, WorkerTimeout: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	register := func(slot int) int64 {
-		resp, err := c.handleRegister(&registerReq{Index: slot, Addr: fmt.Sprintf("127.0.0.1:%d", 40000+slot)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Session
-	}
-	reducer := register(9)
-	lose := func(slot int) {
-		host := register(slot)
-		m, _ := c.handleGetTask(&sessionReq{Session: host})
-		if m.Kind != TaskMap {
-			t.Fatalf("slot %d was handed %+v, want the map", slot, m)
-		}
-		c.handleCommitMap(&commitMapReq{Session: host, Task: m.Task, Attempt: m.Attempt})
-		r, _ := c.handleGetTask(&sessionReq{Session: reducer})
-		if r.Kind != TaskReduce {
-			t.Fatalf("the reducer was handed %+v, want the reduce", r)
-		}
-		c.handleTaskFailed(&taskFailedReq{Session: reducer, Kind: TaskReduce, Task: r.Task, Attempt: r.Attempt,
-			Err: "connection refused", Lost: &r.Maps[0]})
-		if !waitUntil(5*time.Second, func() bool {
-			c.handleHeartbeat(&sessionReq{Session: reducer})
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return !c.maps[0].committed
-		}) {
-			t.Fatalf("slot %d: map 0 never re-queued", slot)
+	h := newLostHarness(t, 1, Options{})
+	reducer := h.register(2)
+	for slot := 0; slot < 2; slot++ {
+		h.lose(slot, reducer)
+		if task, _ := h.c.handleGetTask(&sessionReq{Session: h.register(slot)}); task.Kind != TaskWait {
+			t.Fatalf("the exhausted slot %d was handed %+v in a new session", slot, task)
 		}
 	}
-	lose(0)
-	if task, _ := c.handleGetTask(&sessionReq{Session: register(0)}); task.Kind != TaskWait {
-		t.Fatalf("the exhausted slot 0 was handed %+v in a new session", task)
+	if err := context.Cause(h.c.job); err != nil {
+		t.Fatalf("two slots of three exhausted ended the job: %v", err)
 	}
-	if err := context.Cause(c.job); err != nil {
-		t.Fatalf("one slot of two exhausted ended the job: %v", err)
-	}
-	lose(1)
+	h.lose(2, reducer)
 	var ex *localrun.ExhaustedError
-	if err := context.Cause(c.job); !errors.As(err, &ex) || !ex.HostLost || ex.Worker != 1 {
-		t.Fatalf("every slot exhausted: job ended %v, want an ExhaustedError naming worker 1", err)
+	if err := context.Cause(h.c.job); !errors.As(err, &ex) || !ex.HostLost || ex.Worker != 2 {
+		t.Fatalf("every slot exhausted: job ended %v, want an ExhaustedError naming worker 2", err)
+	}
+}
+
+// TestOneSlotExhaustedEndsTheJob: a coordinator told nothing of its workers
+// (mrcoord's) serves one hand-started slot whose sessions keep dying with
+// the map's output. Once that slot is charged the bound's worth of times,
+// the job ends with an ErrAttemptsExhausted naming it, instead of waiting
+// forever for a slot that never registers.
+func TestOneSlotExhaustedEndsTheJob(t *testing.T) {
+	leakcheck.Check(t, 0)
+	h := newLostHarness(t, 2, Options{})
+	reducer := h.register(0)
+	h.lose(0, reducer)
+	if err := context.Cause(h.c.job); err != nil {
+		t.Fatalf("the first loss ended the job: %v", err)
+	}
+	h.lose(0, reducer)
+	var ex *localrun.ExhaustedError
+	if err := context.Cause(h.c.job); !errors.As(err, &ex) || !ex.HostLost || ex.Worker != 0 {
+		t.Fatalf("the only slot exhausted: job ended %v, want an ExhaustedError naming worker 0", err)
 	}
 }
 
