@@ -44,8 +44,9 @@ func clearMarks(marks []uint64, from int) {
 // alone, as Hadoop's IFile carries no such field.
 
 // ErrMarksFrame marks a run-marks frame whose word count no segment of the
-// size it follows can need. The count cannot be trusted, so neither can
-// where the frame ends: the stream is out of sync.
+// size it follows can need, or whose checksum does not hold. Either way the
+// count cannot be trusted, so neither can where the frame ends: the stream
+// is out of sync.
 var ErrMarksFrame = errors.New("kvbuf: malformed run-marks frame")
 
 // maxMarkWords bounds the word count of a frame whose segment is unknown: a
@@ -74,12 +75,12 @@ func (s *Segment) AppendMarksFrame(dst []byte) []byte {
 // ReadMarksFrame consumes the run-marks frame that follows a segment's
 // payload on r and gives seg the marks it holds. seg is the segment as
 // read, raw or inflated; nil means the payload was rejected, and the frame
-// is consumed and dropped. A frame whose checksum does not match leaves seg
-// unmarked, which is correct, only slower: the stream is still in sync. A
-// word count past what seg's bytes can hold is an ErrMarksFrame, and a
-// stream that ends inside the frame an io.ErrUnexpectedEOF: both leave the
-// stream out of sync. Nothing is allocated before the count is bounded by
-// bytes already read.
+// is consumed and dropped. A word count past what seg's bytes can hold, or
+// a checksum that does not match, is an ErrMarksFrame, and a stream that
+// ends inside the frame an io.ErrUnexpectedEOF. Each leaves seg unmarked
+// and the stream out of sync: a damaged count that stays in bounds reads
+// the wrong number of bytes, and only the checksum can tell. Nothing is
+// allocated before the count is bounded by bytes already read.
 func ReadMarksFrame(r io.Reader, seg *Segment) error {
 	var buf [512]byte
 	if err := readFrame(r, buf[:4]); err != nil {
@@ -113,7 +114,10 @@ func ReadMarksFrame(r io.Reader, seg *Segment) error {
 	if err := readFrame(r, buf[:4]); err != nil {
 		return err
 	}
-	if seg == nil || binary.BigEndian.Uint32(buf[:4]) != crc {
+	if got := binary.BigEndian.Uint32(buf[:4]); got != crc {
+		return fmt.Errorf("%w: checksum %#08x, computed %#08x", ErrMarksFrame, got, crc)
+	}
+	if seg == nil {
 		return nil
 	}
 	if n > 0 {

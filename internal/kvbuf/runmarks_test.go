@@ -281,10 +281,10 @@ func TestRunMarksCorruptPayload(t *testing.T) {
 }
 
 // TestMarksFrameVerdicts walks a frame through each way it can arrive: whole
-// (the marks), with a flipped bit (consumed, no marks), after a rejected
-// payload (consumed and dropped), with a count no segment of its size can
-// need and cut short (typed errors). Where the frame is consumed, the
-// stream behind it reads in sync.
+// (the marks), after a rejected payload (consumed and dropped), with a
+// flipped bit in a word or in the count, with a count no segment of its
+// size can need, and cut short (typed errors, no marks). Where the frame is
+// accepted, the stream behind it reads in sync.
 func TestMarksFrameVerdicts(t *testing.T) {
 	cmp, pf := writable.CompareText, mustPrefix("Text")
 	segs := spillRecs(t, cmp, pf, 1, textRecs(repeatKeys("prefix-key-", 5, 40), 4, 0))
@@ -307,13 +307,19 @@ func TestMarksFrameVerdicts(t *testing.T) {
 	if got, err, rest := read(frame, seg); err != nil || rest != tail || fmt.Sprint(got.marks) != fmt.Sprint(seg.marks) {
 		t.Errorf("whole frame: err %v, rest %q, marks %v, want %v", err, rest, got.marks, seg.marks)
 	}
-	flipped := bytes.Clone(frame)
-	flipped[9] ^= 1
-	if got, err, rest := read(flipped, seg); err != nil || rest != tail || got.marks != nil {
-		t.Errorf("flipped frame: err %v, rest %q, marks %v, want none", err, rest, got.marks)
-	}
 	if _, err, rest := read(frame, nil); err != nil || rest != tail {
 		t.Errorf("frame behind a rejected payload: err %v, rest %q", err, rest)
+	}
+	// A flipped bit in a word, or in the count (4 words read as 2: the
+	// checksum is taken from a word, the rest is left on the stream).
+	for _, bit := range []int{9, 3} {
+		flipped := bytes.Clone(frame)
+		flipped[bit] ^= 6
+		for _, into := range []*Segment{seg, nil} {
+			if got, err, _ := read(flipped, into); !errors.Is(err, ErrMarksFrame) || got != nil && got.marks != nil {
+				t.Errorf("byte %d flipped, segment %t: err %v, want ErrMarksFrame and no marks", bit, into != nil, err)
+			}
+		}
 	}
 	huge := binary.BigEndian.AppendUint32(nil, uint32(markWords(seg.Len())+1))
 	if _, err, _ := read(huge, seg); !errors.Is(err, ErrMarksFrame) {

@@ -38,12 +38,13 @@ var ErrServerClosed = errors.New("localrun: shuffle server closed")
 // (kvbuf.AppendMarksFrame: which records repeat the key before them, as the
 // map side proved while it sorted and merged). The payload length counts the
 // segment alone, and so do REDUCE_SHUFFLE_BYTES and the serving counters: the
-// frame is not shuffle data, and a reduce that finds it damaged reads the
-// segment unmarked. A miss is the status byte 1 alone. Connections are
-// persistent: a client
-// may pipeline any number of requests on one connection and responses come
-// back in request order, so per-segment dial/teardown never touches the
-// copy phase's critical path.
+// frame is not shuffle data. A frame whose checksum fails may carry a
+// damaged word count, so the stream behind it cannot be trusted: the reduce
+// drops the connection and fetches the segment again. A miss is the status
+// byte 1 alone. Connections are persistent: a client may pipeline any
+// number of requests on one connection and responses come back in request
+// order, so per-segment dial/teardown never touches the copy phase's
+// critical path.
 //
 // Serving never read-then-writes a segment: the in-memory store sends a
 // segment in a single writev straight from its retained buffer, and the
@@ -216,8 +217,9 @@ func (c *shuffleConn) header() (int, error) {
 // buffer its Recycle returns, and nothing scans it again: its run marks are
 // the ones the marks frame behind it carries. A kvbuf.ErrCorruptSegment
 // return means the payload and its frame were consumed and the connection is
-// still in sync (retry without reconnecting); other errors are
-// connection-level. wire is the payload's on-the-wire byte count.
+// still in sync (retry without reconnecting); other errors, a damaged frame
+// among them, are connection-level. wire is the payload's on-the-wire byte
+// count.
 func (c *shuffleConn) response(compressed bool) (seg *kvbuf.Segment, wire int64, err error) {
 	n, err := c.header()
 	if err != nil {
