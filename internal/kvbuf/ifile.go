@@ -101,24 +101,50 @@ func (w *Writer) Append(key, val []byte) {
 	w.out.Write(key)
 	w.out.Write(val)
 	w.records++
-	if w.out.Len()-w.summed >= shuffleCRCChunk {
-		w.fold()
-	}
+	w.foldDue()
 }
 
-// appendFramed adds one record already framed as an IFile record.
+// appendFramed adds one record already framed as an IFile record. It does
+// not fold, so that it inlines into the spill's copy loop: the checksum
+// catches up at the next checkpoint, mark or Close.
 func (w *Writer) appendFramed(rec []byte) {
 	w.out.Write(rec)
 	w.records++
-	if w.out.Len()-w.summed >= shuffleCRCChunk {
-		w.fold()
-	}
 }
 
 // mark sets the run mark of the record just appended: its caller has proven
 // the key byte-identical to the previous record's.
 func (w *Writer) mark() {
 	w.marks = setMark(w.marks, w.records-1, w.markHint)
+	w.foldDue()
+}
+
+// writerMark is where a Writer stood between two records: the state cut
+// restores.
+type writerMark struct {
+	len, summed, records int
+	crc                  uint32
+}
+
+// checkpoint marks where the writer stands, for a later cut.
+func (w *Writer) checkpoint() writerMark {
+	w.foldDue()
+	return writerMark{len: w.out.Len(), summed: w.summed, records: w.records, crc: w.crc}
+}
+
+// cut drops every record appended since the checkpoint at, with its run
+// marks, and takes the checksum back to where it stood there.
+func (w *Writer) cut(at writerMark) {
+	w.out.Truncate(at.len)
+	w.summed, w.records, w.crc = at.summed, at.records, at.crc
+	clearMarks(w.marks, at.records)
+}
+
+// foldDue folds once a shuffleCRCChunk of bytes awaits the checksum.
+func (w *Writer) foldDue() {
+	if w.out.Len()-w.summed >= shuffleCRCChunk {
+		w.fold()
+	}
 }
 
 func (w *Writer) fold() {

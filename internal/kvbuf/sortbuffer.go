@@ -529,24 +529,13 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 		return chunks[m.chunk][start : m.off+m.keyLen+m.valLen]
 	}
 	comps := radixSort(part, scratch)
-	// The segment is built in place: out is its stream, crc the checksum of
-	// out[:summed], folded a shuffleCRCChunk at a time behind the copy, at
-	// run starts and inside a run of equal keys. A run cut from the output
-	// takes the checksum back to where it started.
-	out := pooledBuf(int(b.partBytes[p]) + segmentTrailerBytes)
-	var (
-		marks  []uint64
-		crc    uint32
-		summed int
-	)
+	w := NewWriter(int(b.partBytes[p]) + segmentTrailerBytes)
+	w.markHint = len(part)
 	for lo := 0; lo < len(part); {
-		if len(out)-summed >= shuffleCRCChunk {
-			crc, summed = UpdateCRC(crc, out[summed:]), len(out)
-		}
-		run, runCRC, runSummed := len(out), crc, summed
+		run := w.checkpoint()
 		m := &meta[part[lo].idx]
 		first := chunks[m.chunk][m.off : m.off+m.keyLen]
-		out = append(out, framed(m)...)
+		w.appendFramed(framed(m))
 		hi, same := lo+1, true
 		for ; hi < len(part) && part[hi].prefix == part[lo].prefix; hi++ {
 			if !same {
@@ -555,11 +544,8 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 			comps++
 			m := &meta[part[hi].idx]
 			if same = bytes.Equal(first, chunks[m.chunk][m.off:m.off+m.keyLen]); same {
-				out = append(out, framed(m)...)
-				marks = setMark(marks, hi, len(part))
-				if len(out)-summed >= shuffleCRCChunk {
-					crc, summed = UpdateCRC(crc, out[summed:]), len(out)
-				}
+				w.appendFramed(framed(m))
+				w.mark()
 			}
 		}
 		if !same {
@@ -570,20 +556,17 @@ func (b *SortBuffer) spillPartition(p int, part, scratch []sortEntry, segs []*Se
 				}
 				return int(x.idx - y.idx) // stability: equal keys keep insertion order
 			})
-			out, crc, summed = out[:run], runCRC, runSummed
-			clearMarks(marks, lo)
+			w.cut(run)
 			for i := lo; i < hi; i++ {
-				out = append(out, framed(&meta[part[i].idx])...)
+				w.appendFramed(framed(&meta[part[i].idx]))
 				if i > lo && bytes.Equal(key(part[i]), key(part[i-1])) {
-					marks = setMark(marks, i, len(part))
+					w.mark()
 				}
 			}
 		}
 		lo = hi
 	}
-	out = append(out, 0xff, 0xff) // EOFMarker twice, as one-byte vints
-	out = binary.BigEndian.AppendUint32(out, UpdateCRC(crc, out[summed:]))
-	segs[p] = &Segment{data: out, marks: marks, records: len(part), verified: true}
+	segs[p] = w.Close()
 	return comps
 }
 

@@ -42,6 +42,9 @@ func (o *DataOutput) Len() int { return len(o.buf) }
 // Reset truncates the buffer for reuse.
 func (o *DataOutput) Reset() { o.buf = o.buf[:0] }
 
+// Truncate drops every byte written past the first n.
+func (o *DataOutput) Truncate(n int) { o.buf = o.buf[:n] }
+
 // ResetOn repositions the output at the start of buf's storage, as
 // NewDataOutputOn does for a new one. Writes past cap(buf) move the output to
 // a grown copy, as append does; Bytes then no longer aliases buf.
