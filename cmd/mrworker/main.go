@@ -3,7 +3,8 @@
 // outputs from a local shuffle server, and executes task attempts until the
 // coordinator dismisses it. The job definition arrives from the coordinator
 // at registration — mrworker takes no benchmark flags of its own, only
-// -cpuprofile / -memprofile, which profile it until it is dismissed.
+// -cpuprofile / -memprofile, which profile it until it is dismissed or, on
+// SIGINT or SIGTERM, has closed its connections and removed its scratch.
 //
 // Example:
 //
@@ -15,10 +16,13 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"mrmicro/internal/cliutil"
 	"mrmicro/internal/distrun"
@@ -39,8 +43,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// Arguments run left to right: the profile stops once the worker returns.
-	if err := errors.Join(distrun.RunWorker(*coord, *index, *epoch), stopProf()); err != nil {
+	if err := errors.Join(distrun.RunWorker(ctx, *coord, *index, *epoch), stopProf()); err != nil {
 		fatal(err)
 	}
 }

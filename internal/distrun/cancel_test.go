@@ -25,7 +25,9 @@ var cancelPoints = []string{"before-dispatch", "mid-map", "mid-copy-phase", "mid
 // points: before dispatch, mid-map, mid-copy-phase (a 1-byte shuffle pool, so
 // the copiers have spilled to disk) and mid-reduce. Every run must return an
 // error wrapping context.Canceled within a second of the cancel and leave no
-// goroutine, descriptor, worker process or temp path behind.
+// goroutine, descriptor, worker or temp path behind. Engine "inproc" is dist
+// with its workers run as goroutines of the test process, checked with no
+// reap grace.
 //
 // localrun is cancelled from inside its own mapper and reducer, counting
 // collected records (maps run one at a time, so record k*pairs+1 is map k's
@@ -39,8 +41,9 @@ func TestCancelEndsEveryJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pools []*WorkerPool
+	start := StartWorkers
 	startWorkers = func(addr string, n int, respawn bool) (*WorkerPool, error) {
-		p, err := StartWorkers(addr, n, respawn)
+		p, err := start(addr, n, respawn)
 		if p != nil {
 			pools = append(pools, p)
 		}
@@ -49,7 +52,10 @@ func TestCancelEndsEveryJob(t *testing.T) {
 	defer func() { startWorkers = StartWorkers }()
 
 	rng := rand.New(rand.NewPCG(seed, 0))
-	for _, engine := range []string{"localrun", "dist"} {
+	for _, engine := range []string{"localrun", "dist", "inproc"} {
+		if engine == "inproc" {
+			start = startInProcess
+		}
 		for _, point := range cancelPoints {
 			t.Run(engine+"/"+point, func(t *testing.T) {
 				var grace time.Duration
@@ -64,9 +70,9 @@ func TestCancelEndsEveryJob(t *testing.T) {
 					cancelled.CompareAndSwap(0, time.Now().UnixNano())
 					cancel()
 				}
-				run := cancelLocal
-				if engine == "dist" {
-					run = cancelDist
+				run := cancelDist
+				if engine == "localrun" {
+					run = cancelLocal
 				}
 				start := run(t, ctx, cfg, point, rng, tmp, stop)
 				result := make(chan error, 1)
@@ -88,7 +94,7 @@ func TestCancelEndsEveryJob(t *testing.T) {
 				cancel() // the dist poller ends with the context
 				for _, p := range pools {
 					if n := p.Live(); n != 0 {
-						t.Errorf("%d worker processes still live", n)
+						t.Errorf("%d workers still live", n)
 					}
 				}
 			})

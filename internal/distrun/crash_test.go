@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -85,6 +86,21 @@ func assertMatchesOracle(t *testing.T, cfg microbench.Config, got *Result, exemp
 	}
 }
 
+// inBothModes runs body with worker processes, then again as subtest
+// "inproc" with every worker a goroutine of the test process: startWorkers,
+// which Run and the tests that build a pool call, starts them in process.
+// A killed in-process worker must leave no goroutine, descriptor or temp
+// path behind, so that leg checks for leaks with no reap grace.
+func inBothModes(t *testing.T, body func(t *testing.T)) {
+	body(t)
+	t.Run("inproc", func(t *testing.T) {
+		leakcheck.Check(t, 0)
+		startWorkers = startInProcess
+		defer func() { startWorkers = StartWorkers }()
+		body(t)
+	})
+}
+
 // waitUntil polls cond until it holds or the deadline passes.
 func waitUntil(d time.Duration, cond func() bool) bool {
 	end := time.Now().Add(d)
@@ -124,6 +140,44 @@ func TestCleanRunMatchesOracle(t *testing.T) {
 	assertMatchesOracle(t, cfg, res)
 	if res.RequeuedMaps != 0 || res.SpeculativeWins != 0 {
 		t.Errorf("clean run reported recovery: requeued=%d specWins=%d", res.RequeuedMaps, res.SpeculativeWins)
+	}
+}
+
+// TestWorkerExitCodes: a worker process the plan kills exits exitKilled,
+// and one the coordinator dismisses exits 0. Worker 0 runs alone and dies at
+// its first task's pickup; worker 1 then runs the whole job.
+func TestWorkerExitCodes(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
+	cfg := testConfig()
+	cfg.Faults = &faultinject.Plan{Seed: 11, WorkerKills: map[int]int{0: 0}}
+	coord, err := NewCoordinator(cfg, &Options{Digest: true})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Stop()
+	pool, err := StartWorkers(coord.Addr(), 0, false)
+	if err != nil {
+		t.Fatalf("StartWorkers: %v", err)
+	}
+	defer pool.Close()
+	for index, want := range []int{exitKilled, exitOK} {
+		wait, _, err := pool.process(index, 0)
+		if err != nil {
+			t.Fatalf("worker %d: %v", index, err)
+		}
+		var exit *exec.ExitError
+		code := exitOK
+		if err := wait(); errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("worker %d: %v", index, err)
+		}
+		if code != want {
+			t.Errorf("worker %d exited %d, want %d", index, code, want)
+		}
+	}
+	if _, err := coord.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 }
 
@@ -189,17 +243,19 @@ func TestForcedWorkerKills(t *testing.T) {
 		{"map commit boundary", map[int]int{0: 3}},
 		{"mid shuffle both workers", map[int]int{0: 7, 1: 5}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Faults = &faultinject.Plan{Seed: 11, WorkerKills: tc.kills}
-			res, err := Run(cfg, &Options{Workers: 2, Digest: true, Respawn: true})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			assertMatchesOracle(t, cfg, res)
-		})
-	}
+	inBothModes(t, func(t *testing.T) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Faults = &faultinject.Plan{Seed: 11, WorkerKills: tc.kills}
+				res, err := Run(cfg, &Options{Workers: 2, Digest: true, Respawn: true})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				assertMatchesOracle(t, cfg, res)
+			})
+		}
+	})
 }
 
 // TestRandomWorkerKillRate drives kills from a seeded per-checkpoint rate
@@ -207,13 +263,15 @@ func TestForcedWorkerKills(t *testing.T) {
 // run survives however many kills the seed decides to deal it.
 func TestRandomWorkerKillRate(t *testing.T) {
 	leakcheck.Check(t, leakcheck.ReapGrace)
-	cfg := testConfig()
-	cfg.Faults = &faultinject.Plan{Seed: 5, WorkerKillRate: 0.15}
-	res, err := Run(cfg, &Options{Workers: 3, Digest: true, Respawn: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	assertMatchesOracle(t, cfg, res)
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Faults = &faultinject.Plan{Seed: 5, WorkerKillRate: 0.15}
+		res, err := Run(cfg, &Options{Workers: 3, Digest: true, Respawn: true})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		assertMatchesOracle(t, cfg, res)
+	})
 }
 
 // TestHarnessKillsWorkersMidPhase is the sigmaos-style harness: it watches
@@ -222,38 +280,44 @@ func TestRandomWorkerKillRate(t *testing.T) {
 // the reduce phase is underway.
 func TestHarnessKillsWorkersMidPhase(t *testing.T) {
 	leakcheck.Check(t, leakcheck.ReapGrace)
-	cfg := testConfig()
-	cfg.NumMaps = 8
-	coord, err := NewCoordinator(cfg, &Options{Digest: true})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Stop()
-	pool, err := StartWorkers(coord.Addr(), 3, true)
-	if err != nil {
-		t.Fatalf("StartWorkers: %v", err)
-	}
-	defer pool.Close()
-
-	// The harness races the job: if the job outruns a phase trigger the kill
-	// simply never fires, which is fine — equality is asserted either way.
-	go func() {
-		if waitUntil(10*time.Second, func() bool { return coord.Progress().MapsCommitted >= 1 }) {
-			pool.KillWorker(0)
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.NumMaps = 8
+		coord, err := NewCoordinator(cfg, &Options{Digest: true})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
 		}
-		if waitUntil(10*time.Second, func() bool {
-			p := coord.Progress()
-			return p.ReducesRunning >= 1 || p.ReducesCommitted >= 1
-		}) {
-			pool.KillWorker(1)
+		defer coord.Stop()
+		pool, err := startWorkers(coord.Addr(), 3, true)
+		if err != nil {
+			t.Fatalf("StartWorkers: %v", err)
 		}
-	}()
+		defer pool.Close()
 
-	res, err := coord.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	assertMatchesOracle(t, cfg, res)
+		// The harness races the job: if the job outruns a phase trigger the
+		// kill simply never fires, which is fine — equality is asserted
+		// either way. It ends with the job, before the pool closes.
+		harness := make(chan struct{})
+		defer func() { <-harness }()
+		go func() {
+			defer close(harness)
+			if waitUntil(10*time.Second, func() bool { return coord.Progress().MapsCommitted >= 1 }) {
+				pool.KillWorker(0)
+			}
+			if waitUntil(10*time.Second, func() bool {
+				p := coord.Progress()
+				return p.ReducesRunning >= 1 || p.ReducesCommitted >= 1
+			}) {
+				pool.KillWorker(1)
+			}
+		}()
+
+		res, err := coord.Wait()
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		assertMatchesOracle(t, cfg, res)
+	})
 }
 
 // TestPartitionFencesWorker cuts one worker's control plane for longer than
@@ -264,21 +328,23 @@ func TestHarnessKillsWorkersMidPhase(t *testing.T) {
 // the bytes never actually went anywhere.
 func TestPartitionFencesWorker(t *testing.T) {
 	leakcheck.Check(t, leakcheck.ReapGrace)
-	cfg := testConfig()
-	cfg.Faults = &faultinject.Plan{
-		Seed:              13,
-		Partitions:        map[int]int{0: 2},
-		PartitionDuration: 400 * time.Millisecond,
-	}
-	res, err := Run(cfg, &Options{
-		Workers:        2,
-		Digest:         true,
-		HeartbeatEvery: 20 * time.Millisecond, // timeout 200ms < 400ms partition
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Faults = &faultinject.Plan{
+			Seed:              13,
+			Partitions:        map[int]int{0: 2},
+			PartitionDuration: 400 * time.Millisecond,
+		}
+		res, err := Run(cfg, &Options{
+			Workers:        2,
+			Digest:         true,
+			HeartbeatEvery: 20 * time.Millisecond, // timeout 200ms < 400ms partition
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		assertMatchesOracle(t, cfg, res)
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	assertMatchesOracle(t, cfg, res)
 }
 
 // TestSpeculativeExecution stalls one worker pre-commit (a partition shorter
@@ -291,41 +357,43 @@ func TestPartitionFencesWorker(t *testing.T) {
 // drain the map queue before worker 0 has registered.
 func TestSpeculativeExecution(t *testing.T) {
 	leakcheck.Check(t, leakcheck.ReapGrace)
-	cfg := testConfig()
-	cfg.Faults = &faultinject.Plan{
-		Seed:              17,
-		Partitions:        map[int]int{0: 1}, // worker 0, pre-commit of its first map
-		PartitionDuration: 500 * time.Millisecond,
-	}
-	coord, err := NewCoordinator(cfg, &Options{
-		Digest:           true,
-		WorkerTimeout:    5 * time.Second, // stalled, not dead: keep the attempt running
-		SpeculativeAfter: 60 * time.Millisecond,
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Faults = &faultinject.Plan{
+			Seed:              17,
+			Partitions:        map[int]int{0: 1}, // worker 0, pre-commit of its first map
+			PartitionDuration: 500 * time.Millisecond,
+		}
+		coord, err := NewCoordinator(cfg, &Options{
+			Digest:           true,
+			WorkerTimeout:    5 * time.Second, // stalled, not dead: keep the attempt running
+			SpeculativeAfter: 60 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
+		}
+		defer coord.Stop()
+		pool, err := startWorkers(coord.Addr(), 1, false)
+		if err != nil {
+			t.Fatalf("StartWorkers: %v", err)
+		}
+		defer pool.Close()
+		if !waitUntil(10*time.Second, func() bool { return coord.Progress().MapsRunning > 0 }) {
+			t.Fatal("worker 0 never took a map")
+		}
+		if err := pool.spawn(1, 0); err != nil {
+			t.Fatalf("spawning worker 1: %v", err)
+		}
+		res, err := coord.Wait()
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		pool.WaitIdle(2 * time.Second) // the straggler wakes, commits late and loses
+		if res.SpeculativeWins == 0 {
+			t.Errorf("expected at least one speculative win, got none")
+		}
+		assertMatchesOracle(t, cfg, res)
 	})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Stop()
-	pool, err := StartWorkers(coord.Addr(), 1, false)
-	if err != nil {
-		t.Fatalf("StartWorkers: %v", err)
-	}
-	defer pool.Close()
-	if !waitUntil(10*time.Second, func() bool { return coord.Progress().MapsRunning > 0 }) {
-		t.Fatal("worker 0 never took a map")
-	}
-	if err := pool.spawn(1, 0); err != nil {
-		t.Fatalf("spawning worker 1: %v", err)
-	}
-	res, err := coord.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	pool.WaitIdle(2 * time.Second) // the straggler wakes, commits late and loses
-	if res.SpeculativeWins == 0 {
-		t.Errorf("expected at least one speculative win, got none")
-	}
-	assertMatchesOracle(t, cfg, res)
 }
 
 // TestCoordinatorCrashRestart kills the coordinator mid-job and starts a
@@ -335,74 +403,76 @@ func TestSpeculativeExecution(t *testing.T) {
 // address), finish the remaining work, and still produce oracle output.
 func TestCoordinatorCrashRestart(t *testing.T) {
 	leakcheck.Check(t, leakcheck.ReapGrace)
-	cfg := testConfig()
-	cfg.NumMaps = 8
-	walPath := filepath.Join(t.TempDir(), "job.wal")
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.NumMaps = 8
+		walPath := filepath.Join(t.TempDir(), "job.wal")
 
-	first, err := NewCoordinator(cfg, &Options{Digest: true, WALPath: walPath})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	addr := first.Addr()
-	pool, err := StartWorkers(addr, 2, true)
-	if err != nil {
-		first.Stop()
-		t.Fatalf("StartWorkers: %v", err)
-	}
-	defer pool.Close()
-
-	// Crash once some maps have committed (if the job is so fast it finishes
-	// first, the successor simply resumes a complete log — still asserted).
-	waitUntil(10*time.Second, func() bool { return first.Progress().MapsCommitted >= 2 })
-	first.Kill()
-
-	// What the WAL holds at the instant of death is exactly what the
-	// successor must replay.
-	entries, _, err := readWAL(walPath)
-	if err != nil {
-		t.Fatalf("readWAL: %v", err)
-	}
-	walMaps := map[int]bool{}
-	walReds := map[int]bool{}
-	for _, e := range entries {
-		switch e.Type {
-		case "map":
-			walMaps[e.Task] = true
-		case "reduce":
-			walReds[e.Task] = true
+		first, err := NewCoordinator(cfg, &Options{Digest: true, WALPath: walPath})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
 		}
-	}
+		addr := first.Addr()
+		pool, err := startWorkers(addr, 2, true)
+		if err != nil {
+			first.Stop()
+			t.Fatalf("StartWorkers: %v", err)
+		}
+		defer pool.Close()
 
-	second, err := NewCoordinator(cfg, &Options{
-		Digest:        true,
-		WALPath:       walPath,
-		Addr:          addr,
-		RecoveryGrace: 300 * time.Millisecond,
+		// Crash once some maps have committed (if the job is so fast it finishes
+		// first, the successor simply resumes a complete log — still asserted).
+		waitUntil(10*time.Second, func() bool { return first.Progress().MapsCommitted >= 2 })
+		first.Kill()
+
+		// What the WAL holds at the instant of death is exactly what the
+		// successor must replay.
+		entries, _, err := readWAL(walPath)
+		if err != nil {
+			t.Fatalf("readWAL: %v", err)
+		}
+		walMaps := map[int]bool{}
+		walReds := map[int]bool{}
+		for _, e := range entries {
+			switch e.Type {
+			case "map":
+				walMaps[e.Task] = true
+			case "reduce":
+				walReds[e.Task] = true
+			}
+		}
+
+		second, err := NewCoordinator(cfg, &Options{
+			Digest:        true,
+			WALPath:       walPath,
+			Addr:          addr,
+			RecoveryGrace: 300 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("restart NewCoordinator: %v", err)
+		}
+		defer second.Stop()
+
+		res, err := second.Wait()
+		if err != nil {
+			t.Fatalf("Wait after restart: %v", err)
+		}
+		if res.RecoveredMaps != len(walMaps) {
+			t.Errorf("RecoveredMaps = %d, want %d (WAL map commits)", res.RecoveredMaps, len(walMaps))
+		}
+		if res.RecoveredReduces != len(walReds) {
+			t.Errorf("RecoveredReduces = %d, want %d (WAL reduce commits)", res.RecoveredReduces, len(walReds))
+		}
+		// No process failed after the restart, so every recovered map is
+		// re-located from a worker that still serves it: none re-runs. A
+		// successor that takes a stale session for a live one records maps at
+		// the wrong worker's address and re-queues them fetch after fetch.
+		if res.RequeuedMaps != 0 {
+			t.Errorf("RequeuedMaps = %d after a restart with every worker alive, want 0", res.RequeuedMaps)
+		}
+		assertMatchesOracle(t, cfg, res)
+		pool.WaitIdle(5 * time.Second)
 	})
-	if err != nil {
-		t.Fatalf("restart NewCoordinator: %v", err)
-	}
-	defer second.Stop()
-
-	res, err := second.Wait()
-	if err != nil {
-		t.Fatalf("Wait after restart: %v", err)
-	}
-	if res.RecoveredMaps != len(walMaps) {
-		t.Errorf("RecoveredMaps = %d, want %d (WAL map commits)", res.RecoveredMaps, len(walMaps))
-	}
-	if res.RecoveredReduces != len(walReds) {
-		t.Errorf("RecoveredReduces = %d, want %d (WAL reduce commits)", res.RecoveredReduces, len(walReds))
-	}
-	// No process failed after the restart, so every recovered map is
-	// re-located from a worker that still serves it: none re-runs. A
-	// successor that takes a stale session for a live one records maps at
-	// the wrong worker's address and re-queues them fetch after fetch.
-	if res.RequeuedMaps != 0 {
-		t.Errorf("RequeuedMaps = %d after a restart with every worker alive, want 0", res.RequeuedMaps)
-	}
-	assertMatchesOracle(t, cfg, res)
-	pool.WaitIdle(5 * time.Second)
 }
 
 // TestCoordinatorResumeCompleteWAL restarts a coordinator over the WAL of a

@@ -181,3 +181,58 @@ func TestSlotDeathsBoundLostOutput(t *testing.T) {
 		t.Errorf("error %q, want %q", err, want)
 	}
 }
+
+// TestLostOutputOfKilledHost is TestLostOutputRerunIsKilled with a real
+// kill and the oracle digest. Worker 0 starts alone, commits the only map,
+// and the plan kills it at its next task's pickup, so the map's output dies
+// with its host. Worker 1 is partitioned at its reduce's pickup for less
+// than the worker timeout, so it fetches from the dead host while the host
+// still looks alive: the reduce reports the output lost, and once the host
+// times out the loss is charged to its slot. Under a bound of one attempt
+// the map is lost as often as the bound allows, and the job still ends with
+// oracle output; charged to the map instead, the loss ends it exhausted.
+func TestLostOutputOfKilledHost(t *testing.T) {
+	leakcheck.Check(t, leakcheck.ReapGrace)
+	inBothModes(t, func(t *testing.T) {
+		cfg := testConfig()
+		cfg.NumMaps, cfg.NumReduces = 1, 2
+		cfg.Faults = &faultinject.Plan{
+			Seed:              23,
+			MaxTaskAttempts:   1,
+			WorkerKills:       map[int]int{0: 2}, // worker 0: pre-task, pre-commit of the map, then this
+			Partitions:        map[int]int{1: 0}, // worker 1: the pickup of its reduce
+			PartitionDuration: 150 * time.Millisecond,
+		}
+		coord, err := NewCoordinator(cfg, &Options{
+			Digest:         true,
+			HeartbeatEvery: 20 * time.Millisecond,
+			WorkerTimeout:  time.Second, // the report comes while the dead host looks alive
+		})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
+		}
+		defer coord.Stop()
+		pool, err := startWorkers(coord.Addr(), 1, true)
+		if err != nil {
+			t.Fatalf("StartWorkers: %v", err)
+		}
+		defer pool.Close()
+		if !waitUntil(10*time.Second, func() bool {
+			p := coord.Progress()
+			return p.MapsRunning > 0 || p.MapsCommitted > 0
+		}) {
+			t.Fatal("worker 0 never took the map")
+		}
+		if err := pool.spawn(1, 0); err != nil {
+			t.Fatalf("spawning worker 1: %v", err)
+		}
+		res, err := coord.Wait()
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if res.RequeuedMaps == 0 {
+			t.Error("the map's output was never lost")
+		}
+		assertMatchesOracle(t, cfg, res)
+	})
+}

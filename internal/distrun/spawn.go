@@ -1,6 +1,7 @@
 package distrun
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,26 +11,27 @@ import (
 	"time"
 )
 
-// WorkerPool spawns and supervises worker processes. Workers are the current
-// binary re-executed with the bootstrap environment set (see MaybeWorker),
-// so any binary or test that calls MaybeWorker can host them. A worker that
-// exits abnormally — killed by the crash harness, by injected faults, or by
-// a genuine crash — is respawned with a bumped epoch when Respawn is on; a
-// zero exit means the coordinator dismissed it and ends the slot.
+// WorkerPool spawns and supervises workers: the current binary re-executed
+// with the bootstrap environment set (see MaybeWorker), or in tests
+// goroutines running RunWorker (startInProcess). A worker that ends
+// abnormally — killed by the crash harness, by injected faults, or by a
+// genuine crash — is respawned with a bumped epoch when Respawn is on; a
+// clean end means the coordinator dismissed it and ends the slot.
 //
 // A process cannot clean up after its own kill, so the pool does: each
 // process runs with TMPDIR set to a directory of its own under the pool's
-// root, removed when the process is reaped, and Close removes the root.
+// root, removed when the process is reaped, and Close removes the root. A
+// killed goroutine cleans up on its own return path.
 type WorkerPool struct {
 	coordAddr string
 	respawn   bool
+	launch    func(index, epoch int) (wait func() error, kill func() error, err error)
 	bin       string
 	root      string
-	reaping   sync.WaitGroup // one per process not yet reaped
+	reaping   sync.WaitGroup // one per worker not yet reaped
 
 	mu     sync.Mutex
-	procs  map[int]*exec.Cmd
-	epochs map[int]int
+	kills  map[int]func() error // per slot: ends its running worker
 	closed bool
 	live   int
 	idle   chan struct{} // closed when the last worker slot ends
@@ -38,14 +40,14 @@ type WorkerPool struct {
 }
 
 // WorkerUsage is what worker processes cost the host, from the kernel's
-// accounting of each reaped process (Linux; zero elsewhere).
+// accounting of each reaped process (Linux; zero elsewhere and in process).
 type WorkerUsage struct {
 	UserCPU, SysCPU time.Duration
 	MinorFaults     int64
 	MaxRSSBytes     int64 // the largest any one process reached
 }
 
-// StartWorkers spawns n workers pointed at coordAddr.
+// StartWorkers spawns n worker processes pointed at coordAddr.
 func StartWorkers(coordAddr string, n int, respawn bool) (*WorkerPool, error) {
 	bin, err := os.Executable()
 	if err != nil {
@@ -55,15 +57,28 @@ func StartWorkers(coordAddr string, n int, respawn bool) (*WorkerPool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distrun: worker temp root: %w", err)
 	}
-	p := &WorkerPool{
-		coordAddr: coordAddr,
-		respawn:   respawn,
-		bin:       bin,
-		root:      root,
-		procs:     make(map[int]*exec.Cmd),
-		epochs:    make(map[int]int),
-		idle:      make(chan struct{}),
+	p := &WorkerPool{coordAddr: coordAddr, respawn: respawn, bin: bin, root: root}
+	p.launch = p.process
+	return p.start(n)
+}
+
+// startInProcess is StartWorkers with each worker a goroutine of this
+// process running RunWorker under a context of its own, which a kill cancels.
+func startInProcess(coordAddr string, n int, respawn bool) (*WorkerPool, error) {
+	p := &WorkerPool{coordAddr: coordAddr, respawn: respawn}
+	p.launch = func(index, epoch int) (wait func() error, kill func() error, err error) {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		wait = func() error {
+			defer cancel(nil)
+			return RunWorker(ctx, coordAddr, index, epoch)
+		}
+		return wait, func() error { cancel(errKilled); return nil }, nil
 	}
+	return p.start(n)
+}
+
+func (p *WorkerPool) start(n int) (*WorkerPool, error) {
+	p.kills, p.idle = make(map[int]func() error), make(chan struct{})
 	for i := 0; i < n; i++ {
 		if err := p.spawn(i, 0); err != nil {
 			p.Close()
@@ -79,9 +94,23 @@ func (p *WorkerPool) spawn(index, epoch int) error {
 	if p.closed {
 		return nil
 	}
+	wait, kill, err := p.launch(index, epoch)
+	if err != nil {
+		return err
+	}
+	p.kills[index] = kill
+	p.live++
+	p.reaping.Add(1)
+	go p.reap(index, epoch, wait)
+	return nil
+}
+
+// process starts slot index's worker as a process with a temp dir of its
+// own; wait reaps it and removes the dir.
+func (p *WorkerPool) process(index, epoch int) (wait func() error, kill func() error, err error) {
 	tmp := filepath.Join(p.root, fmt.Sprintf("%d.%d", index, epoch))
 	if err := os.Mkdir(tmp, 0o700); err != nil {
-		return fmt.Errorf("distrun: worker %d temp dir: %w", index, err)
+		return nil, nil, fmt.Errorf("distrun: worker %d temp dir: %w", index, err)
 	}
 	cmd := exec.Command(p.bin)
 	cmd.Env = append(os.Environ(),
@@ -93,74 +122,58 @@ func (p *WorkerPool) spawn(index, epoch int) error {
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("distrun: spawning worker %d: %w", index, err)
+		return nil, nil, fmt.Errorf("distrun: spawning worker %d: %w", index, err)
 	}
-	p.procs[index] = cmd
-	p.epochs[index] = epoch
-	p.live++
-	p.reaping.Add(1)
-	go p.reap(index, epoch, cmd, tmp)
-	return nil
+	wait = func() error {
+		err := cmd.Wait() // an exit code other than 0 is an error
+		os.RemoveAll(tmp)
+		p.mu.Lock()
+		p.usage.add(cmd.ProcessState)
+		p.mu.Unlock()
+		return err
+	}
+	return wait, cmd.Process.Kill, nil
 }
 
-// reap waits for one worker process, removes its temp dir, and respawns
-// abnormal exits.
-func (p *WorkerPool) reap(index, epoch int, cmd *exec.Cmd, tmp string) {
+// reap waits for one worker and respawns abnormal ends.
+func (p *WorkerPool) reap(index, epoch int, wait func() error) {
 	defer p.reaping.Done()
-	err := cmd.Wait()
-	os.RemoveAll(tmp)
+	err := wait()
 	p.mu.Lock()
-	if cmd.ProcessState != nil {
-		p.usage.add(cmd.ProcessState)
-	}
-	if p.procs[index] == cmd {
-		delete(p.procs, index)
-	}
+	delete(p.kills, index)
 	p.live--
-	last := p.live == 0
 	closed := p.closed
 	p.mu.Unlock()
 
-	// A zero exit is the coordinator's dismissal: the slot is done. Anything
-	// else (kill signal, injected os.Exit, crash) respawns when enabled.
-	if !closed && p.respawn && (err != nil || !cmd.ProcessState.Success()) {
+	// A clean end is the coordinator's dismissal: the slot is done. Anything
+	// else (a kill, an injected fault, a crash) respawns when enabled.
+	if !closed && p.respawn && err != nil {
 		if serr := p.spawn(index, epoch+1); serr == nil {
 			return
 		}
 	}
-	if last {
-		p.mu.Lock()
-		if p.live == 0 {
-			p.once.Do(func() { close(p.idle) })
-		}
-		p.mu.Unlock()
+	p.mu.Lock()
+	if p.live == 0 {
+		p.once.Do(func() { close(p.idle) })
 	}
+	p.mu.Unlock()
 }
 
-// KillWorker SIGKILLs worker slot index's current process — the crash
-// harness's hammer. Returns false if the slot has no live process.
+// KillWorker ends worker slot index's current worker — the crash harness's
+// hammer: SIGKILL for a process, a cancel for an in-process worker. Returns
+// false if the slot has no live worker.
 func (p *WorkerPool) KillWorker(index int) bool {
 	p.mu.Lock()
-	cmd := p.procs[index]
+	kill := p.kills[index]
 	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return false
-	}
-	return cmd.Process.Kill() == nil
+	return kill != nil && kill() == nil
 }
 
-// Live returns the number of running worker processes.
+// Live returns the number of running workers.
 func (p *WorkerPool) Live() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.live
-}
-
-// Epoch returns slot index's current process incarnation.
-func (p *WorkerPool) Epoch(index int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epochs[index]
 }
 
 // Usage returns the summed usage of the worker processes reaped so far.
@@ -188,20 +201,14 @@ func (p *WorkerPool) WaitIdle(timeout time.Duration) bool {
 }
 
 // Close stops respawning, kills any worker still running, waits for every
-// process to be reaped, and removes the pool's temp root.
+// worker to be reaped, and removes the pool's temp root.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	procs := make([]*exec.Cmd, 0, len(p.procs))
-	for _, cmd := range p.procs {
-		procs = append(procs, cmd)
+	for _, kill := range p.kills {
+		kill()
 	}
 	p.mu.Unlock()
-	for _, cmd := range procs {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
 	p.reaping.Wait()
-	os.RemoveAll(p.root)
+	os.RemoveAll(p.root) // "" for in-process workers: a no-op
 }

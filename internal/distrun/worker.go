@@ -1,12 +1,13 @@
 package distrun
 
-// This file is the worker process: it registers with the coordinator,
+// This file is the worker: it registers with the coordinator,
 // heartbeats, and runs each attempt it is handed through localrun's task
 // bodies — a map into its own shuffle server, a reduce through the
 // in-process executor's copy phase, whose parallel copiers fetch each map's
 // partition from the worker serving it into the (optionally bounded) merge.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -44,6 +45,10 @@ const (
 	exitKilled = 7 // injected KindWorkerKill
 )
 
+// errKilled is the cause a killed worker's context ends with: an injected
+// KindWorkerKill, or the pool's KillWorker for an in-process worker.
+var errKilled = errors.New("distrun: worker killed")
+
 // MaybeWorker turns the process into a distrun worker when the spawner's
 // environment variables are present, never returning in that case. Call it
 // at the top of main() (and of TestMain in packages whose tests spawn
@@ -55,15 +60,20 @@ func MaybeWorker() {
 	}
 	index, _ := strconv.Atoi(os.Getenv(EnvWorkerIndex))
 	epoch, _ := strconv.Atoi(os.Getenv(EnvWorkerEpoch))
-	if err := RunWorker(addr, index, epoch); err != nil {
+	code := exitOK
+	if err := RunWorker(context.Background(), addr, index, epoch); errors.Is(err, errKilled) {
+		code = exitKilled
+	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "mrworker[%d.%d]: %v\n", index, epoch, err)
-		os.Exit(exitErr)
+		code = exitErr
 	}
-	os.Exit(exitOK)
+	os.Exit(code)
 }
 
-// worker is one worker process's state.
+// worker is one worker's state.
 type worker struct {
+	ctx    context.Context // ends when the worker dies
+	kill   context.CancelCauseFunc
 	coord  *hadooprpc.RetryClient
 	index  int
 	epoch  int
@@ -79,23 +89,27 @@ type worker struct {
 	stallNano atomic.Int64 // injected partition: control plane stalls until this time
 
 	mu        sync.Mutex
-	held      map[int]int64                  // committed maps this process serves: map -> version
+	held      map[int]int64                  // committed maps this worker serves: map -> version
 	faultCtrs map[string]*mapreduce.Counters // per task key: fault counters across attempts
 }
 
-// RunWorker runs this process as one worker against the coordinator at addr
-// — register, heartbeat, then ask for and execute task attempts — returning
-// once the coordinator dismisses it (the job finished or failed).
-// cmd/mrworker uses it to join a coordinator started elsewhere, e.g. one
-// launched by cmd/mrcoord in another shell; coordinator-spawned workers
-// reach it through MaybeWorker.
-func RunWorker(addr string, index, epoch int) error {
+// RunWorker runs one worker against the coordinator at addr — register,
+// heartbeat, then ask for and execute task attempts — returning nil once the
+// coordinator dismisses it (the job finished or failed). It dies when ctx
+// ends or an injected kill cancels its own context: its shuffle server and
+// coordinator connection close at once, and it returns the cause once its
+// task reaches its next wait. cmd/mrworker uses it to join a coordinator
+// started elsewhere (e.g. by cmd/mrcoord); MaybeWorker and the pool's
+// goroutines run it for coordinator-spawned workers.
+func RunWorker(ctx context.Context, addr string, index, epoch int) (err error) {
 	server, err := localrun.NewShuffleServer()
 	if err != nil {
 		return err
 	}
-	defer server.Close()
+	ctx, kill := context.WithCancelCause(ctx)
 	w := &worker{
+		ctx:       ctx,
+		kill:      kill,
 		coord:     hadooprpc.NewRetryClient(addr, Protocol),
 		index:     index,
 		epoch:     epoch,
@@ -103,16 +117,37 @@ func RunWorker(addr string, index, epoch int) error {
 		held:      make(map[int]int64),
 		faultCtrs: make(map[string]*mapreduce.Counters),
 	}
-	defer w.coord.Close()
+	hangUp := sync.OnceFunc(func() { w.coord.Close(); server.Close() })
+	stop := context.AfterFunc(ctx, hangUp)
+	var beating sync.WaitGroup
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			err = context.Cause(ctx) // a dead worker's closed connections only echo its death
+		}
+		stop()
+		hangUp()
+		kill(nil)
+		beating.Wait()
+	}()
 
 	beat, err := w.register()
 	if err != nil {
 		return err
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go w.heartbeatLoop(beat, stop)
+	beating.Add(1)
+	go func() {
+		defer beating.Done()
+		w.heartbeatLoop(beat)
+	}()
 	return w.taskLoop()
+}
+
+// sleep waits d, or until the worker dies.
+func (w *worker) sleep(d time.Duration) {
+	select {
+	case <-time.After(d):
+	case <-w.ctx.Done():
+	}
 }
 
 // register announces the worker (with any held map outputs) and installs the
@@ -160,10 +195,10 @@ func (w *worker) register() (heartbeat time.Duration, err error) {
 	return time.Duration(resp.HeartbeatEvery), nil
 }
 
-// heartbeatLoop keeps the session alive. An injected partition suppresses
-// beats (the control plane is "cut"), so the coordinator times the worker
-// out for real.
-func (w *worker) heartbeatLoop(every time.Duration, stop <-chan struct{}) {
+// heartbeatLoop keeps the session alive until the worker ends. An injected
+// partition suppresses beats (the control plane is "cut"), so the
+// coordinator times the worker out for real.
+func (w *worker) heartbeatLoop(every time.Duration) {
 	if every <= 0 {
 		every = 25 * time.Millisecond
 	}
@@ -171,7 +206,7 @@ func (w *worker) heartbeatLoop(every time.Duration, stop <-chan struct{}) {
 	defer tick.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-w.ctx.Done():
 			return
 		case <-tick.C:
 			if time.Now().UnixNano() < w.stallNano.Load() {
@@ -186,26 +221,27 @@ func (w *worker) heartbeatLoop(every time.Duration, stop <-chan struct{}) {
 }
 
 // checkpoint advances the process-fault sequence and injects whatever the
-// plan dictates at it: KindWorkerKill exits the process on the spot;
-// KindPartition cuts the control plane (heartbeats and the task loop both
-// stall) long enough to be declared dead and fenced.
-func (w *worker) checkpoint() {
+// plan dictates at it: KindWorkerKill kills the worker (its context ends
+// with errKilled); KindPartition cuts the control plane (heartbeats and the
+// task loop both stall) long enough to be declared dead and fenced. It
+// returns the worker's cause of death, nil while it lives.
+func (w *worker) checkpoint() error {
 	seq := w.seq
 	w.seq++
-	if w.plan == nil {
-		return
+	if w.plan != nil {
+		switch w.plan.Proc(w.index, w.epoch, seq) {
+		case faultinject.KindWorkerKill:
+			w.kill(errKilled)
+		case faultinject.KindPartition:
+			d := w.plan.PartitionFor()
+			w.stallNano.Store(time.Now().Add(d).UnixNano())
+			w.sleep(d)
+		}
 	}
-	switch w.plan.Proc(w.index, w.epoch, seq) {
-	case faultinject.KindWorkerKill:
-		os.Exit(exitKilled)
-	case faultinject.KindPartition:
-		d := w.plan.PartitionFor()
-		w.stallNano.Store(time.Now().Add(d).UnixNano())
-		time.Sleep(d)
-	}
+	return context.Cause(w.ctx)
 }
 
-// taskLoop asks for work until told to exit.
+// taskLoop asks for work until told to exit or the worker dies.
 func (w *worker) taskLoop() error {
 	for {
 		var task taskResp
@@ -218,23 +254,21 @@ func (w *worker) taskLoop() error {
 			}
 			continue
 		}
+		var err error
 		switch task.Kind {
 		case TaskWait:
-			time.Sleep(2 * time.Millisecond)
+			w.sleep(2 * time.Millisecond)
 		case TaskExit:
 			return nil
 		case TaskMap:
-			w.checkpoint() // pre-task
-			if err := w.runMap(task.Task, task.Attempt); err != nil {
-				return err
-			}
+			err = w.runMap(task.Task, task.Attempt)
 		case TaskReduce:
-			w.checkpoint() // pre-task
-			if err := w.runReduce(task.Task, task.Attempt, task.Maps); err != nil {
-				return err
-			}
+			err = w.runReduce(task.Task, task.Attempt, task.Maps)
 		default:
-			return fmt.Errorf("distrun: unknown task kind %q", task.Kind)
+			err = fmt.Errorf("distrun: unknown task kind %q", task.Kind)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -257,8 +291,11 @@ func (w *worker) taskFaultCtrs(kind string, idx int) *mapreduce.Counters {
 // reportFailed sends a task-failure note; delivery is best effort (a fenced
 // session re-registers and the coordinator re-queues by timeout anyway).
 // lost names the map output a reduce could not fetch, nil for a failure of
-// the attempt's own.
-func (w *worker) reportFailed(kind string, task, attempt int, cause error, lost *mapLoc) {
+// the attempt's own. A dead worker sends nothing and returns its cause.
+func (w *worker) reportFailed(kind string, task, attempt int, cause error, lost *mapLoc) error {
+	if err := context.Cause(w.ctx); err != nil {
+		return err
+	}
 	var resp sessionResp
 	_ = call(w.coord, MethodTaskFailed, &taskFailedReq{
 		Session: w.session.Load(),
@@ -268,21 +305,26 @@ func (w *worker) reportFailed(kind string, task, attempt int, cause error, lost 
 		Err:     cause.Error(),
 		Lost:    lost,
 	}, &resp)
+	return nil
 }
 
 // runMap executes one map attempt and commits it. A losing commit (a rival
 // attempt won) withdraws this attempt's output from the shuffle server.
 func (w *worker) runMap(idx, attempt int) error {
+	if err := w.checkpoint(); err != nil { // pre-task
+		return err
+	}
 	faultCtrs := w.taskFaultCtrs(TaskMap, idx)
 	ctrs, err := w.runner.RunMap(idx, attempt, w.server, w.plan, faultCtrs)
 	if err != nil {
 		faultCtrs.IncrFault(mapreduce.CtrMapAttemptsFailed, 1)
 		w.server.Unregister(idx) // partial registrations must not be fetchable
-		w.reportFailed(TaskMap, idx, attempt, err, nil)
-		return nil
+		return w.reportFailed(TaskMap, idx, attempt, err, nil)
 	}
 	ctrs.Merge(faultCtrs)
-	w.checkpoint() // pre-commit
+	if err := w.checkpoint(); err != nil { // pre-commit
+		return err
+	}
 
 	req := &commitMapReq{Task: idx, Attempt: attempt, Counters: ctrs.Snapshot()}
 	resp, err := w.commit(MethodCommitMap, req, &req.Session)
@@ -305,12 +347,16 @@ func (w *worker) runMap(idx, attempt int) error {
 // fetch attempt failed) is reported as lost, so the coordinator charges and
 // re-runs that map, and the reduce attempt is abandoned for a later retry.
 func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
+	if err := w.checkpoint(); err != nil { // pre-task
+		return err
+	}
 	faultCtrs := w.taskFaultCtrs(TaskReduce, r)
 	peers := make([]string, len(maps))
 	for i, loc := range maps {
 		peers[i] = loc.Addr
 	}
-	ctrs, err := w.runner.RunReduceFrom(r, attempt, peers, w.plan, faultCtrs, w.checkpoint /* mid-shuffle */)
+	// A kill at the mid-shuffle checkpoint ends the copy phase with w.ctx.
+	ctrs, err := w.runner.RunReduceFrom(w.ctx, r, attempt, peers, w.plan, faultCtrs, func() { w.checkpoint() })
 	if err != nil {
 		faultCtrs.IncrFault(mapreduce.CtrReduceAttemptsFailed, 1)
 		var lost *mapLoc
@@ -318,11 +364,12 @@ func (w *worker) runReduce(r, attempt int, maps []mapLoc) error {
 		if errors.As(err, &fe) {
 			lost, err = &maps[fe.Map], fe.Err
 		}
-		w.reportFailed(TaskReduce, r, attempt, err, lost)
-		return nil
+		return w.reportFailed(TaskReduce, r, attempt, err, lost)
 	}
 	ctrs.Merge(faultCtrs)
-	w.checkpoint() // pre-commit
+	if err := w.checkpoint(); err != nil { // pre-commit
+		return err
+	}
 
 	var digest uint64
 	if w.digest != nil {

@@ -30,12 +30,13 @@ type RetryClient struct {
 	mu     sync.Mutex
 	conn   *Client
 	closed bool
+	done   chan struct{} // closed by Close: wakes a Call sleeping between retries
 }
 
 // NewRetryClient prepares a reconnecting client for the named protocol at
 // addr. No connection is made until the first Call.
 func NewRetryClient(addr, protocol string) *RetryClient {
-	return &RetryClient{addr: addr, protocol: protocol}
+	return &RetryClient{addr: addr, protocol: protocol, done: make(chan struct{})}
 }
 
 func (c *RetryClient) maxDowntime() time.Duration {
@@ -112,25 +113,23 @@ func (c *RetryClient) Call(method string, result writable.Writable, params ...wr
 			// transient here; only this client's own Close is terminal.)
 			c.drop(conn)
 		}
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return ErrShutdown
-		}
 		lastErr = err
 		if time.Now().After(deadline) {
 			return fmt.Errorf("hadooprpc: %s unreachable for %v: %w", c.addr, c.maxDowntime(), lastErr)
 		}
-		time.Sleep(delay)
+		select {
+		case <-time.After(delay):
+		case <-c.done:
+			return ErrShutdown
+		}
 		if delay *= 2; delay > c.retryMax() {
 			delay = c.retryMax()
 		}
 	}
 }
 
-// Close shuts the client; in-flight retry loops abort with ErrShutdown on
-// their next attempt.
+// Close shuts the client: a Call in flight or sleeping between retries
+// returns ErrShutdown at once.
 func (c *RetryClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,6 +137,7 @@ func (c *RetryClient) Close() error {
 		return nil
 	}
 	c.closed = true
+	close(c.done)
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil

@@ -123,3 +123,33 @@ func TestRetryClientCloseAborts(t *testing.T) {
 		t.Fatal("Call did not abort after Close")
 	}
 }
+
+// TestRetryClientCloseWakesBackoff: a Call asleep between retries returns
+// ErrShutdown as soon as the client closes, not when its backoff delay is
+// over. The delay here is ten seconds, so only a woken sleep passes.
+func TestRetryClientCloseWakesBackoff(t *testing.T) {
+	s := echoServer(t)
+	addr := s.Addr()
+	s.Close()
+
+	c := NewRetryClient(addr, "test.EchoProtocol")
+	c.MaxDowntime, c.RetryBase, c.RetryMax = time.Minute, 10*time.Second, 10*time.Second
+
+	done := make(chan error, 1)
+	go func() { done <- c.Call("ping", nil) }()
+	time.Sleep(50 * time.Millisecond) // the first dial is refused: the Call sleeps
+	closed := time.Now()
+	c.Close()
+
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrShutdown) {
+			t.Fatalf("err = %v, want ErrShutdown", err)
+		}
+		if d := time.Since(closed); d > 20*time.Millisecond {
+			t.Errorf("Call returned %v after Close, want within 20ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Call slept out its backoff after Close")
+	}
+}

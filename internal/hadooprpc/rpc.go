@@ -23,6 +23,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"mrmicro/internal/writable"
 )
@@ -194,10 +195,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // client (one outstanding call at a time), matching Hadoop's per-connection
 // call pipelining at its simplest; open several clients for parallelism.
 type Client struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // held for the whole of a call
 	conn   net.Conn
 	nextID int32
-	closed bool
+	closed atomic.Bool
 }
 
 // Dial connects and sends the connection header.
@@ -222,7 +223,7 @@ func Dial(addr, protocol string) (*Client, error) {
 func (c *Client) Call(method string, result writable.Writable, params ...writable.Writable) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrShutdown
 	}
 	id := c.nextID
@@ -255,14 +256,11 @@ func (c *Client) Call(method string, result writable.Writable, params ...writabl
 	return writable.Unmarshal(payload, result)
 }
 
-// Close shuts the connection.
+// Close shuts the connection; a call waiting on its response fails at once.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
 	return c.conn.Close()
 }
 

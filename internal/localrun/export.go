@@ -128,8 +128,9 @@ func (tr *TaskRunner) RunMap(idx, attempt int, server *ShuffleServer, plan *faul
 // in-process executor's copy phase, merge and reduce tail — over map outputs
 // served at peers (per map, the shuffle server holding its committed output).
 // midShuffle, when non-nil, runs once, when half the segments are in; a
-// fetch whose retries ran out fails the attempt with a *FetchError.
-func (tr *TaskRunner) RunReduceFrom(r, attempt int, peers []string, plan *faultinject.Plan, faultCtrs *mapreduce.Counters, midShuffle func()) (*mapreduce.Counters, error) {
+// fetch whose retries ran out fails the attempt with a *FetchError. The copy
+// phase ends early when ctx does.
+func (tr *TaskRunner) RunReduceFrom(ctx context.Context, r, attempt int, peers []string, plan *faultinject.Plan, faultCtrs *mapreduce.Counters, midShuffle func()) (*mapreduce.Counters, error) {
 	if r < 0 || r >= tr.numReduces {
 		return nil, fmt.Errorf("localrun: reduce index %d out of range [0, %d)", r, tr.numReduces)
 	}
@@ -141,7 +142,7 @@ func (tr *TaskRunner) RunReduceFrom(r, attempt int, peers []string, plan *faulti
 		board.Announce(m, 0, addr) // the map's attempt id is the coordinator's business
 	}
 	aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
-	return tr.withPlan(plan).runReduceTask(context.Background(), aid, faultCtrs, board, midShuffle)
+	return tr.withPlan(plan).runReduceTask(ctx, aid, faultCtrs, board, midShuffle)
 }
 
 // RunReduce executes the sort+reduce tail of reduce task r over partition

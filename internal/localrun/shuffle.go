@@ -56,6 +56,7 @@ type shuffleServer struct {
 
 	mu     sync.Mutex
 	closed bool
+	conns  map[net.Conn]struct{} // live connections, severed by Close
 	wg     sync.WaitGroup
 }
 
@@ -74,7 +75,7 @@ func newShuffleServer(diskBacked bool, dir string) (*shuffleServer, error) {
 		store.close()
 		return nil, fmt.Errorf("localrun: shuffle listener: %w", err)
 	}
-	s := &shuffleServer{ln: ln, store: store}
+	s := &shuffleServer{ln: ln, store: store, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -105,10 +106,23 @@ func (s *shuffleServer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed { // accepted as Close shut the listener
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
+			defer func() {
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+				conn.Close()
+			}()
 			s.serve(conn)
 		}()
 	}
@@ -137,8 +151,9 @@ func (s *shuffleServer) serve(conn net.Conn) {
 	}
 }
 
-// Close shuts the listener, waits for in-flight connections, and closes the
-// store.
+// Close shuts the listener, severs every connection — a peer mid-fetch sees
+// the host gone, as it does when a worker process dies — waits for their
+// handlers, and closes the store.
 func (s *shuffleServer) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -146,6 +161,9 @@ func (s *shuffleServer) Close() {
 		return
 	}
 	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	s.ln.Close()
 	s.wg.Wait()

@@ -1,6 +1,7 @@
 package localrun
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -356,7 +357,7 @@ func TestMapOutputCompressedOnce(t *testing.T) {
 				t.Errorf("map side compressed %d times and opened %d codec readers, want %d and 0", n, r, maps*reduces)
 			}
 			for r := 0; r < reduces; r++ {
-				c, err := tr.RunReduceFrom(r, 0, peers, nil, mapreduce.NewCounters(), nil)
+				c, err := tr.RunReduceFrom(context.Background(), r, 0, peers, nil, mapreduce.NewCounters(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
