@@ -34,25 +34,6 @@ func ParseSize(s string) (int64, error) {
 	return int64(f * float64(mult)), nil
 }
 
-// ParseIntList parses a comma-separated list of non-negative base-10
-// integers ("16,256,4096"). Whitespace around elements is ignored; an empty
-// string, an empty element, or a malformed or negative element is an error.
-func ParseIntList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty int list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad int %q in list %q", p, s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // KVFlag is a repeatable key=value flag (Hadoop's -D style): each occurrence
 // adds one pair, later occurrences of the same key overwrite earlier ones.
 // Register with flag.Var; the zero value is ready to use.

@@ -35,45 +35,6 @@ func TestParseSize(t *testing.T) {
 	}
 }
 
-func TestParseIntList(t *testing.T) {
-	tests := []struct {
-		name    string
-		in      string
-		want    []int
-		wantErr bool
-	}{
-		{name: "single", in: "42", want: []int{42}},
-		{name: "several", in: "16,256,4096", want: []int{16, 256, 4096}},
-		{name: "zero element", in: "0,1", want: []int{0, 1}},
-		{name: "spaces around elements", in: " 16 , 256 ", want: []int{16, 256}},
-		{name: "empty string", in: "", wantErr: true},
-		{name: "only whitespace", in: "   ", wantErr: true},
-		{name: "empty element", in: "16,,256", wantErr: true},
-		{name: "trailing comma", in: "16,256,", wantErr: true},
-		{name: "bad int", in: "16,abc", wantErr: true},
-		{name: "negative", in: "16,-4", wantErr: true},
-		{name: "float", in: "1.5", wantErr: true},
-		{name: "hex not accepted", in: "0x10", wantErr: true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := ParseIntList(tc.in)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("ParseIntList(%q) = %v, want error", tc.in, got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseIntList(%q): %v", tc.in, err)
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("ParseIntList(%q) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestKVFlag(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -93,29 +93,3 @@ func (m *Monitor) Stop() { m.stopped = true }
 
 // NodeSamples returns node i's timeline.
 func (m *Monitor) NodeSamples(i int) []Sample { return m.samples[i] }
-
-// PeakRxMBps returns the highest received-throughput sample on node i,
-// the paper's "peak bandwidth" number in Fig. 7(b).
-func (m *Monitor) PeakRxMBps(i int) float64 {
-	peak := 0.0
-	for _, s := range m.samples[i] {
-		if s.NetRxMBps > peak {
-			peak = s.NetRxMBps
-		}
-	}
-	return peak
-}
-
-// MeanCPUPct returns the average CPU utilization on node i over the samples
-// between the first and last nonzero activity.
-func (m *Monitor) MeanCPUPct(i int) float64 {
-	ss := m.samples[i]
-	if len(ss) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range ss {
-		sum += s.CPUPct
-	}
-	return sum / float64(len(ss))
-}

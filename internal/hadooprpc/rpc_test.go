@@ -26,14 +26,14 @@ func echoServer(t *testing.T) *Server {
 		return nil
 	})
 	s.Register("add", func(in *writable.DataInput, out *writable.DataOutput) error {
-		var a, b writable.IntWritable
+		var a, b writable.LongWritable
 		if err := a.ReadFields(in); err != nil {
 			return err
 		}
 		if err := b.ReadFields(in); err != nil {
 			return err
 		}
-		(&writable.IntWritable{Value: a.Value + b.Value}).Write(out)
+		(&writable.LongWritable{Value: a.Value + b.Value}).Write(out)
 		return nil
 	})
 	s.Register("boom", func(in *writable.DataInput, out *writable.DataOutput) error {
@@ -65,8 +65,8 @@ func TestMultipleParams(t *testing.T) {
 	s := echoServer(t)
 	c, _ := Dial(s.Addr(), "test.EchoProtocol")
 	defer c.Close()
-	var sum writable.IntWritable
-	if err := c.Call("add", &sum, &writable.IntWritable{Value: 40}, &writable.IntWritable{Value: 2}); err != nil {
+	var sum writable.LongWritable
+	if err := c.Call("add", &sum, &writable.LongWritable{Value: 40}, &writable.LongWritable{Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Value != 42 {
@@ -165,12 +165,12 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < 25; i++ {
-				var sum writable.IntWritable
-				if err := c.Call("add", &sum, &writable.IntWritable{Value: int32(w)}, &writable.IntWritable{Value: int32(i)}); err != nil {
+				var sum writable.LongWritable
+				if err := c.Call("add", &sum, &writable.LongWritable{Value: int64(w)}, &writable.LongWritable{Value: int64(i)}); err != nil {
 					t.Error(err)
 					return
 				}
-				if sum.Value != int32(w+i) {
+				if sum.Value != int64(w+i) {
 					t.Errorf("sum = %d, want %d", sum.Value, w+i)
 					return
 				}

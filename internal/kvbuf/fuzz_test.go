@@ -406,11 +406,11 @@ const (
 	spillText        = 0
 	spillBytes       = 1
 	spillNoExtractor = 2 // raw keys under a reversed bytewise comparator
-	// VLongWritable keys: the payload's first byte is the value, written
-	// as 8f05 rather than 05 when its second byte is odd, so keys the
-	// comparator holds equal can differ in their bytes.
-	spillVLong = 3
-	spillVary  = 4 // vary each key's last payload byte per pass over the templates
+	// Text keys of the payload after its first byte, whose length header
+	// is the two-byte vint 8f05 rather than 05 when that first byte is
+	// odd, so keys the comparator holds equal can differ in their bytes.
+	spillTextHeader = 3
+	spillVary       = 4 // vary each key's last payload byte per pass over the templates
 	// Pad keys and values to lengths on either side of the 1-, 2- and
 	// 3-byte vint boundaries, changing from record to record (at most
 	// spillWideRecords records): headers whose size differs from the
@@ -422,8 +422,8 @@ const (
 	// several shuffleCRCChunk steps while they are collected.
 	spillLong = 32
 	// The last record goes to the first template's partition with an empty
-	// key payload, which sorts before any other under Text, BytesWritable
-	// and VLongWritable keys: a proof of order that breaks at the very end.
+	// key payload, which sorts before any other under Text and
+	// BytesWritable keys: a proof of order that breaks at the very end.
 	spillBreak = 64
 )
 
@@ -483,9 +483,9 @@ func spillOrderSeeds() [][]byte {
 		// Order breaks on the last record, after 300 KiB were folded
 		// (spillSeedLateBreak).
 		spillOrderInput(1, spillText|spillLong|spillBreak, 300, spillKey{0, "key"}),
-		// 05 and 8f05, both the vlong 5: equal keys in arrival order, not
-		// out of order (spillSeedEqualEncodings).
-		spillOrderInput(1, spillVLong, 200, spillKey{0, "\x05"}, spillKey{0, "\x05\x01"}),
+		// 05equal and 8f05equal, both the Text "equal": equal keys in
+		// arrival order, not out of order (spillSeedEqualEncodings).
+		spillOrderInput(1, spillTextHeader, 200, spillKey{0, "\x00equal"}, spillKey{0, "\x01equal"}),
 		// A record larger than any chunk in a partition kept in order
 		// (spillSeedHugeOrdered).
 		spillOrderInput(1, spillBytes|spillHuge, 40, spillKey{0, "k"}),
@@ -527,30 +527,22 @@ func decodeSpillOrder(data []byte) (cmp writable.RawComparator, pf writable.Pref
 	switch mode & 3 {
 	case spillText:
 		cmp, pf = writable.CompareText, mustPrefix("Text")
-		encode = func(p []byte) []byte {
-			o := writable.NewDataOutput(len(p) + 2)
-			o.WriteVInt(int32(len(p)))
-			o.Write(p)
-			return o.Bytes()
-		}
+		encode = func(p []byte) []byte { return textKey(string(p)) }
 	case spillBytes:
 		cmp, pf = writable.CompareBytesWritable, mustPrefix("BytesWritable")
 		encode = func(p []byte) []byte { return writable.Marshal(&writable.BytesWritable{Data: p}) }
 	case spillNoExtractor:
 		cmp = func(a, b []byte) int { return bytes.Compare(b, a) }
-	case spillVLong:
-		cmp, pf = writable.CompareVLong, mustPrefix("VLongWritable")
+	case spillTextHeader:
+		cmp, pf = writable.CompareText, mustPrefix("Text")
 		encode = func(p []byte) []byte {
-			v := int64(0)
-			if len(p) > 0 {
-				v = int64(p[0])
+			if len(p) == 0 {
+				return textKey("")
 			}
-			if len(p) > 1 && p[1]&1 != 0 {
-				return []byte{0x8f, byte(v)} // one magnitude byte follows
+			if s := p[1:]; p[0]&1 != 0 && len(s) <= 0xff {
+				return append([]byte{0x8f, byte(len(s))}, s...) // one magnitude byte follows
 			}
-			o := writable.NewDataOutput(2)
-			o.WriteVLong(v)
-			return o.Bytes()
+			return textKey(string(p[1:]))
 		}
 	}
 	if mode&spillWide != 0 {
@@ -709,8 +701,8 @@ func TestSpillOrderSeedPaths(t *testing.T) {
 			for _, r := range recs {
 				encodings[string(r.key)] = true
 			}
-			if c.unordered || !encodings["\x05"] || !encodings["\x8f\x05"] {
-				return fmt.Sprintf("unordered=%v, key encodings %q: want 05 and 8f05 held in order", c.unordered, slices.Sorted(maps.Keys(encodings)))
+			if c.unordered || !encodings["\x05equal"] || !encodings["\x8f\x05equal"] {
+				return fmt.Sprintf("unordered=%v, key encodings %q: want 05equal and 8f05equal held in order", c.unordered, slices.Sorted(maps.Keys(encodings)))
 			}
 			return ""
 		}},

@@ -186,23 +186,23 @@ func markCases() []markCase {
 	// 3000 records of one key, past two checksum folds, then a key of the
 	// same prefix: the run is copied and folded before it is cut.
 	longRun := append(repeatKeys("prefix-key-", 1, 3000), "prefix-key-zzz")
-	var vlongs []spillRec
+	var headers []spillRec
 	for i := 0; i < 40; i++ {
-		k := []byte{5}
+		k := []byte("\x05equal")
 		if i%3 == 1 {
-			k = []byte{0x8f, 5} // the vlong 5 in two bytes: equal, but not byte-identical
+			k = []byte("\x8f\x05equal") // the length 5 in two bytes: equal, but not byte-identical
 		}
 		if i >= 20 {
-			k = []byte{byte(45 - i)} // descending: the partition is sorted, not handed over
+			k = []byte{1, byte(45 - i)} // descending: the partition is sorted, not handed over
 		}
-		vlongs = append(vlongs, spillRec{part: i / 20, key: k, val: []byte{byte(i)}})
+		headers = append(headers, spillRec{part: i / 20, key: k, val: []byte{byte(i)}})
 	}
 	return []markCase{
 		{"rand-10b-runs", "Text", false, 4, textRecs(interleaved, 10, 0, 1, 2, 3, 1, 2, 0)},
 		{"resorted-run", "Text", false, 1, textRecs(resorted, 3, 0)},
 		{"resorted-after-folds", "Text", false, 1, textRecs(longRun, 100, 0)},
 		{"no-prefix", "Text", true, 2, textRecs(append(resorted, interleaved[:50]...), 3, 0, 1)},
-		{"equal-not-identical", "VLongWritable", false, 2, vlongs},
+		{"equal-not-identical", "Text", false, 2, headers},
 		{"handed-over", "Text", false, 2, textRecs(append(repeatKeys("prefix-key-", 30, 4), repeatKeys("prefix-kez-", 2, 400)...), 40, 0, 1)},
 		{"handed-over-long", "Text", false, 1, textRecs(repeatKeys(string(bytes.Repeat([]byte("k"), 300)), 20, 30), 200, 0)},
 	}

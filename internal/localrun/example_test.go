@@ -3,6 +3,7 @@ package localrun_test
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"mrmicro/internal/apps"
 	"mrmicro/internal/localrun"
@@ -22,8 +23,15 @@ in jobs with a skewed load some reducers take much longer
 // ExampleRun executes wordcount for real: the workload's mapper and
 // summing reducer (also the combiner) over three map tasks and two reduce
 // tasks, through the sort/spill/merge pipeline and a TCP shuffle on
-// loopback.
+// loopback. The corpus is served from memory as TextInputFormat serves a
+// file: one (byte offset, line) record per line.
 func ExampleRun() {
+	var lines []mapreduce.Pair
+	offset := int64(0)
+	for _, line := range strings.SplitAfter(strings.TrimSuffix(corpus, "\n"), "\n") {
+		lines = append(lines, mapreduce.Pair{Key: &writable.LongWritable{Value: offset}, Value: writable.NewText(strings.TrimSuffix(line, "\n"))})
+		offset += int64(len(line))
+	}
 	out := &mapreduce.MemoryOutput{}
 	job := &mapreduce.Job{
 		Name: "wordcount",
@@ -33,7 +41,7 @@ func ExampleRun() {
 		Mapper:             func() mapreduce.Mapper { return &apps.WordCountMapper{} },
 		Reducer:            func() mapreduce.Reducer { return &apps.SumReducer{} },
 		Combiner:           func() mapreduce.Reducer { return &apps.SumReducer{} },
-		Input:              &mapreduce.TextInput{Text: corpus},
+		Input:              &mapreduce.SliceInput{Pairs: lines},
 		Output:             out,
 		MapOutputKeyType:   "Text",
 		MapOutputValueType: "LongWritable",
@@ -56,7 +64,7 @@ func ExampleRun() {
 	}
 	// Output:
 	// 3 maps / 2 reduces
-	// map output records 71, shuffled after combining 59
+	// map output records 71, shuffled after combining 61
 	// distinct words 50; those seen three times or more:
 	// a 3
 	// phase 3

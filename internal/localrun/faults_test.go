@@ -363,7 +363,7 @@ func TestSpillErrorsRetriedToCompletion(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 3000; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i % 97)},
+			Key:   &writable.LongWritable{Value: int64(i % 97)},
 			Value: &writable.BytesWritable{Data: make([]byte, 1024)},
 		})
 	}
@@ -388,12 +388,12 @@ func TestSpillErrorsRetriedToCompletion(t *testing.T) {
 					}
 					n++
 				}
-				return o.Collect(&writable.IntWritable{Value: k.(*writable.IntWritable).Value}, &writable.LongWritable{Value: n})
+				return o.Collect(&writable.LongWritable{Value: k.(*writable.LongWritable).Value}, &writable.LongWritable{Value: n})
 			})
 		},
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
-		MapOutputKeyType:   "IntWritable",
+		MapOutputKeyType:   "LongWritable",
 		MapOutputValueType: "BytesWritable",
 	}
 	plan := &faultinject.Plan{Seed: 2, SpillErrorRate: 0.15}
@@ -480,23 +480,23 @@ func TestMapOnlyAttemptsRetry(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < rows; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i)},
+			Key:   &writable.LongWritable{Value: int64(i)},
 			Value: writable.NewText(fmt.Sprintf("row-%03d", i)),
 		})
 	}
 	run := func(failFirst bool, opts *Options) (string, *Result, error) {
 		dir := t.TempDir()
 		var mu sync.Mutex
-		failed := map[int32]bool{} // by the split's first key, which is its map index
+		failed := map[int64]bool{} // by the split's first key, which is its map index
 		job := &mapreduce.Job{
 			Name: "maponly-retry",
 			Conf: mapreduce.NewConf().SetInt(mapreduce.ConfNumMaps, maps).SetInt(mapreduce.ConfNumReduces, 0),
 			Mapper: func() mapreduce.Mapper {
-				var first int32
+				var first int64
 				n := 0
 				return mapreduce.MapperFunc(func(k, v writable.Writable, o mapreduce.Collector, _ mapreduce.Reporter) error {
 					if n++; n == 1 {
-						first = k.(*writable.IntWritable).Value
+						first = k.(*writable.LongWritable).Value
 					}
 					if failFirst && n == 3 {
 						mu.Lock()
@@ -512,7 +512,7 @@ func TestMapOnlyAttemptsRetry(t *testing.T) {
 			},
 			Input:              &mapreduce.SliceInput{Pairs: pairs},
 			Output:             inputformat.TextOutput{Dir: dir},
-			MapOutputKeyType:   "IntWritable",
+			MapOutputKeyType:   "LongWritable",
 			MapOutputValueType: "Text",
 		}
 		res, err := Run(job, opts)

@@ -12,6 +12,18 @@ import (
 	"mrmicro/internal/writable"
 )
 
+// textPairs serves text as TextInputFormat does: one (LongWritable byte
+// offset, Text line) record per line.
+func textPairs(text string) []mapreduce.Pair {
+	var pairs []mapreduce.Pair
+	offset := int64(0)
+	for _, line := range strings.SplitAfter(strings.TrimSuffix(text, "\n"), "\n") {
+		pairs = append(pairs, mapreduce.Pair{Key: &writable.LongWritable{Value: offset}, Value: writable.NewText(strings.TrimSuffix(line, "\n"))})
+		offset += int64(len(line))
+	}
+	return pairs
+}
+
 // wordCountJob builds the canonical test job over the given corpus.
 func wordCountJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job, *mapreduce.MemoryOutput) {
 	out := &mapreduce.MemoryOutput{}
@@ -44,7 +56,7 @@ func wordCountJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job
 				return o.Collect(writable.NewText(k.(*writable.Text).String()), &writable.LongWritable{Value: sum})
 			})
 		},
-		Input:              &mapreduce.TextInput{Text: text},
+		Input:              &mapreduce.SliceInput{Pairs: textPairs(text)},
 		Output:             out,
 		MapOutputKeyType:   "Text",
 		MapOutputValueType: "LongWritable",
@@ -201,7 +213,7 @@ func TestMultipleSpillsPerMap(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 3000; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i % 97)},
+			Key:   &writable.LongWritable{Value: int64(i % 97)},
 			Value: &writable.BytesWritable{Data: make([]byte, 1024)},
 		})
 	}
@@ -226,12 +238,12 @@ func TestMultipleSpillsPerMap(t *testing.T) {
 					}
 					n++
 				}
-				return o.Collect(&writable.IntWritable{Value: k.(*writable.IntWritable).Value}, &writable.LongWritable{Value: n})
+				return o.Collect(&writable.LongWritable{Value: k.(*writable.LongWritable).Value}, &writable.LongWritable{Value: n})
 			})
 		},
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
-		MapOutputKeyType:   "IntWritable",
+		MapOutputKeyType:   "LongWritable",
 		MapOutputValueType: "BytesWritable",
 	}
 	res, err := Run(job, nil)
@@ -279,7 +291,7 @@ func TestCustomPartitionerRouting(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 50; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i)},
+			Key:   &writable.LongWritable{Value: int64(i)},
 			Value: writable.NullWritable{},
 		})
 	}
@@ -299,7 +311,7 @@ func TestCustomPartitionerRouting(t *testing.T) {
 						break
 					}
 				}
-				return o.Collect(&writable.IntWritable{Value: k.(*writable.IntWritable).Value}, writable.NullWritable{})
+				return o.Collect(&writable.LongWritable{Value: k.(*writable.LongWritable).Value}, writable.NullWritable{})
 			})
 		},
 		Partitioner: func() mapreduce.Partitioner {
@@ -307,7 +319,7 @@ func TestCustomPartitionerRouting(t *testing.T) {
 		},
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
-		MapOutputKeyType:   "IntWritable",
+		MapOutputKeyType:   "LongWritable",
 		MapOutputValueType: "NullWritable",
 	}
 	if _, err := Run(job, nil); err != nil {
@@ -326,7 +338,7 @@ func TestMapOnlyJob(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 10; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i)},
+			Key:   &writable.LongWritable{Value: int64(i)},
 			Value: writable.NullWritable{},
 		})
 	}
@@ -341,7 +353,7 @@ func TestMapOnlyJob(t *testing.T) {
 		},
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
-		MapOutputKeyType:   "IntWritable",
+		MapOutputKeyType:   "LongWritable",
 		MapOutputValueType: "NullWritable",
 	}
 	res, err := Run(job, nil)
@@ -474,7 +486,7 @@ func TestIdentityComponents(t *testing.T) {
 	var pairs []mapreduce.Pair
 	for i := 0; i < 20; i++ {
 		pairs = append(pairs, mapreduce.Pair{
-			Key:   &writable.IntWritable{Value: int32(i % 5)},
+			Key:   &writable.LongWritable{Value: int64(i % 5)},
 			Value: writable.NewText(fmt.Sprintf("v%d", i)),
 		})
 	}
@@ -486,7 +498,7 @@ func TestIdentityComponents(t *testing.T) {
 		Reducer:            func() mapreduce.Reducer { return mapreduce.IdentityReducer{} },
 		Input:              &mapreduce.SliceInput{Pairs: pairs},
 		Output:             out,
-		MapOutputKeyType:   "IntWritable",
+		MapOutputKeyType:   "LongWritable",
 		MapOutputValueType: "Text",
 	}
 	if _, err := Run(job, nil); err != nil {

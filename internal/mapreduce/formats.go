@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 
 	"mrmicro/internal/writable"
@@ -65,76 +64,6 @@ func (r *sliceReader) Next() (writable.Writable, writable.Writable, bool, error)
 
 func (r *sliceReader) Close() error { return nil }
 
-// TextInput serves lines of text as (LongWritable offset, Text line)
-// records, like Hadoop's TextInputFormat over a small corpus.
-type TextInput struct {
-	Text string
-}
-
-// Splits divides the lines into NumMaps contiguous chunks.
-func (in *TextInput) Splits(conf *Conf) ([]InputSplit, error) {
-	lines := strings.Split(strings.TrimRight(in.Text, "\n"), "\n")
-	n := conf.NumMaps()
-	if n > len(lines) {
-		n = len(lines)
-	}
-	if n == 0 {
-		n = 1
-	}
-	out := make([]InputSplit, 0, n)
-	per := (len(lines) + n - 1) / n
-	offset := int64(0)
-	for i := 0; i < len(lines); i += per {
-		end := i + per
-		if end > len(lines) {
-			end = len(lines)
-		}
-		out = append(out, &textSplit{lines: lines[i:end], offset: offset})
-		for _, l := range lines[i:end] {
-			offset += int64(len(l)) + 1
-		}
-	}
-	return out, nil
-}
-
-type textSplit struct {
-	lines  []string
-	offset int64
-}
-
-func (s *textSplit) Length() int64 {
-	var n int64
-	for _, l := range s.lines {
-		n += int64(len(l)) + 1
-	}
-	return n
-}
-
-// Reader iterates the split's lines.
-func (in *TextInput) Reader(split InputSplit, _ *Conf) (RecordReader, error) {
-	ts := split.(*textSplit)
-	return &textReader{split: ts, offset: ts.offset}, nil
-}
-
-type textReader struct {
-	split  *textSplit
-	pos    int
-	offset int64
-}
-
-func (r *textReader) Next() (writable.Writable, writable.Writable, bool, error) {
-	if r.pos >= len(r.split.lines) {
-		return nil, nil, false, nil
-	}
-	line := r.split.lines[r.pos]
-	key := &writable.LongWritable{Value: r.offset}
-	r.offset += int64(len(line)) + 1
-	r.pos++
-	return key, writable.NewText(line), true, nil
-}
-
-func (r *textReader) Close() error { return nil }
-
 // MemoryOutput collects reduce output in memory, keyed by reduce index. It
 // stores a deep copy of every record: writers may not retain what they are
 // handed (see Collector). Safe for concurrent writers (one per reduce task).
@@ -194,12 +123,8 @@ func (w *memoryWriter) Abort() error {
 // through its serialization. A Text copies its bytes instead, skipping
 // ReadFields' UTF-8 check: the copy holds whatever the reducer emitted.
 func clone(w writable.Writable) (writable.Writable, error) {
-	switch v := w.(type) {
-	case *writable.Text:
+	if v, ok := w.(*writable.Text); ok {
 		return &writable.Text{Data: bytes.Clone(v.Data)}, nil
-	case *writable.ArrayWritable: // ReadFields needs the element type
-		c := &writable.ArrayWritable{ValueClass: v.ValueClass}
-		return c, writable.Unmarshal(writable.Marshal(v), c)
 	}
 	t := reflect.TypeOf(w)
 	if t.Kind() != reflect.Pointer {

@@ -128,9 +128,6 @@ func TestHashPartitionerDeterministic(t *testing.T) {
 }
 
 func TestHashCodeTypes(t *testing.T) {
-	if HashCode(&writable.IntWritable{Value: 42}) != 42 {
-		t.Error("IntWritable hash != value")
-	}
 	if HashCode(&writable.LongWritable{Value: 1}) != 1 {
 		t.Error("LongWritable hash wrong for small value")
 	}
@@ -138,9 +135,6 @@ func TestHashCodeTypes(t *testing.T) {
 	v := int64(1)<<32 | 5
 	if HashCode(&writable.LongWritable{Value: v}) != int32(v^(v>>32&0xFFFFFFFF)) {
 		t.Error("LongWritable hash wrong for large value")
-	}
-	if HashCode(&writable.BooleanWritable{Value: true}) != 1231 {
-		t.Error("BooleanWritable true hash != 1231")
 	}
 	if HashCode(writable.NullWritable{}) != 0 {
 		t.Error("NullWritable hash != 0")
@@ -303,14 +297,14 @@ func TestMemoryOutputStoresCopies(t *testing.T) {
 	out := &MemoryOutput{}
 	w, _ := out.Writer(nil, 0)
 	key, val := writable.NewText("k1"), &writable.LongWritable{Value: 1}
-	arr := writable.NewArrayWritable("Text", writable.NewText("a"))
-	for _, v := range []writable.Writable{val, arr, writable.NullWritable{}} {
+	bw := &writable.BytesWritable{Data: []byte("a")}
+	for _, v := range []writable.Writable{val, bw, writable.NullWritable{}} {
 		if err := w.Write(key, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	key.Data[1], val.Value = '2', 2
-	arr.Values[0].(*writable.Text).Data[0] = 'b'
+	bw.Data[0] = 'b'
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +312,7 @@ func TestMemoryOutputStoresCopies(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("%d pairs, want 3", len(got))
 	}
-	for i, want := range []string{"1", "[a]", "(null)"} {
+	for i, want := range []string{"1", "61", "(null)"} {
 		if k, v := got[i].Key.(*writable.Text).String(), got[i].Value.(interface{ String() string }).String(); k != "k1" || v != want {
 			t.Errorf("pair %d = (%s, %s), want (k1, %s)", i, k, v, want)
 		}

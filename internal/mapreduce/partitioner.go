@@ -8,25 +8,13 @@ import (
 
 func sprintf(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
 
-// HashCode computes a Java-compatible hash for the standard writable types,
-// mirroring each Hadoop class's hashCode(): the value itself for int types,
-// v ^ (v >>> 32) for longs, and WritableComparator.hashBytes for byte/text
-// payloads.
+// HashCode computes a Java-compatible hash for the registered writable types,
+// mirroring each Hadoop class's hashCode(): v ^ (v >>> 32) for a long, and
+// WritableComparator.hashBytes for byte/text payloads.
 func HashCode(w writable.Writable) int32 {
 	switch v := w.(type) {
-	case *writable.IntWritable:
-		return v.Value
-	case *writable.VIntWritable:
-		return v.Value
 	case *writable.LongWritable:
 		return int32(v.Value ^ int64(uint64(v.Value)>>32))
-	case *writable.VLongWritable:
-		return int32(v.Value ^ int64(uint64(v.Value)>>32))
-	case *writable.BooleanWritable:
-		if v.Value {
-			return 1231 // java.lang.Boolean.hashCode
-		}
-		return 1237
 	case *writable.BytesWritable:
 		return hashBytes(v.Data)
 	case *writable.Text:

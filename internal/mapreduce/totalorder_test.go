@@ -128,7 +128,7 @@ func TestSampleSplitPoints(t *testing.T) {
 	// odd keys in the other.
 	in := &SliceInput{}
 	for i := 0; i < 200; i++ {
-		in.Pairs = append(in.Pairs, Pair{Key: writable.NewText(fmt.Sprintf("%03d", i)), Value: &writable.IntWritable{Value: int32(i)}})
+		in.Pairs = append(in.Pairs, Pair{Key: writable.NewText(fmt.Sprintf("%03d", i)), Value: &writable.LongWritable{Value: int64(i)}})
 	}
 	cuts, err := SampleSplitPoints(in, NewConf().SetInt(ConfNumMaps, 2), "Text", 4, 1000)
 	if err != nil {

@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -221,15 +220,4 @@ func (tl *Timeline) Peak() float64 {
 		}
 	}
 	return max
-}
-
-// SortedKeys returns map keys in sorted order (deterministic report
-// iteration helper).
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

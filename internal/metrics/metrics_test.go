@@ -100,10 +100,3 @@ func TestTimeline(t *testing.T) {
 		t.Errorf("timeline render:\n%s", out)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if strings.Join(got, "") != "abc" {
-		t.Errorf("keys = %v", got)
-	}
-}

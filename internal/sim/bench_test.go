@@ -67,25 +67,22 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "switches/sec")
 }
 
-// BenchmarkQueuePingPong measures two processes handing values through a
-// Queue: the park/unpark path rather than timed sleeps.
-func BenchmarkQueuePingPong(b *testing.B) {
+// BenchmarkCondPingPong measures two processes handing control back and
+// forth through one Cond: the park/unpark path rather than timed sleeps.
+func BenchmarkCondPingPong(b *testing.B) {
 	e := NewEngine()
-	q := NewQueue(e)
-	e.Go("consumer", func(p *Proc) {
-		for {
-			if _, ok := q.Get(p); !ok {
-				return
+	c := NewCond()
+	n := 0
+	for _, name := range []string{"ping", "pong"} {
+		e.Go(name, func(p *Proc) {
+			for n < b.N {
+				n++
+				c.Broadcast()
+				c.Wait(p)
 			}
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Put(p) // a pointer, so the benchmark counts the queue's allocations, not boxing
-			p.Yield()
-		}
-		q.Close()
-	})
+			c.Broadcast()
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -67,20 +67,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	p.park()
 }
 
-// TryAcquire takes n units if immediately available (and no earlier waiter
-// is queued), reporting whether it succeeded.
-func (r *Resource) TryAcquire(n int64) bool {
-	if n <= 0 || n > r.capacity {
-		return false
-	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.accumulate()
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and wakes as many queued waiters as now fit.
 func (r *Resource) Release(n int64) {
 	if n <= 0 || n > r.inUse {

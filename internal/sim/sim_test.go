@@ -157,21 +157,6 @@ func TestResourceLargeRequestBlocksLater(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x", 1)
-	if !r.TryAcquire(1) {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("second TryAcquire succeeded with no capacity")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu", 2)
@@ -184,61 +169,6 @@ func TestResourceUtilization(t *testing.T) {
 	want := 10 * float64(time.Second)
 	if got != want {
 		t.Errorf("busy integral = %v, want %v", got, want)
-	}
-}
-
-func TestQueueBlockingGet(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue(e)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(Duration(time.Second))
-			q.Put(i)
-		}
-		q.Close()
-	})
-	e.Run()
-	if fmt.Sprint(got) != "[0 1 2 3 4]" {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestQueueMultipleConsumers(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue(e)
-	counts := map[string]int{}
-	for _, name := range []string{"c1", "c2"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			for {
-				_, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				counts[name]++
-			}
-		})
-	}
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(Duration(time.Second))
-			q.Put(i)
-		}
-		q.Close()
-	})
-	e.Run()
-	if counts["c1"]+counts["c2"] != 10 {
-		t.Errorf("counts = %v, want total 10", counts)
 	}
 }
 
@@ -307,7 +237,8 @@ func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
 		r := NewResource(e, "res", 3)
-		q := NewQueue(e)
+		ready := NewCond()
+		var done []int
 		var log []string
 		for i := 0; i < 8; i++ {
 			i := i
@@ -316,14 +247,17 @@ func TestDeterminism(t *testing.T) {
 				r.Acquire(p, 1)
 				p.Sleep(Duration(time.Duration(1+i%2) * time.Second))
 				r.Release(1)
-				q.Put(i)
+				done = append(done, i)
+				ready.Broadcast()
 				log = append(log, fmt.Sprintf("%d@%v", i, p.Now()))
 			})
 		}
 		e.Go("drain", func(p *Proc) {
 			for n := 0; n < 8; n++ {
-				v, _ := q.Get(p)
-				log = append(log, fmt.Sprintf("got%v", v))
+				for len(done) <= n {
+					ready.Wait(p)
+				}
+				log = append(log, fmt.Sprintf("got%v", done[n]))
 			}
 		})
 		e.Run()
@@ -386,18 +320,18 @@ func TestDeadlockPanics(t *testing.T) {
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	q := NewQueue(e)
 	finished := 0
 	for i := 0; i < 150; i++ {
 		i := i
 		e.Go(fmt.Sprintf("parent%d", i), func(p *Proc) {
 			p.Sleep(Time(i % 7))
+			handoff := NewFuture()
 			e.Go(fmt.Sprintf("child%d", i), func(c *Proc) {
-				q.Get(c)
+				handoff.Wait(c)
 				finished++
 			})
 			p.Yield()
-			q.Put(i)
+			handoff.Set(i)
 			finished++
 		})
 	}
@@ -455,36 +389,33 @@ func TestProcPanicKeepsContext(t *testing.T) {
 
 // TestProcSwitchAllocatesNothing extends the warm-path allocation guards to
 // the kernel: neither a timed sleep's round trip through the engine nor a
-// queue hand-off to a blocked getter allocates once the event heap and the
-// queue's lists have grown.
+// Cond hand-off to a parked waiter allocates once the event heap and the
+// Cond's waiter list have grown.
 func TestProcSwitchAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue(e)
+	c := NewCond()
 	stop := false
 	e.Go("sleeper", func(p *Proc) {
 		for !stop {
 			p.Sleep(1)
 		}
 	})
-	e.Go("getter", func(p *Proc) {
-		for {
-			if _, ok := q.Get(p); !ok {
-				return
-			}
+	e.Go("waiter", func(p *Proc) {
+		for !stop {
+			c.Wait(p)
 		}
 	})
 	if got := testing.AllocsPerRun(1000, func() { e.RunUntil(e.Now() + 1) }); got != 0 {
 		t.Errorf("a warm Sleep round trip allocates %.0f objects, want 0", got)
 	}
-	stop = true
-	e.RunUntil(e.Now() + 1)
 	if got := testing.AllocsPerRun(1000, func() {
-		q.Put(e) // a pointer: boxing it allocates nothing
+		c.Broadcast()
 		e.RunUntil(e.Now())
 	}); got != 0 {
-		t.Errorf("a warm Queue hand-off allocates %.0f objects, want 0", got)
+		t.Errorf("a warm Cond hand-off allocates %.0f objects, want 0", got)
 	}
-	q.Close()
+	stop = true
+	c.Broadcast()
 	e.Run()
 }
 

@@ -10,9 +10,49 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/switch_order.golden from the current kernel")
 
+// mailbox is the FIFO hand-off the scenario scripts, on Conds: a blocked
+// getter waits on a Cond of its own, so a put wakes the getter that has
+// waited longest, and close wakes them all.
+type mailbox struct {
+	items   []interface{}
+	getters []*Cond
+	closed  bool
+}
+
+func (m *mailbox) put(v interface{}) {
+	m.items = append(m.items, v)
+	if len(m.getters) > 0 {
+		g := m.getters[0]
+		m.getters = m.getters[1:]
+		g.Broadcast()
+	}
+}
+
+func (m *mailbox) close() {
+	m.closed = true
+	for _, g := range m.getters {
+		g.Broadcast()
+	}
+	m.getters = nil
+}
+
+// get takes the oldest item, parking p on own while there is none; ok is
+// false once the mailbox is closed and drained.
+func (m *mailbox) get(p *Proc, own *Cond) (v interface{}, ok bool) {
+	for len(m.items) == 0 {
+		if m.closed {
+			return nil, false
+		}
+		m.getters = append(m.getters, own)
+		own.Wait(p)
+	}
+	v, m.items = m.items[0], m.items[1:]
+	return v, true
+}
+
 // switchOrderLog runs one scripted scenario that crosses every way a
 // process gives up or regains control — timed and zero and negative sleeps,
-// Yield, spawns from inside processes, Queue put/get/close, Resource.Use
+// Yield, spawns from inside processes, a mailbox's put/get/close, Resource.Use
 // under FIFO contention, and a Future and a Cond released at instants where
 // other events coincide — and returns its (virtual ns, process, step) log.
 func switchOrderLog() []byte {
@@ -22,7 +62,7 @@ func switchOrderLog() []byte {
 		fmt.Fprintf(&buf, "%d %s %s\n", p.Now(), p.Name(), fmt.Sprintf(format, args...))
 	}
 
-	q := NewQueue(e)
+	var q mailbox
 	cpu := NewResource(e, "cpu", 2)
 	fut := NewFuture()
 	cond := NewCond()
@@ -31,8 +71,9 @@ func switchOrderLog() []byte {
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Go(fmt.Sprintf("getter%d", i), func(p *Proc) {
+			own := NewCond()
 			for {
-				v, ok := q.Get(p)
+				v, ok := q.get(p, own)
 				if !ok {
 					step(p, "closed")
 					return
@@ -51,7 +92,7 @@ func switchOrderLog() []byte {
 			step(p, "arrive")
 			cpu.Use(p, int64(1+i%2), 10)
 			step(p, "used")
-			q.Put(i)
+			q.put(i)
 			p.Yield()
 			step(p, "yielded")
 			wg.Done()
@@ -90,8 +131,8 @@ func switchOrderLog() []byte {
 		cond.Broadcast()
 		wg.Wait(p)
 		step(p, "workers done")
-		q.Put("last")
-		q.Close()
+		q.put("last")
+		q.close()
 		cond.Broadcast()
 		step(p, "broadcast 2")
 	})

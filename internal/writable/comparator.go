@@ -14,21 +14,22 @@ type RawComparator func(a, b []byte) int
 // Factory constructs a fresh zero value of a registered type.
 type Factory func() Writable
 
+// registration is one type a job can name: its constructor, the raw
+// comparator of its serialized form and that comparator's prefix extractor.
 type registration struct {
-	name    string
 	factory Factory
 	raw     RawComparator
+	prefix  PrefixFunc
 }
 
-var registry = map[string]registration{}
-
-// Register adds a named Writable type with its raw comparator (nil for
-// non-comparable types). Names follow Hadoop's simple class names.
-func Register(name string, f Factory, raw RawComparator) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("writable: duplicate registration of %q", name))
-	}
-	registry[name] = registration{name: name, factory: f, raw: raw}
+// registry holds every type a job can name, under Hadoop's simple class
+// names: the paper's two intermediate data types, LongWritable (counts and
+// offsets) and NullWritable (the record readers' placeholder).
+var registry = map[string]registration{
+	"BytesWritable": {func() Writable { return new(BytesWritable) }, CompareBytesWritable, bytesWritablePrefix},
+	"LongWritable":  {func() Writable { return new(LongWritable) }, CompareInt64BE, longPrefix},
+	"NullWritable":  {func() Writable { return NullWritable{} }, func(a, b []byte) int { return 0 }, zeroPrefix},
+	"Text":          {func() Writable { return new(Text) }, CompareText, textPrefix},
 }
 
 // New instantiates a registered type by name.
@@ -43,7 +44,7 @@ func New(name string) (Writable, error) {
 // Comparator returns the raw comparator for a registered type.
 func Comparator(name string) (RawComparator, error) {
 	r, ok := registry[name]
-	if !ok || r.raw == nil {
+	if !ok {
 		return nil, fmt.Errorf("writable: no raw comparator for %q", name)
 	}
 	return r.raw, nil
@@ -68,20 +69,18 @@ type KeyOrder struct {
 	Cmp    RawComparator
 }
 
-// Order returns a comparable registered type's prefix extractor and raw
-// comparator; a type with no extractor gets ByComparator's order.
+// Order returns a registered type's prefix extractor and raw comparator.
 func Order(name string) (KeyOrder, error) {
-	raw, err := Comparator(name)
-	o := ByComparator(raw)
-	if p, ok := prefixExtractors[name]; ok {
-		o.Prefix = p
+	r, ok := registry[name]
+	if !ok {
+		return KeyOrder{}, fmt.Errorf("writable: no raw comparator for %q", name)
 	}
-	return o, err
+	return KeyOrder{Prefix: r.prefix, Cmp: r.raw}, nil
 }
 
 // ByComparator orders by raw alone: every prefix is 0.
 func ByComparator(raw RawComparator) KeyOrder {
-	return KeyOrder{Prefix: func([]byte) uint64 { return 0 }, Cmp: raw}
+	return KeyOrder{Prefix: zeroPrefix, Cmp: raw}
 }
 
 // Compare orders key a (prefix pa) against key b (prefix pb): unequal
@@ -99,7 +98,8 @@ func (o KeyOrder) Compare(a []byte, pa uint64, b []byte, pb uint64) (c int) {
 }
 
 // Same reports whether a and b are one key: equal prefixes, then equal bytes
-// or Cmp == 0, as for the vlongs 05 and 8f05, two encodings of 5.
+// or Cmp == 0, as for the Texts 05 and 8f05 before the same five bytes, two
+// encodings of one string's length.
 func (o KeyOrder) Same(a []byte, pa uint64, b []byte, pb uint64) bool {
 	return pa == pb && (bytes.Equal(a, b) || o.Cmp(a, b) == 0)
 }
@@ -118,39 +118,9 @@ func CompareText(a, b []byte) int {
 	return bytes.Compare(a[VIntSize(a[0]):], b[VIntSize(b[0]):])
 }
 
-// CompareInt32BE orders 4-byte big-endian signed ints in serialized form.
-func CompareInt32BE(a, b []byte) int {
-	// Flip the sign bit so unsigned byte comparison yields signed order.
-	x := [4]byte{a[0] ^ 0x80, a[1], a[2], a[3]}
-	y := [4]byte{b[0] ^ 0x80, b[1], b[2], b[3]}
-	return bytes.Compare(x[:], y[:])
-}
-
 // CompareInt64BE orders 8-byte big-endian signed longs in serialized form.
 func CompareInt64BE(a, b []byte) int {
 	x := [8]byte{a[0] ^ 0x80, a[1], a[2], a[3], a[4], a[5], a[6], a[7]}
 	y := [8]byte{b[0] ^ 0x80, b[1], b[2], b[3], b[4], b[5], b[6], b[7]}
 	return bytes.Compare(x[:], y[:])
-}
-
-// CompareVLong orders Hadoop vlong encodings by decoded value.
-func CompareVLong(a, b []byte) int {
-	av, _ := NewDataInput(a).ReadVLong()
-	bv, _ := NewDataInput(b).ReadVLong()
-	return compareInt64(av, bv)
-}
-
-func init() {
-	Register("NullWritable", func() Writable { return NullWritable{} }, func(a, b []byte) int { return 0 })
-	Register("IntWritable", func() Writable { return new(IntWritable) }, CompareInt32BE)
-	Register("LongWritable", func() Writable { return new(LongWritable) }, CompareInt64BE)
-	Register("VIntWritable", func() Writable { return new(VIntWritable) }, CompareVLong)
-	Register("VLongWritable", func() Writable { return new(VLongWritable) }, CompareVLong)
-	Register("BooleanWritable", func() Writable { return new(BooleanWritable) }, func(a, b []byte) int {
-		return int(a[0]) - int(b[0])
-	})
-	Register("FloatWritable", func() Writable { return new(FloatWritable) }, nil)
-	Register("DoubleWritable", func() Writable { return new(DoubleWritable) }, nil)
-	Register("BytesWritable", func() Writable { return new(BytesWritable) }, CompareBytesWritable)
-	Register("Text", func() Writable { return new(Text) }, CompareText)
 }

@@ -1,7 +1,8 @@
-// Package writable reimplements Hadoop's Writable serialization layer: the
-// Writable/WritableComparable contracts, the standard box types
-// (IntWritable, LongWritable, BytesWritable, Text, ...), Hadoop's variable-
-// length integer encoding, and raw (serialized-form) comparators used by the
+// Package writable reimplements the part of Hadoop's Writable serialization
+// layer that the suite's jobs use: the Writable contract, the four box types
+// a job can name (BytesWritable and Text, the paper's intermediate data
+// types; LongWritable; NullWritable), Hadoop's variable-length integer
+// encoding, and the raw (serialized-form) comparators and key orders of the
 // sort and merge phases.
 //
 // Wire formats are byte-identical to Hadoop's so the micro-benchmark's
@@ -53,20 +54,6 @@ func (o *DataOutput) ResetOn(buf []byte) { o.buf = buf[:0] }
 // WriteU8 appends one byte.
 func (o *DataOutput) WriteU8(b byte) { o.buf = append(o.buf, b) }
 
-// WriteBool appends a Java boolean (0 or 1).
-func (o *DataOutput) WriteBool(v bool) {
-	if v {
-		o.WriteU8(1)
-	} else {
-		o.WriteU8(0)
-	}
-}
-
-// WriteUint16 appends a big-endian 16-bit value (Java writeShort/writeChar).
-func (o *DataOutput) WriteUint16(v uint16) {
-	o.buf = append(o.buf, byte(v>>8), byte(v))
-}
-
 // WriteInt32 appends a big-endian 32-bit value (Java writeInt).
 func (o *DataOutput) WriteInt32(v int32) {
 	o.buf = append(o.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -78,12 +65,6 @@ func (o *DataOutput) WriteInt64(v int64) {
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
-
-// WriteFloat32 appends IEEE-754 bits big-endian (Java writeFloat).
-func (o *DataOutput) WriteFloat32(v float32) { o.WriteInt32(int32(math.Float32bits(v))) }
-
-// WriteFloat64 appends IEEE-754 bits big-endian (Java writeDouble).
-func (o *DataOutput) WriteFloat64(v float64) { o.WriteInt64(int64(math.Float64bits(v))) }
 
 // Write appends raw bytes.
 func (o *DataOutput) Write(p []byte) (int, error) {
@@ -156,8 +137,8 @@ func (i *DataInput) Remaining() int { return len(i.buf) - i.off }
 // Offset returns the read position.
 func (i *DataInput) Offset() int { return i.off }
 
-// A successful read below is a bounds check and a load with no call under it
-// (ReadBool and ReadFloat* are inlined wrappers over one). Errors, and vints
+// A successful read below is a bounds check and a load with no call under
+// it. Errors, and vints
 // longer than one byte, are built out of line (short and readVLongSlow), so
 // no read runs a chain of calls on the record path.
 
@@ -179,21 +160,6 @@ func (i *DataInput) ReadByte() (byte, error) {
 	return 0, i.short(1)
 }
 
-// ReadBool reads a Java boolean.
-func (i *DataInput) ReadBool() (bool, error) {
-	b, err := i.ReadByte()
-	return b != 0, err
-}
-
-// ReadUint16 reads a big-endian 16-bit value.
-func (i *DataInput) ReadUint16() (uint16, error) {
-	if b := i.buf[i.off:]; len(b) >= 2 {
-		i.off += 2
-		return binary.BigEndian.Uint16(b), nil
-	}
-	return 0, i.short(2)
-}
-
 // ReadInt32 reads a big-endian 32-bit value.
 func (i *DataInput) ReadInt32() (int32, error) {
 	if b := i.buf[i.off:]; len(b) >= 4 {
@@ -210,18 +176,6 @@ func (i *DataInput) ReadInt64() (int64, error) {
 		return int64(binary.BigEndian.Uint64(b)), nil
 	}
 	return 0, i.short(8)
-}
-
-// ReadFloat32 reads IEEE-754 bits big-endian.
-func (i *DataInput) ReadFloat32() (float32, error) {
-	v, err := i.ReadInt32()
-	return math.Float32frombits(uint32(v)), err
-}
-
-// ReadFloat64 reads IEEE-754 bits big-endian.
-func (i *DataInput) ReadFloat64() (float64, error) {
-	v, err := i.ReadInt64()
-	return math.Float64frombits(uint64(v)), err
 }
 
 // ReadFull reads exactly n bytes (a view into the buffer, not a copy).

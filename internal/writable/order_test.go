@@ -1,54 +1,64 @@
 package writable
 
 import (
+	"bytes"
 	"cmp"
 	"testing"
 )
 
 // keyOrderKeys builds serialized keys of type name from fuzzed values: the
-// canonical encodings of x and y (or of a and b as payloads), and for the
-// vlong types also a and b as raw bytes wherever ReadVLong consumes them
-// exactly, so non-canonical encodings such as 8f05 for 5 are keys too.
+// canonical encodings of x and y (or of a and b as payloads), and for Text
+// also a and b behind the two-byte length header 8f<n>, and a and b as raw
+// bytes wherever their vint header states exactly the bytes that follow, so
+// non-canonical encodings such as 8f05 before a 5-byte payload are keys too.
 func keyOrderKeys(t *testing.T, name string, a, b []byte, x, y int64) [][]byte {
-	rawVLongs := func(keys ...[]byte) [][]byte {
+	switch name {
+	case "NullWritable":
+		return [][]byte{Marshal(NullWritable{}), Marshal(NullWritable{})}
+	case "LongWritable":
+		return [][]byte{Marshal(&LongWritable{x}), Marshal(&LongWritable{y})}
+	case "BytesWritable":
+		return [][]byte{Marshal(&BytesWritable{Data: a}), Marshal(&BytesWritable{Data: b})}
+	case "Text":
+		keys := [][]byte{Marshal(&Text{Data: a}), Marshal(&Text{Data: b})}
+		for _, p := range [][]byte{a, b} {
+			if len(p) <= 0xff {
+				keys = append(keys, append([]byte{0x8f, byte(len(p))}, p...))
+			}
+		}
 		for _, raw := range [][]byte{a, b} {
 			in := NewDataInput(raw)
-			if _, err := in.ReadVLong(); err == nil && in.Remaining() == 0 {
+			if n, err := in.ReadVInt(); err == nil && int(n) == in.Remaining() {
 				keys = append(keys, raw)
 			}
 		}
 		return keys
 	}
-	switch name {
-	case "NullWritable":
-		return [][]byte{Marshal(NullWritable{}), Marshal(NullWritable{})}
-	case "BooleanWritable":
-		return [][]byte{Marshal(&BooleanWritable{x&1 == 1}), Marshal(&BooleanWritable{y&1 == 1})}
-	case "IntWritable":
-		return [][]byte{Marshal(&IntWritable{int32(x)}), Marshal(&IntWritable{int32(y)})}
-	case "LongWritable":
-		return [][]byte{Marshal(&LongWritable{x}), Marshal(&LongWritable{y})}
-	case "VIntWritable":
-		return rawVLongs(Marshal(&VIntWritable{int32(x)}), Marshal(&VIntWritable{int32(y)}))
-	case "VLongWritable":
-		return rawVLongs(Marshal(&VLongWritable{x}), Marshal(&VLongWritable{y}))
-	case "BytesWritable":
-		return [][]byte{Marshal(&BytesWritable{Data: a}), Marshal(&BytesWritable{Data: b})}
-	case "Text":
-		return [][]byte{Marshal(&Text{Data: a}), Marshal(&Text{Data: b})}
-	}
 	t.Fatalf("Order accepts %s, but FuzzKeyOrder builds no keys for it", name)
 	return nil
+}
+
+// valueOrder orders two decoded values of one registered type.
+func valueOrder(a, b Writable) int {
+	switch a := a.(type) {
+	case *LongWritable:
+		return cmp.Compare(a.Value, b.(*LongWritable).Value)
+	case *BytesWritable:
+		return bytes.Compare(a.Data, b.(*BytesWritable).Data)
+	case *Text:
+		return bytes.Compare(a.Data, b.(*Text).Data)
+	}
+	return 0 // NullWritable
 }
 
 // FuzzKeyOrder is the one oracle for writable.KeyOrder: for every type Order
 // accepts and every pair of fuzzed keys, the prefix never contradicts the
 // comparator (a smaller prefix is a smaller key, and equal keys have equal
 // prefixes), Compare agrees in sign with the comparator, Same holds exactly
-// when the comparator says equal, and the comparator agrees with CompareTo
-// on the decoded values.
+// when the comparator says equal, and the comparator agrees with the order
+// of the decoded values.
 func FuzzKeyOrder(f *testing.F) {
-	f.Add([]byte{0x05}, []byte{0x8f, 0x05}, int64(5), int64(5))
+	f.Add([]byte("\x05hello"), []byte("\x8f\x05hello"), int64(5), int64(5))
 	f.Add([]byte("tie8key-a"), []byte("tie8key-b"), int64(-1), int64(1))
 	f.Add([]byte("same-eight"), []byte("same-eigh"), int64(-1<<31), int64(1<<31-1))
 	f.Add([]byte{}, []byte{0}, int64(-1<<63), int64(0))
@@ -56,7 +66,7 @@ func FuzzKeyOrder(f *testing.F) {
 		for _, name := range Names() {
 			o, err := Order(name)
 			if err != nil {
-				continue // not a key type
+				t.Fatalf("Order(%s): %v", name, err)
 			}
 			keys := keyOrderKeys(t, name, a, b, x, y)
 			for _, ka := range keys {
@@ -88,14 +98,14 @@ func checkKeyOrder(t *testing.T, name string, o KeyOrder, a, b []byte) {
 	if Unmarshal(a, va) != nil || Unmarshal(b, vb) != nil {
 		return // not a value of the type (a vint out of range, a non-UTF-8 Text)
 	}
-	if want := va.(Comparable).CompareTo(vb.(Comparable)); cmp.Compare(want, 0) != cmp.Compare(c, 0) {
-		t.Fatalf("%s %x vs %x: Cmp = %d, CompareTo = %d", name, a, b, c, want)
+	if want := valueOrder(va, vb); cmp.Compare(want, 0) != cmp.Compare(c, 0) {
+		t.Fatalf("%s %x vs %x: Cmp = %d, decoded values order %d", name, a, b, c, want)
 	}
 }
 
 func TestOrderAndByComparator(t *testing.T) {
-	if _, err := Order("DoubleWritable"); err == nil {
-		t.Error("Order accepted DoubleWritable, which has no raw comparator")
+	if _, err := Order("IntWritable"); err == nil {
+		t.Error("Order accepted IntWritable, which is not registered")
 	}
 	o := ByComparator(CompareText)
 	a, b := Marshal(NewText("b")), Marshal(NewText("a"))
@@ -125,10 +135,10 @@ func TestOrderAndByComparator(t *testing.T) {
 			t.Errorf("%s: every test key has prefix 0; the check above proves nothing", name)
 		}
 	}
-	// One vlong value, two encodings: Same must fall back to the comparator.
-	vl, _ := Order("VLongWritable")
-	short, long := []byte{0x05}, []byte{0x8f, 0x05}
-	if !vl.Same(short, vl.Prefix(short), long, vl.Prefix(long)) {
-		t.Error("VLong 05 and 8f05 decode to 5, but Same says they differ")
+	// One Text, two length encodings: Same must fall back to the comparator.
+	text, _ := Order("Text")
+	short, long := []byte("\x05hello"), []byte("\x8f\x05hello")
+	if !text.Same(short, text.Prefix(short), long, text.Prefix(long)) {
+		t.Error("Texts 05hello and 8f05hello both decode to hello, but Same says they differ")
 	}
 }

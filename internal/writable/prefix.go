@@ -23,62 +23,37 @@ func bytesPrefix(payload []byte) uint64 {
 	return p << (8 * (8 - uint(len(payload))))
 }
 
-// prefixExtractors holds the per-type extractors. Types whose comparator
-// cannot be prefix-accelerated are simply absent.
-var prefixExtractors = map[string]PrefixFunc{
-	"NullWritable": func([]byte) uint64 { return 0 },
-	"BooleanWritable": func(key []byte) uint64 {
-		if len(key) < 1 {
-			return 0
-		}
-		return uint64(key[0])
-	},
-	"IntWritable": func(key []byte) uint64 {
-		if len(key) < 4 {
-			return 0
-		}
-		// Flip the sign bit so unsigned order matches signed order; shift
-		// into the high bytes so distinct values never tie.
-		return uint64(binary.BigEndian.Uint32(key)^0x80000000) << 32
-	},
-	"LongWritable": func(key []byte) uint64 {
-		if len(key) < 8 {
-			return 0
-		}
-		return binary.BigEndian.Uint64(key) ^ 0x8000000000000000
-	},
-	"VIntWritable":  vlongPrefix,
-	"VLongWritable": vlongPrefix,
-	"BytesWritable": func(key []byte) uint64 {
-		if len(key) < 4 {
-			return 0
-		}
-		return bytesPrefix(key[4:])
-	},
-	"Text": func(key []byte) uint64 {
-		if len(key) < 1 {
-			return 0
-		}
-		n := VIntSize(key[0])
-		if len(key) < n {
-			return 0
-		}
-		return bytesPrefix(key[n:])
-	},
-}
+func zeroPrefix([]byte) uint64 { return 0 }
 
-func vlongPrefix(key []byte) uint64 {
-	v, err := NewDataInput(key).ReadVLong()
-	if err != nil {
+// longPrefix flips the sign bit so unsigned order matches signed order.
+func longPrefix(key []byte) uint64 {
+	if len(key) < 8 {
 		return 0
 	}
-	return uint64(v) ^ 0x8000000000000000
+	return binary.BigEndian.Uint64(key) ^ 0x8000000000000000
+}
+
+func bytesWritablePrefix(key []byte) uint64 {
+	if len(key) < 4 {
+		return 0
+	}
+	return bytesPrefix(key[4:])
+}
+
+func textPrefix(key []byte) uint64 {
+	if len(key) < 1 {
+		return 0
+	}
+	n := VIntSize(key[0])
+	if len(key) < n {
+		return 0
+	}
+	return bytesPrefix(key[n:])
 }
 
 // PrefixExtractor returns the order-preserving prefix extractor for a
-// registered type, or ok=false when the type's comparator cannot be
-// accelerated this way (Order then orders it by comparator alone).
+// registered type; ok is false for a name that is not registered.
 func PrefixExtractor(name string) (PrefixFunc, bool) {
-	f, ok := prefixExtractors[name]
-	return f, ok
+	r, ok := registry[name]
+	return r.prefix, ok
 }

@@ -1,7 +1,6 @@
 package writable
 
 import (
-	"bytes"
 	"fmt"
 	"unicode/utf8"
 )
@@ -15,13 +14,6 @@ type Writable interface {
 	ReadFields(i *DataInput) error
 }
 
-// Comparable is a Writable with a total order, Hadoop's WritableComparable.
-type Comparable interface {
-	Writable
-	// CompareTo orders this value against another of the same type.
-	CompareTo(other Comparable) int
-}
-
 // NullWritable is the zero-byte placeholder type.
 type NullWritable struct{}
 
@@ -31,25 +23,8 @@ func (NullWritable) Write(*DataOutput) {}
 // ReadFields reads nothing.
 func (NullWritable) ReadFields(*DataInput) error { return nil }
 
-// CompareTo reports equality with any other NullWritable.
-func (NullWritable) CompareTo(Comparable) int { return 0 }
-
 // String implements fmt.Stringer like Hadoop's "(null)".
 func (NullWritable) String() string { return "(null)" }
-
-// IntWritable boxes an int32 (4 bytes big-endian on the wire).
-type IntWritable struct{ Value int32 }
-
-func (w *IntWritable) Write(o *DataOutput) { o.WriteInt32(w.Value) }
-func (w *IntWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadInt32()
-	w.Value = v
-	return err
-}
-func (w *IntWritable) CompareTo(other Comparable) int {
-	return compareInt64(int64(w.Value), int64(other.(*IntWritable).Value))
-}
-func (w *IntWritable) String() string { return fmt.Sprint(w.Value) }
 
 // LongWritable boxes an int64 (8 bytes big-endian).
 type LongWritable struct{ Value int64 }
@@ -60,104 +35,7 @@ func (w *LongWritable) ReadFields(i *DataInput) error {
 	w.Value = v
 	return err
 }
-func (w *LongWritable) CompareTo(other Comparable) int {
-	return compareInt64(w.Value, other.(*LongWritable).Value)
-}
 func (w *LongWritable) String() string { return fmt.Sprint(w.Value) }
-
-// VIntWritable boxes an int32 in Hadoop variable-length encoding.
-type VIntWritable struct{ Value int32 }
-
-func (w *VIntWritable) Write(o *DataOutput) { o.WriteVInt(w.Value) }
-func (w *VIntWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadVInt()
-	w.Value = v
-	return err
-}
-func (w *VIntWritable) CompareTo(other Comparable) int {
-	return compareInt64(int64(w.Value), int64(other.(*VIntWritable).Value))
-}
-func (w *VIntWritable) String() string { return fmt.Sprint(w.Value) }
-
-// VLongWritable boxes an int64 in Hadoop variable-length encoding.
-type VLongWritable struct{ Value int64 }
-
-func (w *VLongWritable) Write(o *DataOutput) { o.WriteVLong(w.Value) }
-func (w *VLongWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadVLong()
-	w.Value = v
-	return err
-}
-func (w *VLongWritable) CompareTo(other Comparable) int {
-	return compareInt64(w.Value, other.(*VLongWritable).Value)
-}
-func (w *VLongWritable) String() string { return fmt.Sprint(w.Value) }
-
-// BooleanWritable boxes a bool (1 byte).
-type BooleanWritable struct{ Value bool }
-
-func (w *BooleanWritable) Write(o *DataOutput) { o.WriteBool(w.Value) }
-func (w *BooleanWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadBool()
-	w.Value = v
-	return err
-}
-func (w *BooleanWritable) CompareTo(other Comparable) int {
-	a, b := w.Value, other.(*BooleanWritable).Value
-	switch {
-	case a == b:
-		return 0
-	case b: // false < true
-		return -1
-	default:
-		return 1
-	}
-}
-func (w *BooleanWritable) String() string { return fmt.Sprint(w.Value) }
-
-// FloatWritable boxes a float32 (IEEE bits big-endian).
-type FloatWritable struct{ Value float32 }
-
-func (w *FloatWritable) Write(o *DataOutput) { o.WriteFloat32(w.Value) }
-func (w *FloatWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadFloat32()
-	w.Value = v
-	return err
-}
-func (w *FloatWritable) CompareTo(other Comparable) int {
-	a, b := w.Value, other.(*FloatWritable).Value
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-func (w *FloatWritable) String() string { return fmt.Sprint(w.Value) }
-
-// DoubleWritable boxes a float64.
-type DoubleWritable struct{ Value float64 }
-
-func (w *DoubleWritable) Write(o *DataOutput) { o.WriteFloat64(w.Value) }
-func (w *DoubleWritable) ReadFields(i *DataInput) error {
-	v, err := i.ReadFloat64()
-	w.Value = v
-	return err
-}
-func (w *DoubleWritable) CompareTo(other Comparable) int {
-	a, b := w.Value, other.(*DoubleWritable).Value
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-func (w *DoubleWritable) String() string { return fmt.Sprint(w.Value) }
 
 // BytesWritable is an opaque byte sequence: 4-byte big-endian length + data,
 // the paper's default intermediate data type.
@@ -182,10 +60,6 @@ func (w *BytesWritable) ReadFields(i *DataInput) error {
 	}
 	w.Data = i.keep(w.Data, b)
 	return nil
-}
-
-func (w *BytesWritable) CompareTo(other Comparable) int {
-	return bytes.Compare(w.Data, other.(*BytesWritable).Data)
 }
 
 func (w *BytesWritable) String() string { return fmt.Sprintf("%x", w.Data) }
@@ -224,22 +98,7 @@ func (w *Text) ReadFields(i *DataInput) error {
 	return nil
 }
 
-func (w *Text) CompareTo(other Comparable) int {
-	return bytes.Compare(w.Data, other.(*Text).Data)
-}
-
 func (w *Text) String() string { return string(w.Data) }
-
-func compareInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // Marshal serializes w to a fresh byte slice.
 func Marshal(w Writable) []byte {

@@ -2,7 +2,10 @@ package writable
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,17 +15,6 @@ func roundTrip(t *testing.T, w Writable, fresh Writable) {
 	buf := Marshal(w)
 	if err := Unmarshal(buf, fresh); err != nil {
 		t.Fatalf("unmarshal %T: %v", w, err)
-	}
-}
-
-func TestIntWritableRoundTrip(t *testing.T) {
-	f := func(v int32) bool {
-		out := new(IntWritable)
-		roundTrip(t, &IntWritable{Value: v}, out)
-		return out.Value == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -38,20 +30,20 @@ func TestLongWritableRoundTrip(t *testing.T) {
 }
 
 func TestVLongRoundTrip(t *testing.T) {
-	f := func(v int64) bool {
-		out := new(VLongWritable)
-		roundTrip(t, &VLongWritable{Value: v}, out)
-		return out.Value == v
+	roundTrip := func(v int64) bool {
+		o := NewDataOutput(9)
+		o.WriteVLong(v)
+		in := NewDataInput(o.Bytes())
+		got, err := in.ReadVLong()
+		return err == nil && got == v && in.Remaining() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 	// Boundary cases of the Hadoop format.
 	for _, v := range []int64{0, 127, 128, -112, -113, 255, 256, -1, math.MaxInt64, math.MinInt64} {
-		out := new(VLongWritable)
-		roundTrip(t, &VLongWritable{Value: v}, out)
-		if out.Value != v {
-			t.Errorf("vlong %d round-tripped to %d", v, out.Value)
+		if !roundTrip(v) {
+			t.Errorf("vlong %d did not round-trip", v)
 		}
 	}
 }
@@ -194,36 +186,18 @@ func TestNegativeLengthRejected(t *testing.T) {
 }
 
 func TestUnmarshalRejectsTrailing(t *testing.T) {
-	buf := append(Marshal(&IntWritable{Value: 1}), 0xFF)
-	if err := Unmarshal(buf, new(IntWritable)); err == nil {
+	buf := append(Marshal(&LongWritable{Value: 1}), 0xFF)
+	if err := Unmarshal(buf, new(LongWritable)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
 
-// Raw comparators must agree with CompareTo on deserialized values.
+// Raw comparators must agree with the order of the values they encode.
 func TestRawComparatorConsistency(t *testing.T) {
-	t.Run("IntWritable", func(t *testing.T) {
-		f := func(a, b int32) bool {
-			wa, wb := &IntWritable{Value: a}, &IntWritable{Value: b}
-			return CompareInt32BE(Marshal(wa), Marshal(wb)) == wa.CompareTo(wb)
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Error(err)
-		}
-	})
 	t.Run("LongWritable", func(t *testing.T) {
 		f := func(a, b int64) bool {
-			wa, wb := &LongWritable{Value: a}, &LongWritable{Value: b}
-			return CompareInt64BE(Marshal(wa), Marshal(wb)) == wa.CompareTo(wb)
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Error(err)
-		}
-	})
-	t.Run("VLongWritable", func(t *testing.T) {
-		f := func(a, b int64) bool {
-			wa, wb := &VLongWritable{Value: a}, &VLongWritable{Value: b}
-			return CompareVLong(Marshal(wa), Marshal(wb)) == wa.CompareTo(wb)
+			got := CompareInt64BE(Marshal(&LongWritable{Value: a}), Marshal(&LongWritable{Value: b}))
+			return sign(got) == cmp.Compare(a, b)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Error(err)
@@ -231,9 +205,8 @@ func TestRawComparatorConsistency(t *testing.T) {
 	})
 	t.Run("BytesWritable", func(t *testing.T) {
 		f := func(a, b []byte) bool {
-			wa, wb := &BytesWritable{Data: a}, &BytesWritable{Data: b}
-			got := CompareBytesWritable(Marshal(wa), Marshal(wb))
-			return sign(got) == sign(wa.CompareTo(wb))
+			got := CompareBytesWritable(Marshal(&BytesWritable{Data: a}), Marshal(&BytesWritable{Data: b}))
+			return sign(got) == bytes.Compare(a, b)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Error(err)
@@ -241,9 +214,8 @@ func TestRawComparatorConsistency(t *testing.T) {
 	})
 	t.Run("Text", func(t *testing.T) {
 		f := func(a, b string) bool {
-			wa, wb := NewText(a), NewText(b)
-			got := CompareText(Marshal(wa), Marshal(wb))
-			return sign(got) == sign(wa.CompareTo(wb))
+			got := CompareText(Marshal(NewText(a)), Marshal(NewText(b)))
+			return sign(got) == strings.Compare(a, b)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Error(err)
@@ -276,33 +248,13 @@ func TestRegistry(t *testing.T) {
 	if _, err := Comparator("Text"); err != nil {
 		t.Errorf("Text comparator missing: %v", err)
 	}
-	if _, err := Comparator("DoubleWritable"); err == nil {
-		t.Error("DoubleWritable should have no raw comparator registered")
+	if _, err := Comparator("IntWritable"); err == nil {
+		t.Error("IntWritable is not registered, but Comparator accepted it")
 	}
-	names := Names()
-	if len(names) < 10 {
-		t.Errorf("registered types = %v, want >= 10", names)
-	}
-}
-
-func TestFloatDoubleBooleanRoundTrip(t *testing.T) {
-	fo := new(FloatWritable)
-	roundTrip(t, &FloatWritable{Value: 3.25}, fo)
-	if fo.Value != 3.25 {
-		t.Error("float mismatch")
-	}
-	do := new(DoubleWritable)
-	roundTrip(t, &DoubleWritable{Value: -1e300}, do)
-	if do.Value != -1e300 {
-		t.Error("double mismatch")
-	}
-	bo := new(BooleanWritable)
-	roundTrip(t, &BooleanWritable{Value: true}, bo)
-	if !bo.Value {
-		t.Error("bool mismatch")
-	}
-	if (&BooleanWritable{Value: false}).CompareTo(&BooleanWritable{Value: true}) != -1 {
-		t.Error("false should sort before true")
+	// The types a job can name: the paper's two intermediate data types,
+	// LongWritable and NullWritable.
+	if names := fmt.Sprint(Names()); names != "[BytesWritable LongWritable NullWritable Text]" {
+		t.Errorf("registered types = %s", names)
 	}
 }
 
@@ -310,21 +262,21 @@ func TestNullWritable(t *testing.T) {
 	if len(Marshal(NullWritable{})) != 0 {
 		t.Error("NullWritable must serialize to zero bytes")
 	}
-	if (NullWritable{}).CompareTo(NullWritable{}) != 0 {
+	if raw, _ := Comparator("NullWritable"); raw(nil, nil) != 0 {
 		t.Error("NullWritable compare != 0")
 	}
 }
 
 func TestDataOutputPrimitives(t *testing.T) {
 	o := NewDataOutput(16)
-	o.WriteUint16(0xBEEF)
-	o.WriteBool(true)
+	o.WriteInt32(-0x1234567)
+	o.WriteU8(0xEF)
 	in := NewDataInput(o.Bytes())
-	if v, _ := in.ReadUint16(); v != 0xBEEF {
-		t.Errorf("uint16 = %x", v)
+	if v, _ := in.ReadInt32(); v != -0x1234567 {
+		t.Errorf("int32 = %x", v)
 	}
-	if v, _ := in.ReadBool(); !v {
-		t.Error("bool = false")
+	if v, _ := in.ReadByte(); v != 0xEF {
+		t.Errorf("byte = %x", v)
 	}
 	o.Reset()
 	if o.Len() != 0 {
@@ -347,63 +299,6 @@ func BenchmarkCompareText(b *testing.B) {
 	y := Marshal(NewText("benchmark key beta"))
 	for i := 0; i < b.N; i++ {
 		_ = CompareText(x, y)
-	}
-}
-
-func TestArrayWritableRoundTrip(t *testing.T) {
-	a := NewArrayWritable("IntWritable",
-		&IntWritable{Value: 1}, &IntWritable{Value: -7}, &IntWritable{Value: 1 << 20})
-	buf := Marshal(a)
-	out := &ArrayWritable{ValueClass: "IntWritable"}
-	if err := Unmarshal(buf, out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Values) != 3 {
-		t.Fatalf("len = %d", len(out.Values))
-	}
-	for i, want := range []int32{1, -7, 1 << 20} {
-		if got := out.Values[i].(*IntWritable).Value; got != want {
-			t.Errorf("element %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestArrayWritableEmpty(t *testing.T) {
-	a := NewArrayWritable("Text")
-	out := &ArrayWritable{ValueClass: "Text"}
-	if err := Unmarshal(Marshal(a), out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Values) != 0 {
-		t.Errorf("len = %d", len(out.Values))
-	}
-}
-
-func TestArrayWritableBadElementClass(t *testing.T) {
-	a := NewArrayWritable("IntWritable", &IntWritable{Value: 5})
-	out := &ArrayWritable{ValueClass: "NoSuchClass"}
-	if err := Unmarshal(Marshal(a), out); err == nil {
-		t.Error("unknown element class accepted")
-	}
-}
-
-func TestArrayWritableNegativeCount(t *testing.T) {
-	o := NewDataOutput(4)
-	o.WriteInt32(-2)
-	out := &ArrayWritable{ValueClass: "IntWritable"}
-	if err := out.ReadFields(NewDataInput(o.Bytes())); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
-func TestArrayWritableNestedText(t *testing.T) {
-	a := NewArrayWritable("Text", NewText("alpha"), NewText("βήτα"))
-	out := &ArrayWritable{ValueClass: "Text"}
-	if err := Unmarshal(Marshal(a), out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Values[1].(*Text).String() != "βήτα" {
-		t.Errorf("element 1 = %v", out.Values[1])
 	}
 }
 
