@@ -1,17 +1,15 @@
-package localrun_test
+package localrun
 
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"mrmicro/internal/apps"
-	"mrmicro/internal/localrun"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
 
-const corpus = `the shuffle phase of a mapreduce job is communication intensive
+const exampleCorpus = `the shuffle phase of a mapreduce job is communication intensive
 the data shuffling phase can benefit from high performance interconnects
 high bandwidth and low latency improve the job execution time
 the map tasks transform input pairs to intermediate pairs
@@ -24,14 +22,9 @@ in jobs with a skewed load some reducers take much longer
 // summing reducer (also the combiner) over three map tasks and two reduce
 // tasks, through the sort/spill/merge pipeline and a TCP shuffle on
 // loopback. The corpus is served from memory as TextInputFormat serves a
-// file: one (byte offset, line) record per line.
+// file: one (byte offset, line) record per line, each map reading a
+// contiguous run of lines.
 func ExampleRun() {
-	var lines []mapreduce.Pair
-	offset := int64(0)
-	for _, line := range strings.SplitAfter(strings.TrimSuffix(corpus, "\n"), "\n") {
-		lines = append(lines, mapreduce.Pair{Key: &writable.LongWritable{Value: offset}, Value: writable.NewText(strings.TrimSuffix(line, "\n"))})
-		offset += int64(len(line))
-	}
 	out := &mapreduce.MemoryOutput{}
 	job := &mapreduce.Job{
 		Name: "wordcount",
@@ -41,12 +34,12 @@ func ExampleRun() {
 		Mapper:             func() mapreduce.Mapper { return &apps.WordCountMapper{} },
 		Reducer:            func() mapreduce.Reducer { return &apps.SumReducer{} },
 		Combiner:           func() mapreduce.Reducer { return &apps.SumReducer{} },
-		Input:              &mapreduce.SliceInput{Pairs: lines},
+		Input:              lineInput(exampleCorpus),
 		Output:             out,
 		MapOutputKeyType:   "Text",
 		MapOutputValueType: "LongWritable",
 	}
-	res, err := localrun.Run(job, nil)
+	res, err := Run(job, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +57,7 @@ func ExampleRun() {
 	}
 	// Output:
 	// 3 maps / 2 reduces
-	// map output records 71, shuffled after combining 61
+	// map output records 71, shuffled after combining 59
 	// distinct words 50; those seen three times or more:
 	// a 3
 	// phase 3

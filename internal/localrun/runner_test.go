@@ -12,17 +12,58 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// textPairs serves text as TextInputFormat does: one (LongWritable byte
-// offset, Text line) record per line.
-func textPairs(text string) []mapreduce.Pair {
-	var pairs []mapreduce.Pair
-	offset := int64(0)
-	for _, line := range strings.SplitAfter(strings.TrimSuffix(text, "\n"), "\n") {
-		pairs = append(pairs, mapreduce.Pair{Key: &writable.LongWritable{Value: offset}, Value: writable.NewText(strings.TrimSuffix(line, "\n"))})
-		offset += int64(len(line))
-	}
-	return pairs
+// lineInput serves text from memory as TextInputFormat serves a file: one
+// (LongWritable byte offset, Text line) record per line, each map task
+// reading a contiguous run of lines. The runs are ceil(lines/maps) long, so
+// the last may be shorter and a text of fewer lines than maps gets one map
+// per line.
+type lineInput string
+
+// lineSplit is one map task's run of lines; a copy of it is its reader.
+type lineSplit struct {
+	offset int64
+	lines  []string
 }
+
+func (in lineInput) Splits(conf *mapreduce.Conf) ([]mapreduce.InputSplit, error) {
+	lines := strings.Split(strings.TrimRight(string(in), "\n"), "\n")
+	n := max(1, min(conf.NumMaps(), len(lines)))
+	per := (len(lines) + n - 1) / n
+	var out []mapreduce.InputSplit
+	offset := int64(0)
+	for len(lines) > 0 {
+		s := &lineSplit{offset: offset, lines: lines[:min(per, len(lines))]}
+		lines = lines[len(s.lines):]
+		offset += s.Length()
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+func (lineInput) Reader(split mapreduce.InputSplit, _ *mapreduce.Conf) (mapreduce.RecordReader, error) {
+	r := *split.(*lineSplit)
+	return &r, nil
+}
+
+func (s *lineSplit) Length() int64 {
+	var n int64
+	for _, l := range s.lines {
+		n += int64(len(l)) + 1
+	}
+	return n
+}
+
+func (s *lineSplit) Next() (writable.Writable, writable.Writable, bool, error) {
+	if len(s.lines) == 0 {
+		return nil, nil, false, nil
+	}
+	k, v := &writable.LongWritable{Value: s.offset}, writable.NewText(s.lines[0])
+	s.offset += int64(len(s.lines[0])) + 1
+	s.lines = s.lines[1:]
+	return k, v, true, nil
+}
+
+func (s *lineSplit) Close() error { return nil }
 
 // wordCountJob builds the canonical test job over the given corpus.
 func wordCountJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job, *mapreduce.MemoryOutput) {
@@ -56,7 +97,7 @@ func wordCountJob(text string, maps, reduces int, combiner bool) (*mapreduce.Job
 				return o.Collect(writable.NewText(k.(*writable.Text).String()), &writable.LongWritable{Value: sum})
 			})
 		},
-		Input:              &mapreduce.SliceInput{Pairs: textPairs(text)},
+		Input:              lineInput(text),
 		Output:             out,
 		MapOutputKeyType:   "Text",
 		MapOutputValueType: "LongWritable",

@@ -10,7 +10,7 @@
 # Everything it writes — binaries, coverage counters, spill and run files,
 # corpora — goes to one private TMPDIR, removed when the script exits. It
 # fails only when a build or a listed command fails; an unreached function
-# is a finding, not a failure. About four minutes on 2 vCPUs.
+# is a finding, not a failure. About 50 s on 2 vCPUs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -71,8 +71,11 @@ run "$b" $dist
 run "$b" $dist -shufflemem 4096 -mergefactor 2 -parallelcopies 3 -codec deflate
 run "$b" $dist -fault-worker-kill 0.15 -fault-seed 11 -wal "$work/tmp/job.wal"
 run "$b" $dist -speculative 20ms -fault-partition 0.1 -fault-seed 3
-# A coordinator with two workers joined by hand.
-"$bin/mrcoord" -pattern MR-AVG -maps 4 -reduces 2 -pairs 500 -kv 64 >"$work/coord.out" 2>&1 &
+# A coordinator with two workers joined by hand. Each process gets leg
+# seconds; `timeout` ends a hung one with status 124, so a hang is a failure
+# that names the process, not a stalled script.
+leg=120
+timeout "$leg" "$bin/mrcoord" -pattern MR-AVG -maps 4 -reduces 2 -pairs 500 -kv 64 >"$work/coord.out" 2>&1 &
 coord=$!
 addr=
 for _ in $(seq 100); do
@@ -87,17 +90,17 @@ if [ -z "$addr" ]; then
 	echo "reach-census: mrcoord printed no address" >&2
 	exit 1
 fi
-"$bin/mrworker" -coord "$addr" -index 0 >"$work/w0.out" 2>&1 &
+timeout "$leg" "$bin/mrworker" -coord "$addr" -index 0 >"$work/w0.out" 2>&1 &
 w0=$!
-"$bin/mrworker" -coord "$addr" -index 1 >"$work/w1.out" 2>&1 &
+timeout "$leg" "$bin/mrworker" -coord "$addr" -index 1 >"$work/w1.out" 2>&1 &
 w1=$!
-status=0
-wait "$coord" || status=$?
-wait "$w0" || status=$?
-wait "$w1" || status=$?
-if [ "$status" -ne 0 ]; then
+failed=
+wait "$coord" || failed="$failed mrcoord:$?"
+wait "$w0" || failed="$failed mrworker-0:$?"
+wait "$w1" || failed="$failed mrworker-1:$?"
+if [ -n "$failed" ]; then
 	cat "$work/coord.out" "$work/w0.out" "$work/w1.out" >&2
-	echo "reach-census: mrcoord with two mrworkers failed" >&2
+	echo "reach-census: mrcoord with two mrworkers failed (process:status, 124 = timed out after ${leg}s):$failed" >&2
 	exit 1
 fi
 # The figure, cluster and sensitivity tools, and the property tester.
